@@ -129,10 +129,10 @@ def cmd_reconstruct(cfg) -> int:
     method = _single_method(cfg, "reconstruct")
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _, snapshots = simulate_measurement(cfg)
     if method == "projection":
         traj, var = monte_carlo_projection(cfg.sim, cfg.resolved_init)
     else:
+        _, snapshots = simulate_measurement(cfg)
         model = _fitted_model(cfg, method, snapshots)
         traj = reconstruct_model(model, np.array(cfg.resolved_init), cfg.sim.times())
         var = None

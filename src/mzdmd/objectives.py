@@ -3,9 +3,12 @@
 Three residual objectives over snapshot pairs: the plain least-squares fit,
 the memory-aware objective whose correction columns come from the
 discretized memory-kernel recursion, and its first-order-in-time
-simplification.  Analytic gradients are assembled from matrix-calculus
-rules; a central-difference gradient and a direct quadrature evaluation of
-the memory kernel serve as independent oracles.
+simplification.  Gradients are reverse mode: each memory term's forward
+pass returns its columns together with a pullback, the map from a
+cotangent of those columns to a gradient in A, so one forward pass serves
+the value, the memory matrices and the gradient.  A central-difference
+gradient and a direct quadrature evaluation of the memory kernel serve as
+independent oracles.
 """
 
 from __future__ import annotations
@@ -136,30 +139,82 @@ def cayley_M(a: np.ndarray) -> np.ndarray:
     return eye - 2.0 * x
 
 
+def _power_columns(m: np.ndarray, v: np.ndarray, cols: int) -> np.ndarray:
+    """The chain ``x_j = M^j v`` for j = 0..cols-1 as the columns of a matrix."""
+    x = np.empty((v.size, cols))
+    x[:, 0] = v
+    for j in range(1, cols):
+        x[:, j] = m @ x[:, j - 1]
+    return x
+
+
+def _power_pullback(m: np.ndarray, x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Gradient in M of ``<c, x>`` for the chain ``x = _power_columns(M, v, cols)``.
+
+    One backward sweep ``p_j = c_j + M^T p_{j+1}`` gives
+    ``sum_{j >= 1} p_j x_{j-1}^T``.
+    """
+    p = np.empty_like(c)
+    acc = np.zeros(c.shape[0])
+    for j in range(c.shape[1] - 1, 0, -1):
+        acc = c[:, j] + m.T @ acc
+        p[:, j] = acc
+    return p[:, 1:] @ x[:, :-1].T
+
+
+def _mz_memory(a, mem, cols):
+    """Columns of :func:`mz_memory_matrix` and their pullback, the map from a
+    cotangent of the columns to a gradient in A."""
+    eye = np.eye(a.shape[0])
+    a_shift = a - eye
+    w = linalg.expm(a_shift)
+    m_map = cayley_M(a)
+    k = w @ m_map
+    y = _power_columns(k, mem.n, cols)
+    x = _power_columns(w, mem.n, cols)
+    f = linalg.solve(a_shift, y - x)
+
+    def pullback(c):
+        # columns S (y - x) with S = (A - I)^{-1}: dS = -S dA S
+        c_hat = linalg.solve(a_shift.T, c)
+        g_k = _power_pullback(k, y, c_hat)
+        g_w = g_k @ m_map.T - _power_pullback(w, x, c_hat)
+        # M = 4 B - I with B = (A + I)^{-1}, so dM = -4 B dA B
+        b = linalg.solve(a + eye, eye)
+        grad = -(c_hat @ f.T) - 4.0 * (b.T @ (w.T @ g_k) @ b.T)
+        return grad + linalg.expm_frechet(a_shift.T, g_w)[1]
+
+    return f, pullback
+
+
+def _tmodel_memory(a, mem, dt, cols):
+    """Columns of :func:`tmodel_memory_matrix` and their pullback."""
+    a_shift = a - np.eye(a.shape[0])
+    w = linalg.expm(a_shift)
+    x = _power_columns(w, mem.n, cols)
+    weights = dt * np.arange(cols)
+
+    def pullback(c):
+        g_w = _power_pullback(w, x, c * weights)
+        return linalg.expm_frechet(a_shift.T, g_w)[1]
+
+    return x * weights, pullback
+
+
 def mz_memory_matrix(a: np.ndarray, mem: MemoryInit, cols: int) -> np.ndarray:
     """Memory-correction columns of the memory-aware objective.
 
     Column j (j >= 1) is ``(A - I)^{-1} W^j (M(A)^j - I) n`` with
     ``W = expm(A - I)`` and ``M`` the transfer map of :func:`cayley_M`;
-    column 0 is exactly zero.  W and M(A) are computed once and powered
-    incrementally across columns.
+    column 0 is exactly zero.  W and M(A) commute, so the columns are
+    computed as ``(A - I)^{-1} ((W M)^j n - W^j n)``.  Powering the product
+    stays accurate when the spectra of W and M pull apart; powering the two
+    factors apart and multiplying them loses every digit there.
     """
     a = np.asarray(a, dtype=float)
-    d = a.shape[0]
     if cols < 1:
         raise ValueError("cols must be at least 1")
-    eye = np.eye(d)
-    n = mem.n
-    w = linalg.expm(a - eye)
-    m_map = cayley_M(a)
-    f = np.zeros((d, cols))
-    wj = eye.copy()
-    mjn = n.copy()
-    for j in range(1, cols):
-        wj = wj @ w
-        mjn = m_map @ mjn
-        f[:, j] = wj @ (mjn - n)
-    return linalg.solve(a - eye, f)
+    return _mz_memory(a, mem, cols)[0]
 
 
 def tmodel_memory_matrix(a: np.ndarray, mem: MemoryInit, dt: float, cols: int) -> np.ndarray:
@@ -169,34 +224,36 @@ def tmodel_memory_matrix(a: np.ndarray, mem: MemoryInit, dt: float, cols: int) -
     cheaper than the full memory recursion.
     """
     a = np.asarray(a, dtype=float)
-    d = a.shape[0]
     if cols < 1:
         raise ValueError("cols must be at least 1")
     if not dt > 0:
         raise ValueError("dt must be positive")
-    w = linalg.expm(a - np.eye(d))
-    g = np.zeros((d, cols))
-    wn = mem.n.copy()
-    for j in range(1, cols):
-        wn = w @ wn
-        g[:, j] = (j * dt) * wn
-    return g
+    return _tmodel_memory(a, mem, dt, cols)[0]
 
 
-def _residual(obj: Objective, a: np.ndarray) -> np.ndarray:
+def _residual(obj: Objective, a: np.ndarray):
+    """Snapshot residual at A and the pullback of its memory term.
+
+    The pullback maps a cotangent of the residual to the gradient of the
+    memory term in A; it is None for the plain objective.
+    """
     s = obj.snapshots
     r = s.x_plus - a @ s.x_minus
     if obj.kind == MZ_DMD:
-        r = r + s.dt**2 * mz_memory_matrix(a, obj.memory, s.cols)
+        scale = s.dt**2
+        cols, pullback = _mz_memory(a, obj.memory, s.cols)
     elif obj.kind == T_MODEL:
-        r = r - s.dt * tmodel_memory_matrix(a, obj.memory, s.dt, s.cols)
-    return r
+        scale = -s.dt
+        cols, pullback = _tmodel_memory(a, obj.memory, s.dt, s.cols)
+    else:
+        return r, None
+    return r + scale * cols, lambda c: pullback(scale * c)
 
 
 def objective_value(obj: Objective, a: np.ndarray) -> float:
     """Squared Frobenius norm of the snapshot residual of ``obj`` at A."""
     a = np.asarray(a, dtype=float)
-    r = _residual(obj, a)
+    r, _ = _residual(obj, a)
     return float(np.sum(r * r))
 
 
@@ -206,91 +263,26 @@ def objective_gradient(obj: Objective, a: np.ndarray) -> np.ndarray:
 
 
 def objective_value_and_gradient(obj: Objective, a: np.ndarray) -> tuple[float, np.ndarray]:
-    """Objective value and its analytic gradient in one evaluation.
+    """Objective value and its exact gradient from one forward pass.
 
-    The gradient is assembled from matrix-calculus rules: the product rule
-    through ``A x_minus``, the Frechet derivative of ``expm(A - I)`` and its
-    powers, and the inverse rule ``d(B^{-1}) = -B^{-1} dB B^{-1}`` for the
-    (A - I) and (A + I) inverses.
+    Reverse mode: the forward pass builds the residual r; the gradient of
+    ``||r||^2`` is ``-2 r x_minus^T`` plus the memory term's pullback of the
+    cotangent 2r.  The pullback runs one backward sweep per power chain,
+    uses the inverse rule ``d(B^{-1}) = -B^{-1} dB B^{-1}`` for the (A - I)
+    and (A + I) inverses, and takes the adjoint of the Frechet derivative of
+    ``expm(A - I)``, which is that derivative at the transpose, in one
+    :func:`linalg.expm_frechet` call.
     """
     a = np.asarray(a, dtype=float)
     s = obj.snapshots
     if a.shape != (s.dim, s.dim):
         raise ValueError("operator shape does not match the snapshot dimension")
-    r = _residual(obj, a)
+    r, pullback = _residual(obj, a)
     value = float(np.sum(r * r))
     grad = -2.0 * (r @ s.x_minus.T)
-    if obj.kind == MZ_DMD:
-        grad = grad + 2.0 * s.dt**2 * _mz_memory_grad_term(a, obj.memory, s.cols, r)
-    elif obj.kind == T_MODEL:
-        grad = grad - 2.0 * s.dt * _tmodel_grad_term(a, obj.memory, s.dt, s.cols, r)
+    if pullback is not None:
+        grad = grad + pullback(2.0 * r)
     return value, grad
-
-
-def _tmodel_grad_term(a, mem, dt, cols, r):
-    """Matrix T with T[p,q] = <r, d/dA_pq of the first-order memory columns>."""
-    d = a.shape[0]
-    eye = np.eye(d)
-    w = linalg.expm(a - eye)
-    # W^j n for all columns, shared by every coordinate direction
-    wn = np.empty((cols, d))
-    wn[0] = mem.n
-    for j in range(1, cols):
-        wn[j] = w @ wn[j - 1]
-    out = np.zeros((d, d))
-    for p in range(d):
-        for q in range(d):
-            e = np.zeros((d, d))
-            e[p, q] = 1.0
-            _, dw = linalg.expm_frechet(a - eye, e)
-            dwn = np.zeros(d)  # d(W^j n) along e, by the product rule per power
-            acc = 0.0
-            for j in range(1, cols):
-                dwn = dw @ wn[j - 1] + w @ dwn
-                acc += (j * dt) * float(r[:, j] @ dwn)
-            out[p, q] = acc
-    return out
-
-
-def _mz_memory_grad_term(a, mem, cols, r):
-    """Matrix G with G[p,q] = <r, d/dA_pq of the memory-correction columns>."""
-    d = a.shape[0]
-    eye = np.eye(d)
-    n = mem.n
-    w = linalg.expm(a - eye)
-    m_map = cayley_M(a)
-    b = linalg.solve(a + eye, eye)  # (A + I)^{-1}; M(A) = 4B - I so dM = -4 B e B
-    # forward sweep shared by all directions: powers of W, M^j n, and the columns
-    w_pows = np.empty((cols, d, d))
-    w_pows[0] = eye
-    m_vecs = np.empty((cols, d))
-    m_vecs[0] = n
-    f = np.zeros((d, cols))
-    for j in range(1, cols):
-        w_pows[j] = w_pows[j - 1] @ w
-        m_vecs[j] = m_map @ m_vecs[j - 1]
-        f[:, j] = w_pows[j] @ (m_vecs[j] - n)
-    mtil = linalg.solve(a - eye, f)
-    # <r_j, S x> = <S^T r_j, x> with S = (A - I)^{-1}
-    st_r = linalg.solve((a - eye).T, r)
-    out = np.zeros((d, d))
-    for p in range(d):
-        for q in range(d):
-            e = np.zeros((d, d))
-            e[p, q] = 1.0
-            _, dw = linalg.expm_frechet(a - eye, e)
-            dm_map = -4.0 * np.outer(b[:, p], b[q, :])
-            dwj = np.zeros((d, d))
-            dmv = np.zeros(d)
-            acc = 0.0
-            for j in range(1, cols):
-                dwj = dw @ w_pows[j - 1] + w @ dwj
-                dmv = dm_map @ m_vecs[j - 1] + m_map @ dmv
-                df_col = dwj @ (m_vecs[j] - n) + w_pows[j] @ dmv
-                # d(S f_j) = S (df_j - e S f_j), folded into the transposed solve
-                acc += float(st_r[:, j] @ (df_col - e @ mtil[:, j]))
-            out[p, q] = acc
-    return out
 
 
 def fd_gradient(obj, a: np.ndarray, h: float = 1e-6) -> np.ndarray:

@@ -103,3 +103,17 @@ class TestSubcommands:
         assert main(["run", "--config", str(cfg), "--out", str(flag_out)]) == 0
         assert (flag_out / "dmd.csv").exists()
         assert not (tmp_path / "ignored").exists()
+
+    def test_reconstruct_projection_skips_the_measurement(self, tmp_path, capsys, monkeypatch):
+        cfg = write_cfg(tmp_path, SMALL)
+        run_out, rec_out = tmp_path / "run", tmp_path / "rec"
+        assert main(["run", "--config", str(cfg), "--method", "projection",
+                     "--seed", "5", "--out", str(run_out)]) == 0
+
+        def no_measurement(cfg):
+            raise AssertionError("projection must not integrate a measurement")
+
+        monkeypatch.setattr("mzdmd.cli.simulate_measurement", no_measurement)
+        assert main(["reconstruct", "--config", str(cfg), "--method", "projection",
+                     "--seed", "5", "--out", str(rec_out)]) == 0
+        assert (rec_out / "projection.csv").read_bytes() == (run_out / "projection.csv").read_bytes()

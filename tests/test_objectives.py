@@ -8,8 +8,10 @@ from mzdmd import (
     SingularMatrixError,
     SnapshotPair,
     cayley_M,
+    default_config,
     dmd_fit,
     expm,
+    expm_frechet,
     fd_gradient,
     matpow,
     memory_kernel_closed,
@@ -17,6 +19,7 @@ from mzdmd import (
     mz_memory_matrix,
     objective_gradient,
     objective_value,
+    simulate_measurement,
     solve,
     tmodel_memory_matrix,
 )
@@ -122,6 +125,21 @@ class TestMemoryMatrices:
         g = tmodel_memory_matrix(np.array([[2.0]]), mem, 0.1, 4)
         assert g[0, 3] == pytest.approx(0.3 * np.exp(3.0), rel=1e-12)
 
+    @pytest.mark.parametrize("cols", [200, 500])
+    def test_mz_columns_match_eigenbasis_closed_form(self, cols):
+        # eigenvalues 0.5 and 0.9: W^j decays like e^{-j/2} while M(A)^j grows
+        # like (5/3)^j, so powering the two factors apart loses every digit
+        v = np.array([[1.0, 0.6], [0.8, 1.0]])
+        lam = np.array([0.5, 0.9])
+        a = v @ np.diag(lam) @ np.linalg.inv(v)
+        n = np.ones(2)
+        j = np.arange(cols)[None, :]
+        mu = (3.0 - lam) / (1.0 + lam)
+        coef = np.exp(j * (lam[:, None] - 1.0)) * (mu[:, None] ** j - 1.0) / (lam[:, None] - 1.0)
+        closed = v @ (coef * np.linalg.solve(v, n)[:, None])
+        mtil = mz_memory_matrix(a, MemoryInit(n), cols)
+        assert np.linalg.norm(mtil - closed) / np.linalg.norm(closed) <= 1e-10
+
     def test_mz_singular_at_eigenvalue_one(self):
         mem = MemoryInit(np.array([1.0, 1.0]))
         with pytest.raises(SingularMatrixError):
@@ -148,6 +166,65 @@ def _naive_objective(kind, s, mem, a):
         for j in range(cols):
             total += residual[i, j] ** 2
     return total
+
+
+def _complex_pair_operator(rng, pairs):
+    """4 x 4 operator with eigenvalues radius * exp(+-i angle) for each pair."""
+    blocks = np.zeros((4, 4))
+    for k, (radius, angle) in enumerate(pairs):
+        c, s = radius * np.cos(angle), radius * np.sin(angle)
+        blocks[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [[c, -s], [s, c]]
+    v = np.eye(4) + 0.3 * rng.standard_normal((4, 4))
+    return v @ blocks @ np.linalg.inv(v)
+
+
+def _forward_mode_gradient(obj, a):
+    """Slow reference gradient of a memory objective, built one operator entry
+    at a time: for each direction E_pq, a Frechet derivative of expm(A - I)
+    and a forward sweep of the directional derivative over every column.
+    The memory columns are powered factor by factor, W^j and M(A)^j n apart."""
+    s, n = obj.snapshots, obj.memory.n
+    d, cols, dt = s.dim, s.cols, s.dt
+    eye = np.eye(d)
+    w = expm(a - eye)
+    m_map = cayley_M(a)
+    b = solve(a + eye, eye)  # (A + I)^{-1}; M(A) = 4B - I so dM = -4 B e B
+    w_pows = np.empty((cols, d, d))
+    w_pows[0] = eye
+    m_vecs = np.empty((cols, d))
+    m_vecs[0] = n
+    for j in range(1, cols):
+        w_pows[j] = w_pows[j - 1] @ w
+        m_vecs[j] = m_map @ m_vecs[j - 1]
+    r = s.x_plus - a @ s.x_minus
+    if obj.kind == "mz-dmd":
+        f = np.zeros((d, cols))
+        for j in range(1, cols):
+            f[:, j] = w_pows[j] @ (m_vecs[j] - n)
+        mtil = solve(a - eye, f)
+        r = r + dt**2 * mtil
+        st_r = solve((a - eye).T, r)  # <r_j, S x> = <S^T r_j, x>, S = (A - I)^{-1}
+    else:
+        r = r - dt * np.stack([(j * dt) * (w_pows[j] @ n) for j in range(cols)], axis=1)
+    term = np.zeros((d, d))
+    for p in range(d):
+        for q in range(d):
+            e = np.zeros((d, d))
+            e[p, q] = 1.0
+            _, dw = expm_frechet(a - eye, e)
+            dm_map = -4.0 * np.outer(b[:, p], b[q, :])
+            dwj = np.zeros((d, d))
+            dmv = np.zeros(d)
+            for j in range(1, cols):
+                dwj = dw @ w_pows[j - 1] + w @ dwj
+                if obj.kind == "mz-dmd":
+                    dmv = dm_map @ m_vecs[j - 1] + m_map @ dmv
+                    df_col = dwj @ (m_vecs[j] - n) + w_pows[j] @ dmv
+                    # d(S f_j) = S (df_j - e S f_j)
+                    term[p, q] += dt**2 * float(st_r[:, j] @ (df_col - e @ mtil[:, j]))
+                else:
+                    term[p, q] -= dt * (j * dt) * float(r[:, j] @ (dwj @ n))
+    return -2.0 * (r @ s.x_minus.T) + 2.0 * term
 
 
 class TestObjectiveValue:
@@ -203,6 +280,41 @@ class TestObjectiveGradient:
         snaps = random_snapshots(rng, d=4, cols=8)
         obj = Objective(kind, snaps, MemoryInit.sample(4, 1.0, rng))
         a = random_operator(rng, 4)
+        analytic = objective_gradient(obj, a)
+        numeric = fd_gradient(obj, a, h=1e-6)
+        scale = max(np.linalg.norm(analytic), np.linalg.norm(numeric))
+        assert np.linalg.norm(analytic - numeric) / scale <= 1e-5
+
+    def test_protocol_size_matches_forward_mode_reference(self):
+        # d = 2, 500 columns, at the plain fit of the default measurement
+        _, snaps = simulate_measurement(default_config())
+        a = dmd_fit(snaps)
+        mem = MemoryInit.sample(2, 1.0, np.random.default_rng(12))
+        for kind in ("mz-dmd", "t-model"):
+            obj = Objective(kind, snaps, mem)
+            reference = _forward_mode_gradient(obj, a)
+            rel = np.linalg.norm(objective_gradient(obj, a) - reference) / np.linalg.norm(reference)
+            assert rel <= 1e-9, kind
+
+    def test_complex_pair_spectrum_matches_forward_mode_reference(self):
+        # the reference powers W and M(A) apart, so it is only accurate where
+        # their spectra stay close: complex pairs near the unit circle
+        rng = np.random.default_rng(13)
+        a = _complex_pair_operator(rng, [(0.98, 0.15), (0.9, 0.4)])
+        snaps = random_snapshots(rng, d=4, cols=50)
+        mem = MemoryInit.sample(4, 1.0, rng)
+        for kind in ("mz-dmd", "t-model"):
+            obj = Objective(kind, snaps, mem)
+            reference = _forward_mode_gradient(obj, a)
+            rel = np.linalg.norm(objective_gradient(obj, a) - reference) / np.linalg.norm(reference)
+            assert rel <= 1e-9, kind
+
+    def test_spread_spectra_match_central_differences(self):
+        # M(A) has a pair of modulus 2 and W one of modulus 0.47: over 50
+        # columns powering them apart leaves the gradient 2e-5 off
+        rng = np.random.default_rng(13)
+        a = _complex_pair_operator(rng, [(0.95, 0.3), (0.7, 1.2)])
+        obj = Objective("mz-dmd", random_snapshots(rng, d=4, cols=50), MemoryInit.sample(4, 1.0, rng))
         analytic = objective_gradient(obj, a)
         numeric = fd_gradient(obj, a, h=1e-6)
         scale = max(np.linalg.norm(analytic), np.linalg.norm(numeric))
