@@ -1,24 +1,47 @@
 """Exception types shared across the package."""
 
+import numpy as np
+
+
+def failing_slices(bad) -> tuple[str, list[int] | None]:
+    """Message suffix and indices naming the True entries of a per-slice
+    failure mask; empty, with no indices, for the 0-d mask of a single
+    matrix and for a mask that names no slice."""
+    indices = [int(i) for i in np.flatnonzero(bad)] if np.ndim(bad) else []
+    if not indices:
+        return "", None
+    return f" in slices {indices}", indices
+
 
 class NumericalError(RuntimeError):
-    """A numerical routine failed to converge or overflowed."""
+    """A numerical routine failed to converge or overflowed.
+
+    ``indices`` lists the failing slices when the routine ran on a stack of
+    matrices; it is None for a single matrix and when the failing slices
+    cannot be told apart.
+    """
+
+    def __init__(self, message, indices=None):
+        super().__init__(message)
+        self.indices = indices
 
 
 class SingularMatrixError(NumericalError):
     """A linear solve was refused because the matrix is singular or too
-    ill-conditioned; carries the condition estimate that triggered it."""
+    ill-conditioned; carries the condition estimate that triggered it, a
+    float, or None when a stacked solve failed after every slice passed its
+    condition check."""
 
-    def __init__(self, message, cond=None):
-        super().__init__(message)
+    def __init__(self, message, cond=None, indices=None):
+        super().__init__(message, indices)
         self.cond = cond
 
 
 class DivergenceError(NumericalError):
     """An iteration produced a non-finite state or loss."""
 
-    def __init__(self, message, step=None):
-        super().__init__(message)
+    def __init__(self, message, step=None, indices=None):
+        super().__init__(message, indices)
         self.step = step
 
 

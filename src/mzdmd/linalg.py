@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .errors import NumericalError, SingularMatrixError
+from .errors import NumericalError, SingularMatrixError, failing_slices
 
 # Singular values below PINV_RTOL * sigma_max are treated as zero.
 PINV_RTOL = 1e-12
@@ -93,14 +93,23 @@ def eig(a: np.ndarray, residual_rtol: float = EIG_RESIDUAL_RTOL) -> EigDecomposi
     return EigDecomposition(values=values, vectors=vectors)
 
 
+def _square(a: np.ndarray, name: str) -> None:
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"{name} requires a square matrix or a stack of them")
+
+
 def expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring with Pade approximants)."""
+    """Matrix exponential (scaling-and-squaring with Pade approximants) of a
+    matrix or of each slice of an (n, d, d) stack."""
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expm requires a square matrix")
+    _square(a, "expm")
     result = scipy.linalg.expm(a)
-    if not np.all(np.isfinite(result)):
-        raise NumericalError("matrix exponential overflowed; input norm too large")
+    bad = ~np.isfinite(result).all(axis=(-2, -1))
+    if np.any(bad):
+        where, indices = failing_slices(bad)
+        raise NumericalError(
+            f"matrix exponential overflowed{where}; input norm too large", indices=indices
+        )
     return result
 
 
@@ -110,40 +119,53 @@ def expm_frechet(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Uses the block-augmented identity: the exponential of ``[[A, E], [0, A]]``
     has ``expm(A)`` on the diagonal and the Frechet derivative ``L(A, E)`` in
     the upper-right block, so one expm call yields both to expm's accuracy.
+    Stacks (n, d, d) of A and E give stacks of both, from one expm call.
     """
     a = np.asarray(a, dtype=float)
     e = np.asarray(e, dtype=float)
-    if a.shape != e.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
+    _square(a, "expm_frechet")
+    if a.shape != e.shape:
         raise ValueError("expm_frechet requires square matrices of the same shape")
-    d = a.shape[0]
-    block = np.zeros((2 * d, 2 * d))
-    block[:d, :d] = a
-    block[:d, d:] = e
-    block[d:, d:] = a
+    d = a.shape[-1]
+    block = np.zeros(a.shape[:-2] + (2 * d, 2 * d))
+    block[..., :d, :d] = a
+    block[..., :d, d:] = e
+    block[..., d:, d:] = a
     p = expm(block)
-    return p[:d, :d], p[:d, d:]
+    return p[..., :d, :d], p[..., :d, d:]
 
 
 def solve(a: np.ndarray, b: np.ndarray, cond_max: float = COND_MAX) -> np.ndarray:
-    """Solve A X = B, refusing matrices with condition estimate above cond_max."""
+    """Solve A X = B, refusing matrices with condition estimate above cond_max.
+
+    A may be an (n, d, d) stack with B an (n, d, k) stack; every slice is
+    condition-checked and a refusal names the slices that failed.
+    """
     a = np.asarray(a)
     b = np.asarray(b)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("solve requires a square matrix")
-    if b.shape[0] != a.shape[0]:
+    _square(a, "solve")
+    if b.shape[: a.ndim - 1] != a.shape[:-1] or (a.ndim == 3 and b.ndim != 3):
         raise ValueError("right-hand side has incompatible leading dimension")
     try:
-        cond = float(np.linalg.cond(a))
+        cond = np.linalg.cond(a)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"condition estimate failed: {exc}") from exc
-    if not np.isfinite(cond) or cond > cond_max:
+        where, indices = failing_slices(~np.isfinite(a).all(axis=(-2, -1)))
+        raise NumericalError(f"condition estimate failed{where}: {exc}", indices=indices) from exc
+    bad = ~np.isfinite(cond) | (cond > cond_max)
+    if np.any(bad):
+        where, indices = failing_slices(bad)
+        first = float(np.asarray(cond)[bad][0])
         raise SingularMatrixError(
-            f"matrix is singular or ill-conditioned (cond ~ {cond:.3e})", cond=cond
+            f"matrix is singular or ill-conditioned{where} (cond ~ {first:.3e})",
+            cond=first,
+            indices=indices,
         )
     try:
         return np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"linear solve failed: {exc}", cond=cond) from exc
+        raise SingularMatrixError(
+            f"linear solve failed: {exc}", cond=float(cond) if cond.ndim == 0 else None
+        ) from exc
 
 
 def matpow(m: np.ndarray, j: int) -> np.ndarray:

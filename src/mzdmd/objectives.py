@@ -6,7 +6,9 @@ discretized memory-kernel recursion, and its first-order-in-time
 simplification.  Gradients are reverse mode: each memory term's forward
 pass returns its columns together with a pullback, the map from a
 cotangent of those columns to a gradient in A, so one forward pass serves
-the value, the memory matrices and the gradient.  A central-difference
+the value, the memory matrices and the gradient.  Every computation runs on
+a stack of operators (n_u, d, d), a single operator being a stack of one, so
+an ensemble of fits is one array computation.  A central-difference
 gradient and a direct quadrature evaluation of the memory kernel serve as
 independent oracles.
 """
@@ -75,13 +77,19 @@ class SnapshotPair:
 
 @dataclass(frozen=True)
 class MemoryInit:
-    """Initialization vector for the memory term, with the scale it was drawn at."""
+    """Initialization vector for the memory term, with the scale it was drawn at.
+
+    ``n`` holds one vector (d,) or a stack (n_u, d) of them, one per operator
+    of a stacked fit.
+    """
 
     n: np.ndarray
     sigma: float = 0.0
 
     def __post_init__(self):
-        n = np.asarray(self.n, dtype=float).ravel()
+        n = np.asarray(self.n, dtype=float)
+        if n.ndim != 2:
+            n = n.ravel()
         object.__setattr__(self, "n", n)
         if n.size == 0 or not np.all(np.isfinite(n)):
             raise ValueError("memory vector must be nonempty and finite")
@@ -114,7 +122,7 @@ class Objective:
         if self.kind != PLAIN_DMD:
             if self.memory is None:
                 raise ValueError(f"{self.kind} requires a memory initialization")
-            if self.memory.n.size != self.snapshots.dim:
+            if self.memory.n.shape[-1] != self.snapshots.dim:
                 raise ValueError("memory vector length must match the snapshot dimension")
 
 
@@ -124,79 +132,110 @@ def dmd_fit(s: SnapshotPair, rtol: float = linalg.PINV_RTOL) -> np.ndarray:
     return s.x_plus @ linalg.pinv(s.x_minus, rtol)
 
 
+def _mT(x: np.ndarray) -> np.ndarray:
+    """Transpose of each slice of a stack."""
+    return np.swapaxes(x, -1, -2)
+
+
 def cayley_M(a: np.ndarray) -> np.ndarray:
     """Transfer map ``I - 2 (A - I)(A + I)^{-1}`` of the memory recursion.
 
     Algebraically equal to ``(3I - A)(A + I)^{-1}``; singular exactly when A
-    has eigenvalue -1.
+    has eigenvalue -1.  An (n_u, d, d) stack gives the map of every slice.
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("cayley_M requires a square matrix")
-    eye = np.eye(a.shape[0])
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise ValueError("cayley_M requires a square matrix or a stack of them")
+    eye = np.eye(a.shape[-1])
     # right division: X (A + I) = (A - I)  =>  X = solve((A+I)^T, (A-I)^T)^T
-    x = linalg.solve((a + eye).T, (a - eye).T).T
+    x = _mT(linalg.solve(_mT(a + eye), _mT(a - eye)))
     return eye - 2.0 * x
 
 
+def _stacks(a, mem: MemoryInit | None, d: int):
+    """A as an (n_u, d, d) stack and the memory as (n_u, d) rows.
+
+    A single operator (d, d) is a stack of one and takes one memory vector
+    (d,); a stack (n_u, d, d) takes one memory vector per slice, (n_u, d).
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim not in (2, 3) or a.shape[-2:] != (d, d):
+        raise ValueError("operator shape does not match the snapshot dimension")
+    if mem is None:
+        return a.reshape(-1, d, d), None
+    if mem.n.shape != a.shape[:-1]:
+        raise ValueError("need one memory vector per operator")
+    return a.reshape(-1, d, d), mem.n.reshape(-1, d)
+
+
+def _columns(chain: np.ndarray) -> np.ndarray:
+    """A chain laid out (cols, n_u, d, 1) as C-contiguous (n_u, d, cols) columns."""
+    return np.ascontiguousarray(np.moveaxis(chain[..., 0], 0, -1))
+
+
 def _power_columns(m: np.ndarray, v: np.ndarray, cols: int) -> np.ndarray:
-    """The chain ``x_j = M^j v`` for j = 0..cols-1 as the columns of a matrix."""
-    x = np.empty((v.size, cols))
-    x[:, 0] = v
-    for j in range(1, cols):
-        x[:, j] = m @ x[:, j - 1]
-    return x
+    """The chains ``x_j = M^j v`` for j = 0..cols-1 over a stack: M is
+    (n_u, d, d), v is (n_u, d) and the columns come back as (n_u, d, cols)."""
+    x = np.empty((cols,) + v.shape + (1,))
+    x[0] = v[..., None]
+    steps = list(x)
+    for prev, cur in zip(steps, steps[1:]):
+        np.matmul(m, prev, cur)
+    return _columns(x)
 
 
 def _power_pullback(m: np.ndarray, x: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Gradient in M of ``<c, x>`` for the chain ``x = _power_columns(M, v, cols)``.
+    """Gradient in M of ``<c, x>`` for the chains ``x = _power_columns(M, v, cols)``.
 
     One backward sweep ``p_j = c_j + M^T p_{j+1}`` gives
-    ``sum_{j >= 1} p_j x_{j-1}^T``.
+    ``sum_{j >= 1} p_j x_{j-1}^T`` for every slice of the stack.
     """
-    p = np.empty_like(c)
-    acc = np.zeros(c.shape[0])
-    for j in range(c.shape[1] - 1, 0, -1):
-        acc = c[:, j] + m.T @ acc
-        p[:, j] = acc
-    return p[:, 1:] @ x[:, :-1].T
+    cols = c.shape[-1]
+    mt = _mT(m)
+    p = np.zeros((cols + 1,) + c.shape[:-1] + (1,))  # p[cols] = 0 starts the sweep
+    ps, cs = list(p), list(np.moveaxis(c, -1, 0)[..., None])
+    for nxt, cur, cj in zip(ps[cols:1:-1], ps[cols - 1:0:-1], cs[cols - 1:0:-1]):
+        np.matmul(mt, nxt, cur)
+        np.add(cur, cj, cur)
+    return _columns(p[:cols])[..., 1:] @ _mT(x[..., :-1])
 
 
-def _mz_memory(a, mem, cols):
-    """Columns of :func:`mz_memory_matrix` and their pullback, the map from a
-    cotangent of the columns to a gradient in A."""
-    eye = np.eye(a.shape[0])
+def _mz_memory(a, n, cols):
+    """Columns of :func:`mz_memory_matrix` for a stack A (n_u, d, d) and
+    memory rows n (n_u, d), and their pullback, the map from a cotangent of
+    the columns to a gradient in A."""
+    eye = np.eye(a.shape[-1])
     a_shift = a - eye
     w = linalg.expm(a_shift)
     m_map = cayley_M(a)
     k = w @ m_map
-    y = _power_columns(k, mem.n, cols)
-    x = _power_columns(w, mem.n, cols)
+    y = _power_columns(k, n, cols)
+    x = _power_columns(w, n, cols)
     f = linalg.solve(a_shift, y - x)
 
     def pullback(c):
         # columns S (y - x) with S = (A - I)^{-1}: dS = -S dA S
-        c_hat = linalg.solve(a_shift.T, c)
+        c_hat = linalg.solve(_mT(a_shift), c)
         g_k = _power_pullback(k, y, c_hat)
-        g_w = g_k @ m_map.T - _power_pullback(w, x, c_hat)
+        g_w = g_k @ _mT(m_map) - _power_pullback(w, x, c_hat)
         # M = 4 B - I with B = (A + I)^{-1}, so dM = -4 B dA B
-        b = linalg.solve(a + eye, eye)
-        grad = -(c_hat @ f.T) - 4.0 * (b.T @ (w.T @ g_k) @ b.T)
-        return grad + linalg.expm_frechet(a_shift.T, g_w)[1]
+        b = linalg.solve(a + eye, np.broadcast_to(eye, a.shape))
+        grad = -(c_hat @ _mT(f)) - 4.0 * (_mT(b) @ (_mT(w) @ g_k) @ _mT(b))
+        return grad + linalg.expm_frechet(_mT(a_shift), g_w)[1]
 
     return f, pullback
 
 
-def _tmodel_memory(a, mem, dt, cols):
-    """Columns of :func:`tmodel_memory_matrix` and their pullback."""
-    a_shift = a - np.eye(a.shape[0])
+def _tmodel_memory(a, n, dt, cols):
+    """Columns of :func:`tmodel_memory_matrix` for a stack and their pullback."""
+    a_shift = a - np.eye(a.shape[-1])
     w = linalg.expm(a_shift)
-    x = _power_columns(w, mem.n, cols)
+    x = _power_columns(w, n, cols)
     weights = dt * np.arange(cols)
 
     def pullback(c):
         g_w = _power_pullback(w, x, c * weights)
-        return linalg.expm_frechet(a_shift.T, g_w)[1]
+        return linalg.expm_frechet(_mT(a_shift), g_w)[1]
 
     return x * weights, pullback
 
@@ -209,52 +248,66 @@ def mz_memory_matrix(a: np.ndarray, mem: MemoryInit, cols: int) -> np.ndarray:
     column 0 is exactly zero.  W and M(A) commute, so the columns are
     computed as ``(A - I)^{-1} ((W M)^j n - W^j n)``.  Powering the product
     stays accurate when the spectra of W and M pull apart; powering the two
-    factors apart and multiplying them loses every digit there.
+    factors apart and multiplying them loses every digit there.  A stack A
+    (n_u, d, d) gives (n_u, d, cols).
     """
-    a = np.asarray(a, dtype=float)
     if cols < 1:
         raise ValueError("cols must be at least 1")
-    return _mz_memory(a, mem, cols)[0]
+    f = _mz_memory(*_stacks(a, mem, np.shape(a)[-1]), cols)[0]
+    return f[0] if np.ndim(a) == 2 else f
 
 
 def tmodel_memory_matrix(a: np.ndarray, mem: MemoryInit, dt: float, cols: int) -> np.ndarray:
     """First-order memory columns ``g_j = j dt W^j n``; column 0 is zero.
 
     No inverse of (A - I) is involved, which is what makes this objective
-    cheaper than the full memory recursion.
+    cheaper than the full memory recursion.  A stack A (n_u, d, d) gives
+    (n_u, d, cols).
     """
-    a = np.asarray(a, dtype=float)
     if cols < 1:
         raise ValueError("cols must be at least 1")
     if not dt > 0:
         raise ValueError("dt must be positive")
-    return _tmodel_memory(a, mem, dt, cols)[0]
+    g = _tmodel_memory(*_stacks(a, mem, np.shape(a)[-1]), dt, cols)[0]
+    return g[0] if np.ndim(a) == 2 else g
 
 
 def _residual(obj: Objective, a: np.ndarray):
-    """Snapshot residual at A and the pullback of its memory term.
+    """Snapshot residuals at A, as (n_u, d, cols) with n_u = 1 for a 2-D A,
+    and the pullback of their memory term.
 
-    The pullback maps a cotangent of the residual to the gradient of the
+    The pullback maps a cotangent of the residuals to the gradient of the
     memory term in A; it is None for the plain objective.
     """
     s = obj.snapshots
+    a, n = _stacks(a, None if obj.kind == PLAIN_DMD else obj.memory, s.dim)
     r = s.x_plus - a @ s.x_minus
     if obj.kind == MZ_DMD:
         scale = s.dt**2
-        cols, pullback = _mz_memory(a, obj.memory, s.cols)
+        cols, pullback = _mz_memory(a, n, s.cols)
     elif obj.kind == T_MODEL:
         scale = -s.dt
-        cols, pullback = _tmodel_memory(a, obj.memory, s.dt, s.cols)
+        cols, pullback = _tmodel_memory(a, n, s.dt, s.cols)
     else:
         return r, None
     return r + scale * cols, lambda c: pullback(scale * c)
 
 
-def objective_value(obj: Objective, a: np.ndarray) -> float:
-    """Squared Frobenius norm of the snapshot residual of ``obj`` at A."""
-    a = np.asarray(a, dtype=float)
+def _sum_squares(r: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each slice, summed in the order a flat sum
+    over one slice takes."""
+    return np.sum((r * r).reshape(r.shape[0], -1), axis=1)
+
+
+def objective_value(obj: Objective, a: np.ndarray) -> float | np.ndarray:
+    """Squared Frobenius norm of the snapshot residual of ``obj`` at A.
+
+    A 2-D operator gives a float; a stack (n_u, d, d) gives one value per
+    slice as an (n_u,) array.
+    """
     r, _ = _residual(obj, a)
-    return float(np.sum(r * r))
+    value = _sum_squares(r)
+    return float(value[0]) if np.ndim(a) == 2 else value
 
 
 def objective_gradient(obj: Objective, a: np.ndarray) -> np.ndarray:
@@ -262,7 +315,9 @@ def objective_gradient(obj: Objective, a: np.ndarray) -> np.ndarray:
     return objective_value_and_gradient(obj, a)[1]
 
 
-def objective_value_and_gradient(obj: Objective, a: np.ndarray) -> tuple[float, np.ndarray]:
+def objective_value_and_gradient(
+    obj: Objective, a: np.ndarray
+) -> tuple[float | np.ndarray, np.ndarray]:
     """Objective value and its exact gradient from one forward pass.
 
     Reverse mode: the forward pass builds the residual r; the gradient of
@@ -272,16 +327,23 @@ def objective_value_and_gradient(obj: Objective, a: np.ndarray) -> tuple[float, 
     and (A + I) inverses, and takes the adjoint of the Frechet derivative of
     ``expm(A - I)``, which is that derivative at the transpose, in one
     :func:`linalg.expm_frechet` call.
+
+    A 2-D operator gives a float and a (d, d) gradient.  A stack (n_u, d, d),
+    with one memory vector per slice, is evaluated as one computation and
+    gives (n_u,) values and (n_u, d, d) gradients, each slice independent
+    of the others.  Each memory chain and its sweep hold
+    (cols, n_u, d) floats; about ten such arrays are alive at once, so the
+    working set is roughly 10 * n_u * d * cols * 8 bytes (8 MB at n_u = 100,
+    d = 2 and 500 columns).
     """
-    a = np.asarray(a, dtype=float)
     s = obj.snapshots
-    if a.shape != (s.dim, s.dim):
-        raise ValueError("operator shape does not match the snapshot dimension")
     r, pullback = _residual(obj, a)
-    value = float(np.sum(r * r))
+    value = _sum_squares(r)
     grad = -2.0 * (r @ s.x_minus.T)
     if pullback is not None:
         grad = grad + pullback(2.0 * r)
+    if np.ndim(a) == 2:
+        return float(value[0]), grad[0]
     return value, grad
 
 

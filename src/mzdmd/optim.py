@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError
+from .errors import DivergenceError, failing_slices
 from .objectives import Objective, objective_value, objective_value_and_gradient
 
 
@@ -76,26 +76,42 @@ def adam_step(state: OptState, grad: np.ndarray, cfg: AdamConfig) -> OptState:
 def fit_transition(obj: Objective, a0: np.ndarray, cfg: AdamConfig) -> tuple[np.ndarray, np.ndarray]:
     """Run ``cfg.iterations`` Adam steps on ``obj`` starting from ``a0``.
 
-    Returns the final operator and the objective value at every iterate
-    (length ``iterations + 1``, the initial loss first).
+    A 2-D ``a0`` fits one operator.  A stack (n_u, d, d), with ``obj``
+    holding one memory vector per slice (n_u, d), fits the n_u operators
+    with one value+gradient call per iteration for the whole stack.  Each
+    operator keeps its own :class:`OptState` and takes its own
+    :func:`adam_step`, so every slice takes exactly the steps it would take
+    alone.  The working set is that of :func:`objective_value_and_gradient`
+    on the stack.
+
+    Returns the final operator(s), shaped like ``a0``, and the objective
+    value at every iterate, the initial loss first: shape
+    ``(iterations + 1,)`` for one operator, ``(n_u, iterations + 1)`` for a
+    stack.  A non-finite loss raises :class:`DivergenceError` naming the
+    slices it occurred in.
     """
-    a0 = np.asarray(a0, dtype=float)
+    params = np.array(a0, dtype=float)
     d = obj.snapshots.dim
-    if a0.shape != (d, d):
+    if params.ndim not in (2, 3) or params.shape[-2:] != (d, d):
         raise ValueError("a0 shape does not match the snapshot dimension")
-    state = OptState.initial(a0.copy())
-    trace = np.empty(cfg.iterations + 1)
+    states = [OptState.initial(a) for a in params.reshape(-1, d, d)]
+    trace = np.empty(params.shape[:-2] + (cfg.iterations + 1,))
     for it in range(cfg.iterations):
-        value, grad = objective_value_and_gradient(obj, state.params)
-        trace[it] = value
-        if not np.isfinite(value):
-            raise DivergenceError(f"objective became non-finite at iteration {it}", step=it)
-        state = adam_step(state, grad, cfg)
-    final = objective_value(obj, state.params)
-    trace[-1] = final
-    if not np.isfinite(final):
+        value, grad = objective_value_and_gradient(obj, params)
+        trace[..., it] = value
+        _check_finite(value, f"at iteration {it}", it)
+        states = [adam_step(st, g, cfg) for st, g in zip(states, grad.reshape(-1, d, d))]
+        params = np.stack([st.params for st in states]).reshape(params.shape)
+    final = objective_value(obj, params)
+    trace[..., -1] = final
+    _check_finite(final, f"after {cfg.iterations} iterations", cfg.iterations)
+    return params, trace
+
+
+def _check_finite(value, when: str, step: int) -> None:
+    bad = ~np.isfinite(value)
+    if np.any(bad):
+        where, indices = failing_slices(bad)
         raise DivergenceError(
-            f"objective became non-finite after {cfg.iterations} iterations",
-            step=cfg.iterations,
+            f"objective became non-finite{where} {when}", step=step, indices=indices
         )
-    return state.params, trace

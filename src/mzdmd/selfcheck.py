@@ -22,6 +22,7 @@ from .objectives import (
     memory_kernel_trapezoid,
     objective_gradient,
     objective_value,
+    objective_value_and_gradient,
 )
 from .oscillator import SimConfig, hamiltonian, integrate, oscillator_rhs, rng_stream
 
@@ -119,6 +120,20 @@ def check_gradients(rng):
     return ok
 
 
+def check_batched_gradient(rng):
+    snaps = _random_objectives(rng)[0].snapshots
+    a = np.stack([_random_operator(rng, 2) for _ in range(3)])
+    mem = MemoryInit(rng.standard_normal((3, 2)), 1.0)
+    ok = True
+    for kind in (MZ_DMD, T_MODEL):
+        values, grads = objective_value_and_gradient(Objective(kind, snaps, mem), a)
+        for i in range(3):
+            value, grad = objective_value_and_gradient(Objective(kind, snaps, MemoryInit(mem.n[i])), a[i])
+            ok = ok and abs(values[i] - value) <= 1e-12 * abs(value)
+            ok = ok and np.abs(grads[i] - grad).max() <= 1e-12 * np.abs(grad).max()
+    return ok
+
+
 def check_zero_memory_reduction(rng):
     plain, mz, tmod = _random_objectives(rng)
     zero = MemoryInit.zero(2)
@@ -171,6 +186,7 @@ CHECKS = (
     ("RK4 conserves the oscillator energy", check_energy_conservation),
     ("time grid is exact", check_grid_exactness),
     ("random streams are keyed and reproducible", check_stream_determinism),
+    ("stacked value and gradient equal the per-slice calls", check_batched_gradient),
 )
 
 

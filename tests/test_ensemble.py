@@ -1,24 +1,38 @@
+import contextlib
+import functools
+from typing import NamedTuple
+from unittest import mock
+
 import numpy as np
 import pytest
 from conftest import rotation_snapshots
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mzdmd import (
     AdamConfig,
     EnsembleError,
     MatchingDegeneracyWarning,
+    MemoryInit,
+    NumericalError,
+    Objective,
     SpectralModel,
     Trajectory,
     dmd_fit,
     eig,
+    ensemble,
     ensemble_variance,
     fit_ensemble,
+    fit_transition,
+    linalg,
     match_and_average,
     phase_normalize,
     reconstruct,
     run_ensemble,
 )
+from mzdmd.config import build_config, default_config
 from mzdmd.harness import simulate_measurement
-from mzdmd.config import default_config
+from mzdmd.oscillator import TAG_ENSEMBLE
 
 
 def _sim_snapshots(sigma=1.0, seed=7, n_points=81):
@@ -100,6 +114,157 @@ class TestFitEnsemble:
         fit_ensemble("t-model", s, 1.0, 4, AdamConfig(), seed=3, trace_sink=sink)
         assert len(sink) == 4
         assert all(t.shape == (6,) for t in sink)
+
+
+def _reference_fit_ensemble(kind, s, sigma, n_u, cfg, seed, trace_sink=None):
+    """The per-sample ensemble loop: one 2-D fit_transition per sample, kept
+    as the reference for the stacked fit."""
+    a0 = dmd_fit(s)
+    models, failures = [], []
+    for i in range(n_u):
+        rng = ensemble.rng_stream(seed, TAG_ENSEMBLE, i)
+        mem = MemoryInit.sample(s.dim, sigma, rng)
+        try:
+            a_fit, trace = fit_transition(Objective(kind, s, mem), a0, cfg)
+            dec = linalg.eig(a_fit)
+        except Exception as exc:  # noqa: BLE001 - aggregated and re-raised below
+            failures.append((i, exc))
+            continue
+        if trace_sink is not None:
+            trace_sink.append(trace)
+        models.append(SpectralModel(values=dec.values, vectors=dec.vectors, dt=s.dt))
+    if failures:
+        raise EnsembleError(f"{len(failures)} of {n_u} samples failed", failures=failures)
+    return models
+
+
+@contextlib.contextmanager
+def _fitted_operators():
+    """Record every operator whose eigendecomposition an ensemble takes."""
+    seen, real = [], linalg.eig
+
+    def record(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return real(a, *args, **kwargs)
+
+    with mock.patch.object(linalg, "eig", record):
+        yield seen
+
+
+class Fits(NamedTuple):
+    operators: list
+    traces: list
+    models: list
+    failures: list  # (sample index, error type)
+
+
+def _run(fit, kind, s, sigma, n_u, cfg, seed) -> Fits:
+    """Fitted operators, loss traces, models and failures of one ensemble."""
+    traces = []
+    with _fitted_operators() as ops, np.errstate(over="ignore", invalid="ignore"):
+        try:
+            models, failures = fit(kind, s, sigma, n_u, cfg, seed, trace_sink=traces), []
+        except EnsembleError as exc:
+            models, failures = [], [(i, type(e)) for i, e in exc.failures]
+    return Fits(ops, traces, models, failures)
+
+
+def _assert_same_fits(got: Fits, want: Fits, rtol: float) -> None:
+    """Same failures, and operators and traces equal to ``rtol`` (0: bitwise)."""
+    assert got.failures == want.failures
+    assert len(got.operators) == len(want.operators) and len(got.traces) == len(want.traces)
+    for a, b in zip(got.operators + got.traces, want.operators + want.traces):
+        if rtol == 0:
+            np.testing.assert_array_equal(a, b)
+        else:
+            assert np.abs(a - b).max() <= rtol * np.abs(b).max()
+
+
+@functools.cache
+def _benchmark_case(name):
+    """Snapshots and Adam settings of the default protocol or of the long
+    record (2001 points, 100 Adam steps)."""
+    long_fit = {"t_max": 200.0, "n_points": 2001, "iterations": 100, "n_u": 1}
+    cfg = build_config(long_fit if name == "long-fit" else {})
+    return simulate_measurement(cfg)[1], cfg.adam
+
+
+class TestStackedEnsemble:
+    @pytest.mark.parametrize("kind", ["mz-dmd", "t-model"])
+    @pytest.mark.parametrize("case", ["protocol", "long-fit"])
+    def test_single_sample_bitwise_equals_reference(self, kind, case):
+        s, cfg = _benchmark_case(case)
+        got = _run(fit_ensemble, kind, s, 1.0, 1, cfg, 1)
+        want = _run(_reference_fit_ensemble, kind, s, 1.0, 1, cfg, 1)
+        _assert_same_fits(got, want, rtol=0)
+        for a, b in zip(got.models, want.models):
+            np.testing.assert_array_equal(a.values, b.values)
+            np.testing.assert_array_equal(a.vectors, b.vectors)
+
+    @pytest.mark.parametrize("kind", ["mz-dmd", "t-model"])
+    def test_full_ensemble_matches_reference_and_repeats(self, kind):
+        s, cfg = _benchmark_case("protocol")
+        got = _run(fit_ensemble, kind, s, 1.0, 100, cfg, 1)
+        want = _run(_reference_fit_ensemble, kind, s, 1.0, 100, cfg, 1)
+        assert len(got.operators) == 100
+        _assert_same_fits(got, want, rtol=1e-12)
+        _assert_same_fits(_run(fit_ensemble, kind, s, 1.0, 100, cfg, 1), got, rtol=0)
+
+    @pytest.mark.parametrize("kind", ["mz-dmd", "t-model"])
+    def test_partial_failure_drops_only_the_failing_samples(self, kind, monkeypatch):
+        # rows 1 and 3 draw memory vectors of 1e200, so their objectives overflow
+        s, real = _sim_snapshots(), ensemble.rng_stream
+
+        class Overflowing:
+            def standard_normal(self, size):
+                return np.full(size, 1e200)
+
+        clean = _run(fit_ensemble, kind, s, 1.0, 5, AdamConfig(), 4)
+        monkeypatch.setattr(
+            ensemble, "rng_stream", lambda seed, tag, i: Overflowing() if i in (1, 3) else real(seed, tag, i)
+        )
+        got = _run(fit_ensemble, kind, s, 1.0, 5, AdamConfig(), 4)
+        want = _run(_reference_fit_ensemble, kind, s, 1.0, 5, AdamConfig(), 4)
+        assert [i for i, _ in got.failures] == [1, 3]
+        _assert_same_fits(got, want, rtol=1e-12)
+        kept = (0, 2, 4)
+        survivors = Fits([clean.operators[i] for i in kept], [clean.traces[i] for i in kept], [], got.failures)
+        _assert_same_fits(got, survivors, rtol=0)
+
+    def test_refits_map_slices_back_to_samples(self, monkeypatch):
+        # the second round fits samples 0, 2, 3 and 4, so its slice 1 is sample 2
+        s, real, sizes = _sim_snapshots(), ensemble.fit_transition, []
+
+        def flaky(obj, a0, cfg):
+            sizes.append(len(a0))
+            if len(sizes) <= 2:
+                raise NumericalError(f"round {len(sizes)}", indices=[1])
+            return real(obj, a0, cfg)
+
+        clean = _run(fit_ensemble, "t-model", s, 1.0, 5, AdamConfig(), 6)
+        monkeypatch.setattr(ensemble, "fit_transition", flaky)
+        got = _run(fit_ensemble, "t-model", s, 1.0, 5, AdamConfig(), 6)
+        assert sizes == [5, 4, 3]
+        assert got.failures == [(1, NumericalError), (2, NumericalError)]
+        kept = (0, 3, 4)
+        survivors = Fits([clean.operators[i] for i in kept], [clean.traces[i] for i in kept], [], got.failures)
+        _assert_same_fits(got, survivors, rtol=0)
+
+    @settings(deadline=None)
+    @given(
+        kind=st.sampled_from(["mz-dmd", "t-model"]),
+        n_u=st.integers(1, 6),
+        sigma=st.floats(0.0, 2.0),
+        seed=st.integers(0, 2**16),
+        n_points=st.integers(5, 41),
+        iterations=st.integers(1, 3),
+    )
+    def test_stacked_equals_per_sample_reference(self, kind, n_u, sigma, seed, n_points, iterations):
+        s = _sim_snapshots(sigma=1.0, seed=seed, n_points=n_points)
+        cfg = AdamConfig(iterations=iterations)
+        got = _run(fit_ensemble, kind, s, sigma, n_u, cfg, seed)
+        want = _run(_reference_fit_ensemble, kind, s, sigma, n_u, cfg, seed)
+        _assert_same_fits(got, want, rtol=1e-12)
 
 
 class TestMatchAndAverage:

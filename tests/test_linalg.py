@@ -13,6 +13,7 @@ from mzdmd import (
     pinv,
     solve,
 )
+from mzdmd.errors import failing_slices
 
 
 class TestPinv:
@@ -221,3 +222,41 @@ def test_phase_normalize_unit_columns():
     for c in range(4):
         k = np.argmax(np.abs(normalized[:, c]))
         assert normalized[k, c].imag == 0.0 and normalized[k, c].real > 0
+
+
+class TestStacks:
+    def test_slices_match_single_calls(self):
+        rng = np.random.default_rng(9)
+        a = 0.5 * rng.standard_normal((3, 3, 3))
+        e = rng.standard_normal((3, 3, 3))
+        b = rng.standard_normal((3, 3, 2))
+        shifted = a + 3.0 * np.eye(3)
+        exp_a = expm(a)
+        value, deriv = expm_frechet(a, e)
+        x = solve(shifted, b)
+        for i in range(3):
+            np.testing.assert_array_equal(exp_a[i], expm(a[i]))
+            single_value, single_deriv = expm_frechet(a[i], e[i])
+            np.testing.assert_array_equal(value[i], single_value)
+            np.testing.assert_array_equal(deriv[i], single_deriv)
+            np.testing.assert_array_equal(x[i], solve(shifted[i], b[i]))
+
+    def test_failures_name_their_slices(self):
+        big = np.stack([np.eye(2), np.diag([1e6, 1e6]), np.eye(2)])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError) as excinfo:
+            expm(big)
+        assert excinfo.value.indices == [1]
+        singular = np.stack([np.eye(2), np.eye(2), np.diag([1.0, 0.0])])
+        with pytest.raises(SingularMatrixError) as excinfo:
+            solve(singular, np.ones((3, 2, 1)))
+        assert excinfo.value.indices == [2]
+        assert excinfo.value.cond is not None
+
+    def test_stacked_right_hand_side_required(self):
+        with pytest.raises(ValueError):
+            solve(np.stack([np.eye(2)] * 3), np.ones((3, 2)))
+
+    def test_a_mask_naming_no_slice_gives_no_indices(self):
+        assert failing_slices(np.array([False, True, True])) == (" in slices [1, 2]", [1, 2])
+        assert failing_slices(np.zeros(3, dtype=bool)) == ("", None)
+        assert failing_slices(np.bool_(True)) == ("", None)

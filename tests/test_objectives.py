@@ -101,6 +101,15 @@ class TestMemoryMatrices:
             tmodel_memory_matrix(a, mem, 0.1, 6), np.zeros((2, 6))
         )
 
+    def test_stack_needs_one_memory_vector_per_operator(self):
+        rng = np.random.default_rng(2)
+        a = np.stack([random_operator(rng, 2) for _ in range(3)])
+        for n in (np.ones(2), np.ones((1, 2)), np.ones((2, 2))):
+            with pytest.raises(ValueError, match="one memory vector per operator"):
+                mz_memory_matrix(a, MemoryInit(n), 4)
+        with pytest.raises(ValueError, match="one memory vector per operator"):
+            tmodel_memory_matrix(a[0], MemoryInit(np.ones((3, 2))), 0.1, 4)
+
     def test_first_column_exactly_zero(self):
         rng = np.random.default_rng(1)
         a = random_operator(rng, 2)

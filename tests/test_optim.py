@@ -126,6 +126,32 @@ class TestFitTransition:
         with np.errstate(over="ignore"), pytest.raises(DivergenceError):
             fit_transition(Objective("plain-dmd", s), dmd_fit(s), cfg)
 
+    def test_stacked_divergence_names_its_slices(self):
+        rng = np.random.default_rng(6)
+        s = random_snapshots(rng, cols=10)
+        a0 = np.stack([dmd_fit(s), np.full((2, 2), 1e200), dmd_fit(s)])
+        with np.errstate(over="ignore"), pytest.raises(DivergenceError) as excinfo:
+            fit_transition(Objective("plain-dmd", s), a0, AdamConfig())
+        assert excinfo.value.indices == [1]
+        assert excinfo.value.step == 0
+
+    def test_stack_takes_one_adam_step_per_operator(self, monkeypatch):
+        import mzdmd.optim
+
+        rng = np.random.default_rng(7)
+        s = random_snapshots(rng, cols=10)
+        mem = MemoryInit(rng.standard_normal((3, 2)), 1.0)
+        a0 = np.stack([dmd_fit(s)] * 3)
+        steps = []
+
+        def counting_step(state, grad, cfg):
+            steps.append(grad.shape)
+            return adam_step(state, grad, cfg)
+
+        monkeypatch.setattr(mzdmd.optim, "adam_step", counting_step)
+        fit_transition(Objective("t-model", s, mem), a0, AdamConfig(iterations=2))
+        assert steps == [(2, 2)] * 6
+
     def test_wrong_initial_shape(self):
         rng = np.random.default_rng(5)
         s = random_snapshots(rng)
