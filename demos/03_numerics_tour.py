@@ -75,7 +75,7 @@ for kind in ("mz-dmd", "t-model"):
 print("\n7. energy conservation of the benchmark integrator")
 cfg = mzdmd.SimConfig()
 y0 = np.array([1.0, 0.0, *rng.standard_normal(2)])
-traj = mzdmd.integrate(mzdmd.oscillator_rhs, y0, cfg, substeps=10)
+traj = mzdmd.integrate(y0, cfg, substeps=10)
 h_vals = mzdmd.hamiltonian(traj.states.T)
 print(f"   relative Hamiltonian drift over t in [0, 50]: "
       f"{np.abs(h_vals - h_vals[0]).max() / abs(h_vals[0]):.2e}")

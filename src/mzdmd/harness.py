@@ -26,7 +26,6 @@ from .oscillator import (
     integrate,
     measure,
     monte_carlo_projection,
-    oscillator_rhs,
     rng_stream,
     sample_unresolved,
 )
@@ -115,7 +114,7 @@ def simulate_measurement(cfg: ExperimentConfig) -> tuple[Trajectory, SnapshotPai
     rng = rng_stream(cfg.sim.seed, TAG_MEASUREMENT)
     y3, y4 = sample_unresolved(cfg.sim.sigma, rng)
     y0 = np.array([cfg.resolved_init[0], cfg.resolved_init[1], y3, y4])
-    traj = integrate(oscillator_rhs, y0, cfg.sim, SUBSTEPS)
+    traj = integrate(y0, cfg.sim, SUBSTEPS)
     return traj, measure(traj)
 
 

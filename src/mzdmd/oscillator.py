@@ -9,6 +9,7 @@ initial state is modeled statistically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -96,36 +97,136 @@ def hamiltonian(state: np.ndarray) -> np.ndarray | float:
     return 0.5 * (y[1] ** 2 + y[3] ** 2) + 0.5 * (y[0] ** 2 + y[2] ** 2 + y[0] ** 2 * y[2] ** 2)
 
 
-def _integrate_states(rhs, y0: np.ndarray, cfg: SimConfig, substeps: int) -> np.ndarray:
-    """Classical RK4 at internal step dt/substeps, sampled on the cfg grid.
+def _accel(p: float, q: float) -> float:
+    """Acceleration -p (1 + q^2) of an oscillator at p coupled to one at q.
 
-    Works for a single state vector or a batch of state columns; the batch
-    arithmetic is elementwise, so each column matches its standalone run
-    bit for bit.
+    ``q ** 2`` on a Python float is libm ``pow``, as numpy's float64 scalar
+    power is, so this equals the acceleration entries of ``oscillator_rhs``
+    on a (4,) state bit for bit.
+    """
+    return -p * (1.0 + q ** 2)
+
+
+def _integrate_single(y0: np.ndarray, cfg: SimConfig, substeps: int) -> np.ndarray:
+    """Classical RK4 at internal step dt/substeps on four Python floats,
+    sampled on the cfg grid; returns (n_points, 4).
+
+    Each stage's position derivative is the velocity it starts from, so
+    only the two accelerations are computed per stage.  The arithmetic is
+    that of ``oscillator_rhs`` and the RK4 update on a (4,) array, in the
+    same order, and squares by ``pow``.
     """
     h = cfg.dt / substeps
-    out = np.empty((cfg.n_points,) + y0.shape)
-    y = y0.copy()
-    out[0] = y
-    for k in range(1, cfg.n_points):
+    hh, h6 = 0.5 * h, h / 6.0
+    y1, y2, y3, y4 = (float(v) for v in y0)
+    rows = [(y1, y2, y3, y4)]
+    for step in range(1, cfg.n_points):
+        try:
+            for _ in range(substeps):
+                f1, g1 = _accel(y1, y3), _accel(y3, y1)
+                a1, a2, a3, a4 = y1 + hh * y2, y2 + hh * f1, y3 + hh * y4, y4 + hh * g1
+                f2, g2 = _accel(a1, a3), _accel(a3, a1)
+                b1, b2, b3, b4 = y1 + hh * a2, y2 + hh * f2, y3 + hh * a4, y4 + hh * g2
+                f3, g3 = _accel(b1, b3), _accel(b3, b1)
+                c1, c2, c3, c4 = y1 + h * b2, y2 + h * f3, y3 + h * b4, y4 + h * g3
+                f4, g4 = _accel(c1, c3), _accel(c3, c1)
+                y1, y2, y3, y4 = (
+                    y1 + h6 * (y2 + 2.0 * a2 + 2.0 * b2 + c2),
+                    y2 + h6 * (f1 + 2.0 * f2 + 2.0 * f3 + f4),
+                    y3 + h6 * (y4 + 2.0 * a4 + 2.0 * b4 + c4),
+                    y4 + h6 * (g1 + 2.0 * g2 + 2.0 * g3 + g4),
+                )
+        except OverflowError:
+            # float ** 2 raises where numpy's power returns inf
+            raise DivergenceError(f"state overflowed at grid step {step}", step=step) from None
+        if not (isfinite(y1) and isfinite(y2) and isfinite(y3) and isfinite(y4)):
+            raise DivergenceError(f"state became non-finite at grid step {step}", step=step)
+        rows.append((y1, y2, y3, y4))
+    return np.array(rows)
+
+
+def _rk4_batch(y0: np.ndarray, cfg: SimConfig, substeps: int):
+    """Classical RK4 at internal step dt/substeps on a batch of state
+    columns (4, n); yields the batch at grid steps 0, ..., n_points - 1.
+
+    Every yield is the same (4, n) buffer, updated in place: a consumer
+    copies or reduces it before the next step.  Positions (y1, y3) and
+    velocities (y2, y4) are its two (2, n) row views.  The stage buffers are
+    allocated once and every ufunc writes through ``out=``.  The arithmetic
+    is that of ``oscillator_rhs`` and the RK4 update on the whole batch, in
+    the same order; positions are squared by multiplication, as numpy's
+    array ``** 2`` does.  A single state squares by ``pow`` instead, so a
+    column may differ from its standalone run in the last bits.
+    """
+    h = cfg.dt / substeps
+    hh, h6 = 0.5 * h, h / 6.0
+    y = np.array(y0, dtype=float)
+    z = np.empty_like(y)  # stage state
+    k = np.empty_like(y)  # stage derivative
+    acc = np.empty_like(y)  # k1 + 2 k2 + 2 k3 + k4, summed in that order
+    twice = np.empty_like(y)
+    sq = np.empty_like(y[::2])
+
+    def views(a):
+        # positions, positions swapped to (y3, y1), velocities
+        return a[::2], a[2::-2], a[1::2]
+
+    at_y, at_z, of_k, of_acc = views(y), views(z), views(k), views(acc)
+
+    def derivative(state, into):
+        # into <- (y2, -y1 (1 + y3^2), y4, -y3 (1 + y1^2)) at state
+        pos, swapped, vel = state
+        d_pos, _, d_vel = into
+        np.copyto(d_pos, vel)
+        np.multiply(swapped, swapped, out=sq)
+        np.add(1.0, sq, out=sq)
+        np.negative(pos, out=d_vel)
+        np.multiply(d_vel, sq, out=d_vel)
+
+    yield y
+    for step in range(1, cfg.n_points):
         for _ in range(substeps):
-            k1 = rhs(y)
-            k2 = rhs(y + 0.5 * h * k1)
-            k3 = rhs(y + 0.5 * h * k2)
-            k4 = rhs(y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            raise DivergenceError(f"state became non-finite at grid step {k}", step=k)
-        out[k] = y
-    return out
+            derivative(at_y, of_acc)
+            np.multiply(hh, acc, out=z)
+            np.add(y, z, out=z)
+            derivative(at_z, of_k)
+            np.multiply(2.0, k, out=twice)
+            np.add(acc, twice, out=acc)
+            np.multiply(hh, k, out=z)
+            np.add(y, z, out=z)
+            derivative(at_z, of_k)
+            np.multiply(2.0, k, out=twice)
+            np.add(acc, twice, out=acc)
+            np.multiply(h, k, out=z)
+            np.add(y, z, out=z)
+            derivative(at_z, of_k)
+            np.add(acc, k, out=acc)
+            np.multiply(h6, acc, out=acc)
+            np.add(y, acc, out=y)
+        if not np.isfinite(y).all():
+            raise DivergenceError(f"state became non-finite at grid step {step}", step=step)
+        yield y
 
 
-def integrate(rhs, s0: np.ndarray, cfg: SimConfig, substeps: int = 10) -> Trajectory:
-    """Integrate ``rhs`` from state ``s0`` over the cfg time grid with RK4."""
+def integrate(s0: np.ndarray, cfg: SimConfig, substeps: int = 10) -> Trajectory:
+    """Integrate the oscillator from ``s0`` over the cfg time grid with RK4.
+
+    ``s0`` is one state (4,), integrated on Python floats, or a batch of
+    state columns (4, n), integrated in place on arrays; the trajectory's
+    states are (n_points, 4) or (n_points, 4, n).  The two paths square
+    differently (see ``_integrate_single`` and ``_rk4_batch``).
+    """
     if substeps < 1:
         raise ValueError("substeps must be at least 1")
     s0 = np.asarray(s0, dtype=float)
-    states = _integrate_states(rhs, s0, cfg, substeps)
+    if s0.shape == (4,):
+        states = _integrate_single(s0, cfg, substeps)
+    elif s0.ndim == 2 and s0.shape[0] == 4:
+        states = np.empty((cfg.n_points,) + s0.shape)
+        for step, y in enumerate(_rk4_batch(s0, cfg, substeps)):
+            states[step] = y
+    else:
+        raise ValueError("s0 must be one state (4,) or a batch of state columns (4, n)")
     return Trajectory(times=cfg.times(), states=states)
 
 
@@ -158,22 +259,29 @@ def monte_carlo_projection(
     pinned at ``x_hat`` and (y3, y4) drawn per sample from N(0, sigma^2);
     returns the pointwise mean and pointwise population variance of the
     resolved coordinates.  Sample i uses the stream (seed, projection, i).
+    The batch is reduced one grid step at a time, so memory is O(n_mc).
     """
     x1, x2 = float(x_hat[0]), float(x_hat[1])
     times = cfg.times()
     if cfg.sigma == 0.0:
         # every sample is identical: one integration keeps the mean bitwise
         # equal to integrate() and the variance exactly zero
-        states = _integrate_states(oscillator_rhs, np.array([x1, x2, 0.0, 0.0]), cfg, substeps)
-        mean = states[:, :2]
+        mean = _integrate_single(np.array([x1, x2, 0.0, 0.0]), cfg, substeps)[:, :2]
         return Trajectory(times, mean), Trajectory(times, np.zeros_like(mean))
     draws = np.empty((2, cfg.n_mc))
     for i in range(cfg.n_mc):
         rng = rng_stream(cfg.seed, TAG_PROJECTION, i)
         draws[0, i], draws[1, i] = sample_unresolved(cfg.sigma, rng)
     y0 = np.vstack([np.full(cfg.n_mc, x1), np.full(cfg.n_mc, x2), draws])
-    states = _integrate_states(oscillator_rhs, y0, cfg, substeps)
-    resolved = states[:, :2, :]
-    mean = resolved.mean(axis=2)
-    var = resolved.var(axis=2)
+    mean = np.empty((cfg.n_points, 2))
+    var = np.empty((cfg.n_points, 2))
+    for step, y in enumerate(_rk4_batch(y0, cfg, substeps)):
+        resolved = y[:2]
+        mean[step] = resolved.mean(axis=1)
+        var[step] = resolved.var(axis=1)
+    finite = np.isfinite(mean).all(axis=1) & np.isfinite(var).all(axis=1)
+    if not finite.all():
+        # finite states whose moments overflow
+        step = int(np.argmin(finite))
+        raise DivergenceError(f"moments became non-finite at grid step {step}", step=step)
     return Trajectory(times, mean), Trajectory(times, var)

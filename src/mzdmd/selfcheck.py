@@ -24,7 +24,7 @@ from .objectives import (
     objective_value,
     objective_value_and_gradient,
 )
-from .oscillator import SimConfig, hamiltonian, integrate, oscillator_rhs, rng_stream
+from .oscillator import SimConfig, hamiltonian, integrate, rng_stream
 
 
 def _random_operator(rng, d, margin=0.3):
@@ -153,7 +153,7 @@ def check_zero_memory_reduction(rng):
 def check_energy_conservation(rng):
     cfg = SimConfig(dt=0.1, t_max=10.0, n_points=101, sigma=1.0, n_mc=1, seed=3)
     y0 = np.array([1.0, 0.0, *rng.standard_normal(2)])
-    traj = integrate(oscillator_rhs, y0, cfg, substeps=10)
+    traj = integrate(y0, cfg, substeps=10)
     h = hamiltonian(traj.states.T)
     return np.abs(h - h[0]).max() <= 1e-6 * abs(h[0])
 

@@ -23,18 +23,17 @@ from mzdmd import (
     fd_gradient,
     fit_transition,
     hamiltonian,
+    integrate,
     memory_kernel_closed,
     memory_kernel_trapezoid,
     monte_carlo_projection,
     objective_gradient,
-    oscillator_rhs,
     reconstruct,
     run_ensemble,
     simulate_measurement,
 )
 from mzdmd.cli import main
 from mzdmd.ensemble import SpectralModel
-from mzdmd.oscillator import _integrate_states
 
 
 def _report(num, name, ok, detail=""):
@@ -154,7 +153,7 @@ def test_criterion_5_integrator_quality(bench_cfg):
         np.zeros(100),
         rng.standard_normal((2, 100)),  # sigma = 1 hidden initial conditions
     ])
-    states = _integrate_states(oscillator_rhs, y0, bench_cfg.sim, 10)
+    states = integrate(y0, bench_cfg.sim, 10).states
     h = hamiltonian(np.moveaxis(states, 0, 1))
     drift = np.abs(h - h[0]) / np.abs(h[0])
     worst = float(drift.max())

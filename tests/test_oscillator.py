@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mzdmd import (
     DivergenceError,
@@ -13,7 +15,63 @@ from mzdmd import (
     rng_stream,
     sample_unresolved,
 )
-from mzdmd.oscillator import _integrate_states
+
+
+def _reference_integrate(rhs, y0, cfg, substeps):
+    """Generic classical RK4 on ``rhs`` at internal step dt/substeps, sampled
+    on the cfg grid: the bitwise reference for ``integrate``.  With
+    ``oscillator_rhs`` a single state squares by numpy's scalar power
+    (``pow``) and a batch by numpy's array power (multiplication)."""
+    h = cfg.dt / substeps
+    out = np.empty((cfg.n_points,) + y0.shape)
+    y = y0.copy()
+    out[0] = y
+    for k in range(1, cfg.n_points):
+        for _ in range(substeps):
+            k1 = rhs(y)
+            k2 = rhs(y + 0.5 * h * k1)
+            k3 = rhs(y + 0.5 * h * k2)
+            k4 = rhs(y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(y)):
+            raise DivergenceError(f"state became non-finite at grid step {k}", step=k)
+        out[k] = y
+    return out
+
+
+def _reference_outcome(y0, cfg, substeps):
+    """The reference's states, or the grid step at which it diverges."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return _reference_integrate(oscillator_rhs, y0, cfg, substeps)
+        except DivergenceError as exc:
+            return exc.step
+
+
+def _outcome(y0, cfg, substeps):
+    """``integrate``'s states, or the grid step at which it diverges."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return integrate(y0, cfg, substeps).states
+        except DivergenceError as exc:
+            return exc.step
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want, int):
+        assert got == want
+    else:
+        np.testing.assert_array_equal(got, want)
+
+
+def _projection_start(cfg, x_hat):
+    """The (4, n_mc) initial states ``monte_carlo_projection`` integrates."""
+    draws = [sample_unresolved(cfg.sigma, rng_stream(cfg.seed, 1, i)) for i in range(cfg.n_mc)]
+    return np.vstack([np.full(cfg.n_mc, x_hat[0]), np.full(cfg.n_mc, x_hat[1]), np.array(draws).T])
+
+
+def _grid(dt, n_points):
+    return SimConfig(dt=dt, t_max=dt * (n_points - 1), n_points=n_points, sigma=1.0, n_mc=1)
 
 
 class TestRhs:
@@ -66,13 +124,20 @@ class TestSimConfig:
 
 class TestIntegrate:
     def test_linear_decay_single_step(self):
+        # the reference itself takes a correct RK4 step
         cfg = SimConfig(dt=0.1, t_max=0.1, n_points=2, sigma=0.0, n_mc=1)
-        traj = integrate(lambda y: -y, np.array([1.0]), cfg, substeps=1)
-        assert traj.states[1, 0] == pytest.approx(np.exp(-0.1), abs=1e-7)
+        states = _reference_integrate(lambda y: -y, np.array([1.0]), cfg, substeps=1)
+        assert states[1, 0] == pytest.approx(np.exp(-0.1), abs=1e-7)
+
+    def test_harmonic_single_step(self):
+        cfg = SimConfig(dt=0.1, t_max=0.1, n_points=2, sigma=0.0, n_mc=1)
+        traj = integrate(np.array([1.0, 0.0, 0.0, 0.0]), cfg, substeps=1)
+        assert traj.states[1, 0] == pytest.approx(np.cos(0.1), abs=1e-7)
+        assert traj.states[1, 1] == pytest.approx(-np.sin(0.1), abs=1e-7)
 
     def test_decoupled_harmonic(self):
         cfg = SimConfig()
-        traj = integrate(oscillator_rhs, np.array([1.0, 0.0, 0.0, 0.0]), cfg, substeps=10)
+        traj = integrate(np.array([1.0, 0.0, 0.0, 0.0]), cfg, substeps=10)
         np.testing.assert_allclose(traj.states[:, 0], np.cos(traj.times), atol=1e-6)
         np.testing.assert_allclose(traj.states[:, 1], -np.sin(traj.times), atol=1e-6)
         # the hidden oscillator never leaves its equilibrium
@@ -82,28 +147,94 @@ class TestIntegrate:
         rng = np.random.default_rng(1)
         cfg = SimConfig()
         y0 = np.array([1.0, 0.0, *rng.standard_normal(2)])
-        traj = integrate(oscillator_rhs, y0, cfg, substeps=10)
+        traj = integrate(y0, cfg, substeps=10)
         h = hamiltonian(traj.states.T)
         assert np.abs(h - h[0]).max() <= 1e-6 * abs(h[0])
 
     def test_divergence_reports_step(self):
         cfg = SimConfig(dt=1.0, t_max=60.0, n_points=61, sigma=0.0, n_mc=1)
+        y0 = np.array([50.0, 0.0, 50.0, 0.0])
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as excinfo:
-            integrate(lambda y: y * y, np.array([2.0]), cfg, substeps=1)
+            integrate(y0, cfg, substeps=1)
         assert excinfo.value.step is not None
+        assert excinfo.value.step == _reference_outcome(y0, cfg, 1)
 
     def test_substeps_validation(self):
         with pytest.raises(ValueError):
-            integrate(lambda y: -y, np.array([1.0]), SimConfig(), substeps=0)
+            integrate(np.array([1.0, 0.0, 0.0, 0.0]), SimConfig(), substeps=0)
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 2, 2), (2, 5)])
+    def test_state_shape_validation(self, shape):
+        with pytest.raises(ValueError):
+            integrate(np.zeros(shape), SimConfig())
 
     def test_batch_columns_match_single_runs(self):
         cfg = SimConfig(dt=0.1, t_max=2.0, n_points=21, sigma=1.0, n_mc=1)
         rng = np.random.default_rng(2)
         batch = rng.standard_normal((4, 3))
-        stacked = _integrate_states(oscillator_rhs, batch, cfg, 10)
+        stacked = integrate(batch, cfg, 10).states
         for i in range(3):
-            single = _integrate_states(oscillator_rhs, batch[:, i], cfg, 10)
+            single = integrate(batch[:, i], cfg, 10).states
             np.testing.assert_array_equal(stacked[:, :, i], single)
+
+    def test_batch_columns_near_single_runs(self):
+        # a single state squares by pow and a batch by multiplication; the
+        # two disagree in the last bit on some inputs (here column 5 ends
+        # up 2.8e-17 away), so columns are close, not bitwise equal
+        cfg = SimConfig(dt=0.1, t_max=20.0, n_points=201, sigma=1.0, n_mc=1)
+        rng = np.random.default_rng(2)
+        batch = np.vstack([np.ones(40), np.zeros(40), rng.standard_normal((2, 40))])
+        stacked = integrate(batch, cfg, 10).states
+        for i in range(40):
+            single = integrate(batch[:, i], cfg, 10).states
+            assert np.abs(stacked[:, :, i] - single).max() <= 1e-15
+
+
+class TestIntegrateMatchesReference:
+    def test_single_states(self):
+        rng = np.random.default_rng(3)
+        cfg = SimConfig()
+        for _ in range(5):
+            y0 = rng.normal(0.0, 2.0, 4)
+            np.testing.assert_array_equal(
+                integrate(y0, cfg, 10).states, _reference_integrate(oscillator_rhs, y0, cfg, 10)
+            )
+
+    def test_batch(self):
+        rng = np.random.default_rng(4)
+        cfg = SimConfig()
+        y0 = rng.normal(0.0, 1.0, (4, 50))
+        np.testing.assert_array_equal(
+            integrate(y0, cfg, 10).states, _reference_integrate(oscillator_rhs, y0, cfg, 10)
+        )
+
+    @pytest.mark.parametrize("y0", [(1e160, 0.0, 0.0, 0.0), (50.0, 0.0, 50.0, 0.0)])
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_divergence_step(self, y0, batch):
+        # 1e160 overflows in the square (OverflowError on a Python float),
+        # (50, 0, 50, 0) through repeated multiplication
+        cfg = _grid(1.0, 11)
+        y0 = np.array(y0)
+        if batch:
+            y0 = np.column_stack([y0, [1.0, 0.0, 0.5, 0.0]])
+        want = _reference_outcome(y0, cfg, 1)
+        assert isinstance(want, int)
+        assert _outcome(y0, cfg, 1) == want
+
+    @settings(deadline=None)
+    @given(
+        dt=st.floats(0.01, 0.5),
+        substeps=st.integers(1, 12),
+        n_points=st.integers(2, 60),
+        width=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property(self, dt, substeps, n_points, width, seed):
+        cfg = _grid(dt, n_points)
+        batch = np.random.default_rng(seed).normal(0.0, 2.0, (4, width))
+        _assert_same_outcome(_outcome(batch, cfg, substeps), _reference_outcome(batch, cfg, substeps))
+        single = batch[:, 0]
+        _assert_same_outcome(_outcome(single, cfg, substeps), _reference_outcome(single, cfg, substeps))
 
 
 class TestSampleUnresolved:
@@ -155,7 +286,7 @@ class TestMonteCarloProjection:
         cfg = SimConfig(dt=0.1, t_max=5.0, n_points=51, sigma=0.0, n_mc=50, seed=3)
         mean, var = monte_carlo_projection(cfg, (1.0, 0.0))
         assert np.all(var.states == 0.0)
-        reference = integrate(oscillator_rhs, np.array([1.0, 0.0, 0.0, 0.0]), cfg, 10)
+        reference = integrate(np.array([1.0, 0.0, 0.0, 0.0]), cfg, 10)
         np.testing.assert_array_equal(mean.states, reference.states[:, :2])
 
     def test_seeded_runs_identical(self):
@@ -171,9 +302,34 @@ class TestMonteCarloProjection:
         assert np.all(var.states >= 0.0)
         for i in range(cfg.n_mc):
             y3, y4 = sample_unresolved(cfg.sigma, rng_stream(cfg.seed, 1, i))
-            traj = integrate(oscillator_rhs, np.array([1.0, 0.0, y3, y4]), cfg, 10)
+            traj = integrate(np.array([1.0, 0.0, y3, y4]), cfg, 10)
             h = hamiltonian(traj.states.T)
             assert np.abs(h - h[0]).max() <= 1e-6 * abs(h[0])
+
+    def test_streamed_moments_match_stored_reference(self):
+        cfg = SimConfig(dt=0.1, t_max=10.0, n_points=101, sigma=1.0, n_mc=64, seed=9)
+        mean, var = monte_carlo_projection(cfg, (1.0, 0.5))
+        resolved = _reference_integrate(oscillator_rhs, _projection_start(cfg, (1.0, 0.5)), cfg, 10)[:, :2, :]
+        np.testing.assert_array_equal(mean.states, resolved.mean(axis=2))
+        np.testing.assert_array_equal(var.states, resolved.var(axis=2))
+
+    @pytest.mark.parametrize("sigma", [0.0, 1.0])
+    def test_divergence_raises(self, sigma):
+        cfg = SimConfig(dt=1.0, t_max=10.0, n_points=11, sigma=sigma, n_mc=4, seed=2)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as excinfo:
+            monte_carlo_projection(cfg, (1e160, 0.0), substeps=1)
+        assert excinfo.value.step == 1
+
+    def test_overflowing_moments_raise(self):
+        # every state stays finite, but y2 reaches about 5e196 at step 1 and
+        # its variance overflows
+        cfg = SimConfig(dt=1.0, t_max=1.0, n_points=2, sigma=1.0, n_mc=8, seed=2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            states = _reference_integrate(oscillator_rhs, _projection_start(cfg, (0.0, 1e40)), cfg, 1)
+            assert np.isfinite(states).all()
+            with pytest.raises(DivergenceError) as excinfo:
+                monte_carlo_projection(cfg, (0.0, 1e40), substeps=1)
+        assert excinfo.value.step == 1
 
 
 def test_trajectory_validation():
