@@ -162,10 +162,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = resolve_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_FAILURE
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # ConfigError, or an override the config refuses
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_FAILURE
 

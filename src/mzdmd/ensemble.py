@@ -78,8 +78,9 @@ def fit_ensemble(
     Every fit starts from the plain least-squares solution; sample i draws
     its memory vector from the stream (seed, ensemble, i).  The n_u fits run
     as one stacked computation over (n_u, d, d) operators and (n_u, d)
-    memory vectors; its working set is about 10 * n_u * d * (m - 1) * 8
-    bytes for m snapshots (8 MB at the default n_u = 100, d = 2, m = 501).
+    memory vectors; its working set is at most about 11 * n_u * d * (m - 1)
+    * 8 bytes for m snapshots (9 MB for mz-dmd at the default n_u = 100,
+    d = 2, m = 501).
     The result holds the phase-normalized eigendecomposition of each fitted
     operator.
 

@@ -169,14 +169,15 @@ def _stacks(a, mem: MemoryInit | None, d: int):
 
 
 def _columns(chain: np.ndarray) -> np.ndarray:
-    """A chain laid out (cols, n_u, d, 1) as C-contiguous (n_u, d, cols) columns."""
+    """A chain laid out (cols, ..., d, 1) as C-contiguous (..., d, cols) columns."""
     return np.ascontiguousarray(np.moveaxis(chain[..., 0], 0, -1))
 
 
 def _power_columns(m: np.ndarray, v: np.ndarray, cols: int) -> np.ndarray:
     """The chains ``x_j = M^j v`` for j = 0..cols-1 over a stack: M is
-    (n_u, d, d), v is (n_u, d) and the columns come back as (n_u, d, cols)."""
-    x = np.empty((cols,) + v.shape + (1,))
+    (..., d, d), the rows v (..., d) broadcast against it, and the columns
+    come back as (..., d, cols)."""
+    x = np.empty((cols,) + m.shape[:-1] + (1,))
     x[0] = v[..., None]
     steps = list(x)
     for prev, cur in zip(steps, steps[1:]):
@@ -188,11 +189,12 @@ def _power_pullback(m: np.ndarray, x: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Gradient in M of ``<c, x>`` for the chains ``x = _power_columns(M, v, cols)``.
 
     One backward sweep ``p_j = c_j + M^T p_{j+1}`` gives
-    ``sum_{j >= 1} p_j x_{j-1}^T`` for every slice of the stack.
+    ``sum_{j >= 1} p_j x_{j-1}^T`` for every slice of the stack (..., d, d);
+    the cotangent c (..., d, cols) broadcasts against it.
     """
     cols = c.shape[-1]
     mt = _mT(m)
-    p = np.zeros((cols + 1,) + c.shape[:-1] + (1,))  # p[cols] = 0 starts the sweep
+    p = np.zeros((cols + 1,) + m.shape[:-1] + (1,))  # p[cols] = 0 starts the sweep
     ps, cs = list(p), list(np.moveaxis(c, -1, 0)[..., None])
     for nxt, cur, cj in zip(ps[cols:1:-1], ps[cols - 1:0:-1], cs[cols - 1:0:-1]):
         np.matmul(mt, nxt, cur)
@@ -203,21 +205,21 @@ def _power_pullback(m: np.ndarray, x: np.ndarray, c: np.ndarray) -> np.ndarray:
 def _mz_memory(a, n, cols):
     """Columns of :func:`mz_memory_matrix` for a stack A (n_u, d, d) and
     memory rows n (n_u, d), and their pullback, the map from a cotangent of
-    the columns to a gradient in A."""
+    the columns to a gradient in A.  The chains of W M(A) and of W run as
+    one (2, n_u, d, d) stack, which n and the cotangent broadcast over."""
     eye = np.eye(a.shape[-1])
     a_shift = a - eye
     w = linalg.expm(a_shift)
     m_map = cayley_M(a)
-    k = w @ m_map
-    y = _power_columns(k, n, cols)
-    x = _power_columns(w, n, cols)
+    kw = np.stack([w @ m_map, w])
+    y, x = yx = _power_columns(kw, n, cols)
     f = linalg.solve(a_shift, y - x)
 
     def pullback(c):
         # columns S (y - x) with S = (A - I)^{-1}: dS = -S dA S
         c_hat = linalg.solve(_mT(a_shift), c)
-        g_k = _power_pullback(k, y, c_hat)
-        g_w = g_k @ _mT(m_map) - _power_pullback(w, x, c_hat)
+        g_k, g_x = _power_pullback(kw, yx, c_hat)
+        g_w = g_k @ _mT(m_map) - g_x
         # M = 4 B - I with B = (A + I)^{-1}, so dM = -4 B dA B
         b = linalg.solve(a + eye, np.broadcast_to(eye, a.shape))
         grad = -(c_hat @ _mT(f)) - 4.0 * (_mT(b) @ (_mT(w) @ g_k) @ _mT(b))
@@ -322,19 +324,19 @@ def objective_value_and_gradient(
 
     Reverse mode: the forward pass builds the residual r; the gradient of
     ``||r||^2`` is ``-2 r x_minus^T`` plus the memory term's pullback of the
-    cotangent 2r.  The pullback runs one backward sweep per power chain,
-    uses the inverse rule ``d(B^{-1}) = -B^{-1} dB B^{-1}`` for the (A - I)
-    and (A + I) inverses, and takes the adjoint of the Frechet derivative of
-    ``expm(A - I)``, which is that derivative at the transpose, in one
-    :func:`linalg.expm_frechet` call.
+    cotangent 2r.  The pullback runs one backward sweep over its power
+    chains, uses the inverse rule ``d(B^{-1}) = -B^{-1} dB B^{-1}`` for the
+    (A - I) and (A + I) inverses, and takes the adjoint of the Frechet
+    derivative of ``expm(A - I)``, which is that derivative at the
+    transpose, in one :func:`linalg.expm_frechet` call.
 
     A 2-D operator gives a float and a (d, d) gradient.  A stack (n_u, d, d),
     with one memory vector per slice, is evaluated as one computation and
     gives (n_u,) values and (n_u, d, d) gradients, each slice independent
-    of the others.  Each memory chain and its sweep hold
-    (cols, n_u, d) floats; about ten such arrays are alive at once, so the
-    working set is roughly 10 * n_u * d * cols * 8 bytes (8 MB at n_u = 100,
-    d = 2 and 500 columns).
+    of the others.  Each memory chain and its sweep hold (cols, n_u, d)
+    floats; mz-dmd powers two chains side by side and peaks at about 11 such
+    arrays, 11 * n_u * d * cols * 8 bytes (9.0 MB traced at n_u = 100, d = 2
+    and 500 columns), t-model at about 7 (5.8 MB).
     """
     s = obj.snapshots
     r, pullback = _residual(obj, a)

@@ -76,6 +76,8 @@ class SimConfig:
             raise ValueError("sigma must be nonnegative")
         if self.n_mc < 1:
             raise ValueError("n_mc must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
     def times(self) -> np.ndarray:
         """Time grid with times[k] = k * dt computed as a single product."""

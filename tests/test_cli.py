@@ -28,6 +28,14 @@ class TestExitCodes:
         assert main(["run", "--config", str(cfg)]) == 2
         assert "dt" in capsys.readouterr().err
 
+    def test_negative_seed_is_config_failure(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--seed", "-1", "--out", str(out)]) == 2
+        assert "seed" in capsys.readouterr().err
+        cfg = write_cfg(tmp_path, "seed = -1\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "absent.cfg")]) == 2
 

@@ -1,6 +1,7 @@
 import pytest
 
 from mzdmd import ConfigError, default_config, parse_config
+from mzdmd.config import build_config
 
 
 def write_cfg(tmp_path, text):
@@ -105,3 +106,12 @@ class TestErrors:
     def test_bad_resolved_init(self, tmp_path):
         with pytest.raises(ConfigError, match="resolved_init"):
             parse_config(write_cfg(tmp_path, "resolved_init = 1 2 3\n"))
+
+    def test_negative_seed_names_field(self, tmp_path):
+        with pytest.raises(ConfigError, match="seed"):
+            build_config({"seed": -3})
+        with pytest.raises(ConfigError, match="seed"):
+            parse_config(write_cfg(tmp_path, "seed = -1\n"))
+
+    def test_zero_seed_accepted(self):
+        assert build_config({"seed": 0}).sim.seed == 0

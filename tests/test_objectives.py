@@ -1,6 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from conftest import all_kind_objectives, random_operator, random_snapshots, rotation_snapshots
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mzdmd import (
     MemoryInit,
@@ -19,10 +23,14 @@ from mzdmd import (
     mz_memory_matrix,
     objective_gradient,
     objective_value,
+    objective_value_and_gradient,
     simulate_measurement,
     solve,
     tmodel_memory_matrix,
 )
+from mzdmd import objectives
+from mzdmd.config import build_config
+from mzdmd.objectives import _mT, _power_columns, _power_pullback
 
 
 class TestSnapshotPair:
@@ -337,6 +345,128 @@ class TestObjectiveGradient:
         for kind in ("mz-dmd", "t-model"):
             other = objective_gradient(Objective(kind, s, MemoryInit.zero(2)), a)
             np.testing.assert_array_equal(other, base)
+
+
+class TestStackedChains:
+    """The power chains and their sweeps over a leading stack axis."""
+
+    @pytest.mark.parametrize("cols", [1, 2, 7])
+    def test_stack_equals_separate_chains(self, cols):
+        rng = np.random.default_rng(cols)
+        k = np.stack([random_operator(rng, 3) for _ in range(4)])
+        w = np.stack([random_operator(rng, 3) for _ in range(4)])
+        n = rng.standard_normal((4, 3))
+        c = rng.standard_normal((4, 3, cols))
+        kw = np.stack([k, w])
+        yx = _power_columns(kw, n, cols)
+        assert yx.shape == (2, 4, 3, cols)
+        assert np.array_equal(yx[0], _power_columns(k, n, cols))
+        assert np.array_equal(yx[1], _power_columns(w, n, cols))
+        g = _power_pullback(kw, yx, c)
+        assert g.shape == (2, 4, 3, 3)
+        assert np.array_equal(g[0], _power_pullback(k, yx[0], c))
+        assert np.array_equal(g[1], _power_pullback(w, yx[1], c))
+
+    @pytest.mark.parametrize("cols", [1, 2, 7])
+    def test_rows_and_cotangent_broadcast_over_the_stack(self, cols):
+        rng = np.random.default_rng(10 + cols)
+        kw = np.stack([[random_operator(rng, 2) for _ in range(3)] for _ in range(2)])
+        n = rng.standard_normal((3, 2))
+        c = rng.standard_normal((3, 2, cols))
+        yx = _power_columns(kw, n, cols)
+        assert np.array_equal(yx, _power_columns(kw, np.stack([n, n]), cols))
+        assert np.array_equal(_power_pullback(kw, yx, c), _power_pullback(kw, yx, np.stack([c, c])))
+
+    def test_columns_are_matrix_powers(self):
+        rng = np.random.default_rng(20)
+        kw = np.stack([[random_operator(rng, 3) for _ in range(2)] for _ in range(2)])
+        n = rng.standard_normal((2, 3))
+        yx = _power_columns(kw, n, 6)
+        for i, u in np.ndindex(2, 2):
+            for j in range(6):
+                np.testing.assert_allclose(yx[i, u, :, j], matpow(kw[i, u], j) @ n[u], rtol=1e-13)
+
+    def test_single_column_has_no_gradient(self):
+        rng = np.random.default_rng(21)
+        kw = np.stack([[random_operator(rng, 2)], [random_operator(rng, 2)]])
+        yx = _power_columns(kw, rng.standard_normal((1, 2)), 1)
+        g = _power_pullback(kw, yx, rng.standard_normal((1, 2, 1)))
+        assert np.array_equal(g, np.zeros((2, 1, 2, 2)))
+
+
+def _reference_mz_memory(a, n, cols):
+    """The memory term with its two chains apart: ``(W M)^j n`` and ``W^j n``
+    each powered by its own loop and swept back by its own loop.  Bitwise
+    reference for the stacked chains of ``objectives._mz_memory``."""
+    eye = np.eye(a.shape[-1])
+    a_shift = a - eye
+    w = expm(a_shift)
+    m_map = cayley_M(a)
+    k = w @ m_map
+    y = _power_columns(k, n, cols)
+    x = _power_columns(w, n, cols)
+    f = solve(a_shift, y - x)
+
+    def pullback(c):
+        c_hat = solve(_mT(a_shift), c)
+        g_k = _power_pullback(k, y, c_hat)
+        g_w = g_k @ _mT(m_map) - _power_pullback(w, x, c_hat)
+        b = solve(a + eye, np.broadcast_to(eye, a.shape))
+        grad = -(c_hat @ _mT(f)) - 4.0 * (_mT(b) @ (_mT(w) @ g_k) @ _mT(b))
+        return grad + expm_frechet(_mT(a_shift), g_w)[1]
+
+    return f, pullback
+
+
+def _assert_mz_matches_reference(snaps, mem, a):
+    obj = Objective("mz-dmd", snaps, mem)
+    got = (mz_memory_matrix(a, mem, snaps.cols),) + objective_value_and_gradient(obj, a)
+    with mock.patch.object(objectives, "_mz_memory", _reference_mz_memory):
+        want = (mz_memory_matrix(a, mem, snaps.cols),) + objective_value_and_gradient(obj, a)
+    assert all(np.all(np.isfinite(x)) for x in want)
+    for name, g, w in zip(("columns", "value", "gradient"), got, want):
+        assert np.array_equal(g, w), name
+
+
+class TestStackedMzChainsMatchReference:
+    def test_long_fit_shape(self):
+        # n_u 1 and 2000 columns, at the plain fit of the long record
+        cfg = build_config({"t_max": 200.0, "n_points": 2001})
+        _, snaps = simulate_measurement(cfg)
+        a = dmd_fit(snaps)[None]
+        mem = MemoryInit(np.random.default_rng(30).standard_normal((1, 2)))
+        _assert_mz_matches_reference(snaps, mem, a)
+
+    def test_protocol_shape(self):
+        # n_u 100 and 500 columns, around the plain fit of the default record
+        _, snaps = simulate_measurement(default_config())
+        rng = np.random.default_rng(31)
+        a = dmd_fit(snaps) + 1e-3 * rng.standard_normal((100, 2, 2))
+        mem = MemoryInit(rng.standard_normal((100, 2)))
+        _assert_mz_matches_reference(snaps, mem, a)
+
+    def test_complex_pair_spectra(self):
+        rng = np.random.default_rng(13)
+        pairs = ([(0.98, 0.15), (0.9, 0.4)], [(0.95, 0.3), (0.7, 1.2)])
+        a = np.stack([_complex_pair_operator(rng, p) for p in pairs])
+        snaps = random_snapshots(rng, d=4, cols=50)
+        mem = MemoryInit(rng.standard_normal((2, 4)))
+        _assert_mz_matches_reference(snaps, mem, a)
+        _assert_mz_matches_reference(snaps, MemoryInit(mem.n[0]), a[0])
+
+    @settings(deadline=None)
+    @given(
+        d=st.integers(1, 4),
+        n_u=st.integers(1, 5),
+        cols=st.integers(1, 60),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_reference(self, d, n_u, cols, seed):
+        # spectra at least 0.5 from +1 and -1, so no chain overflows in 60 columns
+        rng = np.random.default_rng(seed)
+        a = np.stack([random_operator(rng, d, margin=0.5) for _ in range(n_u)])
+        mem = MemoryInit(rng.standard_normal((n_u, d)))
+        _assert_mz_matches_reference(random_snapshots(rng, d, cols), mem, a)
 
 
 class TestFdGradient:
