@@ -40,7 +40,6 @@ from .linalg import (
     eig,
     expm,
     expm_frechet,
-    matpow,
     phase_normalize,
     pinv,
     solve,
@@ -59,7 +58,6 @@ from .objectives import (
     memory_kernel_closed,
     memory_kernel_trapezoid,
     mz_memory_matrix,
-    objective_gradient,
     objective_value,
     objective_value_and_gradient,
     tmodel_memory_matrix,
@@ -79,68 +77,3 @@ from .oscillator import (
 from .plots import emit_plot
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdamConfig",
-    "ConfigError",
-    "DivergenceError",
-    "EigDecomposition",
-    "EnsembleError",
-    "EnsembleResult",
-    "ExperimentConfig",
-    "MatchingDegeneracyWarning",
-    "MemoryInit",
-    "MethodFailure",
-    "MZ_DMD",
-    "NumericalError",
-    "OBJECTIVE_KINDS",
-    "Objective",
-    "OptState",
-    "PLAIN_DMD",
-    "RunReport",
-    "SimConfig",
-    "SingularMatrixError",
-    "SnapshotPair",
-    "SpectralModel",
-    "T_MODEL",
-    "Trajectory",
-    "adam_step",
-    "cayley_M",
-    "default_config",
-    "dmd_fit",
-    "dmd_spectral_model",
-    "eig",
-    "emit_plot",
-    "ensemble_variance",
-    "expm",
-    "expm_frechet",
-    "fd_gradient",
-    "fit_ensemble",
-    "fit_transition",
-    "hamiltonian",
-    "integrate",
-    "match_and_average",
-    "matpow",
-    "measure",
-    "memory_kernel_closed",
-    "memory_kernel_trapezoid",
-    "monte_carlo_projection",
-    "mz_memory_matrix",
-    "objective_gradient",
-    "objective_value",
-    "objective_value_and_gradient",
-    "oscillator_rhs",
-    "parse_config",
-    "phase_normalize",
-    "pinv",
-    "read_csv",
-    "reconstruct",
-    "rng_stream",
-    "run_ensemble",
-    "run_experiment",
-    "sample_unresolved",
-    "simulate_measurement",
-    "solve",
-    "tmodel_memory_matrix",
-    "write_csv",
-]

@@ -15,21 +15,11 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .config import FITTING_METHODS, METHODS, ExperimentConfig, default_config, parse_config
-from .ensemble import reconstruct as reconstruct_model
-from .ensemble import run_ensemble
+from . import harness
+from .config import METHODS, ExperimentConfig, default_config, parse_config
 from .errors import ConfigError, NumericalError
-from .harness import (
-    CSV_NAMES,
-    MethodFailure,
-    dmd_spectral_model,
-    run_experiment,
-    simulate_measurement,
-    write_csv,
-)
-from .oscillator import Trajectory, monte_carlo_projection
+from .harness import MethodFailure, run_experiment, simulate_measurement, write_columns, write_csv
+from .oscillator import Trajectory
 from .selfcheck import run_checks
 
 ENV_OUTPUT_DIR = "MZDMD_OUTPUT_DIR"
@@ -77,48 +67,35 @@ def resolve_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _spectrum_csv(model, path):
-    lines = ["re,im"]
-    for value in model.values:
-        lines.append(f"{repr(float(value.real))},{repr(float(value.imag))}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _single_method(cfg, purpose) -> str:
+def _single_method(cfg, purpose) -> harness.Method:
     if cfg.method == "all":
         raise ConfigError(f"'{purpose}' needs a single method, not 'all'")
-    return cfg.method
+    return harness.METHODS[cfg.method]
+
+
+def _out_dir(cfg) -> Path:
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def cmd_simulate(cfg) -> int:
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     traj, _ = simulate_measurement(cfg)
     write_csv(Trajectory(traj.times, traj.states[:, :2]), None, out / "measurement.csv")
     print(out / "measurement.csv")
     return EXIT_OK
 
 
-def _fitted_model(cfg, method, snapshots):
-    if method == "dmd":
-        return dmd_spectral_model(snapshots)
-    result = run_ensemble(
-        method, snapshots, cfg.sim.sigma, cfg.n_u, cfg.adam, cfg.sim.seed,
-        np.array(cfg.resolved_init), cfg.sim.times(),
-    )
-    return result.averaged
-
-
 def cmd_fit(cfg) -> int:
     method = _single_method(cfg, "fit")
-    if method not in FITTING_METHODS:
-        raise ConfigError(f"'fit' needs one of {', '.join(FITTING_METHODS)}, not '{method}'")
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _, snapshots = simulate_measurement(cfg)
-    model = _fitted_model(cfg, method, snapshots)
-    path = out / f"{CSV_NAMES[method].removesuffix('.csv')}_spectrum.csv"
-    _spectrum_csv(model, path)
+    if not method.spectral:
+        spectral = [name for name, m in harness.METHODS.items() if m.spectral]
+        raise ConfigError(f"'fit' needs one of {', '.join(spectral)}, not '{cfg.method}'")
+    out = _out_dir(cfg)
+    _, _, model, _ = method.fit(cfg, simulate_measurement(cfg)[1])
+    path = out / f"{method.stem}_spectrum.csv"
+    write_columns(path, ["re", "im"], [model.values.real, model.values.imag])
     for value in model.values:
         print(f"{value.real:+.12f} {value.imag:+.12f}j  |lambda| = {abs(value):.12f}")
     print(path)
@@ -127,16 +104,10 @@ def cmd_fit(cfg) -> int:
 
 def cmd_reconstruct(cfg) -> int:
     method = _single_method(cfg, "reconstruct")
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    if method == "projection":
-        traj, var = monte_carlo_projection(cfg.sim, cfg.resolved_init)
-    else:
-        _, snapshots = simulate_measurement(cfg)
-        model = _fitted_model(cfg, method, snapshots)
-        traj = reconstruct_model(model, np.array(cfg.resolved_init), cfg.sim.times())
-        var = None
-    path = out / CSV_NAMES[method]
+    out = _out_dir(cfg)
+    snapshots = simulate_measurement(cfg)[1] if method.spectral else None
+    traj, var, _, _ = method.fit(cfg, snapshots)
+    path = out / f"{method.stem}.csv"
     write_csv(traj, var, path)
     print(path)
     return EXIT_OK

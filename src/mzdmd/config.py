@@ -13,12 +13,12 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import harness
 from .errors import ConfigError
 from .optim import AdamConfig
 from .oscillator import SimConfig
 
-METHODS = ("dmd", "mz-dmd", "t-model", "projection", "all")
-FITTING_METHODS = ("dmd", "mz-dmd", "t-model")
+METHODS = (*harness.METHODS, "all")
 
 
 @dataclass(frozen=True)
@@ -70,49 +70,41 @@ def _parse_method(value: str) -> str:
     return value
 
 
-_CASTERS = {
-    "dt": float,
-    "t_max": float,
-    "n_points": int,
-    "sigma": float,
-    "n_mc": int,
-    "seed": int,
-    "n_u": int,
-    "lr": float,
-    "beta1": float,
-    "beta2": float,
-    "epsilon": float,
-    "iterations": int,
-    "method": _parse_method,
-    "resolved_init": _parse_pair,
-    "output_dir": Path,
-    "emit_plots": _parse_bool,
+# config key -> (section, field, caster); section None is ExperimentConfig
+_KEYS = {
+    "dt": ("sim", "dt", float),
+    "t_max": ("sim", "t_max", float),
+    "n_points": ("sim", "n_points", int),
+    "sigma": ("sim", "sigma", float),
+    "n_mc": ("sim", "n_mc", int),
+    "seed": ("sim", "seed", int),
+    "lr": ("adam", "learning_rate", float),
+    "beta1": ("adam", "beta1", float),
+    "beta2": ("adam", "beta2", float),
+    "epsilon": ("adam", "epsilon", float),
+    "iterations": ("adam", "iterations", int),
+    "n_u": (None, "n_u", int),
+    "method": (None, "method", _parse_method),
+    "resolved_init": (None, "resolved_init", _parse_pair),
+    "output_dir": (None, "output_dir", Path),
+    "emit_plots": (None, "emit_plots", _parse_bool),
 }
-
-_SIM_KEYS = ("dt", "t_max", "n_points", "sigma", "n_mc", "seed")
-_ADAM_KEYS = {"lr": "learning_rate", "beta1": "beta1", "beta2": "beta2",
-              "epsilon": "epsilon", "iterations": "iterations"}
 
 
 def build_config(overrides: dict) -> ExperimentConfig:
     """Merge overrides into the defaults and validate the result."""
-    unknown = set(overrides) - set(_CASTERS)
+    unknown = set(overrides) - set(_KEYS)
     if unknown:
         raise ConfigError(f"unknown keys: {', '.join(sorted(unknown))}")
+    fields: dict = {"sim": {}, "adam": {}, None: {}}
+    for key, value in overrides.items():
+        section, name, _ = _KEYS[key]
+        fields[section][name] = value
     base = default_config()
     try:
-        sim = dataclasses.replace(
-            base.sim, **{k: overrides[k] for k in _SIM_KEYS if k in overrides}
-        )
-        adam = dataclasses.replace(
-            base.adam, **{v: overrides[k] for k, v in _ADAM_KEYS.items() if k in overrides}
-        )
-        top = {
-            k: overrides[k]
-            for k in ("n_u", "method", "resolved_init", "output_dir", "emit_plots")
-            if k in overrides
-        }
-        return dataclasses.replace(base, sim=sim, adam=adam, **top)
+        sim = dataclasses.replace(base.sim, **fields["sim"])
+        adam = dataclasses.replace(base.adam, **fields["adam"])
+        return dataclasses.replace(base, sim=sim, adam=adam, **fields[None])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -134,12 +126,12 @@ def parse_config(path) -> ExperimentConfig:
         key, _, value = body.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _CASTERS:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key '{key}'", field=key, line=lineno)
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate key '{key}'", field=key, line=lineno)
         try:
-            raw[key] = _CASTERS[key](value)
+            raw[key] = _KEYS[key][2](value)
         except (ValueError, TypeError) as exc:
             raise ConfigError(
                 f"line {lineno}: invalid value for '{key}': {exc}", field=key, line=lineno

@@ -9,17 +9,18 @@ deterministic.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import linalg
-from .config import ExperimentConfig
 from .ensemble import SpectralModel, reconstruct, run_ensemble
-from .objectives import SnapshotPair, dmd_fit
+from .objectives import MZ_DMD, T_MODEL, SnapshotPair, dmd_fit
 from .oscillator import (
     TAG_MEASUREMENT,
     Trajectory,
@@ -32,20 +33,6 @@ from .oscillator import (
 from .plots import emit_plot
 
 SUBSTEPS = 10
-
-CSV_NAMES = {
-    "dmd": "dmd.csv",
-    "mz-dmd": "mzdmd.csv",
-    "t-model": "tmodel.csv",
-    "projection": "projection.csv",
-}
-_COLUMN_PREFIX = {
-    "measurement": "measurement",
-    "dmd": "dmd",
-    "mz-dmd": "mzdmd",
-    "t-model": "tmodel",
-    "projection": "projection",
-}
 
 
 class MethodFailure(RuntimeError):
@@ -71,26 +58,29 @@ class RunReport:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
 
 
+def write_columns(path, header, columns) -> None:
+    """Write one CSV row per index of ``columns``, each float in round-trip
+    ``repr`` form, under the given header names."""
+    lines = [",".join(header)]
+    for k in range(len(columns[0])):
+        lines.append(",".join(repr(float(col[k])) for col in columns))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
 def write_csv(traj: Trajectory, var: Trajectory | None, path) -> None:
     """Write ``t,y1,y2[,var1,var2]`` rows with round-trip float formatting."""
     states = np.asarray(traj.states, dtype=float)
     if states.ndim != 2 or states.shape[1] != 2:
         raise ValueError("write_csv expects a two-coordinate trajectory")
-    header = "t,y1,y2"
-    var_states = None
+    header = ["t", "y1", "y2"]
+    columns = [traj.times, states[:, 0], states[:, 1]]
     if var is not None:
         var_states = np.asarray(var.states, dtype=float)
         if var_states.shape != states.shape:
             raise ValueError("variance shape does not match the trajectory")
-        header += ",var1,var2"
-    lines = [header]
-    for k in range(traj.times.size):
-        cells = [repr(float(traj.times[k])), repr(float(states[k, 0])), repr(float(states[k, 1]))]
-        if var_states is not None:
-            cells.append(repr(float(var_states[k, 0])))
-            cells.append(repr(float(var_states[k, 1])))
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+        header += ["var1", "var2"]
+        columns += [var_states[:, 0], var_states[:, 1]]
+    write_columns(path, header, columns)
 
 
 def read_csv(path) -> tuple[list[str], np.ndarray]:
@@ -101,14 +91,14 @@ def read_csv(path) -> tuple[list[str], np.ndarray]:
     return header, data
 
 
-def config_as_dict(cfg: ExperimentConfig) -> dict:
+def config_as_dict(cfg) -> dict:
     out = dataclasses.asdict(cfg)
     out["output_dir"] = str(cfg.output_dir)
     out["resolved_init"] = list(cfg.resolved_init)
     return out
 
 
-def simulate_measurement(cfg: ExperimentConfig) -> tuple[Trajectory, SnapshotPair]:
+def simulate_measurement(cfg) -> tuple[Trajectory, SnapshotPair]:
     """One full-system draw: hidden initial conditions sampled from the
     measurement stream, resolved initials pinned at cfg.resolved_init."""
     rng = rng_stream(cfg.sim.seed, TAG_MEASUREMENT)
@@ -124,28 +114,52 @@ def dmd_spectral_model(snapshots: SnapshotPair) -> SpectralModel:
     return SpectralModel(values=dec.values, vectors=dec.vectors, dt=snapshots.dt)
 
 
-def _fit_method(method, cfg, snapshots, x0, times, report):
-    """Produce (trajectory, variance-or-None) for one method."""
-    if method == "dmd":
-        traj = reconstruct(dmd_spectral_model(snapshots), x0, times)
-        report.imag_residues[method] = traj.max_imag
-        return traj, None
-    if method in ("mz-dmd", "t-model"):
-        sink: list = []
-        result = run_ensemble(
-            method, snapshots, cfg.sim.sigma, cfg.n_u, cfg.adam,
-            cfg.sim.seed, x0, times, trace_sink=sink,
-        )
-        report.loss_traces[method] = np.mean(sink, axis=0).tolist()
-        report.imag_residues[method] = result.mean_traj.max_imag
-        return result.mean_traj, result.variance_traj
-    if method == "projection":
-        mean, var = monte_carlo_projection(cfg.sim, cfg.resolved_init, SUBSTEPS)
-        return mean, var
-    raise ValueError(f"unknown method {method!r}")
+def _fit_dmd(cfg, snapshots):
+    model = dmd_spectral_model(snapshots)
+    return reconstruct(model, np.array(cfg.resolved_init), cfg.sim.times()), None, model, None
 
 
-def run_experiment(cfg: ExperimentConfig) -> RunReport:
+def _fit_ensemble(kind, cfg, snapshots):
+    sink: list = []
+    result = run_ensemble(
+        kind, snapshots, cfg.sim.sigma, cfg.n_u, cfg.adam, cfg.sim.seed,
+        np.array(cfg.resolved_init), cfg.sim.times(), trace_sink=sink,
+    )
+    loss_trace = np.mean(sink, axis=0).tolist()
+    return result.mean_traj, result.variance_traj, result.averaged, loss_trace
+
+
+def _fit_projection(cfg, snapshots):
+    mean, var = monte_carlo_projection(cfg.sim, cfg.resolved_init, SUBSTEPS)
+    return mean, var, None, None
+
+
+class Method(NamedTuple):
+    """One way of predicting the resolved coordinates.
+
+    ``stem`` names the method's CSV file, its ``comparison.csv`` columns and
+    its ``<stem>_spectrum.csv``.  ``fit(cfg, snapshots)`` returns the
+    trajectory, the variance or None, the spectral model or None, and the
+    mean loss trace or None.  ``spectral`` methods are fitted to the
+    measurement; the others ignore ``snapshots``.
+    """
+
+    stem: str
+    fit: Callable
+    spectral: bool
+
+
+# the fits look up the pipeline's functions at call time, so a wrapper
+# installed on a module attribute sees every call
+METHODS = {
+    "dmd": Method("dmd", _fit_dmd, True),
+    MZ_DMD: Method("mzdmd", functools.partial(_fit_ensemble, MZ_DMD), True),
+    T_MODEL: Method("tmodel", functools.partial(_fit_ensemble, T_MODEL), True),
+    "projection": Method("projection", _fit_projection, False),
+}
+
+
+def run_experiment(cfg) -> RunReport:
     """Run the requested methods against one shared measurement dataset.
 
     Writes one CSV per method plus measurement.csv, comparison.csv, a JSON
@@ -153,28 +167,31 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     """
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    methods = list(CSV_NAMES) if cfg.method == "all" else [cfg.method]
+    methods = list(METHODS) if cfg.method == "all" else [cfg.method]
     report = RunReport(seed=cfg.sim.seed, config=config_as_dict(cfg))
 
     try:
         measurement_traj, snapshots = simulate_measurement(cfg)
     except Exception as exc:
-        raise MethodFailure("all" if cfg.method == "all" else cfg.method, "simulate", exc) from exc
+        raise MethodFailure(cfg.method, "simulate", exc) from exc
     measurement = Trajectory(measurement_traj.times, measurement_traj.states[:, :2])
     _write(measurement, None, out / "measurement.csv", "measurement", "write", report)
 
-    x0 = np.array(cfg.resolved_init)
     times = cfg.sim.times()
     results: dict[str, tuple[Trajectory, Trajectory | None]] = {}
-    for method in methods:
+    for name in methods:
         start = time.perf_counter()
         try:
-            traj, var = _fit_method(method, cfg, snapshots, x0, times, report)
+            traj, var, model, loss_trace = METHODS[name].fit(cfg, snapshots)
         except Exception as exc:
-            raise MethodFailure(method, "fit", exc) from exc
-        report.wall_times[method] = time.perf_counter() - start
-        _write(traj, var, out / CSV_NAMES[method], method, "write", report)
-        results[method] = (traj, var)
+            raise MethodFailure(name, "fit", exc) from exc
+        report.wall_times[name] = time.perf_counter() - start
+        if loss_trace is not None:
+            report.loss_traces[name] = loss_trace
+        if model is not None:
+            report.imag_residues[name] = traj.max_imag
+        _write(traj, var, out / f"{METHODS[name].stem}.csv", name, "write", report)
+        results[name] = (traj, var)
 
     _write_comparison(times, measurement, results, out / "comparison.csv", report)
 
@@ -206,18 +223,15 @@ def _write(traj, var, path, method, stage, report):
 def _write_comparison(times, measurement, results, path, report):
     header = ["t", "measurement_y1", "measurement_y2"]
     columns = [times, measurement.states[:, 0], measurement.states[:, 1]]
-    for method, (traj, var) in results.items():
-        prefix = _COLUMN_PREFIX[method]
-        header += [f"{prefix}_y1", f"{prefix}_y2"]
+    for name, (traj, var) in results.items():
+        stem = METHODS[name].stem
+        header += [f"{stem}_y1", f"{stem}_y2"]
         columns += [traj.states[:, 0], traj.states[:, 1]]
         if var is not None:
-            header += [f"{prefix}_var1", f"{prefix}_var2"]
+            header += [f"{stem}_var1", f"{stem}_var2"]
             columns += [var.states[:, 0], var.states[:, 1]]
-    lines = [",".join(header)]
-    for k in range(times.size):
-        lines.append(",".join(repr(float(col[k])) for col in columns))
     try:
-        Path(path).write_text("\n".join(lines) + "\n")
+        write_columns(path, header, columns)
     except Exception as exc:
         raise MethodFailure("comparison", "write", exc) from exc
     report.csv_files.append(str(path))

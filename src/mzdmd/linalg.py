@@ -166,18 +166,3 @@ def solve(a: np.ndarray, b: np.ndarray, cond_max: float = COND_MAX) -> np.ndarra
         raise SingularMatrixError(
             f"linear solve failed: {exc}", cond=float(cond) if cond.ndim == 0 else None
         ) from exc
-
-
-def matpow(m: np.ndarray, j: int) -> np.ndarray:
-    """j-th matrix power by iterated multiplication; j = 0 gives the identity."""
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("matpow requires a square matrix")
-    if j < 0 or j != int(j):
-        raise ValueError("exponent must be a nonnegative integer")
-    dtype = complex if np.iscomplexobj(m) else float
-    m = m.astype(dtype)
-    out = np.eye(m.shape[0], dtype=dtype)
-    for _ in range(int(j)):
-        out = out @ m
-    return out

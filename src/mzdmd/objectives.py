@@ -312,11 +312,6 @@ def objective_value(obj: Objective, a: np.ndarray) -> float | np.ndarray:
     return float(value[0]) if np.ndim(a) == 2 else value
 
 
-def objective_gradient(obj: Objective, a: np.ndarray) -> np.ndarray:
-    """Exact gradient of :func:`objective_value` with respect to A."""
-    return objective_value_and_gradient(obj, a)[1]
-
-
 def objective_value_and_gradient(
     obj: Objective, a: np.ndarray
 ) -> tuple[float | np.ndarray, np.ndarray]:

@@ -1,7 +1,12 @@
-import numpy as np
+import argparse
 
-from mzdmd.cli import main
-from mzdmd.harness import read_csv
+import numpy as np
+import pytest
+
+from mzdmd import config, harness, plots
+from mzdmd.cli import build_parser, main, resolve_config
+from mzdmd.ensemble import run_ensemble
+from mzdmd.harness import METHODS, dmd_spectral_model, read_csv, simulate_measurement
 
 SMALL = (
     "t_max = 6\n"
@@ -80,7 +85,7 @@ class TestSubcommands:
         out = tmp_path / "rec"
         assert main(["reconstruct", "--config", str(cfg), "--out", str(out)]) == 0
         header, data = read_csv(out / "tmodel.csv")
-        assert header == ["t", "y1", "y2"]
+        assert header == ["t", "y1", "y2", "var1", "var2"]
         assert data[0, 1] == 1.0  # starts at the resolved initial value
 
     def test_check_passes(self, capsys):
@@ -112,16 +117,68 @@ class TestSubcommands:
         assert (flag_out / "dmd.csv").exists()
         assert not (tmp_path / "ignored").exists()
 
-    def test_reconstruct_projection_skips_the_measurement(self, tmp_path, capsys, monkeypatch):
-        cfg = write_cfg(tmp_path, SMALL)
-        run_out, rec_out = tmp_path / "run", tmp_path / "rec"
-        assert main(["run", "--config", str(cfg), "--method", "projection",
-                     "--seed", "5", "--out", str(run_out)]) == 0
 
-        def no_measurement(cfg):
-            raise AssertionError("projection must not integrate a measurement")
+def _spectrum(cfg, name):
+    """The spectrum ``fit`` should write, computed without the method table."""
+    _, snaps = simulate_measurement(cfg)
+    if name == "dmd":
+        return dmd_spectral_model(snaps).values
+    result = run_ensemble(
+        name, snaps, cfg.sim.sigma, cfg.n_u, cfg.adam, cfg.sim.seed,
+        np.array(cfg.resolved_init), cfg.sim.times(),
+    )
+    return result.averaged.values
 
-        monkeypatch.setattr("mzdmd.cli.simulate_measurement", no_measurement)
-        assert main(["reconstruct", "--config", str(cfg), "--method", "projection",
-                     "--seed", "5", "--out", str(rec_out)]) == 0
-        assert (rec_out / "projection.csv").read_bytes() == (run_out / "projection.csv").read_bytes()
+
+@pytest.mark.parametrize("name", list(METHODS))
+def test_subcommands_agree_with_run(tmp_path, capsys, monkeypatch, name):
+    method = METHODS[name]
+    cfg_path = write_cfg(tmp_path, SMALL)
+    run_out, rec_out, fit_out = tmp_path / "run", tmp_path / "rec", tmp_path / "fit"
+    assert main(["run", "--config", str(cfg_path), "--method", name,
+                 "--seed", "5", "--out", str(run_out)]) == 0
+
+    calls = []
+
+    def counted(cfg):
+        calls.append(cfg.method)
+        return simulate_measurement(cfg)
+
+    monkeypatch.setattr("mzdmd.cli.simulate_measurement", counted)
+    assert main(["reconstruct", "--config", str(cfg_path), "--method", name,
+                 "--seed", "5", "--out", str(rec_out)]) == 0
+    csv = f"{method.stem}.csv"
+    assert (rec_out / csv).read_bytes() == (run_out / csv).read_bytes()
+    # only the methods fitted to the measurement simulate one
+    assert calls == ([name] if method.spectral else [])
+
+    code = main(["fit", "--config", str(cfg_path), "--method", name,
+                 "--seed", "5", "--out", str(fit_out)])
+    if not method.spectral:
+        assert code == 2
+        return
+    assert code == 0
+    cfg = resolve_config(build_parser().parse_args(
+        ["fit", "--config", str(cfg_path), "--method", name, "--seed", "5"]))
+    header, data = read_csv(fit_out / f"{method.stem}_spectrum.csv")
+    expected = _spectrum(cfg, name)
+    assert header == ["re", "im"]
+    assert np.array_equal(data[:, 0], expected.real)
+    assert np.array_equal(data[:, 1], expected.imag)
+
+
+def test_method_table_drives_every_name_list(tmp_path, capsys):
+    stems = [m.stem for m in METHODS.values()]
+    assert len(set(stems)) == len(stems)
+    assert set(METHODS) <= set(plots.COLORS)
+    assert config.METHODS == (*harness.METHODS, "all")
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command, parser in sub.choices.items():
+        method = next(a for a in parser._actions if a.dest == "method")
+        assert tuple(method.choices) == config.METHODS, command
+    # fit refuses the methods not fitted to the measurement; the parity test
+    # above runs it on the others
+    for name, method in METHODS.items():
+        if not method.spectral:
+            assert main(["fit", "--method", name, "--out", str(tmp_path / name)]) == 2
+            assert not (tmp_path / name).exists()

@@ -15,7 +15,7 @@ from mzdmd import (
     simulate_measurement,
     write_csv,
 )
-from mzdmd.harness import CSV_NAMES, MethodFailure
+from mzdmd.harness import METHODS, MethodFailure
 
 
 def small_config(tmp_path, **overrides):
@@ -116,7 +116,7 @@ class TestRunExperiment:
         for name in ("dmd.csv", "mzdmd.csv", "tmodel.csv", "projection.csv",
                      "comparison.csv", "measurement.csv", "report.json"):
             assert (out / name).exists(), name
-        assert set(report.wall_times) == set(CSV_NAMES)
+        assert set(report.wall_times) == set(METHODS)
         assert report.loss_traces["mz-dmd"]
         parsed = json.loads((out / "report.json").read_text())
         assert parsed["seed"] == cfg.sim.seed

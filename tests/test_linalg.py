@@ -8,7 +8,6 @@ from mzdmd import (
     eig,
     expm,
     expm_frechet,
-    matpow,
     phase_normalize,
     pinv,
     solve,
@@ -185,33 +184,6 @@ class TestSolve:
     def test_incompatible_shapes(self):
         with pytest.raises(ValueError):
             solve(np.eye(2), np.ones((3, 1)))
-
-
-class TestMatpow:
-    def test_zeroth_power(self):
-        rng = np.random.default_rng(5)
-        m = rng.standard_normal((3, 3))
-        np.testing.assert_array_equal(matpow(m, 0), np.eye(3))
-
-    def test_scalar_power(self):
-        assert matpow(np.array([[2.0]]), 5)[0, 0] == 32.0
-
-    def test_matches_repeated_squaring(self):
-        rng = np.random.default_rng(6)
-        m = rng.standard_normal((3, 3))
-        np.testing.assert_allclose(matpow(m, 4), (m @ m) @ (m @ m), rtol=1e-12)
-
-    @pytest.mark.parametrize("j,k", [(0, 3), (2, 2), (1, 4)])
-    def test_semigroup_property(self, j, k):
-        rng = np.random.default_rng(7)
-        m = 0.8 * rng.standard_normal((3, 3))
-        lhs = matpow(m, j + k)
-        rhs = matpow(m, j) @ matpow(m, k)
-        assert np.abs(lhs - rhs).max() <= 1e-10
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            matpow(np.eye(2), -1)
 
 
 def test_phase_normalize_unit_columns():
