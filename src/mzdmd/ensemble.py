@@ -4,11 +4,11 @@ and averaging, continuous-time reconstruction, and its empirical variance.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from . import linalg
 from .errors import EnsembleError
@@ -18,6 +18,8 @@ from .oscillator import TAG_ENSEMBLE, Trajectory, rng_stream
 
 # two matchings closer in cost than this are reported as degenerate
 DEGENERACY_TOL = 1e-12
+# the assignment searches all d! permutations (40 320 at d = 8)
+ASSIGNMENT_MAX_DIM = 8
 IMAG_RESIDUE_RTOL = 1e-6
 
 
@@ -134,13 +136,33 @@ def fit_ensemble(
     return models
 
 
+def min_cost_assignment(cost: np.ndarray) -> np.ndarray:
+    """Column index assigned to each row of a square cost matrix, minimizing
+    the total cost, by exhaustive search over the d! permutations.
+
+    Among equal totals the lexicographically first permutation wins, so a
+    tie that includes the identity keeps it.  Raises ``ValueError`` above
+    ``ASSIGNMENT_MAX_DIM`` rows.
+    """
+    d = cost.shape[0]
+    if d > ASSIGNMENT_MAX_DIM:
+        raise ValueError(
+            f"exact assignment searches d! permutations; d = {d} exceeds the bound "
+            f"d <= {ASSIGNMENT_MAX_DIM}"
+        )
+    perms = np.array(list(itertools.permutations(range(d))), dtype=np.intp).reshape(-1, d)
+    return perms[np.argmin(cost[np.arange(d), perms].sum(axis=1))]
+
+
 def match_and_average(models: list[SpectralModel]) -> SpectralModel:
     """Average eigenpairs across models after aligning them to the first model.
 
-    Alignment is the optimal assignment on eigenvalue distance.  Assignments
-    whose pairwise swap changes the total cost by less than ``DEGENERACY_TOL``
-    are reported as degenerate and oriented by eigenvector overlap.  The
-    averaged eigenvectors are re-normalized.
+    Alignment is the optimal assignment on eigenvalue distance, found exactly
+    by :func:`min_cost_assignment` for dimensions up to ``ASSIGNMENT_MAX_DIM``
+    (a larger dimension raises ``ValueError``); a tie that includes the
+    identity keeps it.  Assignments whose pairwise swap changes the total cost
+    by less than ``DEGENERACY_TOL`` are reported as degenerate and oriented by
+    eigenvector overlap.  The averaged eigenvectors are re-normalized.
     """
     if not models:
         raise ValueError("need at least one model to average")
@@ -155,7 +177,7 @@ def match_and_average(models: list[SpectralModel]) -> SpectralModel:
     sum_vectors = np.zeros((d, d), dtype=complex)
     for model in models:
         cost = np.abs(ref.values[:, None] - model.values[None, :])
-        _, perm = scipy.optimize.linear_sum_assignment(cost)
+        perm = min_cost_assignment(cost)
         overlap = np.abs(ref.vectors.conj().T @ model.vectors)
         for i in range(d):
             for j in range(i + 1, d):

@@ -31,6 +31,7 @@ from mzdmd import (
     run_ensemble,
 )
 from mzdmd.config import build_config, default_config
+from mzdmd.ensemble import ASSIGNMENT_MAX_DIM, min_cost_assignment
 from mzdmd.harness import simulate_measurement
 from mzdmd.oscillator import TAG_ENSEMBLE
 
@@ -338,6 +339,53 @@ class TestMatchAndAverage:
     def test_empty_list(self):
         with pytest.raises(ValueError):
             match_and_average([])
+
+
+class TestMinCostAssignment:
+    """The exhaustive search against scipy's Hungarian solver as the oracle."""
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_agrees_with_linear_sum_assignment(self, d):
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(100 + d)
+        for _ in range(2000):
+            cost = rng.random((d, d))
+            rows, cols = linear_sum_assignment(cost)
+            np.testing.assert_array_equal(rows, np.arange(d))
+            np.testing.assert_array_equal(min_cost_assignment(cost), cols)
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            np.full((4, 4), 0.7),
+            np.abs(np.array([0.5, 0.5, 0.2])[:, None] - np.array([0.5, 0.5, 0.2])[None, :]),
+            np.abs(
+                np.array([0.9 + 0.4j, 0.9 - 0.4j])[:, None]
+                - np.array([0.9 + 0.4j, 0.9 - 0.4j])[None, :]
+            ),
+        ],
+        ids=["all-equal", "repeated-eigenvalue", "conjugate-pair-to-itself"],
+    )
+    def test_exact_ties_keep_the_identity(self, case):
+        from scipy.optimize import linear_sum_assignment
+
+        d = case.shape[0]
+        perm = min_cost_assignment(case)
+        _, cols = linear_sum_assignment(case)
+        np.testing.assert_array_equal(perm, np.arange(d))
+        assert case[np.arange(d), perm].sum() == case[np.arange(d), cols].sum()
+
+    def test_dimension_bound(self):
+        rng = np.random.default_rng(6)
+        d = ASSIGNMENT_MAX_DIM + 1
+        assert d == 9
+        with pytest.raises(ValueError, match="d <= 8"):
+            min_cost_assignment(np.zeros((d, d)))
+        model = _random_model(rng, d=d)
+        with pytest.raises(ValueError, match="d <= 8"):
+            match_and_average([model, model])
+        assert min_cost_assignment(rng.random((8, 8))).shape == (8,)
 
 
 class TestReconstruct:
