@@ -4,6 +4,7 @@ and averaging, continuous-time reconstruction, and its empirical variance.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass
@@ -136,13 +137,23 @@ def fit_ensemble(
     return models
 
 
+@functools.cache
+def _permutation_table(d: int) -> np.ndarray:
+    """The d! permutations of range(d) as read-only (d!, d) rows, in
+    lexicographic order; built once per dimension."""
+    perms = np.array(list(itertools.permutations(range(d))), dtype=np.intp).reshape(-1, d)
+    perms.flags.writeable = False
+    return perms
+
+
 def min_cost_assignment(cost: np.ndarray) -> np.ndarray:
     """Column index assigned to each row of a square cost matrix, minimizing
     the total cost, by exhaustive search over the d! permutations.
 
     Among equal totals the lexicographically first permutation wins, so a
-    tie that includes the identity keeps it.  Raises ``ValueError`` above
-    ``ASSIGNMENT_MAX_DIM`` rows.
+    tie that includes the identity keeps it.  Returns a fresh array the
+    caller may change.  Raises ``ValueError`` above ``ASSIGNMENT_MAX_DIM``
+    rows.
     """
     d = cost.shape[0]
     if d > ASSIGNMENT_MAX_DIM:
@@ -150,8 +161,8 @@ def min_cost_assignment(cost: np.ndarray) -> np.ndarray:
             f"exact assignment searches d! permutations; d = {d} exceeds the bound "
             f"d <= {ASSIGNMENT_MAX_DIM}"
         )
-    perms = np.array(list(itertools.permutations(range(d))), dtype=np.intp).reshape(-1, d)
-    return perms[np.argmin(cost[np.arange(d), perms].sum(axis=1))]
+    perms = _permutation_table(d)
+    return perms[np.argmin(cost[np.arange(d), perms].sum(axis=1))].copy()
 
 
 def match_and_average(models: list[SpectralModel]) -> SpectralModel:

@@ -60,10 +60,13 @@ class RunReport:
 
 def write_columns(path, header, columns) -> None:
     """Write one CSV row per index of ``columns``, each float in round-trip
-    ``repr`` form, under the given header names."""
-    lines = [",".join(header)]
-    for k in range(len(columns[0])):
-        lines.append(",".join(repr(float(col[k])) for col in columns))
+    ``repr`` form, under the given header names.
+
+    Each column is converted to Python floats once, so no cell goes through
+    a numpy scalar; the columns must have equal lengths.
+    """
+    rows = zip(*(np.asarray(col, dtype=float).tolist() for col in columns), strict=True)
+    lines = [",".join(header), *(",".join(map(repr, row)) for row in rows)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -33,6 +33,66 @@ def rng_stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
+def _uint32_words(value: int) -> list[int]:
+    """``value`` as little-endian 32-bit words, as ``SeedSequence`` reads an int."""
+    words = [value & 0xFFFFFFFF]
+    value >>= 32
+    while value:
+        words.append(value & 0xFFFFFFFF)
+        value >>= 32
+    return words
+
+
+def _philox_keys(seed: int, tag: int, n: int) -> np.ndarray:
+    """(n, 2) uint64 Philox keys of the streams ``rng_stream(seed, tag, i)``
+    for i < n <= 2**32, in one pass over uint32 arrays.
+
+    This is ``SeedSequence(seed, spawn_key=(tag, i)).generate_state(2,
+    uint64)`` with every stream in a column: the seed's words, padded with
+    zeros to the 4-word pool, then the tag's words and i form the entropy;
+    the first four words are hashed into the pool, every pool word is mixed
+    into every other, the remaining words are mixed into all four, and four
+    hashed pool words pair up little-endian into the two key words.  The
+    hash multipliers advance the same way whatever the data, so one scalar
+    sequence serves every column; numpy's uint32 arrays wrap as the C code
+    does.
+    """
+    seed_words = _uint32_words(int(seed))
+    words = seed_words + [0] * (4 - len(seed_words)) + _uint32_words(int(tag))
+    entropy = [np.full(n, word, np.uint32) for word in words] + [np.arange(n, dtype=np.uint32)]
+    mult = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal mult
+        value = value ^ np.uint32(mult)
+        mult = mult * 0x931E8875 & 0xFFFFFFFF
+        value *= np.uint32(mult)
+        value ^= value >> np.uint32(16)
+        return value
+
+    def mix(x, y):
+        out = x * np.uint32(0xCA01F9DD) - y * np.uint32(0x4973F715)
+        out ^= out >> np.uint32(16)
+        return out
+
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    state = np.empty((n, 4), np.uint32)
+    mult = 0x8B51F9DD
+    for k in range(4):
+        value = pool[k] ^ np.uint32(mult)
+        mult = mult * 0x58F38DED & 0xFFFFFFFF
+        value *= np.uint32(mult)
+        state[:, k] = value ^ (value >> np.uint32(16))
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
 @dataclass(eq=False)
 class Trajectory:
     """Uniformly sampled time series; one state row per time point.
@@ -149,65 +209,72 @@ def _integrate_single(y0: np.ndarray, cfg: SimConfig, substeps: int) -> np.ndarr
 
 def _rk4_batch(y0: np.ndarray, cfg: SimConfig, substeps: int):
     """Classical RK4 at internal step dt/substeps on a batch of state
-    columns (4, n); yields the batch at grid steps 0, ..., n_points - 1.
+    columns (4, n) in the order (y1, y2, y3, y4); yields the batch at grid
+    steps 0, ..., n_points - 1 as a (4, n) view with rows (y1, y3, y2, y4).
 
-    Every yield is the same (4, n) buffer, updated in place: a consumer
-    copies or reduces it before the next step.  Positions (y1, y3) and
-    velocities (y2, y4) are its two (2, n) row views.  The stage buffers are
-    allocated once and every ufunc writes through ``out=``.  The arithmetic
-    is that of ``oscillator_rhs`` and the RK4 update on the whole batch, in
-    the same order; positions are squared by multiplication, as numpy's
-    array ``** 2`` does.  A single state squares by ``pow`` instead, so a
-    column may differ from its standalone run in the last bits.
+    Every yield is the same view, updated in place: a consumer copies or
+    reduces it before the next step.  The state and the three later stages
+    each live in a (6, n) buffer with rows (y1, y3, y2, y4, a1, a3), where
+    a1 and a3 are the accelerations at the state in rows 0..3.  Rows 2..5
+    are therefore that state's derivative k, so no velocity is ever copied.
+    The doubled k2 and k3 are formed in place in their stage's rows, which
+    are refilled in the next substep, and k1 + 2 k2 + 2 k3 + k4 is summed
+    in place in the rows of k2.  The buffers are allocated once and every
+    ufunc writes through ``out=``: 25 calls per substep, each reading at
+    most one array besides the one it writes.
+
+    The arithmetic is that of ``oscillator_rhs`` and the RK4 update on the
+    whole batch, in the same order, but for one rewrite: an acceleration
+    -p (1 + q^2) is computed as p * (-1 - q^2), the second factor by
+    ``np.subtract(-1.0, q^2)``.  Negation is exact and rounding is
+    symmetric in sign, so the two are the same float, signed zeros
+    included.  Positions are squared by ``np.square``, as numpy's array
+    ``** 2`` does.  A single state squares by ``pow`` instead, so a column
+    may differ from its standalone run in the last bits.
     """
     h = cfg.dt / substeps
     hh, h6 = 0.5 * h, h / 6.0
-    y = np.array(y0, dtype=float)
-    z = np.empty_like(y)  # stage state
-    k = np.empty_like(y)  # stage derivative
-    acc = np.empty_like(y)  # k1 + 2 k2 + 2 k3 + k4, summed in that order
-    twice = np.empty_like(y)
-    sq = np.empty_like(y[::2])
+    y, z, w, u = np.empty((4, 6) + y0.shape[1:])  # the state and stages 2, 3, 4
+    y[:2], y[2:4] = y0[::2], y0[1::2]
 
-    def views(a):
-        # positions, positions swapped to (y3, y1), velocities
-        return a[::2], a[2::-2], a[1::2]
+    def views(b):
+        # state rows, positions swapped to (y3, y1), positions, accelerations
+        return b[:4], b[1::-1], b[:2], b[4:]
 
-    at_y, at_z, of_k, of_acc = views(y), views(z), views(k), views(acc)
+    at_y, at_z, at_w, at_u = views(y), views(z), views(w), views(u)
+    state = at_y[0]
 
-    def derivative(state, into):
-        # into <- (y2, -y1 (1 + y3^2), y4, -y3 (1 + y1^2)) at state
-        pos, swapped, vel = state
-        d_pos, _, d_vel = into
-        np.copyto(d_pos, vel)
-        np.multiply(swapped, swapped, out=sq)
-        np.add(1.0, sq, out=sq)
-        np.negative(pos, out=d_vel)
-        np.multiply(d_vel, sq, out=d_vel)
+    def accelerate(b):
+        # accelerations <- (y1 (-1 - y3^2), y3 (-1 - y1^2)) at the state rows
+        _, swapped, pos, accel = b
+        np.square(swapped, out=accel)
+        np.subtract(-1.0, accel, out=accel)
+        np.multiply(pos, accel, out=accel)
 
-    yield y
+    def stage(into, scale, k):
+        # state rows <- y + scale * k, then their accelerations
+        np.multiply(scale, k, out=into[0])
+        np.add(state, into[0], out=into[0])
+        accelerate(into)
+
+    k1, k2, k3, k4 = y[2:], z[2:], w[2:], u[2:]
+    yield state
     for step in range(1, cfg.n_points):
         for _ in range(substeps):
-            derivative(at_y, of_acc)
-            np.multiply(hh, acc, out=z)
-            np.add(y, z, out=z)
-            derivative(at_z, of_k)
-            np.multiply(2.0, k, out=twice)
-            np.add(acc, twice, out=acc)
-            np.multiply(hh, k, out=z)
-            np.add(y, z, out=z)
-            derivative(at_z, of_k)
-            np.multiply(2.0, k, out=twice)
-            np.add(acc, twice, out=acc)
-            np.multiply(h, k, out=z)
-            np.add(y, z, out=z)
-            derivative(at_z, of_k)
-            np.add(acc, k, out=acc)
-            np.multiply(h6, acc, out=acc)
-            np.add(y, acc, out=y)
-        if not np.isfinite(y).all():
+            accelerate(at_y)
+            stage(at_z, hh, k1)
+            stage(at_w, hh, k2)
+            np.multiply(2.0, k2, out=k2)
+            np.add(k1, k2, out=k2)
+            stage(at_u, h, k3)
+            np.multiply(2.0, k3, out=k3)
+            np.add(k2, k3, out=k2)
+            np.add(k2, k4, out=k2)
+            np.multiply(h6, k2, out=k2)
+            np.add(state, k2, out=state)
+        if not np.isfinite(state).all():
             raise DivergenceError(f"state became non-finite at grid step {step}", step=step)
-        yield y
+        yield state
 
 
 def integrate(s0: np.ndarray, cfg: SimConfig, substeps: int = 10) -> Trajectory:
@@ -226,7 +293,8 @@ def integrate(s0: np.ndarray, cfg: SimConfig, substeps: int = 10) -> Trajectory:
     elif s0.ndim == 2 and s0.shape[0] == 4:
         states = np.empty((cfg.n_points,) + s0.shape)
         for step, y in enumerate(_rk4_batch(s0, cfg, substeps)):
-            states[step] = y
+            # rows (y1, y3, y2, y4) back to (y1, y2, y3, y4)
+            states[step, ::2], states[step, 1::2] = y[:2], y[2:]
     else:
         raise ValueError("s0 must be one state (4,) or a batch of state columns (4, n)")
     return Trajectory(times=cfg.times(), states=states)
@@ -260,8 +328,13 @@ def monte_carlo_projection(
     Integrates ``cfg.n_mc`` full systems with the resolved initial values
     pinned at ``x_hat`` and (y3, y4) drawn per sample from N(0, sigma^2);
     returns the pointwise mean and pointwise population variance of the
-    resolved coordinates.  Sample i uses the stream (seed, projection, i).
-    The batch is reduced one grid step at a time, so memory is O(n_mc).
+    resolved coordinates.  Sample i draws ``sample_unresolved(sigma,
+    rng_stream(seed, projection, i))`` bit for bit: the Philox keys of all
+    streams come from one ``_philox_keys`` pass, and one reused generator
+    draws each pair after its state is set to that key, a zero counter and
+    an empty buffer, which is the state ``rng_stream`` starts from.  The
+    batch is reduced one grid step at a time, so memory is O(n_mc); the
+    resolved coordinates are rows 0 and 2 of the ``_rk4_batch`` view.
     """
     x1, x2 = float(x_hat[0]), float(x_hat[1])
     times = cfg.times()
@@ -270,15 +343,19 @@ def monte_carlo_projection(
         # equal to integrate() and the variance exactly zero
         mean = _integrate_single(np.array([x1, x2, 0.0, 0.0]), cfg, substeps)[:, :2]
         return Trajectory(times, mean), Trajectory(times, np.zeros_like(mean))
-    draws = np.empty((2, cfg.n_mc))
-    for i in range(cfg.n_mc):
-        rng = rng_stream(cfg.seed, TAG_PROJECTION, i)
-        draws[0, i], draws[1, i] = sample_unresolved(cfg.sigma, rng)
-    y0 = np.vstack([np.full(cfg.n_mc, x1), np.full(cfg.n_mc, x2), draws])
+    # a fresh stream's state, re-keyed for each sample
+    rng = rng_stream(cfg.seed, TAG_PROJECTION, 0)
+    start = rng.bit_generator.state
+    normals = np.empty((cfg.n_mc, 2))
+    for key, pair in zip(_philox_keys(cfg.seed, TAG_PROJECTION, cfg.n_mc), normals):
+        start["state"]["key"] = key
+        rng.bit_generator.state = start
+        rng.standard_normal(out=pair)
+    y0 = np.vstack([np.full(cfg.n_mc, x1), np.full(cfg.n_mc, x2), cfg.sigma * normals.T])
     mean = np.empty((cfg.n_points, 2))
     var = np.empty((cfg.n_points, 2))
     for step, y in enumerate(_rk4_batch(y0, cfg, substeps)):
-        resolved = y[:2]
+        resolved = y[::2]
         mean[step] = resolved.mean(axis=1)
         var[step] = resolved.var(axis=1)
     finite = np.isfinite(mean).all(axis=1) & np.isfinite(var).all(axis=1)

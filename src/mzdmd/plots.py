@@ -94,26 +94,25 @@ def emit_plot(times, series: dict, path, ylabel: str = "y") -> None:
         f'font-family="monospace" text-anchor="middle">{ylabel}</text>'
     )
 
+    def points(ts, vs):
+        # "x,y" pairs, each coordinate mapped on the whole array at once
+        return [f"{x:.2f},{y:.2f}" for x, y in zip(px(ts).tolist(), py(vs).tolist())]
+
     # bands first so the lines draw on top of them
     for index, (name, (values, var)) in enumerate(series.items()):
         if var is None:
             continue
         values = np.asarray(values, dtype=float).ravel()
         band = np.sqrt(np.asarray(var, dtype=float).ravel())
-        upper = [f"{_fmt(px(t))},{_fmt(py(v))}" for t, v in zip(times, values + band)]
-        lower = [
-            f"{_fmt(px(t))},{_fmt(py(v))}"
-            for t, v in zip(times[::-1], (values - band)[::-1])
-        ]
+        outline = points(times, values + band) + points(times[::-1], (values - band)[::-1])
         color = _series_color(name, index)
         out.append(
-            f'<path d="M {" L ".join(upper + lower)} Z" fill="{color}" '
+            f'<path d="M {" L ".join(outline)} Z" fill="{color}" '
             f'fill-opacity="0.2" stroke="none"/>'
         )
 
     for index, (name, (values, _)) in enumerate(series.items()):
-        values = np.asarray(values, dtype=float).ravel()
-        pts = " ".join(f"{_fmt(px(t))},{_fmt(py(v))}" for t, v in zip(times, values))
+        pts = " ".join(points(times, np.asarray(values, dtype=float).ravel()))
         color = _series_color(name, index)
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'

@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import itertools
 from typing import NamedTuple
 from unittest import mock
 
@@ -190,13 +191,24 @@ def _benchmark_case(name):
     return simulate_measurement(cfg)[1], cfg.adam
 
 
+@functools.cache
+def _reference_fits(kind, case):
+    """The per-sample reference of seed 1 on a benchmark case at the largest
+    size its tests use (100 samples on the protocol, one on the long
+    record), computed once per session.  Samples are fitted independently,
+    so its first n samples are the reference of an n-sample ensemble."""
+    s, cfg = _benchmark_case(case)
+    return _run(_reference_fit_ensemble, kind, s, 1.0, 100 if case == "protocol" else 1, cfg, 1)
+
+
 class TestStackedEnsemble:
     @pytest.mark.parametrize("kind", ["mz-dmd", "t-model"])
     @pytest.mark.parametrize("case", ["protocol", "long-fit"])
     def test_single_sample_bitwise_equals_reference(self, kind, case):
         s, cfg = _benchmark_case(case)
         got = _run(fit_ensemble, kind, s, 1.0, 1, cfg, 1)
-        want = _run(_reference_fit_ensemble, kind, s, 1.0, 1, cfg, 1)
+        ref = _reference_fits(kind, case)
+        want = Fits(ref.operators[:1], ref.traces[:1], ref.models[:1], ref.failures)
         _assert_same_fits(got, want, rtol=0)
         for a, b in zip(got.models, want.models):
             np.testing.assert_array_equal(a.values, b.values)
@@ -206,8 +218,8 @@ class TestStackedEnsemble:
     def test_full_ensemble_matches_reference_and_repeats(self, kind):
         s, cfg = _benchmark_case("protocol")
         got = _run(fit_ensemble, kind, s, 1.0, 100, cfg, 1)
-        want = _run(_reference_fit_ensemble, kind, s, 1.0, 100, cfg, 1)
-        assert len(got.operators) == 100
+        want = _reference_fits(kind, "protocol")
+        assert len(got.operators) == len(want.operators) == 100
         _assert_same_fits(got, want, rtol=1e-12)
         _assert_same_fits(_run(fit_ensemble, kind, s, 1.0, 100, cfg, 1), got, rtol=0)
 
@@ -386,6 +398,45 @@ class TestMinCostAssignment:
         with pytest.raises(ValueError, match="d <= 8"):
             match_and_average([model, model])
         assert min_cost_assignment(rng.random((8, 8))).shape == (8,)
+
+    def test_table_is_built_once_per_dimension(self, monkeypatch):
+        built = []
+        real = ensemble.itertools.permutations
+
+        def counting(items):
+            built.append(len(items))
+            return real(items)
+
+        ensemble._permutation_table.cache_clear()
+        monkeypatch.setattr(ensemble.itertools, "permutations", counting)
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            for d in (3, 4):
+                min_cost_assignment(rng.random((d, d)))
+        ensemble._permutation_table.cache_clear()
+        assert built == [3, 4]
+
+    def test_table_is_read_only_and_results_are_copies(self):
+        table = ensemble._permutation_table(3)
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 2
+        # match_and_average swaps entries of the assignment in place
+        cost = np.eye(3)
+        perm = min_cost_assignment(cost)
+        want = perm.copy()
+        perm[0], perm[1] = perm[1], perm[0]
+        np.testing.assert_array_equal(min_cost_assignment(cost), want)
+        np.testing.assert_array_equal(table, list(itertools.permutations(range(3))))
+
+    def test_repeated_calls_agree_with_linear_sum_assignment(self):
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            cost = rng.random((4, 4))
+            perm = min_cost_assignment(cost)
+            np.testing.assert_array_equal(perm, linear_sum_assignment(cost)[1])
+            perm[:] = perm[::-1]  # a caller's write reaches no later call
 
 
 class TestReconstruct:

@@ -15,7 +15,13 @@ from mzdmd import (
     simulate_measurement,
     write_csv,
 )
-from mzdmd.harness import METHODS, MethodFailure
+from mzdmd import plots
+from mzdmd.harness import METHODS, MethodFailure, write_columns
+
+# floats whose text forms are easy to get wrong: a negative zero, the
+# smallest subnormal, a value near overflow, a repeating fraction and
+# integer values
+AWKWARD = [-0.0, 5e-324, 1e308, 1 / 3, 2.0, -7.0, 0.0, 1e16]
 
 
 def small_config(tmp_path, **overrides):
@@ -26,6 +32,159 @@ def small_config(tmp_path, **overrides):
     return dataclasses.replace(
         cfg, sim=sim, n_u=3, output_dir=tmp_path / "out", **overrides
     )
+
+
+def _reference_write_columns(path, header, columns):
+    """``write_columns`` as it formatted one numpy scalar per cell: the
+    byte-for-byte reference for the per-column conversion."""
+    lines = [",".join(header)]
+    for k in range(len(columns[0])):
+        lines.append(",".join(repr(float(col[k])) for col in columns))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _reference_emit_plot(times, series, path, ylabel="y"):
+    """``emit_plot`` as it formatted one point at a time, through numpy
+    scalars: the byte-for-byte reference for the array form."""
+    times = np.asarray(times, dtype=float).ravel()
+    if times.size < 2:
+        raise ValueError("need at least two time points to plot")
+
+    lo, hi = np.inf, -np.inf
+    for values, var in series.values():
+        values = np.asarray(values, dtype=float).ravel()
+        lo = min(lo, values.min())
+        hi = max(hi, values.max())
+        if var is not None:
+            band = np.sqrt(np.asarray(var, dtype=float).ravel())
+            lo = min(lo, (values - band).min())
+            hi = max(hi, (values + band).max())
+    if hi <= lo:
+        hi = lo + 1.0
+    pad = 0.05 * (hi - lo)
+    lo, hi = lo - pad, hi + pad
+
+    t0, t1 = float(times[0]), float(times[-1])
+    plot_w = plots.WIDTH - plots.MARGIN_L - plots.MARGIN_R
+    plot_h = plots.HEIGHT - plots.MARGIN_T - plots.MARGIN_B
+
+    def px(t):
+        return plots.MARGIN_L + (t - t0) / (t1 - t0) * plot_w
+
+    def py(v):
+        return plots.MARGIN_T + (hi - v) / (hi - lo) * plot_h
+
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{plots.WIDTH}" height="{plots.HEIGHT}" '
+        f'viewBox="0 0 {plots.WIDTH} {plots.HEIGHT}">',
+        f'<rect width="{plots.WIDTH}" height="{plots.HEIGHT}" fill="white"/>',
+        f'<rect x="{plots.MARGIN_L}" y="{plots.MARGIN_T}" width="{plot_w}" height="{plot_h}" '
+        f'fill="none" stroke="#333333" stroke-width="1"/>',
+    ]
+
+    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
+        tx = t0 + frac * (t1 - t0)
+        out.append(
+            f'<text x="{plots._fmt(px(tx))}" y="{plots.HEIGHT - plots.MARGIN_B + 18}" font-size="11" '
+            f'font-family="monospace" text-anchor="middle">{tx:.3g}</text>'
+        )
+        vy = lo + frac * (hi - lo)
+        out.append(
+            f'<text x="{plots.MARGIN_L - 6}" y="{plots._fmt(py(vy) + 4)}" font-size="11" '
+            f'font-family="monospace" text-anchor="end">{vy:.3g}</text>'
+        )
+    out.append(
+        f'<text x="{plots.MARGIN_L + plot_w / 2:.1f}" y="{plots.HEIGHT - 8}" font-size="12" '
+        f'font-family="monospace" text-anchor="middle">t</text>'
+    )
+    out.append(
+        f'<text x="16" y="{plots.MARGIN_T + plot_h / 2:.1f}" font-size="12" '
+        f'font-family="monospace" text-anchor="middle">{ylabel}</text>'
+    )
+
+    # bands first so the lines draw on top of them
+    for index, (name, (values, var)) in enumerate(series.items()):
+        if var is None:
+            continue
+        values = np.asarray(values, dtype=float).ravel()
+        band = np.sqrt(np.asarray(var, dtype=float).ravel())
+        upper = [f"{plots._fmt(px(t))},{plots._fmt(py(v))}" for t, v in zip(times, values + band)]
+        lower = [
+            f"{plots._fmt(px(t))},{plots._fmt(py(v))}"
+            for t, v in zip(times[::-1], (values - band)[::-1])
+        ]
+        color = plots._series_color(name, index)
+        out.append(
+            f'<path d="M {" L ".join(upper + lower)} Z" fill="{color}" '
+            f'fill-opacity="0.2" stroke="none"/>'
+        )
+
+    for index, (name, (values, _)) in enumerate(series.items()):
+        values = np.asarray(values, dtype=float).ravel()
+        pts = " ".join(f"{plots._fmt(px(t))},{plots._fmt(py(v))}" for t, v in zip(times, values))
+        color = plots._series_color(name, index)
+        out.append(
+            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
+        )
+
+    legend_x = plots.WIDTH - plots.MARGIN_R + 12
+    for index, name in enumerate(series):
+        y = plots.MARGIN_T + 16 + 20 * index
+        color = plots._series_color(name, index)
+        out.append(
+            f'<line x1="{legend_x}" y1="{y}" x2="{legend_x + 24}" y2="{y}" '
+            f'stroke="{color}" stroke-width="2"/>'
+        )
+        out.append(
+            f'<text x="{legend_x + 30}" y="{y + 4}" font-size="12" '
+            f'font-family="monospace">{name}</text>'
+        )
+
+    out.append("</svg>")
+    path.write_text("\n".join(out) + "\n")
+
+
+class TestWritersMatchPerCellReference:
+    def test_csv_columns(self, tmp_path):
+        rng = np.random.default_rng(11)
+        columns = [
+            np.array(AWKWARD),
+            np.array(AWKWARD[::-1]),
+            np.arange(len(AWKWARD)),  # an integer column
+            rng.standard_normal(len(AWKWARD)) * 10.0 ** rng.integers(-300, 300, len(AWKWARD)),
+            list(AWKWARD),
+        ]
+        header = ["a", "b", "c", "d", "e"]
+        write_columns(tmp_path / "new.csv", header, columns)
+        _reference_write_columns(tmp_path / "old.csv", header, columns)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        rows = (tmp_path / "new.csv").read_text().splitlines()
+        assert rows[1].startswith("-0.0,1e+16,0.0,") and rows[3].startswith("1e+308,-7.0,2.0,")
+
+    def test_csv_rejects_ragged_columns(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_columns(tmp_path / "t.csv", ["a", "b"], [np.zeros(3), np.zeros(2)])
+
+    @pytest.mark.parametrize("case", ["awkward", "near-overflow", "random"])
+    def test_svg(self, tmp_path, case):
+        rng = np.random.default_rng(12)
+        if case == "awkward":
+            values = np.array([v for v in AWKWARD if abs(v) < 1e300])
+            times = np.arange(values.size) * 0.5
+            series = {"measurement": (values, None), "dmd": (values[::-1], np.abs(values) / 3)}
+        elif case == "near-overflow":
+            # a band of half-width 1e154 around values up to 1e308
+            times = np.arange(len(AWKWARD)) * 3.0
+            series = {"projection": (np.array(AWKWARD), np.full(len(AWKWARD), 1e308))}
+        else:
+            times = np.arange(501) * 0.1
+            series = {
+                name: (rng.standard_normal(501), rng.random(501) if k % 2 else None)
+                for k, name in enumerate(plots.COLORS)
+            }
+        emit_plot(times, series, tmp_path / "new.svg", ylabel="y1")
+        _reference_emit_plot(times, series, tmp_path / "old.svg", ylabel="y1")
+        assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "old.svg").read_bytes()
 
 
 class TestWriteCsv:

@@ -15,6 +15,7 @@ from mzdmd import (
     rng_stream,
     sample_unresolved,
 )
+from mzdmd import oscillator
 
 
 def _reference_integrate(rhs, y0, cfg, substeps):
@@ -235,6 +236,72 @@ class TestIntegrateMatchesReference:
         _assert_same_outcome(_outcome(batch, cfg, substeps), _reference_outcome(batch, cfg, substeps))
         single = batch[:, 0]
         _assert_same_outcome(_outcome(single, cfg, substeps), _reference_outcome(single, cfg, substeps))
+
+
+class TestBatchEdgeCases:
+    """Signed zeros, squares near overflow and divergence, against the
+    reference bit for bit (signs of zeros included)."""
+
+    # zero positions of either sign beside squares of 1e308, a -0 position
+    # under a nonzero coupling, a -0 hidden position under a moving first
+    # one, and an all-zero state whose -0 velocity stays -0
+    COLUMNS = [
+        (0.0, 0.0, 1e154, 0.0),
+        (-0.0, 0.0, -1e154, 0.0),
+        (-0.0, -0.0, 0.5, -0.0),
+        (1.0, 0.0, -0.0, 0.0),
+        (0.0, -0.0, 0.0, -0.0),
+    ]
+
+    def test_signed_zeros_and_large_squares_bitwise(self):
+        cfg = _grid(0.1, 31)
+        y0 = np.array(self.COLUMNS).T
+        got = integrate(y0, cfg, 10).states
+        want = _reference_integrate(oscillator_rhs, y0, cfg, 10)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+        # the inputs do reach negative zeros and squares near overflow
+        assert np.signbit(got[got == 0.0]).any()
+        assert np.abs(got[:, 2, :2]).max() ** 2 > 1e307
+
+    @pytest.mark.parametrize("diverging", [(1e-160, 0.0, 1e154, 0.0), (0.0, 0.0, 2e154, 0.0)])
+    def test_one_diverging_column_sets_the_step(self, diverging):
+        # the first column's acceleration is 1e148 and the second's square
+        # overflows, so 0 * -inf is NaN
+        cfg = _grid(0.1, 31)
+        y0 = np.array(self.COLUMNS + [diverging]).T
+        want = _reference_outcome(y0, cfg, 10)
+        assert isinstance(want, int)
+        assert _outcome(y0, cfg, 10) == want
+
+
+class TestPhiloxKeys:
+    INDICES = [0, 1, 255, 65_535, 9_999]
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 + 3, 2**200 + 12_345])
+    @pytest.mark.parametrize("tag", [0, 1, 2])
+    def test_keys_equal_seed_sequence(self, seed, tag):
+        keys = oscillator._philox_keys(seed, tag, 65_536)
+        assert keys.shape == (65_536, 2) and keys.dtype == np.uint64
+        for i in self.INDICES:
+            want = np.random.SeedSequence(seed, spawn_key=(tag, i)).generate_state(2, np.uint64)
+            np.testing.assert_array_equal(keys[i], want)
+
+    @pytest.mark.parametrize("sigma", [1.0, 0.3])
+    def test_projection_draws_equal_rng_stream(self, sigma, monkeypatch):
+        cfg = SimConfig(dt=0.1, t_max=0.2, n_points=3, sigma=sigma, n_mc=300, seed=2**40 + 5)
+        starts, real = [], oscillator._rk4_batch
+
+        def recording(y0, *args):
+            starts.append(np.array(y0))
+            return real(y0, *args)
+
+        monkeypatch.setattr(oscillator, "_rk4_batch", recording)
+        monte_carlo_projection(cfg, (0.25, -1.5))
+        (y0,) = starts
+        want = np.array([sample_unresolved(sigma, rng_stream(cfg.seed, 1, i)) for i in range(cfg.n_mc)])
+        assert y0.tobytes() == _projection_start(cfg, (0.25, -1.5)).tobytes()
+        assert y0[2:].T.tobytes() == want.tobytes()
 
 
 class TestSampleUnresolved:
