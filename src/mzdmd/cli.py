@@ -128,23 +128,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    if args.command == "check" and args.config is None:
-        return EXIT_OK if run_checks() else EXIT_METHOD_FAILURE
-
     try:
         cfg = resolve_config(args)
     except (ValueError, OSError) as exc:  # ConfigError, or an override the config refuses
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_FAILURE
 
-    if args.command == "check":
-        return EXIT_OK if run_checks() else EXIT_METHOD_FAILURE
-
     handlers = {
         "simulate": cmd_simulate,
         "fit": cmd_fit,
         "reconstruct": cmd_reconstruct,
         "run": cmd_run,
+        "check": lambda _cfg: EXIT_OK if run_checks() else EXIT_METHOD_FAILURE,
     }
     try:
         return handlers[args.command](cfg)

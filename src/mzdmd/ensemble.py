@@ -105,7 +105,7 @@ def fit_ensemble(
     alive = np.arange(n_u)
     fitted = traces = ()
     while alive.size:
-        mem = MemoryInit(n[alive], sigma)
+        mem = MemoryInit(n[alive])
         a_stack = np.broadcast_to(a0, (alive.size,) + a0.shape)
         try:
             fitted, traces = fit_transition(Objective(kind, s, mem), a_stack, cfg)

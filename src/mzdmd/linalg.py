@@ -32,19 +32,17 @@ class EigDecomposition(NamedTuple):
     vectors: np.ndarray
 
 
-def pinv(m: np.ndarray, rtol: float = PINV_RTOL) -> np.ndarray:
+def pinv(m: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudoinverse via SVD.
 
-    Singular values below ``rtol`` times the largest one are treated as
+    Singular values below ``PINV_RTOL`` times the largest one are treated as
     exactly zero, so rank-deficient inputs are handled gracefully.
     """
     m = np.asarray(m, dtype=float)
     if m.size == 0:
         raise ValueError("pinv requires a nonempty matrix")
-    if not rtol > 0:
-        raise ValueError("rtol must be positive")
     try:
-        return np.linalg.pinv(m, rcond=rtol)
+        return np.linalg.pinv(m, rcond=PINV_RTOL)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge in pinv: {exc}") from exc
 
@@ -69,11 +67,11 @@ def phase_normalize(vectors: np.ndarray) -> np.ndarray:
     return v
 
 
-def eig(a: np.ndarray, residual_rtol: float = EIG_RESIDUAL_RTOL) -> EigDecomposition:
+def eig(a: np.ndarray) -> EigDecomposition:
     """Eigendecomposition with unit-norm, phase-normalized eigenvectors.
 
     Raises :class:`NumericalError` when the QR iteration fails or when any
-    eigenpair residual ``||A v - lambda v||`` exceeds ``residual_rtol * ||A||_F``.
+    eigenpair residual ``||A v - lambda v||`` exceeds ``EIG_RESIDUAL_RTOL * ||A||_F``.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -85,10 +83,10 @@ def eig(a: np.ndarray, residual_rtol: float = EIG_RESIDUAL_RTOL) -> EigDecomposi
     vectors = phase_normalize(vectors)
     scale = max(float(np.linalg.norm(a, "fro")), np.finfo(float).tiny)
     residuals = np.linalg.norm(a @ vectors - vectors * values, axis=0)
-    if np.any(residuals > residual_rtol * scale):
+    if np.any(residuals > EIG_RESIDUAL_RTOL * scale):
         raise NumericalError(
             f"eigenpair residual {residuals.max():.3e} exceeds "
-            f"{residual_rtol:.1e} * ||A||_F"
+            f"{EIG_RESIDUAL_RTOL:.1e} * ||A||_F"
         )
     return EigDecomposition(values=values, vectors=vectors)
 
@@ -135,8 +133,8 @@ def expm_frechet(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p[..., :d, :d], p[..., :d, d:]
 
 
-def solve(a: np.ndarray, b: np.ndarray, cond_max: float = COND_MAX) -> np.ndarray:
-    """Solve A X = B, refusing matrices with condition estimate above cond_max.
+def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve A X = B, refusing matrices with condition estimate above COND_MAX.
 
     A may be an (n, d, d) stack with B an (n, d, k) stack; every slice is
     condition-checked and a refusal names the slices that failed.
@@ -151,7 +149,7 @@ def solve(a: np.ndarray, b: np.ndarray, cond_max: float = COND_MAX) -> np.ndarra
     except np.linalg.LinAlgError as exc:
         where, indices = failing_slices(~np.isfinite(a).all(axis=(-2, -1)))
         raise NumericalError(f"condition estimate failed{where}: {exc}", indices=indices) from exc
-    bad = ~np.isfinite(cond) | (cond > cond_max)
+    bad = ~np.isfinite(cond) | (cond > COND_MAX)
     if np.any(bad):
         where, indices = failing_slices(bad)
         first = float(np.asarray(cond)[bad][0])

@@ -77,14 +77,13 @@ class SnapshotPair:
 
 @dataclass(frozen=True)
 class MemoryInit:
-    """Initialization vector for the memory term, with the scale it was drawn at.
+    """Initialization vector for the memory term.
 
     ``n`` holds one vector (d,) or a stack (n_u, d) of them, one per operator
     of a stacked fit.
     """
 
     n: np.ndarray
-    sigma: float = 0.0
 
     def __post_init__(self):
         n = np.asarray(self.n, dtype=float)
@@ -93,19 +92,17 @@ class MemoryInit:
         object.__setattr__(self, "n", n)
         if n.size == 0 or not np.all(np.isfinite(n)):
             raise ValueError("memory vector must be nonempty and finite")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
 
     @classmethod
     def zero(cls, dim: int) -> "MemoryInit":
-        return cls(n=np.zeros(dim), sigma=0.0)
+        return cls(n=np.zeros(dim))
 
     @classmethod
     def sample(cls, dim: int, sigma: float, rng: np.random.Generator) -> "MemoryInit":
         """Draw n from the centered normal with standard deviation sigma."""
         if sigma < 0:
             raise ValueError("sigma must be nonnegative")
-        return cls(n=sigma * rng.standard_normal(dim), sigma=float(sigma))
+        return cls(n=sigma * rng.standard_normal(dim))
 
 
 @dataclass(frozen=True)
@@ -126,10 +123,10 @@ class Objective:
                 raise ValueError("memory vector length must match the snapshot dimension")
 
 
-def dmd_fit(s: SnapshotPair, rtol: float = linalg.PINV_RTOL) -> np.ndarray:
+def dmd_fit(s: SnapshotPair) -> np.ndarray:
     """Least-squares one-step operator: the global minimizer of
     ``||x_plus - A x_minus||_F^2``, computed as ``x_plus @ pinv(x_minus)``."""
-    return s.x_plus @ linalg.pinv(s.x_minus, rtol)
+    return s.x_plus @ linalg.pinv(s.x_minus)
 
 
 def _mT(x: np.ndarray) -> np.ndarray:

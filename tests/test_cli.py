@@ -3,10 +3,11 @@ import argparse
 import numpy as np
 import pytest
 
-from mzdmd import config, harness, plots
+from mzdmd import NumericalError, config, harness, linalg, plots
 from mzdmd.cli import build_parser, main, resolve_config
 from mzdmd.ensemble import run_ensemble
 from mzdmd.harness import METHODS, dmd_spectral_model, read_csv, simulate_measurement
+from mzdmd.selfcheck import CHECKS
 
 SMALL = (
     "t_max = 6\n"
@@ -90,8 +91,35 @@ class TestSubcommands:
 
     def test_check_passes(self, capsys):
         assert main(["check"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out and "FAIL" not in out
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(CHECKS)
+        assert all(line.startswith("PASS") and "(deviation " in line for line in lines)
+
+    def test_check_fails_on_a_perturbed_pinv(self, capsys, monkeypatch):
+        pinv = linalg.pinv
+        monkeypatch.setattr(linalg, "pinv", lambda m: pinv(m) * (1 + 1e-6))
+        assert main(["check"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("FAIL pinv satisfies the Penrose identity (deviation ")
+        assert lines[0].endswith(", bound 1e-10)")
+        assert all(line.startswith("PASS") for line in lines[1:]) and len(lines) == len(CHECKS)
+
+    def test_check_that_raises_fails_and_the_rest_run(self, capsys, monkeypatch):
+        def broken(a):
+            raise NumericalError("eigenvalue iteration did not converge")
+
+        monkeypatch.setattr(linalg, "eig", broken)
+        assert main(["check"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == (
+            "FAIL eig residual relative to ||A||_F "
+            "(raised NumericalError: eigenvalue iteration did not converge)"
+        )
+        assert sum(line.startswith("PASS") for line in lines) == len(CHECKS) - 1
+
+    def test_check_validates_the_common_flags(self, capsys):
+        assert main(["check", "--seed", "-1"]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_seed_and_method_overrides(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SMALL)

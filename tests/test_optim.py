@@ -112,7 +112,7 @@ class TestFitTransition:
 
         rng = np.random.default_rng(3)
         _, s = simulate_measurement(default_config())
-        mem = MemoryInit(rng.standard_normal(2), 1.0)
+        mem = MemoryInit(rng.standard_normal(2))
         a0 = dmd_fit(s)
         _, trace = fit_transition(Objective("t-model", s, mem), a0, AdamConfig())
         assert np.all(np.diff(trace) <= 1e-6)
@@ -140,7 +140,7 @@ class TestFitTransition:
 
         rng = np.random.default_rng(7)
         s = random_snapshots(rng, cols=10)
-        mem = MemoryInit(rng.standard_normal((3, 2)), 1.0)
+        mem = MemoryInit(rng.standard_normal((3, 2)))
         a0 = np.stack([dmd_fit(s)] * 3)
         steps = []
 
