@@ -52,7 +52,7 @@ for kind in ("mz-dmd", "t-model"):
     decay = window_amp(result.mean_traj.states, 40, 50) / window_amp(
         result.mean_traj.states, 0, 10
     )
-    spread = np.abs(np.array([m.values for m in result.per_sample])).std(axis=0)
+    spread = np.abs(result.per_sample.values).std(axis=0)
     print(f"  averaged |lambda|     : {np.abs(result.averaged.values)}")
     print(f"  per-sample |lambda| sd: {spread}")
     print(f"  amplitude decay ratio : {decay:.3f}")

@@ -49,7 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fit the requested method and write its trajectory CSV")
     sub.add_parser("run", parents=[common],
                    help="run the full pipeline for the requested methods")
-    sub.add_parser("check", parents=[common], help="run the invariant self-check suite")
+    sub.add_parser("check", parents=[common],
+                   help="run the invariant self-check suite on the master seed")
     return parser
 
 
@@ -139,7 +140,7 @@ def main(argv=None) -> int:
         "fit": cmd_fit,
         "reconstruct": cmd_reconstruct,
         "run": cmd_run,
-        "check": lambda _cfg: EXIT_OK if run_checks() else EXIT_METHOD_FAILURE,
+        "check": lambda cfg: EXIT_OK if run_checks(cfg.sim.seed) else EXIT_METHOD_FAILURE,
     }
     try:
         return handlers[args.command](cfg)

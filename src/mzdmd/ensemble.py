@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import EnsembleError
+from .errors import EnsembleError, failing_slices
 from .objectives import MZ_DMD, T_MODEL, MemoryInit, Objective, SnapshotPair, dmd_fit
 from .optim import AdamConfig, fit_transition
 from .oscillator import TAG_ENSEMBLE, Trajectory, rng_stream
@@ -30,38 +30,40 @@ class MatchingDegeneracyWarning(UserWarning):
 
 @dataclass(frozen=True)
 class SpectralModel:
-    """Eigenvalues and phase-normalized eigenvectors of a fitted operator,
-    together with the snapshot step the operator was fitted at."""
+    """Eigenvalues (..., d) and phase-normalized eigenvectors (..., d, d) of
+    a fitted operator, or of each operator in a stack, together with the
+    snapshot step they were fitted at.  A single model is a stack of one."""
 
     values: np.ndarray
     vectors: np.ndarray
     dt: float
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex).ravel()
+        values = np.asarray(self.values, dtype=complex)
         vectors = np.asarray(self.vectors, dtype=complex)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "vectors", vectors)
-        d = values.size
-        if vectors.shape != (d, d):
-            raise ValueError("vectors must be square with one column per eigenvalue")
+        if values.size == 0 or vectors.shape != values.shape + values.shape[-1:]:
+            raise ValueError("need a nonempty stack of square vectors, one column per eigenvalue")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
-        cond = float(np.linalg.cond(vectors))
-        if not np.isfinite(cond) or cond > linalg.COND_MAX:
-            raise ValueError(f"eigenvector matrix is not invertible (cond ~ {cond:.3e})")
+        cond = np.linalg.cond(vectors)
+        bad = ~np.isfinite(cond) | (cond > linalg.COND_MAX)
+        if np.any(bad):
+            raise ValueError(f"eigenvector matrix is not invertible{failing_slices(bad)[0]} "
+                             f"(cond ~ {np.max(cond):.3e})")
 
     @property
     def dim(self) -> int:
-        return self.values.size
+        return self.values.shape[-1]
 
 
 @dataclass(eq=False)
 class EnsembleResult:
-    """Per-sample spectra, their average, and the reconstructed mean and
-    variance trajectories."""
+    """Per-sample spectra as one (n_u, d) stack, their average, and the
+    reconstructed mean and variance trajectories."""
 
-    per_sample: list[SpectralModel]
+    per_sample: SpectralModel
     averaged: SpectralModel
     mean_traj: Trajectory
     variance_traj: Trajectory
@@ -75,7 +77,7 @@ def fit_ensemble(
     cfg: AdamConfig,
     seed: int,
     trace_sink: list | None = None,
-) -> list[SpectralModel]:
+) -> SpectralModel:
     """Fit ``n_u`` operators from independently sampled memory initializations.
 
     Every fit starts from the plain least-squares solution; sample i draws
@@ -84,8 +86,8 @@ def fit_ensemble(
     memory vectors; its working set is at most about 11 * n_u * d * (m - 1)
     * 8 bytes for m snapshots (9 MB for mz-dmd at the default n_u = 100,
     d = 2, m = 501).
-    The result holds the phase-normalized eigendecomposition of each fitted
-    operator.
+    The result stacks the phase-normalized eigendecomposition of each fitted
+    operator, in sample order.
 
     The slices are independent, so a sample whose fit fails is recorded
     with its error and dropped, and the survivors are fitted again.  Any
@@ -116,16 +118,15 @@ def fit_ensemble(
             failed = alive[indices] if indices else alive
             failures.extend((int(i), exc) for i in failed)
             alive = np.setdiff1d(alive, failed)
-    models: list[SpectralModel] = []
+    decs = []
     for i, a_fit, trace in zip(alive, fitted, traces):
         try:
-            dec = linalg.eig(a_fit)
+            decs.append(linalg.eig(a_fit))
         except Exception as exc:  # noqa: BLE001 - aggregated and re-raised below
             failures.append((int(i), exc))
             continue
         if trace_sink is not None:
             trace_sink.append(trace)
-        models.append(SpectralModel(values=dec.values, vectors=dec.vectors, dt=s.dt))
     if failures:
         failures.sort(key=lambda f: f[0])
         indices = ", ".join(str(i) for i, _ in failures)
@@ -134,7 +135,8 @@ def fit_ensemble(
             f"first failure: {failures[0][1]}",
             failures=failures,
         )
-    return models
+    values, vectors = zip(*decs)
+    return SpectralModel(values=np.stack(values), vectors=np.stack(vectors), dt=s.dt)
 
 
 @functools.cache
@@ -147,78 +149,70 @@ def _permutation_table(d: int) -> np.ndarray:
 
 
 def min_cost_assignment(cost: np.ndarray) -> np.ndarray:
-    """Column index assigned to each row of a square cost matrix, minimizing
-    the total cost, by exhaustive search over the d! permutations.
+    """Column index assigned to each row of a square cost matrix, or of each
+    matrix in a (..., d, d) stack, minimizing the total cost, by exhaustive
+    search over the d! permutations.
 
     Among equal totals the lexicographically first permutation wins, so a
-    tie that includes the identity keeps it.  Returns a fresh array the
-    caller may change.  Raises ``ValueError`` above ``ASSIGNMENT_MAX_DIM``
-    rows.
+    tie that includes the identity keeps it.  The totals are summed row by
+    row in arrays of n * d! for a stack of n (32 MB each for n = 100 at
+    d = 8).  Returns a fresh (..., d) array the caller may change.  Raises
+    ``ValueError`` above ``ASSIGNMENT_MAX_DIM`` rows.
     """
-    d = cost.shape[0]
+    d = cost.shape[-1]
     if d > ASSIGNMENT_MAX_DIM:
         raise ValueError(
             f"exact assignment searches d! permutations; d = {d} exceeds the bound "
             f"d <= {ASSIGNMENT_MAX_DIM}"
         )
     perms = _permutation_table(d)
-    return perms[np.argmin(cost[np.arange(d), perms].sum(axis=1))].copy()
+    totals = sum(cost[..., k, perms[:, k]] for k in range(d))
+    return np.take(perms, np.argmin(totals, axis=-1), axis=0)
 
 
-def match_and_average(models: list[SpectralModel]) -> SpectralModel:
-    """Average eigenpairs across models after aligning them to the first model.
+def match_and_average(models: SpectralModel) -> SpectralModel:
+    """Average a stack of eigenpairs after aligning each slice to the first.
 
     Alignment is the optimal assignment on eigenvalue distance, found exactly
     by :func:`min_cost_assignment` for dimensions up to ``ASSIGNMENT_MAX_DIM``
     (a larger dimension raises ``ValueError``); a tie that includes the
     identity keeps it.  Assignments whose pairwise swap changes the total cost
-    by less than ``DEGENERACY_TOL`` are reported as degenerate and oriented by
-    eigenvector overlap.  The averaged eigenvectors are re-normalized.
+    by less than ``DEGENERACY_TOL`` are reported as degenerate, once per
+    eigenpair pair, and oriented by eigenvector overlap.  The averaged
+    eigenvectors are re-normalized.
     """
-    if not models:
-        raise ValueError("need at least one model to average")
-    ref = models[0]
-    for model in models[1:]:
-        if model.dim != ref.dim:
-            raise ValueError("all models must have the same dimension")
-        if model.dt != ref.dt:
-            raise ValueError("all models must share the same dt")
-    d = ref.dim
-    sum_values = np.zeros(d, dtype=complex)
-    sum_vectors = np.zeros((d, d), dtype=complex)
-    for model in models:
-        cost = np.abs(ref.values[:, None] - model.values[None, :])
-        perm = min_cost_assignment(cost)
-        overlap = np.abs(ref.vectors.conj().T @ model.vectors)
-        for i in range(d):
-            for j in range(i + 1, d):
-                kept = cost[i, perm[i]] + cost[j, perm[j]]
-                swapped = cost[i, perm[j]] + cost[j, perm[i]]
-                if abs(swapped - kept) < DEGENERACY_TOL:
-                    warnings.warn(
-                        "eigenvalue matching is degenerate; breaking the tie by "
-                        "eigenvector overlap",
-                        MatchingDegeneracyWarning,
-                        stacklevel=2,
-                    )
-                    if overlap[i, perm[j]] + overlap[j, perm[i]] > (
-                        overlap[i, perm[i]] + overlap[j, perm[j]]
-                    ):
-                        perm[i], perm[j] = perm[j], perm[i]
-        sum_values += model.values[perm]
-        sum_vectors += linalg.phase_normalize(model.vectors[:, perm])
-    avg_values = sum_values / len(models)
-    avg_vectors = linalg.phase_normalize(sum_vectors / len(models))
-    return SpectralModel(values=avg_values, vectors=avg_vectors, dt=ref.dt)
+    d = models.dim
+    values = models.values.reshape(-1, d)
+    vectors = models.vectors.reshape(-1, d, d)
+    cost = np.abs(values[0][:, None] - values[:, None, :])
+    perm = min_cost_assignment(cost)
+    overlap = np.abs(vectors[0].conj().T @ vectors)
+    rows = np.arange(len(values))
+    for i, j in itertools.combinations(range(d), 2):
+        pi, pj = perm[:, i], perm[:, j]
+        ci, cj, oi, oj = cost[:, i], cost[:, j], overlap[:, i], overlap[:, j]
+        kept, swapped = ci[rows, pi] + cj[rows, pj], ci[rows, pj] + cj[rows, pi]
+        degenerate = np.abs(swapped - kept) < DEGENERACY_TOL
+        if degenerate.any():
+            warnings.warn("eigenvalue matching is degenerate; breaking the tie by "
+                          "eigenvector overlap", MatchingDegeneracyWarning, stacklevel=2)
+        swap = degenerate & (oi[rows, pj] + oj[rows, pi] > oi[rows, pi] + oj[rows, pj])
+        perm[swap, i], perm[swap, j] = pj[swap], pi[swap]
+    matched = linalg.phase_normalize(np.take_along_axis(vectors, perm[:, None, :], axis=-1))
+    avg_values = np.take_along_axis(values, perm, axis=-1).sum(axis=0) / len(values)
+    avg_vectors = linalg.phase_normalize(matched.sum(axis=0) / len(values))
+    return SpectralModel(values=avg_values, vectors=avg_vectors, dt=models.dt)
 
 
 def reconstruct(model: SpectralModel, x0: np.ndarray, times: np.ndarray) -> Trajectory:
-    """Continuous-time reconstruction from a spectral model.
+    """Continuous-time reconstruction from a spectral model, or from each
+    model in a stack.
 
     Maps eigenvalues to rates with the elementwise principal logarithm,
     ``omega = log(values) / dt``, and propagates x0 in the eigenbasis.  The
-    returned trajectory is the real part; the largest discarded imaginary
-    magnitude is recorded on the result and flagged when it exceeds
+    returned trajectory is the real part, with states (len(times), ..., d)
+    for a (..., d) stack; the largest discarded imaginary magnitude is
+    recorded on the result and flagged when it exceeds
     ``IMAG_RESIDUE_RTOL`` times the trajectory scale.
     """
     x0 = np.asarray(x0, dtype=float).ravel()
@@ -227,11 +221,13 @@ def reconstruct(model: SpectralModel, x0: np.ndarray, times: np.ndarray) -> Traj
         raise ValueError("x0 length must match the model dimension")
     if np.any(model.values == 0):
         raise ValueError("zero eigenvalue has no logarithm; cannot reconstruct")
-    omega = np.log(model.values) / model.dt
-    b = linalg.solve(model.vectors, x0.astype(complex))
-    coords = np.exp(np.outer(times, omega)) * b[None, :]
-    complex_states = coords @ model.vectors.T
-    states = complex_states.real.copy()
+    d = model.dim
+    vectors = model.vectors.reshape(-1, d, d)
+    omega = np.log(model.values.reshape(-1, 1, d)) / model.dt
+    b = linalg.solve(vectors, np.broadcast_to(x0.astype(complex)[:, None], (len(vectors), d, 1)))
+    coords = np.exp(times[:, None] * omega) * b.transpose(0, 2, 1)
+    complex_states = coords @ vectors.transpose(0, 2, 1)
+    states = complex_states.real.transpose(1, 0, 2).copy().reshape(times.shape + model.values.shape)
     max_imag = float(np.abs(complex_states.imag).max()) if times.size else 0.0
     scale = float(np.abs(states).max()) if times.size else 0.0
     warning = max_imag > IMAG_RESIDUE_RTOL * max(scale, np.finfo(float).tiny)
@@ -239,21 +235,21 @@ def reconstruct(model: SpectralModel, x0: np.ndarray, times: np.ndarray) -> Traj
 
 
 def ensemble_variance(
-    per_sample: list[SpectralModel],
+    per_sample: SpectralModel,
     mean_traj: Trajectory,
     x0: np.ndarray,
     times: np.ndarray,
 ) -> Trajectory:
     """Pointwise squared deviation of per-sample reconstructions around the
     mean trajectory, averaged with the population normalization 1/N."""
-    if not per_sample:
-        raise ValueError("need at least one sample model")
-    acc = np.zeros_like(np.asarray(mean_traj.states, dtype=float))
-    for model in per_sample:
-        traj = reconstruct(model, x0, times)
-        dev = traj.states - mean_traj.states
-        acc += dev * dev
-    return Trajectory(times=np.asarray(times, dtype=float).ravel(), states=acc / len(per_sample))
+    times = np.asarray(times, dtype=float).ravel()
+    mean = np.asarray(mean_traj.states, dtype=float)
+    d = per_sample.dim
+    if mean.shape != (times.size, d):
+        raise ValueError(f"mean states must be (len(times), d), got {mean.shape}")
+    n = per_sample.values.size // d
+    dev = reconstruct(per_sample, x0, times).states.reshape(times.size, n, d) - mean[:, None, :]
+    return Trajectory(times=times, states=(dev * dev).sum(axis=1) / n)
 
 
 def run_ensemble(
@@ -269,12 +265,12 @@ def run_ensemble(
 ) -> EnsembleResult:
     """Full ensemble pipeline: fit, align and average the spectra, then
     reconstruct the expected dynamics and its empirical variance."""
-    models = fit_ensemble(kind, s, sigma, n_u, cfg, seed, trace_sink=trace_sink)
-    averaged = match_and_average(models)
+    per_sample = fit_ensemble(kind, s, sigma, n_u, cfg, seed, trace_sink=trace_sink)
+    averaged = match_and_average(per_sample)
     mean_traj = reconstruct(averaged, x0, times)
-    variance_traj = ensemble_variance(models, mean_traj, x0, times)
+    variance_traj = ensemble_variance(per_sample, mean_traj, x0, times)
     return EnsembleResult(
-        per_sample=models,
+        per_sample=per_sample,
         averaged=averaged,
         mean_traj=mean_traj,
         variance_traj=variance_traj,

@@ -48,22 +48,25 @@ def pinv(m: np.ndarray) -> np.ndarray:
 
 
 def phase_normalize(vectors: np.ndarray) -> np.ndarray:
-    """Scale columns to unit norm and rotate each so its largest-modulus
-    entry is real and positive.
+    """Scale the columns of a matrix, or of each matrix in a stack, to unit
+    norm and rotate each so its largest-modulus entry (the first, among
+    equal moduli) is real and positive.
 
     Without a fixed phase convention, eigenvectors from repeated runs can
     differ by arbitrary complex factors and cannot be averaged meaningfully.
     """
     v = np.array(vectors, dtype=complex)
-    norms = np.linalg.norm(v, axis=0)
+    norms = np.linalg.norm(v, axis=-2, keepdims=True)
     if np.any(norms == 0):
         raise ValueError("cannot phase-normalize a zero column")
     v /= norms
-    for c in range(v.shape[1]):
-        k = int(np.argmax(np.abs(v[:, c])))
-        pivot = v[k, c]
-        v[:, c] *= np.conj(pivot) / abs(pivot)
-        v[k, c] = abs(pivot)
+    k = np.argmax(np.abs(v), axis=-2, keepdims=True)
+    pivot = np.take_along_axis(v, k, axis=-2)
+    # hypot, not np.abs: numpy's vectorized complex abs can differ from it
+    # in the last bit
+    modulus = np.hypot(pivot.real, pivot.imag)
+    v *= np.conj(pivot) / modulus
+    np.put_along_axis(v, k, modulus, axis=-2)
     return v
 
 

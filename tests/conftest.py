@@ -41,3 +41,27 @@ def rotation_snapshots(n_snapshots=3, dt=0.1, x0=(1.0, 0.0)):
     for k in range(1, n_snapshots):
         x[:, k] = a_true @ x[:, k - 1]
     return SnapshotPair.from_snapshots(x, dt), a_true
+
+
+def reference_phase_normalize(vectors):
+    """The per-column phase normalization, kept as the reference for the
+    vectorized ``linalg.phase_normalize``."""
+    v = np.array(vectors, dtype=complex)
+    norms = np.linalg.norm(v, axis=0)
+    if np.any(norms == 0):
+        raise ValueError("cannot phase-normalize a zero column")
+    v /= norms
+    for c in range(v.shape[1]):
+        k = int(np.argmax(np.abs(v[:, c])))
+        pivot = v[k, c]
+        v[:, c] *= np.conj(pivot) / abs(pivot)
+        v[k, c] = abs(pivot)
+    return v
+
+
+def assert_bitwise(got, want):
+    """Equal shapes and equal bits, signed zeros included."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))

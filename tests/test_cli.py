@@ -117,6 +117,17 @@ class TestSubcommands:
         )
         assert sum(line.startswith("PASS") for line in lines) == len(CHECKS) - 1
 
+    def test_check_runs_every_row_on_the_seed(self, capsys):
+        printed = {}
+        for seed in (3, 4):
+            assert main(["check", "--seed", str(seed)]) == 0
+            printed[seed] = capsys.readouterr().out.splitlines()
+            assert len(printed[seed]) == len(CHECKS)
+            for check, line in zip(CHECKS, printed[seed]):
+                dev = check.deviation(np.random.default_rng(seed))
+                assert line == f"PASS {check.label} (deviation {dev:.1e}, bound {check.bound:g})"
+        assert printed[3] != printed[4]
+
     def test_check_validates_the_common_flags(self, capsys):
         assert main(["check", "--seed", "-1"]) == 2
         assert "config error" in capsys.readouterr().err

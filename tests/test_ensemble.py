@@ -1,12 +1,13 @@
 import contextlib
 import functools
 import itertools
+import warnings
 from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import rotation_snapshots
+from conftest import assert_bitwise, reference_phase_normalize, rotation_snapshots
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -50,10 +51,25 @@ def _sim_snapshots(sigma=1.0, seed=7, n_points=81):
     return simulate_measurement(cfg)[1]
 
 
-def _random_model(rng, d=3, dt=0.1):
-    values = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    vectors = phase_normalize(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+def _random_model(rng, d=3, dt=0.1, n=None):
+    """One random model, or a stack of n."""
+    shape = () if n is None else (n,)
+    values = rng.standard_normal(shape + (d,)) + 1j * rng.standard_normal(shape + (d,))
+    vectors = phase_normalize(
+        rng.standard_normal(shape + (d, d)) + 1j * rng.standard_normal(shape + (d, d))
+    )
     return SpectralModel(values=values, vectors=vectors, dt=dt)
+
+
+def _stack(models):
+    return SpectralModel(
+        np.stack([m.values for m in models]), np.stack([m.vectors for m in models]), models[0].dt
+    )
+
+
+def _slices(model):
+    """The single models of a (n, d) stack."""
+    return [SpectralModel(v, w, model.dt) for v, w in zip(model.values, model.vectors)]
 
 
 class TestSpectralModel:
@@ -64,28 +80,38 @@ class TestSpectralModel:
             SpectralModel(np.ones(2), np.eye(2), 0.0)
         with pytest.raises(ValueError):  # rank-deficient eigenvector matrix
             SpectralModel(np.ones(2), np.ones((2, 2)), 0.1)
+        with pytest.raises(ValueError):  # one vector matrix for two slices
+            SpectralModel(np.ones((2, 2)), np.eye(2), 0.1)
+
+    def test_stack_names_its_singular_slices(self):
+        vectors = np.stack([np.eye(2), np.ones((2, 2)), np.eye(2), np.ones((2, 2))])
+        with pytest.raises(ValueError, match=r"in slices \[1, 3\]"):
+            SpectralModel(np.ones((4, 2)), vectors, 0.1)
+        model = SpectralModel(np.ones((4, 2)), np.stack([np.eye(2)] * 4), 0.1)
+        assert model.dim == 2 and model.values.shape == (4, 2)
 
 
 class TestFitEnsemble:
     def test_zero_sigma_reduces_to_plain_fit(self):
         s = _sim_snapshots(sigma=0.0)
         models = fit_ensemble("mz-dmd", s, 0.0, 4, AdamConfig(), seed=0)
+        assert models.values.shape == (4, 2) and models.vectors.shape == (4, 2, 2)
         # all samples see the same zero memory vector, hence identical fits
-        for model in models[1:]:
-            np.testing.assert_array_equal(model.values, models[0].values)
-            np.testing.assert_array_equal(model.vectors, models[0].vectors)
+        for i in range(1, 4):
+            np.testing.assert_array_equal(models.values[i], models.values[0])
+            np.testing.assert_array_equal(models.vectors[i], models.vectors[0])
         # the optimizer wanders at most lr*iterations from the analytic
         # least-squares solution it starts from
         reference = eig(dmd_fit(s))
         drift = AdamConfig().learning_rate * AdamConfig().iterations
-        assert np.abs(np.sort_complex(models[0].values) - np.sort_complex(reference.values)).max() <= drift
+        assert np.abs(np.sort_complex(models.values[0]) - np.sort_complex(reference.values)).max() <= drift
 
     def test_single_sample_average_is_identity(self):
         s = _sim_snapshots()
         models = fit_ensemble("t-model", s, 1.0, 1, AdamConfig(), seed=1)
         averaged = match_and_average(models)
-        np.testing.assert_allclose(averaged.values, models[0].values, atol=1e-14)
-        np.testing.assert_allclose(averaged.vectors, models[0].vectors, atol=1e-12)
+        np.testing.assert_allclose(averaged.values, models.values[0], atol=1e-14)
+        np.testing.assert_allclose(averaged.vectors, models.vectors[0], atol=1e-12)
 
     def test_rejects_plain_kind_and_bad_counts(self):
         s = _sim_snapshots()
@@ -98,9 +124,8 @@ class TestFitEnsemble:
         s = _sim_snapshots()
         a = fit_ensemble("t-model", s, 1.0, 3, AdamConfig(), seed=5)
         b = fit_ensemble("t-model", s, 1.0, 3, AdamConfig(), seed=5)
-        for ma, mb in zip(a, b):
-            np.testing.assert_array_equal(ma.values, mb.values)
-            np.testing.assert_array_equal(ma.vectors, mb.vectors)
+        np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(a.vectors, b.vectors)
 
     def test_sample_failures_aggregate(self):
         s = _sim_snapshots()
@@ -120,7 +145,7 @@ class TestFitEnsemble:
 
 def _reference_fit_ensemble(kind, s, sigma, n_u, cfg, seed, trace_sink=None):
     """The per-sample ensemble loop: one 2-D fit_transition per sample, kept
-    as the reference for the stacked fit."""
+    as the reference for the stacked fit; its models are stacked at the end."""
     a0 = dmd_fit(s)
     models, failures = [], []
     for i in range(n_u):
@@ -137,7 +162,7 @@ def _reference_fit_ensemble(kind, s, sigma, n_u, cfg, seed, trace_sink=None):
         models.append(SpectralModel(values=dec.values, vectors=dec.vectors, dt=s.dt))
     if failures:
         raise EnsembleError(f"{len(failures)} of {n_u} samples failed", failures=failures)
-    return models
+    return _stack(models)
 
 
 @contextlib.contextmanager
@@ -156,7 +181,7 @@ def _fitted_operators():
 class Fits(NamedTuple):
     operators: list
     traces: list
-    models: list
+    models: SpectralModel | None
     failures: list  # (sample index, error type)
 
 
@@ -167,7 +192,7 @@ def _run(fit, kind, s, sigma, n_u, cfg, seed) -> Fits:
         try:
             models, failures = fit(kind, s, sigma, n_u, cfg, seed, trace_sink=traces), []
         except EnsembleError as exc:
-            models, failures = [], [(i, type(e)) for i, e in exc.failures]
+            models, failures = None, [(i, type(e)) for i, e in exc.failures]
     return Fits(ops, traces, models, failures)
 
 
@@ -208,11 +233,10 @@ class TestStackedEnsemble:
         s, cfg = _benchmark_case(case)
         got = _run(fit_ensemble, kind, s, 1.0, 1, cfg, 1)
         ref = _reference_fits(kind, case)
-        want = Fits(ref.operators[:1], ref.traces[:1], ref.models[:1], ref.failures)
+        want = Fits(ref.operators[:1], ref.traces[:1], None, ref.failures)
         _assert_same_fits(got, want, rtol=0)
-        for a, b in zip(got.models, want.models):
-            np.testing.assert_array_equal(a.values, b.values)
-            np.testing.assert_array_equal(a.vectors, b.vectors)
+        np.testing.assert_array_equal(got.models.values, ref.models.values[:1])
+        np.testing.assert_array_equal(got.models.vectors, ref.models.vectors[:1])
 
     @pytest.mark.parametrize("kind", ["mz-dmd", "t-model"])
     def test_full_ensemble_matches_reference_and_repeats(self, kind):
@@ -241,7 +265,7 @@ class TestStackedEnsemble:
         assert [i for i, _ in got.failures] == [1, 3]
         _assert_same_fits(got, want, rtol=1e-12)
         kept = (0, 2, 4)
-        survivors = Fits([clean.operators[i] for i in kept], [clean.traces[i] for i in kept], [], got.failures)
+        survivors = Fits([clean.operators[i] for i in kept], [clean.traces[i] for i in kept], None, got.failures)
         _assert_same_fits(got, survivors, rtol=0)
 
     def test_refits_map_slices_back_to_samples(self, monkeypatch):
@@ -260,7 +284,7 @@ class TestStackedEnsemble:
         assert sizes == [5, 4, 3]
         assert got.failures == [(1, NumericalError), (2, NumericalError)]
         kept = (0, 3, 4)
-        survivors = Fits([clean.operators[i] for i in kept], [clean.traces[i] for i in kept], [], got.failures)
+        survivors = Fits([clean.operators[i] for i in kept], [clean.traces[i] for i in kept], None, got.failures)
         _assert_same_fits(got, survivors, rtol=0)
 
     @settings(deadline=None)
@@ -280,11 +304,53 @@ class TestStackedEnsemble:
         _assert_same_fits(got, want, rtol=1e-12)
 
 
+def _reference_match_and_average(models):
+    """The per-model matching loop, kept as the reference for the stacked
+    ``match_and_average``; takes a list of single models."""
+    ref = models[0]
+    d = ref.dim
+    sum_values = np.zeros(d, dtype=complex)
+    sum_vectors = np.zeros((d, d), dtype=complex)
+    for model in models:
+        cost = np.abs(ref.values[:, None] - model.values[None, :])
+        perm = min_cost_assignment(cost)
+        overlap = np.abs(ref.vectors.conj().T @ model.vectors)
+        for i in range(d):
+            for j in range(i + 1, d):
+                kept = cost[i, perm[i]] + cost[j, perm[j]]
+                swapped = cost[i, perm[j]] + cost[j, perm[i]]
+                if abs(swapped - kept) < ensemble.DEGENERACY_TOL:
+                    warnings.warn("degenerate", MatchingDegeneracyWarning)
+                    if overlap[i, perm[j]] + overlap[j, perm[i]] > (
+                        overlap[i, perm[i]] + overlap[j, perm[j]]
+                    ):
+                        perm[i], perm[j] = perm[j], perm[i]
+        sum_values += model.values[perm]
+        sum_vectors += reference_phase_normalize(model.vectors[:, perm])
+    avg_values = sum_values / len(models)
+    avg_vectors = reference_phase_normalize(sum_vectors / len(models))
+    return SpectralModel(values=avg_values, vectors=avg_vectors, dt=ref.dt)
+
+
+def _degenerate_stack():
+    """Four models of one twice-repeated eigenvalue; slices 1 and 3 hold the
+    eigenvectors in swapped order, so the overlap tie-break swaps them back."""
+    swapped = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    vectors = np.stack([np.eye(2), swapped, np.eye(2), swapped])
+    return SpectralModel(np.full((4, 2), 0.5 + 0.0j), vectors, 0.1)
+
+
+def _assert_same_model(got, want):
+    assert_bitwise(got.values, want.values)
+    assert_bitwise(got.vectors, want.vectors)
+    assert got.dt == want.dt
+
+
 class TestMatchAndAverage:
     def test_identical_models_round_trip(self):
         rng = np.random.default_rng(0)
         model = _random_model(rng)
-        averaged = match_and_average([model, model, model])
+        averaged = match_and_average(_stack([model, model, model]))
         np.testing.assert_allclose(averaged.values, model.values, atol=1e-14)
         np.testing.assert_allclose(averaged.vectors, model.vectors, atol=1e-12)
 
@@ -293,7 +359,7 @@ class TestMatchAndAverage:
         model = _random_model(rng)
         perm = np.array([2, 0, 1])
         shuffled = SpectralModel(model.values[perm], model.vectors[:, perm], model.dt)
-        averaged = match_and_average([model, shuffled])
+        averaged = match_and_average(_stack([model, shuffled]))
         np.testing.assert_allclose(
             np.sort_complex(averaged.values), np.sort_complex(model.values), atol=1e-12
         )
@@ -301,14 +367,11 @@ class TestMatchAndAverage:
     def test_concentration_of_perturbed_copies(self):
         rng = np.random.default_rng(2)
         base = _random_model(rng)
-        models = []
-        for _ in range(100):
-            values = base.values + 1e-3 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
-            vectors = phase_normalize(
-                base.vectors + 1e-3 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-            )
-            models.append(SpectralModel(values, vectors, base.dt))
-        averaged = match_and_average(models)
+        values = base.values + 1e-3 * (rng.standard_normal((100, 3)) + 1j * rng.standard_normal((100, 3)))
+        vectors = phase_normalize(
+            base.vectors + 1e-3 * (rng.standard_normal((100, 3, 3)) + 1j * rng.standard_normal((100, 3, 3)))
+        )
+        averaged = match_and_average(SpectralModel(values, vectors, base.dt))
         matched = np.sort_complex(averaged.values)
         np.testing.assert_allclose(matched, np.sort_complex(base.values), atol=2e-4)
 
@@ -322,15 +385,15 @@ class TestMatchAndAverage:
             dec = eig(a)
             assert np.abs(dec.values.imag).min() > 0.1
             models.append(SpectralModel(dec.values, dec.vectors, 0.1))
-        averaged = match_and_average(models)
+        averaged = match_and_average(_stack(models))
         assert np.abs(np.sort_complex(averaged.values) - np.sort_complex(np.conj(averaged.values))).max() <= 1e-10
 
     def test_order_invariance_with_fixed_reference(self):
         rng = np.random.default_rng(4)
-        models = [_random_model(rng) for _ in range(6)]
+        models = _random_model(rng, n=6)
         averaged = match_and_average(models)
-        shuffled = [models[0]] + [models[i] for i in (3, 5, 1, 4, 2)]
-        averaged2 = match_and_average(shuffled)
+        order = [0, 3, 5, 1, 4, 2]
+        averaged2 = match_and_average(SpectralModel(models.values[order], models.vectors[order], models.dt))
         np.testing.assert_allclose(averaged.values, averaged2.values, atol=1e-12)
         np.testing.assert_allclose(averaged.vectors, averaged2.vectors, atol=1e-12)
 
@@ -339,18 +402,50 @@ class TestMatchAndAverage:
         vectors = np.eye(2, dtype=complex)
         model = SpectralModel(values, vectors, 0.1)
         with pytest.warns(MatchingDegeneracyWarning):
-            match_and_average([model, model])
-
-    def test_dimension_and_dt_mismatch(self):
-        rng = np.random.default_rng(5)
-        with pytest.raises(ValueError):
-            match_and_average([_random_model(rng, d=2), _random_model(rng, d=3)])
-        with pytest.raises(ValueError):
-            match_and_average([_random_model(rng, dt=0.1), _random_model(rng, dt=0.2)])
+            match_and_average(_stack([model, model]))
 
     def test_empty_list(self):
+        # an empty stack cannot be built, so nothing reaches the average
         with pytest.raises(ValueError):
-            match_and_average([])
+            SpectralModel(np.zeros((0, 2)), np.zeros((0, 2, 2)), 0.1)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_stack_equals_per_model_reference(self, d):
+        rng = np.random.default_rng(30 + d)
+        cases = [_random_model(rng, d=d, n=n) for n in (1, 2, 7, 40)]
+        # spectra of real operators: conjugate pairs, as the ensembles fit
+        decs = [eig(rng.standard_normal((d, d))) for _ in range(25)]
+        cases.append(_stack([SpectralModel(dec.values, dec.vectors, 0.1) for dec in decs]))
+        # repeated eigenvalues make some of the pairwise swaps degenerate
+        tied = _random_model(rng, d=d, n=12)
+        values = tied.values.copy()
+        values[:, -1] = values[:, 0]
+        values[5:] = values[0]
+        cases.append(SpectralModel(values, tied.vectors, 0.1))
+        for models in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", MatchingDegeneracyWarning)
+                got = match_and_average(models)
+                want = _reference_match_and_average(_slices(models))
+            if d > 1:
+                _assert_same_model(got, want)
+            else:
+                # numpy sums a contiguous axis pairwise, and at d = 1 the
+                # sample axis is one, so the average rounds differently
+                np.testing.assert_allclose(got.values, want.values, rtol=1e-15)
+                np.testing.assert_allclose(got.vectors, want.vectors, rtol=1e-15)
+
+    def test_degenerate_stack_equals_reference_and_warns_once_per_pair(self):
+        models = _degenerate_stack()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = match_and_average(models)
+            assert len(caught) == 1  # one degenerate pair (0, 1), four samples
+            want = _reference_match_and_average(_slices(models))
+        assert issubclass(caught[0].category, MatchingDegeneracyWarning)
+        _assert_same_model(got, want)
+        # the tie-break swapped slices 1 and 3 back, so all four agree
+        np.testing.assert_array_equal(got.vectors, np.eye(2))
 
 
 class TestMinCostAssignment:
@@ -394,9 +489,10 @@ class TestMinCostAssignment:
         assert d == 9
         with pytest.raises(ValueError, match="d <= 8"):
             min_cost_assignment(np.zeros((d, d)))
-        model = _random_model(rng, d=d)
         with pytest.raises(ValueError, match="d <= 8"):
-            match_and_average([model, model])
+            match_and_average(_random_model(rng, d=d, n=2))
+        with pytest.raises(ValueError, match="d <= 8"):
+            min_cost_assignment(np.zeros((3, d, d)))
         assert min_cost_assignment(rng.random((8, 8))).shape == (8,)
 
     def test_table_is_built_once_per_dimension(self, monkeypatch):
@@ -428,6 +524,18 @@ class TestMinCostAssignment:
         np.testing.assert_array_equal(min_cost_assignment(cost), want)
         np.testing.assert_array_equal(table, list(itertools.permutations(range(3))))
 
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_stack_equals_per_matrix_calls(self, d):
+        rng = np.random.default_rng(200 + d)
+        values = rng.standard_normal((50, d))
+        # random costs, and distances between spectra with repeated values
+        for cost in (rng.random((50, d, d)), np.abs(values[0][:, None] - values[:, None, :].round(1))):
+            perms = min_cost_assignment(cost)
+            assert perms.shape == (50, d)
+            for c, perm in zip(cost, perms):
+                np.testing.assert_array_equal(perm, min_cost_assignment(c))
+        assert min_cost_assignment(rng.random((2, 3, d, d))).shape == (2, 3, d)
+
     def test_repeated_calls_agree_with_linear_sum_assignment(self):
         from scipy.optimize import linear_sum_assignment
 
@@ -439,7 +547,63 @@ class TestMinCostAssignment:
             perm[:] = perm[::-1]  # a caller's write reaches no later call
 
 
+def _reference_reconstruct(model, x0, times):
+    """The single-model reconstruction, kept as the reference for the
+    stacked ``reconstruct``."""
+    x0 = np.asarray(x0, dtype=float).ravel()
+    times = np.asarray(times, dtype=float).ravel()
+    omega = np.log(model.values) / model.dt
+    b = linalg.solve(model.vectors, x0.astype(complex))
+    coords = np.exp(np.outer(times, omega)) * b[None, :]
+    complex_states = coords @ model.vectors.T
+    return complex_states.real.copy(), float(np.abs(complex_states.imag).max())
+
+
+def _reference_ensemble_variance(per_sample, mean_traj, x0, times):
+    """The looped variance: one reconstruction per single model, accumulated
+    in sample order."""
+    acc = np.zeros_like(np.asarray(mean_traj.states, dtype=float))
+    for model in per_sample:
+        dev = _reference_reconstruct(model, x0, times)[0] - mean_traj.states
+        acc += dev * dev
+    return acc / len(per_sample)
+
+
+def _fitted_stack(rng, d, n):
+    """Spectra of n random operators near the identity, as fits give."""
+    decs = [eig(np.eye(d) + 0.2 * rng.standard_normal((d, d))) for _ in range(n)]
+    return _stack([SpectralModel(dec.values, dec.vectors, 0.1) for dec in decs])
+
+
 class TestReconstruct:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_stack_equals_per_slice_reference(self, d):
+        rng = np.random.default_rng(40 + d)
+        times = np.arange(101) * 0.1
+        x0 = rng.standard_normal(d)
+        for models in (_fitted_stack(rng, d, 1), _fitted_stack(rng, d, 30), _random_model(rng, d=d, n=5)):
+            traj = reconstruct(models, x0, times)
+            assert traj.states.shape == (101, len(models.values), d) and traj.states.flags.c_contiguous
+            imag = []
+            for i, model in enumerate(_slices(models)):
+                states, max_imag = _reference_reconstruct(model, x0, times)
+                assert_bitwise(traj.states[:, i], states)
+                single = reconstruct(model, x0, times)
+                assert_bitwise(single.states, states)
+                assert single.max_imag == max_imag
+                imag.append(max_imag)
+            assert traj.max_imag == max(imag)
+
+    def test_nested_stack_puts_time_first(self):
+        rng = np.random.default_rng(45)
+        models = _random_model(rng, d=2, n=6)
+        nested = SpectralModel(models.values.reshape(2, 3, 2), models.vectors.reshape(2, 3, 2, 2), 0.1)
+        times = np.arange(7) * 0.1
+        flat = reconstruct(models, np.array([1.0, 0.0]), times).states
+        got = reconstruct(nested, np.array([1.0, 0.0]), times).states
+        assert got.shape == (7, 2, 3, 2)
+        assert_bitwise(got.reshape(7, 6, 2), flat)
+
     def test_unit_eigenvalues_give_constant(self):
         model = SpectralModel(np.array([1.0, 1.0]), np.eye(2, dtype=complex), 0.1)
         traj = reconstruct(model, np.array([1.0, 0.0]), np.arange(10) * 0.1)
@@ -503,7 +667,7 @@ class TestEnsembleVariance:
         times = np.arange(20) * 0.1
         x0 = np.array([1.0, 0.0])
         mean = reconstruct(model, x0, times)
-        var = ensemble_variance([model, model, model], mean, x0, times)
+        var = ensemble_variance(_stack([model, model, model]), mean, x0, times)
         np.testing.assert_array_equal(var.states, np.zeros_like(mean.states))
 
     def test_symmetric_pair_gives_square_offset(self):
@@ -515,7 +679,7 @@ class TestEnsembleVariance:
             reconstruct(up, x0, times).states + reconstruct(down, x0, times).states
         )
         mean = Trajectory(times, mean_states)
-        var = ensemble_variance([up, down], mean, x0, times)
+        var = ensemble_variance(_stack([up, down]), mean, x0, times)
         offset = reconstruct(up, x0, times).states - mean_states
         np.testing.assert_allclose(var.states, offset**2, rtol=1e-12)
 
@@ -525,10 +689,41 @@ class TestEnsembleVariance:
             "t-model", s, 1.0, 5, AdamConfig(), 0, np.array([1.0, 0.0]), np.arange(81) * 0.1
         )
         assert np.all(result.variance_traj.states >= 0.0)
-        assert len(result.per_sample) == 5
+        assert result.per_sample.values.shape == (5, 2)
 
     def test_empty_list(self):
-        times = np.arange(3) * 0.1
-        mean = Trajectory(times, np.zeros((3, 2)))
+        # an empty stack cannot be built, so no variance divides by zero
         with pytest.raises(ValueError):
-            ensemble_variance([], mean, np.array([1.0, 0.0]), times)
+            SpectralModel(np.zeros((0, 2)), np.zeros((0, 2, 2)), 0.1)
+
+    def test_mean_shape_is_checked(self):
+        rng = np.random.default_rng(8)
+        models = _random_model(rng, d=2, n=3)
+        times = np.arange(4) * 0.1
+        x0 = np.array([1.0, 0.0])
+        # (1, d) and (len(times), 1) would broadcast; a stack of means is no mean
+        for states in (np.zeros((1, 2)), np.zeros((4, 1)), np.zeros((4, 3, 2)), np.zeros((4, 3))):
+            mean = Trajectory(times[: len(states)], states)
+            with pytest.raises(ValueError, match="mean states"):
+                ensemble_variance(models, mean, x0, times)
+        empty = ensemble_variance(models, Trajectory(times[:0], np.zeros((0, 2))), x0, times[:0])
+        assert empty.states.shape == (0, 2)
+
+    # real and complex spectra in one stack make some matchings degenerate
+    @pytest.mark.filterwarnings("ignore::mzdmd.MatchingDegeneracyWarning")
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_equals_looped_reference(self, d):
+        rng = np.random.default_rng(50 + d)
+        times = np.arange(201) * 0.1
+        x0 = rng.standard_normal(d)
+        for n in (1, 2, 9, 100):
+            models = _fitted_stack(rng, d, n)
+            mean = reconstruct(match_and_average(models), x0, times)
+            got = ensemble_variance(models, mean, x0, times)
+            want = _reference_ensemble_variance(_slices(models), mean, x0, times)
+            if d > 1 or n < 8:
+                assert_bitwise(got.states, want)
+            else:
+                # at d = 1 the sample axis is the contiguous one, which numpy
+                # sums pairwise from eight samples on
+                np.testing.assert_allclose(got.states, want, rtol=1e-14)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import assert_bitwise, reference_phase_normalize
 
 from mzdmd import (
     EigDecomposition,
@@ -163,6 +164,31 @@ def test_phase_normalize_unit_columns():
     for c in range(4):
         k = np.argmax(np.abs(normalized[:, c]))
         assert normalized[k, c].imag == 0.0 and normalized[k, c].real > 0
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_phase_normalize_stack_equals_per_column_reference(d):
+    rng = np.random.default_rng(20 + d)
+    cases = [
+        rng.standard_normal((5, d, d)) + 1j * rng.standard_normal((5, d, d)),
+        rng.standard_normal((3, d, d)) + 0j,  # real columns
+        1e-100 * rng.standard_normal((2, d, d)),
+        # unit moduli times 1 or 2: most columns tie for their largest modulus
+        np.exp(1j * rng.uniform(0, 2 * np.pi, (4, d, d))) * rng.integers(1, 3, (4, d, d)),
+        np.ones((2, d, d)),  # every entry of every column ties
+    ]
+    for v in cases:
+        got = phase_normalize(v)
+        for i in range(len(v)):
+            assert_bitwise(got[i], reference_phase_normalize(v[i]))
+        assert_bitwise(phase_normalize(v[0]), got[0])
+
+
+def test_phase_normalize_rejects_a_zero_column_in_a_stack():
+    v = np.ones((3, 2, 2), dtype=complex)
+    v[2, :, 1] = 0
+    with pytest.raises(ValueError, match="zero column"):
+        phase_normalize(v)
 
 
 class TestStacks:

@@ -315,15 +315,6 @@ class TestObjectiveGradient:
         scale = max(np.linalg.norm(analytic), np.linalg.norm(numeric))
         assert np.linalg.norm(analytic - numeric) / scale <= 1e-5
 
-    def test_zero_memory_gradient_reduces_exactly(self):
-        rng = np.random.default_rng(5)
-        s = random_snapshots(rng)
-        a = random_operator(rng, 2)
-        base = objective_value_and_gradient(Objective("plain-dmd", s), a)[1]
-        for kind in ("mz-dmd", "t-model"):
-            other = objective_value_and_gradient(Objective(kind, s, MemoryInit.zero(2)), a)[1]
-            np.testing.assert_array_equal(other, base)
-
 
 class TestStackedChains:
     """The power chains and their sweeps over a leading stack axis."""
@@ -493,21 +484,3 @@ class TestMemoryKernels:
     def test_singular_denominator(self):
         with pytest.raises(SingularMatrixError):
             memory_kernel_closed(np.array([-20.0]), np.array([1.0]), 3, 0.1)
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_telescoped_power_sum_identity(seed):
-    # M^n + I + 2 sum_{k<n} M^k telescopes to (M^n - I)(-2/(dt*lam)) for the
-    # diagonal transfer map; this is the simplification behind the memory
-    # correction columns
-    rng = np.random.default_rng(seed)
-    dt = 0.1
-    lam = -rng.uniform(0.2, 1.0, 4) + 1j * rng.uniform(-1.0, 1.0, 4)
-    m = 1.0 - dt * lam / (1.0 + 0.5 * dt * lam)
-    partial = np.zeros(4, dtype=complex)
-    for k in range(1, 50):
-        partial += m**k
-        n = k + 1
-        lhs = m**n + 1.0 + 2.0 * partial
-        rhs = (m**n - 1.0) * (-2.0 / (dt * lam))
-        assert np.abs(lhs - rhs).max() <= 1e-10

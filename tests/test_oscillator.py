@@ -102,12 +102,6 @@ class TestSimConfig:
         cfg = SimConfig()
         assert cfg.n_points == 501 and cfg.t_max == 50.0
 
-    def test_grid_exactness(self):
-        cfg = SimConfig()
-        times = cfg.times()
-        np.testing.assert_array_equal(times, np.arange(501) * 0.1)
-        assert abs(times[-1] - cfg.t_max) <= 1e-9
-
     @pytest.mark.parametrize(
         "kwargs",
         [
