@@ -49,7 +49,6 @@ from .objectives import (
     OBJECTIVE_KINDS,
     PLAIN_DMD,
     T_MODEL,
-    MemoryInit,
     Objective,
     SnapshotPair,
     cayley_M,

@@ -94,7 +94,7 @@ def cmd_fit(cfg) -> int:
         spectral = [name for name, m in harness.METHODS.items() if m.spectral]
         raise ConfigError(f"'fit' needs one of {', '.join(spectral)}, not '{cfg.method}'")
     out = _out_dir(cfg)
-    _, _, model, _ = method.fit(cfg, simulate_measurement(cfg)[1])
+    model = method.spectral(cfg, simulate_measurement(cfg)[1])
     path = out / f"{method.stem}_spectrum.csv"
     write_columns(path, ["re", "im"], [model.values.real, model.values.imag])
     for value in model.values:

@@ -13,9 +13,9 @@ import numpy as np
 
 from . import linalg
 from .errors import EnsembleError, failing_slices
-from .objectives import MZ_DMD, T_MODEL, MemoryInit, Objective, SnapshotPair, dmd_fit
+from .objectives import MZ_DMD, T_MODEL, Objective, SnapshotPair, dmd_fit
 from .optim import AdamConfig, fit_transition
-from .oscillator import TAG_ENSEMBLE, Trajectory, rng_stream
+from .oscillator import TAG_ENSEMBLE, Trajectory, keyed_normals
 
 # two matchings closer in cost than this are reported as degenerate
 DEGENERACY_TOL = 1e-12
@@ -81,11 +81,12 @@ def fit_ensemble(
     """Fit ``n_u`` operators from independently sampled memory initializations.
 
     Every fit starts from the plain least-squares solution; sample i draws
-    its memory vector from the stream (seed, ensemble, i).  The n_u fits run
-    as one stacked computation over (n_u, d, d) operators and (n_u, d)
-    memory vectors; its working set is at most about 11 * n_u * d * (m - 1)
-    * 8 bytes for m snapshots (9 MB for mz-dmd at the default n_u = 100,
-    d = 2, m = 501).
+    its memory vector, sigma times standard normals, from the stream (seed,
+    ensemble, i), and one ``keyed_normals`` call draws them all.  The n_u
+    fits run as one stacked computation over (n_u, d, d) operators and
+    (n_u, d) memory vectors; its working set is at most about 11 * n_u * d
+    * (m - 1) * 8 bytes for m snapshots (9 MB for mz-dmd at the default
+    n_u = 100, d = 2, m = 501).
     The result stacks the phase-normalized eigendecomposition of each fitted
     operator, in sample order.
 
@@ -99,18 +100,18 @@ def fit_ensemble(
         raise ValueError(f"fit_ensemble expects '{MZ_DMD}' or '{T_MODEL}', got {kind!r}")
     if n_u < 1:
         raise ValueError("n_u must be at least 1")
+    if sigma < 0:
+        raise ValueError("sigma must be nonnegative")
     a0 = dmd_fit(s)
-    n = np.stack(
-        [MemoryInit.sample(s.dim, sigma, rng_stream(seed, TAG_ENSEMBLE, i)).n for i in range(n_u)]
-    )
+    n = sigma * keyed_normals(seed, TAG_ENSEMBLE, n_u, s.dim)
     failures: list[tuple[int, Exception]] = []
     alive = np.arange(n_u)
     fitted = traces = ()
     while alive.size:
-        mem = MemoryInit(n[alive])
+        obj = Objective(kind, s, n[alive])
         a_stack = np.broadcast_to(a0, (alive.size,) + a0.shape)
         try:
-            fitted, traces = fit_transition(Objective(kind, s, mem), a_stack, cfg)
+            fitted, traces = fit_transition(obj, a_stack, cfg)
             break
         except Exception as exc:  # noqa: BLE001 - aggregated and re-raised below
             # an error that names no slices fails every sample still in the fit

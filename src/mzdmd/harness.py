@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import linalg
-from .ensemble import SpectralModel, reconstruct, run_ensemble
+from .ensemble import SpectralModel, fit_ensemble, match_and_average, reconstruct, run_ensemble
 from .objectives import MZ_DMD, T_MODEL, SnapshotPair, dmd_fit
 from .oscillator import (
     TAG_MEASUREMENT,
@@ -132,6 +132,12 @@ def _fit_ensemble(kind, cfg, snapshots):
     return result.mean_traj, result.variance_traj, result.averaged, loss_trace
 
 
+def _ensemble_spectral_model(kind, cfg, snapshots):
+    """The averaged spectrum of an ensemble, without its reconstructions."""
+    per_sample = fit_ensemble(kind, snapshots, cfg.sim.sigma, cfg.n_u, cfg.adam, cfg.sim.seed)
+    return match_and_average(per_sample)
+
+
 def _fit_projection(cfg, snapshots):
     mean, var = monte_carlo_projection(cfg.sim, cfg.resolved_init, SUBSTEPS)
     return mean, var, None, None
@@ -143,22 +149,25 @@ class Method(NamedTuple):
     ``stem`` names the method's CSV file, its ``comparison.csv`` columns and
     its ``<stem>_spectrum.csv``.  ``fit(cfg, snapshots)`` returns the
     trajectory, the variance or None, the spectral model or None, and the
-    mean loss trace or None.  ``spectral`` methods are fitted to the
-    measurement; the others ignore ``snapshots``.
+    mean loss trace or None.  ``spectral(cfg, snapshots)`` is the stage that
+    ends at the method's spectral model, for the methods fitted to the
+    measurement; it is None for the others, which ignore ``snapshots``.
     """
 
     stem: str
     fit: Callable
-    spectral: bool
+    spectral: Callable | None
 
 
 # the fits look up the pipeline's functions at call time, so a wrapper
 # installed on a module attribute sees every call
 METHODS = {
-    "dmd": Method("dmd", _fit_dmd, True),
-    MZ_DMD: Method("mzdmd", functools.partial(_fit_ensemble, MZ_DMD), True),
-    T_MODEL: Method("tmodel", functools.partial(_fit_ensemble, T_MODEL), True),
-    "projection": Method("projection", _fit_projection, False),
+    "dmd": Method("dmd", _fit_dmd, lambda cfg, snapshots: dmd_spectral_model(snapshots)),
+    MZ_DMD: Method("mzdmd", functools.partial(_fit_ensemble, MZ_DMD),
+                   functools.partial(_ensemble_spectral_model, MZ_DMD)),
+    T_MODEL: Method("tmodel", functools.partial(_fit_ensemble, T_MODEL),
+                    functools.partial(_ensemble_spectral_model, T_MODEL)),
+    "projection": Method("projection", _fit_projection, None),
 }
 
 

@@ -76,51 +76,30 @@ class SnapshotPair:
 
 
 @dataclass(frozen=True)
-class MemoryInit:
-    """Initialization vector for the memory term.
-
-    ``n`` holds one vector (d,) or a stack (n_u, d) of them, one per operator
-    of a stacked fit.
-    """
-
-    n: np.ndarray
-
-    def __post_init__(self):
-        n = np.asarray(self.n, dtype=float)
-        if n.ndim != 2:
-            n = n.ravel()
-        object.__setattr__(self, "n", n)
-        if n.size == 0 or not np.all(np.isfinite(n)):
-            raise ValueError("memory vector must be nonempty and finite")
-
-    @classmethod
-    def zero(cls, dim: int) -> "MemoryInit":
-        return cls(n=np.zeros(dim))
-
-    @classmethod
-    def sample(cls, dim: int, sigma: float, rng: np.random.Generator) -> "MemoryInit":
-        """Draw n from the centered normal with standard deviation sigma."""
-        if sigma < 0:
-            raise ValueError("sigma must be nonnegative")
-        return cls(n=sigma * rng.standard_normal(dim))
-
-
-@dataclass(frozen=True)
 class Objective:
-    """One of the three fitting objectives; plain-dmd ignores the memory."""
+    """One of the three fitting objectives; plain-dmd ignores the memory.
+
+    ``memory`` is the initialization of the memory term: one vector (d,) or
+    a stack (n_u, d) of them, one per operator of a stacked fit.
+    """
 
     kind: str
     snapshots: SnapshotPair
-    memory: MemoryInit | None = None
+    memory: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind not in OBJECTIVE_KINDS:
             raise ValueError(f"unknown objective kind {self.kind!r}")
-        if self.kind != PLAIN_DMD:
-            if self.memory is None:
+        if self.memory is None:
+            if self.kind != PLAIN_DMD:
                 raise ValueError(f"{self.kind} requires a memory initialization")
-            if self.memory.n.shape[-1] != self.snapshots.dim:
-                raise ValueError("memory vector length must match the snapshot dimension")
+            return
+        n = np.asarray(self.memory, dtype=float)
+        object.__setattr__(self, "memory", n)
+        if n.ndim not in (1, 2) or n.shape[-1] != self.snapshots.dim:
+            raise ValueError("memory must be (d,) or (n_u, d) with d the snapshot dimension")
+        if n.size == 0 or not np.all(np.isfinite(n)):
+            raise ValueError("memory must be nonempty and finite")
 
 
 def dmd_fit(s: SnapshotPair) -> np.ndarray:
@@ -149,7 +128,7 @@ def cayley_M(a: np.ndarray) -> np.ndarray:
     return eye - 2.0 * x
 
 
-def _stacks(a, mem: MemoryInit | None, d: int):
+def _stacks(a, n: np.ndarray | None, d: int):
     """A as an (n_u, d, d) stack and the memory as (n_u, d) rows.
 
     A single operator (d, d) is a stack of one and takes one memory vector
@@ -158,11 +137,14 @@ def _stacks(a, mem: MemoryInit | None, d: int):
     a = np.asarray(a, dtype=float)
     if a.ndim not in (2, 3) or a.shape[-2:] != (d, d):
         raise ValueError("operator shape does not match the snapshot dimension")
-    if mem is None:
+    if n is None:
         return a.reshape(-1, d, d), None
-    if mem.n.shape != a.shape[:-1]:
+    n = np.asarray(n, dtype=float)
+    if n.shape != a.shape[:-1]:
         raise ValueError("need one memory vector per operator")
-    return a.reshape(-1, d, d), mem.n.reshape(-1, d)
+    if not np.all(np.isfinite(n)):
+        raise ValueError("memory must be finite")
+    return a.reshape(-1, d, d), n.reshape(-1, d)
 
 
 def _columns(chain: np.ndarray) -> np.ndarray:
@@ -239,7 +221,7 @@ def _tmodel_memory(a, n, dt, cols):
     return x * weights, pullback
 
 
-def mz_memory_matrix(a: np.ndarray, mem: MemoryInit, cols: int) -> np.ndarray:
+def mz_memory_matrix(a: np.ndarray, n: np.ndarray, cols: int) -> np.ndarray:
     """Memory-correction columns of the memory-aware objective.
 
     Column j (j >= 1) is ``(A - I)^{-1} W^j (M(A)^j - I) n`` with
@@ -252,11 +234,11 @@ def mz_memory_matrix(a: np.ndarray, mem: MemoryInit, cols: int) -> np.ndarray:
     """
     if cols < 1:
         raise ValueError("cols must be at least 1")
-    f = _mz_memory(*_stacks(a, mem, np.shape(a)[-1]), cols)[0]
+    f = _mz_memory(*_stacks(a, n, np.shape(a)[-1]), cols)[0]
     return f[0] if np.ndim(a) == 2 else f
 
 
-def tmodel_memory_matrix(a: np.ndarray, mem: MemoryInit, dt: float, cols: int) -> np.ndarray:
+def tmodel_memory_matrix(a: np.ndarray, n: np.ndarray, dt: float, cols: int) -> np.ndarray:
     """First-order memory columns ``g_j = j dt W^j n``; column 0 is zero.
 
     No inverse of (A - I) is involved, which is what makes this objective
@@ -267,7 +249,7 @@ def tmodel_memory_matrix(a: np.ndarray, mem: MemoryInit, dt: float, cols: int) -
         raise ValueError("cols must be at least 1")
     if not dt > 0:
         raise ValueError("dt must be positive")
-    g = _tmodel_memory(*_stacks(a, mem, np.shape(a)[-1]), dt, cols)[0]
+    g = _tmodel_memory(*_stacks(a, n, np.shape(a)[-1]), dt, cols)[0]
     return g[0] if np.ndim(a) == 2 else g
 
 

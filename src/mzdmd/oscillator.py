@@ -93,6 +93,25 @@ def _philox_keys(seed: int, tag: int, n: int) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
+def keyed_normals(seed: int, tag: int, n: int, size: int) -> np.ndarray:
+    """(n, size) standard normals whose row i is ``rng_stream(seed, tag,
+    i).standard_normal(size)`` bit for bit, for n <= 2**32.
+
+    The keys of all n streams come from one ``_philox_keys`` pass, and one
+    reused generator draws each row after its state is set to that key, a
+    zero counter and an empty buffer, which is the state ``rng_stream``
+    starts from.
+    """
+    rng = rng_stream(seed, tag, 0)
+    start = rng.bit_generator.state
+    out = np.empty((n, size))
+    for key, row in zip(_philox_keys(seed, tag, n), out):
+        start["state"]["key"] = key
+        rng.bit_generator.state = start
+        rng.standard_normal(out=row)
+    return out
+
+
 @dataclass(eq=False)
 class Trajectory:
     """Uniformly sampled time series; one state row per time point.
@@ -313,11 +332,9 @@ def measure(traj: Trajectory) -> SnapshotPair:
     states = np.asarray(traj.states, dtype=float)
     if states.ndim != 2 or states.shape[1] != 4:
         raise ValueError("measure expects a full 4-coordinate trajectory")
-    if states.shape[0] < 2:
-        raise ValueError("need at least two time points to build a snapshot pair")
-    resolved = states[:, :2].T
-    dt = float(traj.times[1] - traj.times[0])
-    return SnapshotPair(x_plus=resolved[:, 1:], x_minus=resolved[:, :-1], dt=dt)
+    # the first step, 0 for a record too short for the pair's two-point check
+    dt = np.diff(traj.times[:2]).sum()
+    return SnapshotPair.from_snapshots(states[:, :2].T, dt)
 
 
 def monte_carlo_projection(
@@ -329,12 +346,10 @@ def monte_carlo_projection(
     pinned at ``x_hat`` and (y3, y4) drawn per sample from N(0, sigma^2);
     returns the pointwise mean and pointwise population variance of the
     resolved coordinates.  Sample i draws ``sample_unresolved(sigma,
-    rng_stream(seed, projection, i))`` bit for bit: the Philox keys of all
-    streams come from one ``_philox_keys`` pass, and one reused generator
-    draws each pair after its state is set to that key, a zero counter and
-    an empty buffer, which is the state ``rng_stream`` starts from.  The
-    batch is reduced one grid step at a time, so memory is O(n_mc); the
-    resolved coordinates are rows 0 and 2 of the ``_rk4_batch`` view.
+    rng_stream(seed, projection, i))`` bit for bit, all of them in one
+    ``keyed_normals`` call.  The batch is reduced one grid step at a time,
+    so memory is O(n_mc); the resolved coordinates are rows 0 and 2 of the
+    ``_rk4_batch`` view.
     """
     x1, x2 = float(x_hat[0]), float(x_hat[1])
     times = cfg.times()
@@ -343,14 +358,7 @@ def monte_carlo_projection(
         # equal to integrate() and the variance exactly zero
         mean = _integrate_single(np.array([x1, x2, 0.0, 0.0]), cfg, substeps)[:, :2]
         return Trajectory(times, mean), Trajectory(times, np.zeros_like(mean))
-    # a fresh stream's state, re-keyed for each sample
-    rng = rng_stream(cfg.seed, TAG_PROJECTION, 0)
-    start = rng.bit_generator.state
-    normals = np.empty((cfg.n_mc, 2))
-    for key, pair in zip(_philox_keys(cfg.seed, TAG_PROJECTION, cfg.n_mc), normals):
-        start["state"]["key"] = key
-        rng.bit_generator.state = start
-        rng.standard_normal(out=pair)
+    normals = keyed_normals(cfg.seed, TAG_PROJECTION, cfg.n_mc, 2)
     y0 = np.vstack([np.full(cfg.n_mc, x1), np.full(cfg.n_mc, x2), cfg.sigma * normals.T])
     mean = np.empty((cfg.n_points, 2))
     var = np.empty((cfg.n_points, 2))

@@ -17,7 +17,6 @@ from .objectives import (
     MZ_DMD,
     OBJECTIVE_KINDS,
     T_MODEL,
-    MemoryInit,
     Objective,
     SnapshotPair,
     cayley_M,
@@ -107,7 +106,7 @@ def memory_kernel(rng):
 
 def gradient_fd(rng):
     snaps = _random_snapshots(rng)
-    mem = MemoryInit.sample(2, 1.0, rng)
+    mem = rng.standard_normal(2)
     a = _random_operator(rng, 2)
     worst = 0.0
     for kind in OBJECTIVE_KINDS:
@@ -122,7 +121,7 @@ def gradient_fd(rng):
 def zero_memory(rng):
     snaps = _random_snapshots(rng)
     a = _random_operator(rng, 2)
-    objs = [Objective(kind, snaps, MemoryInit.zero(2)) for kind in OBJECTIVE_KINDS]
+    objs = [Objective(kind, snaps, np.zeros(2)) for kind in OBJECTIVE_KINDS]
     values = [objective_value(obj, a) for obj in objs]
     grads = [objective_value_and_gradient(obj, a)[1] for obj in objs]
     return max(max(abs(v - values[0]) for v in values), max(np.abs(g - grads[0]).max() for g in grads))
@@ -154,9 +153,9 @@ def stacked_gradient(rng):
     n = rng.standard_normal((3, 2))
     worst = 0.0
     for kind in (MZ_DMD, T_MODEL):
-        values, grads = objective_value_and_gradient(Objective(kind, snaps, MemoryInit(n)), a)
+        values, grads = objective_value_and_gradient(Objective(kind, snaps, n), a)
         for i in range(3):
-            value, grad = objective_value_and_gradient(Objective(kind, snaps, MemoryInit(n[i])), a[i])
+            value, grad = objective_value_and_gradient(Objective(kind, snaps, n[i]), a[i])
             worst = max(worst, abs(values[i] - value) / abs(value),
                         np.abs(grads[i] - grad).max() / np.abs(grad).max())
     return worst

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from mzdmd import MemoryInit, Objective, SnapshotPair
+from mzdmd import Objective, SnapshotPair
 
 
 def random_operator(rng, d, margin=0.3, scale=0.3):
@@ -25,7 +25,7 @@ def random_snapshots(rng, d=2, cols=9, dt=0.1):
 
 def all_kind_objectives(rng, d=2, cols=9, dt=0.1):
     snaps = random_snapshots(rng, d, cols, dt)
-    mem = MemoryInit.sample(d, 1.0, rng)
+    mem = rng.standard_normal(d)
     return [
         Objective("plain-dmd", snaps),
         Objective("mz-dmd", snaps, mem),

@@ -3,10 +3,10 @@ import argparse
 import numpy as np
 import pytest
 
-from mzdmd import NumericalError, config, harness, linalg, plots
+from mzdmd import NumericalError, config, ensemble, harness, linalg, plots
 from mzdmd.cli import build_parser, main, resolve_config
 from mzdmd.ensemble import run_ensemble
-from mzdmd.harness import METHODS, dmd_spectral_model, read_csv, simulate_measurement
+from mzdmd.harness import METHODS, dmd_spectral_model, read_csv, simulate_measurement, write_columns
 from mzdmd.selfcheck import CHECKS
 
 SMALL = (
@@ -204,6 +204,28 @@ def test_subcommands_agree_with_run(tmp_path, capsys, monkeypatch, name):
     assert header == ["re", "im"]
     assert np.array_equal(data[:, 0], expected.real)
     assert np.array_equal(data[:, 1], expected.imag)
+
+
+@pytest.mark.parametrize("name", ["mz-dmd", "t-model"])
+def test_fit_stops_at_the_averaged_spectrum(tmp_path, capsys, monkeypatch, name):
+    real, calls = ensemble.reconstruct, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ensemble, "reconstruct", counted)
+    monkeypatch.setattr(harness, "reconstruct", counted)
+    cfg_path = write_cfg(tmp_path, SMALL)
+    argv = ["fit", "--config", str(cfg_path), "--method", name, "--seed", "5"]
+    assert main([*argv, "--out", str(tmp_path / "fit")]) == 0
+    assert calls == []
+    # the bytes of the full pipeline's averaged spectrum, which fit wrote
+    # when it ran every reconstruction too
+    values = _spectrum(resolve_config(build_parser().parse_args(argv)), name)
+    write_columns(tmp_path / "want.csv", ["re", "im"], [values.real, values.imag])
+    got = tmp_path / "fit" / f"{METHODS[name].stem}_spectrum.csv"
+    assert got.read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_method_table_drives_every_name_list(tmp_path, capsys):

@@ -15,7 +15,6 @@ from mzdmd import (
     AdamConfig,
     EnsembleError,
     MatchingDegeneracyWarning,
-    MemoryInit,
     NumericalError,
     Objective,
     SpectralModel,
@@ -28,6 +27,7 @@ from mzdmd import (
     fit_transition,
     linalg,
     match_and_average,
+    oscillator,
     phase_normalize,
     reconstruct,
     run_ensemble,
@@ -35,7 +35,7 @@ from mzdmd import (
 from mzdmd.config import build_config, default_config
 from mzdmd.ensemble import ASSIGNMENT_MAX_DIM, min_cost_assignment
 from mzdmd.harness import simulate_measurement
-from mzdmd.oscillator import TAG_ENSEMBLE
+from mzdmd.oscillator import TAG_ENSEMBLE, rng_stream
 
 
 def _sim_snapshots(sigma=1.0, seed=7, n_points=81):
@@ -119,6 +119,8 @@ class TestFitEnsemble:
             fit_ensemble("plain-dmd", s, 1.0, 2, AdamConfig(), seed=0)
         with pytest.raises(ValueError):
             fit_ensemble("mz-dmd", s, 1.0, 0, AdamConfig(), seed=0)
+        with pytest.raises(ValueError, match="sigma"):
+            fit_ensemble("mz-dmd", s, -1.0, 2, AdamConfig(), seed=0)
 
     def test_deterministic_given_seed(self):
         s = _sim_snapshots()
@@ -142,15 +144,43 @@ class TestFitEnsemble:
         assert len(sink) == 4
         assert all(t.shape == (6,) for t in sink)
 
+    @pytest.mark.parametrize("sigma", [1.0, 0.3, 0.0])
+    def test_memory_rows_are_sigma_times_each_samples_stream(self, sigma, monkeypatch):
+        s, real, seen = _sim_snapshots(), ensemble.fit_transition, []
 
-def _reference_fit_ensemble(kind, s, sigma, n_u, cfg, seed, trace_sink=None):
-    """The per-sample ensemble loop: one 2-D fit_transition per sample, kept
-    as the reference for the stacked fit; its models are stacked at the end."""
+        def recording(obj, a0, cfg):
+            seen.append(obj.memory)
+            return real(obj, a0, cfg)
+
+        monkeypatch.setattr(ensemble, "fit_transition", recording)
+        seed = 2**33 + 9
+        fit_ensemble("t-model", s, sigma, 7, AdamConfig(), seed=seed)
+        # 2 is the ensemble's tag; at sigma 0 the negative draws give -0.0
+        want = np.array([sigma * rng_stream(seed, 2, i).standard_normal(s.dim) for i in range(7)])
+        assert np.signbit(want).any()
+        (got,) = seen
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_one_generator_per_ensemble(self, monkeypatch):
+        s, real, keys = _sim_snapshots(), oscillator.rng_stream, []
+
+        def counting(*key):
+            keys.append(key)
+            return real(*key)
+
+        monkeypatch.setattr(oscillator, "rng_stream", counting)
+        fit_ensemble("t-model", s, 1.0, 6, AdamConfig(), seed=3)
+        assert keys == [(3, TAG_ENSEMBLE, 0)]
+
+
+def _reference_fit_ensemble(kind, s, sigma, n_u, cfg, seed, trace_sink=None, stream=rng_stream):
+    """The per-sample ensemble loop: one 2-D fit_transition per sample, each
+    memory vector drawn from its own ``stream(seed, ensemble, i)``, kept as
+    the reference for the stacked fit; its models are stacked at the end."""
     a0 = dmd_fit(s)
     models, failures = [], []
     for i in range(n_u):
-        rng = ensemble.rng_stream(seed, TAG_ENSEMBLE, i)
-        mem = MemoryInit.sample(s.dim, sigma, rng)
+        mem = sigma * stream(seed, TAG_ENSEMBLE, i).standard_normal(s.dim)
         try:
             a_fit, trace = fit_transition(Objective(kind, s, mem), a0, cfg)
             dec = linalg.eig(a_fit)
@@ -250,18 +280,25 @@ class TestStackedEnsemble:
     @pytest.mark.parametrize("kind", ["mz-dmd", "t-model"])
     def test_partial_failure_drops_only_the_failing_samples(self, kind, monkeypatch):
         # rows 1 and 3 draw memory vectors of 1e200, so their objectives overflow
-        s, real = _sim_snapshots(), ensemble.rng_stream
+        s, real = _sim_snapshots(), ensemble.keyed_normals
+
+        def overflowing_rows(seed, tag, n, size):
+            rows = real(seed, tag, n, size)
+            rows[[1, 3]] = 1e200
+            return rows
 
         class Overflowing:
             def standard_normal(self, size):
                 return np.full(size, 1e200)
 
+        def overflowing_stream(seed, tag, i):
+            return Overflowing() if i in (1, 3) else rng_stream(seed, tag, i)
+
         clean = _run(fit_ensemble, kind, s, 1.0, 5, AdamConfig(), 4)
-        monkeypatch.setattr(
-            ensemble, "rng_stream", lambda seed, tag, i: Overflowing() if i in (1, 3) else real(seed, tag, i)
-        )
+        monkeypatch.setattr(ensemble, "keyed_normals", overflowing_rows)
         got = _run(fit_ensemble, kind, s, 1.0, 5, AdamConfig(), 4)
-        want = _run(_reference_fit_ensemble, kind, s, 1.0, 5, AdamConfig(), 4)
+        reference = functools.partial(_reference_fit_ensemble, stream=overflowing_stream)
+        want = _run(reference, kind, s, 1.0, 5, AdamConfig(), 4)
         assert [i for i, _ in got.failures] == [1, 3]
         _assert_same_fits(got, want, rtol=1e-12)
         kept = (0, 2, 4)

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mzdmd import (
-    MemoryInit,
     Objective,
     SingularMatrixError,
     SnapshotPair,
@@ -55,6 +54,23 @@ class TestSnapshotPair:
             Objective("bogus", s)
         Objective("plain-dmd", s)  # memory optional for the plain kind
 
+    @pytest.mark.parametrize("memory", [
+        [1.0, np.nan], [np.inf, 0.0], [[1.0, 2.0], [-np.inf, 0.0]],  # non-finite
+        np.empty(0), np.empty((0, 2)),  # empty
+        np.ones(3), np.ones((4, 1)), 1.0,  # wrong width
+        np.ones((1, 1, 2)),  # 3-D
+    ])
+    def test_objective_rejects_bad_memory(self, memory):
+        s = SnapshotPair(np.ones((2, 3)), np.ones((2, 3)), 0.1)
+        for kind in ("mz-dmd", "t-model"):
+            with pytest.raises(ValueError, match="memory"):
+                Objective(kind, s, memory)
+
+    def test_objective_memory_is_a_float_array(self):
+        s = SnapshotPair(np.ones((2, 3)), np.ones((2, 3)), 0.1)
+        assert Objective("mz-dmd", s, [1, 2]).memory.dtype == float
+        assert Objective("t-model", s, np.ones((3, 2))).memory.shape == (3, 2)
+
 
 class TestDmdFit:
     def test_constant_data_fixed_point(self):
@@ -92,7 +108,7 @@ class TestCayleyMap:
 class TestMemoryMatrices:
     def test_zero_memory_gives_zero_matrix(self):
         a = np.array([[0.5, 0.1], [-0.2, 0.4]])
-        mem = MemoryInit.zero(2)
+        mem = np.zeros(2)
         np.testing.assert_array_equal(mz_memory_matrix(a, mem, 6), np.zeros((2, 6)))
         np.testing.assert_array_equal(
             tmodel_memory_matrix(a, mem, 0.1, 6), np.zeros((2, 6))
@@ -103,31 +119,39 @@ class TestMemoryMatrices:
         a = np.stack([random_operator(rng, 2) for _ in range(3)])
         for n in (np.ones(2), np.ones((1, 2)), np.ones((2, 2))):
             with pytest.raises(ValueError, match="one memory vector per operator"):
-                mz_memory_matrix(a, MemoryInit(n), 4)
+                mz_memory_matrix(a, n, 4)
         with pytest.raises(ValueError, match="one memory vector per operator"):
-            tmodel_memory_matrix(a[0], MemoryInit(np.ones((3, 2))), 0.1, 4)
+            tmodel_memory_matrix(a[0], np.ones((3, 2)), 0.1, 4)
+
+    def test_non_finite_memory_is_refused(self):
+        a = np.array([[0.5, 0.1], [-0.2, 0.4]])
+        for n in (np.array([np.nan, 0.0]), np.array([[1.0, np.inf]])):
+            with pytest.raises(ValueError, match="finite"):
+                mz_memory_matrix(a if n.ndim == 1 else a[None], n, 4)
+            with pytest.raises(ValueError, match="finite"):
+                tmodel_memory_matrix(a if n.ndim == 1 else a[None], n, 0.1, 4)
 
     def test_first_column_exactly_zero(self):
         rng = np.random.default_rng(1)
         a = random_operator(rng, 2)
-        mem = MemoryInit(rng.standard_normal(2))
+        mem = rng.standard_normal(2)
         assert np.all(mz_memory_matrix(a, mem, 5)[:, 0] == 0.0)
         assert np.all(tmodel_memory_matrix(a, mem, 0.1, 5)[:, 0] == 0.0)
 
     def test_scalar_memory_column(self):
         # A = [3]: the transfer map vanishes, so column 1 is -e^2 before the
         # (A - I)^{-1} = 1/2 factor
-        mem = MemoryInit(np.array([1.0]))
+        mem = np.array([1.0])
         mtil = mz_memory_matrix(np.array([[3.0]]), mem, 2)
         assert mtil[0, 1] == pytest.approx(-np.exp(2.0) / 2.0, rel=1e-12)
 
     def test_tmodel_identity_operator(self):
-        mem = MemoryInit(np.array([1.0, 0.0]))
+        mem = np.array([1.0, 0.0])
         g = tmodel_memory_matrix(np.eye(2), mem, 0.1, 3)
         np.testing.assert_allclose(g[:, 2], [0.2, 0.0], atol=1e-15)
 
     def test_tmodel_scalar_column(self):
-        mem = MemoryInit(np.array([1.0]))
+        mem = np.array([1.0])
         g = tmodel_memory_matrix(np.array([[2.0]]), mem, 0.1, 4)
         assert g[0, 3] == pytest.approx(0.3 * np.exp(3.0), rel=1e-12)
 
@@ -143,11 +167,11 @@ class TestMemoryMatrices:
         mu = (3.0 - lam) / (1.0 + lam)
         coef = np.exp(j * (lam[:, None] - 1.0)) * (mu[:, None] ** j - 1.0) / (lam[:, None] - 1.0)
         closed = v @ (coef * np.linalg.solve(v, n)[:, None])
-        mtil = mz_memory_matrix(a, MemoryInit(n), cols)
+        mtil = mz_memory_matrix(a, n, cols)
         assert np.linalg.norm(mtil - closed) / np.linalg.norm(closed) <= 1e-10
 
     def test_mz_singular_at_eigenvalue_one(self):
-        mem = MemoryInit(np.array([1.0, 1.0]))
+        mem = np.array([1.0, 1.0])
         with pytest.raises(SingularMatrixError):
             mz_memory_matrix(np.diag([1.0, 0.5]), mem, 4)
 
@@ -163,10 +187,10 @@ def _naive_objective(kind, s, mem, a):
         if j >= 1 and kind != "plain-dmd":
             wj = expm(float(j) * (a - eye))
             if kind == "mz-dmd":
-                col = np.linalg.solve(a - eye, wj @ ((np.linalg.matrix_power(cayley_M(a), j) - eye) @ mem.n))
+                col = np.linalg.solve(a - eye, wj @ ((np.linalg.matrix_power(cayley_M(a), j) - eye) @ mem))
                 residual[:, j] += s.dt**2 * col
             else:
-                residual[:, j] -= s.dt * (j * s.dt) * (wj @ mem.n)
+                residual[:, j] -= s.dt * (j * s.dt) * (wj @ mem)
     total = 0.0
     for i in range(d):
         for j in range(cols):
@@ -189,7 +213,7 @@ def _forward_mode_gradient(obj, a):
     at a time: for each direction E_pq, a Frechet derivative of expm(A - I)
     and a forward sweep of the directional derivative over every column.
     The memory columns are powered factor by factor, W^j and M(A)^j n apart."""
-    s, n = obj.snapshots, obj.memory.n
+    s, n = obj.snapshots, obj.memory
     d, cols, dt = s.dim, s.cols, s.dt
     eye = np.eye(d)
     w = expm(a - eye)
@@ -239,19 +263,19 @@ class TestObjectiveValue:
         s = random_snapshots(rng)
         a = random_operator(rng, 2)
         plain = objective_value(Objective("plain-dmd", s), a)
-        assert objective_value(Objective("mz-dmd", s, MemoryInit.zero(2)), a) == plain
-        assert objective_value(Objective("t-model", s, MemoryInit.zero(2)), a) == plain
+        assert objective_value(Objective("mz-dmd", s, np.zeros(2)), a) == plain
+        assert objective_value(Objective("t-model", s, np.zeros(2)), a) == plain
 
     def test_exact_linear_data_is_zero(self):
         s, a_true = rotation_snapshots(n_snapshots=6)
-        value = objective_value(Objective("mz-dmd", s, MemoryInit.zero(2)), a_true)
+        value = objective_value(Objective("mz-dmd", s, np.zeros(2)), a_true)
         assert value <= 1e-28
 
     @pytest.mark.parametrize("kind", ["plain-dmd", "mz-dmd", "t-model"])
     def test_matches_naive_recomputation(self, kind):
         rng = np.random.default_rng(3)
         s = random_snapshots(rng, cols=7)
-        mem = MemoryInit.sample(2, 1.0, rng)
+        mem = rng.standard_normal(2)
         a = random_operator(rng, 2)
         obj = Objective(kind, s, mem)
         naive = _naive_objective(kind, s, mem, a)
@@ -271,7 +295,7 @@ class TestObjectiveGradient:
     def test_matches_central_differences_4x4(self, kind):
         rng = np.random.default_rng(11)
         snaps = random_snapshots(rng, d=4, cols=8)
-        obj = Objective(kind, snaps, MemoryInit.sample(4, 1.0, rng))
+        obj = Objective(kind, snaps, rng.standard_normal(4))
         a = random_operator(rng, 4)
         analytic = objective_value_and_gradient(obj, a)[1]
         numeric = fd_gradient(obj, a, h=1e-6)
@@ -282,7 +306,7 @@ class TestObjectiveGradient:
         # d = 2, 500 columns, at the plain fit of the default measurement
         _, snaps = simulate_measurement(default_config())
         a = dmd_fit(snaps)
-        mem = MemoryInit.sample(2, 1.0, np.random.default_rng(12))
+        mem = np.random.default_rng(12).standard_normal(2)
         for kind in ("mz-dmd", "t-model"):
             obj = Objective(kind, snaps, mem)
             reference = _forward_mode_gradient(obj, a)
@@ -296,7 +320,7 @@ class TestObjectiveGradient:
         rng = np.random.default_rng(13)
         a = _complex_pair_operator(rng, [(0.98, 0.15), (0.9, 0.4)])
         snaps = random_snapshots(rng, d=4, cols=50)
-        mem = MemoryInit.sample(4, 1.0, rng)
+        mem = rng.standard_normal(4)
         for kind in ("mz-dmd", "t-model"):
             obj = Objective(kind, snaps, mem)
             reference = _forward_mode_gradient(obj, a)
@@ -309,7 +333,7 @@ class TestObjectiveGradient:
         # columns powering them apart leaves the gradient 2e-5 off
         rng = np.random.default_rng(13)
         a = _complex_pair_operator(rng, [(0.95, 0.3), (0.7, 1.2)])
-        obj = Objective("mz-dmd", random_snapshots(rng, d=4, cols=50), MemoryInit.sample(4, 1.0, rng))
+        obj = Objective("mz-dmd", random_snapshots(rng, d=4, cols=50), rng.standard_normal(4))
         analytic = objective_value_and_gradient(obj, a)[1]
         numeric = fd_gradient(obj, a, h=1e-6)
         scale = max(np.linalg.norm(analytic), np.linalg.norm(numeric))
@@ -403,7 +427,7 @@ class TestStackedMzChainsMatchReference:
         cfg = build_config({"t_max": 200.0, "n_points": 2001})
         _, snaps = simulate_measurement(cfg)
         a = dmd_fit(snaps)[None]
-        mem = MemoryInit(np.random.default_rng(30).standard_normal((1, 2)))
+        mem = np.random.default_rng(30).standard_normal((1, 2))
         _assert_mz_matches_reference(snaps, mem, a)
 
     def test_protocol_shape(self):
@@ -411,7 +435,7 @@ class TestStackedMzChainsMatchReference:
         _, snaps = simulate_measurement(default_config())
         rng = np.random.default_rng(31)
         a = dmd_fit(snaps) + 1e-3 * rng.standard_normal((100, 2, 2))
-        mem = MemoryInit(rng.standard_normal((100, 2)))
+        mem = rng.standard_normal((100, 2))
         _assert_mz_matches_reference(snaps, mem, a)
 
     def test_complex_pair_spectra(self):
@@ -419,9 +443,9 @@ class TestStackedMzChainsMatchReference:
         pairs = ([(0.98, 0.15), (0.9, 0.4)], [(0.95, 0.3), (0.7, 1.2)])
         a = np.stack([_complex_pair_operator(rng, p) for p in pairs])
         snaps = random_snapshots(rng, d=4, cols=50)
-        mem = MemoryInit(rng.standard_normal((2, 4)))
+        mem = rng.standard_normal((2, 4))
         _assert_mz_matches_reference(snaps, mem, a)
-        _assert_mz_matches_reference(snaps, MemoryInit(mem.n[0]), a[0])
+        _assert_mz_matches_reference(snaps, mem[0], a[0])
 
     @settings(deadline=None)
     @given(
@@ -434,7 +458,7 @@ class TestStackedMzChainsMatchReference:
         # spectra at least 0.5 from +1 and -1, so no chain overflows in 60 columns
         rng = np.random.default_rng(seed)
         a = np.stack([random_operator(rng, d, margin=0.5) for _ in range(n_u)])
-        mem = MemoryInit(rng.standard_normal((n_u, d)))
+        mem = rng.standard_normal((n_u, d))
         _assert_mz_matches_reference(random_snapshots(rng, d, cols), mem, a)
 
 

@@ -5,7 +5,6 @@ from conftest import random_snapshots
 from mzdmd import (
     AdamConfig,
     DivergenceError,
-    MemoryInit,
     Objective,
     OptState,
     adam_step,
@@ -101,7 +100,7 @@ class TestFitTransition:
         cfg = AdamConfig()
         plain, plain_trace = fit_transition(Objective("plain-dmd", s), a0, cfg)
         for kind in ("t-model", "mz-dmd"):
-            fitted, trace = fit_transition(Objective(kind, s, MemoryInit.zero(2)), a0, cfg)
+            fitted, trace = fit_transition(Objective(kind, s, np.zeros(2)), a0, cfg)
             np.testing.assert_array_equal(fitted, plain)
             np.testing.assert_array_equal(trace, plain_trace)
 
@@ -112,7 +111,7 @@ class TestFitTransition:
 
         rng = np.random.default_rng(3)
         _, s = simulate_measurement(default_config())
-        mem = MemoryInit(rng.standard_normal(2))
+        mem = rng.standard_normal(2)
         a0 = dmd_fit(s)
         _, trace = fit_transition(Objective("t-model", s, mem), a0, AdamConfig())
         assert np.all(np.diff(trace) <= 1e-6)
@@ -140,7 +139,7 @@ class TestFitTransition:
 
         rng = np.random.default_rng(7)
         s = random_snapshots(rng, cols=10)
-        mem = MemoryInit(rng.standard_normal((3, 2)))
+        mem = rng.standard_normal((3, 2))
         a0 = np.stack([dmd_fit(s)] * 3)
         steps = []
 

@@ -273,6 +273,15 @@ class TestPhiloxKeys:
             want = np.random.SeedSequence(seed, spawn_key=(tag, i)).generate_state(2, np.uint64)
             np.testing.assert_array_equal(keys[i], want)
 
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 300])
+    @pytest.mark.parametrize("tag", [1, 2])
+    @pytest.mark.parametrize("seed", [7, 2**40 + 5])
+    def test_keyed_normals_equal_rng_stream(self, seed, tag, n, size):
+        got = oscillator.keyed_normals(seed, tag, n, size)
+        want = np.array([rng_stream(seed, tag, i).standard_normal(size) for i in range(n)])
+        assert got.shape == (n, size) and got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("sigma", [1.0, 0.3])
     def test_projection_draws_equal_rng_stream(self, sigma, monkeypatch):
         cfg = SimConfig(dt=0.1, t_max=0.2, n_points=3, sigma=sigma, n_mc=300, seed=2**40 + 5)
@@ -330,8 +339,9 @@ class TestMeasure:
     def test_requires_full_state(self):
         with pytest.raises(ValueError):
             measure(Trajectory(np.arange(3) * 0.1, np.zeros((3, 2))))
-        with pytest.raises(ValueError):
-            measure(Trajectory(np.array([0.0]), np.zeros((1, 4))))
+        for n in (0, 1):
+            with pytest.raises(ValueError, match="two snapshot columns"):
+                measure(Trajectory(np.arange(n) * 0.1, np.zeros((n, 4))))
 
 
 class TestMonteCarloProjection:
