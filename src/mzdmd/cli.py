@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import harness
 from .config import METHODS, ExperimentConfig, default_config, parse_config
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError
 from .harness import MethodFailure, run_experiment, simulate_measurement, write_columns, write_csv
 from .oscillator import Trajectory
 from .selfcheck import run_checks
@@ -81,10 +81,12 @@ def _out_dir(cfg) -> Path:
 
 
 def cmd_simulate(cfg) -> int:
-    out = _out_dir(cfg)
-    traj, _ = simulate_measurement(cfg)
-    write_csv(Trajectory(traj.times, traj.states[:, :2]), None, out / "measurement.csv")
-    print(out / "measurement.csv")
+    with harness.stage(cfg.method, "simulate"):
+        traj, _ = simulate_measurement(cfg)
+    with harness.stage(cfg.method, "write"):
+        path = _out_dir(cfg) / "measurement.csv"
+        write_csv(Trajectory(traj.times, traj.states[:, :2]), None, path)
+    print(path)
     return EXIT_OK
 
 
@@ -93,10 +95,13 @@ def cmd_fit(cfg) -> int:
     if not method.spectral:
         spectral = [name for name, m in harness.METHODS.items() if m.spectral]
         raise ConfigError(f"'fit' needs one of {', '.join(spectral)}, not '{cfg.method}'")
-    out = _out_dir(cfg)
-    model = method.spectral(cfg, simulate_measurement(cfg)[1])
-    path = out / f"{method.stem}_spectrum.csv"
-    write_columns(path, ["re", "im"], [model.values.real, model.values.imag])
+    with harness.stage(cfg.method, "simulate"):
+        snapshots = simulate_measurement(cfg)[1]
+    with harness.stage(cfg.method, "fit"):
+        model = method.spectral(cfg, snapshots)
+    with harness.stage(cfg.method, "write"):
+        path = _out_dir(cfg) / f"{method.stem}_spectrum.csv"
+        write_columns(path, ["re", "im"], [model.values.real, model.values.imag])
     for value in model.values:
         print(f"{value.real:+.12f} {value.imag:+.12f}j  |lambda| = {abs(value):.12f}")
     print(path)
@@ -105,11 +110,13 @@ def cmd_fit(cfg) -> int:
 
 def cmd_reconstruct(cfg) -> int:
     method = _single_method(cfg, "reconstruct")
-    out = _out_dir(cfg)
-    snapshots = simulate_measurement(cfg)[1] if method.spectral else None
-    traj, var, _, _ = method.fit(cfg, snapshots)
-    path = out / f"{method.stem}.csv"
-    write_csv(traj, var, path)
+    with harness.stage(cfg.method, "simulate"):
+        snapshots = simulate_measurement(cfg)[1] if method.spectral else None
+    with harness.stage(cfg.method, "fit"):
+        traj, var, _ = method.fit(cfg, snapshots)
+    with harness.stage(cfg.method, "write"):
+        path = _out_dir(cfg) / f"{method.stem}.csv"
+        write_csv(traj, var, path)
     print(path)
     return EXIT_OK
 
@@ -149,9 +156,6 @@ def main(argv=None) -> int:
         return EXIT_CONFIG_FAILURE
     except MethodFailure as exc:
         print(str(exc), file=sys.stderr)
-        return EXIT_METHOD_FAILURE
-    except (NumericalError, ValueError, OSError) as exc:
-        print(f"method '{getattr(cfg, 'method', '?')}' failed: {exc}", file=sys.stderr)
         return EXIT_METHOD_FAILURE
 
 

@@ -9,6 +9,7 @@ iterations=5, resolved_init=(1, 0)).  Unknown keys are rejected.
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,8 +38,8 @@ class ExperimentConfig:
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {', '.join(METHODS)}")
         init = tuple(float(v) for v in self.resolved_init)
-        if len(init) != 2:
-            raise ValueError("resolved_init must hold exactly two values")
+        if len(init) != 2 or not all(map(math.isfinite, init)):
+            raise ValueError("resolved_init must hold exactly two finite values")
         object.__setattr__(self, "resolved_init", init)
         object.__setattr__(self, "output_dir", Path(self.output_dir))
 

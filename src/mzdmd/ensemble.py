@@ -21,14 +21,13 @@ from .oscillator import TAG_ENSEMBLE, Trajectory, keyed_normals
 DEGENERACY_TOL = 1e-12
 # the assignment searches all d! permutations (40 320 at d = 8)
 ASSIGNMENT_MAX_DIM = 8
-IMAG_RESIDUE_RTOL = 1e-6
 
 
 class MatchingDegeneracyWarning(UserWarning):
     """Two eigenpair matchings were (nearly) equally good."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralModel:
     """Eigenvalues (..., d) and phase-normalized eigenvectors (..., d, d) of
     a fitted operator, or of each operator in a stack, together with the
@@ -213,8 +212,7 @@ def reconstruct(model: SpectralModel, x0: np.ndarray, times: np.ndarray) -> Traj
     ``omega = log(values) / dt``, and propagates x0 in the eigenbasis.  The
     returned trajectory is the real part, with states (len(times), ..., d)
     for a (..., d) stack; the largest discarded imaginary magnitude is
-    recorded on the result and flagged when it exceeds
-    ``IMAG_RESIDUE_RTOL`` times the trajectory scale.
+    recorded on the result.
     """
     x0 = np.asarray(x0, dtype=float).ravel()
     times = np.asarray(times, dtype=float).ravel()
@@ -230,9 +228,7 @@ def reconstruct(model: SpectralModel, x0: np.ndarray, times: np.ndarray) -> Traj
     complex_states = coords @ vectors.transpose(0, 2, 1)
     states = complex_states.real.transpose(1, 0, 2).copy().reshape(times.shape + model.values.shape)
     max_imag = float(np.abs(complex_states.imag).max()) if times.size else 0.0
-    scale = float(np.abs(states).max()) if times.size else 0.0
-    warning = max_imag > IMAG_RESIDUE_RTOL * max(scale, np.finfo(float).tiny)
-    return Trajectory(times=times, states=states, max_imag=max_imag, imag_warning=warning)
+    return Trajectory(times=times, states=states, max_imag=max_imag)
 
 
 def ensemble_variance(

@@ -8,6 +8,7 @@ deterministic.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import json
@@ -45,6 +46,15 @@ class MethodFailure(RuntimeError):
         self.cause = cause
 
 
+@contextlib.contextmanager
+def stage(method, name):
+    """Raise any failure inside the block as ``method`` failing during ``name``."""
+    try:
+        yield
+    except Exception as exc:
+        raise MethodFailure(method, name, exc) from exc
+
+
 @dataclass
 class RunReport:
     seed: int
@@ -70,20 +80,26 @@ def write_columns(path, header, columns) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_csv(traj: Trajectory, var: Trajectory | None, path) -> None:
-    """Write ``t,y1,y2[,var1,var2]`` rows with round-trip float formatting."""
+def trajectory_columns(traj: Trajectory, var: Trajectory | None, prefix: str = ""):
+    """The ``y1,y2[,var1,var2]`` column names, each under ``prefix``, and
+    the columns of a two-coordinate trajectory and its variance."""
     states = np.asarray(traj.states, dtype=float)
     if states.ndim != 2 or states.shape[1] != 2:
-        raise ValueError("write_csv expects a two-coordinate trajectory")
-    header = ["t", "y1", "y2"]
-    columns = [traj.times, states[:, 0], states[:, 1]]
+        raise ValueError("expected a two-coordinate trajectory")
+    names, columns = ["y1", "y2"], [states[:, 0], states[:, 1]]
     if var is not None:
         var_states = np.asarray(var.states, dtype=float)
         if var_states.shape != states.shape:
             raise ValueError("variance shape does not match the trajectory")
-        header += ["var1", "var2"]
+        names += ["var1", "var2"]
         columns += [var_states[:, 0], var_states[:, 1]]
-    write_columns(path, header, columns)
+    return [prefix + name for name in names], columns
+
+
+def write_csv(traj: Trajectory, var: Trajectory | None, path) -> None:
+    """Write ``t,y1,y2[,var1,var2]`` rows with round-trip float formatting."""
+    names, columns = trajectory_columns(traj, var)
+    write_columns(path, ["t", *names], [traj.times, *columns])
 
 
 def read_csv(path) -> tuple[list[str], np.ndarray]:
@@ -119,7 +135,7 @@ def dmd_spectral_model(snapshots: SnapshotPair) -> SpectralModel:
 
 def _fit_dmd(cfg, snapshots):
     model = dmd_spectral_model(snapshots)
-    return reconstruct(model, np.array(cfg.resolved_init), cfg.sim.times()), None, model, None
+    return reconstruct(model, np.array(cfg.resolved_init), cfg.sim.times()), None, None
 
 
 def _fit_ensemble(kind, cfg, snapshots):
@@ -129,7 +145,7 @@ def _fit_ensemble(kind, cfg, snapshots):
         np.array(cfg.resolved_init), cfg.sim.times(), trace_sink=sink,
     )
     loss_trace = np.mean(sink, axis=0).tolist()
-    return result.mean_traj, result.variance_traj, result.averaged, loss_trace
+    return result.mean_traj, result.variance_traj, loss_trace
 
 
 def _ensemble_spectral_model(kind, cfg, snapshots):
@@ -140,7 +156,7 @@ def _ensemble_spectral_model(kind, cfg, snapshots):
 
 def _fit_projection(cfg, snapshots):
     mean, var = monte_carlo_projection(cfg.sim, cfg.resolved_init, SUBSTEPS)
-    return mean, var, None, None
+    return mean, var, None
 
 
 class Method(NamedTuple):
@@ -148,10 +164,10 @@ class Method(NamedTuple):
 
     ``stem`` names the method's CSV file, its ``comparison.csv`` columns and
     its ``<stem>_spectrum.csv``.  ``fit(cfg, snapshots)`` returns the
-    trajectory, the variance or None, the spectral model or None, and the
-    mean loss trace or None.  ``spectral(cfg, snapshots)`` is the stage that
-    ends at the method's spectral model, for the methods fitted to the
-    measurement; it is None for the others, which ignore ``snapshots``.
+    trajectory, the variance or None, and the mean loss trace or None.
+    ``spectral(cfg, snapshots)`` is the stage that ends at the method's
+    spectral model, for the methods fitted to the measurement; it is None
+    for the others, which ignore ``snapshots``.
     """
 
     stem: str
@@ -178,72 +194,57 @@ def run_experiment(cfg) -> RunReport:
     run report, and (optionally) one SVG per resolved coordinate.
     """
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    with stage(cfg.method, "write"):
+        out.mkdir(parents=True, exist_ok=True)
     methods = list(METHODS) if cfg.method == "all" else [cfg.method]
     report = RunReport(seed=cfg.sim.seed, config=config_as_dict(cfg))
 
-    try:
+    with stage(cfg.method, "simulate"):
         measurement_traj, snapshots = simulate_measurement(cfg)
-    except Exception as exc:
-        raise MethodFailure(cfg.method, "simulate", exc) from exc
     measurement = Trajectory(measurement_traj.times, measurement_traj.states[:, :2])
-    _write(measurement, None, out / "measurement.csv", "measurement", "write", report)
+    _write(measurement, None, out / "measurement.csv", "measurement", report)
 
     times = cfg.sim.times()
     results: dict[str, tuple[Trajectory, Trajectory | None]] = {}
     for name in methods:
         start = time.perf_counter()
-        try:
-            traj, var, model, loss_trace = METHODS[name].fit(cfg, snapshots)
-        except Exception as exc:
-            raise MethodFailure(name, "fit", exc) from exc
+        with stage(name, "fit"):
+            traj, var, loss_trace = METHODS[name].fit(cfg, snapshots)
         report.wall_times[name] = time.perf_counter() - start
         if loss_trace is not None:
             report.loss_traces[name] = loss_trace
-        if model is not None:
+        if traj.max_imag is not None:
             report.imag_residues[name] = traj.max_imag
-        _write(traj, var, out / f"{METHODS[name].stem}.csv", name, "write", report)
+        _write(traj, var, out / f"{METHODS[name].stem}.csv", name, report)
         results[name] = (traj, var)
 
     _write_comparison(times, measurement, results, out / "comparison.csv", report)
 
     if cfg.emit_plots:
-        try:
+        curves = {"measurement": (measurement, None), **results}
+        with stage(cfg.method, "plot"):
             for coord, name in enumerate(("y1", "y2")):
-                series = {"measurement": (measurement.states[:, coord], None)}
-                for method, (traj, var) in results.items():
-                    series[method] = (
-                        traj.states[:, coord],
-                        None if var is None else var.states[:, coord],
-                    )
+                series = {key: (traj.states[:, coord], None if var is None else var.states[:, coord])
+                          for key, (traj, var) in curves.items()}
                 emit_plot(times, series, out / f"{name}.svg", ylabel=name)
-        except Exception as exc:
-            raise MethodFailure(cfg.method, "plot", exc) from exc
 
-    (out / "report.json").write_text(report.to_json() + "\n")
+    with stage(cfg.method, "write"):
+        (out / "report.json").write_text(report.to_json() + "\n")
     return report
 
 
-def _write(traj, var, path, method, stage, report):
-    try:
+def _write(traj, var, path, method, report):
+    with stage(method, "write"):
         write_csv(traj, var, path)
-    except Exception as exc:
-        raise MethodFailure(method, stage, exc) from exc
     report.csv_files.append(str(path))
 
 
 def _write_comparison(times, measurement, results, path, report):
-    header = ["t", "measurement_y1", "measurement_y2"]
-    columns = [times, measurement.states[:, 0], measurement.states[:, 1]]
-    for name, (traj, var) in results.items():
-        stem = METHODS[name].stem
-        header += [f"{stem}_y1", f"{stem}_y2"]
-        columns += [traj.states[:, 0], traj.states[:, 1]]
-        if var is not None:
-            header += [f"{stem}_var1", f"{stem}_var2"]
-            columns += [var.states[:, 0], var.states[:, 1]]
-    try:
+    header, columns = ["t"], [times]
+    stems = {"measurement": (measurement, None)} | {METHODS[n].stem: r for n, r in results.items()}
+    with stage("comparison", "write"):
+        for stem, (traj, var) in stems.items():
+            names, cols = trajectory_columns(traj, var, f"{stem}_")
+            header, columns = header + names, columns + cols
         write_columns(path, header, columns)
-    except Exception as exc:
-        raise MethodFailure("comparison", "write", exc) from exc
     report.csv_files.append(str(path))

@@ -28,7 +28,7 @@ T_MODEL = "t-model"
 OBJECTIVE_KINDS = (PLAIN_DMD, MZ_DMD, T_MODEL)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SnapshotPair:
     """Paired snapshot matrices in ascending time order.
 
@@ -75,7 +75,7 @@ class SnapshotPair:
         return self.x_minus.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Objective:
     """One of the three fitting objectives; plain-dmd ignores the memory.
 

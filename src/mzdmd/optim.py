@@ -23,19 +23,19 @@ class AdamConfig:
     iterations: int = 5
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if not 0 <= self.beta1 < 1:
             raise ValueError("beta1 must lie in [0, 1)")
         if not 0 <= self.beta2 < 1:
             raise ValueError("beta2 must lie in [0, 1)")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError("epsilon must be positive and finite")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OptState:
     params: np.ndarray
     first_moment: np.ndarray

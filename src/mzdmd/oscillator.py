@@ -116,15 +116,14 @@ def keyed_normals(seed: int, tag: int, n: int, size: int) -> np.ndarray:
 class Trajectory:
     """Uniformly sampled time series; one state row per time point.
 
-    ``max_imag`` and ``imag_warning`` are reconstruction telemetry: spectral
-    reconstructions report the largest imaginary residue discarded when
-    taking the real part.  Simulated trajectories leave them at the default.
+    ``max_imag`` is reconstruction telemetry: spectral reconstructions
+    report the largest imaginary residue discarded when taking the real
+    part.  Simulated trajectories leave it at None.
     """
 
     times: np.ndarray
     states: np.ndarray
     max_imag: float | None = None
-    imag_warning: bool = False
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float).ravel()
@@ -149,10 +148,10 @@ class SimConfig:
             raise ValueError("dt must be positive")
         if self.n_points < 2:
             raise ValueError("n_points must be at least 2")
-        if abs(self.dt * (self.n_points - 1) - self.t_max) > 1e-12:
+        if not abs(self.dt * (self.n_points - 1) - self.t_max) <= 1e-12:
             raise ValueError("t_max must equal dt * (n_points - 1) within 1e-12")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not 0 <= self.sigma < np.inf:
+            raise ValueError("sigma must be nonnegative and finite")
         if self.n_mc < 1:
             raise ValueError("n_mc must be at least 1")
         if self.seed < 0:

@@ -42,15 +42,16 @@ def emit_plot(times, series: dict, path, ylabel: str = "y") -> None:
     if times.size < 2:
         raise ValueError("need at least two time points to plot")
 
+    # each series once: name, color, values and band half-width sqrt(variance)
+    curves = []
     lo, hi = np.inf, -np.inf
-    for values, var in series.values():
+    for index, (name, (values, var)) in enumerate(series.items()):
         values = np.asarray(values, dtype=float).ravel()
-        lo = min(lo, values.min())
-        hi = max(hi, values.max())
-        if var is not None:
-            band = np.sqrt(np.asarray(var, dtype=float).ravel())
-            lo = min(lo, (values - band).min())
-            hi = max(hi, (values + band).max())
+        band = None if var is None else np.sqrt(np.asarray(var, dtype=float).ravel())
+        curves.append((name, _series_color(name, index), values, band))
+        lo, hi = min(lo, values.min()), max(hi, values.max())
+        if band is not None:
+            lo, hi = min(lo, (values - band).min()), max(hi, (values + band).max())
     if hi <= lo:
         hi = lo + 1.0
     pad = 0.05 * (hi - lo)
@@ -98,38 +99,27 @@ def emit_plot(times, series: dict, path, ylabel: str = "y") -> None:
         # "x,y" pairs, each coordinate mapped on the whole array at once
         return [f"{x:.2f},{y:.2f}" for x, y in zip(px(ts).tolist(), py(vs).tolist())]
 
-    # bands first so the lines draw on top of them
-    for index, (name, (values, var)) in enumerate(series.items()):
-        if var is None:
-            continue
-        values = np.asarray(values, dtype=float).ravel()
-        band = np.sqrt(np.asarray(var, dtype=float).ravel())
-        outline = points(times, values + band) + points(times[::-1], (values - band)[::-1])
-        color = _series_color(name, index)
-        out.append(
-            f'<path d="M {" L ".join(outline)} Z" fill="{color}" '
-            f'fill-opacity="0.2" stroke="none"/>'
-        )
-
-    for index, (name, (values, _)) in enumerate(series.items()):
-        pts = " ".join(points(times, np.asarray(values, dtype=float).ravel()))
-        color = _series_color(name, index)
-        out.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-        )
-
+    # bands first so the lines draw on top of them, then the lines, then the legend
+    bands, lines, legend = [], [], []
     legend_x = WIDTH - MARGIN_R + 12
-    for index, name in enumerate(series):
+    for index, (name, color, values, band) in enumerate(curves):
+        if band is not None:
+            outline = points(times, values + band) + points(times[::-1], (values - band)[::-1])
+            bands.append(
+                f'<path d="M {" L ".join(outline)} Z" fill="{color}" '
+                f'fill-opacity="0.2" stroke="none"/>'
+            )
+        lines.append(
+            f'<polyline points="{" ".join(points(times, values))}" fill="none" '
+            f'stroke="{color}" stroke-width="1.5"/>'
+        )
         y = MARGIN_T + 16 + 20 * index
-        color = _series_color(name, index)
-        out.append(
+        legend += [
             f'<line x1="{legend_x}" y1="{y}" x2="{legend_x + 24}" y2="{y}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        out.append(
+            f'stroke="{color}" stroke-width="2"/>',
             f'<text x="{legend_x + 30}" y="{y + 4}" font-size="12" '
-            f'font-family="monospace">{name}</text>'
-        )
-
+            f'font-family="monospace">{name}</text>',
+        ]
+    out += bands + lines + legend
     out.append("</svg>")
     Path(path).write_text("\n".join(out) + "\n")

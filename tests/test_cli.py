@@ -52,6 +52,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "dmd" in err and "fit" in err
 
+    def test_non_finite_value_is_config_failure(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "t_max = nan\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "t_max" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_successful_run_is_zero(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SMALL + "method = dmd\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
@@ -60,6 +67,31 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path, SMALL)
         assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
+
+
+# an overflowing state, an overflowing Adam step, a zero operator, and a
+# file where the output directory should go
+OVERFLOW = "resolved_init = 1e200 0\nmethod = dmd\n"
+HUGE_STEP = "lr = 1e200\nmethod = t-model\n"
+ZERO = "sigma = 0\nresolved_init = 0 0\nmethod = dmd\n"
+
+
+@pytest.mark.parametrize("command, text, stage", [
+    pytest.param("simulate", OVERFLOW, "simulate", id="simulate-simulate"),
+    pytest.param("run", OVERFLOW, "simulate", id="run-simulate"),
+    pytest.param("fit", HUGE_STEP, "fit", id="fit-fit"),
+    pytest.param("reconstruct", HUGE_STEP, "fit", id="reconstruct-fit-ensemble"),
+    pytest.param("reconstruct", ZERO, "fit", id="reconstruct-fit-dmd"),
+    *(pytest.param(command, "method = dmd\n", "write", id=f"{command}-write")
+      for command in ("simulate", "fit", "reconstruct", "run")),
+])
+def test_method_failure_names_its_stage(tmp_path, capsys, command, text, stage):
+    cfg = write_cfg(tmp_path, SMALL + text)
+    out = tmp_path / "out"
+    if stage == "write":
+        out.write_text("")  # a file where the output directory should go
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert f"failed during {stage}: " in capsys.readouterr().err
 
 class TestSubcommands:
     def test_simulate_writes_measurement(self, tmp_path, capsys):

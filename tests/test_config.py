@@ -115,3 +115,20 @@ class TestErrors:
 
     def test_zero_seed_accepted(self):
         assert build_config({"seed": 0}).sim.seed == 0
+
+
+@pytest.mark.parametrize("line, field", [
+    ("t_max = nan", "t_max"),
+    ("t_max = inf", "t_max"),
+    ("sigma = nan", "sigma"),
+    ("sigma = inf", "sigma"),
+    ("lr = nan", "learning_rate"),
+    ("lr = inf", "learning_rate"),
+    ("epsilon = nan", "epsilon"),
+    ("epsilon = inf", "epsilon"),
+    ("resolved_init = nan 0", "resolved_init"),
+    ("resolved_init = 0 -inf", "resolved_init"),
+])
+def test_non_finite_value_names_field(tmp_path, line, field):
+    with pytest.raises(ConfigError, match=field):
+        parse_config(write_cfg(tmp_path, line + "\n"))

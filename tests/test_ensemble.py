@@ -686,7 +686,6 @@ class TestReconstruct:
         )
         traj = reconstruct(model, np.array([1.0, 0.0]), np.arange(100) * 0.1)
         assert traj.max_imag > 0.0
-        assert traj.imag_warning
 
     def test_clean_conjugate_pair_has_tiny_residue(self):
         s, _ = rotation_snapshots(n_snapshots=10)
@@ -694,7 +693,6 @@ class TestReconstruct:
         model = SpectralModel(dec.values, dec.vectors, s.dt)
         traj = reconstruct(model, np.array([1.0, 0.0]), np.arange(50) * 0.1)
         assert traj.max_imag <= 1e-10
-        assert not traj.imag_warning
 
 
 class TestEnsembleVariance:

@@ -277,6 +277,10 @@ class TestRunExperiment:
             assert (out / name).exists(), name
         assert set(report.wall_times) == set(METHODS)
         assert report.loss_traces["mz-dmd"]
+        # every spectral reconstruction reports its imaginary residue; the
+        # projection has none
+        assert list(report.imag_residues) == ["dmd", "mz-dmd", "t-model"]
+        assert all(0.0 <= r < 1e-10 for r in report.imag_residues.values())
         parsed = json.loads((out / "report.json").read_text())
         assert parsed["seed"] == cfg.sim.seed
 
@@ -338,6 +342,12 @@ class TestRunExperiment:
         assert header[:3] == ["t", "measurement_y1", "measurement_y2"]
         assert "mzdmd_var1" in header and "projection_var2" in header
         assert data.shape == (cfg.sim.n_points, len(header))
+        # each source's columns repeat its own file, cell for cell
+        cells = [line.split(",") for line in (cfg.output_dir / "comparison.csv").read_text().split()]
+        for stem in ("measurement", *(m.stem for m in METHODS.values())):
+            own = [line.split(",") for line in (cfg.output_dir / f"{stem}.csv").read_text().split()]
+            picked = [header.index(f"{stem}_{name}") for name in own[0][1:]]
+            assert [[row[0], *(row[k] for k in picked)] for row in cells[1:]] == own[1:], stem
 
 
 def test_dmd_spectral_model_matches_reconstruction():

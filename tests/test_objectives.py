@@ -1,3 +1,4 @@
+import copy
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 from mzdmd import (
     Objective,
     SingularMatrixError,
+    OptState,
     SnapshotPair,
+    SpectralModel,
     cayley_M,
     default_config,
     dmd_fit,
@@ -508,3 +511,22 @@ class TestMemoryKernels:
     def test_singular_denominator(self):
         with pytest.raises(SingularMatrixError):
             memory_kernel_closed(np.array([-20.0]), np.array([1.0]), 3, 0.1)
+
+
+_PAIR = SnapshotPair.from_snapshots(np.arange(6.0).reshape(2, 3), 0.1)
+
+
+@pytest.mark.parametrize("record", [
+    _PAIR,
+    Objective("mz-dmd", _PAIR, np.ones(2)),
+    SpectralModel(np.array([1.0, 0.5]), np.eye(2), 0.1),
+    OptState.initial(np.ones((2, 2))),
+], ids=lambda record: type(record).__name__)
+def test_array_records_compare_by_identity(record):
+    # a generated __eq__ would compare the ndarray fields as a tuple, which
+    # raises; identity equality also gives a working hash
+    twin = copy.deepcopy(record)
+    assert record == record
+    assert record != twin
+    assert hash(record) == hash(record)
+    assert len({record, twin}) == 2

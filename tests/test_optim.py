@@ -28,6 +28,10 @@ class TestAdamConfig:
             {"beta2": -0.1},
             {"epsilon": 0.0},
             {"iterations": 0},
+            {"learning_rate": np.nan},
+            {"learning_rate": np.inf},
+            {"epsilon": np.nan},
+            {"epsilon": np.inf},
         ],
     )
     def test_validation(self, kwargs):

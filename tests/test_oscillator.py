@@ -110,6 +110,10 @@ class TestSimConfig:
             {"t_max": 49.0},
             {"sigma": -0.5},
             {"n_mc": 0},
+            {"dt": np.nan},
+            {"t_max": np.nan},
+            {"sigma": np.nan},
+            {"sigma": np.inf},
         ],
     )
     def test_validation(self, kwargs):
