@@ -22,8 +22,7 @@ import numpy as np
 
 import mzdmd
 
-out = Path("demo_output/01_dmd_vs_projection")
-out.mkdir(parents=True, exist_ok=True)
+out = Path("demo_output/01_dmd_vs_projection")  # the first CSV write makes it
 
 cfg = mzdmd.default_config()
 times = cfg.sim.times()
@@ -53,7 +52,7 @@ print(f"dmd amplitude,        t in [40,50]: {window_amp(dmd_traj.states, 40, 50)
 print("the averaged dynamics decays; the plain fit does not")
 
 for name, traj, var in (
-    ("measurement", mzdmd.Trajectory(times, measurement.states[:, :2]), None),
+    ("measurement", measurement, None),
     ("dmd", dmd_traj, None),
     ("projection", proj_mean, proj_var),
 ):

@@ -21,8 +21,7 @@ import numpy as np
 
 import mzdmd
 
-out = Path("demo_output/02_memory_ensembles")
-out.mkdir(parents=True, exist_ok=True)
+out = Path("demo_output/02_memory_ensembles")  # the first CSV write makes it
 
 cfg = mzdmd.default_config()
 times = cfg.sim.times()

@@ -4,22 +4,25 @@ Subcommands: ``simulate`` (write the measurement dataset), ``fit`` (fit one
 method and write its spectrum), ``reconstruct`` (fit and write the
 reconstructed trajectory), ``run`` (full pipeline), ``check`` (invariant
 suite).  Exit codes: 0 success, 1 method failure, 2 configuration failure.
-The output directory resolves as ``--out`` > ``MZDMD_OUTPUT_DIR`` > config.
+
+Each flag sets the config key it names: ``--seed`` sets ``seed``,
+``--method`` sets ``method`` and ``--out`` sets ``output_dir``, which a
+non-empty ``MZDMD_OUTPUT_DIR`` sets when ``--out`` is absent.  Flags replace
+the config file's values, and the result is validated once, so a refused
+flag is a configuration failure like a refused key.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from pathlib import Path
 
 from . import harness
-from .config import METHODS, ExperimentConfig, default_config, parse_config
+from .config import METHODS, ExperimentConfig, build_config, read_config
 from .errors import ConfigError
 from .harness import MethodFailure, run_experiment, simulate_measurement, write_columns, write_csv
-from .oscillator import Trajectory
 from .selfcheck import run_checks
 
 ENV_OUTPUT_DIR = "MZDMD_OUTPUT_DIR"
@@ -55,17 +58,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_config(args) -> ExperimentConfig:
-    cfg = parse_config(args.config) if args.config is not None else default_config()
-    env_out = os.environ.get(ENV_OUTPUT_DIR)
-    if env_out:
-        cfg = dataclasses.replace(cfg, output_dir=Path(env_out))
-    if args.out is not None:
-        cfg = dataclasses.replace(cfg, output_dir=args.out)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, seed=args.seed))
-    if args.method is not None:
-        cfg = dataclasses.replace(cfg, method=args.method)
-    return cfg
+    """The config file's keys, if any, with the flags laid over them."""
+    keys = read_config(args.config) if args.config is not None else {}
+    flags = {
+        "output_dir": args.out or os.environ.get(ENV_OUTPUT_DIR) or None,
+        "seed": args.seed,
+        "method": args.method,
+    }
+    return build_config(keys | {key: value for key, value in flags.items() if value is not None})
 
 
 def _single_method(cfg, purpose) -> harness.Method:
@@ -74,18 +74,12 @@ def _single_method(cfg, purpose) -> harness.Method:
     return harness.METHODS[cfg.method]
 
 
-def _out_dir(cfg) -> Path:
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def cmd_simulate(cfg) -> int:
     with harness.stage(cfg.method, "simulate"):
-        traj, _ = simulate_measurement(cfg)
+        measurement, _ = simulate_measurement(cfg)
     with harness.stage(cfg.method, "write"):
-        path = _out_dir(cfg) / "measurement.csv"
-        write_csv(Trajectory(traj.times, traj.states[:, :2]), None, path)
+        path = cfg.output_dir / "measurement.csv"
+        write_csv(measurement, None, path)
     print(path)
     return EXIT_OK
 
@@ -100,7 +94,7 @@ def cmd_fit(cfg) -> int:
     with harness.stage(cfg.method, "fit"):
         model = method.spectral(cfg, snapshots)
     with harness.stage(cfg.method, "write"):
-        path = _out_dir(cfg) / f"{method.stem}_spectrum.csv"
+        path = cfg.output_dir / f"{method.stem}_spectrum.csv"
         write_columns(path, ["re", "im"], [model.values.real, model.values.imag])
     for value in model.values:
         print(f"{value.real:+.12f} {value.imag:+.12f}j  |lambda| = {abs(value):.12f}")
@@ -115,7 +109,7 @@ def cmd_reconstruct(cfg) -> int:
     with harness.stage(cfg.method, "fit"):
         traj, var, _ = method.fit(cfg, snapshots)
     with harness.stage(cfg.method, "write"):
-        path = _out_dir(cfg) / f"{method.stem}.csv"
+        path = cfg.output_dir / f"{method.stem}.csv"
         write_csv(traj, var, path)
     print(path)
     return EXIT_OK
@@ -125,7 +119,7 @@ def cmd_run(cfg) -> int:
     report = run_experiment(cfg)
     for method, wall in report.wall_times.items():
         print(f"{method}: {wall:.3f} s")
-    print(Path(cfg.output_dir) / "report.json")
+    print(cfg.output_dir / "report.json")
     return EXIT_OK
 
 
@@ -136,12 +130,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    try:
-        cfg = resolve_config(args)
-    except (ValueError, OSError) as exc:  # ConfigError, or an override the config refuses
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_FAILURE
-
     handlers = {
         "simulate": cmd_simulate,
         "fit": cmd_fit,
@@ -150,7 +138,7 @@ def main(argv=None) -> int:
         "check": lambda cfg: EXIT_OK if run_checks(cfg.sim.seed) else EXIT_METHOD_FAILURE,
     }
     try:
-        return handlers[args.command](cfg)
+        return handlers[args.command](resolve_config(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_FAILURE

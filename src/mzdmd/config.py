@@ -4,6 +4,9 @@ The config file format is plain ``key = value`` text with ``#`` comments.
 Every key is optional; omitted keys fall back to the benchmark defaults
 (dt=0.1, t_max=50, n_points=501, sigma=1, n_mc=1000, n_u=100, lr=1e-3,
 iterations=5, resolved_init=(1, 0)).  Unknown keys are rejected.
+
+Every config is built by :func:`build_config` from config keys, whether
+they come from a file (:func:`read_config`) or from the CLI's flags.
 """
 
 from __future__ import annotations
@@ -110,13 +113,15 @@ def build_config(overrides: dict) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def parse_config(path) -> ExperimentConfig:
-    """Parse a key-value config file.
-
-    Raises :class:`ConfigError` with the line number for malformed lines and
-    with the field name for unknown keys or constraint violations.
-    """
-    text = Path(path).read_text()
+def read_config(path) -> dict:
+    """The keys of a key-value config file, each cast to its type; a
+    :class:`ConfigError` names the line of a malformed line, an unknown or
+    duplicate key, or a value its type refuses, or says why the file is
+    unreadable."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeError) as exc:
+        raise ConfigError(str(exc)) from exc
     raw: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -128,13 +133,16 @@ def parse_config(path) -> ExperimentConfig:
         key = key.strip()
         value = value.strip()
         if key not in _KEYS:
-            raise ConfigError(f"line {lineno}: unknown key '{key}'", field=key, line=lineno)
+            raise ConfigError(f"line {lineno}: unknown key '{key}'", line=lineno)
         if key in raw:
-            raise ConfigError(f"line {lineno}: duplicate key '{key}'", field=key, line=lineno)
+            raise ConfigError(f"line {lineno}: duplicate key '{key}'", line=lineno)
         try:
             raw[key] = _KEYS[key][2](value)
         except (ValueError, TypeError) as exc:
-            raise ConfigError(
-                f"line {lineno}: invalid value for '{key}': {exc}", field=key, line=lineno
-            ) from exc
-    return build_config(raw)
+            raise ConfigError(f"line {lineno}: invalid value for '{key}': {exc}", line=lineno) from exc
+    return raw
+
+
+def parse_config(path) -> ExperimentConfig:
+    """The config of a key-value config file, over the defaults."""
+    return build_config(read_config(path))

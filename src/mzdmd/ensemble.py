@@ -99,8 +99,8 @@ def fit_ensemble(
         raise ValueError(f"fit_ensemble expects '{MZ_DMD}' or '{T_MODEL}', got {kind!r}")
     if n_u < 1:
         raise ValueError("n_u must be at least 1")
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not 0 <= sigma < np.inf:
+        raise ValueError("sigma must be nonnegative and finite")
     a0 = dmd_fit(s)
     n = sigma * keyed_normals(seed, TAG_ENSEMBLE, n_u, s.dim)
     failures: list[tuple[int, Exception]] = []

@@ -54,9 +54,9 @@ class EnsembleError(NumericalError):
 
 
 class ConfigError(ValueError):
-    """A configuration file could not be parsed or violates a constraint."""
+    """A configuration file or flag could not be read or violates a
+    constraint; ``line`` is the file's line at fault, when there is one."""
 
-    def __init__(self, message, field=None, line=None):
+    def __init__(self, message, line=None):
         super().__init__(message)
-        self.field = field
         self.line = line

@@ -43,7 +43,6 @@ class MethodFailure(RuntimeError):
         super().__init__(f"method '{method}' failed during {stage}: {cause}")
         self.method = method
         self.stage = stage
-        self.cause = cause
 
 
 @contextlib.contextmanager
@@ -65,19 +64,22 @@ class RunReport:
     csv_files: list = field(default_factory=list)
 
     def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
+        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True, default=str)
 
 
 def write_columns(path, header, columns) -> None:
     """Write one CSV row per index of ``columns``, each float in round-trip
-    ``repr`` form, under the given header names.
+    ``repr`` form, under the given header names, making the file's
+    directory if need be.
 
     Each column is converted to Python floats once, so no cell goes through
     a numpy scalar; the columns must have equal lengths.
     """
     rows = zip(*(np.asarray(col, dtype=float).tolist() for col in columns), strict=True)
     lines = [",".join(header), *(",".join(map(repr, row)) for row in rows)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join(lines) + "\n")
 
 
 def trajectory_columns(traj: Trajectory, var: Trajectory | None, prefix: str = ""):
@@ -110,21 +112,15 @@ def read_csv(path) -> tuple[list[str], np.ndarray]:
     return header, data
 
 
-def config_as_dict(cfg) -> dict:
-    out = dataclasses.asdict(cfg)
-    out["output_dir"] = str(cfg.output_dir)
-    out["resolved_init"] = list(cfg.resolved_init)
-    return out
-
-
 def simulate_measurement(cfg) -> tuple[Trajectory, SnapshotPair]:
-    """One full-system draw: hidden initial conditions sampled from the
-    measurement stream, resolved initials pinned at cfg.resolved_init."""
+    """One full-system draw, with hidden initial conditions sampled from the
+    measurement stream and resolved initials pinned at cfg.resolved_init;
+    returns its measured (y1, y2) trajectory and snapshot pair."""
     rng = rng_stream(cfg.sim.seed, TAG_MEASUREMENT)
     y3, y4 = sample_unresolved(cfg.sim.sigma, rng)
     y0 = np.array([cfg.resolved_init[0], cfg.resolved_init[1], y3, y4])
     traj = integrate(y0, cfg.sim, SUBSTEPS)
-    return traj, measure(traj)
+    return Trajectory(traj.times, traj.states[:, :2]), measure(traj)
 
 
 def dmd_spectral_model(snapshots: SnapshotPair) -> SpectralModel:
@@ -191,18 +187,16 @@ def run_experiment(cfg) -> RunReport:
     """Run the requested methods against one shared measurement dataset.
 
     Writes one CSV per method plus measurement.csv, comparison.csv, a JSON
-    run report, and (optionally) one SVG per resolved coordinate.
+    run report, and (optionally) one SVG per resolved coordinate.  The CSVs
+    come first, and the first of them makes the output directory.
     """
-    out = Path(cfg.output_dir)
-    with stage(cfg.method, "write"):
-        out.mkdir(parents=True, exist_ok=True)
+    out = cfg.output_dir
     methods = list(METHODS) if cfg.method == "all" else [cfg.method]
-    report = RunReport(seed=cfg.sim.seed, config=config_as_dict(cfg))
+    report = RunReport(seed=cfg.sim.seed, config=dataclasses.asdict(cfg))
 
     with stage(cfg.method, "simulate"):
-        measurement_traj, snapshots = simulate_measurement(cfg)
-    measurement = Trajectory(measurement_traj.times, measurement_traj.states[:, :2])
-    _write(measurement, None, out / "measurement.csv", "measurement", report)
+        measurement, snapshots = simulate_measurement(cfg)
+    _write(measurement, None, out / "measurement.csv", cfg.method, report)
 
     times = cfg.sim.times()
     results: dict[str, tuple[Trajectory, Trajectory | None]] = {}

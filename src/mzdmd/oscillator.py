@@ -320,8 +320,8 @@ def integrate(s0: np.ndarray, cfg: SimConfig, substeps: int = 10) -> Trajectory:
 
 def sample_unresolved(sigma: float, rng: np.random.Generator) -> tuple[float, float]:
     """Two independent draws from N(0, sigma^2) for the hidden coordinates."""
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not 0 <= sigma < np.inf:
+        raise ValueError("sigma must be nonnegative and finite")
     draws = sigma * rng.standard_normal(2)
     return float(draws[0]), float(draws[1])
 

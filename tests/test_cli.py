@@ -3,7 +3,7 @@ import argparse
 import numpy as np
 import pytest
 
-from mzdmd import NumericalError, config, ensemble, harness, linalg, plots
+from mzdmd import ConfigError, NumericalError, config, ensemble, harness, linalg, plots
 from mzdmd.cli import build_parser, main, resolve_config
 from mzdmd.ensemble import run_ensemble
 from mzdmd.harness import METHODS, dmd_spectral_model, read_csv, simulate_measurement, write_columns
@@ -44,6 +44,12 @@ class TestExitCodes:
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "absent.cfg")]) == 2
+
+    def test_undecodable_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xff\xfe seed = 1\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_method_failure_names_method_and_stage(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SMALL + "sigma = 0\nresolved_init = 0 0\nmethod = dmd\n")
@@ -91,7 +97,8 @@ def test_method_failure_names_its_stage(tmp_path, capsys, command, text, stage):
     if stage == "write":
         out.write_text("")  # a file where the output directory should go
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
-    assert f"failed during {stage}: " in capsys.readouterr().err
+    method = config.read_config(cfg)["method"]
+    assert f"method '{method}' failed during {stage}: " in capsys.readouterr().err
 
 class TestSubcommands:
     def test_simulate_writes_measurement(self, tmp_path, capsys):
@@ -187,6 +194,27 @@ class TestSubcommands:
         assert main(["run", "--config", str(cfg), "--out", str(flag_out)]) == 0
         assert (flag_out / "dmd.csv").exists()
         assert not (tmp_path / "ignored").exists()
+
+
+class TestFlagsAreConfigKeys:
+    def test_flags_equal_file_keys(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("MZDMD_OUTPUT_DIR", raising=False)
+        out = str(tmp_path / "x")
+        from_flags = resolve_config(build_parser().parse_args(
+            ["run", "--seed", "3", "--method", "dmd", "--out", out]))
+        cfg = write_cfg(tmp_path, f"seed = 3\nmethod = dmd\noutput_dir = {out}\n")
+        from_file = resolve_config(build_parser().parse_args(["run", "--config", str(cfg)]))
+        assert from_flags == from_file == config.parse_config(cfg)
+
+    def test_refused_flag_is_config_error(self):
+        with pytest.raises(ConfigError, match="seed"):
+            resolve_config(build_parser().parse_args(["run", "--seed", "-1"]))
+
+    def test_flag_replaces_file_value_before_validation(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SMALL + "seed = -1\n")
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(cfg), "--seed", "3", "--out", str(out)]) == 0
+        assert (out / "measurement.csv").exists()
 
 
 def _spectrum(cfg, name):

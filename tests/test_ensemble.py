@@ -119,8 +119,9 @@ class TestFitEnsemble:
             fit_ensemble("plain-dmd", s, 1.0, 2, AdamConfig(), seed=0)
         with pytest.raises(ValueError):
             fit_ensemble("mz-dmd", s, 1.0, 0, AdamConfig(), seed=0)
-        with pytest.raises(ValueError, match="sigma"):
-            fit_ensemble("mz-dmd", s, -1.0, 2, AdamConfig(), seed=0)
+        for sigma in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="sigma"):
+                fit_ensemble("mz-dmd", s, sigma, 2, AdamConfig(), seed=0)
 
     def test_deterministic_given_seed(self):
         s = _sim_snapshots()

@@ -215,6 +215,12 @@ class TestWriteCsv:
         write_csv(traj, None, path)
         assert path.read_text().splitlines()[0].count(",") == 2
 
+    def test_makes_missing_directory(self, tmp_path):
+        traj = Trajectory(np.arange(2) * 0.1, np.zeros((2, 2)))
+        path = tmp_path / "new" / "deeper" / "t.csv"
+        write_csv(traj, None, path)
+        assert read_csv(path)[0] == ["t", "y1", "y2"]
+
     def test_shape_mismatch(self, tmp_path):
         traj = Trajectory(np.arange(3) * 0.1, np.zeros((3, 2)))
         var = Trajectory(np.arange(2) * 0.1, np.zeros((2, 2)))
@@ -283,6 +289,8 @@ class TestRunExperiment:
         assert all(0.0 <= r < 1e-10 for r in report.imag_residues.values())
         parsed = json.loads((out / "report.json").read_text())
         assert parsed["seed"] == cfg.sim.seed
+        assert parsed["config"]["output_dir"] == str(out)
+        assert parsed["config"]["resolved_init"] == list(cfg.resolved_init)
 
     def test_exact_recovery_on_linear_data(self, tmp_path):
         # sigma = 0 decouples the system, so the measured coordinates are

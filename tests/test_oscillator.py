@@ -319,8 +319,9 @@ class TestSampleUnresolved:
         assert a == b
 
     def test_negative_sigma(self):
-        with pytest.raises(ValueError):
-            sample_unresolved(-1.0, rng_stream(0, 0))
+        for sigma in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="sigma"):
+                sample_unresolved(sigma, rng_stream(0, 0))
 
 
 class TestMeasure:
