@@ -61,7 +61,7 @@ from .objectives import (
     objective_value_and_gradient,
     tmodel_memory_matrix,
 )
-from .optim import AdamConfig, OptState, adam_step, fit_transition
+from .optim import AdamConfig, adam_step, fit_transition
 from .oscillator import (
     SimConfig,
     Trajectory,

@@ -3,7 +3,8 @@
 The config file format is plain ``key = value`` text with ``#`` comments.
 Every key is optional; omitted keys fall back to the benchmark defaults
 (dt=0.1, t_max=50, n_points=501, sigma=1, n_mc=1000, n_u=100, lr=1e-3,
-iterations=5, resolved_init=(1, 0)).  Unknown keys are rejected.
+iterations=5, resolved_init=(1, 0)).  Unknown keys and empty values are
+rejected.
 
 Every config is built by :func:`build_config` from config keys, whether
 they come from a file (:func:`read_config`) or from the CLI's flags.
@@ -83,9 +84,6 @@ _KEYS = {
     "n_mc": ("sim", "n_mc", int),
     "seed": ("sim", "seed", int),
     "lr": ("adam", "learning_rate", float),
-    "beta1": ("adam", "beta1", float),
-    "beta2": ("adam", "beta2", float),
-    "epsilon": ("adam", "epsilon", float),
     "iterations": ("adam", "iterations", int),
     "n_u": (None, "n_u", int),
     "method": (None, "method", _parse_method),
@@ -137,6 +135,8 @@ def read_config(path) -> dict:
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate key '{key}'", line=lineno)
         try:
+            if not value:  # checked before the cast: Path("") is "."
+                raise ValueError("empty value")
             raw[key] = _KEYS[key][2](value)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"line {lineno}: invalid value for '{key}': {exc}", line=lineno) from exc

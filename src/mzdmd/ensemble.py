@@ -119,6 +119,7 @@ def fit_ensemble(
             failures.extend((int(i), exc) for i in failed)
             alive = np.setdiff1d(alive, failed)
     decs = []
+    # one eig per sample, as perfbench/spans.py counts them; goes with ROADMAP items 1-2
     for i, a_fit, trace in zip(alive, fitted, traces):
         try:
             decs.append(linalg.eig(a_fit))

@@ -13,64 +13,40 @@ import numpy as np
 from .errors import DivergenceError, failing_slices
 from .objectives import Objective, objective_value, objective_value_and_gradient
 
+# Adam's published defaults (Kingma & Ba, "Adam", ICLR 2015)
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+
 
 @dataclass(frozen=True)
 class AdamConfig:
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     iterations: int = 5
 
     def __post_init__(self):
         if not 0 < self.learning_rate < np.inf:
             raise ValueError("learning_rate must be positive and finite")
-        if not 0 <= self.beta1 < 1:
-            raise ValueError("beta1 must lie in [0, 1)")
-        if not 0 <= self.beta2 < 1:
-            raise ValueError("beta2 must lie in [0, 1)")
-        if not 0 < self.epsilon < np.inf:
-            raise ValueError("epsilon must be positive and finite")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
 
 
-@dataclass(frozen=True, eq=False)
-class OptState:
-    params: np.ndarray
-    first_moment: np.ndarray
-    second_moment: np.ndarray
-    step_count: int = 0
-
-    def __post_init__(self):
-        if not (self.params.shape == self.first_moment.shape == self.second_moment.shape):
-            raise ValueError("params and moment estimates must share one shape")
-        if self.step_count < 0:
-            raise ValueError("step_count must be nonnegative")
-
-    @classmethod
-    def initial(cls, params: np.ndarray) -> "OptState":
-        params = np.asarray(params, dtype=float)
-        return cls(
-            params=params,
-            first_moment=np.zeros_like(params),
-            second_moment=np.zeros_like(params),
-            step_count=0,
-        )
-
-
-def adam_step(state: OptState, grad: np.ndarray, cfg: AdamConfig) -> OptState:
-    """One bias-corrected Adam update; returns the advanced state."""
+def adam_step(params: np.ndarray, m: np.ndarray, v: np.ndarray, step: int,
+              grad: np.ndarray, cfg: AdamConfig) -> None:
+    """Bias-corrected Adam update number ``step`` (from 1): advances
+    ``params`` and its moment estimates ``m`` and ``v`` in place."""
     grad = np.asarray(grad, dtype=float)
-    if grad.shape != state.params.shape:
+    if grad.shape != params.shape:
         raise ValueError("gradient shape does not match the parameters")
-    t = state.step_count + 1
-    m = cfg.beta1 * state.first_moment + (1.0 - cfg.beta1) * grad
-    v = cfg.beta2 * state.second_moment + (1.0 - cfg.beta2) * grad * grad
-    m_hat = m / (1.0 - cfg.beta1**t)
-    v_hat = v / (1.0 - cfg.beta2**t)
-    params = state.params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
-    return OptState(params=params, first_moment=m, second_moment=v, step_count=t)
+    if step < 1:
+        raise ValueError("step counts from 1")
+    m *= BETA1
+    m += (1.0 - BETA1) * grad
+    v *= BETA2
+    v += (1.0 - BETA2) * grad * grad
+    m_hat = m / (1.0 - BETA1**step)
+    v_hat = v / (1.0 - BETA2**step)
+    params -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)
 
 
 def fit_transition(obj: Objective, a0: np.ndarray, cfg: AdamConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -79,10 +55,10 @@ def fit_transition(obj: Objective, a0: np.ndarray, cfg: AdamConfig) -> tuple[np.
     A 2-D ``a0`` fits one operator.  A stack (n_u, d, d), with ``obj``
     holding one memory vector per slice (n_u, d), fits the n_u operators
     with one value+gradient call per iteration for the whole stack.  Each
-    operator keeps its own :class:`OptState` and takes its own
-    :func:`adam_step`, so every slice takes exactly the steps it would take
-    alone.  The working set is that of :func:`objective_value_and_gradient`
-    on the stack.
+    operator takes its own :func:`adam_step` on its slice of the parameter
+    and moment arrays, so every slice takes exactly the steps it would take
+    alone.  ``a0`` is copied, never written.  The working set is that of
+    :func:`objective_value_and_gradient` on the stack.
 
     Returns the final operator(s), shaped like ``a0``, and the objective
     value at every iterate, the initial loss first: shape
@@ -94,14 +70,16 @@ def fit_transition(obj: Objective, a0: np.ndarray, cfg: AdamConfig) -> tuple[np.
     d = obj.snapshots.dim
     if params.ndim not in (2, 3) or params.shape[-2:] != (d, d):
         raise ValueError("a0 shape does not match the snapshot dimension")
-    states = [OptState.initial(a) for a in params.reshape(-1, d, d)]
+    m, v = np.zeros_like(params), np.zeros_like(params)
+    slices = list(zip(params.reshape(-1, d, d), m.reshape(-1, d, d), v.reshape(-1, d, d)))
     trace = np.empty(params.shape[:-2] + (cfg.iterations + 1,))
     for it in range(cfg.iterations):
         value, grad = objective_value_and_gradient(obj, params)
         trace[..., it] = value
         _check_finite(value, f"at iteration {it}", it)
-        states = [adam_step(st, g, cfg) for st, g in zip(states, grad.reshape(-1, d, d))]
-        params = np.stack([st.params for st in states]).reshape(params.shape)
+        # one call per slice, as perfbench/spans.py counts them; goes with ROADMAP items 1-2
+        for (p, ms, vs), g in zip(slices, grad.reshape(-1, d, d)):
+            adam_step(p, ms, vs, it + 1, g, cfg)
     final = objective_value(obj, params)
     trace[..., -1] = final
     _check_finite(final, f"after {cfg.iterations} iterations", cfg.iterations)

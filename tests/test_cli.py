@@ -42,6 +42,22 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["beta1", "beta2", "epsilon"])
+    def test_fixed_adam_constant_is_config_failure(self, tmp_path, capsys, key):
+        cfg = write_cfg(tmp_path, f"{key} = 0.9\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"unknown key '{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_output_dir_is_config_failure(self, tmp_path, capsys, monkeypatch):
+        cfg = write_cfg(tmp_path, SMALL + "output_dir =\n")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("MZDMD_OUTPUT_DIR", raising=False)
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert "output_dir" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "absent.cfg")]) == 2
 

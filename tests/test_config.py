@@ -78,6 +78,17 @@ class TestErrors:
         with pytest.raises(ConfigError, match="foo"):
             parse_config(write_cfg(tmp_path, "foo = 1\n"))
 
+    @pytest.mark.parametrize("key", ["beta1", "beta2", "epsilon"])
+    def test_fixed_adam_constants_are_unknown_keys(self, tmp_path, key):
+        with pytest.raises(ConfigError, match=f"line 1: unknown key '{key}'"):
+            parse_config(write_cfg(tmp_path, f"{key} = 0.9\n"))
+
+    def test_empty_output_dir_is_refused(self, tmp_path):
+        # Path("") is ".", which would write the outputs into the cwd
+        with pytest.raises(ConfigError, match="line 2: invalid value for 'output_dir'") as excinfo:
+            parse_config(write_cfg(tmp_path, "seed = 1\noutput_dir =\n"))
+        assert excinfo.value.line == 2
+
     def test_parse_error_carries_line_number(self, tmp_path):
         with pytest.raises(ConfigError, match="line 3") as excinfo:
             parse_config(write_cfg(tmp_path, "seed = 1\n# ok\nnot a pair\n"))
@@ -124,8 +135,6 @@ class TestErrors:
     ("sigma = inf", "sigma"),
     ("lr = nan", "learning_rate"),
     ("lr = inf", "learning_rate"),
-    ("epsilon = nan", "epsilon"),
-    ("epsilon = inf", "epsilon"),
     ("resolved_init = nan 0", "resolved_init"),
     ("resolved_init = 0 -inf", "resolved_init"),
 ])

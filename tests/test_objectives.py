@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from mzdmd import (
     Objective,
     SingularMatrixError,
-    OptState,
     SnapshotPair,
     SpectralModel,
     cayley_M,
@@ -520,7 +519,6 @@ _PAIR = SnapshotPair.from_snapshots(np.arange(6.0).reshape(2, 3), 0.1)
     _PAIR,
     Objective("mz-dmd", _PAIR, np.ones(2)),
     SpectralModel(np.array([1.0, 0.5]), np.eye(2), 0.1),
-    OptState.initial(np.ones((2, 2))),
 ], ids=lambda record: type(record).__name__)
 def test_array_records_compare_by_identity(record):
     # a generated __eq__ would compare the ndarray fields as a tuple, which

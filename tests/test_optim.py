@@ -1,90 +1,138 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from conftest import random_snapshots
+from conftest import assert_bitwise, random_snapshots
 
 from mzdmd import (
     AdamConfig,
     DivergenceError,
     Objective,
-    OptState,
     adam_step,
     dmd_fit,
     fit_transition,
+    objective_value_and_gradient,
 )
+from mzdmd.optim import BETA1, BETA2, EPSILON
+
+
+def reference_adam_step(params, m, v, step, grad, cfg):
+    """The functional Adam update that the in-place one replaced, with the
+    same expression order; returns the new (params, m, v)."""
+    m = BETA1 * m + (1.0 - BETA1) * grad
+    v = BETA2 * v + (1.0 - BETA2) * grad * grad
+    m_hat = m / (1.0 - BETA1**step)
+    v_hat = v / (1.0 - BETA2**step)
+    return params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON), m, v
+
+
+def reference_fit(obj, a0, cfg):
+    """One operator fitted by the reference update."""
+    params, m, v = np.array(a0, dtype=float), np.zeros_like(a0), np.zeros_like(a0)
+    for it in range(cfg.iterations):
+        _, grad = objective_value_and_gradient(obj, params)
+        params, m, v = reference_adam_step(params, m, v, it + 1, grad, cfg)
+    return params
+
+
+def fresh(params):
+    """A writable copy of ``params`` and zero moments of its shape."""
+    params = np.array(params, dtype=float)
+    return params, np.zeros_like(params), np.zeros_like(params)
 
 
 class TestAdamConfig:
     def test_defaults(self):
         cfg = AdamConfig()
-        assert cfg.learning_rate == 1e-3
-        assert cfg.beta1 == 0.9 and cfg.beta2 == 0.999
-        assert cfg.epsilon == 1e-8 and cfg.iterations == 5
+        assert cfg.learning_rate == 1e-3 and cfg.iterations == 5
+        assert (BETA1, BETA2, EPSILON) == (0.9, 0.999, 1e-8)
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"learning_rate": 0.0},
-            {"beta1": 1.0},
-            {"beta2": -0.1},
-            {"epsilon": 0.0},
+            {"learning_rate": -1e-3},
+            {"iterations": -1},
+            {"learning_rate": -np.inf},
             {"iterations": 0},
             {"learning_rate": np.nan},
             {"learning_rate": np.inf},
-            {"epsilon": np.nan},
-            {"epsilon": np.inf},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             AdamConfig(**kwargs)
 
+    def test_only_the_rate_and_budget_are_fields(self):
+        assert [f.name for f in dataclasses.fields(AdamConfig)] == ["learning_rate", "iterations"]
+
 
 class TestAdamStep:
     def test_zero_gradient_leaves_params(self):
         params = np.array([[1.0, -2.0], [0.5, 3.0]])
-        state = OptState.initial(params)
-        new = adam_step(state, np.zeros((2, 2)), AdamConfig())
-        np.testing.assert_array_equal(new.params, params)
-        assert new.step_count == 1
+        p, m, v = fresh(params)
+        adam_step(p, m, v, 1, np.zeros((2, 2)), AdamConfig())
+        np.testing.assert_array_equal(p, params)
 
     def test_scalar_first_step(self):
-        state = OptState.initial(np.array([[0.0]]))
-        new = adam_step(state, np.array([[2.0]]), AdamConfig())
+        p, m, v = fresh([[0.0]])
+        adam_step(p, m, v, 1, np.array([[2.0]]), AdamConfig())
         # bias-corrected first step is -lr * g / (|g| + eps), essentially -lr
-        assert new.params[0, 0] == pytest.approx(-1e-3, abs=1e-10)
+        assert p[0, 0] == pytest.approx(-1e-3, abs=1e-10)
 
     def test_step_magnitude_bound(self):
         cfg = AdamConfig()
-        state = OptState.initial(np.zeros((2, 2)))
+        p, m, v = fresh(np.zeros((2, 2)))
         grad = np.array([[5.0, -3.0], [0.25, 100.0]])
-        bound = cfg.learning_rate / (1 - cfg.beta1) * (1 + 1e-9)
-        for _ in range(6):
-            prev = state.params
-            state = adam_step(state, grad, cfg)
-            assert np.abs(state.params - prev).max() <= bound
+        bound = cfg.learning_rate / (1 - BETA1) * (1 + 1e-9)
+        for step in range(1, 7):
+            prev = p.copy()
+            adam_step(p, m, v, step, grad, cfg)
+            assert np.abs(p - prev).max() <= bound
 
     def test_two_constant_steps(self):
         cfg = AdamConfig()
-        state = OptState.initial(np.array([[0.0]]))
+        p, m, v = fresh([[0.0]])
         grad = np.array([[7.0]])
-        before = state.params.copy()
-        state = adam_step(state, grad, cfg)
-        state = adam_step(state, grad, cfg)
-        per_step = np.abs(state.params - before).max() / 2
+        before = p.copy()
+        adam_step(p, m, v, 1, grad, cfg)
+        adam_step(p, m, v, 2, grad, cfg)
+        per_step = np.abs(p - before).max() / 2
         assert per_step <= cfg.learning_rate * (1 + 1e-9)
 
     def test_deterministic(self):
         rng = np.random.default_rng(0)
         params = rng.standard_normal((3, 3))
         grad = rng.standard_normal((3, 3))
-        a = adam_step(OptState.initial(params), grad, AdamConfig())
-        b = adam_step(OptState.initial(params), grad, AdamConfig())
-        np.testing.assert_array_equal(a.params, b.params)
-        np.testing.assert_array_equal(a.second_moment, b.second_moment)
+        a, b = fresh(params), fresh(params)
+        adam_step(*a, 1, grad, AdamConfig())
+        adam_step(*b, 1, grad, AdamConfig())
+        for x, y in zip(a, b):
+            assert_bitwise(x, y)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            adam_step(OptState.initial(np.zeros((2, 2))), np.zeros(3), AdamConfig())
+            adam_step(*fresh(np.zeros((2, 2))), 1, np.zeros(3), AdamConfig())
+
+    def test_step_counts_from_one(self):
+        with pytest.raises(ValueError, match="step"):
+            adam_step(*fresh(np.zeros((2, 2))), 0, np.ones((2, 2)), AdamConfig())
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 2, 2), (5, 4, 4)])
+    def test_in_place_update_matches_the_reference_bitwise(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        cfg = AdamConfig(learning_rate=0.05)
+        params = rng.standard_normal(shape)
+        p, m, v = fresh(params)
+        want = fresh(params)
+        for step in range(1, 6):
+            grad = rng.standard_normal(shape)
+            grad.flat[::3] = 0.0  # zero and negative zero gradients
+            grad.flat[1::5] = -0.0
+            adam_step(p, m, v, step, grad, cfg)
+            want = reference_adam_step(*want, step, grad, cfg)
+            for got, ref in zip((p, m, v), want):
+                assert_bitwise(got, ref)
 
 
 class TestFitTransition:
@@ -147,9 +195,9 @@ class TestFitTransition:
         a0 = np.stack([dmd_fit(s)] * 3)
         steps = []
 
-        def counting_step(state, grad, cfg):
+        def counting_step(params, m, v, step, grad, cfg):
             steps.append(grad.shape)
-            return adam_step(state, grad, cfg)
+            adam_step(params, m, v, step, grad, cfg)
 
         monkeypatch.setattr(mzdmd.optim, "adam_step", counting_step)
         fit_transition(Objective("t-model", s, mem), a0, AdamConfig(iterations=2))
@@ -160,3 +208,26 @@ class TestFitTransition:
         s = random_snapshots(rng)
         with pytest.raises(ValueError):
             fit_transition(Objective("plain-dmd", s), np.eye(3), AdamConfig())
+
+    def test_stack_matches_a_per_slice_reference_loop_bitwise(self):
+        rng = np.random.default_rng(8)
+        s = random_snapshots(rng, cols=12)
+        mem = rng.standard_normal((4, 2))
+        a0 = np.stack([dmd_fit(s) + 0.01 * rng.standard_normal((2, 2)) for _ in range(4)])
+        cfg = AdamConfig(learning_rate=0.01, iterations=5)
+        fitted, _ = fit_transition(Objective("mz-dmd", s, mem), a0, cfg)
+        want = np.stack([reference_fit(Objective("mz-dmd", s, mem[i]), a0[i], cfg)
+                         for i in range(4)])
+        assert_bitwise(fitted, want)
+
+    @pytest.mark.parametrize("n_u", [None, 3])
+    def test_leaves_a0_unchanged(self, n_u):
+        rng = np.random.default_rng(9)
+        s = random_snapshots(rng, cols=10)
+        a0 = dmd_fit(s) if n_u is None else np.stack([dmd_fit(s)] * n_u)
+        mem = rng.standard_normal(2 if n_u is None else (n_u, 2))
+        before = a0.copy()
+        assert a0.flags.writeable
+        fitted, _ = fit_transition(Objective("t-model", s, mem), a0, AdamConfig())
+        assert_bitwise(a0, before)
+        assert not np.shares_memory(fitted, a0)
