@@ -4,6 +4,10 @@ Thin wrappers around LAPACK-backed numpy/scipy routines that add the
 normalization and failure semantics the rest of the package relies on:
 phase-fixed eigenvectors, condition-checked solves, and the directional
 (Frechet) derivative of the matrix exponential.
+
+``expm`` alone names scipy, and imports ``scipy.linalg`` on its first call:
+only the memory-aware fits take a matrix exponential, so importing the
+package, plain DMD, simulation and the projection never pay for loading it.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalError, SingularMatrixError, failing_slices
 
@@ -104,6 +107,7 @@ def expm(a: np.ndarray) -> np.ndarray:
     matrix or of each slice of an (n, d, d) stack."""
     a = np.asarray(a)
     _square(a, "expm")
+    import scipy.linalg
     result = scipy.linalg.expm(a)
     bad = ~np.isfinite(result).all(axis=(-2, -1))
     if np.any(bad):
