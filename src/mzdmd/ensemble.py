@@ -83,8 +83,8 @@ def fit_ensemble(
     its memory vector, sigma times standard normals, from the stream (seed,
     ensemble, i), and one ``keyed_normals`` call draws them all.  The n_u
     fits run as one stacked computation over (n_u, d, d) operators and
-    (n_u, d) memory vectors; its working set is at most about 11 * n_u * d
-    * (m - 1) * 8 bytes for m snapshots (9 MB for mz-dmd at the default
+    (n_u, d) memory vectors; its working set is at most about 9 * n_u * d
+    * (m - 1) * 8 bytes for m snapshots (7.3 MB for mz-dmd at the default
     n_u = 100, d = 2, m = 501).
     The result stacks the phase-normalized eigendecomposition of each fitted
     operator, in sample order.

@@ -169,15 +169,20 @@ def _power_pullback(m: np.ndarray, x: np.ndarray, c: np.ndarray) -> np.ndarray:
 
     One backward sweep ``p_j = c_j + M^T p_{j+1}`` gives
     ``sum_{j >= 1} p_j x_{j-1}^T`` for every slice of the stack (..., d, d);
-    the cotangent c (..., d, cols) broadcasts against it.
+    the cotangent c (..., d, cols) broadcasts against it.  The sweep array
+    starts out holding the cotangent, so each step is one ``matmul`` into a
+    scratch vector and one contiguous add into ``p_j``.
     """
     cols = c.shape[-1]
     mt = _mT(m)
-    p = np.zeros((cols + 1,) + m.shape[:-1] + (1,))  # p[cols] = 0 starts the sweep
-    ps, cs = list(p), list(np.moveaxis(c, -1, 0)[..., None])
-    for nxt, cur, cj in zip(ps[cols:1:-1], ps[cols - 1:0:-1], cs[cols - 1:0:-1]):
-        np.matmul(mt, nxt, cur)
-        np.add(cur, cj, cur)
+    p = np.empty((cols + 1,) + m.shape[:-1] + (1,))
+    np.moveaxis(p[:cols, ..., 0], 0, -1)[...] = c
+    p[cols] = 0.0  # starts the sweep
+    step = np.empty_like(p[cols])
+    ps = list(p)
+    for nxt, cur in zip(ps[cols:1:-1], ps[cols - 1:0:-1]):
+        np.matmul(mt, nxt, step)
+        np.add(step, cur, cur)
     return _columns(p[:cols])[..., 1:] @ _mT(x[..., :-1])
 
 
@@ -208,14 +213,15 @@ def _mz_memory(a, n, cols):
 
 
 def _tmodel_memory(a, n, dt, cols):
-    """Columns of :func:`tmodel_memory_matrix` for a stack and their pullback."""
+    """Columns of :func:`tmodel_memory_matrix` for a stack and their pullback,
+    which weights its cotangent in place."""
     a_shift = a - np.eye(a.shape[-1])
     w = linalg.expm(a_shift)
     x = _power_columns(w, n, cols)
     weights = dt * np.arange(cols)
 
     def pullback(c):
-        g_w = _power_pullback(w, x, c * weights)
+        g_w = _power_pullback(w, x, np.multiply(c, weights, out=c))
         return linalg.expm_frechet(_mT(a_shift), g_w)[1]
 
     return x * weights, pullback
@@ -258,7 +264,8 @@ def _residual(obj: Objective, a: np.ndarray):
     and the pullback of their memory term.
 
     The pullback maps a cotangent of the residuals to the gradient of the
-    memory term in A; it is None for the plain objective.
+    memory term in A, scaling the cotangent in place, so it takes an array
+    the caller no longer needs; it is None for the plain objective.
     """
     s = obj.snapshots
     a, n = _stacks(a, None if obj.kind == PLAIN_DMD else obj.memory, s.dim)
@@ -271,7 +278,7 @@ def _residual(obj: Objective, a: np.ndarray):
         cols, pullback = _tmodel_memory(a, n, s.dt, s.cols)
     else:
         return r, None
-    return r + scale * cols, lambda c: pullback(scale * c)
+    return r + scale * cols, lambda c: pullback(np.multiply(c, scale, out=c))
 
 
 def _sum_squares(r: np.ndarray) -> np.ndarray:
@@ -298,26 +305,28 @@ def objective_value_and_gradient(
 
     Reverse mode: the forward pass builds the residual r; the gradient of
     ``||r||^2`` is ``-2 r x_minus^T`` plus the memory term's pullback of the
-    cotangent 2r.  The pullback runs one backward sweep over its power
-    chains, uses the inverse rule ``d(B^{-1}) = -B^{-1} dB B^{-1}`` for the
-    (A - I) and (A + I) inverses, and takes the adjoint of the Frechet
-    derivative of ``expm(A - I)``, which is that derivative at the
-    transpose, in one :func:`linalg.expm_frechet` call.
+    cotangent 2r, formed by doubling r in place once the value is taken.
+    The pullback runs one backward sweep over its power chains, uses the
+    inverse rule ``d(B^{-1}) = -B^{-1} dB B^{-1}`` for the (A - I) and
+    (A + I) inverses, and takes the adjoint of the Frechet derivative of
+    ``expm(A - I)``, which is that derivative at the transpose, in one
+    :func:`linalg.expm_frechet` call.
 
     A 2-D operator gives a float and a (d, d) gradient.  A stack (n_u, d, d),
     with one memory vector per slice, is evaluated as one computation and
     gives (n_u,) values and (n_u, d, d) gradients, each slice independent
     of the others.  Each memory chain and its sweep hold (cols, n_u, d)
-    floats; mz-dmd powers two chains side by side and peaks at about 11 such
-    arrays, 11 * n_u * d * cols * 8 bytes (9.0 MB traced at n_u = 100, d = 2
-    and 500 columns), t-model at about 7 (5.8 MB).
+    floats; mz-dmd powers two chains side by side and peaks at about 9 such
+    arrays, 9 * n_u * d * cols * 8 bytes (7.3 MB traced at n_u = 100, d = 2
+    and 500 columns), t-model at about 4 (3.3 MB).
     """
     s = obj.snapshots
     r, pullback = _residual(obj, a)
     value = _sum_squares(r)
     grad = -2.0 * (r @ s.x_minus.T)
     if pullback is not None:
-        grad = grad + pullback(2.0 * r)
+        r *= 2.0
+        grad += pullback(r)
     if np.ndim(a) == 2:
         return float(value[0]), grad[0]
     return value, grad

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import all_kind_objectives, random_operator, random_snapshots, rotation_snapshots
+from conftest import all_kind_objectives, assert_bitwise, random_operator, random_snapshots, rotation_snapshots
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,7 +29,7 @@ from mzdmd import (
 )
 from mzdmd import objectives
 from mzdmd.config import build_config
-from mzdmd.objectives import _mT, _power_columns, _power_pullback
+from mzdmd.objectives import _columns, _mT, _power_columns, _power_pullback
 
 
 class TestSnapshotPair:
@@ -387,6 +387,80 @@ class TestStackedChains:
         yx = _power_columns(kw, rng.standard_normal((1, 2)), 1)
         g = _power_pullback(kw, yx, rng.standard_normal((1, 2, 1)))
         assert np.array_equal(g, np.zeros((2, 1, 2, 2)))
+
+
+def _reference_power_pullback(m, x, c):
+    """The sweep with a zeroed sweep array and a broadcasting add of each
+    cotangent column.  Bitwise reference for ``objectives._power_pullback``."""
+    cols = c.shape[-1]
+    mt = _mT(m)
+    p = np.zeros((cols + 1,) + m.shape[:-1] + (1,))  # p[cols] = 0 starts the sweep
+    ps, cs = list(p), list(np.moveaxis(c, -1, 0)[..., None])
+    for nxt, cur, cj in zip(ps[cols:1:-1], ps[cols - 1:0:-1], cs[cols - 1:0:-1]):
+        np.matmul(mt, nxt, cur)
+        np.add(cur, cj, cur)
+    return _columns(p[:cols])[..., 1:] @ _mT(x[..., :-1])
+
+
+def _contracting_stack(rng, shape):
+    """Random (..., d, d) operators scaled to spectral radius 0.95, so a
+    chain stays finite over thousands of columns."""
+    m = rng.standard_normal(shape)
+    radius = np.abs(np.linalg.eigvals(m)).max(axis=-1)
+    return m * (0.95 / radius)[..., None, None]
+
+
+class TestPowerPullbackMatchesReference:
+    """The sweep seeded with its cotangent against the broadcast-add sweep,
+    byte for byte, signed zeros included."""
+
+    @pytest.mark.parametrize("cols", [1, 2, 7, 2000])
+    @pytest.mark.parametrize("n_u", [1, 5])
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("layout", ["stacked, broadcast cotangent", "stacked, full cotangent", "plain"])
+    def test_bitwise(self, layout, d, n_u, cols):
+        rng = np.random.default_rng([d, n_u, cols])
+        lead = (n_u,) if layout == "plain" else (2, n_u)
+        m = _contracting_stack(rng, lead + (d, d))
+        x = _power_columns(m, rng.standard_normal((n_u, d)), cols)
+        c = rng.standard_normal((lead if layout == "stacked, full cotangent" else (n_u,)) + (d, cols))
+        c[..., -1] = -0.0
+        c[..., cols // 2] = -0.0
+        c_before = c.copy()
+        got, want = _power_pullback(m, x, c), _reference_power_pullback(m, x, c)
+        assert got.shape == want.shape == lead + (d, d)
+        assert got.tobytes() == want.tobytes()
+        assert c.tobytes() == c_before.tobytes()
+
+    @pytest.mark.parametrize("cols", [1, 2, 7])
+    def test_zero_cotangent(self, cols):
+        rng = np.random.default_rng(50 + cols)
+        m = _contracting_stack(rng, (2, 3, 2, 2))
+        x = _power_columns(m, rng.standard_normal((3, 2)), cols)
+        c = np.full((3, 2, cols), -0.0)
+        assert _power_pullback(m, x, c).tobytes() == _reference_power_pullback(m, x, c).tobytes()
+
+
+class TestValueAndGradientLeavesItsInputs:
+    """The cotangent is scaled in place inside one call; a second call on the
+    same objective and operator must see the same inputs."""
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("kind", ["mz-dmd", "t-model"])
+    def test_repeat_call_is_bitwise_equal(self, kind, stacked):
+        rng = np.random.default_rng(60)
+        snaps = random_snapshots(rng, d=3, cols=20)
+        a = np.stack([random_operator(rng, 3) for _ in range(4)])
+        a = a if stacked else a[0]
+        obj = Objective(kind, snaps, rng.standard_normal(a.shape[:-1]))
+        inputs = (a, snaps.x_plus, snaps.x_minus, obj.memory)
+        before = [x.copy() for x in inputs]
+        first = objective_value_and_gradient(obj, a)
+        second = objective_value_and_gradient(obj, a)
+        for got, want in zip(second, first):
+            assert_bitwise(got, want)
+        for got, want in zip(inputs, before):
+            assert_bitwise(got, want)
 
 
 def _reference_mz_memory(a, n, cols):
