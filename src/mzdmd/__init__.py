@@ -67,11 +67,9 @@ from .oscillator import (
     Trajectory,
     hamiltonian,
     integrate,
-    measure,
     monte_carlo_projection,
     oscillator_rhs,
     rng_stream,
-    sample_unresolved,
 )
 from .plots import emit_plot
 

@@ -37,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", type=Path, help="key-value config file")
     common.add_argument("--seed", type=int, help="override the master seed")
     common.add_argument("--method", choices=METHODS, help="override the method")
-    common.add_argument("--out", type=Path, help="override the output directory")
+    common.add_argument("--out", help="override the output directory")
 
     parser = argparse.ArgumentParser(
         prog="mzdmd",
@@ -61,7 +61,7 @@ def resolve_config(args) -> ExperimentConfig:
     """The config file's keys, if any, with the flags laid over them."""
     keys = read_config(args.config) if args.config is not None else {}
     flags = {
-        "output_dir": args.out or os.environ.get(ENV_OUTPUT_DIR) or None,
+        "output_dir": args.out if args.out is not None else os.environ.get(ENV_OUTPUT_DIR) or None,
         "seed": args.seed,
         "method": args.method,
     }

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,6 +46,8 @@ class ExperimentConfig:
         if len(init) != 2 or not all(map(math.isfinite, init)):
             raise ValueError("resolved_init must hold exactly two finite values")
         object.__setattr__(self, "resolved_init", init)
+        if not os.fspath(self.output_dir):  # checked before Path("") becomes "."
+            raise ValueError("output_dir must not be empty")
         object.__setattr__(self, "output_dir", Path(self.output_dir))
 
 

@@ -22,18 +22,8 @@ import numpy as np
 from . import linalg
 from .ensemble import SpectralModel, fit_ensemble, match_and_average, reconstruct, run_ensemble
 from .objectives import MZ_DMD, T_MODEL, SnapshotPair, dmd_fit
-from .oscillator import (
-    TAG_MEASUREMENT,
-    Trajectory,
-    integrate,
-    measure,
-    monte_carlo_projection,
-    rng_stream,
-    sample_unresolved,
-)
+from .oscillator import TAG_MEASUREMENT, Trajectory, integrate, monte_carlo_projection, rng_stream
 from .plots import emit_plot
-
-SUBSTEPS = 10
 
 
 class MethodFailure(RuntimeError):
@@ -113,14 +103,18 @@ def read_csv(path) -> tuple[list[str], np.ndarray]:
 
 
 def simulate_measurement(cfg) -> tuple[Trajectory, SnapshotPair]:
-    """One full-system draw, with hidden initial conditions sampled from the
-    measurement stream and resolved initials pinned at cfg.resolved_init;
-    returns its measured (y1, y2) trajectory and snapshot pair."""
-    rng = rng_stream(cfg.sim.seed, TAG_MEASUREMENT)
-    y3, y4 = sample_unresolved(cfg.sim.sigma, rng)
-    y0 = np.array([cfg.resolved_init[0], cfg.resolved_init[1], y3, y4])
-    traj = integrate(y0, cfg.sim, SUBSTEPS)
-    return Trajectory(traj.times, traj.states[:, :2]), measure(traj)
+    """The measurement: one full-system draw and its resolved coordinates.
+
+    The resolved initial values (y1, y2) are pinned at cfg.resolved_init
+    and the hidden ones are (y3, y4) = ``cfg.sim.sigma *
+    rng_stream(seed, TAG_MEASUREMENT).standard_normal(2)``.  Returns the
+    measured (y1, y2) trajectory and its ascending-time snapshot pair at
+    step cfg.sim.dt.
+    """
+    y3, y4 = (cfg.sim.sigma * rng_stream(cfg.sim.seed, TAG_MEASUREMENT).standard_normal(2)).tolist()
+    traj = integrate(np.array([*cfg.resolved_init, y3, y4]), cfg.sim)
+    measured = Trajectory(traj.times, traj.states[:, :2])
+    return measured, SnapshotPair.from_snapshots(measured.states.T, cfg.sim.dt)
 
 
 def dmd_spectral_model(snapshots: SnapshotPair) -> SpectralModel:
@@ -151,7 +145,7 @@ def _ensemble_spectral_model(kind, cfg, snapshots):
 
 
 def _fit_projection(cfg, snapshots):
-    mean, var = monte_carlo_projection(cfg.sim, cfg.resolved_init, SUBSTEPS)
+    mean, var = monte_carlo_projection(cfg.sim, cfg.resolved_init)
     return mean, var, None
 
 

@@ -1,5 +1,5 @@
-"""Coupled-oscillator benchmark: dynamics, RK4 integration, measurement,
-and the Monte Carlo projection over unresolved initial conditions.
+"""Coupled-oscillator benchmark: dynamics, RK4 integration, and the Monte
+Carlo projection over unresolved initial conditions.
 
 The system couples two unit oscillators through their positions; the first
 oscillator (y1, y2) is measured, the second (y3, y4) is hidden and its
@@ -14,7 +14,9 @@ from math import isfinite
 import numpy as np
 
 from .errors import DivergenceError
-from .objectives import SnapshotPair
+
+# RK4 sub-steps per grid step, the default of every integration
+SUBSTEPS = 10
 
 # spawn-key tags keeping the random streams of the pipeline stages disjoint
 TAG_MEASUREMENT = 0
@@ -187,18 +189,24 @@ def _accel(p: float, q: float) -> float:
     return -p * (1.0 + q ** 2)
 
 
-def _integrate_single(y0: np.ndarray, cfg: SimConfig, substeps: int) -> np.ndarray:
-    """Classical RK4 at internal step dt/substeps on four Python floats,
-    sampled on the cfg grid; returns (n_points, 4).
+def integrate(s0: np.ndarray, cfg: SimConfig, substeps: int = SUBSTEPS) -> Trajectory:
+    """Integrate the oscillator from one state ``s0`` (4,) over the cfg time
+    grid with classical RK4 at internal step dt/substeps, on four Python
+    floats; the trajectory's states are (n_points, 4).
 
     Each stage's position derivative is the velocity it starts from, so
     only the two accelerations are computed per stage.  The arithmetic is
     that of ``oscillator_rhs`` and the RK4 update on a (4,) array, in the
     same order, and squares by ``pow``.
     """
+    if substeps < 1:
+        raise ValueError("substeps must be at least 1")
+    s0 = np.asarray(s0, dtype=float)
+    if s0.shape != (4,):
+        raise ValueError("s0 must be one state (4,)")
     h = cfg.dt / substeps
     hh, h6 = 0.5 * h, h / 6.0
-    y1, y2, y3, y4 = (float(v) for v in y0)
+    y1, y2, y3, y4 = s0.tolist()
     rows = [(y1, y2, y3, y4)]
     for step in range(1, cfg.n_points):
         try:
@@ -222,7 +230,7 @@ def _integrate_single(y0: np.ndarray, cfg: SimConfig, substeps: int) -> np.ndarr
         if not (isfinite(y1) and isfinite(y2) and isfinite(y3) and isfinite(y4)):
             raise DivergenceError(f"state became non-finite at grid step {step}", step=step)
         rows.append((y1, y2, y3, y4))
-    return np.array(rows)
+    return Trajectory(times=cfg.times(), states=np.array(rows))
 
 
 def _rk4_batch(y0: np.ndarray, cfg: SimConfig, substeps: int):
@@ -247,8 +255,8 @@ def _rk4_batch(y0: np.ndarray, cfg: SimConfig, substeps: int):
     ``np.subtract(-1.0, q^2)``.  Negation is exact and rounding is
     symmetric in sign, so the two are the same float, signed zeros
     included.  Positions are squared by ``np.square``, as numpy's array
-    ``** 2`` does.  A single state squares by ``pow`` instead, so a column
-    may differ from its standalone run in the last bits.
+    ``** 2`` does.  ``integrate`` squares by ``pow`` instead, so a column
+    may differ from its ``integrate`` run in the last bits.
     """
     h = cfg.dt / substeps
     hh, h6 = 0.5 * h, h / 6.0
@@ -295,67 +303,26 @@ def _rk4_batch(y0: np.ndarray, cfg: SimConfig, substeps: int):
         yield state
 
 
-def integrate(s0: np.ndarray, cfg: SimConfig, substeps: int = 10) -> Trajectory:
-    """Integrate the oscillator from ``s0`` over the cfg time grid with RK4.
-
-    ``s0`` is one state (4,), integrated on Python floats, or a batch of
-    state columns (4, n), integrated in place on arrays; the trajectory's
-    states are (n_points, 4) or (n_points, 4, n).  The two paths square
-    differently (see ``_integrate_single`` and ``_rk4_batch``).
-    """
-    if substeps < 1:
-        raise ValueError("substeps must be at least 1")
-    s0 = np.asarray(s0, dtype=float)
-    if s0.shape == (4,):
-        states = _integrate_single(s0, cfg, substeps)
-    elif s0.ndim == 2 and s0.shape[0] == 4:
-        states = np.empty((cfg.n_points,) + s0.shape)
-        for step, y in enumerate(_rk4_batch(s0, cfg, substeps)):
-            # rows (y1, y3, y2, y4) back to (y1, y2, y3, y4)
-            states[step, ::2], states[step, 1::2] = y[:2], y[2:]
-    else:
-        raise ValueError("s0 must be one state (4,) or a batch of state columns (4, n)")
-    return Trajectory(times=cfg.times(), states=states)
-
-
-def sample_unresolved(sigma: float, rng: np.random.Generator) -> tuple[float, float]:
-    """Two independent draws from N(0, sigma^2) for the hidden coordinates."""
-    if not 0 <= sigma < np.inf:
-        raise ValueError("sigma must be nonnegative and finite")
-    draws = sigma * rng.standard_normal(2)
-    return float(draws[0]), float(draws[1])
-
-
-def measure(traj: Trajectory) -> SnapshotPair:
-    """Extract the resolved coordinates (y1, y2) as an ascending-time snapshot pair."""
-    states = np.asarray(traj.states, dtype=float)
-    if states.ndim != 2 or states.shape[1] != 4:
-        raise ValueError("measure expects a full 4-coordinate trajectory")
-    # the first step, 0 for a record too short for the pair's two-point check
-    dt = np.diff(traj.times[:2]).sum()
-    return SnapshotPair.from_snapshots(states[:, :2].T, dt)
-
-
 def monte_carlo_projection(
-    cfg: SimConfig, x_hat: tuple[float, float], substeps: int = 10
+    cfg: SimConfig, x_hat: tuple[float, float], substeps: int = SUBSTEPS
 ) -> tuple[Trajectory, Trajectory]:
     """Ensemble average of the resolved dynamics over hidden initial conditions.
 
     Integrates ``cfg.n_mc`` full systems with the resolved initial values
     pinned at ``x_hat`` and (y3, y4) drawn per sample from N(0, sigma^2);
     returns the pointwise mean and pointwise population variance of the
-    resolved coordinates.  Sample i draws ``sample_unresolved(sigma,
-    rng_stream(seed, projection, i))`` bit for bit, all of them in one
-    ``keyed_normals`` call.  The batch is reduced one grid step at a time,
-    so memory is O(n_mc); the resolved coordinates are rows 0 and 2 of the
-    ``_rk4_batch`` view.
+    resolved coordinates.  Sample i draws (y3, y4) = ``sigma *
+    rng_stream(seed, TAG_PROJECTION, i).standard_normal(2)`` bit for bit,
+    all of them in one ``keyed_normals`` call.  The batch is reduced one
+    grid step at a time, so memory is O(n_mc); the resolved coordinates are
+    rows 0 and 2 of the ``_rk4_batch`` view.
     """
     x1, x2 = float(x_hat[0]), float(x_hat[1])
     times = cfg.times()
     if cfg.sigma == 0.0:
-        # every sample is identical: one integration keeps the mean bitwise
-        # equal to integrate() and the variance exactly zero
-        mean = _integrate_single(np.array([x1, x2, 0.0, 0.0]), cfg, substeps)[:, :2]
+        # every sample is identical: one integrate() call is the mean, and
+        # the variance is exactly zero
+        mean = integrate(np.array([x1, x2, 0.0, 0.0]), cfg, substeps).states[:, :2]
         return Trajectory(times, mean), Trajectory(times, np.zeros_like(mean))
     normals = keyed_normals(cfg.seed, TAG_PROJECTION, cfg.n_mc, 2)
     y0 = np.vstack([np.full(cfg.n_mc, x1), np.full(cfg.n_mc, x2), cfg.sigma * normals.T])

@@ -129,7 +129,7 @@ def zero_memory(rng):
 
 def rk4_energy(rng):
     y0 = np.array([1.0, 0.0, *rng.standard_normal(2)])
-    h = hamiltonian(integrate(y0, SimConfig(), substeps=10).states.T)
+    h = hamiltonian(integrate(y0, SimConfig()).states.T)
     return np.abs(h - h[0]).max() / abs(h[0])
 
 

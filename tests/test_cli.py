@@ -58,6 +58,22 @@ class TestExitCodes:
         assert "output_dir" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
+    def test_empty_out_flag_is_config_failure(self, tmp_path, capsys, monkeypatch):
+        # argparse's Path type would read "" as ".", the current directory;
+        # an empty flag is refused, not replaced by MZDMD_OUTPUT_DIR
+        cfg = write_cfg(tmp_path, SMALL)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("MZDMD_OUTPUT_DIR", str(tmp_path / "env_out"))
+        assert main(["simulate", "--config", str(cfg), "--out", ""]) == 2
+        assert "output_dir" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+    def test_dot_out_flag_writes_into_cwd(self, tmp_path, monkeypatch):
+        cfg = write_cfg(tmp_path, SMALL)
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--config", str(cfg), "--out", "."]) == 0
+        assert (tmp_path / "measurement.csv").is_file()
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "absent.cfg")]) == 2
 

@@ -89,6 +89,11 @@ class TestErrors:
             parse_config(write_cfg(tmp_path, "seed = 1\noutput_dir =\n"))
         assert excinfo.value.line == 2
 
+    def test_empty_output_dir_key_is_refused(self):
+        with pytest.raises(ConfigError, match="output_dir"):
+            build_config({"output_dir": ""})
+        assert str(build_config({"output_dir": "."}).output_dir) == "."
+
     def test_parse_error_carries_line_number(self, tmp_path):
         with pytest.raises(ConfigError, match="line 3") as excinfo:
             parse_config(write_cfg(tmp_path, "seed = 1\n# ok\nnot a pair\n"))

@@ -5,17 +5,20 @@ import numpy as np
 import pytest
 
 from mzdmd import (
+    SnapshotPair,
     Trajectory,
     default_config,
     dmd_spectral_model,
     emit_plot,
+    oscillator_rhs,
     read_csv,
     reconstruct,
+    rng_stream,
     run_experiment,
     simulate_measurement,
     write_csv,
 )
-from mzdmd import plots
+from mzdmd import harness, plots
 from mzdmd.harness import METHODS, MethodFailure, write_columns
 
 # floats whose text forms are easy to get wrong: a negative zero, the
@@ -262,7 +265,68 @@ class TestEmitPlot:
         assert (tmp_path / "one.svg").read_bytes() == (tmp_path / "two.svg").read_bytes()
 
 
+def _reference_measurement(cfg):
+    """The measurement as three steps composed it: the hidden draw, the
+    integration of the full state (classical RK4 on ``oscillator_rhs`` at
+    step dt/10, which one-state ``integrate`` equals bit for bit) and the
+    extraction of (y1, y2) with the first step of the time grid: the
+    bitwise reference for ``simulate_measurement``.  Returns the initial
+    state, the measured states and their snapshot pair."""
+    draws = cfg.sim.sigma * rng_stream(cfg.sim.seed, 0).standard_normal(2)
+    y3, y4 = float(draws[0]), float(draws[1])
+    y = y0 = np.array([cfg.resolved_init[0], cfg.resolved_init[1], y3, y4])
+    h = cfg.sim.dt / 10
+    rows = [y]
+    for _ in range(1, cfg.sim.n_points):
+        for _ in range(10):
+            k1 = oscillator_rhs(y)
+            k2 = oscillator_rhs(y + 0.5 * h * k1)
+            k3 = oscillator_rhs(y + 0.5 * h * k2)
+            k4 = oscillator_rhs(y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rows.append(y)
+    states = np.array(rows)[:, :2]
+    dt = np.diff(cfg.sim.times()[:2]).sum()
+    return y0, states, SnapshotPair.from_snapshots(states.T, dt)
+
+
+def _recorded_measurement(cfg, monkeypatch):
+    """``simulate_measurement(cfg)`` and the initial state it integrated."""
+    starts, real = [], harness.integrate
+
+    def recording(s0, *args, **kwargs):
+        starts.append(np.array(s0))
+        return real(s0, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "integrate", recording)
+    traj, snaps = simulate_measurement(cfg)
+    (start,) = starts
+    return start, traj, snaps
+
+
 class TestSimulateMeasurement:
+    @pytest.mark.parametrize("sigma", [0.0, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_matches_reference_bitwise(self, seed, sigma, monkeypatch):
+        cfg = default_config()
+        cfg = dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, seed=seed, sigma=sigma))
+        start, traj, snaps = _recorded_measurement(cfg, monkeypatch)
+        want_start, states, want = _reference_measurement(cfg)
+        assert start.tobytes() == want_start.tobytes()
+        assert traj.states.tobytes() == states.tobytes()
+        assert snaps.x_plus.tobytes() == want.x_plus.tobytes()
+        assert snaps.x_minus.tobytes() == want.x_minus.tobytes()
+        assert np.float64(snaps.dt).tobytes() == np.float64(want.dt).tobytes()
+        np.testing.assert_array_equal(traj.times, cfg.sim.times())
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_zero_sigma_keeps_negative_zero_draws(self, seed, monkeypatch):
+        # 0.0 times a negative normal is -0.0, and the hidden start keeps it
+        cfg = default_config()
+        sim = dataclasses.replace(cfg.sim, seed=seed, sigma=0.0, t_max=0.1, n_points=2)
+        start, _, _ = _recorded_measurement(dataclasses.replace(cfg, sim=sim), monkeypatch)
+        assert not start[2:].any() and np.signbit(start[2:]).any()
+
     def test_respects_resolved_init_and_seed(self):
         cfg = default_config()
         traj, snaps = simulate_measurement(cfg)

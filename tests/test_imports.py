@@ -91,19 +91,33 @@ def test_first_expm_loads_scipy_linalg_with_the_same_bits():
     assert run_fresh(code).split() == ["False", "True", "True", "True"]
 
 
+def imported_modules(nodes):
+    """(line, module names) of each import statement among the ``ast``
+    ``nodes``; a relative import's name keeps its leading dots."""
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            yield node.lineno, [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            yield node.lineno, ["." * node.level + (node.module or "")]
+
+
 def test_no_source_file_imports_scipy_at_module_level():
-    offenders = []
-    for path in sorted(PACKAGE_DIR.rglob("*.py")):
-        for node in ast.parse(path.read_text(), filename=str(path)).body:
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            if any(name == "scipy" or name.startswith("scipy.") for name in names):
-                offenders.append(f"{path.relative_to(PACKAGE_DIR)}:{node.lineno}")
+    offenders = [
+        f"{path.relative_to(PACKAGE_DIR)}:{lineno}"
+        for path in sorted(PACKAGE_DIR.rglob("*.py"))
+        for lineno, names in imported_modules(ast.parse(path.read_text()).body)
+        if any(name == "scipy" or name.startswith("scipy.") for name in names)
+    ]
     assert offenders == []
+
+
+def test_oscillator_imports_only_errors_from_the_package():
+    # the simulator is a leaf: the measurement and the fits build on it, so
+    # no import anywhere in the module, function bodies included, reaches them
+    tree = ast.parse((PACKAGE_DIR / "oscillator.py").read_text())
+    package = [name for _, names in imported_modules(ast.walk(tree)) for name in names
+               if name.startswith(".") or name.split(".")[0] == "mzdmd"]
+    assert package == [".errors"]
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")

@@ -47,6 +47,9 @@ class TestSnapshotPair:
             SnapshotPair(np.ones((2, 3)), np.ones((2, 3)), 0.0)
         with pytest.raises(ValueError):
             SnapshotPair(np.full((2, 2), np.nan), np.ones((2, 2)), 0.1)
+        for n in (0, 1):
+            with pytest.raises(ValueError, match="two snapshot columns"):
+                SnapshotPair.from_snapshots(np.zeros((2, n)), 0.1)
 
     def test_objective_requires_memory(self):
         s = SnapshotPair(np.ones((2, 3)), np.ones((2, 3)), 0.1)

@@ -9,18 +9,17 @@ from mzdmd import (
     Trajectory,
     hamiltonian,
     integrate,
-    measure,
     monte_carlo_projection,
     oscillator_rhs,
     rng_stream,
-    sample_unresolved,
 )
 from mzdmd import oscillator
 
 
 def _reference_integrate(rhs, y0, cfg, substeps):
     """Generic classical RK4 on ``rhs`` at internal step dt/substeps, sampled
-    on the cfg grid: the bitwise reference for ``integrate``.  With
+    on the cfg grid: the bitwise reference for ``integrate`` on a single
+    state and for ``oscillator._rk4_batch`` on a batch.  With
     ``oscillator_rhs`` a single state squares by numpy's scalar power
     (``pow``) and a batch by numpy's array power (multiplication)."""
     h = cfg.dt / substeps
@@ -49,11 +48,24 @@ def _reference_outcome(y0, cfg, substeps):
             return exc.step
 
 
+def _integrate_batch(y0, cfg, substeps):
+    """The (n_points, 4, n) states of ``oscillator._rk4_batch`` on the state
+    columns ``y0`` (4, n), each yield stacked with its rows reordered from
+    (y1, y3, y2, y4) to (y1, y2, y3, y4)."""
+    states = np.empty((cfg.n_points,) + y0.shape)
+    for step, y in enumerate(oscillator._rk4_batch(y0, cfg, substeps)):
+        states[step, ::2], states[step, 1::2] = y[:2], y[2:]
+    return states
+
+
 def _outcome(y0, cfg, substeps):
-    """``integrate``'s states, or the grid step at which it diverges."""
+    """The states of ``integrate`` on one state (4,) or of the batch kernel
+    on state columns (4, n), or the grid step at which they diverge."""
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            return integrate(y0, cfg, substeps).states
+            if y0.ndim == 1:
+                return integrate(y0, cfg, substeps).states
+            return _integrate_batch(y0, cfg, substeps)
         except DivergenceError as exc:
             return exc.step
 
@@ -67,7 +79,7 @@ def _assert_same_outcome(got, want):
 
 def _projection_start(cfg, x_hat):
     """The (4, n_mc) initial states ``monte_carlo_projection`` integrates."""
-    draws = [sample_unresolved(cfg.sigma, rng_stream(cfg.seed, 1, i)) for i in range(cfg.n_mc)]
+    draws = [cfg.sigma * rng_stream(cfg.seed, 1, i).standard_normal(2) for i in range(cfg.n_mc)]
     return np.vstack([np.full(cfg.n_mc, x_hat[0]), np.full(cfg.n_mc, x_hat[1]), np.array(draws).T])
 
 
@@ -154,7 +166,7 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(np.array([1.0, 0.0, 0.0, 0.0]), SimConfig(), substeps=0)
 
-    @pytest.mark.parametrize("shape", [(3,), (4, 2, 2), (2, 5)])
+    @pytest.mark.parametrize("shape", [(3,), (4, 3), (4, 2, 2), (2, 5)])
     def test_state_shape_validation(self, shape):
         with pytest.raises(ValueError):
             integrate(np.zeros(shape), SimConfig())
@@ -163,7 +175,7 @@ class TestIntegrate:
         cfg = SimConfig(dt=0.1, t_max=2.0, n_points=21, sigma=1.0, n_mc=1)
         rng = np.random.default_rng(2)
         batch = rng.standard_normal((4, 3))
-        stacked = integrate(batch, cfg, 10).states
+        stacked = _integrate_batch(batch, cfg, 10)
         for i in range(3):
             single = integrate(batch[:, i], cfg, 10).states
             np.testing.assert_array_equal(stacked[:, :, i], single)
@@ -175,7 +187,7 @@ class TestIntegrate:
         cfg = SimConfig(dt=0.1, t_max=20.0, n_points=201, sigma=1.0, n_mc=1)
         rng = np.random.default_rng(2)
         batch = np.vstack([np.ones(40), np.zeros(40), rng.standard_normal((2, 40))])
-        stacked = integrate(batch, cfg, 10).states
+        stacked = _integrate_batch(batch, cfg, 10)
         for i in range(40):
             single = integrate(batch[:, i], cfg, 10).states
             assert np.abs(stacked[:, :, i] - single).max() <= 1e-15
@@ -196,7 +208,7 @@ class TestIntegrateMatchesReference:
         cfg = SimConfig()
         y0 = rng.normal(0.0, 1.0, (4, 50))
         np.testing.assert_array_equal(
-            integrate(y0, cfg, 10).states, _reference_integrate(oscillator_rhs, y0, cfg, 10)
+            _integrate_batch(y0, cfg, 10), _reference_integrate(oscillator_rhs, y0, cfg, 10)
         )
 
     @pytest.mark.parametrize("y0", [(1e160, 0.0, 0.0, 0.0), (50.0, 0.0, 50.0, 0.0)])
@@ -246,7 +258,7 @@ class TestBatchEdgeCases:
     def test_signed_zeros_and_large_squares_bitwise(self):
         cfg = _grid(0.1, 31)
         y0 = np.array(self.COLUMNS).T
-        got = integrate(y0, cfg, 10).states
+        got = _integrate_batch(y0, cfg, 10)
         want = _reference_integrate(oscillator_rhs, y0, cfg, 10)
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
@@ -298,55 +310,9 @@ class TestPhiloxKeys:
         monkeypatch.setattr(oscillator, "_rk4_batch", recording)
         monte_carlo_projection(cfg, (0.25, -1.5))
         (y0,) = starts
-        want = np.array([sample_unresolved(sigma, rng_stream(cfg.seed, 1, i)) for i in range(cfg.n_mc)])
+        want = np.array([sigma * rng_stream(cfg.seed, 1, i).standard_normal(2) for i in range(cfg.n_mc)])
         assert y0.tobytes() == _projection_start(cfg, (0.25, -1.5)).tobytes()
         assert y0[2:].T.tobytes() == want.tobytes()
-
-
-class TestSampleUnresolved:
-    def test_zero_sigma(self):
-        assert sample_unresolved(0.0, rng_stream(0, 9)) == (0.0, 0.0)
-
-    def test_moments(self):
-        rng = rng_stream(123, 4)
-        draws = np.array([sample_unresolved(1.0, rng) for _ in range(100_000)])
-        assert abs(draws.mean()) <= 0.02
-        assert abs(draws.var() - 1.0) <= 0.03
-
-    def test_reproducible(self):
-        a = sample_unresolved(1.0, rng_stream(5, 1, 2))
-        b = sample_unresolved(1.0, rng_stream(5, 1, 2))
-        assert a == b
-
-    def test_negative_sigma(self):
-        for sigma in (-1.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="sigma"):
-                sample_unresolved(sigma, rng_stream(0, 0))
-
-
-class TestMeasure:
-    def test_three_point_shapes(self):
-        traj = Trajectory(np.arange(3) * 0.1, np.arange(12.0).reshape(3, 4))
-        s = measure(traj)
-        assert s.x_minus.shape == (2, 2) and s.x_plus.shape == (2, 2)
-        assert s.dt == pytest.approx(0.1)
-
-    def test_constant_trajectory(self):
-        traj = Trajectory(np.arange(4) * 0.1, np.tile([1.0, 2.0, 0.0, 0.0], (4, 1)))
-        s = measure(traj)
-        np.testing.assert_array_equal(s.x_plus, s.x_minus)
-
-    def test_shift_by_one_step(self):
-        states = np.arange(20.0).reshape(5, 4)
-        s = measure(Trajectory(np.arange(5) * 0.1, states))
-        np.testing.assert_array_equal(s.x_plus[:, :-1], s.x_minus[:, 1:])
-
-    def test_requires_full_state(self):
-        with pytest.raises(ValueError):
-            measure(Trajectory(np.arange(3) * 0.1, np.zeros((3, 2))))
-        for n in (0, 1):
-            with pytest.raises(ValueError, match="two snapshot columns"):
-                measure(Trajectory(np.arange(n) * 0.1, np.zeros((n, 4))))
 
 
 class TestMonteCarloProjection:
@@ -369,7 +335,7 @@ class TestMonteCarloProjection:
         _, var = monte_carlo_projection(cfg, (1.0, 0.0))
         assert np.all(var.states >= 0.0)
         for i in range(cfg.n_mc):
-            y3, y4 = sample_unresolved(cfg.sigma, rng_stream(cfg.seed, 1, i))
+            y3, y4 = cfg.sigma * rng_stream(cfg.seed, 1, i).standard_normal(2)
             traj = integrate(np.array([1.0, 0.0, y3, y4]), cfg, 10)
             h = hamiltonian(traj.states.T)
             assert np.abs(h - h[0]).max() <= 1e-6 * abs(h[0])
