@@ -2,7 +2,30 @@
 
 import numpy as np
 
-from mzdmd import Objective, SnapshotPair
+from mzdmd import DivergenceError, Objective, SnapshotPair
+
+
+def reference_integrate(rhs, y0, cfg, substeps):
+    """Generic classical RK4 on ``rhs`` at internal step dt/substeps, sampled
+    on the cfg grid: the bitwise reference for ``integrate`` on a single
+    state and for ``oscillator._rk4_batch`` on a batch.  With
+    ``oscillator_rhs`` a single state squares by numpy's scalar power
+    (``pow``) and a batch by numpy's array power (multiplication)."""
+    h = cfg.dt / substeps
+    out = np.empty((cfg.n_points,) + y0.shape)
+    y = y0.copy()
+    out[0] = y
+    for k in range(1, cfg.n_points):
+        for _ in range(substeps):
+            k1 = rhs(y)
+            k2 = rhs(y + 0.5 * h * k1)
+            k3 = rhs(y + 0.5 * h * k2)
+            k4 = rhs(y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(y)):
+            raise DivergenceError(f"state became non-finite at grid step {k}", step=k)
+        out[k] = y
+    return out
 
 
 def random_operator(rng, d, margin=0.3, scale=0.3):

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import reference_integrate
 
 from mzdmd import (
     SnapshotPair,
@@ -267,25 +268,15 @@ class TestEmitPlot:
 
 def _reference_measurement(cfg):
     """The measurement as three steps composed it: the hidden draw, the
-    integration of the full state (classical RK4 on ``oscillator_rhs`` at
-    step dt/10, which one-state ``integrate`` equals bit for bit) and the
-    extraction of (y1, y2) with the first step of the time grid: the
-    bitwise reference for ``simulate_measurement``.  Returns the initial
-    state, the measured states and their snapshot pair."""
+    integration of the full state (``reference_integrate`` on
+    ``oscillator_rhs`` at step dt/10, which one-state ``integrate`` equals
+    bit for bit) and the extraction of (y1, y2) with the first step of the
+    time grid: the bitwise reference for ``simulate_measurement``.  Returns
+    the initial state, the measured states and their snapshot pair."""
     draws = cfg.sim.sigma * rng_stream(cfg.sim.seed, 0).standard_normal(2)
     y3, y4 = float(draws[0]), float(draws[1])
-    y = y0 = np.array([cfg.resolved_init[0], cfg.resolved_init[1], y3, y4])
-    h = cfg.sim.dt / 10
-    rows = [y]
-    for _ in range(1, cfg.sim.n_points):
-        for _ in range(10):
-            k1 = oscillator_rhs(y)
-            k2 = oscillator_rhs(y + 0.5 * h * k1)
-            k3 = oscillator_rhs(y + 0.5 * h * k2)
-            k4 = oscillator_rhs(y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rows.append(y)
-    states = np.array(rows)[:, :2]
+    y0 = np.array([cfg.resolved_init[0], cfg.resolved_init[1], y3, y4])
+    states = reference_integrate(oscillator_rhs, y0, cfg.sim, 10)[:, :2]
     dt = np.diff(cfg.sim.times()[:2]).sum()
     return y0, states, SnapshotPair.from_snapshots(states.T, dt)
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import reference_integrate
 
 from mzdmd import (
     DivergenceError,
@@ -16,34 +17,11 @@ from mzdmd import (
 from mzdmd import oscillator
 
 
-def _reference_integrate(rhs, y0, cfg, substeps):
-    """Generic classical RK4 on ``rhs`` at internal step dt/substeps, sampled
-    on the cfg grid: the bitwise reference for ``integrate`` on a single
-    state and for ``oscillator._rk4_batch`` on a batch.  With
-    ``oscillator_rhs`` a single state squares by numpy's scalar power
-    (``pow``) and a batch by numpy's array power (multiplication)."""
-    h = cfg.dt / substeps
-    out = np.empty((cfg.n_points,) + y0.shape)
-    y = y0.copy()
-    out[0] = y
-    for k in range(1, cfg.n_points):
-        for _ in range(substeps):
-            k1 = rhs(y)
-            k2 = rhs(y + 0.5 * h * k1)
-            k3 = rhs(y + 0.5 * h * k2)
-            k4 = rhs(y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            raise DivergenceError(f"state became non-finite at grid step {k}", step=k)
-        out[k] = y
-    return out
-
-
 def _reference_outcome(y0, cfg, substeps):
     """The reference's states, or the grid step at which it diverges."""
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            return _reference_integrate(oscillator_rhs, y0, cfg, substeps)
+            return reference_integrate(oscillator_rhs, y0, cfg, substeps)
         except DivergenceError as exc:
             return exc.step
 
@@ -137,7 +115,7 @@ class TestIntegrate:
     def test_linear_decay_single_step(self):
         # the reference itself takes a correct RK4 step
         cfg = SimConfig(dt=0.1, t_max=0.1, n_points=2, sigma=0.0, n_mc=1)
-        states = _reference_integrate(lambda y: -y, np.array([1.0]), cfg, substeps=1)
+        states = reference_integrate(lambda y: -y, np.array([1.0]), cfg, substeps=1)
         assert states[1, 0] == pytest.approx(np.exp(-0.1), abs=1e-7)
 
     def test_harmonic_single_step(self):
@@ -200,7 +178,7 @@ class TestIntegrateMatchesReference:
         for _ in range(5):
             y0 = rng.normal(0.0, 2.0, 4)
             np.testing.assert_array_equal(
-                integrate(y0, cfg, 10).states, _reference_integrate(oscillator_rhs, y0, cfg, 10)
+                integrate(y0, cfg, 10).states, reference_integrate(oscillator_rhs, y0, cfg, 10)
             )
 
     def test_batch(self):
@@ -208,7 +186,7 @@ class TestIntegrateMatchesReference:
         cfg = SimConfig()
         y0 = rng.normal(0.0, 1.0, (4, 50))
         np.testing.assert_array_equal(
-            _integrate_batch(y0, cfg, 10), _reference_integrate(oscillator_rhs, y0, cfg, 10)
+            _integrate_batch(y0, cfg, 10), reference_integrate(oscillator_rhs, y0, cfg, 10)
         )
 
     @pytest.mark.parametrize("y0", [(1e160, 0.0, 0.0, 0.0), (50.0, 0.0, 50.0, 0.0)])
@@ -259,7 +237,7 @@ class TestBatchEdgeCases:
         cfg = _grid(0.1, 31)
         y0 = np.array(self.COLUMNS).T
         got = _integrate_batch(y0, cfg, 10)
-        want = _reference_integrate(oscillator_rhs, y0, cfg, 10)
+        want = reference_integrate(oscillator_rhs, y0, cfg, 10)
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
         # the inputs do reach negative zeros and squares near overflow
@@ -343,7 +321,7 @@ class TestMonteCarloProjection:
     def test_streamed_moments_match_stored_reference(self):
         cfg = SimConfig(dt=0.1, t_max=10.0, n_points=101, sigma=1.0, n_mc=64, seed=9)
         mean, var = monte_carlo_projection(cfg, (1.0, 0.5))
-        resolved = _reference_integrate(oscillator_rhs, _projection_start(cfg, (1.0, 0.5)), cfg, 10)[:, :2, :]
+        resolved = reference_integrate(oscillator_rhs, _projection_start(cfg, (1.0, 0.5)), cfg, 10)[:, :2, :]
         np.testing.assert_array_equal(mean.states, resolved.mean(axis=2))
         np.testing.assert_array_equal(var.states, resolved.var(axis=2))
 
@@ -359,7 +337,7 @@ class TestMonteCarloProjection:
         # its variance overflows
         cfg = SimConfig(dt=1.0, t_max=1.0, n_points=2, sigma=1.0, n_mc=8, seed=2)
         with np.errstate(over="ignore", invalid="ignore"):
-            states = _reference_integrate(oscillator_rhs, _projection_start(cfg, (0.0, 1e40)), cfg, 1)
+            states = reference_integrate(oscillator_rhs, _projection_start(cfg, (0.0, 1e40)), cfg, 1)
             assert np.isfinite(states).all()
             with pytest.raises(DivergenceError) as excinfo:
                 monte_carlo_projection(cfg, (0.0, 1e40), substeps=1)
