@@ -239,15 +239,13 @@ def _rk4_batch(y0: np.ndarray, cfg: SimConfig, substeps: int):
     steps 0, ..., n_points - 1 as a (4, n) view with rows (y1, y3, y2, y4).
 
     Every yield is the same view, updated in place: a consumer copies or
-    reduces it before the next step.  The state and the three later stages
-    each live in a (6, n) buffer with rows (y1, y3, y2, y4, a1, a3), where
-    a1 and a3 are the accelerations at the state in rows 0..3.  Rows 2..5
-    are therefore that state's derivative k, so no velocity is ever copied.
-    The doubled k2 and k3 are formed in place in their stage's rows, which
-    are refilled in the next substep, and k1 + 2 k2 + 2 k3 + k4 is summed
-    in place in the rows of k2.  The buffers are allocated once and every
-    ufunc writes through ``out=``: 25 calls per substep, each reading at
-    most one array besides the one it writes.
+    reduces it before the next step.  The state and stages 2, 3, 4 are the
+    (6, n) slabs of one buffer, rows (y1, y3, y2, y4, a1, a3) with a1 and a3
+    the accelerations at rows 0..3, so rows 2..5 are the derivative k and
+    no velocity is copied.  After stage 4 has read k3, one call doubles k2
+    and k3; k1 + 2 k2 + 2 k3 + k4 is summed in the rows of k2.  Views, 0-d
+    scalars and the finiteness mask are made once, and each of the 24 ufunc
+    calls per substep writes through a positional ``out``.
 
     The arithmetic is that of ``oscillator_rhs`` and the RK4 update on the
     whole batch, in the same order, but for one rewrite: an acceleration
@@ -259,48 +257,46 @@ def _rk4_batch(y0: np.ndarray, cfg: SimConfig, substeps: int):
     may differ from its ``integrate`` run in the last bits.
     """
     h = cfg.dt / substeps
-    hh, h6 = 0.5 * h, h / 6.0
-    y, z, w, u = np.empty((4, 6) + y0.shape[1:])  # the state and stages 2, 3, 4
-    y[:2], y[2:4] = y0[::2], y0[1::2]
-
-    def views(b):
-        # state rows, positions swapped to (y3, y1), positions, accelerations
-        return b[:4], b[1::-1], b[:2], b[4:]
-
-    at_y, at_z, at_w, at_u = views(y), views(z), views(w), views(u)
-    state = at_y[0]
-
-    def accelerate(b):
-        # accelerations <- (y1 (-1 - y3^2), y3 (-1 - y1^2)) at the state rows
-        _, swapped, pos, accel = b
-        np.square(swapped, out=accel)
-        np.subtract(-1.0, accel, out=accel)
-        np.multiply(pos, accel, out=accel)
-
-    def stage(into, scale, k):
-        # state rows <- y + scale * k, then their accelerations
-        np.multiply(scale, k, out=into[0])
-        np.add(state, into[0], out=into[0])
-        accelerate(into)
-
-    k1, k2, k3, k4 = y[2:], z[2:], w[2:], u[2:]
-    yield state
+    hh, h, h6, two, minus_one = (np.array(c) for c in (0.5 * h, h, h / 6.0, 2.0, -1.0))
+    buf = np.empty((4, 6) + y0.shape[1:])  # the state and stages 2, 3, 4
+    buf[0, :2], buf[0, 2:4] = y0[::2], y0[1::2]
+    y, z, w, u = buf[:, :4]  # the state rows of each slab
+    ys, zs, ws, us = buf[:, 1::-1]  # their positions, swapped to (y3, y1)
+    yp, zp, wp, up = buf[:, :2]  # their positions
+    ya, za, wa, ua = buf[:, 4:]  # the accelerations at them
+    k1, k2, k3, k4 = buf[:, 2:]  # their derivatives
+    k23, finite = buf[1:3, 2:], np.empty(y.shape, dtype=bool)
+    square, subtract, multiply, add = np.square, np.subtract, np.multiply, np.add
+    yield y
     for step in range(1, cfg.n_points):
         for _ in range(substeps):
-            accelerate(at_y)
-            stage(at_z, hh, k1)
-            stage(at_w, hh, k2)
-            np.multiply(2.0, k2, out=k2)
-            np.add(k1, k2, out=k2)
-            stage(at_u, h, k3)
-            np.multiply(2.0, k3, out=k3)
-            np.add(k2, k3, out=k2)
-            np.add(k2, k4, out=k2)
-            np.multiply(h6, k2, out=k2)
-            np.add(state, k2, out=state)
-        if not np.isfinite(state).all():
+            square(ys, ya)
+            subtract(minus_one, ya, ya)
+            multiply(yp, ya, ya)
+            multiply(hh, k1, z)
+            add(y, z, z)
+            square(zs, za)
+            subtract(minus_one, za, za)
+            multiply(zp, za, za)
+            multiply(hh, k2, w)
+            add(y, w, w)
+            square(ws, wa)
+            subtract(minus_one, wa, wa)
+            multiply(wp, wa, wa)
+            multiply(h, k3, u)
+            add(y, u, u)
+            square(us, ua)
+            subtract(minus_one, ua, ua)
+            multiply(up, ua, ua)
+            multiply(two, k23, k23)
+            add(k1, k2, k2)
+            add(k2, k3, k2)
+            add(k2, k4, k2)
+            multiply(h6, k2, k2)
+            add(y, k2, y)
+        if not np.isfinite(y, finite).all():
             raise DivergenceError(f"state became non-finite at grid step {step}", step=step)
-        yield state
+        yield y
 
 
 def monte_carlo_projection(
@@ -314,9 +310,12 @@ def monte_carlo_projection(
     resolved coordinates.  Sample i draws (y3, y4) = ``sigma *
     rng_stream(seed, TAG_PROJECTION, i).standard_normal(2)`` bit for bit,
     all of them in one ``keyed_normals`` call.  The batch is reduced one
-    grid step at a time, so memory is O(n_mc); the resolved coordinates are
-    rows 0 and 2 of the ``_rk4_batch`` view.
+    grid step at a time, so memory is O(n_mc): one sum of the resolved rows
+    (0 and 2 of the ``_rk4_batch`` view) serves both moments, each formed
+    as numpy's ``mean`` and ``var`` form it.
     """
+    if substeps < 1:
+        raise ValueError("substeps must be at least 1")
     x1, x2 = float(x_hat[0]), float(x_hat[1])
     times = cfg.times()
     if cfg.sigma == 0.0:
@@ -326,12 +325,12 @@ def monte_carlo_projection(
         return Trajectory(times, mean), Trajectory(times, np.zeros_like(mean))
     normals = keyed_normals(cfg.seed, TAG_PROJECTION, cfg.n_mc, 2)
     y0 = np.vstack([np.full(cfg.n_mc, x1), np.full(cfg.n_mc, x2), cfg.sigma * normals.T])
-    mean = np.empty((cfg.n_points, 2))
-    var = np.empty((cfg.n_points, 2))
-    for step, y in enumerate(_rk4_batch(y0, cfg, substeps)):
+    mean, var, dev = np.empty((cfg.n_points, 2)), np.empty((cfg.n_points, 2)), np.empty((2, cfg.n_mc))
+    for y, m, v in zip(_rk4_batch(y0, cfg, substeps), mean, var):
         resolved = y[::2]
-        mean[step] = resolved.mean(axis=1)
-        var[step] = resolved.var(axis=1)
+        np.true_divide(np.add.reduce(resolved, 1, out=m), cfg.n_mc, out=m)
+        np.square(np.subtract(resolved, m[:, None], out=dev), out=dev)
+        np.true_divide(np.add.reduce(dev, 1, out=v), cfg.n_mc, out=v)
     finite = np.isfinite(mean).all(axis=1) & np.isfinite(var).all(axis=1)
     if not finite.all():
         # finite states whose moments overflow

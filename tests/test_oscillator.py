@@ -188,6 +188,12 @@ class TestIntegrateMatchesReference:
         np.testing.assert_array_equal(
             _integrate_batch(y0, cfg, 10), reference_integrate(oscillator_rhs, y0, cfg, 10)
         )
+        # a projection-sized batch of odd width, so every SIMD loop has a tail
+        cfg = _grid(0.1, 21)
+        y0 = rng.normal(0.0, 1.0, (4, 1003))
+        np.testing.assert_array_equal(
+            _integrate_batch(y0, cfg, 10), reference_integrate(oscillator_rhs, y0, cfg, 10)
+        )
 
     @pytest.mark.parametrize("y0", [(1e160, 0.0, 0.0, 0.0), (50.0, 0.0, 50.0, 0.0)])
     @pytest.mark.parametrize("batch", [False, True])
@@ -324,6 +330,26 @@ class TestMonteCarloProjection:
         resolved = reference_integrate(oscillator_rhs, _projection_start(cfg, (1.0, 0.5)), cfg, 10)[:, :2, :]
         np.testing.assert_array_equal(mean.states, resolved.mean(axis=2))
         np.testing.assert_array_equal(var.states, resolved.var(axis=2))
+
+    # widths on both sides of numpy's pairwise-sum blocks (8 and 128), and
+    # a start whose resolved rows are -0.0
+    @pytest.mark.parametrize("n_mc", [1, 2, 7, 8, 9, 127, 129, 1000])
+    @pytest.mark.parametrize("x_hat", [(1.0, 0.5), (-0.0, -0.0)])
+    def test_moments_equal_numpy_mean_and_var_bitwise(self, n_mc, x_hat):
+        cfg = SimConfig(dt=0.1, t_max=2.0, n_points=21, sigma=1.0, n_mc=n_mc, seed=5)
+        mean, var = monte_carlo_projection(cfg, x_hat)
+        resolved = reference_integrate(oscillator_rhs, _projection_start(cfg, x_hat), cfg, 10)[:, :2, :]
+        assert mean.states.tobytes() == resolved.mean(axis=2).tobytes()
+        assert var.states.tobytes() == resolved.var(axis=2).tobytes()
+        if x_hat[0] == 0.0:
+            assert np.signbit(resolved[0]).all()
+
+    @pytest.mark.parametrize("sigma", [0.0, 1.0])
+    @pytest.mark.parametrize("substeps", [0, -1])
+    def test_substeps_validation(self, sigma, substeps):
+        cfg = SimConfig(dt=0.1, t_max=0.2, n_points=3, sigma=sigma, n_mc=4, seed=2)
+        with pytest.raises(ValueError, match="substeps"):
+            monte_carlo_projection(cfg, (1.0, 0.0), substeps=substeps)
 
     @pytest.mark.parametrize("sigma", [0.0, 1.0])
     def test_divergence_raises(self, sigma):
