@@ -38,7 +38,8 @@ class SingularMatrixError(NumericalError):
 
 
 class DivergenceError(NumericalError):
-    """An iteration produced a non-finite state or loss."""
+    """A state or loss became non-finite; ``step`` is the iteration or grid
+    step it was met at, None outside an iteration."""
 
     def __init__(self, message, step=None, indices=None):
         super().__init__(message, indices)

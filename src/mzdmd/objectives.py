@@ -15,12 +15,13 @@ independent oracles.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .errors import SingularMatrixError
+from .errors import DivergenceError, SingularMatrixError, failing_slices
 
 PLAIN_DMD = "plain-dmd"
 MZ_DMD = "mz-dmd"
@@ -81,6 +82,10 @@ class Objective:
 
     ``memory`` is the initialization of the memory term: one vector (d,) or
     a stack (n_u, d) of them, one per operator of a stacked fit.
+
+    The memory-aware kinds power their chains in one buffer, built at the
+    first evaluation and kept for the objective's life, so one objective is
+    not for concurrent calls.
     """
 
     kind: str
@@ -100,6 +105,13 @@ class Objective:
             raise ValueError("memory must be (d,) or (n_u, d) with d the snapshot dimension")
         if n.size == 0 or not np.all(np.isfinite(n)):
             raise ValueError("memory must be nonempty and finite")
+
+    @functools.cached_property
+    def _chains(self) -> _Chains:
+        """The power-chain buffer of the memory term: mz-dmd powers two
+        chains per memory row, t-model one."""
+        rows = self.memory.reshape(-1, self.snapshots.dim).shape
+        return _Chains((2,) + rows if self.kind == MZ_DMD else rows, self.snapshots.cols)
 
 
 def dmd_fit(s: SnapshotPair) -> np.ndarray:
@@ -148,61 +160,77 @@ def _stacks(a, n: np.ndarray | None, d: int):
 
 
 def _columns(chain: np.ndarray) -> np.ndarray:
-    """A chain laid out (cols, ..., d, 1) as C-contiguous (..., d, cols) columns."""
-    return np.ascontiguousarray(np.moveaxis(chain[..., 0], 0, -1))
+    """A chain laid out (cols, ..., d) as C-contiguous (..., d, cols) columns."""
+    return np.ascontiguousarray(np.moveaxis(chain, 0, -1))
 
 
-def _power_columns(m: np.ndarray, v: np.ndarray, cols: int) -> np.ndarray:
+class _Chains:
+    """Working buffer of the power chains for one stack shape (..., d) and
+    one column count: (cols + 1, ..., d) rows that the forward chains and the
+    backward sweep share, their row views already paired for each loop, and
+    the sweep's scratch vector.  Nothing a chain returns aliases it."""
+
+    def __init__(self, stack: tuple[int, ...], cols: int):
+        self.rows = np.empty((cols + 1,) + stack)
+        views = list(self.rows)
+        self.forward = list(zip(views[:cols - 1], views[1:cols]))
+        self.backward = list(zip(views[cols:1:-1], views[cols - 1:0:-1]))
+        self.step = np.empty(stack)
+
+
+def _power_columns(m: np.ndarray, v: np.ndarray, cols: int,
+                   chains: _Chains | None = None) -> np.ndarray:
     """The chains ``x_j = M^j v`` for j = 0..cols-1 over a stack: M is
     (..., d, d), the rows v (..., d) broadcast against it, and the columns
-    come back as (..., d, cols)."""
-    x = np.empty((cols,) + m.shape[:-1] + (1,))
-    x[0] = v[..., None]
-    steps = list(x)
-    for prev, cur in zip(steps, steps[1:]):
-        np.matmul(m, prev, cur)
-    return _columns(x)
+    come back as (..., d, cols).  Each step is one ``matvec`` between rows of
+    ``chains``, a fresh buffer when None."""
+    chains = chains or _Chains(m.shape[:-1], cols)
+    chains.rows[0] = v
+    for prev, cur in chains.forward:
+        np.matvec(m, prev, cur)
+    return _columns(chains.rows[:cols])
 
 
-def _power_pullback(m: np.ndarray, x: np.ndarray, c: np.ndarray) -> np.ndarray:
+def _power_pullback(m: np.ndarray, x: np.ndarray, c: np.ndarray,
+                    chains: _Chains | None = None) -> np.ndarray:
     """Gradient in M of ``<c, x>`` for the chains ``x = _power_columns(M, v, cols)``.
 
     One backward sweep ``p_j = c_j + M^T p_{j+1}`` gives
     ``sum_{j >= 1} p_j x_{j-1}^T`` for every slice of the stack (..., d, d);
-    the cotangent c (..., d, cols) broadcasts against it.  The sweep array
-    starts out holding the cotangent, so each step is one ``matmul`` into a
-    scratch vector and one contiguous add into ``p_j``.
+    the cotangent c (..., d, cols) broadcasts against it.  The rows of
+    ``chains`` (a fresh buffer when None) start out holding the cotangent,
+    so each step is one ``matvec`` into the scratch vector and one
+    contiguous add into ``p_j``.
     """
     cols = c.shape[-1]
-    mt = _mT(m)
-    p = np.empty((cols + 1,) + m.shape[:-1] + (1,))
-    np.moveaxis(p[:cols, ..., 0], 0, -1)[...] = c
+    chains = chains or _Chains(m.shape[:-1], cols)
+    p, step, mt = chains.rows, chains.step, _mT(m)
+    np.moveaxis(p[:cols], 0, -1)[...] = c
     p[cols] = 0.0  # starts the sweep
-    step = np.empty_like(p[cols])
-    ps = list(p)
-    for nxt, cur in zip(ps[cols:1:-1], ps[cols - 1:0:-1]):
-        np.matmul(mt, nxt, step)
+    for nxt, cur in chains.backward:
+        np.matvec(mt, nxt, step)
         np.add(step, cur, cur)
     return _columns(p[:cols])[..., 1:] @ _mT(x[..., :-1])
 
 
-def _mz_memory(a, n, cols):
+def _mz_memory(a, n, cols, chains=None):
     """Columns of :func:`mz_memory_matrix` for a stack A (n_u, d, d) and
     memory rows n (n_u, d), and their pullback, the map from a cotangent of
     the columns to a gradient in A.  The chains of W M(A) and of W run as
-    one (2, n_u, d, d) stack, which n and the cotangent broadcast over."""
+    one (2, n_u, d, d) stack, which n and the cotangent broadcast over, in
+    ``chains`` (2, n_u, d) when given."""
     eye = np.eye(a.shape[-1])
     a_shift = a - eye
     w = linalg.expm(a_shift)
     m_map = cayley_M(a)
     kw = np.stack([w @ m_map, w])
-    y, x = yx = _power_columns(kw, n, cols)
+    y, x = yx = _power_columns(kw, n, cols, chains)
     f = linalg.solve(a_shift, y - x)
 
     def pullback(c):
         # columns S (y - x) with S = (A - I)^{-1}: dS = -S dA S
         c_hat = linalg.solve(_mT(a_shift), c)
-        g_k, g_x = _power_pullback(kw, yx, c_hat)
+        g_k, g_x = _power_pullback(kw, yx, c_hat, chains)
         g_w = g_k @ _mT(m_map) - g_x
         # M = 4 B - I with B = (A + I)^{-1}, so dM = -4 B dA B
         b = linalg.solve(a + eye, np.broadcast_to(eye, a.shape))
@@ -212,16 +240,17 @@ def _mz_memory(a, n, cols):
     return f, pullback
 
 
-def _tmodel_memory(a, n, dt, cols):
+def _tmodel_memory(a, n, dt, cols, chains=None):
     """Columns of :func:`tmodel_memory_matrix` for a stack and their pullback,
-    which weights its cotangent in place."""
+    which weights its cotangent in place; the chain runs in ``chains``
+    (n_u, d) when given."""
     a_shift = a - np.eye(a.shape[-1])
     w = linalg.expm(a_shift)
-    x = _power_columns(w, n, cols)
+    x = _power_columns(w, n, cols, chains)
     weights = dt * np.arange(cols)
 
     def pullback(c):
-        g_w = _power_pullback(w, x, np.multiply(c, weights, out=c))
+        g_w = _power_pullback(w, x, np.multiply(c, weights, out=c), chains)
         return linalg.expm_frechet(_mT(a_shift), g_w)[1]
 
     return x * weights, pullback
@@ -272,29 +301,46 @@ def _residual(obj: Objective, a: np.ndarray):
     r = s.x_plus - a @ s.x_minus
     if obj.kind == MZ_DMD:
         scale = s.dt**2
-        cols, pullback = _mz_memory(a, n, s.cols)
+        cols, pullback = _mz_memory(a, n, s.cols, obj._chains)
     elif obj.kind == T_MODEL:
         scale = -s.dt
-        cols, pullback = _tmodel_memory(a, n, s.dt, s.cols)
+        cols, pullback = _tmodel_memory(a, n, s.dt, s.cols, obj._chains)
     else:
         return r, None
     return r + scale * cols, lambda c: pullback(np.multiply(c, scale, out=c))
 
 
-def _sum_squares(r: np.ndarray) -> np.ndarray:
-    """Squared Frobenius norm of each slice, summed in the order a flat sum
-    over one slice takes."""
-    return np.sum((r * r).reshape(r.shape[0], -1), axis=1)
+def _check_finite(x: np.ndarray, a: np.ndarray, what: str) -> None:
+    """Raise :class:`DivergenceError` naming the slices of an (n_u, ...)
+    result that hold a non-finite entry; for a 2-D A it names none."""
+    bad = ~np.isfinite(x.reshape(len(x), -1)).all(axis=1)
+    if np.any(bad):
+        where, indices = failing_slices(bad if np.ndim(a) == 3 else bad[0])
+        raise DivergenceError(f"objective {what} is not finite{where}", indices=indices)
+
+
+def _forward(obj: Objective, a: np.ndarray):
+    """Residuals, memory pullback and per-slice values of ``obj`` at A.
+
+    The values are squared Frobenius norms, summed in the order a flat sum
+    over one slice takes.  Overflow raises no numpy warning; a non-finite
+    value raises :class:`DivergenceError` naming its slices instead.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        r, pullback = _residual(obj, a)
+        value = np.sum((r * r).reshape(r.shape[0], -1), axis=1)
+    _check_finite(value, a, "value")
+    return r, pullback, value
 
 
 def objective_value(obj: Objective, a: np.ndarray) -> float | np.ndarray:
     """Squared Frobenius norm of the snapshot residual of ``obj`` at A.
 
     A 2-D operator gives a float; a stack (n_u, d, d) gives one value per
-    slice as an (n_u,) array.
+    slice as an (n_u,) array.  A non-finite value raises
+    :class:`DivergenceError` naming its slices, with no numpy warning.
     """
-    r, _ = _residual(obj, a)
-    value = _sum_squares(r)
+    value = _forward(obj, a)[2]
     return float(value[0]) if np.ndim(a) == 2 else value
 
 
@@ -315,18 +361,25 @@ def objective_value_and_gradient(
     A 2-D operator gives a float and a (d, d) gradient.  A stack (n_u, d, d),
     with one memory vector per slice, is evaluated as one computation and
     gives (n_u,) values and (n_u, d, d) gradients, each slice independent
-    of the others.  Each memory chain and its sweep hold (cols, n_u, d)
-    floats; mz-dmd powers two chains side by side and peaks at about 9 such
-    arrays, 9 * n_u * d * cols * 8 bytes (7.3 MB traced at n_u = 100, d = 2
-    and 500 columns), t-model at about 4 (3.3 MB).
+    of the others.  A non-finite value raises :class:`DivergenceError`
+    naming its slices before the pullback runs, and a non-finite gradient
+    raises it after, neither with a numpy warning.
+
+    The forward chains and the sweep take turns in the objective's one
+    buffer of (cols + 1, n_u, d) floats per chain, kept between calls; each
+    step is one ``matvec``.  Counting that buffer, mz-dmd peaks at about 9
+    arrays of (cols, n_u, d) floats, 9 * n_u * d * cols * 8 bytes (7.3 MB
+    traced at n_u = 100, d = 2 and 500 columns, 1.7 MB of it the buffer),
+    t-model at about 5 (4.1 MB, 0.9 MB of it the buffer).
     """
     s = obj.snapshots
-    r, pullback = _residual(obj, a)
-    value = _sum_squares(r)
-    grad = -2.0 * (r @ s.x_minus.T)
-    if pullback is not None:
-        r *= 2.0
-        grad += pullback(r)
+    r, pullback, value = _forward(obj, a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad = -2.0 * (r @ s.x_minus.T)
+        if pullback is not None:
+            r *= 2.0
+            grad += pullback(r)
+    _check_finite(grad, a, "gradient")
     if np.ndim(a) == 2:
         return float(value[0]), grad[0]
     return value, grad

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, failing_slices
+from .errors import DivergenceError
 from .objectives import Objective, objective_value, objective_value_and_gradient
 
 # Adam's published defaults (Kingma & Ba, "Adam", ICLR 2015)
@@ -63,8 +63,9 @@ def fit_transition(obj: Objective, a0: np.ndarray, cfg: AdamConfig) -> tuple[np.
     Returns the final operator(s), shaped like ``a0``, and the objective
     value at every iterate, the initial loss first: shape
     ``(iterations + 1,)`` for one operator, ``(n_u, iterations + 1)`` for a
-    stack.  A non-finite loss raises :class:`DivergenceError` naming the
-    slices it occurred in.
+    stack.  A non-finite loss raises the objective's :class:`DivergenceError`,
+    which names the slices it occurred in, with ``step`` set to the
+    iteration.
     """
     params = np.array(a0, dtype=float)
     d = obj.snapshots.dim
@@ -74,22 +75,19 @@ def fit_transition(obj: Objective, a0: np.ndarray, cfg: AdamConfig) -> tuple[np.
     slices = list(zip(params.reshape(-1, d, d), m.reshape(-1, d, d), v.reshape(-1, d, d)))
     trace = np.empty(params.shape[:-2] + (cfg.iterations + 1,))
     for it in range(cfg.iterations):
-        value, grad = objective_value_and_gradient(obj, params)
+        value, grad = _at_step(it, objective_value_and_gradient, obj, params)
         trace[..., it] = value
-        _check_finite(value, f"at iteration {it}", it)
         # one call per slice, as perfbench/spans.py counts them; goes with ROADMAP items 1-2
         for (p, ms, vs), g in zip(slices, grad.reshape(-1, d, d)):
             adam_step(p, ms, vs, it + 1, g, cfg)
-    final = objective_value(obj, params)
-    trace[..., -1] = final
-    _check_finite(final, f"after {cfg.iterations} iterations", cfg.iterations)
+    trace[..., -1] = _at_step(cfg.iterations, objective_value, obj, params)
     return params, trace
 
 
-def _check_finite(value, when: str, step: int) -> None:
-    bad = ~np.isfinite(value)
-    if np.any(bad):
-        where, indices = failing_slices(bad)
-        raise DivergenceError(
-            f"objective became non-finite{where} {when}", step=step, indices=indices
-        )
+def _at_step(step: int, evaluate, obj: Objective, params: np.ndarray):
+    """``evaluate(obj, params)``, its divergence stamped with the iteration."""
+    try:
+        return evaluate(obj, params)
+    except DivergenceError as exc:
+        exc.step = step
+        raise

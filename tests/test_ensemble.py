@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 
 from mzdmd import (
     AdamConfig,
+    DivergenceError,
     EnsembleError,
     MatchingDegeneracyWarning,
     NumericalError,
     Objective,
+    SnapshotPair,
     SpectralModel,
     Trajectory,
     dmd_fit,
@@ -324,6 +326,29 @@ class TestStackedEnsemble:
         kept = (0, 3, 4)
         survivors = Fits([clean.operators[i] for i in kept], [clean.traces[i] for i in kept], None, got.failures)
         _assert_same_fits(got, survivors, rtol=0)
+
+    def test_overflowing_sample_is_dropped_and_the_other_fitted(self, monkeypatch):
+        # the plain fit every sample starts from has eigenvalues near -0.95
+        # and 0.3, where the mz-dmd memory chain grows about elevenfold a
+        # step: sample 0's residual overflows over 200 columns, while sample
+        # 1 has zero memory and fits like plain DMD
+        rng = np.random.default_rng(90)
+        v = np.array([[1.0, 0.4], [0.3, 1.0]])
+        a_true = v @ np.diag([-0.95, 0.3]) @ np.linalg.inv(v)
+        x = np.ones((2, 201))
+        for k in range(1, 201):
+            x[:, k] = a_true @ x[:, k - 1] + 0.05 * rng.standard_normal(2)
+        s = SnapshotPair.from_snapshots(x, 0.1)
+        monkeypatch.setattr(ensemble, "keyed_normals", lambda *key: np.array([[1.0, 1.0], [0.0, 0.0]]))
+        sink = []
+        with pytest.raises(EnsembleError) as excinfo:
+            fit_ensemble("mz-dmd", s, 1.0, 2, AdamConfig(), seed=0, trace_sink=sink)
+        ((index, exc),) = excinfo.value.failures
+        assert index == 0 and isinstance(exc, DivergenceError)
+        assert exc.indices == [0] and exc.step == 0
+        _, want = fit_transition(Objective("mz-dmd", s, np.zeros(2)), dmd_fit(s), AdamConfig())
+        assert len(sink) == 1
+        assert_bitwise(sink[0], want)
 
     @settings(deadline=None)
     @given(

@@ -1,4 +1,6 @@
 import copy
+import itertools
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mzdmd import (
+    DivergenceError,
     Objective,
     SingularMatrixError,
     SnapshotPair,
@@ -29,7 +32,7 @@ from mzdmd import (
 )
 from mzdmd import objectives
 from mzdmd.config import build_config
-from mzdmd.objectives import _columns, _mT, _power_columns, _power_pullback
+from mzdmd.objectives import _mT, _power_columns, _power_pullback
 
 
 class TestSnapshotPair:
@@ -392,9 +395,26 @@ class TestStackedChains:
         assert np.array_equal(g, np.zeros((2, 1, 2, 2)))
 
 
+def _reference_columns(chain):
+    """A chain laid out (cols, ..., d, 1) as C-contiguous (..., d, cols) columns."""
+    return np.ascontiguousarray(np.moveaxis(chain[..., 0], 0, -1))
+
+
+def _reference_power_columns(m, v, cols):
+    """The forward chain as one ``matmul`` a step on (..., d, 1) columns.
+    Bitwise reference for ``objectives._power_columns``."""
+    x = np.empty((cols,) + m.shape[:-1] + (1,))
+    x[0] = v[..., None]
+    steps = list(x)
+    for prev, cur in zip(steps, steps[1:]):
+        np.matmul(m, prev, cur)
+    return _reference_columns(x)
+
+
 def _reference_power_pullback(m, x, c):
-    """The sweep with a zeroed sweep array and a broadcasting add of each
-    cotangent column.  Bitwise reference for ``objectives._power_pullback``."""
+    """The sweep with a zeroed sweep array of (..., d, 1) columns, one
+    ``matmul`` a step and a broadcasting add of each cotangent column.
+    Bitwise reference for ``objectives._power_pullback``."""
     cols = c.shape[-1]
     mt = _mT(m)
     p = np.zeros((cols + 1,) + m.shape[:-1] + (1,))  # p[cols] = 0 starts the sweep
@@ -402,7 +422,7 @@ def _reference_power_pullback(m, x, c):
     for nxt, cur, cj in zip(ps[cols:1:-1], ps[cols - 1:0:-1], cs[cols - 1:0:-1]):
         np.matmul(mt, nxt, cur)
         np.add(cur, cj, cur)
-    return _columns(p[:cols])[..., 1:] @ _mT(x[..., :-1])
+    return _reference_columns(p[:cols])[..., 1:] @ _mT(x[..., :-1])
 
 
 def _contracting_stack(rng, shape):
@@ -413,14 +433,33 @@ def _contracting_stack(rng, shape):
     return m * (0.95 / radius)[..., None, None]
 
 
+# layout of the stack and cotangent, dimension, stack size and column count
+_CHAIN_GRID = pytest.mark.parametrize("layout, d, n_u, cols", list(itertools.product(
+    ["stacked, broadcast cotangent", "stacked, full cotangent", "plain"], [1, 2, 3], [1, 5], [1, 2, 7, 2000])))
+
+
+class TestPowerColumnsMatchReference:
+    """The matvec chain on rows against the matmul chain on columns, byte for
+    byte."""
+
+    @_CHAIN_GRID
+    def test_bitwise(self, layout, d, n_u, cols):
+        rng = np.random.default_rng([d, n_u, cols])
+        lead = (n_u,) if layout == "plain" else (2, n_u)
+        m = _contracting_stack(rng, lead + (d, d))
+        v = rng.standard_normal((n_u, d))
+        v[0, 0] = -0.0
+        got, want = _power_columns(m, v, cols), _reference_power_columns(m, v, cols)
+        assert got.shape == want.shape == lead + (d, cols)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+
 class TestPowerPullbackMatchesReference:
     """The sweep seeded with its cotangent against the broadcast-add sweep,
     byte for byte, signed zeros included."""
 
-    @pytest.mark.parametrize("cols", [1, 2, 7, 2000])
-    @pytest.mark.parametrize("n_u", [1, 5])
-    @pytest.mark.parametrize("d", [2, 3])
-    @pytest.mark.parametrize("layout", ["stacked, broadcast cotangent", "stacked, full cotangent", "plain"])
+    @_CHAIN_GRID
     def test_bitwise(self, layout, d, n_u, cols):
         rng = np.random.default_rng([d, n_u, cols])
         lead = (n_u,) if layout == "plain" else (2, n_u)
@@ -466,10 +505,100 @@ class TestValueAndGradientLeavesItsInputs:
             assert_bitwise(got, want)
 
 
-def _reference_mz_memory(a, n, cols):
+class TestChainBufferReuse:
+    """An objective keeps its chain buffer between calls; reusing it must
+    change no result, and no result may alias it."""
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("kind", ["mz-dmd", "t-model"])
+    def test_reused_objective_equals_fresh_ones(self, kind, stacked):
+        rng = np.random.default_rng(70)
+        snaps = random_snapshots(rng, d=3, cols=30)
+        a1, a2 = (np.stack([random_operator(rng, 3) for _ in range(4)]) for _ in range(2))
+        mem, other_mem = rng.standard_normal((2, 4, 3))
+        if not stacked:
+            a1, a2, mem, other_mem = a1[0], a2[0], mem[0], other_mem[0]
+
+        def evaluate(obj, a):
+            memory = (mz_memory_matrix(a, mem, snaps.cols) if kind == "mz-dmd"
+                      else tmodel_memory_matrix(a, mem, snaps.dt, snaps.cols))
+            return (*objective_value_and_gradient(obj, a), objective_value(obj, a), memory)
+
+        fresh1, fresh2 = (evaluate(Objective(kind, snaps, mem), a) for a in (a1, a2))
+        obj, other = Objective(kind, snaps, mem), Objective(kind, snaps, other_mem)
+        returned = []
+        for a, fresh in ((a1, fresh1), (a2, fresh2), (a1, fresh1)):
+            got = evaluate(obj, a)
+            objective_value_and_gradient(other, a)
+            for g, want in zip(got, fresh):
+                assert_bitwise(g, want)
+            assert not any(np.shares_memory(g, obj._chains.rows) for g in got)
+            returned.append((got, copy.deepcopy(got)))
+        for got, kept in returned:
+            for g, want in zip(got, kept):
+                assert_bitwise(g, want)
+
+    def test_buffer_is_built_once_per_objective(self):
+        rng = np.random.default_rng(71)
+        snaps = random_snapshots(rng, d=2, cols=12)
+        obj = Objective("mz-dmd", snaps, rng.standard_normal((3, 2)))
+        a = np.stack([random_operator(rng, 2) for _ in range(3)])
+        objective_value(obj, a)
+        chains = obj._chains
+        objective_value_and_gradient(obj, a)
+        assert obj._chains is chains
+        assert chains.rows.shape == (13, 2, 3, 2)
+        assert Objective("t-model", snaps, rng.standard_normal(2))._chains.rows.shape == (13, 1, 2)
+
+
+def _overflowing_operator():
+    """A 2 x 2 operator with eigenvalues -0.95 and 0.3.  M(A) has eigenvalue
+    79 there, so the mz-dmd memory chain grows about elevenfold a step and
+    its residual overflows within 200 columns."""
+    v = np.array([[1.0, 0.4], [0.3, 1.0]])
+    return v @ np.diag([-0.95, 0.3]) @ np.linalg.inv(v)
+
+
+class TestNonFiniteObjective:
+    """An overflowing objective raises a typed error naming its slices, and
+    numpy warns nothing on the way."""
+
+    @pytest.mark.parametrize("evaluate", [objective_value, objective_value_and_gradient])
+    @pytest.mark.parametrize("action", ["default", "error"])
+    def test_single_operator(self, action, evaluate):
+        rng = np.random.default_rng(80)
+        obj = Objective("mz-dmd", random_snapshots(rng, cols=200), rng.standard_normal(2))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action, RuntimeWarning)
+            with pytest.raises(DivergenceError, match="objective value is not finite$") as excinfo:
+                evaluate(obj, _overflowing_operator())
+        assert caught == []
+        assert excinfo.value.indices is None and excinfo.value.step is None
+
+    @pytest.mark.parametrize("evaluate", [objective_value, objective_value_and_gradient])
+    def test_stack_names_only_the_bad_slice(self, evaluate):
+        rng = np.random.default_rng(81)
+        obj = Objective("mz-dmd", random_snapshots(rng, cols=200), rng.standard_normal((2, 2)))
+        a = np.stack([_overflowing_operator(), random_operator(rng, 2)])
+        with pytest.raises(DivergenceError, match=r"in slices \[0\]$") as excinfo:
+            evaluate(obj, a)
+        assert excinfo.value.indices == [0]
+
+    def test_gradient_overflow_at_a_finite_value(self):
+        # slice 1 leaves residuals of 1e150, whose squares sum to a finite
+        # value while their product with snapshots of 1e200 overflows
+        s = SnapshotPair(np.full((2, 3), 1e150), np.full((2, 3), 1e200), 0.1)
+        a = np.stack([np.full((2, 2), 0.5e-50), np.zeros((2, 2))])
+        assert np.all(np.isfinite(objective_value(Objective("plain-dmd", s), a)))
+        with pytest.raises(DivergenceError, match=r"objective gradient is not finite in slices \[1\]$"):
+            objective_value_and_gradient(Objective("plain-dmd", s), a)
+
+
+def _reference_mz_memory(a, n, cols, chains=None):
     """The memory term with its two chains apart: ``(W M)^j n`` and ``W^j n``
-    each powered by its own loop and swept back by its own loop.  Bitwise
-    reference for the stacked chains of ``objectives._mz_memory``."""
+    each powered by its own loop, in a fresh buffer whatever ``chains`` is,
+    and swept back by its own loop.  Bitwise reference for the stacked
+    chains of ``objectives._mz_memory``."""
     eye = np.eye(a.shape[-1])
     a_shift = a - eye
     w = expm(a_shift)
