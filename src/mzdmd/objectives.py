@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DivergenceError, SingularMatrixError, failing_slices
+from .errors import DivergenceError, NumericalError, SingularMatrixError, failing_slices
 
 PLAIN_DMD = "plain-dmd"
 MZ_DMD = "mz-dmd"
@@ -168,26 +168,37 @@ class _Chains:
     """Working buffer of the power chains for one stack shape (..., d) and
     one column count: (cols + 1, ..., d) rows that the forward chains and the
     backward sweep share, their row views already paired for each loop, and
-    the sweep's scratch vector.  Nothing a chain returns aliases it."""
+    the sweep's scratch vector.  Nothing a chain returns aliases it.
+
+    The views and the scratch vector drop the stack's size-1 axes, and the
+    (..., d, d) matrices take ``matrix_shape`` to match, since numpy's
+    per-call set-up grows with the loop axes.  ``matvec`` makes each step:
+    ``np.dot`` for one d >= 2 matrix, the same BLAS gemv with less set-up,
+    and ``np.matvec`` otherwise (numpy's ``dot`` takes a 1 x 1 matrix as a
+    scalar, which keeps a -0.0 that gemv makes +0.0)."""
 
     def __init__(self, stack: tuple[int, ...], cols: int):
         self.rows = np.empty((cols + 1,) + stack)
-        views = list(self.rows)
+        lead, d = tuple(k for k in stack[:-1] if k != 1), stack[-1]
+        self.matrix_shape = lead + (d, d)
+        views = list(self.rows.reshape((cols + 1,) + lead + (d,)))
         self.forward = list(zip(views[:cols - 1], views[1:cols]))
         self.backward = list(zip(views[cols:1:-1], views[cols - 1:0:-1]))
-        self.step = np.empty(stack)
+        self.step = np.empty(lead + (d,))
+        self.matvec = np.dot if not lead and d > 1 else np.matvec
 
 
 def _power_columns(m: np.ndarray, v: np.ndarray, cols: int,
                    chains: _Chains | None = None) -> np.ndarray:
     """The chains ``x_j = M^j v`` for j = 0..cols-1 over a stack: M is
     (..., d, d), the rows v (..., d) broadcast against it, and the columns
-    come back as (..., d, cols).  Each step is one ``matvec`` between rows of
-    ``chains``, a fresh buffer when None."""
+    come back as (..., d, cols).  Each step is one gemv, ``chains.matvec``,
+    between rows of ``chains``, a fresh buffer when None."""
     chains = chains or _Chains(m.shape[:-1], cols)
     chains.rows[0] = v
+    matvec, m = chains.matvec, m.reshape(chains.matrix_shape)
     for prev, cur in chains.forward:
-        np.matvec(m, prev, cur)
+        matvec(m, prev, cur)
     return _columns(chains.rows[:cols])
 
 
@@ -199,17 +210,18 @@ def _power_pullback(m: np.ndarray, x: np.ndarray, c: np.ndarray,
     ``sum_{j >= 1} p_j x_{j-1}^T`` for every slice of the stack (..., d, d);
     the cotangent c (..., d, cols) broadcasts against it.  The rows of
     ``chains`` (a fresh buffer when None) start out holding the cotangent,
-    so each step is one ``matvec`` into the scratch vector and one
-    contiguous add into ``p_j``.
+    so each step is one gemv, ``chains.matvec``, into the scratch vector and
+    one contiguous add into ``p_j``.
     """
     cols = c.shape[-1]
     chains = chains or _Chains(m.shape[:-1], cols)
-    p, step, mt = chains.rows, chains.step, _mT(m)
+    p, step = chains.rows, chains.step
     np.moveaxis(p[:cols], 0, -1)[...] = c
     p[cols] = 0.0  # starts the sweep
+    matvec, add, mt = chains.matvec, np.add, _mT(m.reshape(chains.matrix_shape))
     for nxt, cur in chains.backward:
-        np.matvec(mt, nxt, step)
-        np.add(step, cur, cur)
+        matvec(mt, nxt, step)
+        add(step, cur, cur)
     return _columns(p[:cols])[..., 1:] @ _mT(x[..., :-1])
 
 
@@ -363,11 +375,13 @@ def objective_value_and_gradient(
     gives (n_u,) values and (n_u, d, d) gradients, each slice independent
     of the others.  A non-finite value raises :class:`DivergenceError`
     naming its slices before the pullback runs, and a non-finite gradient
-    raises it after, neither with a numpy warning.
+    raises it after, neither with a numpy warning; an overflow of the
+    exponential's Frechet derivative counts as a non-finite gradient, while
+    a :class:`SingularMatrixError` passes through.
 
     The forward chains and the sweep take turns in the objective's one
     buffer of (cols + 1, n_u, d) floats per chain, kept between calls; each
-    step is one ``matvec``.  Counting that buffer, mz-dmd peaks at about 9
+    step is one BLAS gemv.  Counting that buffer, mz-dmd peaks at about 9
     arrays of (cols, n_u, d) floats, 9 * n_u * d * cols * 8 bytes (7.3 MB
     traced at n_u = 100, d = 2 and 500 columns, 1.7 MB of it the buffer),
     t-model at about 5 (4.1 MB, 0.9 MB of it the buffer).
@@ -378,7 +392,13 @@ def objective_value_and_gradient(
         grad = -2.0 * (r @ s.x_minus.T)
         if pullback is not None:
             r *= 2.0
-            grad += pullback(r)
+            try:
+                grad += pullback(r)
+            except NumericalError as exc:
+                if isinstance(exc, SingularMatrixError):
+                    raise
+                # the exponential's Frechet derivative overflowed in these slices
+                grad[exc.indices] = np.inf
     _check_finite(grad, a, "gradient")
     if np.ndim(a) == 2:
         return float(value[0]), grad[0]

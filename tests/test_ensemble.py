@@ -328,27 +328,13 @@ class TestStackedEnsemble:
         _assert_same_fits(got, survivors, rtol=0)
 
     def test_overflowing_sample_is_dropped_and_the_other_fitted(self, monkeypatch):
-        # the plain fit every sample starts from has eigenvalues near -0.95
-        # and 0.3, where the mz-dmd memory chain grows about elevenfold a
-        # step: sample 0's residual overflows over 200 columns, while sample
-        # 1 has zero memory and fits like plain DMD
-        rng = np.random.default_rng(90)
-        v = np.array([[1.0, 0.4], [0.3, 1.0]])
-        a_true = v @ np.diag([-0.95, 0.3]) @ np.linalg.inv(v)
-        x = np.ones((2, 201))
-        for k in range(1, 201):
-            x[:, k] = a_true @ x[:, k - 1] + 0.05 * rng.standard_normal(2)
-        s = SnapshotPair.from_snapshots(x, 0.1)
-        monkeypatch.setattr(ensemble, "keyed_normals", lambda *key: np.array([[1.0, 1.0], [0.0, 0.0]]))
-        sink = []
-        with pytest.raises(EnsembleError) as excinfo:
-            fit_ensemble("mz-dmd", s, 1.0, 2, AdamConfig(), seed=0, trace_sink=sink)
-        ((index, exc),) = excinfo.value.failures
-        assert index == 0 and isinstance(exc, DivergenceError)
-        assert exc.indices == [0] and exc.step == 0
-        _, want = fit_transition(Objective("mz-dmd", s, np.zeros(2)), dmd_fit(s), AdamConfig())
-        assert len(sink) == 1
-        assert_bitwise(sink[0], want)
+        # sample 0's residual overflows over 200 columns
+        _assert_overflowing_sample_dropped(monkeypatch, 201, "value")
+
+    def test_sample_whose_gradient_overflows_is_dropped_and_the_other_fitted(self, monkeypatch):
+        # over 100 columns sample 0's residual is finite, but the Frechet
+        # derivative of the exponential in its gradient overflows
+        _assert_overflowing_sample_dropped(monkeypatch, 101, "gradient")
 
     @settings(deadline=None)
     @given(
@@ -365,6 +351,32 @@ class TestStackedEnsemble:
         got = _run(fit_ensemble, kind, s, sigma, n_u, cfg, seed)
         want = _run(_reference_fit_ensemble, kind, s, sigma, n_u, cfg, seed)
         _assert_same_fits(got, want, rtol=1e-12)
+
+
+def _assert_overflowing_sample_dropped(monkeypatch, n_points, what):
+    """Fit a two-sample mz-dmd ensemble whose plain fit, the start of every
+    sample, has eigenvalues near -0.95 and 0.3, where the memory chain grows
+    about elevenfold a step.  Sample 0 has memory (1, 1) and must fail at
+    iteration 0 with its objective ``what`` not finite; sample 1 has zero
+    memory and must fit like a lone fit."""
+    rng = np.random.default_rng(90)
+    v = np.array([[1.0, 0.4], [0.3, 1.0]])
+    a_true = v @ np.diag([-0.95, 0.3]) @ np.linalg.inv(v)
+    x = np.ones((2, n_points))
+    for k in range(1, n_points):
+        x[:, k] = a_true @ x[:, k - 1] + 0.05 * rng.standard_normal(2)
+    s = SnapshotPair.from_snapshots(x, 0.1)
+    monkeypatch.setattr(ensemble, "keyed_normals", lambda *key: np.array([[1.0, 1.0], [0.0, 0.0]]))
+    sink = []
+    with pytest.raises(EnsembleError) as excinfo:
+        fit_ensemble("mz-dmd", s, 1.0, 2, AdamConfig(), seed=0, trace_sink=sink)
+    ((index, exc),) = excinfo.value.failures
+    assert index == 0 and isinstance(exc, DivergenceError)
+    assert str(exc) == f"objective {what} is not finite in slices [0]"
+    assert exc.indices == [0] and exc.step == 0
+    _, want = fit_transition(Objective("mz-dmd", s, np.zeros(2)), dmd_fit(s), AdamConfig())
+    assert len(sink) == 1
+    assert_bitwise(sink[0], want)
 
 
 def _reference_match_and_average(models):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mzdmd import (
+    AdamConfig,
     DivergenceError,
     Objective,
     SingularMatrixError,
@@ -21,6 +22,7 @@ from mzdmd import (
     expm,
     expm_frechet,
     fd_gradient,
+    fit_transition,
     memory_kernel_closed,
     memory_kernel_trapezoid,
     mz_memory_matrix,
@@ -352,21 +354,29 @@ class TestStackedChains:
     """The power chains and their sweeps over a leading stack axis."""
 
     @pytest.mark.parametrize("cols", [1, 2, 7])
-    def test_stack_equals_separate_chains(self, cols):
-        rng = np.random.default_rng(cols)
-        k = np.stack([random_operator(rng, 3) for _ in range(4)])
-        w = np.stack([random_operator(rng, 3) for _ in range(4)])
-        n = rng.standard_normal((4, 3))
-        c = rng.standard_normal((4, 3, cols))
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n_u", [1, 4])
+    def test_stack_equals_separate_chains(self, n_u, d, cols):
+        # a stack of one and a lone matrix each power one matrix, by np.dot
+        # for d >= 2, where the stack of two and n_u > 1 take np.matvec; the
+        # bytes must agree, signed zeros included
+        rng = np.random.default_rng([n_u, d, cols])
+        k = np.stack([random_operator(rng, d) for _ in range(n_u)])
+        w = np.stack([random_operator(rng, d) for _ in range(n_u)])
+        n = rng.standard_normal((n_u, d))
+        c = rng.standard_normal((n_u, d, cols))
+        n[0, 0] = c[0, 0, -1] = -0.0
         kw = np.stack([k, w])
         yx = _power_columns(kw, n, cols)
-        assert yx.shape == (2, 4, 3, cols)
-        assert np.array_equal(yx[0], _power_columns(k, n, cols))
-        assert np.array_equal(yx[1], _power_columns(w, n, cols))
+        assert yx.shape == (2, n_u, d, cols)
         g = _power_pullback(kw, yx, c)
-        assert g.shape == (2, 4, 3, 3)
-        assert np.array_equal(g[0], _power_pullback(k, yx[0], c))
-        assert np.array_equal(g[1], _power_pullback(w, yx[1], c))
+        assert g.shape == (2, n_u, d, d)
+        for i, m in enumerate((k, w)):
+            assert yx[i].tobytes() == _power_columns(m, n, cols).tobytes()
+            assert g[i].tobytes() == _power_pullback(m, yx[i], c).tobytes()
+            for u in range(n_u):
+                assert yx[i, u].tobytes() == _power_columns(m[u], n[u], cols).tobytes()
+                assert g[i, u].tobytes() == _power_pullback(m[u], yx[i, u], c[u]).tobytes()
 
     @pytest.mark.parametrize("cols", [1, 2, 7])
     def test_rows_and_cotangent_broadcast_over_the_stack(self, cols):
@@ -548,7 +558,13 @@ class TestChainBufferReuse:
         objective_value_and_gradient(obj, a)
         assert obj._chains is chains
         assert chains.rows.shape == (13, 2, 3, 2)
-        assert Objective("t-model", snaps, rng.standard_normal(2))._chains.rows.shape == (13, 1, 2)
+        assert chains.step.shape == (2, 3, 2)
+        # the row views and the scratch vector drop the stack's size-1 axes
+        single = Objective("mz-dmd", snaps, rng.standard_normal(2))._chains
+        assert single.rows.shape == (13, 2, 1, 2) and single.step.shape == (2, 2)
+        single = Objective("t-model", snaps, rng.standard_normal(2))._chains
+        assert single.rows.shape == (13, 1, 2) and single.step.shape == (2,)
+        assert single.forward[0][0].shape == (2,)
 
 
 def _overflowing_operator():
@@ -583,6 +599,48 @@ class TestNonFiniteObjective:
         with pytest.raises(DivergenceError, match=r"in slices \[0\]$") as excinfo:
             evaluate(obj, a)
         assert excinfo.value.indices == [0]
+
+    @pytest.mark.parametrize("cols", [100, 150])
+    @pytest.mark.parametrize("action", ["default", "error"])
+    def test_exponential_overflow_in_the_gradient(self, action, cols):
+        # over 100 to 150 columns the value is finite, but the Frechet
+        # derivative of expm(A - I) along the chains' gradient overflows
+        rng = np.random.default_rng(80)
+        obj = Objective("mz-dmd", random_snapshots(rng, cols=cols), rng.standard_normal(2))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action, RuntimeWarning)
+            assert np.isfinite(objective_value(obj, _overflowing_operator()))
+            with pytest.raises(DivergenceError, match="objective gradient is not finite$") as excinfo:
+                objective_value_and_gradient(obj, _overflowing_operator())
+        assert caught == []
+        assert excinfo.value.indices is None and excinfo.value.step is None
+
+    def test_exponential_overflow_names_only_the_bad_slice(self):
+        rng = np.random.default_rng(80)
+        snaps, mem = random_snapshots(rng, cols=100), rng.standard_normal(2)
+        obj = Objective("mz-dmd", snaps, np.stack([mem, mem]))
+        a = np.stack([_overflowing_operator(), random_operator(rng, 2)])
+        with pytest.raises(DivergenceError, match=r"objective gradient is not finite in slices \[0\]$") as excinfo:
+            objective_value_and_gradient(obj, a)
+        assert excinfo.value.indices == [0]
+        assert np.isfinite(objective_value_and_gradient(Objective("mz-dmd", snaps, mem), a[1])[1]).all()
+
+    def test_exponential_overflow_is_stamped_with_the_iteration(self):
+        rng = np.random.default_rng(80)
+        obj = Objective("mz-dmd", random_snapshots(rng, cols=100), rng.standard_normal(2))
+        with pytest.raises(DivergenceError, match="objective gradient is not finite$") as excinfo:
+            fit_transition(obj, _overflowing_operator(), AdamConfig())
+        assert excinfo.value.step == 0 and excinfo.value.indices is None
+
+    @pytest.mark.parametrize("kind", ["mz-dmd", "t-model"])
+    def test_singular_solve_in_the_gradient_passes_through(self, kind):
+        rng = np.random.default_rng(82)
+        obj = Objective(kind, random_snapshots(rng), rng.standard_normal(2))
+        refused = SingularMatrixError("refused", cond=1e13, indices=[0])
+        with mock.patch.object(objectives.linalg, "expm_frechet", side_effect=refused):
+            with pytest.raises(SingularMatrixError) as excinfo:
+                objective_value_and_gradient(obj, random_operator(rng, 2))
+        assert excinfo.value is refused
 
     def test_gradient_overflow_at_a_finite_value(self):
         # slice 1 leaves residuals of 1e150, whose squares sum to a finite

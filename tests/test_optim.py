@@ -209,14 +209,18 @@ class TestFitTransition:
         with pytest.raises(ValueError):
             fit_transition(Objective("plain-dmd", s), np.eye(3), AdamConfig())
 
-    def test_stack_matches_a_per_slice_reference_loop_bitwise(self):
+    @pytest.mark.parametrize("kind", ["mz-dmd", "t-model"])
+    def test_stack_matches_a_per_slice_reference_loop_bitwise(self, kind):
+        # a lone t-model fit powers one matrix with np.dot, its stack with
+        # np.matvec; a -0.0 memory entry must come out the same in both
         rng = np.random.default_rng(8)
         s = random_snapshots(rng, cols=12)
         mem = rng.standard_normal((4, 2))
+        mem[1, 0] = -0.0
         a0 = np.stack([dmd_fit(s) + 0.01 * rng.standard_normal((2, 2)) for _ in range(4)])
         cfg = AdamConfig(learning_rate=0.01, iterations=5)
-        fitted, _ = fit_transition(Objective("mz-dmd", s, mem), a0, cfg)
-        want = np.stack([reference_fit(Objective("mz-dmd", s, mem[i]), a0[i], cfg)
+        fitted, _ = fit_transition(Objective(kind, s, mem), a0, cfg)
+        want = np.stack([reference_fit(Objective(kind, s, mem[i]), a0[i], cfg)
                          for i in range(4)])
         assert_bitwise(fitted, want)
 
