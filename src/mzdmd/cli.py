@@ -22,7 +22,7 @@ from pathlib import Path
 from . import harness
 from .config import METHODS, ExperimentConfig, build_config, read_config
 from .errors import ConfigError
-from .harness import MethodFailure, run_experiment, simulate_measurement, write_columns, write_csv
+from .harness import MethodFailure, run_experiment, simulate_measurement, write_csv
 from .selfcheck import run_checks
 
 ENV_OUTPUT_DIR = "MZDMD_OUTPUT_DIR"
@@ -95,7 +95,8 @@ def cmd_fit(cfg) -> int:
         model = method.spectral(cfg, snapshots)
     with harness.stage(cfg.method, "write"):
         path = cfg.output_dir / f"{method.stem}_spectrum.csv"
-        write_columns(path, ["re", "im"], [model.values.real, model.values.imag])
+        rows = harness.csv_rows([model.values.real, model.values.imag])
+        harness.write_rows(path, ["re", "im"], rows)
     for value in model.values:
         print(f"{value.real:+.12f} {value.imag:+.12f}j  |lambda| = {abs(value):.12f}")
     print(path)

@@ -57,41 +57,38 @@ class RunReport:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True, default=str)
 
 
-def write_columns(path, header, columns) -> None:
-    """Write one CSV row per index of ``columns``, each float in round-trip
-    ``repr`` form, under the given header names, making the file's
-    directory if need be.
+def csv_rows(columns) -> list[str]:
+    """One CSV row per index of ``columns``: the one place a number becomes
+    CSV text.  Each column is converted to Python floats and formatted once,
+    in round-trip ``repr`` form; the columns must have equal lengths."""
+    cells = (map(repr, np.asarray(col, dtype=float).tolist()) for col in columns)
+    return list(map(",".join, zip(*cells, strict=True)))
 
-    Each column is converted to Python floats once, so no cell goes through
-    a numpy scalar; the columns must have equal lengths.
-    """
-    rows = zip(*(np.asarray(col, dtype=float).tolist() for col in columns), strict=True)
-    lines = [",".join(header), *(",".join(map(repr, row)) for row in rows)]
+
+def write_rows(path, header, *blocks) -> None:
+    """Write the header, then the row texts of ``blocks`` side by side, making the directory."""
+    lines = [",".join(header), *map(",".join, zip(*blocks, strict=True))]
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as f:  # line by line: the whole text is never held, nor its encoding
+        f.writelines(map("{}\n".format, lines))
 
 
-def trajectory_columns(traj: Trajectory, var: Trajectory | None, prefix: str = ""):
-    """The ``y1,y2[,var1,var2]`` column names, each under ``prefix``, and
-    the columns of a two-coordinate trajectory and its variance."""
+def write_csv(traj: Trajectory, var: Trajectory | None, path) -> tuple[list[str], list[str]]:
+    """Write ``t,y1,y2[,var1,var2]`` rows with round-trip float formatting;
+    return the column names after ``t`` and each row's text after ``t,``."""
     states = np.asarray(traj.states, dtype=float)
     if states.ndim != 2 or states.shape[1] != 2:
         raise ValueError("expected a two-coordinate trajectory")
-    names, columns = ["y1", "y2"], [states[:, 0], states[:, 1]]
+    names, columns = ["y1", "y2"], [*states.T]
     if var is not None:
         var_states = np.asarray(var.states, dtype=float)
         if var_states.shape != states.shape:
             raise ValueError("variance shape does not match the trajectory")
-        names += ["var1", "var2"]
-        columns += [var_states[:, 0], var_states[:, 1]]
-    return [prefix + name for name in names], columns
-
-
-def write_csv(traj: Trajectory, var: Trajectory | None, path) -> None:
-    """Write ``t,y1,y2[,var1,var2]`` rows with round-trip float formatting."""
-    names, columns = trajectory_columns(traj, var)
-    write_columns(path, ["t", *names], [traj.times, *columns])
+        names, columns = names + ["var1", "var2"], columns + [*var_states.T]
+    rows = csv_rows(columns)
+    write_rows(path, ["t", *names], csv_rows([traj.times]), rows)
+    return names, rows
 
 
 def read_csv(path) -> tuple[list[str], np.ndarray]:
@@ -190,7 +187,7 @@ def run_experiment(cfg) -> RunReport:
 
     with stage(cfg.method, "simulate"):
         measurement, snapshots = simulate_measurement(cfg)
-    _write(measurement, None, out / "measurement.csv", cfg.method, report)
+    tables = {"measurement": _write(measurement, None, out / "measurement.csv", cfg.method, report)}
 
     times = cfg.sim.times()
     results: dict[str, tuple[Trajectory, Trajectory | None]] = {}
@@ -203,10 +200,11 @@ def run_experiment(cfg) -> RunReport:
             report.loss_traces[name] = loss_trace
         if traj.max_imag is not None:
             report.imag_residues[name] = traj.max_imag
-        _write(traj, var, out / f"{METHODS[name].stem}.csv", name, report)
+        stem = METHODS[name].stem
+        tables[stem] = _write(traj, var, out / f"{stem}.csv", name, report)
         results[name] = (traj, var)
 
-    _write_comparison(times, measurement, results, out / "comparison.csv", report)
+    _write_comparison(csv_rows([times]), tables, out / "comparison.csv", report)
 
     if cfg.emit_plots:
         curves = {"measurement": (measurement, None), **results}
@@ -222,17 +220,14 @@ def run_experiment(cfg) -> RunReport:
 
 
 def _write(traj, var, path, method, report):
+    report.csv_files.append(str(path))
     with stage(method, "write"):
-        write_csv(traj, var, path)
+        return write_csv(traj, var, path)
+
+
+def _write_comparison(t, tables, path, report):
+    """Write the ``t`` cells, then each stem's (names, rows) from write_csv as-is."""
+    header = ["t", *(f"{stem}_{name}" for stem, (names, _) in tables.items() for name in names)]
     report.csv_files.append(str(path))
-
-
-def _write_comparison(times, measurement, results, path, report):
-    header, columns = ["t"], [times]
-    stems = {"measurement": (measurement, None)} | {METHODS[n].stem: r for n, r in results.items()}
     with stage("comparison", "write"):
-        for stem, (traj, var) in stems.items():
-            names, cols = trajectory_columns(traj, var, f"{stem}_")
-            header, columns = header + names, columns + cols
-        write_columns(path, header, columns)
-    report.csv_files.append(str(path))
+        write_rows(path, header, t, *(rows for _, rows in tables.values()))

@@ -150,8 +150,9 @@ class SimConfig:
             raise ValueError("dt must be positive")
         if self.n_points < 2:
             raise ValueError("n_points must be at least 2")
-        if not abs(self.dt * (self.n_points - 1) - self.t_max) <= 1e-12:
-            raise ValueError("t_max must equal dt * (n_points - 1) within 1e-12")
+        tol = 1e-12 + 4 * np.finfo(float).eps * abs(self.t_max)
+        if not abs(self.dt * (self.n_points - 1) - self.t_max) <= tol < np.inf:
+            raise ValueError("t_max must equal dt * (n_points - 1) within 1e-12 + 4 eps |t_max|")
         if not 0 <= self.sigma < np.inf:
             raise ValueError("sigma must be nonnegative and finite")
         if self.n_mc < 1:

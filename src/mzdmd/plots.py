@@ -35,12 +35,12 @@ def _series_color(name: str, index: int) -> str:
 def emit_plot(times, series: dict, path, ylabel: str = "y") -> None:
     """Write one SVG comparing the given series over a common time axis.
 
-    ``series`` maps a method name to ``(values, variance_or_None)``; methods
-    with a variance get a shaded band at mean +- sqrt(variance).
+    ``series`` maps a method name to ``(values, variance_or_None)`` over the
+    strictly increasing ``times``; a variance shades mean +- sqrt(variance).
     """
     times = np.asarray(times, dtype=float).ravel()
-    if times.size < 2:
-        raise ValueError("need at least two time points to plot")
+    if times.size < 2 or not (np.diff(times) > 0).all():
+        raise ValueError("need at least two strictly increasing time points to plot")
 
     # each series once: name, color, values and band half-width sqrt(variance)
     curves = []
@@ -48,6 +48,8 @@ def emit_plot(times, series: dict, path, ylabel: str = "y") -> None:
     for index, (name, (values, var)) in enumerate(series.items()):
         values = np.asarray(values, dtype=float).ravel()
         band = None if var is None else np.sqrt(np.asarray(var, dtype=float).ravel())
+        if values.size != times.size or band is not None and band.size != times.size:
+            raise ValueError(f"series {name!r} needs one value and variance per time point")
         curves.append((name, _series_color(name, index), values, band))
         lo, hi = min(lo, values.min()), max(hi, values.max())
         if band is not None:
@@ -95,22 +97,23 @@ def emit_plot(times, series: dict, path, ylabel: str = "y") -> None:
         f'font-family="monospace" text-anchor="middle">{ylabel}</text>'
     )
 
-    def points(ts, vs):
-        # "x,y" pairs, each coordinate mapped on the whole array at once
-        return [f"{x:.2f},{y:.2f}" for x, y in zip(px(ts).tolist(), py(vs).tolist())]
+    xs = [f"{x:.2f}" for x in px(times).tolist()]  # the time axis, mapped and formatted once
+
+    def points(xs, vs):
+        return [f"{x},{y:.2f}" for x, y in zip(xs, py(vs).tolist())]
 
     # bands first so the lines draw on top of them, then the lines, then the legend
     bands, lines, legend = [], [], []
     legend_x = WIDTH - MARGIN_R + 12
     for index, (name, color, values, band) in enumerate(curves):
         if band is not None:
-            outline = points(times, values + band) + points(times[::-1], (values - band)[::-1])
+            outline = points(xs, values + band) + points(xs[::-1], (values - band)[::-1])
             bands.append(
                 f'<path d="M {" L ".join(outline)} Z" fill="{color}" '
                 f'fill-opacity="0.2" stroke="none"/>'
             )
         lines.append(
-            f'<polyline points="{" ".join(points(times, values))}" fill="none" '
+            f'<polyline points="{" ".join(points(xs, values))}" fill="none" '
             f'stroke="{color}" stroke-width="1.5"/>'
         )
         y = MARGIN_T + 16 + 20 * index

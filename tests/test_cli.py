@@ -6,7 +6,9 @@ import pytest
 from mzdmd import ConfigError, NumericalError, config, ensemble, harness, linalg, plots
 from mzdmd.cli import build_parser, main, resolve_config
 from mzdmd.ensemble import run_ensemble
-from mzdmd.harness import METHODS, dmd_spectral_model, read_csv, simulate_measurement, write_columns
+from mzdmd.harness import (
+    METHODS, csv_rows, dmd_spectral_model, read_csv, simulate_measurement, write_rows,
+)
 from mzdmd.selfcheck import CHECKS
 
 SMALL = (
@@ -315,7 +317,7 @@ def test_fit_stops_at_the_averaged_spectrum(tmp_path, capsys, monkeypatch, name)
     # the bytes of the full pipeline's averaged spectrum, which fit wrote
     # when it ran every reconstruction too
     values = _spectrum(resolve_config(build_parser().parse_args(argv)), name)
-    write_columns(tmp_path / "want.csv", ["re", "im"], [values.real, values.imag])
+    write_rows(tmp_path / "want.csv", ["re", "im"], csv_rows([values.real, values.imag]))
     got = tmp_path / "fit" / f"{METHODS[name].stem}_spectrum.csv"
     assert got.read_bytes() == (tmp_path / "want.csv").read_bytes()
 

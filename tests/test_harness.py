@@ -20,12 +20,22 @@ from mzdmd import (
     write_csv,
 )
 from mzdmd import harness, plots
-from mzdmd.harness import METHODS, MethodFailure, write_columns
+from mzdmd.harness import METHODS, MethodFailure, RunReport, csv_rows, write_rows
 
 # floats whose text forms are easy to get wrong: a negative zero, the
 # smallest subnormal, a value near overflow, a repeating fraction and
 # integer values
 AWKWARD = [-0.0, 5e-324, 1e308, 1 / 3, 2.0, -7.0, 0.0, 1e16]
+
+
+def _awkward_trajectory(with_var):
+    """A trajectory of the AWKWARD values, and a variance of them when
+    ``with_var``."""
+    values = np.array(AWKWARD)
+    times = np.arange(values.size) * 0.1
+    traj = Trajectory(times, np.stack([values, values[::-1]], axis=1))
+    var = Trajectory(times, np.stack([np.roll(values, 3), -values], axis=1)) if with_var else None
+    return traj, var
 
 
 def small_config(tmp_path, **overrides):
@@ -39,8 +49,9 @@ def small_config(tmp_path, **overrides):
 
 
 def _reference_write_columns(path, header, columns):
-    """``write_columns`` as it formatted one numpy scalar per cell: the
-    byte-for-byte reference for the per-column conversion."""
+    """A CSV writer that formats one numpy scalar per cell: the
+    byte-for-byte reference for the per-column conversion and the joined
+    rows."""
     lines = [",".join(header)]
     for k in range(len(columns[0])):
         lines.append(",".join(repr(float(col[k])) for col in columns))
@@ -159,7 +170,7 @@ class TestWritersMatchPerCellReference:
             list(AWKWARD),
         ]
         header = ["a", "b", "c", "d", "e"]
-        write_columns(tmp_path / "new.csv", header, columns)
+        write_rows(tmp_path / "new.csv", header, csv_rows(columns))
         _reference_write_columns(tmp_path / "old.csv", header, columns)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
         rows = (tmp_path / "new.csv").read_text().splitlines()
@@ -167,7 +178,37 @@ class TestWritersMatchPerCellReference:
 
     def test_csv_rejects_ragged_columns(self, tmp_path):
         with pytest.raises(ValueError):
-            write_columns(tmp_path / "t.csv", ["a", "b"], [np.zeros(3), np.zeros(2)])
+            csv_rows([np.zeros(3), np.zeros(2)])
+        with pytest.raises(ValueError):
+            write_rows(tmp_path / "t.csv", ["a", "b"], ["1.0"] * 3, ["2.0"] * 2)
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("with_var", [False, True], ids=["no-var", "var"])
+    def test_csv_trajectory_rows(self, tmp_path, with_var):
+        traj, var = _awkward_trajectory(with_var)
+        names, rows = write_csv(traj, var, tmp_path / "new.csv")
+        columns = [traj.times, *traj.states.T, *([] if var is None else var.states.T)]
+        _reference_write_columns(tmp_path / "old.csv", ["t", *names], columns)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        lines = (tmp_path / "old.csv").read_text().split()
+        assert rows == [line.split(",", 1)[1] for line in lines[1:]]
+
+    def test_comparison_joins_the_written_rows(self, tmp_path):
+        # comparison.csv under its stems, as one numpy scalar per cell of
+        # every trajectory formats it
+        times = np.arange(len(AWKWARD)) * 0.1
+        sources = {"measurement": _awkward_trajectory(False), "mzdmd": _awkward_trajectory(True)}
+        tables = {stem: write_csv(*pair, tmp_path / f"{stem}.csv") for stem, pair in sources.items()}
+        report = RunReport(seed=0, config={})
+        harness._write_comparison(csv_rows([times]), tables, tmp_path / "new.csv", report)
+        assert report.csv_files == [str(tmp_path / "new.csv")]
+        header, columns = ["t"], [times]
+        for stem, (traj, var) in sources.items():
+            names = ["y1", "y2"] if var is None else ["y1", "y2", "var1", "var2"]
+            header += [f"{stem}_{name}" for name in names]
+            columns += [*traj.states.T, *([] if var is None else var.states.T)]
+        _reference_write_columns(tmp_path / "old.csv", header, columns)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     @pytest.mark.parametrize("case", ["awkward", "near-overflow", "random"])
     def test_svg(self, tmp_path, case):
@@ -225,6 +266,17 @@ class TestWriteCsv:
         write_csv(traj, None, path)
         assert read_csv(path)[0] == ["t", "y1", "y2"]
 
+    @pytest.mark.parametrize("with_var", [False, True], ids=["no-var", "var"])
+    def test_returns_the_text_after_t_of_every_row(self, tmp_path, with_var):
+        rng = np.random.default_rng(3)
+        times = np.arange(7) * 0.1
+        traj = Trajectory(times, rng.standard_normal((7, 2)))
+        var = Trajectory(times, rng.uniform(0, 1, (7, 2))) if with_var else None
+        names, rows = write_csv(traj, var, tmp_path / "t.csv")
+        lines = (tmp_path / "t.csv").read_text().splitlines()
+        assert lines[0] == ",".join(["t", *names])
+        assert [f"{t!r},{row}" for t, row in zip(times.tolist(), rows, strict=True)] == lines[1:]
+
     def test_shape_mismatch(self, tmp_path):
         traj = Trajectory(np.arange(3) * 0.1, np.zeros((3, 2)))
         var = Trajectory(np.arange(2) * 0.1, np.zeros((2, 2)))
@@ -257,6 +309,24 @@ class TestEmitPlot:
         coords = band.split(" L ")
         # upper and lower band edges coincide pointwise when the variance is zero
         assert coords[:4] == coords[4:][::-1]
+
+    @pytest.mark.parametrize(
+        "times, values, var",
+        [
+            (np.arange(5.0), np.zeros(3), None),  # a short series
+            (np.arange(5.0), np.zeros(6), None),  # a long series
+            (np.arange(5.0), np.zeros(5), np.ones(1)),  # a variance that would broadcast
+            (np.array([0.0, 1.0, 1.0, 2.0, 3.0]), np.zeros(5), None),  # equal times
+            (np.arange(5.0)[::-1], np.zeros(5), None),  # decreasing times
+            (np.array([0.0, 1.0, np.nan, 3.0, 4.0]), np.zeros(5), None),  # a NaN time
+        ],
+        ids=["short-series", "long-series", "one-entry-variance", "equal-times",
+             "decreasing-times", "nan-time"],
+    )
+    def test_rejects_series_off_the_time_axis(self, tmp_path, times, values, var):
+        with pytest.raises(ValueError, match="time point"):
+            emit_plot(times, {"dmd": (values, var)}, tmp_path / "p.svg")
+        assert not (tmp_path / "p.svg").exists()
 
     def test_deterministic_output(self, tmp_path):
         times = np.arange(5) * 1.0
@@ -379,11 +449,12 @@ class TestRunExperiment:
         assert (cfg.output_dir / "y2.svg").exists()
 
     def test_deterministic_csv_outputs(self, tmp_path):
-        cfg_a = small_config(tmp_path / "a")
-        cfg_b = small_config(tmp_path / "b")
+        cfg_a = small_config(tmp_path / "a", emit_plots=True)
+        cfg_b = small_config(tmp_path / "b", emit_plots=True)
         run_experiment(cfg_a)
         run_experiment(cfg_b)
-        for name in ("dmd.csv", "mzdmd.csv", "tmodel.csv", "projection.csv", "comparison.csv"):
+        for name in ("measurement.csv", "dmd.csv", "mzdmd.csv", "tmodel.csv", "projection.csv",
+                     "comparison.csv", "y1.svg", "y2.svg"):
             assert (cfg_a.output_dir / name).read_bytes() == (
                 cfg_b.output_dir / name
             ).read_bytes(), name

@@ -102,6 +102,8 @@ class TestSimConfig:
             {"n_mc": 0},
             {"dt": np.nan},
             {"t_max": np.nan},
+            {"t_max": np.inf},
+            {"dt": np.inf},
             {"sigma": np.nan},
             {"sigma": np.inf},
         ],
@@ -109,6 +111,18 @@ class TestSimConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             SimConfig(**kwargs)
+
+    def test_grid_one_ulp_off_above_1e_12_is_accepted(self):
+        # the product lands one ulp (1.8e-12) above t_max
+        assert 1.1 * 8999 - 9898.9 > 1e-12
+        cfg = SimConfig(dt=1.1, n_points=9000, t_max=9898.9)
+        assert cfg.times()[-1] == 1.1 * 8999
+
+    @pytest.mark.parametrize("dt, n_points, t_max", [(0.1, 501, 50.0), (1.1, 9000, 9898.9)])
+    @pytest.mark.parametrize("offset", [-1e-9, 1e-9])
+    def test_t_max_off_by_1e_9_is_refused(self, dt, n_points, t_max, offset):
+        with pytest.raises(ValueError, match="t_max"):
+            SimConfig(dt=dt, n_points=n_points, t_max=t_max + offset)
 
 
 class TestIntegrate:
