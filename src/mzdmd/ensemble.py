@@ -59,13 +59,15 @@ class SpectralModel:
 
 @dataclass(eq=False)
 class EnsembleResult:
-    """Per-sample spectra as one (n_u, d) stack, their average, and the
-    reconstructed mean and variance trajectories."""
+    """Per-sample spectra as one (n_u, d) stack, their average, the
+    reconstructed mean and variance trajectories, and each sample's loss
+    trace as one (n_u, iterations + 1) array."""
 
     per_sample: SpectralModel
     averaged: SpectralModel
     mean_traj: Trajectory
     variance_traj: Trajectory
+    loss_traces: np.ndarray
 
 
 def fit_ensemble(
@@ -75,8 +77,7 @@ def fit_ensemble(
     n_u: int,
     cfg: AdamConfig,
     seed: int,
-    trace_sink: list | None = None,
-) -> SpectralModel:
+) -> tuple[SpectralModel, np.ndarray]:
     """Fit ``n_u`` operators from independently sampled memory initializations.
 
     Every fit starts from the plain least-squares solution; sample i draws
@@ -86,14 +87,14 @@ def fit_ensemble(
     (n_u, d) memory vectors; its working set is at most about 9 * n_u * d
     * (m - 1) * 8 bytes for m snapshots (7.3 MB for mz-dmd at the default
     n_u = 100, d = 2, m = 501).
-    The result stacks the phase-normalized eigendecomposition of each fitted
-    operator, in sample order.
+    Returns the phase-normalized eigendecomposition of each fitted operator
+    as one stack, in sample order, and the (n_u, iterations + 1) loss
+    traces of the fit.
 
     The slices are independent, so a sample whose fit fails is recorded
     with its error and dropped, and the survivors are fitted again.  Any
     failure then aborts the ensemble with an :class:`EnsembleError` that
-    aggregates all failed sample indices.  ``trace_sink``, when given,
-    collects the per-sample loss traces.
+    aggregates all failed sample indices.
     """
     if kind not in (MZ_DMD, T_MODEL):
         raise ValueError(f"fit_ensemble expects '{MZ_DMD}' or '{T_MODEL}', got {kind!r}")
@@ -120,14 +121,11 @@ def fit_ensemble(
             alive = np.setdiff1d(alive, failed)
     decs = []
     # one eig per sample, as perfbench/spans.py counts them; goes with ROADMAP items 1-2
-    for i, a_fit, trace in zip(alive, fitted, traces):
+    for i, a_fit in zip(alive, fitted):
         try:
             decs.append(linalg.eig(a_fit))
         except Exception as exc:  # noqa: BLE001 - aggregated and re-raised below
             failures.append((int(i), exc))
-            continue
-        if trace_sink is not None:
-            trace_sink.append(trace)
     if failures:
         failures.sort(key=lambda f: f[0])
         indices = ", ".join(str(i) for i, _ in failures)
@@ -137,7 +135,7 @@ def fit_ensemble(
             failures=failures,
         )
     values, vectors = zip(*decs)
-    return SpectralModel(values=np.stack(values), vectors=np.stack(vectors), dt=s.dt)
+    return SpectralModel(values=np.stack(values), vectors=np.stack(vectors), dt=s.dt), traces
 
 
 @functools.cache
@@ -259,11 +257,10 @@ def run_ensemble(
     seed: int,
     x0: np.ndarray,
     times: np.ndarray,
-    trace_sink: list | None = None,
 ) -> EnsembleResult:
     """Full ensemble pipeline: fit, align and average the spectra, then
     reconstruct the expected dynamics and its empirical variance."""
-    per_sample = fit_ensemble(kind, s, sigma, n_u, cfg, seed, trace_sink=trace_sink)
+    per_sample, loss_traces = fit_ensemble(kind, s, sigma, n_u, cfg, seed)
     averaged = match_and_average(per_sample)
     mean_traj = reconstruct(averaged, x0, times)
     variance_traj = ensemble_variance(per_sample, mean_traj, x0, times)
@@ -272,4 +269,5 @@ def run_ensemble(
         averaged=averaged,
         mean_traj=mean_traj,
         variance_traj=variance_traj,
+        loss_traces=loss_traces,
     )

@@ -126,18 +126,16 @@ def _fit_dmd(cfg, snapshots):
 
 
 def _fit_ensemble(kind, cfg, snapshots):
-    sink: list = []
     result = run_ensemble(
         kind, snapshots, cfg.sim.sigma, cfg.n_u, cfg.adam, cfg.sim.seed,
-        np.array(cfg.resolved_init), cfg.sim.times(), trace_sink=sink,
+        np.array(cfg.resolved_init), cfg.sim.times(),
     )
-    loss_trace = np.mean(sink, axis=0).tolist()
-    return result.mean_traj, result.variance_traj, loss_trace
+    return result.mean_traj, result.variance_traj, result.loss_traces.mean(axis=0).tolist()
 
 
 def _ensemble_spectral_model(kind, cfg, snapshots):
     """The averaged spectrum of an ensemble, without its reconstructions."""
-    per_sample = fit_ensemble(kind, snapshots, cfg.sim.sigma, cfg.n_u, cfg.adam, cfg.sim.seed)
+    per_sample, _ = fit_ensemble(kind, snapshots, cfg.sim.sigma, cfg.n_u, cfg.adam, cfg.sim.seed)
     return match_and_average(per_sample)
 
 
@@ -187,7 +185,8 @@ def run_experiment(cfg) -> RunReport:
 
     with stage(cfg.method, "simulate"):
         measurement, snapshots = simulate_measurement(cfg)
-    tables = {"measurement": _write(measurement, None, out / "measurement.csv", cfg.method, report)}
+    with stage(cfg.method, "write"):
+        tables = {"measurement": write_csv(measurement, None, out / "measurement.csv")}
 
     times = cfg.sim.times()
     results: dict[str, tuple[Trajectory, Trajectory | None]] = {}
@@ -201,10 +200,12 @@ def run_experiment(cfg) -> RunReport:
         if traj.max_imag is not None:
             report.imag_residues[name] = traj.max_imag
         stem = METHODS[name].stem
-        tables[stem] = _write(traj, var, out / f"{stem}.csv", name, report)
+        with stage(name, "write"):
+            tables[stem] = write_csv(traj, var, out / f"{stem}.csv")
         results[name] = (traj, var)
 
-    _write_comparison(csv_rows([times]), tables, out / "comparison.csv", report)
+    report.csv_files = [str(out / f"{stem}.csv") for stem in [*tables, "comparison"]]
+    _write_comparison(csv_rows([times]), tables, out / "comparison.csv")
 
     if cfg.emit_plots:
         curves = {"measurement": (measurement, None), **results}
@@ -219,15 +220,8 @@ def run_experiment(cfg) -> RunReport:
     return report
 
 
-def _write(traj, var, path, method, report):
-    report.csv_files.append(str(path))
-    with stage(method, "write"):
-        return write_csv(traj, var, path)
-
-
-def _write_comparison(t, tables, path, report):
+def _write_comparison(t, tables, path):
     """Write the ``t`` cells, then each stem's (names, rows) from write_csv as-is."""
     header = ["t", *(f"{stem}_{name}" for stem, (names, _) in tables.items() for name in names)]
-    report.csv_files.append(str(path))
     with stage("comparison", "write"):
         write_rows(path, header, t, *(rows for _, rows in tables.values()))

@@ -37,6 +37,8 @@ def emit_plot(times, series: dict, path, ylabel: str = "y") -> None:
 
     ``series`` maps a method name to ``(values, variance_or_None)`` over the
     strictly increasing ``times``; a variance shades mean +- sqrt(variance).
+    A non-finite value, or a negative or non-finite variance, raises
+    ``ValueError`` naming its series before any file is written.
     """
     times = np.asarray(times, dtype=float).ravel()
     if times.size < 2 or not (np.diff(times) > 0).all():
@@ -47,9 +49,14 @@ def emit_plot(times, series: dict, path, ylabel: str = "y") -> None:
     lo, hi = np.inf, -np.inf
     for index, (name, (values, var)) in enumerate(series.items()):
         values = np.asarray(values, dtype=float).ravel()
-        band = None if var is None else np.sqrt(np.asarray(var, dtype=float).ravel())
-        if values.size != times.size or band is not None and band.size != times.size:
+        var = None if var is None else np.asarray(var, dtype=float).ravel()
+        if values.size != times.size or var is not None and var.size != times.size:
             raise ValueError(f"series {name!r} needs one value and variance per time point")
+        if not np.isfinite(values).all():
+            raise ValueError(f"series {name!r} has a non-finite value")
+        if var is not None and not ((var >= 0) & (var < np.inf)).all():
+            raise ValueError(f"series {name!r} has a negative or non-finite variance")
+        band = None if var is None else np.sqrt(var)
         curves.append((name, _series_color(name, index), values, band))
         lo, hi = min(lo, values.min()), max(hi, values.max())
         if band is not None:

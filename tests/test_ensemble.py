@@ -96,7 +96,7 @@ class TestSpectralModel:
 class TestFitEnsemble:
     def test_zero_sigma_reduces_to_plain_fit(self):
         s = _sim_snapshots(sigma=0.0)
-        models = fit_ensemble("mz-dmd", s, 0.0, 4, AdamConfig(), seed=0)
+        models, _ = fit_ensemble("mz-dmd", s, 0.0, 4, AdamConfig(), seed=0)
         assert models.values.shape == (4, 2) and models.vectors.shape == (4, 2, 2)
         # all samples see the same zero memory vector, hence identical fits
         for i in range(1, 4):
@@ -110,7 +110,7 @@ class TestFitEnsemble:
 
     def test_single_sample_average_is_identity(self):
         s = _sim_snapshots()
-        models = fit_ensemble("t-model", s, 1.0, 1, AdamConfig(), seed=1)
+        models, _ = fit_ensemble("t-model", s, 1.0, 1, AdamConfig(), seed=1)
         averaged = match_and_average(models)
         np.testing.assert_allclose(averaged.values, models.values[0], atol=1e-14)
         np.testing.assert_allclose(averaged.vectors, models.vectors[0], atol=1e-12)
@@ -127,10 +127,12 @@ class TestFitEnsemble:
 
     def test_deterministic_given_seed(self):
         s = _sim_snapshots()
-        a = fit_ensemble("t-model", s, 1.0, 3, AdamConfig(), seed=5)
-        b = fit_ensemble("t-model", s, 1.0, 3, AdamConfig(), seed=5)
+        (a, a_traces), (b, b_traces) = (
+            fit_ensemble("t-model", s, 1.0, 3, AdamConfig(), seed=5) for _ in range(2)
+        )
         np.testing.assert_array_equal(a.values, b.values)
         np.testing.assert_array_equal(a.vectors, b.vectors)
+        np.testing.assert_array_equal(a_traces, b_traces)
 
     def test_sample_failures_aggregate(self):
         s = _sim_snapshots()
@@ -140,12 +142,10 @@ class TestFitEnsemble:
         assert len(excinfo.value.failures) == 3
         assert "0" in str(excinfo.value)
 
-    def test_trace_sink_collects_all_samples(self):
+    def test_returns_one_loss_trace_per_sample(self):
         s = _sim_snapshots()
-        sink = []
-        fit_ensemble("t-model", s, 1.0, 4, AdamConfig(), seed=3, trace_sink=sink)
-        assert len(sink) == 4
-        assert all(t.shape == (6,) for t in sink)
+        _, traces = fit_ensemble("t-model", s, 1.0, 4, AdamConfig(), seed=3)
+        assert traces.shape == (4, AdamConfig().iterations + 1)
 
     @pytest.mark.parametrize("sigma", [1.0, 0.3, 0.0])
     def test_memory_rows_are_sigma_times_each_samples_stream(self, sigma, monkeypatch):
@@ -176,39 +176,49 @@ class TestFitEnsemble:
         assert keys == [(3, TAG_ENSEMBLE, 0)]
 
 
-def _reference_fit_ensemble(kind, s, sigma, n_u, cfg, seed, trace_sink=None, stream=rng_stream):
+def _reference_fit_ensemble(kind, s, sigma, n_u, cfg, seed, stream=rng_stream):
     """The per-sample ensemble loop: one 2-D fit_transition per sample, each
     memory vector drawn from its own ``stream(seed, ensemble, i)``, kept as
-    the reference for the stacked fit; its models are stacked at the end."""
+    the reference for the stacked fit; its models are stacked at the end,
+    and so are its loss traces."""
     a0 = dmd_fit(s)
-    models, failures = [], []
+    models, traces, failures = [], [], []
     for i in range(n_u):
         mem = sigma * stream(seed, TAG_ENSEMBLE, i).standard_normal(s.dim)
         try:
-            a_fit, trace = fit_transition(Objective(kind, s, mem), a0, cfg)
+            # looked up on the module, as the stacked fit does, so _recorded sees the call
+            a_fit, trace = ensemble.fit_transition(Objective(kind, s, mem), a0, cfg)
             dec = linalg.eig(a_fit)
         except Exception as exc:  # noqa: BLE001 - aggregated and re-raised below
             failures.append((i, exc))
             continue
-        if trace_sink is not None:
-            trace_sink.append(trace)
+        traces.append(trace)
         models.append(SpectralModel(values=dec.values, vectors=dec.vectors, dt=s.dt))
     if failures:
         raise EnsembleError(f"{len(failures)} of {n_u} samples failed", failures=failures)
-    return _stack(models)
+    return _stack(models), np.stack(traces)
 
 
 @contextlib.contextmanager
-def _fitted_operators():
-    """Record every operator whose eigendecomposition an ensemble takes."""
-    seen, real = [], linalg.eig
+def _recorded():
+    """Record every operator whose eigendecomposition an ensemble takes, and
+    the loss-trace rows of every ``ensemble.fit_transition`` call that
+    returns: a stacked fit's last call, which holds the survivors' traces,
+    or each surviving sample's call in the per-sample reference."""
+    operators, traces = [], []
+    real_eig, real_fit = linalg.eig, ensemble.fit_transition
 
-    def record(a, *args, **kwargs):
-        seen.append(np.array(a))
-        return real(a, *args, **kwargs)
+    def eig(a, *args, **kwargs):
+        operators.append(np.array(a))
+        return real_eig(a, *args, **kwargs)
 
-    with mock.patch.object(linalg, "eig", record):
-        yield seen
+    def fit(obj, a0, cfg):
+        fitted, trace = real_fit(obj, a0, cfg)
+        traces.extend(trace.reshape(-1, trace.shape[-1]))
+        return fitted, trace
+
+    with mock.patch.object(linalg, "eig", eig), mock.patch.object(ensemble, "fit_transition", fit):
+        yield operators, traces
 
 
 class Fits(NamedTuple):
@@ -219,14 +229,17 @@ class Fits(NamedTuple):
 
 
 def _run(fit, kind, s, sigma, n_u, cfg, seed) -> Fits:
-    """Fitted operators, loss traces, models and failures of one ensemble."""
-    traces = []
-    with _fitted_operators() as ops, np.errstate(over="ignore", invalid="ignore"):
+    """Fitted operators, loss traces, models and failures of one ensemble.
+    The traces are the fit's return value, which must equal the recorded
+    rows; when the ensemble fails, they are the recorded survivors' rows."""
+    with _recorded() as (ops, recorded), np.errstate(over="ignore", invalid="ignore"):
         try:
-            models, failures = fit(kind, s, sigma, n_u, cfg, seed, trace_sink=traces), []
+            models, traces = fit(kind, s, sigma, n_u, cfg, seed)
         except EnsembleError as exc:
-            models, failures = None, [(i, type(e)) for i, e in exc.failures]
-    return Fits(ops, traces, models, failures)
+            return Fits(ops, recorded, None, [(i, type(e)) for i, e in exc.failures])
+    assert traces.shape == (n_u, cfg.iterations + 1)
+    np.testing.assert_array_equal(traces, recorded)
+    return Fits(ops, list(traces), models, [])
 
 
 def _assert_same_fits(got: Fits, want: Fits, rtol: float) -> None:
@@ -367,16 +380,15 @@ def _assert_overflowing_sample_dropped(monkeypatch, n_points, what):
         x[:, k] = a_true @ x[:, k - 1] + 0.05 * rng.standard_normal(2)
     s = SnapshotPair.from_snapshots(x, 0.1)
     monkeypatch.setattr(ensemble, "keyed_normals", lambda *key: np.array([[1.0, 1.0], [0.0, 0.0]]))
-    sink = []
-    with pytest.raises(EnsembleError) as excinfo:
-        fit_ensemble("mz-dmd", s, 1.0, 2, AdamConfig(), seed=0, trace_sink=sink)
+    with _recorded() as (_, traces), pytest.raises(EnsembleError) as excinfo:
+        fit_ensemble("mz-dmd", s, 1.0, 2, AdamConfig(), seed=0)
     ((index, exc),) = excinfo.value.failures
     assert index == 0 and isinstance(exc, DivergenceError)
     assert str(exc) == f"objective {what} is not finite in slices [0]"
     assert exc.indices == [0] and exc.step == 0
     _, want = fit_transition(Objective("mz-dmd", s, np.zeros(2)), dmd_fit(s), AdamConfig())
-    assert len(sink) == 1
-    assert_bitwise(sink[0], want)
+    assert len(traces) == 1
+    assert_bitwise(traces[0], want)
 
 
 def _reference_match_and_average(models):

@@ -11,6 +11,7 @@ from mzdmd import (
     default_config,
     dmd_spectral_model,
     emit_plot,
+    fit_ensemble,
     oscillator_rhs,
     read_csv,
     reconstruct,
@@ -20,7 +21,7 @@ from mzdmd import (
     write_csv,
 )
 from mzdmd import harness, plots
-from mzdmd.harness import METHODS, MethodFailure, RunReport, csv_rows, write_rows
+from mzdmd.harness import METHODS, MethodFailure, csv_rows, write_rows
 
 # floats whose text forms are easy to get wrong: a negative zero, the
 # smallest subnormal, a value near overflow, a repeating fraction and
@@ -199,9 +200,7 @@ class TestWritersMatchPerCellReference:
         times = np.arange(len(AWKWARD)) * 0.1
         sources = {"measurement": _awkward_trajectory(False), "mzdmd": _awkward_trajectory(True)}
         tables = {stem: write_csv(*pair, tmp_path / f"{stem}.csv") for stem, pair in sources.items()}
-        report = RunReport(seed=0, config={})
-        harness._write_comparison(csv_rows([times]), tables, tmp_path / "new.csv", report)
-        assert report.csv_files == [str(tmp_path / "new.csv")]
+        harness._write_comparison(csv_rows([times]), tables, tmp_path / "new.csv")
         header, columns = ["t"], [times]
         for stem, (traj, var) in sources.items():
             names = ["y1", "y2"] if var is None else ["y1", "y2", "var1", "var2"]
@@ -328,6 +327,30 @@ class TestEmitPlot:
             emit_plot(times, {"dmd": (values, var)}, tmp_path / "p.svg")
         assert not (tmp_path / "p.svg").exists()
 
+    @pytest.mark.parametrize(
+        "values, var, match",
+        [
+            ([0.0, 1.0, np.nan, 3.0, 4.0], None, "non-finite value"),
+            ([0.0, 1.0, np.inf, 3.0, 4.0], None, "non-finite value"),
+            ([0.0, 1.0, -np.inf, 3.0, 4.0], [0.1] * 5, "non-finite value"),
+            (np.zeros(5), [0.1, np.nan, 0.1, 0.1, 0.1], "negative or non-finite variance"),
+            (np.zeros(5), [0.1, np.inf, 0.1, 0.1, 0.1], "negative or non-finite variance"),
+            (np.zeros(5), [0.1, 0.1, -1e-3, 0.1, 0.1], "negative or non-finite variance"),
+        ],
+        ids=["nan-value", "inf-value", "minus-inf-value", "nan-variance", "inf-variance",
+             "negative-variance"],
+    )
+    def test_rejects_non_finite_series_and_negative_variance(self, tmp_path, values, var, match):
+        # the bad series comes second, so the refusal names it and not the first
+        series = {"measurement": (np.ones(5), None), "t-model": (values, var)}
+        with pytest.raises(ValueError, match=f"series 't-model' has a {match}"):
+            emit_plot(np.arange(5.0), series, tmp_path / "p.svg")
+        assert not (tmp_path / "p.svg").exists()
+
+    def test_negative_zero_variance_is_accepted(self, tmp_path):
+        emit_plot(np.arange(3.0), {"dmd": (np.zeros(3), np.array([-0.0, 0.0, 1.0]))}, tmp_path / "p.svg")
+        assert (tmp_path / "p.svg").read_text().count("nan") == 0
+
     def test_deterministic_output(self, tmp_path):
         times = np.arange(5) * 1.0
         series = {"a": (np.sin(times), None), "b": (np.cos(times), np.full(5, 0.1))}
@@ -442,6 +465,26 @@ class TestRunExperiment:
         assert not (cfg.output_dir / "dmd.csv").exists()
         assert list(report.wall_times) == ["projection"]
 
+    @pytest.mark.parametrize("method, stems", [
+        ("all", ["measurement", "dmd", "mzdmd", "tmodel", "projection", "comparison"]),
+        ("projection", ["measurement", "projection", "comparison"]),
+    ])
+    def test_csv_files_lists_the_written_files_in_order(self, tmp_path, method, stems):
+        cfg = small_config(tmp_path, method=method)
+        report = run_experiment(cfg)
+        assert report.csv_files == [str(cfg.output_dir / f"{stem}.csv") for stem in stems]
+        assert json.loads((cfg.output_dir / "report.json").read_text())["csv_files"] == report.csv_files
+        assert sorted(p.name for p in cfg.output_dir.glob("*.csv")) == sorted(f"{s}.csv" for s in stems)
+
+    def test_loss_traces_are_the_mean_of_the_sample_traces(self, tmp_path):
+        cfg = small_config(tmp_path)
+        report = run_experiment(cfg)
+        _, snapshots = simulate_measurement(cfg)
+        for kind in ("mz-dmd", "t-model"):
+            _, traces = fit_ensemble(kind, snapshots, cfg.sim.sigma, cfg.n_u, cfg.adam, cfg.sim.seed)
+            # the mean of the rows as a list, bit for bit
+            assert report.loss_traces[kind] == np.mean(list(traces), axis=0).tolist()
+
     def test_plots_emitted_when_enabled(self, tmp_path):
         cfg = small_config(tmp_path, method="dmd", emit_plots=True)
         run_experiment(cfg)
@@ -482,6 +525,30 @@ class TestRunExperiment:
             own = [line.split(",") for line in (cfg.output_dir / f"{stem}.csv").read_text().split()]
             picked = [header.index(f"{stem}_{name}") for name in own[0][1:]]
             assert [[row[0], *(row[k] for k in picked)] for row in cells[1:]] == own[1:], stem
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("n_u", [1, 3])
+@pytest.mark.parametrize("sigma", [0.0, 1.0, 3.0])
+@pytest.mark.parametrize("dt", [0.05, 0.1, 0.5])
+def test_robustness_sweep_writes_finite_csvs_or_names_the_failure(tmp_path, dt, sigma, n_u, seed):
+    # pyproject.toml makes a numpy overflow or invalid operation an error, so
+    # a run that finishes met none, and a failure must be a typed one
+    cfg = default_config()
+    sim = dataclasses.replace(cfg.sim, dt=dt, t_max=40 * dt, n_points=41, n_mc=8,
+                              sigma=sigma, seed=seed)
+    cfg = dataclasses.replace(cfg, sim=sim, n_u=n_u, output_dir=tmp_path / "out")
+    try:
+        report = run_experiment(cfg)
+    except MethodFailure as exc:
+        assert exc.method in (*METHODS, "all", "comparison")
+        assert exc.stage in ("simulate", "fit", "write")
+        assert not isinstance(exc.__cause__, RuntimeWarning), exc
+        return
+    assert len(report.csv_files) == 6
+    for path in report.csv_files:
+        header, data = read_csv(path)
+        assert data.shape == (41, len(header)) and np.isfinite(data).all(), path
 
 
 def test_dmd_spectral_model_matches_reconstruction():
