@@ -223,8 +223,8 @@ def reconstruct(model: SpectralModel, x0: np.ndarray, times: np.ndarray) -> Traj
     vectors = model.vectors.reshape(-1, d, d)
     omega = np.log(model.values.reshape(-1, 1, d)) / model.dt
     b = linalg.solve(vectors, np.broadcast_to(x0.astype(complex)[:, None], (len(vectors), d, 1)))
-    coords = np.exp(times[:, None] * omega) * b.transpose(0, 2, 1)
-    complex_states = coords @ vectors.transpose(0, 2, 1)
+    coords = np.exp(times[:, None] * omega) * b.mT
+    complex_states = coords @ vectors.mT
     states = complex_states.real.transpose(1, 0, 2).copy().reshape(times.shape + model.values.shape)
     max_imag = float(np.abs(complex_states.imag).max()) if times.size else 0.0
     return Trajectory(times=times, states=states, max_imag=max_imag)

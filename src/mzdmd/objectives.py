@@ -120,11 +120,6 @@ def dmd_fit(s: SnapshotPair) -> np.ndarray:
     return s.x_plus @ linalg.pinv(s.x_minus)
 
 
-def _mT(x: np.ndarray) -> np.ndarray:
-    """Transpose of each slice of a stack."""
-    return np.swapaxes(x, -1, -2)
-
-
 def cayley_M(a: np.ndarray) -> np.ndarray:
     """Transfer map ``I - 2 (A - I)(A + I)^{-1}`` of the memory recursion.
 
@@ -136,7 +131,7 @@ def cayley_M(a: np.ndarray) -> np.ndarray:
         raise ValueError("cayley_M requires a square matrix or a stack of them")
     eye = np.eye(a.shape[-1])
     # right division: X (A + I) = (A - I)  =>  X = solve((A+I)^T, (A-I)^T)^T
-    x = _mT(linalg.solve(_mT(a + eye), _mT(a - eye)))
+    x = linalg.solve((a + eye).mT, (a - eye).mT).mT
     return eye - 2.0 * x
 
 
@@ -218,11 +213,11 @@ def _power_pullback(m: np.ndarray, x: np.ndarray, c: np.ndarray,
     p, step = chains.rows, chains.step
     np.moveaxis(p[:cols], 0, -1)[...] = c
     p[cols] = 0.0  # starts the sweep
-    matvec, add, mt = chains.matvec, np.add, _mT(m.reshape(chains.matrix_shape))
+    matvec, add, mt = chains.matvec, np.add, m.reshape(chains.matrix_shape).mT
     for nxt, cur in chains.backward:
         matvec(mt, nxt, step)
         add(step, cur, cur)
-    return _columns(p[:cols])[..., 1:] @ _mT(x[..., :-1])
+    return _columns(p[:cols])[..., 1:] @ x[..., :-1].mT
 
 
 def _mz_memory(a, n, cols, chains=None):
@@ -241,13 +236,13 @@ def _mz_memory(a, n, cols, chains=None):
 
     def pullback(c):
         # columns S (y - x) with S = (A - I)^{-1}: dS = -S dA S
-        c_hat = linalg.solve(_mT(a_shift), c)
+        c_hat = linalg.solve(a_shift.mT, c)
         g_k, g_x = _power_pullback(kw, yx, c_hat, chains)
-        g_w = g_k @ _mT(m_map) - g_x
+        g_w = g_k @ m_map.mT - g_x
         # M = 4 B - I with B = (A + I)^{-1}, so dM = -4 B dA B
         b = linalg.solve(a + eye, np.broadcast_to(eye, a.shape))
-        grad = -(c_hat @ _mT(f)) - 4.0 * (_mT(b) @ (_mT(w) @ g_k) @ _mT(b))
-        return grad + linalg.expm_frechet(_mT(a_shift), g_w)[1]
+        grad = -(c_hat @ f.mT) - 4.0 * (b.mT @ (w.mT @ g_k) @ b.mT)
+        return grad + linalg.expm_frechet(a_shift.mT, g_w)[1]
 
     return f, pullback
 
@@ -263,7 +258,7 @@ def _tmodel_memory(a, n, dt, cols, chains=None):
 
     def pullback(c):
         g_w = _power_pullback(w, x, np.multiply(c, weights, out=c), chains)
-        return linalg.expm_frechet(_mT(a_shift), g_w)[1]
+        return linalg.expm_frechet(a_shift.mT, g_w)[1]
 
     return x * weights, pullback
 

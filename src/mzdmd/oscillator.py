@@ -35,63 +35,39 @@ def rng_stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _uint32_words(value: int) -> list[int]:
-    """``value`` as little-endian 32-bit words, as ``SeedSequence`` reads an int."""
-    words = [value & 0xFFFFFFFF]
-    value >>= 32
-    while value:
-        words.append(value & 0xFFFFFFFF)
-        value >>= 32
-    return words
-
-
 def _philox_keys(seed: int, tag: int, n: int) -> np.ndarray:
     """(n, 2) uint64 Philox keys of the streams ``rng_stream(seed, tag, i)``
-    for i < n <= 2**32, in one pass over uint32 arrays.
+    for i < n <= 2**32, in one pass over a uint32 array.
 
     This is ``SeedSequence(seed, spawn_key=(tag, i)).generate_state(2,
-    uint64)`` with every stream in a column: the seed's words, padded with
-    zeros to the 4-word pool, then the tag's words and i form the entropy;
-    the first four words are hashed into the pool, every pool word is mixed
-    into every other, the remaining words are mixed into all four, and four
-    hashed pool words pair up little-endian into the two key words.  The
-    hash multipliers advance the same way whatever the data, so one scalar
-    sequence serves every column; numpy's uint32 arrays wrap as the C code
-    does.
+    uint64)`` with every stream in a column.  Only the last entropy word, i,
+    differs between streams, and ``SeedSequence(seed, spawn_key=(tag,))``
+    has mixed every word before it into its 4-word pool: the seed's words,
+    padded with zeros to four, then the tag's.  Its hash multiplier has
+    advanced once per hash call, 4 of them to fill the pool, 12 to mix it
+    and 4 for each word past the fourth, so the pass resumes there, hashes
+    i into all four pool words, and four hashed pool words pair up
+    little-endian into the two key words.  numpy's uint32 arrays wrap as
+    the C code does.
     """
-    seed_words = _uint32_words(int(seed))
-    words = seed_words + [0] * (4 - len(seed_words)) + _uint32_words(int(tag))
-    entropy = [np.full(n, word, np.uint32) for word in words] + [np.arange(n, dtype=np.uint32)]
-    mult = 0x43B0D7E5
-
-    def hashmix(value):
-        nonlocal mult
-        value = value ^ np.uint32(mult)
+    seed, tag = int(seed), int(tag)
+    pool = np.random.SeedSequence(seed, spawn_key=(tag,)).pool * np.uint32(0xCA01F9DD)
+    words = max(-(-seed.bit_length() // 32), 4) + max(-(-tag.bit_length() // 32), 1)
+    mult, out_mult = 0x43B0D7E5 * pow(0x931E8875, 4 * words, 2**32) & 0xFFFFFFFF, 0x8B51F9DD
+    index, shift = np.arange(n, dtype=np.uint32), np.uint32(16)
+    state = np.empty((n, 4), np.uint32)
+    for k in range(4):
+        # hash i, mix it into pool word k (premultiplied above), then hash that into the state
+        value = index ^ np.uint32(mult)
         mult = mult * 0x931E8875 & 0xFFFFFFFF
         value *= np.uint32(mult)
-        value ^= value >> np.uint32(16)
-        return value
-
-    def mix(x, y):
-        out = x * np.uint32(0xCA01F9DD) - y * np.uint32(0x4973F715)
-        out ^= out >> np.uint32(16)
-        return out
-
-    pool = [hashmix(word) for word in entropy[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    state = np.empty((n, 4), np.uint32)
-    mult = 0x8B51F9DD
-    for k in range(4):
-        value = pool[k] ^ np.uint32(mult)
-        mult = mult * 0x58F38DED & 0xFFFFFFFF
-        value *= np.uint32(mult)
-        state[:, k] = value ^ (value >> np.uint32(16))
+        value ^= value >> shift
+        value = pool[k] - value * np.uint32(0x4973F715)
+        value ^= value >> shift
+        value ^= np.uint32(out_mult)
+        out_mult = out_mult * 0x58F38DED & 0xFFFFFFFF
+        value *= np.uint32(out_mult)
+        state[:, k] = value ^ (value >> shift)
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 

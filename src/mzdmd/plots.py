@@ -38,7 +38,8 @@ def emit_plot(times, series: dict, path, ylabel: str = "y") -> None:
     ``series`` maps a method name to ``(values, variance_or_None)`` over the
     strictly increasing ``times``; a variance shades mean +- sqrt(variance).
     A non-finite value, or a negative or non-finite variance, raises
-    ``ValueError`` naming its series before any file is written.
+    ``ValueError`` naming its series, and a value range whose span, padded
+    by 5 %, overflows raises ``ValueError`` too, before any file is written.
     """
     times = np.asarray(times, dtype=float).ravel()
     if times.size < 2 or not (np.diff(times) > 0).all():
@@ -61,10 +62,13 @@ def emit_plot(times, series: dict, path, ylabel: str = "y") -> None:
         lo, hi = min(lo, values.min()), max(hi, values.max())
         if band is not None:
             lo, hi = min(lo, (values - band).min()), max(hi, (values + band).max())
+    lo, hi = float(lo), float(hi)  # Python floats overflow to inf without a warning
     if hi <= lo:
         hi = lo + 1.0
     pad = 0.05 * (hi - lo)
     lo, hi = lo - pad, hi + pad
+    if not hi - lo < np.inf:
+        raise ValueError("the padded value range is not finite")
 
     t0, t1 = float(times[0]), float(times[-1])
     plot_w = WIDTH - MARGIN_L - MARGIN_R

@@ -347,6 +347,13 @@ class TestEmitPlot:
             emit_plot(np.arange(5.0), series, tmp_path / "p.svg")
         assert not (tmp_path / "p.svg").exists()
 
+    @pytest.mark.parametrize("span", [1e308, 8.9e307], ids=["span-overflows", "pad-overflows"])
+    def test_rejects_a_value_range_that_overflows(self, tmp_path, span):
+        # 2e308 overflows as a span; 1.78e308 does not, but padded by 5 % it does
+        with pytest.raises(ValueError, match="padded value range is not finite"):
+            emit_plot(np.arange(2.0), {"dmd": ([-span, span], None)}, tmp_path / "p.svg")
+        assert not (tmp_path / "p.svg").exists()
+
     def test_negative_zero_variance_is_accepted(self, tmp_path):
         emit_plot(np.arange(3.0), {"dmd": (np.zeros(3), np.array([-0.0, 0.0, 1.0]))}, tmp_path / "p.svg")
         assert (tmp_path / "p.svg").read_text().count("nan") == 0
@@ -527,16 +534,12 @@ class TestRunExperiment:
             assert [[row[0], *(row[k] for k in picked)] for row in cells[1:]] == own[1:], stem
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("n_u", [1, 3])
-@pytest.mark.parametrize("sigma", [0.0, 1.0, 3.0])
-@pytest.mark.parametrize("dt", [0.05, 0.1, 0.5])
-def test_robustness_sweep_writes_finite_csvs_or_names_the_failure(tmp_path, dt, sigma, n_u, seed):
+def _assert_finishes_or_names_the_failure(tmp_path, dt, n_points, sigma, n_u, seed):
     # pyproject.toml makes a numpy overflow or invalid operation an error, so
     # a run that finishes met none, and a failure must be a typed one
     cfg = default_config()
-    sim = dataclasses.replace(cfg.sim, dt=dt, t_max=40 * dt, n_points=41, n_mc=8,
-                              sigma=sigma, seed=seed)
+    sim = dataclasses.replace(cfg.sim, dt=dt, t_max=(n_points - 1) * dt, n_points=n_points,
+                              n_mc=8, sigma=sigma, seed=seed)
     cfg = dataclasses.replace(cfg, sim=sim, n_u=n_u, output_dir=tmp_path / "out")
     try:
         report = run_experiment(cfg)
@@ -548,7 +551,24 @@ def test_robustness_sweep_writes_finite_csvs_or_names_the_failure(tmp_path, dt, 
     assert len(report.csv_files) == 6
     for path in report.csv_files:
         header, data = read_csv(path)
-        assert data.shape == (41, len(header)) and np.isfinite(data).all(), path
+        assert data.shape == (n_points, len(header)) and np.isfinite(data).all(), path
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("n_u", [1, 3])
+@pytest.mark.parametrize("sigma", [0.0, 1.0, 3.0])
+@pytest.mark.parametrize("dt", [0.05, 0.1, 0.5])
+def test_robustness_sweep_writes_finite_csvs_or_names_the_failure(tmp_path, dt, sigma, n_u, seed):
+    _assert_finishes_or_names_the_failure(tmp_path, dt, 41, sigma, n_u, seed)
+
+
+# spectra near +1 (dt 0.005) and near -1 (dt 3.0 and 3.1, half the period
+# of the unit oscillator), on the shortest grid and a long one
+@pytest.mark.parametrize("sigma", [0.0, 1.0, 3.0])
+@pytest.mark.parametrize("n_points", [2, 41, 401])
+@pytest.mark.parametrize("dt", [0.005, 3.0, 3.1])
+def test_robustness_edges_write_finite_csvs_or_name_the_failure(tmp_path, dt, n_points, sigma):
+    _assert_finishes_or_names_the_failure(tmp_path, dt, n_points, sigma, 3, 1)
 
 
 def test_dmd_spectral_model_matches_reconstruction():

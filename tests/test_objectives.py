@@ -34,7 +34,7 @@ from mzdmd import (
 )
 from mzdmd import objectives
 from mzdmd.config import build_config
-from mzdmd.objectives import _mT, _power_columns, _power_pullback
+from mzdmd.objectives import _power_columns, _power_pullback
 
 
 class TestSnapshotPair:
@@ -426,13 +426,13 @@ def _reference_power_pullback(m, x, c):
     ``matmul`` a step and a broadcasting add of each cotangent column.
     Bitwise reference for ``objectives._power_pullback``."""
     cols = c.shape[-1]
-    mt = _mT(m)
+    mt = m.mT
     p = np.zeros((cols + 1,) + m.shape[:-1] + (1,))  # p[cols] = 0 starts the sweep
     ps, cs = list(p), list(np.moveaxis(c, -1, 0)[..., None])
     for nxt, cur, cj in zip(ps[cols:1:-1], ps[cols - 1:0:-1], cs[cols - 1:0:-1]):
         np.matmul(mt, nxt, cur)
         np.add(cur, cj, cur)
-    return _reference_columns(p[:cols])[..., 1:] @ _mT(x[..., :-1])
+    return _reference_columns(p[:cols])[..., 1:] @ x[..., :-1].mT
 
 
 def _contracting_stack(rng, shape):
@@ -667,12 +667,12 @@ def _reference_mz_memory(a, n, cols, chains=None):
     f = solve(a_shift, y - x)
 
     def pullback(c):
-        c_hat = solve(_mT(a_shift), c)
+        c_hat = solve(a_shift.mT, c)
         g_k = _power_pullback(k, y, c_hat)
-        g_w = g_k @ _mT(m_map) - _power_pullback(w, x, c_hat)
+        g_w = g_k @ m_map.mT - _power_pullback(w, x, c_hat)
         b = solve(a + eye, np.broadcast_to(eye, a.shape))
-        grad = -(c_hat @ _mT(f)) - 4.0 * (_mT(b) @ (_mT(w) @ g_k) @ _mT(b))
-        return grad + expm_frechet(_mT(a_shift), g_w)[1]
+        grad = -(c_hat @ f.mT) - 4.0 * (b.mT @ (w.mT @ g_k) @ b.mT)
+        return grad + expm_frechet(a_shift.mT, g_w)[1]
 
     return f, pullback
 

@@ -278,8 +278,11 @@ class TestBatchEdgeCases:
 class TestPhiloxKeys:
     INDICES = [0, 1, 255, 65_535, 9_999]
 
-    @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 + 3, 2**200 + 12_345])
-    @pytest.mark.parametrize("tag", [0, 1, 2])
+    # seeds of 1 to 7 words, three of them at the 4-word pool's edge, and
+    # tags of 1 to 3 words: the resumed hash multiplier counts both
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 + 3, 2**96, 2**128 - 1, 2**128,
+                                      2**200 + 12_345])
+    @pytest.mark.parametrize("tag", [0, 1, 2, 2**32, 2**70 + 1])
     def test_keys_equal_seed_sequence(self, seed, tag):
         keys = oscillator._philox_keys(seed, tag, 65_536)
         assert keys.shape == (65_536, 2) and keys.dtype == np.uint64
