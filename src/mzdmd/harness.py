@@ -74,9 +74,14 @@ def write_rows(path, header, *blocks) -> None:
         f.writelines(map("{}\n".format, lines))
 
 
-def write_csv(traj: Trajectory, var: Trajectory | None, path) -> tuple[list[str], list[str]]:
+def write_csv(traj: Trajectory, var: Trajectory | None, path,
+              t: list[str] | None = None) -> tuple[list[str], list[str]]:
     """Write ``t,y1,y2[,var1,var2]`` rows with round-trip float formatting;
-    return the column names after ``t`` and each row's text after ``t,``."""
+    return the column names after ``t`` and each row's text after ``t,``.
+
+    ``t`` is the time cells as ``csv_rows([traj.times])`` formats them, for
+    a caller that writes several files on one grid; None formats them here.
+    """
     states = np.asarray(traj.states, dtype=float)
     if states.ndim != 2 or states.shape[1] != 2:
         raise ValueError("expected a two-coordinate trajectory")
@@ -87,7 +92,7 @@ def write_csv(traj: Trajectory, var: Trajectory | None, path) -> tuple[list[str]
             raise ValueError("variance shape does not match the trajectory")
         names, columns = names + ["var1", "var2"], columns + [*var_states.T]
     rows = csv_rows(columns)
-    write_rows(path, ["t", *names], csv_rows([traj.times]), rows)
+    write_rows(path, ["t", *names], csv_rows([traj.times]) if t is None else t, rows)
     return names, rows
 
 
@@ -185,10 +190,11 @@ def run_experiment(cfg) -> RunReport:
 
     with stage(cfg.method, "simulate"):
         measurement, snapshots = simulate_measurement(cfg)
-    with stage(cfg.method, "write"):
-        tables = {"measurement": write_csv(measurement, None, out / "measurement.csv")}
-
     times = cfg.sim.times()
+    t = csv_rows([times])  # every file's t column, formatted once
+    with stage(cfg.method, "write"):
+        tables = {"measurement": write_csv(measurement, None, out / "measurement.csv", t)}
+
     results: dict[str, tuple[Trajectory, Trajectory | None]] = {}
     for name in methods:
         start = time.perf_counter()
@@ -201,11 +207,11 @@ def run_experiment(cfg) -> RunReport:
             report.imag_residues[name] = traj.max_imag
         stem = METHODS[name].stem
         with stage(name, "write"):
-            tables[stem] = write_csv(traj, var, out / f"{stem}.csv")
+            tables[stem] = write_csv(traj, var, out / f"{stem}.csv", t)
         results[name] = (traj, var)
 
     report.csv_files = [str(out / f"{stem}.csv") for stem in [*tables, "comparison"]]
-    _write_comparison(csv_rows([times]), tables, out / "comparison.csv")
+    _write_comparison(t, tables, out / "comparison.csv")
 
     if cfg.emit_plots:
         curves = {"measurement": (measurement, None), **results}

@@ -85,7 +85,8 @@ class Objective:
 
     The memory-aware kinds power their chains in one buffer, built at the
     first evaluation and kept for the objective's life, so one objective is
-    not for concurrent calls.
+    not for concurrent calls.  mz-dmd powers its two chains, of W M(A) and
+    of W, as one chain of the block-diagonal operator ``diag(W M(A), W)``.
     """
 
     kind: str
@@ -108,10 +109,10 @@ class Objective:
 
     @functools.cached_property
     def _chains(self) -> _Chains:
-        """The power-chain buffer of the memory term: mz-dmd powers two
-        chains per memory row, t-model one."""
-        rows = self.memory.reshape(-1, self.snapshots.dim).shape
-        return _Chains((2,) + rows if self.kind == MZ_DMD else rows, self.snapshots.cols)
+        """The power-chain buffer of the memory term: one chain per memory
+        row, of length 2d for mz-dmd's block-diagonal pair and d for t-model."""
+        n_u, d = self.memory.reshape(-1, self.snapshots.dim).shape
+        return _Chains((n_u, 2 * d if self.kind == MZ_DMD else d), self.snapshots.cols)
 
 
 def dmd_fit(s: SnapshotPair) -> np.ndarray:
@@ -203,42 +204,53 @@ def _power_pullback(m: np.ndarray, x: np.ndarray, c: np.ndarray,
 
     One backward sweep ``p_j = c_j + M^T p_{j+1}`` gives
     ``sum_{j >= 1} p_j x_{j-1}^T`` for every slice of the stack (..., d, d);
-    the cotangent c (..., d, cols) broadcasts against it.  The rows of
-    ``chains`` (a fresh buffer when None) start out holding the cotangent,
-    so each step is one gemv, ``chains.matvec``, into the scratch vector and
-    one contiguous add into ``p_j``.
+    the cotangent c (..., e, cols) broadcasts against it, and fills each of
+    the d / e blocks of e rows, so a block-diagonal M whose blocks share one
+    cotangent takes it once.  The rows of ``chains`` (a fresh buffer when
+    None) start out holding the cotangent, so each step is one gemv,
+    ``chains.matvec``, into the scratch vector and one contiguous add into
+    ``p_j``.  A slice whose chains are all zero has an exactly zero
+    gradient, even where its sweep overflows.
     """
-    cols = c.shape[-1]
+    cols, e = c.shape[-1], c.shape[-2]
     chains = chains or _Chains(m.shape[:-1], cols)
     p, step = chains.rows, chains.step
-    np.moveaxis(p[:cols], 0, -1)[...] = c
+    blocks = p[:cols].reshape((cols,) + p.shape[1:-1] + (-1, e))
+    np.moveaxis(blocks, 0, -1)[...] = c[..., None, :, :]
     p[cols] = 0.0  # starts the sweep
     matvec, add, mt = chains.matvec, np.add, m.reshape(chains.matrix_shape).mT
     for nxt, cur in chains.backward:
         matvec(mt, nxt, step)
         add(step, cur, cur)
-    return _columns(p[:cols])[..., 1:] @ x[..., :-1].mT
+    g = _columns(p[:cols])[..., 1:] @ x[..., :-1].mT
+    g[~x.any(axis=(-2, -1))] = 0.0  # the sweep may overflow to inf, and inf * 0 is NaN
+    return g
 
 
 def _mz_memory(a, n, cols, chains=None):
     """Columns of :func:`mz_memory_matrix` for a stack A (n_u, d, d) and
     memory rows n (n_u, d), and their pullback, the map from a cotangent of
     the columns to a gradient in A.  The chains of W M(A) and of W run as
-    one (2, n_u, d, d) stack, which n and the cotangent broadcast over, in
-    ``chains`` (2, n_u, d) when given."""
-    eye = np.eye(a.shape[-1])
+    one chain of the (n_u, 2d, 2d) operator ``diag(W M(A), W)`` from the
+    row (n, n), in ``chains`` (n_u, 2d) when given: its first d rows are
+    the chain of W M(A), its last d that of W."""
+    d = a.shape[-1]
+    eye = np.eye(d)
     a_shift = a - eye
     w = linalg.expm(a_shift)
     m_map = cayley_M(a)
-    kw = np.stack([w @ m_map, w])
-    y, x = yx = _power_columns(kw, n, cols, chains)
-    f = linalg.solve(a_shift, y - x)
+    kw = np.zeros(a.shape[:-2] + (2 * d, 2 * d))
+    kw[..., :d, :d] = w @ m_map
+    kw[..., d:, d:] = w
+    yx = _power_columns(kw, np.concatenate([n, n], axis=-1), cols, chains)
+    f = linalg.solve(a_shift, yx[..., :d, :] - yx[..., d:, :])
 
     def pullback(c):
         # columns S (y - x) with S = (A - I)^{-1}: dS = -S dA S
         c_hat = linalg.solve(a_shift.mT, c)
-        g_k, g_x = _power_pullback(kw, yx, c_hat, chains)
-        g_w = g_k @ m_map.mT - g_x
+        g = _power_pullback(kw, yx, c_hat, chains)
+        g_k = g[..., :d, :d]
+        g_w = g_k @ m_map.mT - g[..., d:, d:]
         # M = 4 B - I with B = (A + I)^{-1}, so dM = -4 B dA B
         b = linalg.solve(a + eye, np.broadcast_to(eye, a.shape))
         grad = -(c_hat @ f.mT) - 4.0 * (b.mT @ (w.mT @ g_k) @ b.mT)
@@ -374,12 +386,13 @@ def objective_value_and_gradient(
     exponential's Frechet derivative counts as a non-finite gradient, while
     a :class:`SingularMatrixError` passes through.
 
-    The forward chains and the sweep take turns in the objective's one
-    buffer of (cols + 1, n_u, d) floats per chain, kept between calls; each
-    step is one BLAS gemv.  Counting that buffer, mz-dmd peaks at about 9
-    arrays of (cols, n_u, d) floats, 9 * n_u * d * cols * 8 bytes (7.3 MB
-    traced at n_u = 100, d = 2 and 500 columns, 1.7 MB of it the buffer),
-    t-model at about 5 (4.1 MB, 0.9 MB of it the buffer).
+    The forward chain and the sweep take turns in the objective's one
+    buffer, kept between calls: (cols + 1, n_u, 2d) floats for mz-dmd's
+    block-diagonal chain, (cols + 1, n_u, d) for t-model's; each step is one
+    BLAS gemv.  Counting that buffer, mz-dmd peaks at about 9 arrays of
+    (cols, n_u, d) floats, 9 * n_u * d * cols * 8 bytes (7.4 MB traced at
+    n_u = 100, d = 2 and 500 columns, 1.6 MB of it the buffer), t-model at
+    about 5 (4.1 MB, 0.8 MB of it the buffer).
     """
     s = obj.snapshots
     r, pullback, value = _forward(obj, a)

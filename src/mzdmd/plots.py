@@ -38,12 +38,16 @@ def emit_plot(times, series: dict, path, ylabel: str = "y") -> None:
     ``series`` maps a method name to ``(values, variance_or_None)`` over the
     strictly increasing ``times``; a variance shades mean +- sqrt(variance).
     A non-finite value, or a negative or non-finite variance, raises
-    ``ValueError`` naming its series, and a value range whose span, padded
-    by 5 %, overflows raises ``ValueError`` too, before any file is written.
+    ``ValueError`` naming its series, and a time span that is not finite or
+    a value range whose span, padded by 5 %, overflows raises ``ValueError``
+    too, before any file is written.
     """
     times = np.asarray(times, dtype=float).ravel()
-    if times.size < 2 or not (np.diff(times) > 0).all():
+    if times.size < 2 or not (times[1:] > times[:-1]).all():
         raise ValueError("need at least two strictly increasing time points to plot")
+    t0, t1 = float(times[0]), float(times[-1])
+    if not t1 - t0 < np.inf:  # Python floats overflow to inf without a warning
+        raise ValueError("the time span is not finite")
 
     # each series once: name, color, values and band half-width sqrt(variance)
     curves = []
@@ -70,7 +74,6 @@ def emit_plot(times, series: dict, path, ylabel: str = "y") -> None:
     if not hi - lo < np.inf:
         raise ValueError("the padded value range is not finite")
 
-    t0, t1 = float(times[0]), float(times[-1])
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
 

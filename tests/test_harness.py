@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -354,6 +355,14 @@ class TestEmitPlot:
             emit_plot(np.arange(2.0), {"dmd": ([-span, span], None)}, tmp_path / "p.svg")
         assert not (tmp_path / "p.svg").exists()
 
+    @pytest.mark.parametrize("times", [[-1e308, 1e308], [0.0, np.inf]], ids=["span-overflows", "infinite-end"])
+    def test_rejects_a_time_span_that_is_not_finite(self, tmp_path, times):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="time span is not finite"):
+                emit_plot(times, {"dmd": ([0.0, 1.0], None)}, tmp_path / "p.svg")
+        assert not (tmp_path / "p.svg").exists()
+
     def test_negative_zero_variance_is_accepted(self, tmp_path):
         emit_plot(np.arange(3.0), {"dmd": (np.zeros(3), np.array([-0.0, 0.0, 1.0]))}, tmp_path / "p.svg")
         assert (tmp_path / "p.svg").read_text().count("nan") == 0
@@ -534,9 +543,24 @@ class TestRunExperiment:
             assert [[row[0], *(row[k] for k in picked)] for row in cells[1:]] == own[1:], stem
 
 
+def test_run_formats_the_time_column_once(tmp_path, monkeypatch):
+    # six CSVs share one time grid: one single-column csv_rows call formats
+    # it, and the state columns come two or four at a time
+    calls = []
+
+    def counted(columns, csv_rows=harness.csv_rows):
+        calls.append(len(columns))
+        return csv_rows(columns)
+
+    monkeypatch.setattr(harness, "csv_rows", counted)
+    run_experiment(small_config(tmp_path))
+    assert calls.count(1) == 1 and len(calls) == 6
+
+
 def _assert_finishes_or_names_the_failure(tmp_path, dt, n_points, sigma, n_u, seed):
-    # pyproject.toml makes a numpy overflow or invalid operation an error, so
-    # a run that finishes met none, and a failure must be a typed one
+    """Whether the run finished.  pyproject.toml makes a numpy overflow or
+    invalid operation an error, so a run that finishes met none, and a
+    failure must be a typed one."""
     cfg = default_config()
     sim = dataclasses.replace(cfg.sim, dt=dt, t_max=(n_points - 1) * dt, n_points=n_points,
                               n_mc=8, sigma=sigma, seed=seed)
@@ -547,11 +571,12 @@ def _assert_finishes_or_names_the_failure(tmp_path, dt, n_points, sigma, n_u, se
         assert exc.method in (*METHODS, "all", "comparison")
         assert exc.stage in ("simulate", "fit", "write")
         assert not isinstance(exc.__cause__, RuntimeWarning), exc
-        return
+        return False
     assert len(report.csv_files) == 6
     for path in report.csv_files:
         header, data = read_csv(path)
         assert data.shape == (n_points, len(header)) and np.isfinite(data).all(), path
+    return True
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -569,6 +594,12 @@ def test_robustness_sweep_writes_finite_csvs_or_names_the_failure(tmp_path, dt, 
 @pytest.mark.parametrize("dt", [0.005, 3.0, 3.1])
 def test_robustness_edges_write_finite_csvs_or_name_the_failure(tmp_path, dt, n_points, sigma):
     _assert_finishes_or_names_the_failure(tmp_path, dt, n_points, sigma, 3, 1)
+
+
+def test_zero_memory_edge_run_finishes(tmp_path):
+    # sigma 0 draws zero memory rows, so mz-dmd's chains are all zero, while
+    # at dt 3.1 its sweep grows 12.95-fold a step and overflows in 401 points
+    assert _assert_finishes_or_names_the_failure(tmp_path, 3.1, 401, 0.0, 3, 1)
 
 
 def test_dmd_spectral_model_matches_reconstruction():
