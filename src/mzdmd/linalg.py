@@ -20,9 +20,9 @@ from .errors import NumericalError, SingularMatrixError, failing_slices
 
 # Singular values below PINV_RTOL * sigma_max are treated as zero.
 PINV_RTOL = 1e-12
-# Solves are refused above this condition estimate: operators fitted to
-# oscillatory data have eigenvalues near 1, so (A - I) can degenerate and
-# must fail loudly instead of being regularized silently.
+# Solves are refused above this condition estimate: a matrix near singular,
+# such as (A + I) for an operator with an eigenvalue near -1, must fail
+# loudly instead of being regularized silently.
 COND_MAX = 1e12
 # Per-pair eigen residual bound, relative to ||A||_F.
 EIG_RESIDUAL_RTOL = 1e-9

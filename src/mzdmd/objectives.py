@@ -85,8 +85,8 @@ class Objective:
 
     The memory-aware kinds power their chains in one buffer, built at the
     first evaluation and kept for the objective's life, so one objective is
-    not for concurrent calls.  mz-dmd powers its two chains, of W M(A) and
-    of W, as one chain of the block-diagonal operator ``diag(W M(A), W)``.
+    not for concurrent calls.  mz-dmd powers one chain of the block
+    lower-triangular operator ``[[W M(A), 0], [W, W]]``.
     """
 
     kind: str
@@ -110,7 +110,7 @@ class Objective:
     @functools.cached_property
     def _chains(self) -> _Chains:
         """The power-chain buffer of the memory term: one chain per memory
-        row, of length 2d for mz-dmd's block-diagonal pair and d for t-model."""
+        row, of length 2d for mz-dmd's block operator and d for t-model."""
         n_u, d = self.memory.reshape(-1, self.snapshots.dim).shape
         return _Chains((n_u, 2 * d if self.kind == MZ_DMD else d), self.snapshots.cols)
 
@@ -156,8 +156,8 @@ def _stacks(a, n: np.ndarray | None, d: int):
 
 
 def _columns(chain: np.ndarray) -> np.ndarray:
-    """A chain laid out (cols, ..., d) as C-contiguous (..., d, cols) columns."""
-    return np.ascontiguousarray(np.moveaxis(chain, 0, -1))
+    """A chain laid out (cols, ..., d) as a C-contiguous copy in (..., d, cols)."""
+    return np.moveaxis(chain, 0, -1).copy()
 
 
 class _Chains:
@@ -204,19 +204,19 @@ def _power_pullback(m: np.ndarray, x: np.ndarray, c: np.ndarray,
 
     One backward sweep ``p_j = c_j + M^T p_{j+1}`` gives
     ``sum_{j >= 1} p_j x_{j-1}^T`` for every slice of the stack (..., d, d);
-    the cotangent c (..., e, cols) broadcasts against it, and fills each of
-    the d / e blocks of e rows, so a block-diagonal M whose blocks share one
-    cotangent takes it once.  The rows of ``chains`` (a fresh buffer when
-    None) start out holding the cotangent, so each step is one gemv,
-    ``chains.matvec``, into the scratch vector and one contiguous add into
-    ``p_j``.  A slice whose chains are all zero has an exactly zero
-    gradient, even where its sweep overflows.
+    the cotangent c (..., e, cols) broadcasts against it and fills the last
+    e rows of each chain, the others starting at zero.  The rows of
+    ``chains`` (a fresh buffer when None) start out holding the cotangent,
+    so each step is one gemv, ``chains.matvec``, into the scratch vector
+    and one contiguous add into ``p_j``.  A slice whose chains are all zero
+    has an exactly zero gradient, even where its sweep overflows.
     """
     cols, e = c.shape[-1], c.shape[-2]
     chains = chains or _Chains(m.shape[:-1], cols)
     p, step = chains.rows, chains.step
-    blocks = p[:cols].reshape((cols,) + p.shape[1:-1] + (-1, e))
-    np.moveaxis(blocks, 0, -1)[...] = c[..., None, :, :]
+    rows = np.moveaxis(p[:cols], 0, -1)
+    rows[..., :-e, :] = 0.0
+    rows[..., -e:, :] = c
     p[cols] = 0.0  # starts the sweep
     matvec, add, mt = chains.matvec, np.add, m.reshape(chains.matrix_shape).mT
     for nxt, cur in chains.backward:
@@ -230,33 +230,30 @@ def _power_pullback(m: np.ndarray, x: np.ndarray, c: np.ndarray,
 def _mz_memory(a, n, cols, chains=None):
     """Columns of :func:`mz_memory_matrix` for a stack A (n_u, d, d) and
     memory rows n (n_u, d), and their pullback, the map from a cotangent of
-    the columns to a gradient in A.  The chains of W M(A) and of W run as
-    one chain of the (n_u, 2d, 2d) operator ``diag(W M(A), W)`` from the
-    row (n, n), in ``chains`` (n_u, 2d) when given: its first d rows are
-    the chain of W M(A), its last d that of W."""
+    the columns to a gradient in A.  Column j is ``-2 B z_j``, with
+    ``B = (A + I)^{-1} = (I + M) / 4`` and z the last d rows of the chain of
+    ``[[W M, 0], [W, W]]`` from the row (n, 0), ``z_{j+1} = W (z_j + (W M)^j n)``,
+    in ``chains`` (n_u, 2d) when given."""
     d = a.shape[-1]
-    eye = np.eye(d)
-    a_shift = a - eye
+    a_shift = a - np.eye(d)
     w = linalg.expm(a_shift)
     m_map = cayley_M(a)
-    kw = np.zeros(a.shape[:-2] + (2 * d, 2 * d))
-    kw[..., :d, :d] = w @ m_map
-    kw[..., d:, d:] = w
-    yx = _power_columns(kw, np.concatenate([n, n], axis=-1), cols, chains)
-    f = linalg.solve(a_shift, yx[..., :d, :] - yx[..., d:, :])
+    b = 0.25 * (np.eye(d) + m_map)
+    k = np.zeros(a.shape[:-2] + (2 * d, 2 * d))
+    k[..., :d, :d] = w @ m_map
+    k[..., d:, :d] = k[..., d:, d:] = w
+    uz = _power_columns(k, np.concatenate([n, np.zeros_like(n)], axis=-1), cols, chains)
+    z = uz[..., d:, :]
 
     def pullback(c):
-        # columns S (y - x) with S = (A - I)^{-1}: dS = -S dA S
-        c_hat = linalg.solve(a_shift.mT, c)
-        g = _power_pullback(kw, yx, c_hat, chains)
-        g_k = g[..., :d, :d]
-        g_w = g_k @ m_map.mT - g[..., d:, d:]
-        # M = 4 B - I with B = (A + I)^{-1}, so dM = -4 B dA B
-        b = linalg.solve(a + eye, np.broadcast_to(eye, a.shape))
-        grad = -(c_hat @ f.mT) - 4.0 * (b.mT @ (w.mT @ g_k) @ b.mT)
-        return grad + linalg.expm_frechet(a_shift.mT, g_w)[1]
+        g = _power_pullback(k, uz, (-2.0 * b.mT) @ c, chains)
+        g_uu = g[..., :d, :d]
+        g_w = g_uu @ m_map.mT + g[..., d:, :d] + g[..., d:, d:]
+        # B = (A + I)^{-1} gives the columns and M = 4 B - I: dB = -B dA B
+        g_b = -2.0 * (c @ z.mT) + 4.0 * (w.mT @ g_uu)
+        return linalg.expm_frechet(a_shift.mT, g_w)[1] - b.mT @ g_b @ b.mT
 
-    return f, pullback
+    return (-2.0 * b) @ z, pullback
 
 
 def _tmodel_memory(a, n, dt, cols, chains=None):
@@ -280,11 +277,11 @@ def mz_memory_matrix(a: np.ndarray, n: np.ndarray, cols: int) -> np.ndarray:
 
     Column j (j >= 1) is ``(A - I)^{-1} W^j (M(A)^j - I) n`` with
     ``W = expm(A - I)`` and ``M`` the transfer map of :func:`cayley_M`;
-    column 0 is exactly zero.  W and M(A) commute, so the columns are
-    computed as ``(A - I)^{-1} ((W M)^j n - W^j n)``.  Powering the product
-    stays accurate when the spectra of W and M pull apart; powering the two
-    factors apart and multiplying them loses every digit there.  A stack A
-    (n_u, d, d) gives (n_u, d, cols).
+    column 0 is exactly zero.  As ``M - I = -2 (A - I)(A + I)^{-1}``, the
+    columns are the telescoped sums ``-2 (A + I)^{-1} W^j sum_{k<j} M^k n``,
+    finite at an eigenvalue 1 of A, where they take their limit.  The sum is
+    powered through ``(W M)^k``: powering W and M apart loses every digit
+    where their spectra pull apart.  A stack A (n_u, d, d) gives (n_u, d, cols).
     """
     if cols < 1:
         raise ValueError("cols must be at least 1")
@@ -295,9 +292,9 @@ def mz_memory_matrix(a: np.ndarray, n: np.ndarray, cols: int) -> np.ndarray:
 def tmodel_memory_matrix(a: np.ndarray, n: np.ndarray, dt: float, cols: int) -> np.ndarray:
     """First-order memory columns ``g_j = j dt W^j n``; column 0 is zero.
 
-    No inverse of (A - I) is involved, which is what makes this objective
-    cheaper than the full memory recursion.  A stack A (n_u, d, d) gives
-    (n_u, d, cols).
+    No transfer map, so no solve, is involved, and the chain has d rows
+    where the full memory recursion's has 2d, which is what makes this
+    objective cheaper.  A stack A (n_u, d, d) gives (n_u, d, cols).
     """
     if cols < 1:
         raise ValueError("cols must be at least 1")
@@ -372,10 +369,10 @@ def objective_value_and_gradient(
     ``||r||^2`` is ``-2 r x_minus^T`` plus the memory term's pullback of the
     cotangent 2r, formed by doubling r in place once the value is taken.
     The pullback runs one backward sweep over its power chains, uses the
-    inverse rule ``d(B^{-1}) = -B^{-1} dB B^{-1}`` for the (A - I) and
-    (A + I) inverses, and takes the adjoint of the Frechet derivative of
-    ``expm(A - I)``, which is that derivative at the transpose, in one
-    :func:`linalg.expm_frechet` call.
+    inverse rule ``d(B^{-1}) = -B^{-1} dB B^{-1}`` for the (A + I) inverse
+    of the forward pass, so it solves nothing, and takes the adjoint of the
+    Frechet derivative of ``expm(A - I)``, which is that derivative at the
+    transpose, in one :func:`linalg.expm_frechet` call.
 
     A 2-D operator gives a float and a (d, d) gradient.  A stack (n_u, d, d),
     with one memory vector per slice, is evaluated as one computation and
@@ -388,9 +385,9 @@ def objective_value_and_gradient(
 
     The forward chain and the sweep take turns in the objective's one
     buffer, kept between calls: (cols + 1, n_u, 2d) floats for mz-dmd's
-    block-diagonal chain, (cols + 1, n_u, d) for t-model's; each step is one
-    BLAS gemv.  Counting that buffer, mz-dmd peaks at about 9 arrays of
-    (cols, n_u, d) floats, 9 * n_u * d * cols * 8 bytes (7.4 MB traced at
+    block chain, (cols + 1, n_u, d) for t-model's; each step is one BLAS
+    gemv.  Counting that buffer, mz-dmd peaks at about 8 arrays of
+    (cols, n_u, d) floats, 8 * n_u * d * cols * 8 bytes (6.5 MB traced at
     n_u = 100, d = 2 and 500 columns, 1.6 MB of it the buffer), t-model at
     about 5 (4.1 MB, 0.8 MB of it the buffer).
     """

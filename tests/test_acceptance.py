@@ -55,21 +55,31 @@ def measurement(bench_cfg):
 def ensembles(bench_cfg, measurement):
     """Both ensembles on the benchmark workload, with fitting times.
 
-    Each time is the CPU time of the calling thread, not wall time, so time
-    spent waiting for a CPU that another process holds is not counted.
+    Each time is the least CPU time of the calling thread over three runs,
+    not wall time, so time spent waiting for a CPU that another process
+    holds is not counted.  A one-sample ensemble of each kind runs first, so
+    neither time includes loading scipy.linalg for the first exponential.
     """
     _, snaps = measurement
     x0 = np.array(bench_cfg.resolved_init)
     times = bench_cfg.sim.times()
-    out = {}
-    for kind in ("mz-dmd", "t-model"):
+
+    def timed(kind, n_u):
         start = time.thread_time()
         result = run_ensemble(
-            kind, snaps, bench_cfg.sim.sigma, bench_cfg.n_u,
+            kind, snaps, bench_cfg.sim.sigma, n_u,
             bench_cfg.adam, bench_cfg.sim.seed, x0, times,
         )
-        out[kind] = (result, time.thread_time() - start)
-    return out
+        return result, time.thread_time() - start
+
+    kinds = ("mz-dmd", "t-model")
+    for kind in kinds:
+        timed(kind, 1)
+    runs = {kind: [] for kind in kinds}
+    for _ in range(3):
+        for kind in kinds:
+            runs[kind].append(timed(kind, bench_cfg.n_u))
+    return {kind: (runs[kind][0][0], min(cpu for _, cpu in runs[kind])) for kind in kinds}
 
 
 def _window_max(states, times, lo, hi, coord=0):
@@ -192,7 +202,7 @@ def test_criterion_7_ensemble_reproduction(bench_cfg, ensembles):
         )
         var_max = float(result.variance_traj.states.max())
         ok = ok and decay <= 0.7 and var_max < 0.1 and cpu < 600.0
-        details.append(f"{kind}: decay {decay:.3f}, var {var_max:.3f}, {cpu:.0f} s")
+        details.append(f"{kind}: decay {decay:.3f}, var {var_max:.3f}, {cpu:.3f} s")
     assert _report(7, "memory ensembles decay with bounded variance", ok,
                    "; ".join(details))
 
@@ -202,7 +212,7 @@ def test_criterion_8_relative_runtime(ensembles):
     _, t_cpu = ensembles["t-model"]
     ok = t_cpu < mz_cpu
     assert _report(8, "first-order model fits faster than the full memory model", ok,
-                   f"t-model {t_cpu:.1f} s < mz-dmd {mz_cpu:.1f} s")
+                   f"t-model {t_cpu:.3f} s < mz-dmd {mz_cpu:.3f} s")
 
 
 def test_criterion_9_zero_memory_regression(bench_cfg):
