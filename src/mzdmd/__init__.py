@@ -54,8 +54,6 @@ from .objectives import (
     cayley_M,
     dmd_fit,
     fd_gradient,
-    memory_kernel_closed,
-    memory_kernel_trapezoid,
     mz_memory_matrix,
     objective_value,
     objective_value_and_gradient,

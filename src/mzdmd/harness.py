@@ -12,6 +12,8 @@ import contextlib
 import dataclasses
 import functools
 import json
+import os
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -52,6 +54,7 @@ class RunReport:
     loss_traces: dict = field(default_factory=dict)
     imag_residues: dict = field(default_factory=dict)
     csv_files: list = field(default_factory=list)
+    environment: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True, default=str)
@@ -177,16 +180,48 @@ METHODS = {
 }
 
 
+@functools.cache
+def _scipy_version() -> str | None:
+    """scipy's installed version from its metadata, without importing scipy;
+    None where it is missing.  Read once a process: the lookup reads the
+    installed packages' files, and importing ``importlib.metadata`` at
+    module import would cost a fresh process 25 ms."""
+    import importlib.metadata
+
+    try:
+        return importlib.metadata.version("scipy")
+    except importlib.metadata.PackageNotFoundError:
+        return None
+
+
+def environment_stamp() -> dict:
+    """The software and machine of a run: Python, numpy and scipy versions,
+    the BLAS numpy was built with, the CPU count, and ``OPENBLAS_NUM_THREADS``
+    when it is set.  Taking the stamp imports no scipy."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    stamp = {
+        "python": ".".join(map(str, sys.version_info[:3])),
+        "numpy": np.__version__,
+        "scipy": _scipy_version(),
+        "blas": f"{blas['name']} {blas['version']}",
+        "cpu_count": os.cpu_count(),
+    }
+    if "OPENBLAS_NUM_THREADS" in os.environ:
+        stamp["openblas_num_threads"] = os.environ["OPENBLAS_NUM_THREADS"]
+    return stamp
+
+
 def run_experiment(cfg) -> RunReport:
     """Run the requested methods against one shared measurement dataset.
 
     Writes one CSV per method plus measurement.csv, comparison.csv, a JSON
-    run report, and (optionally) one SVG per resolved coordinate.  The CSVs
-    come first, and the first of them makes the output directory.
+    run report with an :func:`environment_stamp`, and (optionally) one SVG
+    per resolved coordinate.  The CSVs come first, and the first of them
+    makes the output directory.
     """
     out = cfg.output_dir
     methods = list(METHODS) if cfg.method == "all" else [cfg.method]
-    report = RunReport(seed=cfg.sim.seed, config=dataclasses.asdict(cfg))
+    report = RunReport(seed=cfg.sim.seed, config=dataclasses.asdict(cfg), environment=environment_stamp())
 
     with stage(cfg.method, "simulate"):
         measurement, snapshots = simulate_measurement(cfg)

@@ -9,13 +9,11 @@ cotangent of those columns to a gradient in A, so one forward pass serves
 the value, the memory matrices and the gradient.  Every computation runs on
 a stack of operators (n_u, d, d), a single operator being a stack of one, so
 an ensemble of fits is one array computation.  A central-difference
-gradient and a direct quadrature evaluation of the memory kernel serve as
-independent oracles.
+gradient serves as an independent oracle.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,10 +81,9 @@ class Objective:
     ``memory`` is the initialization of the memory term: one vector (d,) or
     a stack (n_u, d) of them, one per operator of a stacked fit.
 
-    The memory-aware kinds power their chains in one buffer, built at the
-    first evaluation and kept for the objective's life, so one objective is
-    not for concurrent calls.  mz-dmd powers one chain of the block
-    lower-triangular operator ``[[W M(A), 0], [W, W]]``.
+    The memory-aware kinds power one chain a memory row by doubling, about
+    log2(cols) batched matmuls a pass, and keep no state between calls.
+    mz-dmd powers the block lower-triangular operator ``[[W M(A), 0], [W, W]]``.
     """
 
     kind: str
@@ -106,13 +103,6 @@ class Objective:
             raise ValueError("memory must be (d,) or (n_u, d) with d the snapshot dimension")
         if n.size == 0 or not np.all(np.isfinite(n)):
             raise ValueError("memory must be nonempty and finite")
-
-    @functools.cached_property
-    def _chains(self) -> _Chains:
-        """The power-chain buffer of the memory term: one chain per memory
-        row, of length 2d for mz-dmd's block operator and d for t-model."""
-        n_u, d = self.memory.reshape(-1, self.snapshots.dim).shape
-        return _Chains((n_u, 2 * d if self.kind == MZ_DMD else d), self.snapshots.cols)
 
 
 def dmd_fit(s: SnapshotPair) -> np.ndarray:
@@ -155,85 +145,97 @@ def _stacks(a, n: np.ndarray | None, d: int):
     return a.reshape(-1, d, d), n.reshape(-1, d)
 
 
-def _columns(chain: np.ndarray) -> np.ndarray:
-    """A chain laid out (cols, ..., d) as a C-contiguous copy in (..., d, cols)."""
-    return np.moveaxis(chain, 0, -1).copy()
+_NO_EXPONENT = -(2**40)  # below any exponent a term of a finite power can reach
 
 
-class _Chains:
-    """Working buffer of the power chains for one stack shape (..., d) and
-    one column count: (cols + 1, ..., d) rows that the forward chains and the
-    backward sweep share, their row views already paired for each loop, and
-    the sweep's scratch vector.  Nothing a chain returns aliases it.
+def _powers(m: np.ndarray, cols: int):
+    """The powers ``M^s`` for s = 1, 2, 4, ... below ``cols`` of a stack
+    (..., d, d), each as ``(s, P, e)``: P is ``M^s`` and e None while the
+    squares stay finite; from the first square that overflows on,
+    ``M^s = 2^e P`` row by row, with integer exponents e (..., d).
 
-    The views and the scratch vector drop the stack's size-1 axes, and the
-    (..., d, d) matrices take ``matrix_shape`` to match, since numpy's
-    per-call set-up grows with the loop axes.  ``matvec`` makes each step:
-    ``np.dot`` for one d >= 2 matrix, the same BLAS gemv with less set-up,
-    and ``np.matvec`` otherwise (numpy's ``dot`` takes a 1 x 1 matrix as a
-    scalar, which keeps a -0.0 that gemv makes +0.0)."""
+    Each power squares the last; no power beyond the last one used is
+    formed.  With exponents, row i of the left factor of ``2^e P 2^e P`` is
+    scaled by the power of two that brings its largest nonzero term to at
+    most 1, and each row of the square to peak in [0.5, 1).  So a row's
+    exponent comes from the entries it meets: a chain confined to a block
+    of M keeps its own scale where another block's powers overflow, and a
+    zero entry of a chain never meets an infinite one.  Scaling by a power
+    of two is exact, so this moves no bit a plain square keeps in range.
+    """
+    p, e, s = m, None, 1
+    while s < cols:
+        yield s, p, e
+        s *= 2
+        if s >= cols:
+            return
+        if e is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                square = p @ p
+            if np.isfinite(square).all():
+                p = square
+                continue
+            e = np.zeros(p.shape[:-1], dtype=np.int64)
+        mant, ex = np.frexp(p)
+        top = np.max(ex + e[..., None, :], axis=-1, where=mant != 0, initial=_NO_EXPONENT)
+        r = np.ldexp(p, e[..., None, :] - top[..., None]) @ p
+        peak = np.frexp(np.abs(r).max(axis=-1))[1]
+        p, e = np.ldexp(r, -peak[..., None]), e + top + peak
 
-    def __init__(self, stack: tuple[int, ...], cols: int):
-        self.rows = np.empty((cols + 1,) + stack)
-        lead, d = tuple(k for k in stack[:-1] if k != 1), stack[-1]
-        self.matrix_shape = lead + (d, d)
-        views = list(self.rows.reshape((cols + 1,) + lead + (d,)))
-        self.forward = list(zip(views[:cols - 1], views[1:cols]))
-        self.backward = list(zip(views[cols:1:-1], views[cols - 1:0:-1]))
-        self.step = np.empty(lead + (d,))
-        self.matvec = np.dot if not lead and d > 1 else np.matvec
+
+def _times_power(p: np.ndarray, e: np.ndarray | None, x: np.ndarray, out: np.ndarray) -> None:
+    """``out = M^s x`` for a power ``(s, p, e)`` of :func:`_powers`: one
+    batched matmul, and the rows scaled by ``2^e`` when e is given."""
+    np.matmul(p, x, out=out)
+    if e is not None:
+        np.ldexp(out, e[..., None], out=out)
 
 
-def _power_columns(m: np.ndarray, v: np.ndarray, cols: int,
-                   chains: _Chains | None = None) -> np.ndarray:
+def _power_columns(m: np.ndarray, v: np.ndarray, cols: int) -> np.ndarray:
     """The chains ``x_j = M^j v`` for j = 0..cols-1 over a stack: M is
     (..., d, d), the rows v (..., d) broadcast against it, and the columns
-    come back as (..., d, cols).  Each step is one gemv, ``chains.matvec``,
-    between rows of ``chains``, a fresh buffer when None."""
-    chains = chains or _Chains(m.shape[:-1], cols)
-    chains.rows[0] = v
-    matvec, m = chains.matvec, m.reshape(chains.matrix_shape)
-    for prev, cur in chains.forward:
-        matvec(m, prev, cur)
-    return _columns(chains.rows[:cols])
+    come back as (..., d, cols).  Doubling fills them: with columns 0..s-1
+    in place, one product by ``M^s`` from :func:`_powers` writes columns
+    s..2s-1, so there are about log2(cols) levels."""
+    x = np.empty(m.shape[:-1] + (cols,))
+    x[..., 0] = v
+    for s, p, e in _powers(m, cols):
+        level = x[..., s:2 * s]
+        _times_power(p, e, x[..., :level.shape[-1]], level)
+    return x
 
 
-def _power_pullback(m: np.ndarray, x: np.ndarray, c: np.ndarray,
-                    chains: _Chains | None = None) -> np.ndarray:
+def _power_pullback(m: np.ndarray, x: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Gradient in M of ``<c, x>`` for the chains ``x = _power_columns(M, v, cols)``.
 
-    One backward sweep ``p_j = c_j + M^T p_{j+1}`` gives
-    ``sum_{j >= 1} p_j x_{j-1}^T`` for every slice of the stack (..., d, d);
-    the cotangent c (..., e, cols) broadcasts against it and fills the last
-    e rows of each chain, the others starting at zero.  The rows of
-    ``chains`` (a fresh buffer when None) start out holding the cotangent,
-    so each step is one gemv, ``chains.matvec``, into the scratch vector
-    and one contiguous add into ``p_j``.  A slice whose chains are all zero
-    has an exactly zero gradient, even where its sweep overflows.
+    The sweep ``p_j = c_j + M^T p_{j+1}`` is a linear recurrence, so it runs
+    as a suffix scan: at shifts s = 1, 2, 4, ..., ``p_j += (M^T)^s p_{j+s}``
+    for every j at once, one product by a power from :func:`_powers` into a
+    scratch array and one add.  It gives ``sum_{j >= 1} p_j x_{j-1}^T``
+    for every slice of the stack (..., d, d); the cotangent c (..., e, cols)
+    broadcasts against it and fills the last e rows of each chain, the
+    others starting at zero.  A slice whose chains are all zero has an
+    exactly zero gradient, even where its scan overflows.
     """
     cols, e = c.shape[-1], c.shape[-2]
-    chains = chains or _Chains(m.shape[:-1], cols)
-    p, step = chains.rows, chains.step
-    rows = np.moveaxis(p[:cols], 0, -1)
-    rows[..., :-e, :] = 0.0
-    rows[..., -e:, :] = c
-    p[cols] = 0.0  # starts the sweep
-    matvec, add, mt = chains.matvec, np.add, m.reshape(chains.matrix_shape).mT
-    for nxt, cur in chains.backward:
-        matvec(mt, nxt, step)
-        add(step, cur, cur)
-    g = _columns(p[:cols])[..., 1:] @ x[..., :-1].mT
-    g[~x.any(axis=(-2, -1))] = 0.0  # the sweep may overflow to inf, and inf * 0 is NaN
+    p = np.zeros(m.shape[:-1] + (cols,))
+    p[..., -e:, :] = c
+    scratch = np.empty_like(p)
+    for s, q, k in _powers(m.mT, cols):
+        step = scratch[..., s:]
+        _times_power(q, k, p[..., s:], step)
+        p[..., :-s] += step
+    g = p[..., 1:] @ x[..., :-1].mT
+    g[~x.any(axis=(-2, -1))] = 0.0  # the scan may overflow to inf, and inf * 0 is NaN
     return g
 
 
-def _mz_memory(a, n, cols, chains=None):
+def _mz_memory(a, n, cols):
     """Columns of :func:`mz_memory_matrix` for a stack A (n_u, d, d) and
     memory rows n (n_u, d), and their pullback, the map from a cotangent of
     the columns to a gradient in A.  Column j is ``-2 B z_j``, with
     ``B = (A + I)^{-1} = (I + M) / 4`` and z the last d rows of the chain of
-    ``[[W M, 0], [W, W]]`` from the row (n, 0), ``z_{j+1} = W (z_j + (W M)^j n)``,
-    in ``chains`` (n_u, 2d) when given."""
+    ``[[W M, 0], [W, W]]`` from the row (n, 0), ``z_{j+1} = W (z_j + (W M)^j n)``."""
     d = a.shape[-1]
     a_shift = a - np.eye(d)
     w = linalg.expm(a_shift)
@@ -242,11 +244,11 @@ def _mz_memory(a, n, cols, chains=None):
     k = np.zeros(a.shape[:-2] + (2 * d, 2 * d))
     k[..., :d, :d] = w @ m_map
     k[..., d:, :d] = k[..., d:, d:] = w
-    uz = _power_columns(k, np.concatenate([n, np.zeros_like(n)], axis=-1), cols, chains)
+    uz = _power_columns(k, np.concatenate([n, np.zeros_like(n)], axis=-1), cols)
     z = uz[..., d:, :]
 
     def pullback(c):
-        g = _power_pullback(k, uz, (-2.0 * b.mT) @ c, chains)
+        g = _power_pullback(k, uz, (-2.0 * b.mT) @ c)
         g_uu = g[..., :d, :d]
         g_w = g_uu @ m_map.mT + g[..., d:, :d] + g[..., d:, d:]
         # B = (A + I)^{-1} gives the columns and M = 4 B - I: dB = -B dA B
@@ -256,17 +258,16 @@ def _mz_memory(a, n, cols, chains=None):
     return (-2.0 * b) @ z, pullback
 
 
-def _tmodel_memory(a, n, dt, cols, chains=None):
+def _tmodel_memory(a, n, dt, cols):
     """Columns of :func:`tmodel_memory_matrix` for a stack and their pullback,
-    which weights its cotangent in place; the chain runs in ``chains``
-    (n_u, d) when given."""
+    which weights its cotangent in place."""
     a_shift = a - np.eye(a.shape[-1])
     w = linalg.expm(a_shift)
-    x = _power_columns(w, n, cols, chains)
+    x = _power_columns(w, n, cols)
     weights = dt * np.arange(cols)
 
     def pullback(c):
-        g_w = _power_pullback(w, x, np.multiply(c, weights, out=c), chains)
+        g_w = _power_pullback(w, x, np.multiply(c, weights, out=c))
         return linalg.expm_frechet(a_shift.mT, g_w)[1]
 
     return x * weights, pullback
@@ -317,10 +318,10 @@ def _residual(obj: Objective, a: np.ndarray):
     r = s.x_plus - a @ s.x_minus
     if obj.kind == MZ_DMD:
         scale = s.dt**2
-        cols, pullback = _mz_memory(a, n, s.cols, obj._chains)
+        cols, pullback = _mz_memory(a, n, s.cols)
     elif obj.kind == T_MODEL:
         scale = -s.dt
-        cols, pullback = _tmodel_memory(a, n, s.dt, s.cols, obj._chains)
+        cols, pullback = _tmodel_memory(a, n, s.dt, s.cols)
     else:
         return r, None
     return r + scale * cols, lambda c: pullback(np.multiply(c, scale, out=c))
@@ -368,7 +369,7 @@ def objective_value_and_gradient(
     Reverse mode: the forward pass builds the residual r; the gradient of
     ``||r||^2`` is ``-2 r x_minus^T`` plus the memory term's pullback of the
     cotangent 2r, formed by doubling r in place once the value is taken.
-    The pullback runs one backward sweep over its power chains, uses the
+    The pullback runs one backward scan over its power chains, uses the
     inverse rule ``d(B^{-1}) = -B^{-1} dB B^{-1}`` for the (A + I) inverse
     of the forward pass, so it solves nothing, and takes the adjoint of the
     Frechet derivative of ``expm(A - I)``, which is that derivative at the
@@ -383,13 +384,12 @@ def objective_value_and_gradient(
     exponential's Frechet derivative counts as a non-finite gradient, while
     a :class:`SingularMatrixError` passes through.
 
-    The forward chain and the sweep take turns in the objective's one
-    buffer, kept between calls: (cols + 1, n_u, 2d) floats for mz-dmd's
-    block chain, (cols + 1, n_u, d) for t-model's; each step is one BLAS
-    gemv.  Counting that buffer, mz-dmd peaks at about 8 arrays of
-    (cols, n_u, d) floats, 8 * n_u * d * cols * 8 bytes (6.5 MB traced at
-    n_u = 100, d = 2 and 500 columns, 1.6 MB of it the buffer), t-model at
-    about 5 (4.1 MB, 0.8 MB of it the buffer).
+    The forward chain writes each doubling level into its one array with
+    ``out=``, and the scan adds each level through one scratch array of the
+    same size: (n_u, 2d, cols) floats for mz-dmd's block chain, (n_u, d,
+    cols) for t-model's.  mz-dmd peaks at about 8.3 arrays of (n_u, d, cols)
+    floats, 8.3 * n_u * d * cols * 8 bytes (6.6 MB traced at n_u = 100,
+    d = 2 and 500 columns), t-model at about 4.3 (3.4 MB).
     """
     s = obj.snapshots
     r, pullback, value = _forward(obj, a)
@@ -427,54 +427,3 @@ def fd_gradient(obj, a: np.ndarray, h: float = 1e-6) -> np.ndarray:
         e[idx] = h
         g[idx] = (f(a + e) - f(a - e)) / (2.0 * h)
     return g
-
-
-def _kernel_inputs(lambda_bar, m0_hat, steps, dt):
-    lam = np.asarray(lambda_bar, dtype=complex).ravel()
-    m0 = np.asarray(m0_hat, dtype=complex).ravel()
-    if lam.size != m0.size:
-        raise ValueError("lambda_bar and m0_hat must have the same length")
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    denom = 1.0 + 0.5 * dt * lam
-    if np.any(np.abs(denom) < 1e-14):
-        raise SingularMatrixError("I + dt/2 Lambda is singular")
-    return lam, m0, denom
-
-
-def memory_kernel_closed(lambda_bar, m0_hat, steps: int, dt: float) -> np.ndarray:
-    """Memory coefficients by the closed one-step recursion in the eigenbasis.
-
-    Applies ``m_hat_k = exp(dt Lambda) M(Lambda) m_hat_{k-1}`` with the
-    diagonal transfer map ``M(Lambda) = I - dt Lambda (I + dt/2 Lambda)^{-1}``
-    and returns the stacked vectors for k = 1..steps.
-    """
-    lam, m0, denom = _kernel_inputs(lambda_bar, m0_hat, steps, dt)
-    step_factor = np.exp(dt * lam) * (1.0 - dt * lam / denom)
-    out = np.empty((steps, lam.size), dtype=complex)
-    cur = m0
-    for k in range(steps):
-        cur = step_factor * cur
-        out[k] = cur
-    return out
-
-
-def memory_kernel_trapezoid(lambda_bar, m0_hat, steps: int, dt: float) -> np.ndarray:
-    """Memory coefficients by direct evaluation of the discretized kernel
-    equation, re-summing the full history at every step.
-
-    Quadratic-cost oracle for :func:`memory_kernel_closed`; the two must
-    agree to roundoff.
-    """
-    lam, m0, denom = _kernel_inputs(lambda_bar, m0_hat, steps, dt)
-    inv = 1.0 / denom
-    hist = np.empty((steps + 1, lam.size), dtype=complex)
-    hist[0] = m0
-    for k in range(1, steps + 1):
-        acc = np.zeros(lam.size, dtype=complex)
-        for i in range(1, k):
-            acc += np.exp(lam * (k - i) * dt) * hist[i]
-        hist[k] = inv * (np.exp(lam * k * dt) * (1.0 - 0.5 * dt * lam) * m0 - dt * lam * acc)
-    return hist[1:]

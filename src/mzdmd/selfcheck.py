@@ -21,8 +21,7 @@ from .objectives import (
     SnapshotPair,
     cayley_M,
     fd_gradient,
-    memory_kernel_closed,
-    memory_kernel_trapezoid,
+    mz_memory_matrix,
     objective_value,
     objective_value_and_gradient,
 )
@@ -97,11 +96,21 @@ def telescoped_sum(rng):
     return np.abs(lhs - rhs).max()
 
 
-def memory_kernel(rng):
-    lam = -rng.uniform(0.2, 1.0, 4) + 1j * rng.uniform(-1.0, 1.0, 4)
-    m0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    closed = memory_kernel_closed(lam, m0, 50, 0.1)
-    return np.abs(closed - memory_kernel_trapezoid(lam, m0, 50, 0.1)).max()
+def mz_closed_form(rng):
+    # in the eigenbasis of A = V diag(lam) V^-1, column j of the memory matrix
+    # is phi_j(lam) = -2 e^{j (lam - 1)} sum_{k<j} mu^k / (lam + 1), with
+    # mu - 1 = 2 (1 - lam) / (1 + lam) and the sum taken by expm1 and log1p,
+    # so it keeps its digits at the eigenvalue near 1
+    lam = np.array([1.0 - 10.0 ** -rng.uniform(2.0, 8.0), rng.uniform(0.2, 0.9)])
+    v = np.eye(2) + 0.3 * rng.standard_normal((2, 2))
+    a = v @ np.diag(lam) @ np.linalg.inv(v)
+    n = rng.standard_normal(2)
+    j = np.arange(50)
+    mu1 = (2.0 * (1.0 - lam) / (1.0 + lam))[:, None]
+    power_sum = np.expm1(j * np.log1p(mu1)) / mu1
+    coef = -2.0 * np.exp(j * (lam[:, None] - 1.0)) * power_sum / (lam[:, None] + 1.0)
+    closed = v @ (coef * np.linalg.solve(v, n)[:, None])
+    return np.abs(mz_memory_matrix(a, n, 50) - closed).max() / np.abs(closed).max()
 
 
 def gradient_fd(rng):
@@ -168,7 +177,7 @@ CHECKS = (
     Check("expm Frechet derivative matches central differences", expm_frechet_fd, 1e-6),
     Check("transfer map equals (3I - A)(A + I)^-1", cayley_form, 1e-12),
     Check("telescoped power sum identity", telescoped_sum, 1e-10),
-    Check("closed kernel recursion matches direct quadrature", memory_kernel, 1e-10),
+    Check("memory columns match the eigenbasis closed form", mz_closed_form, 1e-12),
     Check("analytic gradients match finite differences", gradient_fd, 1e-5),
     Check("zero memory reduces both objectives to the plain fit", zero_memory, 0.0),
     Check("RK4 conserves the oscillator energy", rk4_energy, 1e-6),

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 from conftest import random_operator, random_snapshots
+from memory_kernels import memory_kernel_closed, memory_kernel_trapezoid
 
 from mzdmd import (
     Objective,
@@ -23,8 +24,6 @@ from mzdmd import (
     fit_transition,
     hamiltonian,
     integrate,
-    memory_kernel_closed,
-    memory_kernel_trapezoid,
     monte_carlo_projection,
     objective_value_and_gradient,
     reconstruct,

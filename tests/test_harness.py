@@ -1,5 +1,8 @@
 import dataclasses
+import importlib.metadata
 import json
+import os
+import platform
 import warnings
 
 import numpy as np
@@ -455,6 +458,23 @@ class TestRunExperiment:
         assert parsed["seed"] == cfg.sim.seed
         assert parsed["config"]["output_dir"] == str(out)
         assert parsed["config"]["resolved_init"] == list(cfg.resolved_init)
+
+    def test_report_stamps_the_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        cfg = small_config(tmp_path, method="dmd")
+        run_experiment(cfg)
+        stamp = json.loads((cfg.output_dir / "report.json").read_text())["environment"]
+        assert stamp == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": importlib.metadata.version("scipy"),
+            "blas": stamp["blas"],
+            "cpu_count": os.cpu_count(),
+            "openblas_num_threads": "1",
+        }
+        assert stamp["blas"].startswith(np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"])
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        assert "openblas_num_threads" not in run_experiment(cfg).environment
 
     def test_exact_recovery_on_linear_data(self, tmp_path):
         # sigma = 0 decouples the system, so the measured coordinates are

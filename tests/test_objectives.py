@@ -9,6 +9,7 @@ import pytest
 from conftest import all_kind_objectives, assert_bitwise, random_operator, random_snapshots, rotation_snapshots
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from memory_kernels import memory_kernel_closed, memory_kernel_trapezoid
 
 from mzdmd import (
     AdamConfig,
@@ -24,8 +25,6 @@ from mzdmd import (
     expm_frechet,
     fd_gradient,
     fit_transition,
-    memory_kernel_closed,
-    memory_kernel_trapezoid,
     mz_memory_matrix,
     objective_value,
     objective_value_and_gradient,
@@ -35,7 +34,7 @@ from mzdmd import (
 )
 from mzdmd import objectives
 from mzdmd.config import build_config
-from mzdmd.objectives import _Chains, _power_columns, _power_pullback
+from mzdmd.objectives import _power_columns, _power_pullback
 
 
 class TestSnapshotPair:
@@ -378,9 +377,8 @@ class TestStackedChains:
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("n_u", [1, 4])
     def test_stack_equals_separate_chains(self, n_u, d, cols):
-        # a stack of one and a lone matrix each power one matrix, by np.dot
-        # for d >= 2, where the stack of two and n_u > 1 take np.matvec; the
-        # bytes must agree, signed zeros included
+        # a stack and each of its slices on its own run the same batched
+        # matmuls; the bytes must agree, signed zeros included
         rng = np.random.default_rng([n_u, d, cols])
         k = np.stack([random_operator(rng, d) for _ in range(n_u)])
         w = np.stack([random_operator(rng, d) for _ in range(n_u)])
@@ -446,8 +444,8 @@ def _reference_columns(chain):
 
 
 def _reference_power_columns(m, v, cols):
-    """The forward chain as one ``matmul`` a step on (..., d, 1) columns.
-    Bitwise reference for ``objectives._power_columns``."""
+    """The forward chain as one ``matmul`` a step on (..., d, 1) columns:
+    the sequential oracle for ``objectives._power_columns``."""
     x = np.empty((cols,) + m.shape[:-1] + (1,))
     x[0] = v[..., None]
     steps = list(x)
@@ -458,8 +456,8 @@ def _reference_power_columns(m, v, cols):
 
 def _reference_power_pullback(m, x, c):
     """The sweep with a zeroed sweep array of (..., d, 1) columns, one
-    ``matmul`` a step and a broadcasting add of each cotangent column.
-    Bitwise reference for ``objectives._power_pullback``."""
+    ``matmul`` a step and a broadcasting add of each cotangent column: the
+    sequential oracle for ``objectives._power_pullback``."""
     cols = c.shape[-1]
     mt = m.mT
     p = np.zeros((cols + 1,) + m.shape[:-1] + (1,))  # p[cols] = 0 starts the sweep
@@ -483,12 +481,21 @@ _CHAIN_GRID = pytest.mark.parametrize("layout, d, n_u, cols", list(itertools.pro
     ["stacked, broadcast cotangent", "stacked, full cotangent", "plain"], [1, 2, 3], [1, 5], [1, 2, 7, 2000])))
 
 
+def _assert_within_rounding(got, want, bound, axis):
+    """``got`` finite and within ``bound`` of ``want`` relative to the largest
+    magnitude of ``want`` over ``axis``; where that magnitude is zero or
+    subnormal, within the smallest normal float."""
+    scale = np.abs(want).max(axis=axis, keepdims=True)
+    assert np.all(np.isfinite(got))
+    assert np.all(np.abs(got - want) <= np.maximum(bound * scale, np.finfo(float).tiny))
+
+
 class TestPowerColumnsMatchReference:
-    """The matvec chain on rows against the matmul chain on columns, byte for
-    byte."""
+    """The doubling chain against the sequential one.  On this grid the
+    columns were at most 8.1e-16 of each slice's largest magnitude apart."""
 
     @_CHAIN_GRID
-    def test_bitwise(self, layout, d, n_u, cols):
+    def test_matches_sequential_chain(self, layout, d, n_u, cols):
         rng = np.random.default_rng([d, n_u, cols])
         lead = (n_u,) if layout == "plain" else (2, n_u)
         m = _contracting_stack(rng, lead + (d, d))
@@ -497,15 +504,17 @@ class TestPowerColumnsMatchReference:
         got, want = _power_columns(m, v, cols), _reference_power_columns(m, v, cols)
         assert got.shape == want.shape == lead + (d, cols)
         assert got.flags.c_contiguous
-        assert got.tobytes() == want.tobytes()
+        _assert_within_rounding(got, want, 4e-15, axis=(-2, -1))
 
 
 class TestPowerPullbackMatchesReference:
-    """The sweep seeded with its cotangent against the broadcast-add sweep,
-    byte for byte, signed zeros included."""
+    """The suffix scan against the sequential sweep.  On this grid the
+    gradients were at most 1.3e-15 of the stack's largest magnitude apart;
+    a slice's own scale would not do, as its terms may cancel.  A zero
+    cotangent gives the sequential sweep's bytes, signed zeros included."""
 
     @_CHAIN_GRID
-    def test_bitwise(self, layout, d, n_u, cols):
+    def test_matches_sequential_sweep(self, layout, d, n_u, cols):
         rng = np.random.default_rng([d, n_u, cols])
         lead = (n_u,) if layout == "plain" else (2, n_u)
         m = _contracting_stack(rng, lead + (d, d))
@@ -516,7 +525,7 @@ class TestPowerPullbackMatchesReference:
         c_before = c.copy()
         got, want = _power_pullback(m, x, c), _reference_power_pullback(m, x, c)
         assert got.shape == want.shape == lead + (d, d)
-        assert got.tobytes() == want.tobytes()
+        _assert_within_rounding(got, want, 4e-15, axis=None)
         assert c.tobytes() == c_before.tobytes()
 
     @pytest.mark.parametrize("cols", [1, 2, 7])
@@ -526,6 +535,106 @@ class TestPowerPullbackMatchesReference:
         x = _power_columns(m, rng.standard_normal((3, 2)), cols)
         c = np.full((3, 2, cols), -0.0)
         assert _power_pullback(m, x, c).tobytes() == _reference_power_pullback(m, x, c).tobytes()
+
+
+# at A = diag(-0.5, 0.3) mz-dmd's W M has eigenvalues 1.56 and 1.03, so
+# (W M)^2048 leaves float range, and so does the chain of any memory with a
+# component along the first axis; t-model's W = expm(A - I) decays
+_GROWING = np.diag([-0.5, 0.3])
+
+
+def _memory_columns(kind, a, n, cols):
+    if kind == "mz-dmd":
+        return mz_memory_matrix(a, n, cols)
+    return tmodel_memory_matrix(a, n, 0.1, cols)
+
+
+class TestDoublingRisks:
+    """Where powering by doubling could part from the sequential chain: powers
+    that leave float range before the chain does, non-normal operators, and
+    chains that overflow on their own."""
+
+    @pytest.mark.parametrize("cols", [3000, 5000])
+    @pytest.mark.parametrize("kind", ["mz-dmd", "t-model"])
+    def test_zero_memory_is_the_plain_objective(self, kind, cols):
+        # 0 times an overflowing power would be NaN; the powers' exponents
+        # keep them finite, so the columns are exactly zero
+        rng = np.random.default_rng(90)
+        snaps = random_snapshots(rng, cols=cols)
+        obj, plain = Objective(kind, snaps, np.zeros(2)), Objective("plain-dmd", snaps)
+        assert_bitwise(_memory_columns(kind, _GROWING, np.zeros(2), cols), np.zeros((2, cols)))
+        value, grad = objective_value_and_gradient(obj, _GROWING)
+        plain_value, plain_grad = objective_value_and_gradient(plain, _GROWING)
+        assert np.isfinite(value) and value == plain_value == objective_value(obj, _GROWING)
+        np.testing.assert_array_equal(grad, plain_grad)
+
+    @pytest.mark.parametrize("cols", [3000, 5000])
+    @pytest.mark.parametrize("kind", ["mz-dmd", "t-model"])
+    def test_memory_in_an_invariant_subspace_matches_the_sequential_chain(self, kind, cols):
+        # the chain stays on the second axis, where it grows 1.03-fold a
+        # step, while the powers' entries on the first axis leave float
+        # range: one exponent per row keeps both.  The chains' rounding grows
+        # with the column: at 5000 columns mz-dmd's columns were 3.3e-13 of
+        # a column's scale apart, and its values 6.6e-13 of the value
+        n = np.array([0.0, 1.0])
+        snaps = random_snapshots(np.random.default_rng(91), cols=cols)
+        got = _memory_columns(kind, _GROWING, n, cols), objective_value(Objective(kind, snaps, n), _GROWING)
+        with mock.patch.object(objectives, "_power_columns", _reference_power_columns):
+            want = _memory_columns(kind, _GROWING, n, cols), objective_value(Objective(kind, snaps, n), _GROWING)
+        assert np.all(np.isfinite(want[0]))
+        _assert_within_rounding(got[0], want[0], 1e-12, axis=-2)
+        assert abs(got[1] - want[1]) <= 2e-12 * want[1]
+
+    def test_non_normal_operator_matches_the_sequential_chain(self):
+        # the powers peak at 194 in norm near the 10th and then decay
+        # 0.9-fold a step: measured 4.6e-14 of a column's scale apart, and
+        # the gradients 3.0e-16 of theirs
+        rng = np.random.default_rng(92)
+        m = np.array([[0.9, 50.0], [0.0, 0.9]])
+        v, c = rng.standard_normal(2), rng.standard_normal((2, 2000))
+        x = _power_columns(m, v, 2000)
+        _assert_within_rounding(x, _reference_power_columns(m, v, 2000), 2e-13, axis=-2)
+        _assert_within_rounding(_power_pullback(m, x, c), _reference_power_pullback(m, x, c), 1e-15, axis=None)
+
+    def test_ill_conditioned_complex_pairs_match_the_sequential_chain(self):
+        # pairs 0.999 e^{+-0.05 i} and 0.99 e^{+-0.3 i} with nearly parallel
+        # eigenvectors: cond(V) 880, and powers that peak at 830 in norm.
+        # Squaring rounds at the square of that peak where the sequential
+        # chain rounds at the peak, so the doubling loses more digits:
+        # against a 40-digit chain it was 4.8e-10 of scale off, the
+        # sequential chain 2.1e-12.  The two were 4.8e-10 apart, and their
+        # gradients 9.2e-10
+        rng = np.random.default_rng(6)
+        v = np.eye(4) + 0.3 * rng.standard_normal((4, 4))
+        v[:, 2] = v[:, 0] + 0.03 * rng.standard_normal(4)
+        blocks = np.zeros((4, 4))
+        for k, (radius, angle) in enumerate([(0.999, 0.05), (0.99, 0.3)]):
+            c, s = radius * np.cos(angle), radius * np.sin(angle)
+            blocks[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [[c, -s], [s, c]]
+        m = v @ blocks @ np.linalg.inv(v)
+        start, c = rng.standard_normal(4), rng.standard_normal((4, 2000))
+        x = _power_columns(m, start, 2000)
+        _assert_within_rounding(x, _reference_power_columns(m, start, 2000), 2e-9, axis=None)
+        _assert_within_rounding(_power_pullback(m, x, c), _reference_power_pullback(m, x, c), 4e-9, axis=None)
+
+    @pytest.mark.parametrize("evaluate", [objective_value, objective_value_and_gradient])
+    @pytest.mark.parametrize("kind, bad", [("mz-dmd", _GROWING), ("t-model", np.diag([1.5, 0.3]))])
+    def test_overflowing_chain_names_only_its_slice(self, kind, bad, evaluate):
+        # the first slice's chain overflows within 3000 columns: mz-dmd's
+        # grows 1.56-fold a step, t-model's W = expm(A - I) 1.65-fold
+        rng = np.random.default_rng(93)
+        obj = Objective(kind, random_snapshots(rng, cols=3000), rng.standard_normal((2, 2)))
+        a = np.stack([bad, 0.999 * np.array([[np.cos(0.1), -np.sin(0.1)], [np.sin(0.1), np.cos(0.1)]])])
+        with pytest.raises(DivergenceError, match=r"objective value is not finite in slices \[0\]$") as excinfo:
+            evaluate(obj, a)
+        assert excinfo.value.indices == [0]
+        # the first slice's powers overflow, so the stack's carry exponents;
+        # they move no bit of the second slice, whose chain neither grows
+        # nor decays much
+        with np.errstate(over="ignore", invalid="ignore"):
+            columns = _memory_columns(kind, a, obj.memory, 3000)
+        assert np.abs(columns[1, :, 2048:]).max() > 1e-6
+        assert_bitwise(columns[1], _memory_columns(kind, a[1], obj.memory[1], 3000))
 
 
 class TestValueAndGradientLeavesItsInputs:
@@ -550,77 +659,15 @@ class TestValueAndGradientLeavesItsInputs:
             assert_bitwise(got, want)
 
 
-class TestChainBufferReuse:
-    """An objective keeps its chain buffer between calls; reusing it must
-    change no result, and no result may alias it."""
-
-    @pytest.mark.parametrize("stacked", [False, True])
-    @pytest.mark.parametrize("kind", ["mz-dmd", "t-model"])
-    def test_reused_objective_equals_fresh_ones(self, kind, stacked):
-        rng = np.random.default_rng(70)
-        snaps = random_snapshots(rng, d=3, cols=30)
-        a1, a2 = (np.stack([random_operator(rng, 3) for _ in range(4)]) for _ in range(2))
-        mem, other_mem = rng.standard_normal((2, 4, 3))
-        if not stacked:
-            a1, a2, mem, other_mem = a1[0], a2[0], mem[0], other_mem[0]
-
-        def evaluate(obj, a):
-            memory = (mz_memory_matrix(a, mem, snaps.cols) if kind == "mz-dmd"
-                      else tmodel_memory_matrix(a, mem, snaps.dt, snaps.cols))
-            return (*objective_value_and_gradient(obj, a), objective_value(obj, a), memory)
-
-        fresh1, fresh2 = (evaluate(Objective(kind, snaps, mem), a) for a in (a1, a2))
-        obj, other = Objective(kind, snaps, mem), Objective(kind, snaps, other_mem)
-        returned = []
-        for a, fresh in ((a1, fresh1), (a2, fresh2), (a1, fresh1)):
-            got = evaluate(obj, a)
-            objective_value_and_gradient(other, a)
-            for g, want in zip(got, fresh):
-                assert_bitwise(g, want)
-            assert not any(np.shares_memory(g, obj._chains.rows) for g in got)
-            returned.append((got, copy.deepcopy(got)))
-        for got, kept in returned:
-            for g, want in zip(got, kept):
-                assert_bitwise(g, want)
-
-    def test_buffer_is_built_once_per_objective(self):
-        rng = np.random.default_rng(71)
-        snaps = random_snapshots(rng, d=2, cols=12)
-        obj = Objective("mz-dmd", snaps, rng.standard_normal((3, 2)))
-        a = np.stack([random_operator(rng, 2) for _ in range(3)])
-        objective_value(obj, a)
-        chains = obj._chains
-        objective_value_and_gradient(obj, a)
-        assert obj._chains is chains
-        # mz-dmd powers one chain of length 2d per memory row
-        assert chains.rows.shape == (13, 3, 4)
-        assert chains.step.shape == (3, 4)
-        # the row views and the scratch vector drop the stack's size-1 axes
-        single = Objective("mz-dmd", snaps, rng.standard_normal(2))._chains
-        assert single.rows.shape == (13, 1, 4) and single.step.shape == (4,)
-        single = Objective("t-model", snaps, rng.standard_normal(2))._chains
-        assert single.rows.shape == (13, 1, 2) and single.step.shape == (2,)
-        assert single.forward[0][0].shape == (2,)
-
-    @pytest.mark.parametrize("stack", [(4, 8), (1, 4), (2,)])
-    def test_one_column_does_not_alias_the_buffer(self, stack):
-        # at one column the chain's columns are contiguous without a copy
-        rng = np.random.default_rng(73)
-        chains = _Chains(stack, 1)
-        m = rng.standard_normal(stack + stack[-1:])
-        x = _power_columns(m, rng.standard_normal(stack), 1, chains)
-        assert not np.shares_memory(x, chains.rows)
-
-    def test_one_column_gradient_is_exact(self):
-        # the pullback reads the chain's columns after its sweep has
-        # overwritten the buffer
-        rng = np.random.default_rng(74)
-        snaps = random_snapshots(rng, d=4, cols=1)
-        a = np.stack([random_operator(rng, 4) for _ in range(4)])
-        mem = rng.standard_normal((4, 4))
-        grad = objective_value_and_gradient(Objective("mz-dmd", snaps, mem), a)[1]
-        exact = _complex_step_mz_gradient(snaps, mem, a)
-        assert np.abs(grad - exact).max() <= 1e-14 * np.abs(exact).max()
+def test_one_column_gradient_is_exact():
+    # at one column no power is formed and the sweep takes no step
+    rng = np.random.default_rng(74)
+    snaps = random_snapshots(rng, d=4, cols=1)
+    a = np.stack([random_operator(rng, 4) for _ in range(4)])
+    mem = rng.standard_normal((4, 4))
+    grad = objective_value_and_gradient(Objective("mz-dmd", snaps, mem), a)[1]
+    exact = _complex_step_mz_gradient(snaps, mem, a)
+    assert np.abs(grad - exact).max() <= 1e-14 * np.abs(exact).max()
 
 
 @pytest.mark.parametrize("stacked", [False, True])
@@ -724,10 +771,10 @@ class TestNonFiniteObjective:
             objective_value_and_gradient(Objective("plain-dmd", s), a)
 
 
-def _reference_mz_memory(a, n, cols, chains=None):
+def _reference_mz_memory(a, n, cols):
     """The memory term with its two chains apart: ``(W M)^j n`` and ``W^j n``
-    each powered by its own loop, in a fresh buffer whatever ``chains`` is,
-    and swept back by its own loop, and ``(A - I)^{-1}`` applied by solves.
+    each powered by its own chain and swept back by its own scan, and
+    ``(A - I)^{-1}`` applied by solves.
     Reference for the telescoped chain of ``objectives._mz_memory``."""
     eye = np.eye(a.shape[-1])
     a_shift = a - eye
@@ -876,23 +923,6 @@ class TestStackedMzChainsMatchReference:
         a = np.stack([random_operator(rng, d, margin=0.5) for _ in range(n_u)])
         mem = rng.standard_normal((n_u, d))
         _assert_mz_matches_reference(random_snapshots(rng, d, cols), mem, a, exact_gradient=True)
-
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_single_row_steps_by_dot_on_one_block_matrix(self, d):
-        rng = np.random.default_rng(32 + d)
-        obj = Objective("mz-dmd", random_snapshots(rng, d, cols=12), rng.standard_normal(d))
-        chains = obj._chains
-        steps = []
-
-        def dot(m, v, out):
-            steps.append((m.shape, v.shape))
-            return np.dot(m, v, out)
-
-        assert chains.matvec is np.dot
-        chains.matvec = dot
-        objective_value_and_gradient(obj, random_operator(rng, d))
-        # 11 forward steps and 11 sweep steps, each one gemv on [[W M, 0], [W, W]]
-        assert steps == [((2 * d, 2 * d), (2 * d,))] * 22
 
     @pytest.mark.parametrize("cols", [1, 2, 30])
     def test_stack_slices_equal_single_calls(self, cols):

@@ -211,8 +211,8 @@ class TestFitTransition:
 
     @pytest.mark.parametrize("kind", ["mz-dmd", "t-model"])
     def test_stack_matches_a_per_slice_reference_loop_bitwise(self, kind):
-        # a lone t-model fit powers one matrix with np.dot, its stack with
-        # np.matvec; a -0.0 memory entry must come out the same in both
+        # a lone fit and its stack power their chains by the same batched
+        # matmuls; a -0.0 memory entry must come out the same in both
         rng = np.random.default_rng(8)
         s = random_snapshots(rng, cols=12)
         mem = rng.standard_normal((4, 2))
