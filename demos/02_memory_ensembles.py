@@ -10,8 +10,8 @@ two objectives.
 
 Expect a few seconds, most of them in the Monte Carlo projection.  Each
 ensemble's fits run as one stacked computation; the full-memory objective
-differentiates through the transfer-map powers and the (A - I) inverse,
-which is exactly why its first-order simplification is cheaper.
+differentiates through the block chain of the transfer map and one (A + I)
+solve, which is exactly why its first-order simplification is cheaper.
 """
 
 import time

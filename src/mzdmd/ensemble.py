@@ -84,9 +84,8 @@ def fit_ensemble(
     its memory vector, sigma times standard normals, from the stream (seed,
     ensemble, i), and one ``keyed_normals`` call draws them all.  The n_u
     fits run as one stacked computation over (n_u, d, d) operators and
-    (n_u, d) memory vectors; its working set is at most about 9 * n_u * d
-    * (m - 1) * 8 bytes for m snapshots (7.3 MB for mz-dmd at the default
-    n_u = 100, d = 2, m = 501).
+    (n_u, d) memory vectors; its working set is the peak of one
+    :func:`objective_value_and_gradient` call, measured in its docstring.
     Returns the phase-normalized eigendecomposition of each fitted operator
     as one stack, in sample order, and the (n_u, iterations + 1) loss
     traces of the fit.
@@ -211,7 +210,8 @@ def reconstruct(model: SpectralModel, x0: np.ndarray, times: np.ndarray) -> Traj
     ``omega = log(values) / dt``, and propagates x0 in the eigenbasis.  The
     returned trajectory is the real part, with states (len(times), ..., d)
     for a (..., d) stack; the largest discarded imaginary magnitude is
-    recorded on the result.
+    recorded on the result.  The model has refused eigenvectors above
+    ``linalg.COND_MAX`` already, so the solve for x0's coordinates is plain.
     """
     x0 = np.asarray(x0, dtype=float).ravel()
     times = np.asarray(times, dtype=float).ravel()
@@ -222,7 +222,7 @@ def reconstruct(model: SpectralModel, x0: np.ndarray, times: np.ndarray) -> Traj
     d = model.dim
     vectors = model.vectors.reshape(-1, d, d)
     omega = np.log(model.values.reshape(-1, 1, d)) / model.dt
-    b = linalg.solve(vectors, np.broadcast_to(x0.astype(complex)[:, None], (len(vectors), d, 1)))
+    b = np.linalg.solve(vectors, np.broadcast_to(x0.astype(complex)[:, None], (len(vectors), d, 1)))
     coords = np.exp(times[:, None] * omega) * b.mT
     complex_states = coords @ vectors.mT
     states = complex_states.real.transpose(1, 0, 2).copy().reshape(times.shape + model.values.shape)

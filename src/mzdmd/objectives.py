@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DivergenceError, NumericalError, SingularMatrixError, failing_slices
+from .errors import DivergenceError, NumericalError, failing_slices
 
 PLAIN_DMD = "plain-dmd"
 MZ_DMD = "mz-dmd"
@@ -140,8 +140,6 @@ def _stacks(a, n: np.ndarray | None, d: int):
     n = np.asarray(n, dtype=float)
     if n.shape != a.shape[:-1]:
         raise ValueError("need one memory vector per operator")
-    if not np.all(np.isfinite(n)):
-        raise ValueError("memory must be finite")
     return a.reshape(-1, d, d), n.reshape(-1, d)
 
 
@@ -273,6 +271,21 @@ def _tmodel_memory(a, n, dt, cols):
     return x * weights, pullback
 
 
+def _memory_matrix(columns, a, n, cols: int) -> np.ndarray:
+    """``columns(A, n)`` on stacks from a caller's raw memory, which must be
+    finite; columns that overflow raise :class:`DivergenceError`, not a
+    numpy warning."""
+    if cols < 1:
+        raise ValueError("cols must be at least 1")
+    a_stack, n = _stacks(a, n, np.shape(a)[-1])
+    if not np.all(np.isfinite(n)):
+        raise ValueError("memory must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = columns(a_stack, n)
+    _check_finite(f, a, "memory columns are not finite")
+    return f[0] if np.ndim(a) == 2 else f
+
+
 def mz_memory_matrix(a: np.ndarray, n: np.ndarray, cols: int) -> np.ndarray:
     """Memory-correction columns of the memory-aware objective.
 
@@ -283,11 +296,9 @@ def mz_memory_matrix(a: np.ndarray, n: np.ndarray, cols: int) -> np.ndarray:
     finite at an eigenvalue 1 of A, where they take their limit.  The sum is
     powered through ``(W M)^k``: powering W and M apart loses every digit
     where their spectra pull apart.  A stack A (n_u, d, d) gives (n_u, d, cols).
+    Columns that overflow raise :class:`DivergenceError` naming their slices.
     """
-    if cols < 1:
-        raise ValueError("cols must be at least 1")
-    f = _mz_memory(*_stacks(a, n, np.shape(a)[-1]), cols)[0]
-    return f[0] if np.ndim(a) == 2 else f
+    return _memory_matrix(lambda a, n: _mz_memory(a, n, cols)[0], a, n, cols)
 
 
 def tmodel_memory_matrix(a: np.ndarray, n: np.ndarray, dt: float, cols: int) -> np.ndarray:
@@ -296,13 +307,11 @@ def tmodel_memory_matrix(a: np.ndarray, n: np.ndarray, dt: float, cols: int) -> 
     No transfer map, so no solve, is involved, and the chain has d rows
     where the full memory recursion's has 2d, which is what makes this
     objective cheaper.  A stack A (n_u, d, d) gives (n_u, d, cols).
+    Columns that overflow raise :class:`DivergenceError` naming their slices.
     """
-    if cols < 1:
-        raise ValueError("cols must be at least 1")
     if not dt > 0:
         raise ValueError("dt must be positive")
-    g = _tmodel_memory(*_stacks(a, n, np.shape(a)[-1]), dt, cols)[0]
-    return g[0] if np.ndim(a) == 2 else g
+    return _memory_matrix(lambda a, n: _tmodel_memory(a, n, dt, cols)[0], a, n, cols)
 
 
 def _residual(obj: Objective, a: np.ndarray):
@@ -327,13 +336,13 @@ def _residual(obj: Objective, a: np.ndarray):
     return r + scale * cols, lambda c: pullback(np.multiply(c, scale, out=c))
 
 
-def _check_finite(x: np.ndarray, a: np.ndarray, what: str) -> None:
-    """Raise :class:`DivergenceError` naming the slices of an (n_u, ...)
-    result that hold a non-finite entry; for a 2-D A it names none."""
+def _check_finite(x: np.ndarray, a: np.ndarray, message: str) -> None:
+    """Raise :class:`DivergenceError`, ``message`` naming the slices of an
+    (n_u, ...) result that hold a non-finite entry; for a 2-D A it names none."""
     bad = ~np.isfinite(x.reshape(len(x), -1)).all(axis=1)
     if np.any(bad):
         where, indices = failing_slices(bad if np.ndim(a) == 3 else bad[0])
-        raise DivergenceError(f"objective {what} is not finite{where}", indices=indices)
+        raise DivergenceError(f"{message}{where}", indices=indices)
 
 
 def _forward(obj: Objective, a: np.ndarray):
@@ -346,7 +355,7 @@ def _forward(obj: Objective, a: np.ndarray):
     with np.errstate(over="ignore", invalid="ignore"):
         r, pullback = _residual(obj, a)
         value = np.sum((r * r).reshape(r.shape[0], -1), axis=1)
-    _check_finite(value, a, "value")
+    _check_finite(value, a, "objective value is not finite")
     return r, pullback, value
 
 
@@ -381,8 +390,9 @@ def objective_value_and_gradient(
     of the others.  A non-finite value raises :class:`DivergenceError`
     naming its slices before the pullback runs, and a non-finite gradient
     raises it after, neither with a numpy warning; an overflow of the
-    exponential's Frechet derivative counts as a non-finite gradient, while
-    a :class:`SingularMatrixError` passes through.
+    exponential's Frechet derivative counts as a non-finite gradient.  The
+    forward pass's solve against (A + I) is the only source of a
+    :class:`SingularMatrixError`, which passes through.
 
     The forward chain writes each doubling level into its one array with
     ``out=``, and the scan adds each level through one scratch array of the
@@ -400,11 +410,9 @@ def objective_value_and_gradient(
             try:
                 grad += pullback(r)
             except NumericalError as exc:
-                if isinstance(exc, SingularMatrixError):
-                    raise
                 # the exponential's Frechet derivative overflowed in these slices
                 grad[exc.indices] = np.inf
-    _check_finite(grad, a, "gradient")
+    _check_finite(grad, a, "objective gradient is not finite")
     if np.ndim(a) == 2:
         return float(value[0]), grad[0]
     return value, grad

@@ -83,19 +83,6 @@ def cayley_form(rng):
     return np.abs(cayley_M(a) - alt).max()
 
 
-def telescoped_sum(rng):
-    # M^n + I + 2 sum_{0<k<n} M^k = (M^n - I)(-2/(dt lam)) for the diagonal
-    # transfer map, the simplification behind the memory columns
-    dt = 0.1
-    lam = -rng.uniform(0.2, 1.0, 4) + 1j * rng.uniform(-1.0, 1.0, 4)
-    m = 1.0 - dt * lam / (1.0 + 0.5 * dt * lam)
-    n = np.arange(2, 51)[:, None]
-    partial = np.cumsum(m ** (n - 1), axis=0)
-    lhs = m**n + 1.0 + 2.0 * partial
-    rhs = (m**n - 1.0) * (-2.0 / (dt * lam))
-    return np.abs(lhs - rhs).max()
-
-
 def mz_closed_form(rng):
     # in the eigenbasis of A = V diag(lam) V^-1, column j of the memory matrix
     # is phi_j(lam) = -2 e^{j (lam - 1)} sum_{k<j} mu^k / (lam + 1), with
@@ -176,7 +163,6 @@ CHECKS = (
     Check("expm(A) expm(-A) = I", expm_inverse, 1e-10),
     Check("expm Frechet derivative matches central differences", expm_frechet_fd, 1e-6),
     Check("transfer map equals (3I - A)(A + I)^-1", cayley_form, 1e-12),
-    Check("telescoped power sum identity", telescoped_sum, 1e-10),
     Check("memory columns match the eigenbasis closed form", mz_closed_form, 1e-12),
     Check("analytic gradients match finite differences", gradient_fd, 1e-5),
     Check("zero memory reduces both objectives to the plain fit", zero_memory, 0.0),

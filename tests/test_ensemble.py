@@ -744,6 +744,18 @@ class TestReconstruct:
         traj = reconstruct(model, np.array([1.0, 0.0]), np.arange(50) * 0.1)
         assert traj.max_imag <= 1e-10
 
+    def test_makes_no_condition_checked_solve(self):
+        # SpectralModel has refused ill-conditioned eigenvectors already, so
+        # neither the reconstruction nor the variance checks them again
+        rng = np.random.default_rng(9)
+        models = _random_model(rng, d=2, n=3)
+        times = np.arange(4) * 0.1
+        x0 = np.array([1.0, 0.0])
+        with mock.patch.object(ensemble.linalg, "solve", wraps=ensemble.linalg.solve) as solve:
+            mean = reconstruct(models, x0, times)
+            ensemble_variance(models, Trajectory(times, mean.states[:, 0]), x0, times)
+        assert solve.call_count == 0
+
 
 class TestEnsembleVariance:
     def test_identical_samples_zero_variance(self):

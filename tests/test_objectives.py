@@ -141,6 +141,13 @@ class TestMemoryMatrices:
             with pytest.raises(ValueError, match="finite"):
                 tmodel_memory_matrix(a if n.ndim == 1 else a[None], n, 0.1, 4)
 
+    @pytest.mark.parametrize("kind", ["mz-dmd", "t-model"])
+    def test_cols_below_one_is_refused(self, kind):
+        a = np.array([[0.5, 0.1], [-0.2, 0.4]])
+        for cols in (0, -1):
+            with pytest.raises(ValueError, match="cols must be at least 1"):
+                _memory_columns(kind, a, np.ones(2), cols)
+
     def test_first_column_exactly_zero(self):
         rng = np.random.default_rng(1)
         a = random_operator(rng, 2)
@@ -541,6 +548,8 @@ class TestPowerPullbackMatchesReference:
 # (W M)^2048 leaves float range, and so does the chain of any memory with a
 # component along the first axis; t-model's W = expm(A - I) decays
 _GROWING = np.diag([-0.5, 0.3])
+# a chain that neither grows nor decays much, to stack with an overflowing one
+_STEADY = 0.999 * np.array([[np.cos(0.1), -np.sin(0.1)], [np.sin(0.1), np.cos(0.1)]])
 
 
 def _memory_columns(kind, a, n, cols):
@@ -624,17 +633,36 @@ class TestDoublingRisks:
         # grows 1.56-fold a step, t-model's W = expm(A - I) 1.65-fold
         rng = np.random.default_rng(93)
         obj = Objective(kind, random_snapshots(rng, cols=3000), rng.standard_normal((2, 2)))
-        a = np.stack([bad, 0.999 * np.array([[np.cos(0.1), -np.sin(0.1)], [np.sin(0.1), np.cos(0.1)]])])
+        a = np.stack([bad, _STEADY])
         with pytest.raises(DivergenceError, match=r"objective value is not finite in slices \[0\]$") as excinfo:
             evaluate(obj, a)
         assert excinfo.value.indices == [0]
         # the first slice's powers overflow, so the stack's carry exponents;
         # they move no bit of the second slice, whose chain neither grows
-        # nor decays much
+        # nor decays much.  The public matrices refuse the stack, so its
+        # columns come from the memory term itself
         with np.errstate(over="ignore", invalid="ignore"):
-            columns = _memory_columns(kind, a, obj.memory, 3000)
+            if kind == "mz-dmd":
+                columns = objectives._mz_memory(a, obj.memory, 3000)[0]
+            else:
+                columns = objectives._tmodel_memory(a, obj.memory, 0.1, 3000)[0]
         assert np.abs(columns[1, :, 2048:]).max() > 1e-6
         assert_bitwise(columns[1], _memory_columns(kind, a[1], obj.memory[1], 3000))
+
+    @pytest.mark.parametrize("kind, bad", [("mz-dmd", _GROWING), ("t-model", np.diag([1.5, 0.3]))])
+    def test_overflowing_memory_matrix_names_only_its_slice(self, kind, bad):
+        # the public matrices fail as the objective does: a typed error
+        # naming the slice, and no numpy warning
+        rng = np.random.default_rng(93)
+        memory = rng.standard_normal((2, 2))
+        a = np.stack([bad, _STEADY])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match=r"^memory columns are not finite in slices \[0\]$") as excinfo:
+                _memory_columns(kind, a, memory, 3000)
+            with pytest.raises(DivergenceError, match=r"^memory columns are not finite$"):
+                _memory_columns(kind, bad, memory[0], 3000)
+        assert excinfo.value.indices == [0]
 
 
 class TestValueAndGradientLeavesItsInputs:
@@ -751,15 +779,24 @@ class TestNonFiniteObjective:
             fit_transition(obj, _overflowing_operator(), AdamConfig())
         assert excinfo.value.step == 0 and excinfo.value.indices is None
 
-    @pytest.mark.parametrize("kind", ["mz-dmd", "t-model"])
-    def test_singular_solve_in_the_gradient_passes_through(self, kind):
+    @pytest.mark.parametrize("evaluate", [objective_value, objective_value_and_gradient])
+    def test_singular_transfer_map_names_only_its_slice(self, evaluate):
+        # A + I is singular in the second slice, so the forward pass's one
+        # solve refuses it, before any value or gradient is formed
         rng = np.random.default_rng(82)
-        obj = Objective(kind, random_snapshots(rng), rng.standard_normal(2))
-        refused = SingularMatrixError("refused", cond=1e13, indices=[0])
-        with mock.patch.object(objectives.linalg, "expm_frechet", side_effect=refused):
-            with pytest.raises(SingularMatrixError) as excinfo:
-                objective_value_and_gradient(obj, random_operator(rng, 2))
-        assert excinfo.value is refused
+        obj = Objective("mz-dmd", random_snapshots(rng), rng.standard_normal((2, 2)))
+        a = np.stack([0.5 * np.eye(2), np.diag([-1.0, 0.3])])
+        with pytest.raises(SingularMatrixError, match="cond ~ inf") as excinfo:
+            evaluate(obj, a)
+        assert excinfo.value.indices == [1]
+
+    @pytest.mark.parametrize("evaluate", [objective_value, objective_value_and_gradient])
+    def test_singular_transfer_map_at_one_operator_passes_through(self, evaluate):
+        # a single operator takes the same forward solve as a stack of one
+        rng = np.random.default_rng(82)
+        obj = Objective("mz-dmd", random_snapshots(rng), rng.standard_normal(2))
+        with pytest.raises(SingularMatrixError, match="cond ~ inf"):
+            evaluate(obj, np.diag([-1.0, 0.3]))
 
     def test_gradient_overflow_at_a_finite_value(self):
         # slice 1 leaves residuals of 1e150, whose squares sum to a finite
