@@ -5,9 +5,10 @@ import numpy as np
 
 def failing_slices(bad) -> tuple[str, list[int] | None]:
     """Message suffix and indices naming the True entries of a per-slice
-    failure mask; empty, with no indices, for the 0-d mask of a single
-    matrix and for a mask that names no slice."""
-    indices = [int(i) for i in np.flatnonzero(bad)] if np.ndim(bad) else []
+    failure mask.  Only a mask of two or more entries names slices, so a
+    single matrix (a 0-d mask) and a stack of one fail alike: both, and a
+    mask that names no slice, give an empty suffix and no indices."""
+    indices = [int(i) for i in np.flatnonzero(bad)] if np.size(bad) > 1 else []
     if not indices:
         return "", None
     return f" in slices {indices}", indices
@@ -17,8 +18,8 @@ class NumericalError(RuntimeError):
     """A numerical routine failed to converge or overflowed.
 
     ``indices`` lists the failing slices when the routine ran on a stack of
-    matrices; it is None for a single matrix and when the failing slices
-    cannot be told apart.
+    two or more matrices; it is None for a single matrix, for a stack of
+    one, and when the failing slices cannot be told apart.
     """
 
     def __init__(self, message, indices=None):

@@ -131,10 +131,13 @@ def _stacks(a, n: np.ndarray | None, d: int):
 
     A single operator (d, d) is a stack of one and takes one memory vector
     (d,); a stack (n_u, d, d) takes one memory vector per slice, (n_u, d).
+    The operator must be finite.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim not in (2, 3) or a.shape[-2:] != (d, d):
         raise ValueError("operator shape does not match the snapshot dimension")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("operator must be finite")
     if n is None:
         return a.reshape(-1, d, d), None
     n = np.asarray(n, dtype=float)
@@ -282,7 +285,7 @@ def _memory_matrix(columns, a, n, cols: int) -> np.ndarray:
         raise ValueError("memory must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
         f = columns(a_stack, n)
-    _check_finite(f, a, "memory columns are not finite")
+    _check_finite(f, "memory columns are not finite")
     return f[0] if np.ndim(a) == 2 else f
 
 
@@ -314,9 +317,21 @@ def tmodel_memory_matrix(a: np.ndarray, n: np.ndarray, dt: float, cols: int) -> 
     return _memory_matrix(lambda a, n: _tmodel_memory(a, n, dt, cols)[0], a, n, cols)
 
 
-def _residual(obj: Objective, a: np.ndarray):
-    """Snapshot residuals at A, as (n_u, d, cols) with n_u = 1 for a 2-D A,
-    and the pullback of their memory term.
+def _check_finite(x: np.ndarray, message: str) -> None:
+    """Raise :class:`DivergenceError`, ``message`` naming the slices of an
+    (n_u, ...) result that hold a non-finite entry."""
+    bad = ~np.isfinite(x.reshape(len(x), -1)).all(axis=1)
+    if np.any(bad):
+        where, indices = failing_slices(bad)
+        raise DivergenceError(f"{message}{where}", indices=indices)
+
+
+def _forward(obj: Objective, a: np.ndarray):
+    """Snapshot residuals of ``obj`` at A, as (n_u, d, cols) with n_u = 1
+    for a 2-D A, the pullback of their memory term, and the per-slice
+    values: squared Frobenius norms, summed in the order a flat sum over one
+    slice takes.  Overflow raises no numpy warning; a non-finite value
+    raises :class:`DivergenceError` naming its slices instead.
 
     The pullback maps a cotangent of the residuals to the gradient of the
     memory term in A, scaling the cotangent in place, so it takes an array
@@ -324,38 +339,18 @@ def _residual(obj: Objective, a: np.ndarray):
     """
     s = obj.snapshots
     a, n = _stacks(a, None if obj.kind == PLAIN_DMD else obj.memory, s.dim)
-    r = s.x_plus - a @ s.x_minus
-    if obj.kind == MZ_DMD:
-        scale = s.dt**2
-        cols, pullback = _mz_memory(a, n, s.cols)
-    elif obj.kind == T_MODEL:
-        scale = -s.dt
-        cols, pullback = _tmodel_memory(a, n, s.dt, s.cols)
-    else:
-        return r, None
-    return r + scale * cols, lambda c: pullback(np.multiply(c, scale, out=c))
-
-
-def _check_finite(x: np.ndarray, a: np.ndarray, message: str) -> None:
-    """Raise :class:`DivergenceError`, ``message`` naming the slices of an
-    (n_u, ...) result that hold a non-finite entry; for a 2-D A it names none."""
-    bad = ~np.isfinite(x.reshape(len(x), -1)).all(axis=1)
-    if np.any(bad):
-        where, indices = failing_slices(bad if np.ndim(a) == 3 else bad[0])
-        raise DivergenceError(f"{message}{where}", indices=indices)
-
-
-def _forward(obj: Objective, a: np.ndarray):
-    """Residuals, memory pullback and per-slice values of ``obj`` at A.
-
-    The values are squared Frobenius norms, summed in the order a flat sum
-    over one slice takes.  Overflow raises no numpy warning; a non-finite
-    value raises :class:`DivergenceError` naming its slices instead.
-    """
+    pullback = None
     with np.errstate(over="ignore", invalid="ignore"):
-        r, pullback = _residual(obj, a)
+        r = s.x_plus - a @ s.x_minus
+        if obj.kind == MZ_DMD:
+            scale, (cols, memory) = s.dt**2, _mz_memory(a, n, s.cols)
+        elif obj.kind == T_MODEL:
+            scale, (cols, memory) = -s.dt, _tmodel_memory(a, n, s.dt, s.cols)
+        if obj.kind != PLAIN_DMD:
+            r += scale * cols
+            pullback = lambda c: memory(np.multiply(c, scale, out=c))  # noqa: E731
         value = np.sum((r * r).reshape(r.shape[0], -1), axis=1)
-    _check_finite(value, a, "objective value is not finite")
+    _check_finite(value, "objective value is not finite")
     return r, pullback, value
 
 
@@ -410,9 +405,10 @@ def objective_value_and_gradient(
             try:
                 grad += pullback(r)
             except NumericalError as exc:
-                # the exponential's Frechet derivative overflowed in these slices
-                grad[exc.indices] = np.inf
-    _check_finite(grad, a, "objective gradient is not finite")
+                # the exponential's Frechet derivative overflowed in these
+                # slices, or in the one slice of a stack of one
+                grad[exc.indices or slice(None)] = np.inf
+    _check_finite(grad, "objective gradient is not finite")
     if np.ndim(a) == 2:
         return float(value[0]), grad[0]
     return value, grad

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError
+from .errors import DivergenceError, failing_slices
 from .objectives import Objective, objective_value, objective_value_and_gradient
 
 # Adam's published defaults (Kingma & Ba, "Adam", ICLR 2015)
@@ -63,9 +63,10 @@ def fit_transition(obj: Objective, a0: np.ndarray, cfg: AdamConfig) -> tuple[np.
     Returns the final operator(s), shaped like ``a0``, and the objective
     value at every iterate, the initial loss first: shape
     ``(iterations + 1,)`` for one operator, ``(n_u, iterations + 1)`` for a
-    stack.  A non-finite loss raises the objective's :class:`DivergenceError`,
-    which names the slices it occurred in, with ``step`` set to the
-    iteration.
+    stack.  A non-finite loss or gradient, or a gradient whose square
+    overflows Adam's bias-corrected second moment and would stall its step,
+    raises :class:`DivergenceError` naming its slices, with ``step`` set to
+    the iteration and no numpy warning.
     """
     params = np.array(a0, dtype=float)
     d = obj.snapshots.dim
@@ -77,9 +78,15 @@ def fit_transition(obj: Objective, a0: np.ndarray, cfg: AdamConfig) -> tuple[np.
     for it in range(cfg.iterations):
         value, grad = _at_step(it, objective_value_and_gradient, obj, params)
         trace[..., it] = value
-        # one call per slice, as perfbench/spans.py counts them; goes with ROADMAP items 1-2
-        for (p, ms, vs), g in zip(slices, grad.reshape(-1, d, d)):
-            adam_step(p, ms, vs, it + 1, g, cfg)
+        with np.errstate(over="ignore"):
+            # one call per slice, as perfbench/spans.py counts them; goes with ROADMAP items 1-2
+            for (p, ms, vs), g in zip(slices, grad.reshape(-1, d, d)):
+                adam_step(p, ms, vs, it + 1, g, cfg)
+            # adam_step divides by the root of this moment: where it is inf the step is 0
+            bad = ~np.isfinite(v / (1.0 - BETA2 ** (it + 1))).all(axis=(-2, -1))
+        if np.any(bad):
+            where, indices = failing_slices(bad)
+            raise DivergenceError(f"Adam's second moment overflowed{where}", step=it, indices=indices)
     trace[..., -1] = _at_step(cfg.iterations, objective_value, obj, params)
     return params, trace
 

@@ -66,6 +66,19 @@ def rotation_snapshots(n_snapshots=3, dt=0.1, x0=(1.0, 0.0)):
     return SnapshotPair.from_snapshots(x, dt), a_true
 
 
+def overflowing_mz_snapshots(n_points):
+    """Noisy snapshots of an operator with eigenvalues -0.95 and 0.3.  Their
+    plain fit has eigenvalues near those, where the mz-dmd memory chain
+    grows about elevenfold a step."""
+    rng = np.random.default_rng(90)
+    v = np.array([[1.0, 0.4], [0.3, 1.0]])
+    a_true = v @ np.diag([-0.95, 0.3]) @ np.linalg.inv(v)
+    x = np.ones((2, n_points))
+    for k in range(1, n_points):
+        x[:, k] = a_true @ x[:, k - 1] + 0.05 * rng.standard_normal(2)
+    return SnapshotPair.from_snapshots(x, 0.1)
+
+
 def reference_phase_normalize(vectors):
     """The per-column phase normalization, kept as the reference for the
     vectorized ``linalg.phase_normalize``."""

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import assert_bitwise, reference_phase_normalize, rotation_snapshots
+from conftest import assert_bitwise, overflowing_mz_snapshots, reference_phase_normalize, rotation_snapshots
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +18,6 @@ from mzdmd import (
     MatchingDegeneracyWarning,
     NumericalError,
     Objective,
-    SnapshotPair,
     SpectralModel,
     Trajectory,
     dmd_fit,
@@ -84,6 +83,14 @@ class TestSpectralModel:
             SpectralModel(np.ones(2), np.ones((2, 2)), 0.1)
         with pytest.raises(ValueError):  # one vector matrix for two slices
             SpectralModel(np.ones((2, 2)), np.eye(2), 0.1)
+
+    def test_a_stack_of_one_fails_like_a_single_model(self):
+        with pytest.raises(ValueError) as single:
+            SpectralModel(np.ones(2), np.ones((2, 2)), 0.1)
+        with pytest.raises(ValueError) as stack_of_one:
+            SpectralModel(np.ones((1, 2)), np.ones((1, 2, 2)), 0.1)
+        assert str(single.value) == str(stack_of_one.value)
+        assert "in slices" not in str(single.value)
 
     def test_stack_names_its_singular_slices(self):
         vectors = np.stack([np.eye(2), np.ones((2, 2)), np.eye(2), np.ones((2, 2))])
@@ -342,12 +349,22 @@ class TestStackedEnsemble:
 
     def test_overflowing_sample_is_dropped_and_the_other_fitted(self, monkeypatch):
         # sample 0's residual overflows over 200 columns
-        _assert_overflowing_sample_dropped(monkeypatch, 201, "value")
+        _assert_overflowing_sample_dropped(monkeypatch, 201, "objective value is not finite")
 
     def test_sample_whose_gradient_overflows_is_dropped_and_the_other_fitted(self, monkeypatch):
         # over 100 columns sample 0's residual is finite, but the Frechet
         # derivative of the exponential in its gradient overflows
-        _assert_overflowing_sample_dropped(monkeypatch, 101, "gradient")
+        _assert_overflowing_sample_dropped(monkeypatch, 101, "objective gradient is not finite")
+
+    @pytest.mark.parametrize("action", ["default", "error"])
+    def test_sample_whose_adam_moment_overflows_is_dropped_and_the_other_fitted(self, monkeypatch, action):
+        # over 90 columns sample 0's value and gradient are finite, the
+        # gradient at 8.4e157, but the gradient's square overflows Adam's
+        # second moment, which would stall the step without a word
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action, RuntimeWarning)
+            _assert_overflowing_sample_dropped(monkeypatch, 91, "Adam's second moment overflowed")
+        assert caught == []
 
     @settings(deadline=None)
     @given(
@@ -366,28 +383,22 @@ class TestStackedEnsemble:
         _assert_same_fits(got, want, rtol=1e-12)
 
 
-def _assert_overflowing_sample_dropped(monkeypatch, n_points, what):
-    """Fit a two-sample mz-dmd ensemble whose plain fit, the start of every
-    sample, has eigenvalues near -0.95 and 0.3, where the memory chain grows
-    about elevenfold a step.  Sample 0 has memory (1, 1) and must fail at
-    iteration 0 with its objective ``what`` not finite; sample 1 has zero
-    memory and must fit like a lone fit."""
-    rng = np.random.default_rng(90)
-    v = np.array([[1.0, 0.4], [0.3, 1.0]])
-    a_true = v @ np.diag([-0.95, 0.3]) @ np.linalg.inv(v)
-    x = np.ones((2, n_points))
-    for k in range(1, n_points):
-        x[:, k] = a_true @ x[:, k - 1] + 0.05 * rng.standard_normal(2)
-    s = SnapshotPair.from_snapshots(x, 0.1)
+def _assert_overflowing_sample_dropped(monkeypatch, n_points, message):
+    """Fit a two-sample mz-dmd ensemble on ``overflowing_mz_snapshots``,
+    whose plain fit is the start of every sample.  Sample 0 has memory
+    (1, 1) and must fail at iteration 0 with ``message``, naming its slice;
+    sample 1 has zero memory and must fit bitwise like a lone fit."""
+    s = overflowing_mz_snapshots(n_points)
     monkeypatch.setattr(ensemble, "keyed_normals", lambda *key: np.array([[1.0, 1.0], [0.0, 0.0]]))
-    with _recorded() as (_, traces), pytest.raises(EnsembleError) as excinfo:
+    with _recorded() as (operators, traces), pytest.raises(EnsembleError) as excinfo:
         fit_ensemble("mz-dmd", s, 1.0, 2, AdamConfig(), seed=0)
     ((index, exc),) = excinfo.value.failures
     assert index == 0 and isinstance(exc, DivergenceError)
-    assert str(exc) == f"objective {what} is not finite in slices [0]"
+    assert str(exc) == f"{message} in slices [0]"
     assert exc.indices == [0] and exc.step == 0
-    _, want = fit_transition(Objective("mz-dmd", s, np.zeros(2)), dmd_fit(s), AdamConfig())
-    assert len(traces) == 1
+    fitted, want = fit_transition(Objective("mz-dmd", s, np.zeros(2)), dmd_fit(s), AdamConfig())
+    assert len(operators) == len(traces) == 1
+    assert_bitwise(operators[0], fitted)
     assert_bitwise(traces[0], want)
 
 

@@ -37,6 +37,10 @@ class TestPinv:
         assert np.linalg.norm((m @ p).T - m @ p) <= 1e-10
         assert np.linalg.norm((p @ m).T - p @ m) <= 1e-10
 
+    def test_non_finite_input_raises(self):
+        with pytest.raises(NumericalError, match="SVD did not converge in pinv"):
+            pinv(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             pinv(np.empty((0, 0)))
@@ -72,6 +76,10 @@ class TestEig:
             assert vectors[k, c].imag == 0.0
             assert vectors[k, c].real > 0.0
             assert np.linalg.norm(vectors[:, c]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_non_finite_input_raises(self):
+        with pytest.raises(NumericalError, match="eigenvalue iteration did not converge"):
+            eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
     def test_requires_square(self):
         with pytest.raises(ValueError):
@@ -219,6 +227,25 @@ class TestStacks:
         assert excinfo.value.indices == [2]
         assert excinfo.value.cond is not None
 
+    def test_failed_condition_estimate_names_its_slices(self):
+        a = np.stack([np.eye(2), np.diag([np.nan, 1.0]), np.eye(2)])
+        with pytest.raises(NumericalError, match=r"^condition estimate failed in slices \[1\]: SVD did not converge") as excinfo:
+            solve(a, np.ones((3, 2, 1)))
+        assert excinfo.value.indices == [1]
+
+    def test_a_stack_of_one_fails_like_a_single_matrix(self):
+        # only a stack of two or more names its failing slices
+        for call, error in [(lambda a: expm(1e6 * a), NumericalError),
+                            (lambda a: solve(a - np.eye(2), np.ones(a.shape[:-1] + (1,))), SingularMatrixError)]:
+            failures = []
+            for a in (np.diag([1.0, 2.0]), np.diag([1.0, 2.0])[None]):
+                with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error) as excinfo:
+                    call(a)
+                failures.append(excinfo.value)
+            single, stack_of_one = failures
+            assert str(single) == str(stack_of_one) and "in slices" not in str(single)
+            assert single.indices is None and stack_of_one.indices is None
+
     def test_stacked_right_hand_side_required(self):
         with pytest.raises(ValueError):
             solve(np.stack([np.eye(2)] * 3), np.ones((3, 2)))
@@ -226,4 +253,5 @@ class TestStacks:
     def test_a_mask_naming_no_slice_gives_no_indices(self):
         assert failing_slices(np.array([False, True, True])) == (" in slices [1, 2]", [1, 2])
         assert failing_slices(np.zeros(3, dtype=bool)) == ("", None)
+        assert failing_slices(np.array([True])) == ("", None)
         assert failing_slices(np.bool_(True)) == ("", None)

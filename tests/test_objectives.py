@@ -14,6 +14,7 @@ from memory_kernels import memory_kernel_closed, memory_kernel_trapezoid
 from mzdmd import (
     AdamConfig,
     DivergenceError,
+    NumericalError,
     Objective,
     SingularMatrixError,
     SnapshotPair,
@@ -140,6 +141,12 @@ class TestMemoryMatrices:
                 mz_memory_matrix(a if n.ndim == 1 else a[None], n, 4)
             with pytest.raises(ValueError, match="finite"):
                 tmodel_memory_matrix(a if n.ndim == 1 else a[None], n, 0.1, 4)
+
+    @pytest.mark.parametrize("kind", ["mz-dmd", "t-model"])
+    def test_non_finite_operator_is_refused(self, kind):
+        for a in (np.array([[np.nan, 0.0], [0.0, 0.5]]), np.stack([0.5 * np.eye(2), np.diag([np.inf, 0.5])])):
+            with pytest.raises(ValueError, match="^operator must be finite$"):
+                _memory_columns(kind, a, np.ones(a.shape[:-1]), 4)
 
     @pytest.mark.parametrize("kind", ["mz-dmd", "t-model"])
     def test_cols_below_one_is_refused(self, kind):
@@ -317,6 +324,18 @@ class TestObjectiveValue:
         obj = Objective(kind, s, mem)
         naive = _naive_objective(kind, s, mem, a)
         assert objective_value(obj, a) == pytest.approx(naive, rel=1e-10)
+
+
+    @pytest.mark.parametrize("evaluate", [objective_value, objective_value_and_gradient])
+    @pytest.mark.parametrize("kind", ["plain-dmd", "mz-dmd", "t-model"])
+    def test_non_finite_operator_is_refused(self, kind, evaluate):
+        # refused as non-finite memory is, before the exponential or the
+        # residual can report it as an overflow or a divergence
+        s = random_snapshots(np.random.default_rng(5))
+        for a in (np.array([[np.nan, 0.0], [0.0, 0.5]]), np.stack([0.5 * np.eye(2), np.diag([np.inf, 0.5])])):
+            obj = Objective(kind, s, None if kind == "plain-dmd" else np.ones(a.shape[:-1]))
+            with pytest.raises(ValueError, match="^operator must be finite$"):
+                evaluate(obj, a)
 
 
 class TestObjectiveGradient:
@@ -795,8 +814,40 @@ class TestNonFiniteObjective:
         # a single operator takes the same forward solve as a stack of one
         rng = np.random.default_rng(82)
         obj = Objective("mz-dmd", random_snapshots(rng), rng.standard_normal(2))
-        with pytest.raises(SingularMatrixError, match="cond ~ inf"):
+        with pytest.raises(SingularMatrixError, match="cond ~ inf") as excinfo:
             evaluate(obj, np.diag([-1.0, 0.3]))
+        assert excinfo.value.indices is None
+
+    @pytest.mark.parametrize("call", ["value", "value and gradient", "memory matrix"])
+    @pytest.mark.parametrize("kind, bad, error", [
+        ("mz-dmd", np.diag([800.0, 0.3]), NumericalError),  # expm(A - I) overflows
+        ("t-model", np.diag([800.0, 0.3]), NumericalError),
+        ("mz-dmd", np.diag([-1.0, 0.3]), SingularMatrixError),  # A + I is singular
+    ])
+    def test_single_operator_fails_like_a_stack_of_one(self, kind, bad, error, call):
+        # only a stack of two or more names slices, on every route to a
+        # failure of the forward pass
+        rng = np.random.default_rng(84)
+        snaps, mem = random_snapshots(rng), rng.standard_normal((2, 2))
+
+        def run(a, n):
+            if call == "memory matrix":
+                return _memory_columns(kind, a, n, snaps.cols)
+            evaluate = objective_value if call == "value" else objective_value_and_gradient
+            return evaluate(Objective(kind, snaps, n), a)
+
+        failures = []
+        for a, n in [(bad, mem[0]), (bad[None], mem[:1])]:
+            with pytest.raises(error) as excinfo:
+                run(a, n)
+            failures.append(excinfo.value)
+        single, stack_of_one = failures
+        assert type(single) is type(stack_of_one) is error
+        assert str(single) == str(stack_of_one) and "in slices" not in str(single)
+        assert single.indices is None and stack_of_one.indices is None
+        with pytest.raises(error, match=r"in slices \[1\]") as excinfo:
+            run(np.stack([0.5 * np.eye(2), bad]), mem)
+        assert excinfo.value.indices == [1]
 
     def test_gradient_overflow_at_a_finite_value(self):
         # slice 1 leaves residuals of 1e150, whose squares sum to a finite

@@ -1,8 +1,9 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
-from conftest import assert_bitwise, random_snapshots
+from conftest import assert_bitwise, overflowing_mz_snapshots, random_snapshots
 
 from mzdmd import (
     AdamConfig,
@@ -185,6 +186,38 @@ class TestFitTransition:
             fit_transition(Objective("plain-dmd", s), a0, AdamConfig())
         assert excinfo.value.indices == [1]
         assert excinfo.value.step == 0
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("action", ["default", "error"])
+    def test_overflowing_second_moment_raises(self, action, stacked):
+        # the value (2.9e154) and gradient (8.4e157) are finite, but the
+        # gradient's square overflows Adam's second moment: without a check
+        # the step stalls, and numpy only warns.  A stack of one fails like
+        # a single operator
+        s = overflowing_mz_snapshots(91)
+        a0, mem = dmd_fit(s), np.ones(2)
+        if stacked:
+            a0, mem = a0[None], mem[None]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action, RuntimeWarning)
+            with pytest.raises(DivergenceError, match="^Adam's second moment overflowed$") as excinfo:
+                fit_transition(Objective("mz-dmd", s, mem), a0, AdamConfig())
+        assert caught == []
+        assert excinfo.value.step == 0 and excinfo.value.indices is None
+
+    def test_bias_corrected_moment_is_checked(self, monkeypatch):
+        # at g = 1e155 the first step's second moment v = 0.001 g^2 is
+        # finite, but its bias-corrected 1000 v, whose root the step
+        # divides by, is not
+        import mzdmd.optim
+
+        monkeypatch.setattr(mzdmd.optim, "objective_value_and_gradient",
+                            lambda obj, a: (np.zeros(len(a)), np.full(a.shape, 1e155)))
+        s = random_snapshots(np.random.default_rng(10))
+        a0 = np.stack([np.zeros((2, 2)), np.eye(2)])
+        with pytest.raises(DivergenceError, match=r"^Adam's second moment overflowed in slices \[0, 1\]$") as excinfo:
+            fit_transition(Objective("t-model", s, np.ones((2, 2))), a0, AdamConfig())
+        assert excinfo.value.step == 0 and excinfo.value.indices == [0, 1]
 
     def test_stack_takes_one_adam_step_per_operator(self, monkeypatch):
         import mzdmd.optim
