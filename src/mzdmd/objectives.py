@@ -163,6 +163,7 @@ def _powers(m: np.ndarray, cols: int):
     of M keeps its own scale where another block's powers overflow, and a
     zero entry of a chain never meets an infinite one.  Scaling by a power
     of two is exact, so this moves no bit a plain square keeps in range.
+    The caller holds the ``np.errstate`` under which a square may overflow.
     """
     p, e, s = m, None, 1
     while s < cols:
@@ -171,8 +172,7 @@ def _powers(m: np.ndarray, cols: int):
         if s >= cols:
             return
         if e is None:
-            with np.errstate(over="ignore", invalid="ignore"):
-                square = p @ p
+            square = p @ p
             if np.isfinite(square).all():
                 p = square
                 continue

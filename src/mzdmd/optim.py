@@ -34,7 +34,10 @@ class AdamConfig:
 def adam_step(params: np.ndarray, m: np.ndarray, v: np.ndarray, step: int,
               grad: np.ndarray, cfg: AdamConfig) -> None:
     """Bias-corrected Adam update number ``step`` (from 1): advances
-    ``params`` and its moment estimates ``m`` and ``v`` in place."""
+    ``params`` and its moment estimates ``m`` and ``v`` in place.  A
+    gradient whose square overflows the bias-corrected second moment, which
+    would stall the step, raises :class:`DivergenceError` before ``params``
+    moves, with no numpy warning."""
     grad = np.asarray(grad, dtype=float)
     if grad.shape != params.shape:
         raise ValueError("gradient shape does not match the parameters")
@@ -42,10 +45,13 @@ def adam_step(params: np.ndarray, m: np.ndarray, v: np.ndarray, step: int,
         raise ValueError("step counts from 1")
     m *= BETA1
     m += (1.0 - BETA1) * grad
-    v *= BETA2
-    v += (1.0 - BETA2) * grad * grad
+    with np.errstate(over="ignore"):
+        v *= BETA2
+        v += (1.0 - BETA2) * grad * grad
+        v_hat = v / (1.0 - BETA2**step)
+    if not np.isfinite(v_hat).all():
+        raise DivergenceError("Adam's second moment overflowed")
     m_hat = m / (1.0 - BETA1**step)
-    v_hat = v / (1.0 - BETA2**step)
     params -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)
 
 
@@ -78,12 +84,13 @@ def fit_transition(obj: Objective, a0: np.ndarray, cfg: AdamConfig) -> tuple[np.
     for it in range(cfg.iterations):
         value, grad = _at_step(it, objective_value_and_gradient, obj, params)
         trace[..., it] = value
-        with np.errstate(over="ignore"):
-            # one call per slice, as perfbench/spans.py counts them; goes with ROADMAP items 1-2
-            for (p, ms, vs), g in zip(slices, grad.reshape(-1, d, d)):
+        bad = np.zeros(len(slices), dtype=bool)
+        # one call per slice, as perfbench/spans.py counts them; goes with ROADMAP items 1-2
+        for i, ((p, ms, vs), g) in enumerate(zip(slices, grad.reshape(-1, d, d))):
+            try:
                 adam_step(p, ms, vs, it + 1, g, cfg)
-            # adam_step divides by the root of this moment: where it is inf the step is 0
-            bad = ~np.isfinite(v / (1.0 - BETA2 ** (it + 1))).all(axis=(-2, -1))
+            except DivergenceError:
+                bad[i] = True
         if np.any(bad):
             where, indices = failing_slices(bad)
             raise DivergenceError(f"Adam's second moment overflowed{where}", step=it, indices=indices)

@@ -129,12 +129,6 @@ def rk4_energy(rng):
     return np.abs(h - h[0]).max() / abs(h[0])
 
 
-def time_grid(_rng):
-    cfg = SimConfig()
-    times = cfg.times()
-    return max(np.abs(times - np.arange(cfg.n_points) * cfg.dt).max(), abs(times[-1] - cfg.t_max))
-
-
 def keyed_streams(_rng):
     # a repeated key redraws the same numbers; each equal draw from another key counts 1
     a = rng_stream(11, 2, 5).standard_normal(4)
@@ -167,7 +161,6 @@ CHECKS = (
     Check("analytic gradients match finite differences", gradient_fd, 1e-5),
     Check("zero memory reduces both objectives to the plain fit", zero_memory, 0.0),
     Check("RK4 conserves the oscillator energy", rk4_energy, 1e-6),
-    Check("time grid is exact", time_grid, 0.0),
     Check("random streams are keyed and reproducible", keyed_streams, 0.0),
     Check("stacked value and gradient equal the per-slice calls", stacked_gradient, 1e-12),
 )

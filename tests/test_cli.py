@@ -99,6 +99,13 @@ class TestExitCodes:
         assert "t_max" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("argv, code, stream", [
+        (["bogus"], 2, "err"), (["--help"], 0, "out"),
+    ], ids=["unknown command", "help"])
+    def test_argument_parser_exit_is_returned(self, capsys, argv, code, stream):
+        assert main(argv) == code
+        assert "usage: " in getattr(capsys.readouterr(), stream)
+
     def test_successful_run_is_zero(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SMALL + "method = dmd\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0

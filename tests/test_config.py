@@ -63,6 +63,13 @@ class TestParsing:
         cfg = parse_config(write_cfg(tmp_path, "  seed=5   # master seed\n"))
         assert cfg.sim.seed == 5
 
+    @pytest.mark.parametrize("text, value", [
+        ("true", True), ("Yes", True), ("ON", True), ("1", True),
+        ("false", False), ("No", False), ("OFF", False), ("0", False),
+    ])
+    def test_boolean_spellings(self, tmp_path, text, value):
+        assert parse_config(write_cfg(tmp_path, f"emit_plots = {text}\n")).emit_plots is value
+
     def test_resolved_init_space_separated(self, tmp_path):
         cfg = parse_config(write_cfg(tmp_path, "resolved_init = 2 3\n"))
         assert cfg.resolved_init == (2.0, 3.0)
@@ -128,6 +135,14 @@ class TestErrors:
             build_config({"seed": -3})
         with pytest.raises(ConfigError, match="seed"):
             parse_config(write_cfg(tmp_path, "seed = -1\n"))
+
+    @pytest.mark.parametrize("overrides, match", [
+        ({"n_u": 0}, "^n_u must be at least 1$"),
+        ({"beta1": 0.9, "bogus": 1}, "^unknown keys: beta1, bogus$"),
+    ], ids=["zero n_u", "unknown keys"])
+    def test_build_config_refuses(self, overrides, match):
+        with pytest.raises(ConfigError, match=match):
+            build_config(overrides)
 
     def test_zero_seed_accepted(self):
         assert build_config({"seed": 0}).sim.seed == 0

@@ -149,6 +149,22 @@ class TestFitEnsemble:
         assert len(excinfo.value.failures) == 3
         assert "0" in str(excinfo.value)
 
+    def test_failed_eig_names_only_its_sample(self, monkeypatch):
+        real, calls = ensemble.linalg.eig, []
+
+        def failing_second(a):
+            calls.append(a)
+            if len(calls) == 2:
+                raise NumericalError("eigenvalue iteration did not converge")
+            return real(a)
+
+        monkeypatch.setattr(ensemble.linalg, "eig", failing_second)
+        with pytest.raises(EnsembleError, match=r"^1 of 3 ensemble samples failed \(indices: 1\); ") as excinfo:
+            fit_ensemble("t-model", _sim_snapshots(), 1.0, 3, AdamConfig(), seed=0)
+        assert len(calls) == 3
+        [(index, error)] = excinfo.value.failures
+        assert index == 1 and isinstance(error, NumericalError)
+
     def test_returns_one_loss_trace_per_sample(self):
         s = _sim_snapshots()
         _, traces = fit_ensemble("t-model", s, 1.0, 4, AdamConfig(), seed=3)
@@ -737,6 +753,12 @@ class TestReconstruct:
         model = SpectralModel(np.array([0.0 + 0.0j, 1.0]), np.eye(2, dtype=complex), 0.1)
         with pytest.raises(ValueError):
             reconstruct(model, np.array([1.0, 0.0]), np.arange(3) * 0.1)
+
+    @pytest.mark.parametrize("x0", [np.ones(1), np.ones(3)], ids=["short", "long"])
+    def test_x0_of_the_wrong_length_is_refused(self, x0):
+        model = SpectralModel(np.array([0.5, 0.9]), np.eye(2, dtype=complex), 0.1)
+        with pytest.raises(ValueError, match="^x0 length must match the model dimension$"):
+            reconstruct(model, x0, np.arange(3) * 0.1)
 
     def test_imaginary_residue_telemetry(self):
         # a spectrum that is not conjugate-closed leaks an imaginary part

@@ -280,6 +280,13 @@ class TestWriteCsv:
         assert lines[0] == ",".join(["t", *names])
         assert [f"{t!r},{row}" for t, row in zip(times.tolist(), rows, strict=True)] == lines[1:]
 
+    @pytest.mark.parametrize("states", [np.zeros(3), np.zeros((3, 1)), np.zeros((3, 3))],
+                             ids=["1-D", "one coordinate", "three coordinates"])
+    def test_trajectory_must_have_two_coordinates(self, tmp_path, states):
+        with pytest.raises(ValueError, match="^expected a two-coordinate trajectory$"):
+            write_csv(Trajectory(np.arange(3) * 0.1, states), None, tmp_path / "t.csv")
+        assert not (tmp_path / "t.csv").exists()
+
     def test_shape_mismatch(self, tmp_path):
         traj = Trajectory(np.arange(3) * 0.1, np.zeros((3, 2)))
         var = Trajectory(np.arange(2) * 0.1, np.zeros((2, 2)))
@@ -475,6 +482,17 @@ class TestRunExperiment:
         assert stamp["blas"].startswith(np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"])
         monkeypatch.delenv("OPENBLAS_NUM_THREADS")
         assert "openblas_num_threads" not in run_experiment(cfg).environment
+
+    def test_stamp_without_scipy_metadata_reads_none(self, monkeypatch):
+        def missing(name):
+            raise importlib.metadata.PackageNotFoundError(name)
+
+        harness._scipy_version.cache_clear()
+        monkeypatch.setattr(importlib.metadata, "version", missing)
+        try:
+            assert harness.environment_stamp()["scipy"] is None
+        finally:
+            harness._scipy_version.cache_clear()
 
     def test_exact_recovery_on_linear_data(self, tmp_path):
         # sigma = 0 decouples the system, so the measured coordinates are

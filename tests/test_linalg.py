@@ -209,12 +209,25 @@ class TestStacks:
         exp_a = expm(a)
         value, deriv = expm_frechet(a, e)
         x = solve(shifted, b)
+        values, vectors = eig(a)
         for i in range(3):
             np.testing.assert_array_equal(exp_a[i], expm(a[i]))
             single_value, single_deriv = expm_frechet(a[i], e[i])
             np.testing.assert_array_equal(value[i], single_value)
             np.testing.assert_array_equal(deriv[i], single_deriv)
             np.testing.assert_array_equal(x[i], solve(shifted[i], b[i]))
+            single = eig(a[i])
+            assert_bitwise(vectors[i], single.vectors)
+            assert_bitwise(values[i].astype(complex), single.values.astype(complex))
+
+    def test_one_complex_pair_makes_every_slice_of_an_eig_stack_complex(self):
+        real, rotation = np.diag([1.0, 2.0]), np.array([[0.0, -1.0], [1.0, 0.0]])
+        single = eig(real)
+        assert single.values.dtype == float
+        values, vectors = eig(np.stack([real, rotation]))
+        assert values.dtype == vectors.dtype == complex
+        assert_bitwise(values[0], single.values.astype(complex))
+        assert_bitwise(vectors[0], single.vectors)
 
     def test_failures_name_their_slices(self):
         big = np.stack([np.eye(2), np.diag([1e6, 1e6]), np.eye(2)])

@@ -83,6 +83,25 @@ class TestSnapshotPair:
         assert Objective("t-model", s, np.ones((3, 2))).memory.shape == (3, 2)
 
 
+_PAIR = SnapshotPair(np.ones((2, 3)), np.ones((2, 3)), 0.1)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: SnapshotPair(np.ones(3), np.ones(3), 0.1), "^snapshot matrices must be 2-D$"),
+    (lambda: SnapshotPair(np.ones((2, 0)), np.ones((2, 0)), 0.1), "^snapshot matrices must be nonempty$"),
+    (lambda: cayley_M(np.ones((2, 3))), "^cayley_M requires a square matrix"),
+    (lambda: objective_value(Objective("plain-dmd", _PAIR), np.eye(3)), "^operator shape does not match"),
+    (lambda: tmodel_memory_matrix(np.eye(2), np.ones(2), 0.0, 4), "^dt must be positive$"),
+    (lambda: tmodel_memory_matrix(np.eye(2), np.ones(2), -0.1, 4), "^dt must be positive$"),
+    (lambda: fd_gradient(lambda x: 0.0, np.eye(2), h=0.0), "^h must be positive$"),
+    (lambda: fd_gradient(lambda x: 0.0, np.eye(2), h=-1e-6), "^h must be positive$"),
+], ids=["1-D snapshots", "empty snapshots", "non-square cayley_M", "wrong operator shape",
+        "zero t-model dt", "negative t-model dt", "zero fd step", "negative fd step"])
+def test_invalid_input_is_refused(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 class TestDmdFit:
     def test_constant_data_fixed_point(self):
         e1 = np.array([1.0, 0.0])

@@ -119,6 +119,20 @@ class TestAdamStep:
         with pytest.raises(ValueError, match="step"):
             adam_step(*fresh(np.zeros((2, 2))), 0, np.ones((2, 2)), AdamConfig())
 
+    @pytest.mark.parametrize("action", ["default", "error"])
+    @pytest.mark.parametrize("g", [1e160, 1e155])
+    def test_overflowing_second_moment_raises_before_the_step(self, action, g):
+        # at 1e160 the square overflows v itself; at 1e155 v = 0.001 g^2 is
+        # finite and only the bias-corrected 1000 v overflows.  Either way
+        # the step would divide by inf and leave the parameters where they are
+        p, m, v = fresh(np.eye(2))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action, RuntimeWarning)
+            with pytest.raises(DivergenceError, match="^Adam's second moment overflowed$"):
+                adam_step(p, m, v, 1, np.full((2, 2), g), AdamConfig())
+        assert caught == []
+        assert_bitwise(p, np.eye(2))
+
     @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 2, 2), (5, 4, 4)])
     def test_in_place_update_matches_the_reference_bitwise(self, shape):
         rng = np.random.default_rng(sum(shape))
