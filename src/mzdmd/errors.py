@@ -29,11 +29,10 @@ class NumericalError(RuntimeError):
 
 class SingularMatrixError(NumericalError):
     """A linear solve was refused because the matrix is singular or too
-    ill-conditioned; carries the condition estimate that triggered it, a
-    float, or None when a stacked solve failed after every slice passed its
-    condition check."""
+    ill-conditioned; ``cond`` is the condition estimate that triggered it,
+    always a float."""
 
-    def __init__(self, message, cond=None, indices=None):
+    def __init__(self, message, cond, indices=None):
         super().__init__(message, indices)
         self.cond = cond
 

@@ -158,9 +158,5 @@ def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             cond=first,
             indices=indices,
         )
-    try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(
-            f"linear solve failed: {exc}", cond=float(cond) if cond.ndim == 0 else None
-        ) from exc
+    # LU meets an exact zero pivot only at a condition number near 1/eps
+    return np.linalg.solve(a, b)

@@ -35,14 +35,17 @@ def adam_step(params: np.ndarray, m: np.ndarray, v: np.ndarray, step: int,
               grad: np.ndarray, cfg: AdamConfig) -> None:
     """Bias-corrected Adam update number ``step`` (from 1): advances
     ``params`` and its moment estimates ``m`` and ``v`` in place.  A
-    gradient whose square overflows the bias-corrected second moment, which
-    would stall the step, raises :class:`DivergenceError` before ``params``
-    moves, with no numpy warning."""
+    non-finite gradient raises ``ValueError`` before any of the three moves.
+    A gradient whose square overflows the bias-corrected second moment,
+    which would stall the step, raises :class:`DivergenceError` before
+    ``params`` moves, with no numpy warning."""
     grad = np.asarray(grad, dtype=float)
     if grad.shape != params.shape:
         raise ValueError("gradient shape does not match the parameters")
     if step < 1:
         raise ValueError("step counts from 1")
+    if not np.isfinite(grad).all():
+        raise ValueError("gradient must be finite")
     m *= BETA1
     m += (1.0 - BETA1) * grad
     with np.errstate(over="ignore"):

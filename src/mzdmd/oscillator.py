@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DivergenceError
 
-# RK4 sub-steps per grid step, the default of every integration
+# RK4 sub-steps per grid step of every integration
 SUBSTEPS = 10
 
 # spawn-key tags keeping the random streams of the pipeline stages disjoint
@@ -166,9 +166,9 @@ def _accel(p: float, q: float) -> float:
     return -p * (1.0 + q ** 2)
 
 
-def integrate(s0: np.ndarray, cfg: SimConfig, substeps: int = SUBSTEPS) -> Trajectory:
+def integrate(s0: np.ndarray, cfg: SimConfig) -> Trajectory:
     """Integrate the oscillator from one state ``s0`` (4,) over the cfg time
-    grid with classical RK4 at internal step dt/substeps, on four Python
+    grid with classical RK4 at internal step dt/SUBSTEPS, on four Python
     floats; the trajectory's states are (n_points, 4).
 
     Each stage's position derivative is the velocity it starts from, so
@@ -176,18 +176,16 @@ def integrate(s0: np.ndarray, cfg: SimConfig, substeps: int = SUBSTEPS) -> Traje
     that of ``oscillator_rhs`` and the RK4 update on a (4,) array, in the
     same order, and squares by ``pow``.
     """
-    if substeps < 1:
-        raise ValueError("substeps must be at least 1")
     s0 = np.asarray(s0, dtype=float)
     if s0.shape != (4,):
         raise ValueError("s0 must be one state (4,)")
-    h = cfg.dt / substeps
+    h = cfg.dt / SUBSTEPS
     hh, h6 = 0.5 * h, h / 6.0
     y1, y2, y3, y4 = s0.tolist()
     rows = [(y1, y2, y3, y4)]
     for step in range(1, cfg.n_points):
         try:
-            for _ in range(substeps):
+            for _ in range(SUBSTEPS):
                 f1, g1 = _accel(y1, y3), _accel(y3, y1)
                 a1, a2, a3, a4 = y1 + hh * y2, y2 + hh * f1, y3 + hh * y4, y4 + hh * g1
                 f2, g2 = _accel(a1, a3), _accel(a3, a1)
@@ -210,8 +208,8 @@ def integrate(s0: np.ndarray, cfg: SimConfig, substeps: int = SUBSTEPS) -> Traje
     return Trajectory(times=cfg.times(), states=np.array(rows))
 
 
-def _rk4_batch(y0: np.ndarray, cfg: SimConfig, substeps: int):
-    """Classical RK4 at internal step dt/substeps on a batch of state
+def _rk4_batch(y0: np.ndarray, cfg: SimConfig):
+    """Classical RK4 at internal step dt/SUBSTEPS on a batch of state
     columns (4, n) in the order (y1, y2, y3, y4); yields the batch at grid
     steps 0, ..., n_points - 1 as a (4, n) view with rows (y1, y3, y2, y4).
 
@@ -231,9 +229,11 @@ def _rk4_batch(y0: np.ndarray, cfg: SimConfig, substeps: int):
     symmetric in sign, so the two are the same float, signed zeros
     included.  Positions are squared by ``np.square``, as numpy's array
     ``** 2`` does.  ``integrate`` squares by ``pow`` instead, so a column
-    may differ from its ``integrate`` run in the last bits.
+    may differ from its ``integrate`` run in the last bits.  An overflow
+    warns unless the caller holds an ``np.errstate``; a non-finite state
+    raises :class:`DivergenceError` at its grid step.
     """
-    h = cfg.dt / substeps
+    h = cfg.dt / SUBSTEPS
     hh, h, h6, two, minus_one = (np.array(c) for c in (0.5 * h, h, h / 6.0, 2.0, -1.0))
     buf = np.empty((4, 6) + y0.shape[1:])  # the state and stages 2, 3, 4
     buf[0, :2], buf[0, 2:4] = y0[::2], y0[1::2]
@@ -246,7 +246,7 @@ def _rk4_batch(y0: np.ndarray, cfg: SimConfig, substeps: int):
     square, subtract, multiply, add = np.square, np.subtract, np.multiply, np.add
     yield y
     for step in range(1, cfg.n_points):
-        for _ in range(substeps):
+        for _ in range(SUBSTEPS):
             square(ys, ya)
             subtract(minus_one, ya, ya)
             multiply(yp, ya, ya)
@@ -276,9 +276,7 @@ def _rk4_batch(y0: np.ndarray, cfg: SimConfig, substeps: int):
         yield y
 
 
-def monte_carlo_projection(
-    cfg: SimConfig, x_hat: tuple[float, float], substeps: int = SUBSTEPS
-) -> tuple[Trajectory, Trajectory]:
+def monte_carlo_projection(cfg: SimConfig, x_hat: tuple[float, float]) -> tuple[Trajectory, Trajectory]:
     """Ensemble average of the resolved dynamics over hidden initial conditions.
 
     Integrates ``cfg.n_mc`` full systems with the resolved initial values
@@ -289,25 +287,27 @@ def monte_carlo_projection(
     all of them in one ``keyed_normals`` call.  The batch is reduced one
     grid step at a time, so memory is O(n_mc): one sum of the resolved rows
     (0 and 2 of the ``_rk4_batch`` view) serves both moments, each formed
-    as numpy's ``mean`` and ``var`` form it.
+    as numpy's ``mean`` and ``var`` form it.  A state or moment that becomes
+    non-finite raises :class:`DivergenceError` with ``step`` set and no
+    numpy warning.
     """
-    if substeps < 1:
-        raise ValueError("substeps must be at least 1")
     x1, x2 = float(x_hat[0]), float(x_hat[1])
     times = cfg.times()
     if cfg.sigma == 0.0:
         # every sample is identical: one integrate() call is the mean, and
         # the variance is exactly zero
-        mean = integrate(np.array([x1, x2, 0.0, 0.0]), cfg, substeps).states[:, :2]
+        mean = integrate(np.array([x1, x2, 0.0, 0.0]), cfg).states[:, :2]
         return Trajectory(times, mean), Trajectory(times, np.zeros_like(mean))
     normals = keyed_normals(cfg.seed, TAG_PROJECTION, cfg.n_mc, 2)
     y0 = np.vstack([np.full(cfg.n_mc, x1), np.full(cfg.n_mc, x2), cfg.sigma * normals.T])
     mean, var, dev = np.empty((cfg.n_points, 2)), np.empty((cfg.n_points, 2)), np.empty((2, cfg.n_mc))
-    for y, m, v in zip(_rk4_batch(y0, cfg, substeps), mean, var):
-        resolved = y[::2]
-        np.true_divide(np.add.reduce(resolved, 1, out=m), cfg.n_mc, out=m)
-        np.square(np.subtract(resolved, m[:, None], out=dev), out=dev)
-        np.true_divide(np.add.reduce(dev, 1, out=v), cfg.n_mc, out=v)
+    # a diverging state or moment is reported by the checks below, not by a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for y, m, v in zip(_rk4_batch(y0, cfg), mean, var):
+            resolved = y[::2]
+            np.true_divide(np.add.reduce(resolved, 1, out=m), cfg.n_mc, out=m)
+            np.square(np.subtract(resolved, m[:, None], out=dev), out=dev)
+            np.true_divide(np.add.reduce(dev, 1, out=v), cfg.n_mc, out=v)
     finite = np.isfinite(mean).all(axis=1) & np.isfinite(var).all(axis=1)
     if not finite.all():
         # finite states whose moments overflow

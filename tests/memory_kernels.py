@@ -22,7 +22,7 @@ def _kernel_inputs(lambda_bar, m0_hat, steps, dt):
         raise ValueError("dt must be positive")
     denom = 1.0 + 0.5 * dt * lam
     if np.any(np.abs(denom) < 1e-14):
-        raise SingularMatrixError("I + dt/2 Lambda is singular")
+        raise SingularMatrixError("I + dt/2 Lambda is singular", cond=np.inf)
     return lam, m0, denom
 
 

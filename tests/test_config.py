@@ -139,7 +139,8 @@ class TestErrors:
     @pytest.mark.parametrize("overrides, match", [
         ({"n_u": 0}, "^n_u must be at least 1$"),
         ({"beta1": 0.9, "bogus": 1}, "^unknown keys: beta1, bogus$"),
-    ], ids=["zero n_u", "unknown keys"])
+        ({"method": "bogus"}, "^method must be one of "),
+    ], ids=["zero n_u", "unknown keys", "unknown method"])
     def test_build_config_refuses(self, overrides, match):
         with pytest.raises(ConfigError, match=match):
             build_config(overrides)

@@ -133,6 +133,20 @@ class TestAdamStep:
         assert caught == []
         assert_bitwise(p, np.eye(2))
 
+    @pytest.mark.parametrize("action", ["default", "error"])
+    @pytest.mark.parametrize("g", [np.nan, np.inf])
+    def test_non_finite_gradient_is_refused_before_anything_moves(self, action, g):
+        p, m, v = fresh(np.eye(2))
+        adam_step(p, m, v, 1, np.ones((2, 2)), AdamConfig())
+        before = [x.copy() for x in (p, m, v)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action, RuntimeWarning)
+            with pytest.raises(ValueError, match="^gradient must be finite$"):
+                adam_step(p, m, v, 2, np.array([[g, 0.0], [0.0, 0.0]]), AdamConfig())
+        assert caught == []
+        for got, want in zip((p, m, v), before):
+            assert_bitwise(got, want)
+
     @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 2, 2), (5, 4, 4)])
     def test_in_place_update_matches_the_reference_bitwise(self, shape):
         rng = np.random.default_rng(sum(shape))

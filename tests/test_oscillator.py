@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,33 +19,38 @@ from mzdmd import (
 from mzdmd import oscillator
 
 
-def _reference_outcome(y0, cfg, substeps):
+def _reference(y0, cfg):
+    """The reference's states at the package's sub-step count."""
+    return reference_integrate(oscillator_rhs, y0, cfg, oscillator.SUBSTEPS)
+
+
+def _reference_outcome(y0, cfg):
     """The reference's states, or the grid step at which it diverges."""
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            return reference_integrate(oscillator_rhs, y0, cfg, substeps)
+            return _reference(y0, cfg)
         except DivergenceError as exc:
             return exc.step
 
 
-def _integrate_batch(y0, cfg, substeps):
+def _integrate_batch(y0, cfg):
     """The (n_points, 4, n) states of ``oscillator._rk4_batch`` on the state
     columns ``y0`` (4, n), each yield stacked with its rows reordered from
     (y1, y3, y2, y4) to (y1, y2, y3, y4)."""
     states = np.empty((cfg.n_points,) + y0.shape)
-    for step, y in enumerate(oscillator._rk4_batch(y0, cfg, substeps)):
+    for step, y in enumerate(oscillator._rk4_batch(y0, cfg)):
         states[step, ::2], states[step, 1::2] = y[:2], y[2:]
     return states
 
 
-def _outcome(y0, cfg, substeps):
+def _outcome(y0, cfg):
     """The states of ``integrate`` on one state (4,) or of the batch kernel
     on state columns (4, n), or the grid step at which they diverge."""
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             if y0.ndim == 1:
-                return integrate(y0, cfg, substeps).states
-            return _integrate_batch(y0, cfg, substeps)
+                return integrate(y0, cfg).states
+            return _integrate_batch(y0, cfg)
         except DivergenceError as exc:
             return exc.step
 
@@ -134,13 +141,13 @@ class TestIntegrate:
 
     def test_harmonic_single_step(self):
         cfg = SimConfig(dt=0.1, t_max=0.1, n_points=2, sigma=0.0, n_mc=1)
-        traj = integrate(np.array([1.0, 0.0, 0.0, 0.0]), cfg, substeps=1)
+        traj = integrate(np.array([1.0, 0.0, 0.0, 0.0]), cfg)
         assert traj.states[1, 0] == pytest.approx(np.cos(0.1), abs=1e-7)
         assert traj.states[1, 1] == pytest.approx(-np.sin(0.1), abs=1e-7)
 
     def test_decoupled_harmonic(self):
         cfg = SimConfig()
-        traj = integrate(np.array([1.0, 0.0, 0.0, 0.0]), cfg, substeps=10)
+        traj = integrate(np.array([1.0, 0.0, 0.0, 0.0]), cfg)
         np.testing.assert_allclose(traj.states[:, 0], np.cos(traj.times), atol=1e-6)
         np.testing.assert_allclose(traj.states[:, 1], -np.sin(traj.times), atol=1e-6)
         # the hidden oscillator never leaves its equilibrium
@@ -149,14 +156,10 @@ class TestIntegrate:
     def test_divergence_reports_step(self):
         cfg = SimConfig(dt=1.0, t_max=60.0, n_points=61, sigma=0.0, n_mc=1)
         y0 = np.array([50.0, 0.0, 50.0, 0.0])
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as excinfo:
-            integrate(y0, cfg, substeps=1)
+        with pytest.raises(DivergenceError) as excinfo:
+            integrate(y0, cfg)
         assert excinfo.value.step is not None
-        assert excinfo.value.step == _reference_outcome(y0, cfg, 1)
-
-    def test_substeps_validation(self):
-        with pytest.raises(ValueError):
-            integrate(np.array([1.0, 0.0, 0.0, 0.0]), SimConfig(), substeps=0)
+        assert excinfo.value.step == _reference_outcome(y0, cfg)
 
     @pytest.mark.parametrize("shape", [(3,), (4, 3), (4, 2, 2), (2, 5)])
     def test_state_shape_validation(self, shape):
@@ -167,9 +170,9 @@ class TestIntegrate:
         cfg = SimConfig(dt=0.1, t_max=2.0, n_points=21, sigma=1.0, n_mc=1)
         rng = np.random.default_rng(2)
         batch = rng.standard_normal((4, 3))
-        stacked = _integrate_batch(batch, cfg, 10)
+        stacked = _integrate_batch(batch, cfg)
         for i in range(3):
-            single = integrate(batch[:, i], cfg, 10).states
+            single = integrate(batch[:, i], cfg).states
             np.testing.assert_array_equal(stacked[:, :, i], single)
 
     def test_batch_columns_near_single_runs(self):
@@ -179,9 +182,9 @@ class TestIntegrate:
         cfg = SimConfig(dt=0.1, t_max=20.0, n_points=201, sigma=1.0, n_mc=1)
         rng = np.random.default_rng(2)
         batch = np.vstack([np.ones(40), np.zeros(40), rng.standard_normal((2, 40))])
-        stacked = _integrate_batch(batch, cfg, 10)
+        stacked = _integrate_batch(batch, cfg)
         for i in range(40):
-            single = integrate(batch[:, i], cfg, 10).states
+            single = integrate(batch[:, i], cfg).states
             assert np.abs(stacked[:, :, i] - single).max() <= 1e-15
 
 
@@ -191,51 +194,48 @@ class TestIntegrateMatchesReference:
         cfg = SimConfig()
         for _ in range(5):
             y0 = rng.normal(0.0, 2.0, 4)
-            np.testing.assert_array_equal(
-                integrate(y0, cfg, 10).states, reference_integrate(oscillator_rhs, y0, cfg, 10)
-            )
+            np.testing.assert_array_equal(integrate(y0, cfg).states, _reference(y0, cfg))
 
     def test_batch(self):
         rng = np.random.default_rng(4)
         cfg = SimConfig()
         y0 = rng.normal(0.0, 1.0, (4, 50))
-        np.testing.assert_array_equal(
-            _integrate_batch(y0, cfg, 10), reference_integrate(oscillator_rhs, y0, cfg, 10)
-        )
+        np.testing.assert_array_equal(_integrate_batch(y0, cfg), _reference(y0, cfg))
         # a projection-sized batch of odd width, so every SIMD loop has a tail
         cfg = _grid(0.1, 21)
         y0 = rng.normal(0.0, 1.0, (4, 1003))
-        np.testing.assert_array_equal(
-            _integrate_batch(y0, cfg, 10), reference_integrate(oscillator_rhs, y0, cfg, 10)
-        )
+        np.testing.assert_array_equal(_integrate_batch(y0, cfg), _reference(y0, cfg))
 
-    @pytest.mark.parametrize("y0", [(1e160, 0.0, 0.0, 0.0), (50.0, 0.0, 50.0, 0.0)])
+    @pytest.mark.parametrize(
+        "y0", [(1e160, 0.0, 0.0, 0.0), (50.0, 0.0, 50.0, 0.0), (1e154, 0.0, 1e154, 0.0)]
+    )
     @pytest.mark.parametrize("batch", [False, True])
     def test_divergence_step(self, y0, batch):
         # 1e160 overflows in the square (OverflowError on a Python float),
-        # (50, 0, 50, 0) through repeated multiplication
+        # (50, 0, 50, 0) grows over the sub-steps until a square overflows,
+        # and 1e154 * (1 + 1e308) overflows in a product of finite factors,
+        # which a Python float turns into inf without an OverflowError
         cfg = _grid(1.0, 11)
         y0 = np.array(y0)
         if batch:
             y0 = np.column_stack([y0, [1.0, 0.0, 0.5, 0.0]])
-        want = _reference_outcome(y0, cfg, 1)
+        want = _reference_outcome(y0, cfg)
         assert isinstance(want, int)
-        assert _outcome(y0, cfg, 1) == want
+        assert _outcome(y0, cfg) == want
 
     @settings(deadline=None)
     @given(
         dt=st.floats(0.01, 0.5),
-        substeps=st.integers(1, 12),
         n_points=st.integers(2, 60),
         width=st.integers(1, 9),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_property(self, dt, substeps, n_points, width, seed):
+    def test_property(self, dt, n_points, width, seed):
         cfg = _grid(dt, n_points)
         batch = np.random.default_rng(seed).normal(0.0, 2.0, (4, width))
-        _assert_same_outcome(_outcome(batch, cfg, substeps), _reference_outcome(batch, cfg, substeps))
+        _assert_same_outcome(_outcome(batch, cfg), _reference_outcome(batch, cfg))
         single = batch[:, 0]
-        _assert_same_outcome(_outcome(single, cfg, substeps), _reference_outcome(single, cfg, substeps))
+        _assert_same_outcome(_outcome(single, cfg), _reference_outcome(single, cfg))
 
 
 class TestBatchEdgeCases:
@@ -256,8 +256,8 @@ class TestBatchEdgeCases:
     def test_signed_zeros_and_large_squares_bitwise(self):
         cfg = _grid(0.1, 31)
         y0 = np.array(self.COLUMNS).T
-        got = _integrate_batch(y0, cfg, 10)
-        want = reference_integrate(oscillator_rhs, y0, cfg, 10)
+        got = _integrate_batch(y0, cfg)
+        want = _reference(y0, cfg)
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
         # the inputs do reach negative zeros and squares near overflow
@@ -270,9 +270,9 @@ class TestBatchEdgeCases:
         # overflows, so 0 * -inf is NaN
         cfg = _grid(0.1, 31)
         y0 = np.array(self.COLUMNS + [diverging]).T
-        want = _reference_outcome(y0, cfg, 10)
+        want = _reference_outcome(y0, cfg)
         assert isinstance(want, int)
-        assert _outcome(y0, cfg, 10) == want
+        assert _outcome(y0, cfg) == want
 
 
 class TestPhiloxKeys:
@@ -321,7 +321,7 @@ class TestMonteCarloProjection:
         cfg = SimConfig(dt=0.1, t_max=5.0, n_points=51, sigma=0.0, n_mc=50, seed=3)
         mean, var = monte_carlo_projection(cfg, (1.0, 0.0))
         assert np.all(var.states == 0.0)
-        reference = integrate(np.array([1.0, 0.0, 0.0, 0.0]), cfg, 10)
+        reference = integrate(np.array([1.0, 0.0, 0.0, 0.0]), cfg)
         np.testing.assert_array_equal(mean.states, reference.states[:, :2])
 
     def test_seeded_runs_identical(self):
@@ -337,14 +337,14 @@ class TestMonteCarloProjection:
         assert np.all(var.states >= 0.0)
         for i in range(cfg.n_mc):
             y3, y4 = cfg.sigma * rng_stream(cfg.seed, 1, i).standard_normal(2)
-            traj = integrate(np.array([1.0, 0.0, y3, y4]), cfg, 10)
+            traj = integrate(np.array([1.0, 0.0, y3, y4]), cfg)
             h = hamiltonian(traj.states.T)
             assert np.abs(h - h[0]).max() <= 1e-6 * abs(h[0])
 
     def test_streamed_moments_match_stored_reference(self):
         cfg = SimConfig(dt=0.1, t_max=10.0, n_points=101, sigma=1.0, n_mc=64, seed=9)
         mean, var = monte_carlo_projection(cfg, (1.0, 0.5))
-        resolved = reference_integrate(oscillator_rhs, _projection_start(cfg, (1.0, 0.5)), cfg, 10)[:, :2, :]
+        resolved = _reference(_projection_start(cfg, (1.0, 0.5)), cfg)[:, :2, :]
         np.testing.assert_array_equal(mean.states, resolved.mean(axis=2))
         np.testing.assert_array_equal(var.states, resolved.var(axis=2))
 
@@ -355,36 +355,36 @@ class TestMonteCarloProjection:
     def test_moments_equal_numpy_mean_and_var_bitwise(self, n_mc, x_hat):
         cfg = SimConfig(dt=0.1, t_max=2.0, n_points=21, sigma=1.0, n_mc=n_mc, seed=5)
         mean, var = monte_carlo_projection(cfg, x_hat)
-        resolved = reference_integrate(oscillator_rhs, _projection_start(cfg, x_hat), cfg, 10)[:, :2, :]
+        resolved = _reference(_projection_start(cfg, x_hat), cfg)[:, :2, :]
         assert mean.states.tobytes() == resolved.mean(axis=2).tobytes()
         assert var.states.tobytes() == resolved.var(axis=2).tobytes()
         if x_hat[0] == 0.0:
             assert np.signbit(resolved[0]).all()
 
+    @pytest.mark.parametrize("action", ["default", "error"])
     @pytest.mark.parametrize("sigma", [0.0, 1.0])
-    @pytest.mark.parametrize("substeps", [0, -1])
-    def test_substeps_validation(self, sigma, substeps):
-        cfg = SimConfig(dt=0.1, t_max=0.2, n_points=3, sigma=sigma, n_mc=4, seed=2)
-        with pytest.raises(ValueError, match="substeps"):
-            monte_carlo_projection(cfg, (1.0, 0.0), substeps=substeps)
-
-    @pytest.mark.parametrize("sigma", [0.0, 1.0])
-    def test_divergence_raises(self, sigma):
+    def test_divergence_raises(self, sigma, action):
         cfg = SimConfig(dt=1.0, t_max=10.0, n_points=11, sigma=sigma, n_mc=4, seed=2)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as excinfo:
-            monte_carlo_projection(cfg, (1e160, 0.0), substeps=1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action, RuntimeWarning)
+            with pytest.raises(DivergenceError, match="state") as excinfo:
+                monte_carlo_projection(cfg, (1e160, 0.0))
+        assert caught == []
         assert excinfo.value.step == 1
 
-    def test_overflowing_moments_raise(self):
-        # every state stays finite, but y2 reaches about 5e196 at step 1 and
-        # its variance overflows
-        cfg = SimConfig(dt=1.0, t_max=1.0, n_points=2, sigma=1.0, n_mc=8, seed=2)
-        with np.errstate(over="ignore", invalid="ignore"):
-            states = reference_integrate(oscillator_rhs, _projection_start(cfg, (0.0, 1e40)), cfg, 1)
-            assert np.isfinite(states).all()
-            with pytest.raises(DivergenceError) as excinfo:
-                monte_carlo_projection(cfg, (0.0, 1e40), substeps=1)
-        assert excinfo.value.step == 1
+    @pytest.mark.parametrize("action", ["default", "error"])
+    def test_overflowing_moments_raise(self, action):
+        # every state stays finite, but sixteen velocities of 2e307 overflow
+        # the sum behind the mean at step 0
+        cfg = SimConfig(dt=1e-300, t_max=1e-300, n_points=2, sigma=1.0, n_mc=16, seed=2)
+        states = _reference(_projection_start(cfg, (0.0, 2e307)), cfg)
+        assert np.isfinite(states).all()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action, RuntimeWarning)
+            with pytest.raises(DivergenceError, match="moments") as excinfo:
+                monte_carlo_projection(cfg, (0.0, 2e307))
+        assert caught == []
+        assert excinfo.value.step == 0
 
 
 def test_trajectory_validation():
