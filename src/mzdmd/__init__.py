@@ -8,7 +8,7 @@ spectra, reconstructed expected dynamics, and empirical variance estimates;
 a coupled-oscillator benchmark and a CLI pipeline tie it together.
 """
 
-from .config import ExperimentConfig, default_config, parse_config
+from .config import ExperimentConfig, default_config
 from .ensemble import (
     EnsembleResult,
     MatchingDegeneracyWarning,
@@ -30,7 +30,6 @@ from .harness import (
     MethodFailure,
     RunReport,
     dmd_spectral_model,
-    read_csv,
     run_experiment,
     simulate_measurement,
     write_csv,
@@ -66,7 +65,6 @@ from .oscillator import (
     hamiltonian,
     integrate,
     monte_carlo_projection,
-    oscillator_rhs,
     rng_stream,
 )
 from .plots import emit_plot

@@ -72,12 +72,6 @@ def _parse_pair(value: str) -> tuple[float, float]:
     return float(parts[0]), float(parts[1])
 
 
-def _parse_method(value: str) -> str:
-    if value not in METHODS:
-        raise ValueError(f"expected one of {', '.join(METHODS)}, got {value!r}")
-    return value
-
-
 # config key -> (section, field, caster); section None is ExperimentConfig
 _KEYS = {
     "dt": ("sim", "dt", float),
@@ -89,7 +83,7 @@ _KEYS = {
     "lr": ("adam", "learning_rate", float),
     "iterations": ("adam", "iterations", int),
     "n_u": (None, "n_u", int),
-    "method": (None, "method", _parse_method),
+    "method": (None, "method", str),
     "resolved_init": (None, "resolved_init", _parse_pair),
     "output_dir": (None, "output_dir", Path),
     "emit_plots": (None, "emit_plots", _parse_bool),
@@ -144,8 +138,3 @@ def read_config(path) -> dict:
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"line {lineno}: invalid value for '{key}': {exc}", line=lineno) from exc
     return raw
-
-
-def parse_config(path) -> ExperimentConfig:
-    """The config of a key-value config file, over the defaults."""
-    return build_config(read_config(path))

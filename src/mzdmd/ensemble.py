@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import EnsembleError, failing_slices
+from .errors import DivergenceError, EnsembleError, failing_slices
 from .objectives import MZ_DMD, T_MODEL, Objective, SnapshotPair, dmd_fit
 from .optim import AdamConfig, fit_transition
 from .oscillator import TAG_ENSEMBLE, Trajectory, keyed_normals
@@ -212,6 +212,10 @@ def reconstruct(model: SpectralModel, x0: np.ndarray, times: np.ndarray) -> Traj
     for a (..., d) stack; the largest discarded imaginary magnitude is
     recorded on the result.  The model has refused eigenvectors above
     ``linalg.COND_MAX`` already, so the solve for x0's coordinates is plain.
+    A state that grows past the largest float raises
+    :class:`DivergenceError` with no numpy warning, its ``step`` the first
+    grid index where a state is non-finite and its ``indices`` the failing
+    slices of a stack of two or more models.
     """
     x0 = np.asarray(x0, dtype=float).ravel()
     times = np.asarray(times, dtype=float).ravel()
@@ -221,10 +225,18 @@ def reconstruct(model: SpectralModel, x0: np.ndarray, times: np.ndarray) -> Traj
         raise ValueError("zero eigenvalue has no logarithm; cannot reconstruct")
     d = model.dim
     vectors = model.vectors.reshape(-1, d, d)
-    omega = np.log(model.values.reshape(-1, 1, d)) / model.dt
     b = np.linalg.solve(vectors, np.broadcast_to(x0.astype(complex)[:, None], (len(vectors), d, 1)))
-    coords = np.exp(times[:, None] * omega) * b.mT
-    complex_states = coords @ vectors.mT
+    # a growing mode is reported by the check below, not by a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        omega = np.log(model.values.reshape(-1, 1, d)) / model.dt
+        coords = np.exp(times[:, None] * omega) * b.mT
+        complex_states = coords @ vectors.mT
+    if not np.isfinite(complex_states).all():
+        finite = np.isfinite(complex_states).all(axis=-1)
+        step = int(np.argmin(finite.all(axis=0)))
+        suffix, indices = failing_slices(~finite.all(axis=1))
+        raise DivergenceError(f"reconstructed state became non-finite at grid step {step}{suffix}",
+                              step=step, indices=indices)
     states = complex_states.real.transpose(1, 0, 2).copy().reshape(times.shape + model.values.shape)
     max_imag = float(np.abs(complex_states.imag).max()) if times.size else 0.0
     return Trajectory(times=times, states=states, max_imag=max_imag)

@@ -99,14 +99,6 @@ def write_csv(traj: Trajectory, var: Trajectory | None, path,
     return names, rows
 
 
-def read_csv(path) -> tuple[list[str], np.ndarray]:
-    """Read back a CSV written by :func:`write_csv`; returns (header, data)."""
-    text = Path(path).read_text().strip().splitlines()
-    header = text[0].split(",")
-    data = np.array([[float(c) for c in line.split(",")] for line in text[1:]])
-    return header, data
-
-
 def simulate_measurement(cfg) -> tuple[Trajectory, SnapshotPair]:
     """The measurement: one full-system draw and its resolved coordinates.
 

@@ -1,8 +1,28 @@
 """Shared helpers for the test suite."""
 
+from pathlib import Path
+
 import numpy as np
 
 from mzdmd import DivergenceError, Objective, SnapshotPair
+
+
+def read_csv(path):
+    """Read back a CSV written by ``harness.write_csv``; returns (header, data)."""
+    text = Path(path).read_text().strip().splitlines()
+    header = text[0].split(",")
+    data = np.array([[float(c) for c in line.split(",")] for line in text[1:]])
+    return header, data
+
+
+def oscillator_rhs(state):
+    """Time derivative (y2, -y1(1 + y3^2), y4, -y3(1 + y1^2)) of the
+    package's coupled oscillator: the right-hand side of the RK4 oracle.
+
+    Accepts a state vector of length 4 or a (4, k) batch of state columns.
+    """
+    y = np.asarray(state, dtype=float)
+    return np.stack([y[1], -y[0] * (1.0 + y[2] ** 2), y[3], -y[2] * (1.0 + y[0] ** 2)])
 
 
 def reference_integrate(rhs, y0, cfg, substeps):

@@ -2,12 +2,13 @@ import argparse
 
 import numpy as np
 import pytest
+from conftest import read_csv
 
 from mzdmd import ConfigError, NumericalError, config, ensemble, harness, linalg, plots
 from mzdmd.cli import build_parser, main, resolve_config
 from mzdmd.ensemble import run_ensemble
 from mzdmd.harness import (
-    METHODS, csv_rows, dmd_spectral_model, read_csv, simulate_measurement, write_rows,
+    METHODS, csv_rows, dmd_spectral_model, simulate_measurement, write_rows,
 )
 from mzdmd.selfcheck import CHECKS
 
@@ -245,7 +246,7 @@ class TestFlagsAreConfigKeys:
             ["run", "--seed", "3", "--method", "dmd", "--out", out]))
         cfg = write_cfg(tmp_path, f"seed = 3\nmethod = dmd\noutput_dir = {out}\n")
         from_file = resolve_config(build_parser().parse_args(["run", "--config", str(cfg)]))
-        assert from_flags == from_file == config.parse_config(cfg)
+        assert from_flags == from_file == config.build_config(config.read_config(cfg))
 
     def test_refused_flag_is_config_error(self):
         with pytest.raises(ConfigError, match="seed"):

@@ -1,7 +1,7 @@
 import pytest
 
-from mzdmd import ConfigError, default_config, parse_config
-from mzdmd.config import build_config
+from mzdmd import ConfigError, default_config
+from mzdmd.config import build_config, read_config
 
 
 def write_cfg(tmp_path, text):
@@ -24,17 +24,17 @@ class TestDefaults:
         assert cfg.resolved_init == (1.0, 0.0)
 
     def test_empty_file_gives_defaults(self, tmp_path):
-        cfg = parse_config(write_cfg(tmp_path, ""))
+        cfg = build_config(read_config(write_cfg(tmp_path, "")))
         assert cfg == default_config()
 
     def test_comment_only_file(self, tmp_path):
-        cfg = parse_config(write_cfg(tmp_path, "# nothing here\n\n   # still nothing\n"))
+        cfg = build_config(read_config(write_cfg(tmp_path, "# nothing here\n\n   # still nothing\n")))
         assert cfg == default_config()
 
 
 class TestParsing:
     def test_round_trip_values(self, tmp_path):
-        cfg = parse_config(
+        cfg = build_config(read_config(
             write_cfg(
                 tmp_path,
                 "dt = 0.2\n"
@@ -51,7 +51,7 @@ class TestParsing:
                 "output_dir = /tmp/somewhere\n"
                 "emit_plots = true\n",
             )
-        )
+        ))
         assert cfg.sim.dt == 0.2 and cfg.sim.n_points == 51 and cfg.sim.seed == 99
         assert cfg.adam.learning_rate == 0.01 and cfg.adam.iterations == 2
         assert cfg.method == "t-model"
@@ -60,7 +60,7 @@ class TestParsing:
         assert cfg.emit_plots is True
 
     def test_inline_comments_and_spacing(self, tmp_path):
-        cfg = parse_config(write_cfg(tmp_path, "  seed=5   # master seed\n"))
+        cfg = build_config(read_config(write_cfg(tmp_path, "  seed=5   # master seed\n")))
         assert cfg.sim.seed == 5
 
     @pytest.mark.parametrize("text, value", [
@@ -68,10 +68,10 @@ class TestParsing:
         ("false", False), ("No", False), ("OFF", False), ("0", False),
     ])
     def test_boolean_spellings(self, tmp_path, text, value):
-        assert parse_config(write_cfg(tmp_path, f"emit_plots = {text}\n")).emit_plots is value
+        assert build_config(read_config(write_cfg(tmp_path, f"emit_plots = {text}\n"))).emit_plots is value
 
     def test_resolved_init_space_separated(self, tmp_path):
-        cfg = parse_config(write_cfg(tmp_path, "resolved_init = 2 3\n"))
+        cfg = build_config(read_config(write_cfg(tmp_path, "resolved_init = 2 3\n")))
         assert cfg.resolved_init == (2.0, 3.0)
 
 
@@ -79,21 +79,21 @@ class TestErrors:
     def test_negative_dt_names_field(self, tmp_path):
         path = write_cfg(tmp_path, "dt = -1\nt_max = -500\n")
         with pytest.raises(ConfigError, match="dt"):
-            parse_config(path)
+            build_config(read_config(path))
 
     def test_unknown_key_named(self, tmp_path):
         with pytest.raises(ConfigError, match="foo"):
-            parse_config(write_cfg(tmp_path, "foo = 1\n"))
+            build_config(read_config(write_cfg(tmp_path, "foo = 1\n")))
 
     @pytest.mark.parametrize("key", ["beta1", "beta2", "epsilon"])
     def test_fixed_adam_constants_are_unknown_keys(self, tmp_path, key):
         with pytest.raises(ConfigError, match=f"line 1: unknown key '{key}'"):
-            parse_config(write_cfg(tmp_path, f"{key} = 0.9\n"))
+            build_config(read_config(write_cfg(tmp_path, f"{key} = 0.9\n")))
 
     def test_empty_output_dir_is_refused(self, tmp_path):
         # Path("") is ".", which would write the outputs into the cwd
         with pytest.raises(ConfigError, match="line 2: invalid value for 'output_dir'") as excinfo:
-            parse_config(write_cfg(tmp_path, "seed = 1\noutput_dir =\n"))
+            build_config(read_config(write_cfg(tmp_path, "seed = 1\noutput_dir =\n")))
         assert excinfo.value.line == 2
 
     def test_empty_output_dir_key_is_refused(self):
@@ -103,38 +103,40 @@ class TestErrors:
 
     def test_parse_error_carries_line_number(self, tmp_path):
         with pytest.raises(ConfigError, match="line 3") as excinfo:
-            parse_config(write_cfg(tmp_path, "seed = 1\n# ok\nnot a pair\n"))
+            build_config(read_config(write_cfg(tmp_path, "seed = 1\n# ok\nnot a pair\n")))
         assert excinfo.value.line == 3
 
     def test_bad_value_type(self, tmp_path):
         with pytest.raises(ConfigError, match="n_points"):
-            parse_config(write_cfg(tmp_path, "n_points = many\n"))
+            build_config(read_config(write_cfg(tmp_path, "n_points = many\n")))
 
     def test_duplicate_key(self, tmp_path):
         with pytest.raises(ConfigError, match="duplicate"):
-            parse_config(write_cfg(tmp_path, "seed = 1\nseed = 2\n"))
+            build_config(read_config(write_cfg(tmp_path, "seed = 1\nseed = 2\n")))
 
     def test_bad_method(self, tmp_path):
-        with pytest.raises(ConfigError, match="method"):
-            parse_config(write_cfg(tmp_path, "method = nonsense\n"))
+        # refused by ExperimentConfig, like n_u = 0, so no line is named
+        with pytest.raises(ConfigError, match="^method must be one of ") as excinfo:
+            build_config(read_config(write_cfg(tmp_path, "method = nonsense\n")))
+        assert excinfo.value.line is None
 
     def test_inconsistent_grid(self, tmp_path):
         with pytest.raises(ConfigError, match="t_max"):
-            parse_config(write_cfg(tmp_path, "dt = 0.05\n"))
+            build_config(read_config(write_cfg(tmp_path, "dt = 0.05\n")))
 
     def test_bad_bool(self, tmp_path):
         with pytest.raises(ConfigError, match="emit_plots"):
-            parse_config(write_cfg(tmp_path, "emit_plots = maybe\n"))
+            build_config(read_config(write_cfg(tmp_path, "emit_plots = maybe\n")))
 
     def test_bad_resolved_init(self, tmp_path):
         with pytest.raises(ConfigError, match="resolved_init"):
-            parse_config(write_cfg(tmp_path, "resolved_init = 1 2 3\n"))
+            build_config(read_config(write_cfg(tmp_path, "resolved_init = 1 2 3\n")))
 
     def test_negative_seed_names_field(self, tmp_path):
         with pytest.raises(ConfigError, match="seed"):
             build_config({"seed": -3})
         with pytest.raises(ConfigError, match="seed"):
-            parse_config(write_cfg(tmp_path, "seed = -1\n"))
+            build_config(read_config(write_cfg(tmp_path, "seed = -1\n")))
 
     @pytest.mark.parametrize("overrides, match", [
         ({"n_u": 0}, "^n_u must be at least 1$"),
@@ -161,4 +163,4 @@ class TestErrors:
 ])
 def test_non_finite_value_names_field(tmp_path, line, field):
     with pytest.raises(ConfigError, match=field):
-        parse_config(write_cfg(tmp_path, line + "\n"))
+        build_config(read_config(write_cfg(tmp_path, line + "\n")))

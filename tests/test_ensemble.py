@@ -777,6 +777,74 @@ class TestReconstruct:
         traj = reconstruct(model, np.array([1.0, 0.0]), np.arange(50) * 0.1)
         assert traj.max_imag <= 1e-10
 
+    @pytest.mark.parametrize("action", ["default", "error"])
+    def test_growing_mode_raises_at_its_first_non_finite_step(self, action):
+        # exp(log(10) t / 0.01) passes the largest float between t = 3.08 and 3.09
+        model = SpectralModel(np.array([10.0, 0.5]), np.eye(2, dtype=complex), 0.01)
+        times = np.arange(5001) * 0.01
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action, RuntimeWarning)
+            with pytest.raises(DivergenceError, match="^reconstructed state became non-finite "
+                                                      "at grid step 309$") as excinfo:
+                reconstruct(model, np.array([1.0, 1.0]), times)
+        assert caught == []
+        assert excinfo.value.step == 309 and excinfo.value.indices is None
+        assert np.isfinite(reconstruct(model, np.array([1.0, 1.0]), times[:309]).states).all()
+
+    def test_growing_slices_are_named_by_the_reconstruction_and_the_variance(self):
+        values = np.array([[0.5, 0.9], [10.0, 0.5], [0.9, 0.9], [0.9, 20.0]])
+        models = SpectralModel(values, np.broadcast_to(np.eye(2, dtype=complex), (4, 2, 2)), 0.01)
+        times = np.arange(501) * 0.01
+        x0 = np.array([1.0, 1.0])
+        mean = Trajectory(times, np.zeros((times.size, 2)))
+        # exp(log(20) t / 0.01) overflows first, at t = 2.37
+        for call in (lambda: reconstruct(models, x0, times),
+                     lambda: ensemble_variance(models, mean, x0, times)):
+            with pytest.raises(DivergenceError, match=r"at grid step 237 in slices \[1, 3\]$") as excinfo:
+                call()
+            assert excinfo.value.step == 237 and excinfo.value.indices == [1, 3]
+        # a stack of one fails like a single model
+        with pytest.raises(DivergenceError, match="at grid step 237$") as excinfo:
+            reconstruct(SpectralModel(values[3:], models.vectors[3:], 0.01), x0, times)
+        assert excinfo.value.indices is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        log_moduli=st.lists(st.one_of(
+            st.floats(-3.0, 3.0),
+            # within a few ulps to 1e-3 of the unit circle
+            st.sampled_from([-1e-3, -1e-8, -1e-15, 0.0, 1e-15, 1e-8, 1e-3]),
+        ), min_size=2, max_size=2),
+        angles=st.lists(st.one_of(
+            st.sampled_from([0.0, np.pi, -np.pi]),  # the real axis, both halves
+            st.floats(-np.pi, np.pi),
+        ), min_size=2, max_size=2),
+        vector_seed=st.integers(0, 2**32 - 1),
+        x0=st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=2),
+        dt=st.floats(1e-3, 10.0),
+        n_points=st.integers(1, 5000),
+    )
+    def test_property_finite_or_typed_error(self, log_moduli, angles, vector_seed, x0, dt, n_points):
+        """Every reconstruction either returns finite states or raises a typed
+        error, and no call warns."""
+        values = 10.0 ** np.array(log_moduli) * np.exp(1j * np.array(angles))
+        rng = np.random.default_rng(vector_seed)
+        vectors = phase_normalize(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        times = np.arange(n_points) * dt
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                traj = reconstruct(SpectralModel(values, vectors, dt), np.array(x0), times)
+            except ValueError:
+                return
+            except DivergenceError as exc:
+                assert 0 <= exc.step < n_points and exc.indices is None
+                head = reconstruct(SpectralModel(values, vectors, dt), np.array(x0), times[:exc.step])
+                assert np.isfinite(head.states).all()
+                return
+        assert traj.states.shape == (n_points, 2)
+        assert np.isfinite(traj.states).all() and np.isfinite(traj.max_imag)
+
     def test_makes_no_condition_checked_solve(self):
         # SpectralModel has refused ill-conditioned eigenvectors already, so
         # neither the reconstruction nor the variance checks them again

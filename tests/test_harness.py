@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import reference_integrate
+from conftest import oscillator_rhs, read_csv, reference_integrate
 
 from mzdmd import (
     SnapshotPair,
@@ -16,8 +16,6 @@ from mzdmd import (
     dmd_spectral_model,
     emit_plot,
     fit_ensemble,
-    oscillator_rhs,
-    read_csv,
     reconstruct,
     rng_stream,
     run_experiment,

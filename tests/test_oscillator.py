@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import reference_integrate
+from conftest import oscillator_rhs, reference_integrate
 
 from mzdmd import (
     DivergenceError,
@@ -13,7 +13,6 @@ from mzdmd import (
     hamiltonian,
     integrate,
     monte_carlo_projection,
-    oscillator_rhs,
     rng_stream,
 )
 from mzdmd import oscillator
@@ -73,6 +72,8 @@ def _grid(dt, n_points):
 
 
 class TestRhs:
+    """The right-hand side of the RK4 oracle in ``conftest``."""
+
     def test_unit_displacement(self):
         np.testing.assert_array_equal(
             oscillator_rhs(np.array([1.0, 0.0, 0.0, 0.0])), [0.0, -1.0, 0.0, 0.0]
