@@ -35,7 +35,6 @@ from .harness import (
     write_csv,
 )
 from .linalg import (
-    EigDecomposition,
     eig,
     expm,
     expm_frechet,

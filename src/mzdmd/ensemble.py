@@ -249,15 +249,23 @@ def ensemble_variance(
     times: np.ndarray,
 ) -> Trajectory:
     """Pointwise squared deviation of per-sample reconstructions around the
-    mean trajectory, averaged with the population normalization 1/N."""
+    mean trajectory, averaged with the population normalization 1/N.  A
+    variance past the largest float raises :class:`DivergenceError` with no
+    numpy warning, its ``step`` the first grid index where it is non-finite."""
     times = np.asarray(times, dtype=float).ravel()
     mean = np.asarray(mean_traj.states, dtype=float)
     d = per_sample.dim
     if mean.shape != (times.size, d):
         raise ValueError(f"mean states must be (len(times), d), got {mean.shape}")
     n = per_sample.values.size // d
-    dev = reconstruct(per_sample, x0, times).states.reshape(times.size, n, d) - mean[:, None, :]
-    return Trajectory(times=times, states=(dev * dev).sum(axis=1) / n)
+    with np.errstate(over="ignore"):
+        dev = reconstruct(per_sample, x0, times).states.reshape(times.size, n, d) - mean[:, None, :]
+        variance = (dev * dev).sum(axis=1) / n
+    finite = np.isfinite(variance).all(axis=1)
+    if not finite.all():
+        step = int(np.argmin(finite))
+        raise DivergenceError(f"ensemble variance became non-finite at grid step {step}", step=step)
+    return Trajectory(times=times, states=variance)
 
 
 def run_ensemble(

@@ -17,33 +17,25 @@ def failing_slices(bad) -> tuple[str, list[int] | None]:
 class NumericalError(RuntimeError):
     """A numerical routine failed to converge or overflowed.
 
-    ``indices`` lists the failing slices when the routine ran on a stack of
-    two or more matrices; it is None for a single matrix, for a stack of
-    one, and when the failing slices cannot be told apart.
+    ``indices`` lists the failing slices of a stack of two or more
+    matrices; it is None otherwise, and when they cannot be told apart.
+    ``step`` is the iteration or grid step the failure was met at, None
+    outside an iteration; ``fit_transition`` stamps its iteration.
     """
 
-    def __init__(self, message, indices=None):
+    def __init__(self, message, indices=None, step=None):
         super().__init__(message)
         self.indices = indices
+        self.step = step
 
 
 class SingularMatrixError(NumericalError):
     """A linear solve was refused because the matrix is singular or too
-    ill-conditioned; ``cond`` is the condition estimate that triggered it,
-    always a float."""
-
-    def __init__(self, message, cond, indices=None):
-        super().__init__(message, indices)
-        self.cond = cond
+    ill-conditioned; the message states the condition estimate."""
 
 
 class DivergenceError(NumericalError):
-    """A state or loss became non-finite; ``step`` is the iteration or grid
-    step it was met at, None outside an iteration."""
-
-    def __init__(self, message, step=None, indices=None):
-        super().__init__(message, indices)
-        self.step = step
+    """A state, loss, gradient or parameter became non-finite."""
 
 
 class EnsembleError(NumericalError):

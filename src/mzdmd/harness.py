@@ -116,8 +116,7 @@ def simulate_measurement(cfg) -> tuple[Trajectory, SnapshotPair]:
 
 def dmd_spectral_model(snapshots: SnapshotPair) -> SpectralModel:
     """Spectral model of the analytic least-squares operator."""
-    dec = linalg.eig(dmd_fit(snapshots))
-    return SpectralModel(values=dec.values, vectors=dec.vectors, dt=snapshots.dt)
+    return SpectralModel(*linalg.eig(dmd_fit(snapshots)), dt=snapshots.dt)
 
 
 def _fit_dmd(cfg, snapshots):

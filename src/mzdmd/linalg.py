@@ -12,8 +12,6 @@ package, plain DMD, simulation and the projection never pay for loading it.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import NumericalError, SingularMatrixError, failing_slices
@@ -24,13 +22,6 @@ PINV_RTOL = 1e-12
 # such as (A + I) for an operator with an eigenvalue near -1, must fail
 # loudly instead of being regularized silently.
 COND_MAX = 1e12
-
-
-class EigDecomposition(NamedTuple):
-    """Eigenvalues and unit-norm, phase-normalized eigenvector columns."""
-
-    values: np.ndarray
-    vectors: np.ndarray
 
 
 def pinv(m: np.ndarray) -> np.ndarray:
@@ -71,15 +62,12 @@ def phase_normalize(vectors: np.ndarray) -> np.ndarray:
     return v
 
 
-def eig(a: np.ndarray) -> EigDecomposition:
-    """Eigendecomposition with unit-norm, phase-normalized eigenvectors, of
-    a matrix or of each slice of an (n, d, d) stack.
-
-    Each slice gives the values and vectors a call on it alone gives, with
-    one exception of dtype: the values are real only when the whole stack's
-    spectrum is, so one complex pair makes every slice's values complex.
-    Raises :class:`NumericalError` when the QR iteration fails, as it does
-    on non-finite input.
+def eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Complex eigenvalues and unit-norm, phase-normalized eigenvector
+    columns ``(values, vectors)`` of a matrix or of each slice of an
+    (n, d, d) stack; a real spectrum is complex too, so a stack's slices
+    equal the single calls bit for bit, dtype included.  Raises
+    :class:`NumericalError` when the QR iteration fails, as on non-finite input.
     """
     a = np.asarray(a)
     _square(a, "eig")
@@ -87,7 +75,7 @@ def eig(a: np.ndarray) -> EigDecomposition:
         values, vectors = np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue iteration did not converge: {exc}") from exc
-    return EigDecomposition(values=values, vectors=phase_normalize(vectors))
+    return values.astype(complex), phase_normalize(vectors)
 
 
 def _square(a: np.ndarray, name: str) -> None:
@@ -152,11 +140,8 @@ def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     bad = ~np.isfinite(cond) | (cond > COND_MAX)
     if np.any(bad):
         where, indices = failing_slices(bad)
-        first = float(np.asarray(cond)[bad][0])
-        raise SingularMatrixError(
-            f"matrix is singular or ill-conditioned{where} (cond ~ {first:.3e})",
-            cond=first,
-            indices=indices,
-        )
+        first = np.asarray(cond)[bad][0]
+        raise SingularMatrixError(f"matrix is singular or ill-conditioned{where} (cond ~ {first:.3e})",
+                                  indices=indices)
     # LU meets an exact zero pivot only at a condition number near 1/eps
     return np.linalg.solve(a, b)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DivergenceError, NumericalError, failing_slices
+from .errors import DivergenceError, failing_slices
 
 PLAIN_DMD = "plain-dmd"
 MZ_DMD = "mz-dmd"
@@ -384,10 +384,11 @@ def objective_value_and_gradient(
     gives (n_u,) values and (n_u, d, d) gradients, each slice independent
     of the others.  A non-finite value raises :class:`DivergenceError`
     naming its slices before the pullback runs, and a non-finite gradient
-    raises it after, neither with a numpy warning; an overflow of the
-    exponential's Frechet derivative counts as a non-finite gradient.  The
-    forward pass's solve against (A + I) is the only source of a
-    :class:`SingularMatrixError`, which passes through.
+    raises it after, neither with a numpy warning.  The errors of
+    :mod:`linalg` pass through: an overflowing exponential, in the forward
+    pass or its Frechet derivative alike, raises :func:`linalg.expm`'s
+    :class:`NumericalError` naming its slices, and the solve against (A + I)
+    is the only source of a :class:`SingularMatrixError`.
 
     The forward chain writes each doubling level into its one array with
     ``out=``, and the scan adds each level through one scratch array of the
@@ -402,12 +403,7 @@ def objective_value_and_gradient(
         grad = -2.0 * (r @ s.x_minus.T)
         if pullback is not None:
             r *= 2.0
-            try:
-                grad += pullback(r)
-            except NumericalError as exc:
-                # the exponential's Frechet derivative overflowed in these
-                # slices, or in the one slice of a stack of one
-                grad[exc.indices or slice(None)] = np.inf
+            grad += pullback(r)
     _check_finite(grad, "objective gradient is not finite")
     if np.ndim(a) == 2:
         return float(value[0]), grad[0]

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, failing_slices
+from .errors import DivergenceError, NumericalError, failing_slices
 from .objectives import Objective, objective_value, objective_value_and_gradient
 
 # Adam's published defaults (Kingma & Ba, "Adam", ICLR 2015)
@@ -37,8 +37,9 @@ def adam_step(params: np.ndarray, m: np.ndarray, v: np.ndarray, step: int,
     ``params`` and its moment estimates ``m`` and ``v`` in place.  A
     non-finite gradient raises ``ValueError`` before any of the three moves.
     A gradient whose square overflows the bias-corrected second moment,
-    which would stall the step, raises :class:`DivergenceError` before
-    ``params`` moves, with no numpy warning."""
+    which would stall the step, and a step that would carry the parameters
+    past the largest float raise :class:`DivergenceError` before ``params``
+    moves, with no numpy warning."""
     grad = np.asarray(grad, dtype=float)
     if grad.shape != params.shape:
         raise ValueError("gradient shape does not match the parameters")
@@ -46,16 +47,19 @@ def adam_step(params: np.ndarray, m: np.ndarray, v: np.ndarray, step: int,
         raise ValueError("step counts from 1")
     if not np.isfinite(grad).all():
         raise ValueError("gradient must be finite")
-    m *= BETA1
-    m += (1.0 - BETA1) * grad
     with np.errstate(over="ignore"):
+        m *= BETA1
+        m += (1.0 - BETA1) * grad
         v *= BETA2
         v += (1.0 - BETA2) * grad * grad
         v_hat = v / (1.0 - BETA2**step)
-    if not np.isfinite(v_hat).all():
-        raise DivergenceError("Adam's second moment overflowed")
-    m_hat = m / (1.0 - BETA1**step)
-    params -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)
+        if not np.isfinite(v_hat).all():
+            raise DivergenceError("Adam's second moment overflowed")
+        m_hat = m / (1.0 - BETA1**step)
+        stepped = params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)
+    if not np.isfinite(stepped).all():
+        raise DivergenceError("Adam's step overflowed the parameters")
+    params[...] = stepped
 
 
 def fit_transition(obj: Objective, a0: np.ndarray, cfg: AdamConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -72,10 +76,10 @@ def fit_transition(obj: Objective, a0: np.ndarray, cfg: AdamConfig) -> tuple[np.
     Returns the final operator(s), shaped like ``a0``, and the objective
     value at every iterate, the initial loss first: shape
     ``(iterations + 1,)`` for one operator, ``(n_u, iterations + 1)`` for a
-    stack.  A non-finite loss or gradient, or a gradient whose square
-    overflows Adam's bias-corrected second moment and would stall its step,
-    raises :class:`DivergenceError` naming its slices, with ``step`` set to
-    the iteration and no numpy warning.
+    stack.  The objective's :class:`NumericalError` passes through, and the
+    Adam steps' failures are gathered into one :class:`DivergenceError` with
+    their own messages; either names its slices, with ``step`` set to the
+    iteration and no numpy warning.
     """
     params = np.array(a0, dtype=float)
     d = obj.snapshots.dim
@@ -88,23 +92,25 @@ def fit_transition(obj: Objective, a0: np.ndarray, cfg: AdamConfig) -> tuple[np.
         value, grad = _at_step(it, objective_value_and_gradient, obj, params)
         trace[..., it] = value
         bad = np.zeros(len(slices), dtype=bool)
+        messages = []
         # one call per slice, as perfbench/spans.py counts them; goes with ROADMAP items 1-2
         for i, ((p, ms, vs), g) in enumerate(zip(slices, grad.reshape(-1, d, d))):
             try:
                 adam_step(p, ms, vs, it + 1, g, cfg)
-            except DivergenceError:
+            except DivergenceError as exc:
                 bad[i] = True
-        if np.any(bad):
+                messages.append(str(exc))
+        if messages:
             where, indices = failing_slices(bad)
-            raise DivergenceError(f"Adam's second moment overflowed{where}", step=it, indices=indices)
+            raise DivergenceError("; ".join(dict.fromkeys(messages)) + where, step=it, indices=indices)
     trace[..., -1] = _at_step(cfg.iterations, objective_value, obj, params)
     return params, trace
 
 
 def _at_step(step: int, evaluate, obj: Objective, params: np.ndarray):
-    """``evaluate(obj, params)``, its divergence stamped with the iteration."""
+    """``evaluate(obj, params)``, its numerical failure stamped with the iteration."""
     try:
         return evaluate(obj, params)
-    except DivergenceError as exc:
+    except NumericalError as exc:
         exc.step = step
         raise

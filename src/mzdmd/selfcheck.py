@@ -24,6 +24,7 @@ from .objectives import (
     mz_memory_matrix,
     objective_value,
     objective_value_and_gradient,
+    tmodel_memory_matrix,
 )
 from .oscillator import SimConfig, hamiltonian, integrate, rng_stream
 
@@ -100,6 +101,18 @@ def mz_closed_form(rng):
     return np.abs(mz_memory_matrix(a, n, 50) - closed).max() / np.abs(closed).max()
 
 
+def tmodel_first_order(rng):
+    # at t = j dt, -dt e^{tL} t n is the first-order term of mz-dmd's scaled
+    # column -dt e^{tL} int_0^t e^{-sL} ds n, so the gap halves with t (README)
+    dt, j = 0.00625, 20
+    l, n = 0.5 * rng.standard_normal((2, 2)), rng.standard_normal(2)
+    a = linalg.expm(dt * l)
+    mz = dt**2 * mz_memory_matrix(a, n, j + 1)[:, [j // 2, j]]
+    tm = -dt * tmodel_memory_matrix(a, n, dt, j + 1)[:, [j // 2, j]]
+    half, full = np.linalg.norm(mz - tm, axis=0) / np.linalg.norm(tm, axis=0)
+    return abs(full / half - 2.0)
+
+
 def gradient_fd(rng):
     snaps = _random_snapshots(rng)
     mem = rng.standard_normal(2)
@@ -158,6 +171,7 @@ CHECKS = (
     Check("expm Frechet derivative matches central differences", expm_frechet_fd, 1e-6),
     Check("transfer map equals (3I - A)(A + I)^-1", cayley_form, 1e-12),
     Check("memory columns match the eigenbasis closed form", mz_closed_form, 1e-12),
+    Check("t-model's memory column is mz-dmd's to first order in memory time", tmodel_first_order, 0.15),
     Check("analytic gradients match finite differences", gradient_fd, 1e-5),
     Check("zero memory reduces both objectives to the plain fit", zero_memory, 0.0),
     Check("RK4 conserves the oscillator energy", rk4_energy, 1e-6),

@@ -226,8 +226,7 @@ def test_criterion_9_zero_memory_regression(bench_cfg):
     # plain baseline fitted through the identical optimizer protocol
     a0 = dmd_fit(snaps)
     a_plain, _ = fit_transition(Objective("plain-dmd", snaps), a0, cfg.adam)
-    dec = eig(a_plain)
-    plain_traj = reconstruct(SpectralModel(dec.values, dec.vectors, snaps.dt), x0, times)
+    plain_traj = reconstruct(SpectralModel(*eig(a_plain), snaps.dt), x0, times)
 
     trajs = [plain_traj.states]
     for kind in ("mz-dmd", "t-model"):

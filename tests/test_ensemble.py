@@ -111,9 +111,9 @@ class TestFitEnsemble:
             np.testing.assert_array_equal(models.vectors[i], models.vectors[0])
         # the optimizer wanders at most lr*iterations from the analytic
         # least-squares solution it starts from
-        reference = eig(dmd_fit(s))
+        reference, _ = eig(dmd_fit(s))
         drift = AdamConfig().learning_rate * AdamConfig().iterations
-        assert np.abs(np.sort_complex(models.values[0]) - np.sort_complex(reference.values)).max() <= drift
+        assert np.abs(np.sort_complex(models.values[0]) - np.sort_complex(reference)).max() <= drift
 
     def test_single_sample_average_is_identity(self):
         s = _sim_snapshots()
@@ -148,6 +148,19 @@ class TestFitEnsemble:
             fit_ensemble("t-model", s, 1.0, 3, cfg, seed=2)
         assert len(excinfo.value.failures) == 3
         assert "0" in str(excinfo.value)
+
+    @pytest.mark.parametrize("kind", ["mz-dmd", "t-model"])
+    def test_extreme_learning_rate_fails_every_sample_typed(self, kind):
+        # at lr 1e307 the first step's lr * m_hat overflows, which the step
+        # refuses before the operators move; an mz-dmd sample with a small
+        # enough gradient steps to about 1e307 instead, and its exponential
+        # overflows at the next iterate.  Any numpy warning is an error here
+        with pytest.raises(EnsembleError) as excinfo:
+            fit_ensemble(kind, _sim_snapshots(), 1.0, 3, AdamConfig(learning_rate=1e307), seed=0)
+        failures = dict(excinfo.value.failures)
+        assert sorted(failures) == [0, 1, 2]
+        assert all(isinstance(exc, NumericalError) and exc.step is not None for exc in failures.values())
+        assert str(failures[0]).startswith("Adam's step overflowed the parameters in slices [0, ")
 
     def test_failed_eig_names_only_its_sample(self, monkeypatch):
         real, calls = ensemble.linalg.eig, []
@@ -211,12 +224,12 @@ def _reference_fit_ensemble(kind, s, sigma, n_u, cfg, seed, stream=rng_stream):
         try:
             # looked up on the module, as the stacked fit does, so _recorded sees the call
             a_fit, trace = ensemble.fit_transition(Objective(kind, s, mem), a0, cfg)
-            dec = linalg.eig(a_fit)
+            values, vectors = linalg.eig(a_fit)
         except Exception as exc:  # noqa: BLE001 - aggregated and re-raised below
             failures.append((i, exc))
             continue
         traces.append(trace)
-        models.append(SpectralModel(values=dec.values, vectors=dec.vectors, dt=s.dt))
+        models.append(SpectralModel(values=values, vectors=vectors, dt=s.dt))
     if failures:
         raise EnsembleError(f"{len(failures)} of {n_u} samples failed", failures=failures)
     return _stack(models), np.stack(traces)
@@ -365,12 +378,15 @@ class TestStackedEnsemble:
 
     def test_overflowing_sample_is_dropped_and_the_other_fitted(self, monkeypatch):
         # sample 0's residual overflows over 200 columns
-        _assert_overflowing_sample_dropped(monkeypatch, 201, "objective value is not finite")
+        _assert_overflowing_sample_dropped(monkeypatch, 201, "objective value is not finite in slices [0]")
 
     def test_sample_whose_gradient_overflows_is_dropped_and_the_other_fitted(self, monkeypatch):
         # over 100 columns sample 0's residual is finite, but the Frechet
-        # derivative of the exponential in its gradient overflows
-        _assert_overflowing_sample_dropped(monkeypatch, 101, "objective gradient is not finite")
+        # derivative of the exponential in its gradient overflows, and the
+        # exponential's own error names the slice
+        _assert_overflowing_sample_dropped(
+            monkeypatch, 101, "matrix exponential overflowed in slices [0]; input norm too large", NumericalError
+        )
 
     @pytest.mark.parametrize("action", ["default", "error"])
     def test_sample_whose_adam_moment_overflows_is_dropped_and_the_other_fitted(self, monkeypatch, action):
@@ -379,7 +395,7 @@ class TestStackedEnsemble:
         # second moment, which would stall the step without a word
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter(action, RuntimeWarning)
-            _assert_overflowing_sample_dropped(monkeypatch, 91, "Adam's second moment overflowed")
+            _assert_overflowing_sample_dropped(monkeypatch, 91, "Adam's second moment overflowed in slices [0]")
         assert caught == []
 
     @settings(deadline=None)
@@ -399,18 +415,19 @@ class TestStackedEnsemble:
         _assert_same_fits(got, want, rtol=1e-12)
 
 
-def _assert_overflowing_sample_dropped(monkeypatch, n_points, message):
+def _assert_overflowing_sample_dropped(monkeypatch, n_points, message, error=DivergenceError):
     """Fit a two-sample mz-dmd ensemble on ``overflowing_mz_snapshots``,
     whose plain fit is the start of every sample.  Sample 0 has memory
-    (1, 1) and must fail at iteration 0 with ``message``, naming its slice;
-    sample 1 has zero memory and must fit bitwise like a lone fit."""
+    (1, 1) and must fail at iteration 0 with an ``error`` whose message,
+    naming its slice, is ``message``; sample 1 has zero memory and must fit
+    bitwise like a lone fit."""
     s = overflowing_mz_snapshots(n_points)
     monkeypatch.setattr(ensemble, "keyed_normals", lambda *key: np.array([[1.0, 1.0], [0.0, 0.0]]))
     with _recorded() as (operators, traces), pytest.raises(EnsembleError) as excinfo:
         fit_ensemble("mz-dmd", s, 1.0, 2, AdamConfig(), seed=0)
     ((index, exc),) = excinfo.value.failures
-    assert index == 0 and isinstance(exc, DivergenceError)
-    assert str(exc) == f"{message} in slices [0]"
+    assert index == 0 and type(exc) is error
+    assert str(exc) == message
     assert exc.indices == [0] and exc.step == 0
     fitted, want = fit_transition(Objective("mz-dmd", s, np.zeros(2)), dmd_fit(s), AdamConfig())
     assert len(operators) == len(traces) == 1
@@ -496,9 +513,9 @@ class TestMatchAndAverage:
         models = []
         for _ in range(20):
             a = 0.05 * rng.standard_normal((2, 2)) + np.array([[0.9, -0.4], [0.4, 0.9]])
-            dec = eig(a)
-            assert np.abs(dec.values.imag).min() > 0.1
-            models.append(SpectralModel(dec.values, dec.vectors, 0.1))
+            values, vectors = eig(a)
+            assert np.abs(values.imag).min() > 0.1
+            models.append(SpectralModel(values, vectors, 0.1))
         averaged = match_and_average(_stack(models))
         assert np.abs(np.sort_complex(averaged.values) - np.sort_complex(np.conj(averaged.values))).max() <= 1e-10
 
@@ -528,8 +545,7 @@ class TestMatchAndAverage:
         rng = np.random.default_rng(30 + d)
         cases = [_random_model(rng, d=d, n=n) for n in (1, 2, 7, 40)]
         # spectra of real operators: conjugate pairs, as the ensembles fit
-        decs = [eig(rng.standard_normal((d, d))) for _ in range(25)]
-        cases.append(_stack([SpectralModel(dec.values, dec.vectors, 0.1) for dec in decs]))
+        cases.append(_stack([SpectralModel(*eig(rng.standard_normal((d, d))), 0.1) for _ in range(25)]))
         # repeated eigenvalues make some of the pairwise swaps degenerate
         tied = _random_model(rng, d=d, n=12)
         values = tied.values.copy()
@@ -685,8 +701,7 @@ def _reference_ensemble_variance(per_sample, mean_traj, x0, times):
 
 def _fitted_stack(rng, d, n):
     """Spectra of n random operators near the identity, as fits give."""
-    decs = [eig(np.eye(d) + 0.2 * rng.standard_normal((d, d))) for _ in range(n)]
-    return _stack([SpectralModel(dec.values, dec.vectors, 0.1) for dec in decs])
+    return _stack([SpectralModel(*eig(np.eye(d) + 0.2 * rng.standard_normal((d, d))), 0.1) for _ in range(n)])
 
 
 class TestReconstruct:
@@ -733,8 +748,7 @@ class TestReconstruct:
     def test_unit_circle_pair_is_bounded(self):
         theta = 0.3
         a = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-        dec = eig(a)
-        model = SpectralModel(dec.values, dec.vectors, 0.1)
+        model = SpectralModel(*eig(a), 0.1)
         x0 = np.array([1.0, 0.0])
         traj = reconstruct(model, x0, np.arange(200) * 0.1)
         bound = np.linalg.cond(model.vectors) * np.linalg.norm(x0)
@@ -743,8 +757,7 @@ class TestReconstruct:
     def test_returns_x0_at_time_zero(self):
         rng = np.random.default_rng(6)
         a = 0.4 * rng.standard_normal((3, 3))
-        dec = eig(a + np.eye(3))
-        model = SpectralModel(dec.values, dec.vectors, 0.1)
+        model = SpectralModel(*eig(a + np.eye(3)), 0.1)
         x0 = rng.standard_normal(3)
         traj = reconstruct(model, x0, np.arange(5) * 0.1)
         assert np.abs(traj.states[0] - x0).max() <= 1e-10
@@ -772,8 +785,7 @@ class TestReconstruct:
 
     def test_clean_conjugate_pair_has_tiny_residue(self):
         s, _ = rotation_snapshots(n_snapshots=10)
-        dec = eig(dmd_fit(s))
-        model = SpectralModel(dec.values, dec.vectors, s.dt)
+        model = SpectralModel(*eig(dmd_fit(s)), s.dt)
         traj = reconstruct(model, np.array([1.0, 0.0]), np.arange(50) * 0.1)
         assert traj.max_imag <= 1e-10
 
@@ -888,6 +900,28 @@ class TestEnsembleVariance:
         )
         assert np.all(result.variance_traj.states >= 0.0)
         assert result.per_sample.values.shape == (5, 2)
+
+    @pytest.mark.parametrize("action", ["default", "error"])
+    def test_overflowing_variance_raises_at_its_first_non_finite_step(self, action):
+        # every state is finite, the mean peaking at 1.0e200, but the squared
+        # deviations around it pass the largest float
+        models = SpectralModel(np.array([[10.0, 0.5], [10.001, 0.50005]]), np.stack([np.eye(2)] * 2), 0.01)
+        times, x0 = 0.01 * np.arange(201), np.ones(2)
+        mean = reconstruct(match_and_average(models), x0, times)
+        assert np.isfinite(mean.states).all() and np.abs(mean.states).max() > 1e199
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action, RuntimeWarning)
+            with pytest.raises(DivergenceError, match=r"^ensemble variance became non-finite at grid step \d+$") as excinfo:
+                ensemble_variance(models, mean, x0, times)
+        assert caught == []
+        step = excinfo.value.step
+        assert 0 < step < times.size and excinfo.value.indices is None
+        assert str(excinfo.value).endswith(f" {step}")
+        head = ensemble_variance(models, Trajectory(times[:step], mean.states[:step]), x0, times[:step])
+        assert np.isfinite(head.states).all()
+        with pytest.raises(DivergenceError) as excinfo:
+            ensemble_variance(models, Trajectory(times[:step + 1], mean.states[:step + 1]), x0, times[:step + 1])
+        assert excinfo.value.step == step
 
     def test_empty_list(self):
         # an empty stack cannot be built, so no variance divides by zero

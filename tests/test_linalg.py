@@ -3,7 +3,6 @@ import pytest
 from conftest import assert_bitwise, reference_phase_normalize
 
 from mzdmd import (
-    EigDecomposition,
     NumericalError,
     SingularMatrixError,
     eig,
@@ -48,17 +47,18 @@ class TestPinv:
 
 class TestEig:
     def test_diagonal(self):
-        dec = eig(np.diag([1.0, 2.0]))
-        assert isinstance(dec, EigDecomposition)
-        assert sorted(dec.values.real) == pytest.approx([1.0, 2.0])
+        values, vectors = eig(np.diag([1.0, 2.0]))
+        # a real spectrum comes back complex, as every spectrum does
+        assert values.dtype == vectors.dtype == complex
+        assert sorted(values.real) == pytest.approx([1.0, 2.0])
         # axis-aligned eigenvectors with the positive-pivot phase convention
-        np.testing.assert_allclose(np.abs(dec.vectors), np.eye(2), atol=1e-14)
-        assert np.all(np.diag(dec.vectors[np.argsort(dec.values.real)]).real > 0)
+        np.testing.assert_allclose(np.abs(vectors), np.eye(2), atol=1e-14)
+        assert np.all(np.diag(vectors[np.argsort(values.real)]).real > 0)
 
     def test_rotation_generator(self):
-        dec = eig(np.array([[0.0, -1.0], [1.0, 0.0]]))
-        np.testing.assert_allclose(sorted(dec.values.imag), [-1.0, 1.0], atol=1e-14)
-        np.testing.assert_allclose(dec.values.real, 0.0, atol=1e-14)
+        values, _ = eig(np.array([[0.0, -1.0], [1.0, 0.0]]))
+        np.testing.assert_allclose(sorted(values.imag), [-1.0, 1.0], atol=1e-14)
+        np.testing.assert_allclose(values.real, 0.0, atol=1e-14)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_real_spectra_conjugate_closed(self, seed):
@@ -151,9 +151,8 @@ class TestSolve:
     def test_singular_shifted_operator(self):
         # an operator with eigenvalue 1 makes (A - I) exactly singular
         a = np.diag([1.0, 2.0])
-        with pytest.raises(SingularMatrixError) as excinfo:
+        with pytest.raises(SingularMatrixError, match=r"\(cond ~ \S+\)$"):
             solve(a - np.eye(2), np.eye(2))
-        assert excinfo.value.cond is not None
 
     def test_condition_ceiling(self):
         with pytest.raises(SingularMatrixError):
@@ -216,18 +215,18 @@ class TestStacks:
             np.testing.assert_array_equal(value[i], single_value)
             np.testing.assert_array_equal(deriv[i], single_deriv)
             np.testing.assert_array_equal(x[i], solve(shifted[i], b[i]))
-            single = eig(a[i])
-            assert_bitwise(vectors[i], single.vectors)
-            assert_bitwise(values[i].astype(complex), single.values.astype(complex))
+            single_values, single_vectors = eig(a[i])
+            assert_bitwise(vectors[i], single_vectors)
+            assert_bitwise(values[i], single_values)
 
-    def test_one_complex_pair_makes_every_slice_of_an_eig_stack_complex(self):
+    def test_eig_stack_mixing_real_and_complex_spectra_equals_the_single_calls(self):
+        # a real spectrum is complex alone and in a stack with a complex pair
         real, rotation = np.diag([1.0, 2.0]), np.array([[0.0, -1.0], [1.0, 0.0]])
-        single = eig(real)
-        assert single.values.dtype == float
         values, vectors = eig(np.stack([real, rotation]))
-        assert values.dtype == vectors.dtype == complex
-        assert_bitwise(values[0], single.values.astype(complex))
-        assert_bitwise(vectors[0], single.vectors)
+        for i, a in enumerate([real, rotation]):
+            single_values, single_vectors = eig(a)
+            assert_bitwise(values[i], single_values)
+            assert_bitwise(vectors[i], single_vectors)
 
     def test_failures_name_their_slices(self):
         big = np.stack([np.eye(2), np.diag([1e6, 1e6]), np.eye(2)])
@@ -238,7 +237,6 @@ class TestStacks:
         with pytest.raises(SingularMatrixError) as excinfo:
             solve(singular, np.ones((3, 2, 1)))
         assert excinfo.value.indices == [2]
-        assert excinfo.value.cond is not None
 
     def test_failed_condition_estimate_names_its_slices(self):
         a = np.stack([np.eye(2), np.diag([np.nan, 1.0]), np.eye(2)])

@@ -789,13 +789,14 @@ class TestNonFiniteObjective:
     @pytest.mark.parametrize("action", ["default", "error"])
     def test_exponential_overflow_in_the_gradient(self, action, cols):
         # over 100 to 150 columns the value is finite, but the Frechet
-        # derivative of expm(A - I) along the chains' gradient overflows
+        # derivative of expm(A - I) along the chains' gradient overflows, and
+        # the exponential's own error passes through
         rng = np.random.default_rng(80)
         obj = Objective("mz-dmd", random_snapshots(rng, cols=cols), rng.standard_normal(2))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter(action, RuntimeWarning)
             assert np.isfinite(objective_value(obj, _overflowing_operator()))
-            with pytest.raises(DivergenceError, match="objective gradient is not finite$") as excinfo:
+            with pytest.raises(NumericalError, match="^matrix exponential overflowed; input norm too large$") as excinfo:
                 objective_value_and_gradient(obj, _overflowing_operator())
         assert caught == []
         assert excinfo.value.indices is None and excinfo.value.step is None
@@ -805,7 +806,7 @@ class TestNonFiniteObjective:
         snaps, mem = random_snapshots(rng, cols=100), rng.standard_normal(2)
         obj = Objective("mz-dmd", snaps, np.stack([mem, mem]))
         a = np.stack([_overflowing_operator(), random_operator(rng, 2)])
-        with pytest.raises(DivergenceError, match=r"objective gradient is not finite in slices \[0\]$") as excinfo:
+        with pytest.raises(NumericalError, match=r"^matrix exponential overflowed in slices \[0\];") as excinfo:
             objective_value_and_gradient(obj, a)
         assert excinfo.value.indices == [0]
         assert np.isfinite(objective_value_and_gradient(Objective("mz-dmd", snaps, mem), a[1])[1]).all()
@@ -813,8 +814,18 @@ class TestNonFiniteObjective:
     def test_exponential_overflow_is_stamped_with_the_iteration(self):
         rng = np.random.default_rng(80)
         obj = Objective("mz-dmd", random_snapshots(rng, cols=100), rng.standard_normal(2))
-        with pytest.raises(DivergenceError, match="objective gradient is not finite$") as excinfo:
+        with pytest.raises(NumericalError, match="^matrix exponential overflowed;") as excinfo:
             fit_transition(obj, _overflowing_operator(), AdamConfig())
+        assert excinfo.value.step == 0 and excinfo.value.indices is None
+
+    @pytest.mark.parametrize("kind", ["mz-dmd", "t-model"])
+    def test_forward_exponential_overflow_is_stamped_with_the_iteration(self, kind):
+        # expm(A - I) overflows in the forward pass at the first iterate; the
+        # fit stamps the exponential's own error as it does the gradient's
+        rng = np.random.default_rng(83)
+        obj = Objective(kind, random_snapshots(rng), rng.standard_normal(2))
+        with pytest.raises(NumericalError, match="^matrix exponential overflowed;") as excinfo:
+            fit_transition(obj, np.diag([800.0, 0.5]), AdamConfig())
         assert excinfo.value.step == 0 and excinfo.value.indices is None
 
     @pytest.mark.parametrize("evaluate", [objective_value, objective_value_and_gradient])

@@ -4,6 +4,8 @@ import warnings
 import numpy as np
 import pytest
 from conftest import assert_bitwise, overflowing_mz_snapshots, random_snapshots
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mzdmd import (
     AdamConfig,
@@ -147,6 +149,41 @@ class TestAdamStep:
         for got, want in zip((p, m, v), before):
             assert_bitwise(got, want)
 
+    @pytest.mark.parametrize("action", ["default", "error"])
+    def test_overflowing_step_raises_before_the_parameters_move(self, action):
+        # the bias-corrected first step is about lr in every entry, but
+        # lr * m_hat, formed first, passes the largest float at g = 100
+        p, m, v = fresh(np.eye(2))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action, RuntimeWarning)
+            with pytest.raises(DivergenceError, match="^Adam's step overflowed the parameters$"):
+                adam_step(p, m, v, 1, np.full((2, 2), 100.0), AdamConfig(learning_rate=1e307))
+        assert caught == []
+        assert_bitwise(p, np.eye(2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        log_lr=st.floats(-4.0, 308.0),
+        log_grads=st.lists(st.floats(-300.0, 300.0), min_size=12, max_size=12),
+        signs=st.lists(st.booleans(), min_size=12, max_size=12),
+    )
+    def test_property_finite_parameters_or_a_typed_error_with_them_unmoved(self, log_lr, log_grads, signs):
+        # three steps of a 2 x 2 operator, each with its own gradient of
+        # entries 10^[-300, 300], at a rate 10^[-4, 308]; any warning fails
+        cfg = AdamConfig(learning_rate=10.0**log_lr)
+        grads = np.where(signs, -1.0, 1.0) * 10.0 ** np.array(log_grads)
+        p, m, v = fresh(np.array([[0.5, -1.0], [2.0, 0.25]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for step, grad in enumerate(grads.reshape(3, 2, 2), start=1):
+                before = p.copy()
+                try:
+                    adam_step(p, m, v, step, grad, cfg)
+                except DivergenceError:
+                    assert_bitwise(p, before)
+                    return
+                assert np.isfinite(p).all()
+
     @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 2, 2), (5, 4, 4)])
     def test_in_place_update_matches_the_reference_bitwise(self, shape):
         rng = np.random.default_rng(sum(shape))
@@ -245,6 +282,20 @@ class TestFitTransition:
         a0 = np.stack([np.zeros((2, 2)), np.eye(2)])
         with pytest.raises(DivergenceError, match=r"^Adam's second moment overflowed in slices \[0, 1\]$") as excinfo:
             fit_transition(Objective("t-model", s, np.ones((2, 2))), a0, AdamConfig())
+        assert excinfo.value.step == 0 and excinfo.value.indices == [0, 1]
+
+    def test_adam_failures_carry_their_own_messages(self, monkeypatch):
+        # slice 0's square overflows the second moment, slice 1's step at
+        # lr 1e307 overflows the parameters, and slice 2 steps to about -1e307
+        import mzdmd.optim
+
+        grad = np.stack([np.full((2, 2), g) for g in (1e155, 100.0, 1e-3)])
+        monkeypatch.setattr(mzdmd.optim, "objective_value_and_gradient", lambda obj, a: (np.zeros(len(a)), grad))
+        s = random_snapshots(np.random.default_rng(10))
+        cfg = AdamConfig(learning_rate=1e307, iterations=1)
+        message = r"^Adam's second moment overflowed; Adam's step overflowed the parameters in slices \[0, 1\]$"
+        with pytest.raises(DivergenceError, match=message) as excinfo:
+            fit_transition(Objective("t-model", s, np.ones((3, 2))), np.zeros((3, 2, 2)), cfg)
         assert excinfo.value.step == 0 and excinfo.value.indices == [0, 1]
 
     def test_stack_takes_one_adam_step_per_operator(self, monkeypatch):
