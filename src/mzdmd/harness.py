@@ -48,6 +48,11 @@ def stage(method, name):
 
 @dataclass
 class RunReport:
+    """What a run did.  ``projection_standard_error`` holds, per resolved
+    coordinate, the largest standard error ``sqrt(var / n_mc)`` of the
+    projection's mean and the time ``t`` at which it occurs; it is None, and
+    left out of the JSON, when the projection is not run."""
+
     seed: int
     config: dict
     wall_times: dict = field(default_factory=dict)
@@ -55,9 +60,11 @@ class RunReport:
     imag_residues: dict = field(default_factory=dict)
     csv_files: list = field(default_factory=list)
     environment: dict = field(default_factory=dict)
+    projection_standard_error: dict | None = None
 
     def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True, default=str)
+        fields = {k: v for k, v in dataclasses.asdict(self).items() if v is not None}
+        return json.dumps(fields, indent=2, sort_keys=True, default=str)
 
 
 def csv_rows(columns) -> list[str]:
@@ -236,6 +243,8 @@ def run_experiment(cfg) -> RunReport:
             tables[stem] = write_csv(traj, var, out / f"{stem}.csv", t)
         results[name] = (traj, var)
 
+    if "projection" in results:
+        report.projection_standard_error = _standard_error(results["projection"][1], cfg.sim.n_mc)
     report.csv_files = [str(out / f"{stem}.csv") for stem in [*tables, "comparison"]]
     _write_comparison(t, tables, out / "comparison.csv")
 
@@ -250,6 +259,15 @@ def run_experiment(cfg) -> RunReport:
     with stage(cfg.method, "write"):
         (out / "report.json").write_text(report.to_json() + "\n")
     return report
+
+
+def _standard_error(var: Trajectory, n_mc: int) -> dict:
+    """Per coordinate, the largest ``sqrt(var / n_mc)`` over the grid and
+    the first time at which it occurs."""
+    se = np.sqrt(var.states / n_mc)
+    peak = se.argmax(axis=0)
+    return {name: {"max": float(se[i, k]), "t": float(var.times[i])}
+            for k, (name, i) in enumerate(zip(("y1", "y2"), peak))}
 
 
 def _write_comparison(t, tables, path):

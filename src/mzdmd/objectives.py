@@ -6,7 +6,9 @@ discretized memory-kernel recursion, and its first-order-in-time
 simplification.  Gradients are reverse mode: each memory term's forward
 pass returns its columns together with a pullback, the map from a
 cotangent of those columns to a gradient in A, so one forward pass serves
-the value, the memory matrices and the gradient.  Every computation runs on
+the value, the memory matrices and the gradient.  The pullback walks the
+doubling that filled the power chains back, level by level, so it touches
+each column once, as the forward pass does.  Every computation runs on
 a stack of operators (n_u, d, d), a single operator being a stack of one, so
 an ensemble of fits is one array computation.  A central-difference
 gradient serves as an independent oracle.
@@ -184,50 +186,56 @@ def _powers(m: np.ndarray, cols: int):
         p, e = np.ldexp(r, -peak[..., None]), e + top + peak
 
 
-def _times_power(p: np.ndarray, e: np.ndarray | None, x: np.ndarray, out: np.ndarray) -> None:
-    """``out = M^s x`` for a power ``(s, p, e)`` of :func:`_powers`: one
-    batched matmul, and the rows scaled by ``2^e`` when e is given."""
-    np.matmul(p, x, out=out)
-    if e is not None:
-        np.ldexp(out, e[..., None], out=out)
-
-
 def _power_columns(m: np.ndarray, v: np.ndarray, cols: int) -> np.ndarray:
     """The chains ``x_j = M^j v`` for j = 0..cols-1 over a stack: M is
     (..., d, d), the rows v (..., d) broadcast against it, and the columns
     come back as (..., d, cols).  Doubling fills them: with columns 0..s-1
     in place, one product by ``M^s`` from :func:`_powers` writes columns
-    s..2s-1, so there are about log2(cols) levels."""
+    s..2s-1, its rows scaled by ``2^e`` where the power carries exponents,
+    so there are about log2(cols) levels."""
     x = np.empty(m.shape[:-1] + (cols,))
     x[..., 0] = v
     for s, p, e in _powers(m, cols):
         level = x[..., s:2 * s]
-        _times_power(p, e, x[..., :level.shape[-1]], level)
+        np.matmul(p, x[..., :level.shape[-1]], out=level)
+        if e is not None:
+            np.ldexp(level, e[..., None], out=level)
     return x
 
 
 def _power_pullback(m: np.ndarray, x: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Gradient in M of ``<c, x>`` for the chains ``x = _power_columns(M, v, cols)``.
 
-    The sweep ``p_j = c_j + M^T p_{j+1}`` is a linear recurrence, so it runs
-    as a suffix scan: at shifts s = 1, 2, 4, ..., ``p_j += (M^T)^s p_{j+s}``
-    for every j at once, one product by a power from :func:`_powers` into a
-    scratch array and one add.  It gives ``sum_{j >= 1} p_j x_{j-1}^T``
-    for every slice of the stack (..., d, d); the cotangent c (..., e, cols)
-    broadcasts against it and fills the last e rows of each chain, the
-    others starting at zero.  A slice whose chains are all zero has an
-    exactly zero gradient, even where its scan overflows.
+    Reverse mode through the doubling.  Walking its levels from the last,
+    level s takes the cotangent ``y = x_bar[s:s+n]`` of the columns it wrote,
+    adds the direct adjoint ``y x[:n]^T`` of its power ``M^s`` and pushes
+    ``(M^s)^T y`` back onto the cotangent of the first n columns; the
+    power's adjoint then passes down the squaring that formed it, ``G_s =
+    direct + G_2s (M^s)^T + (M^s)^T G_2s``, and G_1 is the gradient.  So
+    each column is touched once, as in the forward pass.  Where a power from
+    :func:`_powers` carries row exponents, ``2^e`` scales the cotangent
+    side, ``P^T (2^e y)``, ``(G P^T) 2^e`` by column and ``P^T (2^e G)`` by
+    row, never P, so a zero of the adjoint never meets an overflowing power.
+
+    It runs for every slice of the stack (..., d, d); the cotangent c
+    (..., r, cols) broadcasts against it and fills the last r rows of each
+    chain, the others starting at zero.  A slice whose chains are all zero
+    has an exactly zero gradient, even where its cotangent overflows.
     """
-    cols, e = c.shape[-1], c.shape[-2]
-    p = np.zeros(m.shape[:-1] + (cols,))
-    p[..., -e:, :] = c
-    scratch = np.empty_like(p)
-    for s, q, k in _powers(m.mT, cols):
-        step = scratch[..., s:]
-        _times_power(q, k, p[..., s:], step)
-        p[..., :-s] += step
-    g = p[..., 1:] @ x[..., :-1].mT
-    g[~x.any(axis=(-2, -1))] = 0.0  # the scan may overflow to inf, and inf * 0 is NaN
+    cols, rows = c.shape[-1], c.shape[-2]
+    x_bar = np.zeros(m.shape[:-1] + (cols,))
+    x_bar[..., -rows:, :] = c
+    g = np.zeros(m.shape)
+    for s, p, e in reversed(list(_powers(m, cols))):
+        y = x_bar[..., s:2 * s]
+        n, pt = y.shape[-1], p.mT
+        if e is None:
+            g = y @ x[..., :n].mT + g @ pt + pt @ g
+        else:
+            g = y @ x[..., :n].mT + np.ldexp(g @ pt, e[..., None, :]) + pt @ np.ldexp(g, e[..., None])
+            y = np.ldexp(y, e[..., None])
+        x_bar[..., :n] += pt @ y
+    g[~x.any(axis=(-2, -1))] = 0.0  # a pushed cotangent may overflow to inf, and inf * 0 is NaN
     return g
 
 
@@ -373,7 +381,7 @@ def objective_value_and_gradient(
     Reverse mode: the forward pass builds the residual r; the gradient of
     ``||r||^2`` is ``-2 r x_minus^T`` plus the memory term's pullback of the
     cotangent 2r, formed by doubling r in place once the value is taken.
-    The pullback runs one backward scan over its power chains, uses the
+    The pullback runs the doubling of its power chains in reverse, uses the
     inverse rule ``d(B^{-1}) = -B^{-1} dB B^{-1}`` for the (A + I) inverse
     of the forward pass, so it solves nothing, and takes the adjoint of the
     Frechet derivative of ``expm(A - I)``, which is that derivative at the
@@ -391,11 +399,11 @@ def objective_value_and_gradient(
     is the only source of a :class:`SingularMatrixError`.
 
     The forward chain writes each doubling level into its one array with
-    ``out=``, and the scan adds each level through one scratch array of the
-    same size: (n_u, 2d, cols) floats for mz-dmd's block chain, (n_u, d,
-    cols) for t-model's.  mz-dmd peaks at about 8.3 arrays of (n_u, d, cols)
-    floats, 8.3 * n_u * d * cols * 8 bytes (6.6 MB traced at n_u = 100,
-    d = 2 and 500 columns), t-model at about 4.3 (3.4 MB).
+    ``out=``, and the reverse pass gathers the chain's cotangent in one array
+    of the same size: (n_u, 2d, cols) floats for mz-dmd's block chain, (n_u,
+    d, cols) for t-model's.  mz-dmd peaks at about 7.3 arrays of (n_u, d,
+    cols) floats, 7.3 * n_u * d * cols * 8 bytes (5.9 MB traced at n_u = 100,
+    d = 2 and 500 columns), t-model at about 4.0 (3.2 MB).
     """
     s = obj.snapshots
     r, pullback, value = _forward(obj, a)

@@ -23,6 +23,7 @@ from mzdmd import (
     write_csv,
 )
 from mzdmd import harness, plots
+from mzdmd.config import build_config
 from mzdmd.harness import METHODS, MethodFailure, csv_rows, write_rows
 
 # floats whose text forms are easy to get wrong: a negative zero, the
@@ -536,6 +537,24 @@ class TestRunExperiment:
             _, traces = fit_ensemble(kind, snapshots, cfg.sim.sigma, cfg.n_u, cfg.adam, cfg.sim.seed)
             # the mean of the rows as a list, bit for bit
             assert report.loss_traces[kind] == np.mean(list(traces), axis=0).tolist()
+
+    def test_report_states_the_projection_standard_error(self, tmp_path):
+        # CI's smoke config: per coordinate, the largest sqrt(var / n_mc) of
+        # the projection's mean and its time, as read back from projection.csv
+        cfg = build_config({"t_max": 6.0, "n_points": 61, "n_mc": 8, "n_u": 2, "output_dir": tmp_path})
+        run_experiment(cfg)
+        parsed = json.loads((tmp_path / "report.json").read_text())["projection_standard_error"]
+        header, data = read_csv(tmp_path / "projection.csv")
+        assert header == ["t", "y1", "y2", "var1", "var2"]
+        se = np.sqrt(data[:, 3:] / 8)
+        assert se.max() > 0
+        assert parsed == {name: {"max": se[:, k].max(), "t": data[se[:, k].argmax(), 0]}
+                          for k, name in enumerate(("y1", "y2"))}
+
+    def test_report_leaves_out_the_standard_error_without_the_projection(self, tmp_path):
+        cfg = small_config(tmp_path, method="dmd")
+        assert run_experiment(cfg).projection_standard_error is None
+        assert "projection_standard_error" not in json.loads((cfg.output_dir / "report.json").read_text())
 
     def test_plots_emitted_when_enabled(self, tmp_path):
         cfg = small_config(tmp_path, method="dmd", emit_plots=True)

@@ -462,9 +462,10 @@ class TestStackedChains:
                 np.testing.assert_allclose(yx[i, u, :, j], np.linalg.matrix_power(kw[i, u], j) @ n[u], rtol=1e-13)
 
     def test_zero_chains_have_zero_gradient_where_the_sweep_overflows(self):
-        # spectral radius 12.95 over 400 columns: the sweep of a finite
-        # cotangent overflows, but chains that start from a zero row are all
-        # zero, so their gradient is exactly zero and not inf * 0 = NaN
+        # spectral radius 12.95 over 400 columns: a finite cotangent pushed
+        # back through the powers overflows, but chains that start from a
+        # zero row are all zero, so their gradient is exactly zero and not
+        # inf * 0 = NaN
         m = np.stack([12.95 * np.array([[0.0, -1.0], [1.0, 0.0]]), 0.5 * np.eye(2)])
         v = np.array([[0.0, 0.0], [1.0, -2.0]])
         x = _power_columns(m, v, 400)
@@ -553,10 +554,11 @@ class TestPowerColumnsMatchReference:
 
 
 class TestPowerPullbackMatchesReference:
-    """The suffix scan against the sequential sweep.  On this grid the
-    gradients were at most 1.3e-15 of the stack's largest magnitude apart;
-    a slice's own scale would not do, as its terms may cancel.  A zero
-    cotangent gives the sequential sweep's bytes, signed zeros included."""
+    """Reverse mode through the doubling against the sequential sweep.  On
+    this grid the gradients were at most 1.3e-15 of the stack's largest
+    magnitude apart; a slice's own scale would not do, as its terms may
+    cancel.  A zero cotangent gives the sequential sweep's bytes, signed
+    zeros included."""
 
     @_CHAIN_GRID
     def test_matches_sequential_sweep(self, layout, d, n_u, cols):
@@ -635,7 +637,7 @@ class TestDoublingRisks:
     def test_non_normal_operator_matches_the_sequential_chain(self):
         # the powers peak at 194 in norm near the 10th and then decay
         # 0.9-fold a step: measured 4.6e-14 of a column's scale apart, and
-        # the gradients 3.0e-16 of theirs
+        # the gradients 6.0e-16 of theirs
         rng = np.random.default_rng(92)
         m = np.array([[0.9, 50.0], [0.0, 0.9]])
         v, c = rng.standard_normal(2), rng.standard_normal((2, 2000))
@@ -650,7 +652,7 @@ class TestDoublingRisks:
         # chain rounds at the peak, so the doubling loses more digits:
         # against a 40-digit chain it was 4.8e-10 of scale off, the
         # sequential chain 2.1e-12.  The two were 4.8e-10 apart, and their
-        # gradients 9.2e-10
+        # gradients 9.6e-10
         rng = np.random.default_rng(6)
         v = np.eye(4) + 0.3 * rng.standard_normal((4, 4))
         v[:, 2] = v[:, 0] + 0.03 * rng.standard_normal(4)
@@ -663,6 +665,24 @@ class TestDoublingRisks:
         x = _power_columns(m, start, 2000)
         _assert_within_rounding(x, _reference_power_columns(m, start, 2000), 2e-9, axis=None)
         _assert_within_rounding(_power_pullback(m, x, c), _reference_power_pullback(m, x, c), 4e-9, axis=None)
+
+    def test_row_exponents_reach_the_adjoint(self):
+        # the chain stays on the second axis and decays 0.9-fold a step,
+        # while the powers past M^1024 leave float range on the first axis
+        # and carry row exponents.  The cotangent is zero on the first row,
+        # so the gradient is finite, [[0, 0], [0, -11.191027968...]]; it
+        # stays so only while 2^e scales the cotangent side, as scaling the
+        # powers themselves makes an inf that meets a zero.  Measured 6.3e-16
+        # of scale off the sequential sweep
+        m, v = np.diag([1.56, 0.9]), np.array([0.0, 1.0])
+        c = np.zeros((2, 3000))
+        c[1] = np.random.default_rng(0).standard_normal(3000)
+        with np.errstate(over="ignore"):
+            x = _power_columns(m, v, 3000)
+            got = _power_pullback(m, x, c)
+        want = _reference_power_pullback(m, x, c)
+        assert want[1, 1] == pytest.approx(-11.19102797)
+        _assert_within_rounding(got, want, 4e-15, axis=None)
 
     @pytest.mark.parametrize("evaluate", [objective_value, objective_value_and_gradient])
     @pytest.mark.parametrize("kind, bad", [("mz-dmd", _GROWING), ("t-model", np.diag([1.5, 0.3]))])
@@ -726,7 +746,7 @@ class TestValueAndGradientLeavesItsInputs:
 
 
 def test_one_column_gradient_is_exact():
-    # at one column no power is formed and the sweep takes no step
+    # at one column no power is formed and the pullback takes no step
     rng = np.random.default_rng(74)
     snaps = random_snapshots(rng, d=4, cols=1)
     a = np.stack([random_operator(rng, 4) for _ in range(4)])
