@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DivergenceError, EnsembleError, failing_slices
+from .errors import EnsembleError, check_finite, failing_slices
 from .objectives import MZ_DMD, T_MODEL, Objective, SnapshotPair, dmd_fit
 from .optim import AdamConfig, fit_transition
 from .oscillator import TAG_ENSEMBLE, Trajectory, keyed_normals
@@ -212,10 +212,10 @@ def reconstruct(model: SpectralModel, x0: np.ndarray, times: np.ndarray) -> Traj
     for a (..., d) stack; the largest discarded imaginary magnitude is
     recorded on the result.  The model has refused eigenvectors above
     ``linalg.COND_MAX`` already, so the solve for x0's coordinates is plain.
-    A state that grows past the largest float raises
-    :class:`DivergenceError` with no numpy warning, its ``step`` the first
-    grid index where a state is non-finite and its ``indices`` the failing
-    slices of a stack of two or more models.
+    A state that grows past the largest float raises :class:`DivergenceError`
+    from :func:`errors.check_finite`, with no numpy warning: ``step`` is the
+    first grid index holding one and ``indices`` the failing slices of a
+    stack of two or more models.
     """
     x0 = np.asarray(x0, dtype=float).ravel()
     times = np.asarray(times, dtype=float).ravel()
@@ -231,12 +231,7 @@ def reconstruct(model: SpectralModel, x0: np.ndarray, times: np.ndarray) -> Traj
         omega = np.log(model.values.reshape(-1, 1, d)) / model.dt
         coords = np.exp(times[:, None] * omega) * b.mT
         complex_states = coords @ vectors.mT
-    if not np.isfinite(complex_states).all():
-        finite = np.isfinite(complex_states).all(axis=-1)
-        step = int(np.argmin(finite.all(axis=0)))
-        suffix, indices = failing_slices(~finite.all(axis=1))
-        raise DivergenceError(f"reconstructed state became non-finite at grid step {step}{suffix}",
-                              step=step, indices=indices)
+    check_finite(complex_states, "reconstructed state became non-finite", steps=True)
     states = complex_states.real.transpose(1, 0, 2).copy().reshape(times.shape + model.values.shape)
     max_imag = float(np.abs(complex_states.imag).max()) if times.size else 0.0
     return Trajectory(times=times, states=states, max_imag=max_imag)
@@ -250,8 +245,8 @@ def ensemble_variance(
 ) -> Trajectory:
     """Pointwise squared deviation of per-sample reconstructions around the
     mean trajectory, averaged with the population normalization 1/N.  A
-    variance past the largest float raises :class:`DivergenceError` with no
-    numpy warning, its ``step`` the first grid index where it is non-finite."""
+    non-finite variance raises :class:`DivergenceError` (no numpy warning)
+    from :func:`errors.check_finite`, ``step`` its first grid index."""
     times = np.asarray(times, dtype=float).ravel()
     mean = np.asarray(mean_traj.states, dtype=float)
     d = per_sample.dim
@@ -261,10 +256,7 @@ def ensemble_variance(
     with np.errstate(over="ignore"):
         dev = reconstruct(per_sample, x0, times).states.reshape(times.size, n, d) - mean[:, None, :]
         variance = (dev * dev).sum(axis=1) / n
-    finite = np.isfinite(variance).all(axis=1)
-    if not finite.all():
-        step = int(np.argmin(finite))
-        raise DivergenceError(f"ensemble variance became non-finite at grid step {step}", step=step)
+    check_finite(variance[None], "ensemble variance became non-finite", steps=True)
     return Trajectory(times=times, states=variance)
 
 

@@ -14,6 +14,24 @@ def failing_slices(bad) -> tuple[str, list[int] | None]:
     return f" in slices {indices}", indices
 
 
+def check_finite(x, message: str, steps: bool = False) -> None:
+    """Raise :class:`DivergenceError`, with no numpy warning, if ``x`` holds a
+    non-finite entry.  ``x`` has one slice per leading entry; with ``steps``
+    it is (slices, grid steps, ...), and ``step`` and the message give the
+    first grid step holding one.  The message then names the failing slices
+    as :func:`failing_slices` does."""
+    finite = np.isfinite(x)
+    if finite.all():
+        return
+    finite = finite.reshape(len(x), x.shape[1] if steps else 1, -1).all(axis=-1)
+    step = None
+    if steps:
+        step = int(np.argmin(finite.all(axis=0)))
+        message += f" at grid step {step}"
+    where, indices = failing_slices(~finite.all(axis=1))
+    raise DivergenceError(message + where, indices=indices, step=step)
+
+
 class NumericalError(RuntimeError):
     """A numerical routine failed to converge or overflowed.
 

@@ -99,13 +99,13 @@ def expm(a: np.ndarray) -> np.ndarray:
     return result
 
 
-def expm_frechet(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Matrix exponential together with its directional derivative along e.
+def expm_frechet(a: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Frechet derivative ``L(A, E)`` of the matrix exponential at A along E.
 
     Uses the block-augmented identity: the exponential of ``[[A, E], [0, A]]``
-    has ``expm(A)`` on the diagonal and the Frechet derivative ``L(A, E)`` in
-    the upper-right block, so one expm call yields both to expm's accuracy.
-    Stacks (n, d, d) of A and E give stacks of both, from one expm call.
+    has ``expm(A)`` on the diagonal and ``L(A, E)`` in the upper-right block,
+    so one expm call yields it to expm's accuracy.  Stacks (n, d, d) of A
+    and E give a stack of derivatives, from one expm call.
     """
     a = np.asarray(a, dtype=float)
     e = np.asarray(e, dtype=float)
@@ -117,8 +117,7 @@ def expm_frechet(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     block[..., :d, :d] = a
     block[..., :d, d:] = e
     block[..., d:, d:] = a
-    p = expm(block)
-    return p[..., :d, :d], p[..., :d, d:]
+    return expm(block)[..., :d, d:]
 
 
 def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DivergenceError, failing_slices
+from .errors import check_finite
 
 PLAIN_DMD = "plain-dmd"
 MZ_DMD = "mz-dmd"
@@ -262,7 +262,7 @@ def _mz_memory(a, n, cols):
         g_w = g_uu @ m_map.mT + g[..., d:, :d] + g[..., d:, d:]
         # B = (A + I)^{-1} gives the columns and M = 4 B - I: dB = -B dA B
         g_b = -2.0 * (c @ z.mT) + 4.0 * (w.mT @ g_uu)
-        return linalg.expm_frechet(a_shift.mT, g_w)[1] - b.mT @ g_b @ b.mT
+        return linalg.expm_frechet(a_shift.mT, g_w) - b.mT @ g_b @ b.mT
 
     return (-2.0 * b) @ z, pullback
 
@@ -277,15 +277,15 @@ def _tmodel_memory(a, n, dt, cols):
 
     def pullback(c):
         g_w = _power_pullback(w, x, np.multiply(c, weights, out=c))
-        return linalg.expm_frechet(a_shift.mT, g_w)[1]
+        return linalg.expm_frechet(a_shift.mT, g_w)
 
     return x * weights, pullback
 
 
 def _memory_matrix(columns, a, n, cols: int) -> np.ndarray:
     """``columns(A, n)`` on stacks from a caller's raw memory, which must be
-    finite; columns that overflow raise :class:`DivergenceError`, not a
-    numpy warning."""
+    finite; columns that overflow raise :func:`errors.check_finite`'s
+    :class:`DivergenceError`, not a numpy warning."""
     if cols < 1:
         raise ValueError("cols must be at least 1")
     a_stack, n = _stacks(a, n, np.shape(a)[-1])
@@ -293,7 +293,7 @@ def _memory_matrix(columns, a, n, cols: int) -> np.ndarray:
         raise ValueError("memory must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
         f = columns(a_stack, n)
-    _check_finite(f, "memory columns are not finite")
+    check_finite(f, "memory columns are not finite")
     return f[0] if np.ndim(a) == 2 else f
 
 
@@ -325,15 +325,6 @@ def tmodel_memory_matrix(a: np.ndarray, n: np.ndarray, dt: float, cols: int) -> 
     return _memory_matrix(lambda a, n: _tmodel_memory(a, n, dt, cols)[0], a, n, cols)
 
 
-def _check_finite(x: np.ndarray, message: str) -> None:
-    """Raise :class:`DivergenceError`, ``message`` naming the slices of an
-    (n_u, ...) result that hold a non-finite entry."""
-    bad = ~np.isfinite(x.reshape(len(x), -1)).all(axis=1)
-    if np.any(bad):
-        where, indices = failing_slices(bad)
-        raise DivergenceError(f"{message}{where}", indices=indices)
-
-
 def _forward(obj: Objective, a: np.ndarray):
     """Snapshot residuals of ``obj`` at A, as (n_u, d, cols) with n_u = 1
     for a 2-D A, the pullback of their memory term, and the per-slice
@@ -358,7 +349,7 @@ def _forward(obj: Objective, a: np.ndarray):
             r += scale * cols
             pullback = lambda c: memory(np.multiply(c, scale, out=c))  # noqa: E731
         value = np.sum((r * r).reshape(r.shape[0], -1), axis=1)
-    _check_finite(value, "objective value is not finite")
+    check_finite(value, "objective value is not finite")
     return r, pullback, value
 
 
@@ -390,9 +381,9 @@ def objective_value_and_gradient(
     A 2-D operator gives a float and a (d, d) gradient.  A stack (n_u, d, d),
     with one memory vector per slice, is evaluated as one computation and
     gives (n_u,) values and (n_u, d, d) gradients, each slice independent
-    of the others.  A non-finite value raises :class:`DivergenceError`
-    naming its slices before the pullback runs, and a non-finite gradient
-    raises it after, neither with a numpy warning.  The errors of
+    of the others.  :func:`errors.check_finite` raises a non-finite value's
+    :class:`DivergenceError`, naming its slices, before the pullback runs,
+    and a non-finite gradient's after, with no numpy warning.  The errors of
     :mod:`linalg` pass through: an overflowing exponential, in the forward
     pass or its Frechet derivative alike, raises :func:`linalg.expm`'s
     :class:`NumericalError` naming its slices, and the solve against (A + I)
@@ -412,7 +403,7 @@ def objective_value_and_gradient(
         if pullback is not None:
             r *= 2.0
             grad += pullback(r)
-    _check_finite(grad, "objective gradient is not finite")
+    check_finite(grad, "objective gradient is not finite")
     if np.ndim(a) == 2:
         return float(value[0]), grad[0]
     return value, grad

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, NumericalError, failing_slices
+from .errors import DivergenceError, NumericalError, check_finite, failing_slices
 from .objectives import Objective, objective_value, objective_value_and_gradient
 
 # Adam's published defaults (Kingma & Ba, "Adam", ICLR 2015)
@@ -38,8 +38,8 @@ def adam_step(params: np.ndarray, m: np.ndarray, v: np.ndarray, step: int,
     non-finite gradient raises ``ValueError`` before any of the three moves.
     A gradient whose square overflows the bias-corrected second moment,
     which would stall the step, and a step that would carry the parameters
-    past the largest float raise :class:`DivergenceError` before ``params``
-    moves, with no numpy warning."""
+    past the largest float raise :class:`DivergenceError`, from
+    :func:`errors.check_finite`, before ``params`` moves, with no numpy warning."""
     grad = np.asarray(grad, dtype=float)
     if grad.shape != params.shape:
         raise ValueError("gradient shape does not match the parameters")
@@ -53,12 +53,10 @@ def adam_step(params: np.ndarray, m: np.ndarray, v: np.ndarray, step: int,
         v *= BETA2
         v += (1.0 - BETA2) * grad * grad
         v_hat = v / (1.0 - BETA2**step)
-        if not np.isfinite(v_hat).all():
-            raise DivergenceError("Adam's second moment overflowed")
+        check_finite(v_hat[None], "Adam's second moment overflowed")
         m_hat = m / (1.0 - BETA1**step)
         stepped = params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)
-    if not np.isfinite(stepped).all():
-        raise DivergenceError("Adam's step overflowed the parameters")
+    check_finite(stepped[None], "Adam's step overflowed the parameters")
     params[...] = stepped
 
 

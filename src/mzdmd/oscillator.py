@@ -13,7 +13,7 @@ from math import isfinite
 
 import numpy as np
 
-from .errors import DivergenceError
+from .errors import DivergenceError, check_finite
 
 # RK4 sub-steps per grid step of every integration
 SUBSTEPS = 10
@@ -296,7 +296,7 @@ def monte_carlo_projection(cfg: SimConfig, x_hat: tuple[float, float]) -> tuple[
     (0 and 2 of the ``_rk4_batch`` view) serves both moments, each formed
     as numpy's ``mean`` and ``var`` form it.  A state or moment that becomes
     non-finite raises :class:`DivergenceError` with ``step`` set and no
-    numpy warning.
+    numpy warning, from :func:`errors.check_finite` for a moment.
     """
     x1, x2 = float(x_hat[0]), float(x_hat[1])
     times = cfg.times()
@@ -315,9 +315,6 @@ def monte_carlo_projection(cfg: SimConfig, x_hat: tuple[float, float]) -> tuple[
             np.true_divide(np.add.reduce(resolved, 1, out=m), cfg.n_mc, out=m)
             np.square(np.subtract(resolved, m[:, None], out=dev), out=dev)
             np.true_divide(np.add.reduce(dev, 1, out=v), cfg.n_mc, out=v)
-    finite = np.isfinite(mean).all(axis=1) & np.isfinite(var).all(axis=1)
-    if not finite.all():
-        # finite states whose moments overflow
-        step = int(np.argmin(finite))
-        raise DivergenceError(f"moments became non-finite at grid step {step}", step=step)
+    # finite states whose moments overflow
+    check_finite(np.stack([mean, var], axis=1)[None], "moments became non-finite", steps=True)
     return Trajectory(times, mean), Trajectory(times, var)

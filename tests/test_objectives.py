@@ -304,7 +304,7 @@ def _forward_mode_gradient(obj, a):
         for q in range(d):
             e = np.zeros((d, d))
             e[p, q] = 1.0
-            _, dw = expm_frechet(a - eye, e)
+            dw = expm_frechet(a - eye, e)
             dm_map = -4.0 * np.outer(b[:, p], b[q, :])
             dwj = np.zeros((d, d))
             dmv = np.zeros(d)
@@ -929,7 +929,7 @@ def _reference_mz_memory(a, n, cols):
         g_w = g_k @ m_map.mT - _power_pullback(w, x, c_hat)
         b = solve(a + eye, np.broadcast_to(eye, a.shape))
         grad = -(c_hat @ f.mT) - 4.0 * (b.mT @ (w.mT @ g_k) @ b.mT)
-        return grad + expm_frechet(a_shift.mT, g_w)[1]
+        return grad + expm_frechet(a_shift.mT, g_w)
 
     return f, pullback
 
@@ -1055,6 +1055,12 @@ class TestStackedMzChainsMatchReference:
     # here the columns are 8.1e-13 of scale from a 60-digit evaluation and
     # the reference's 1.3e-12, so the two differ by more than 1e-13
     @example(d=3, n_u=1, cols=53, seed=230)
+    # two draws where expm_frechet loses many digits: the gradient reads
+    # 1.9e-5 of scale off the complex-step gradient against an allowance of
+    # 4.1e-5, the closest draw found, and 4.9e-2 against 12.4, the largest
+    # deviation found
+    @example(d=4, n_u=1, cols=55, seed=27884)
+    @example(d=4, n_u=3, cols=52, seed=4756)
     def test_matches_reference(self, d, n_u, cols, seed):
         # spectra at least 0.5 from +1 and -1, so no chain overflows in 60 columns
         rng = np.random.default_rng(seed)
