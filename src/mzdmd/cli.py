@@ -1,9 +1,7 @@
 """Command-line interface.
 
-Subcommands: ``simulate`` (write the measurement dataset), ``fit`` (fit one
-method and write its spectrum), ``reconstruct`` (fit and write the
-reconstructed trajectory), ``run`` (full pipeline), ``check`` (invariant
-suite).  Exit codes: 0 success, 1 method failure, 2 configuration failure.
+``COMMANDS`` names each subcommand, its help line and its handler.  Exit
+codes: 0 success, 1 method failure, 2 configuration failure.
 
 Each flag sets the config key it names: ``--seed`` sets ``seed``,
 ``--method`` sets ``method`` and ``--out`` sets ``output_dir``, which a
@@ -44,16 +42,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Memory-aware dynamic mode decomposition pipeline",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("simulate", parents=[common],
-                   help="integrate one measurement draw and write measurement.csv")
-    sub.add_parser("fit", parents=[common],
-                   help="fit the requested method and write its spectrum CSV")
-    sub.add_parser("reconstruct", parents=[common],
-                   help="fit the requested method and write its trajectory CSV")
-    sub.add_parser("run", parents=[common],
-                   help="run the full pipeline for the requested methods")
-    sub.add_parser("check", parents=[common],
-                   help="run the invariant self-check suite on the master seed")
+    for name, (help_line, _) in COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=help_line)
     return parser
 
 
@@ -124,6 +114,17 @@ def cmd_run(cfg) -> int:
     return EXIT_OK
 
 
+# name: (help line, handler), in the order ``--help`` lists them
+COMMANDS = {
+    "simulate": ("integrate one measurement draw and write measurement.csv", cmd_simulate),
+    "fit": ("fit the requested method and write its spectrum CSV", cmd_fit),
+    "reconstruct": ("fit the requested method and write its trajectory CSV", cmd_reconstruct),
+    "run": ("run the full pipeline for the requested methods", cmd_run),
+    "check": ("run the invariant self-check suite on the master seed",
+              lambda cfg: EXIT_OK if run_checks(cfg.sim.seed) else EXIT_METHOD_FAILURE),
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -131,15 +132,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    handlers = {
-        "simulate": cmd_simulate,
-        "fit": cmd_fit,
-        "reconstruct": cmd_reconstruct,
-        "run": cmd_run,
-        "check": lambda cfg: EXIT_OK if run_checks(cfg.sim.seed) else EXIT_METHOD_FAILURE,
-    }
     try:
-        return handlers[args.command](resolve_config(args))
+        return COMMANDS[args.command][1](resolve_config(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_FAILURE

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import EnsembleError, check_finite, failing_slices
+from .errors import EnsembleError, NumericalError, check_finite, failing_slices
 from .objectives import MZ_DMD, T_MODEL, Objective, SnapshotPair, dmd_fit
 from .optim import AdamConfig, fit_transition
 from .oscillator import TAG_ENSEMBLE, Trajectory, keyed_normals
@@ -90,10 +90,10 @@ def fit_ensemble(
     as one stack, in sample order, and the (n_u, iterations + 1) loss
     traces of the fit.
 
-    The slices are independent, so a sample whose fit fails is recorded
-    with its error and dropped, and the survivors are fitted again.  Any
-    failure then aborts the ensemble with an :class:`EnsembleError` that
-    aggregates all failed sample indices.
+    The slices are independent, so a sample whose fit or ``eig`` raises a
+    :class:`NumericalError` is dropped, and the survivors are fitted again.
+    Any such failure then aborts the ensemble with an :class:`EnsembleError`
+    aggregating the failed samples and their errors; others propagate.
     """
     if kind not in (MZ_DMD, T_MODEL):
         raise ValueError(f"fit_ensemble expects '{MZ_DMD}' or '{T_MODEL}', got {kind!r}")
@@ -103,7 +103,7 @@ def fit_ensemble(
         raise ValueError("sigma must be nonnegative and finite")
     a0 = dmd_fit(s)
     n = sigma * keyed_normals(seed, TAG_ENSEMBLE, n_u, s.dim)
-    failures: list[tuple[int, Exception]] = []
+    failures: list[tuple[int, NumericalError]] = []
     alive = np.arange(n_u)
     fitted = traces = ()
     while alive.size:
@@ -112,10 +112,9 @@ def fit_ensemble(
         try:
             fitted, traces = fit_transition(obj, a_stack, cfg)
             break
-        except Exception as exc:  # noqa: BLE001 - aggregated and re-raised below
+        except NumericalError as exc:
             # an error that names no slices fails every sample still in the fit
-            indices = getattr(exc, "indices", None)
-            failed = alive[indices] if indices else alive
+            failed = alive[exc.indices] if exc.indices else alive
             failures.extend((int(i), exc) for i in failed)
             alive = np.setdiff1d(alive, failed)
     decs = []
@@ -123,7 +122,7 @@ def fit_ensemble(
     for i, a_fit in zip(alive, fitted):
         try:
             decs.append(linalg.eig(a_fit))
-        except Exception as exc:  # noqa: BLE001 - aggregated and re-raised below
+        except NumericalError as exc:
             failures.append((int(i), exc))
     if failures:
         failures.sort(key=lambda f: f[0])

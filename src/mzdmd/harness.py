@@ -246,7 +246,8 @@ def run_experiment(cfg) -> RunReport:
     if "projection" in results:
         report.projection_standard_error = _standard_error(results["projection"][1], cfg.sim.n_mc)
     report.csv_files = [str(out / f"{stem}.csv") for stem in [*tables, "comparison"]]
-    _write_comparison(t, tables, out / "comparison.csv")
+    with stage(cfg.method, "write"):
+        _write_comparison(t, tables, out / "comparison.csv")
 
     if cfg.emit_plots:
         curves = {"measurement": (measurement, None), **results}
@@ -273,5 +274,4 @@ def _standard_error(var: Trajectory, n_mc: int) -> dict:
 def _write_comparison(t, tables, path):
     """Write the ``t`` cells, then each stem's (names, rows) from write_csv as-is."""
     header = ["t", *(f"{stem}_{name}" for stem, (names, _) in tables.items() for name in names)]
-    with stage("comparison", "write"):
-        write_rows(path, header, t, *(rows for _, rows in tables.values()))
+    write_rows(path, header, t, *(rows for _, rows in tables.values()))

@@ -178,6 +178,16 @@ class TestFitEnsemble:
         [(index, error)] = excinfo.value.failures
         assert index == 1 and isinstance(error, NumericalError)
 
+    @pytest.mark.parametrize("target", [(ensemble, "fit_transition"), (ensemble.linalg, "eig")])
+    def test_programming_error_is_not_a_sample_failure(self, target, monkeypatch):
+        # only a NumericalError fails a sample; a bug propagates as itself
+        def broken(*args):
+            raise TypeError("a programming error")
+
+        monkeypatch.setattr(*target, broken)
+        with pytest.raises(TypeError, match="^a programming error$"):
+            fit_ensemble("t-model", _sim_snapshots(), 1.0, 3, AdamConfig(), seed=0)
+
     def test_returns_one_loss_trace_per_sample(self):
         s = _sim_snapshots()
         _, traces = fit_ensemble("t-model", s, 1.0, 4, AdamConfig(), seed=3)

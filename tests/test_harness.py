@@ -583,6 +583,16 @@ class TestRunExperiment:
         assert excinfo.value.method == "dmd"
         assert excinfo.value.stage == "fit"
 
+    def test_failed_comparison_write_names_the_run(self, tmp_path):
+        # a directory where comparison.csv goes fails the run's own write
+        cfg = small_config(tmp_path, method="dmd")
+        (cfg.output_dir / "comparison.csv").mkdir(parents=True)
+        with pytest.raises(MethodFailure) as excinfo:
+            run_experiment(cfg)
+        assert excinfo.value.method == "dmd"
+        assert excinfo.value.stage == "write"
+        assert isinstance(excinfo.value.__cause__, IsADirectoryError)
+
     def test_comparison_columns(self, tmp_path):
         cfg = small_config(tmp_path)
         run_experiment(cfg)
@@ -623,7 +633,7 @@ def _assert_finishes_or_names_the_failure(tmp_path, dt, n_points, sigma, n_u, se
     try:
         report = run_experiment(cfg)
     except MethodFailure as exc:
-        assert exc.method in (*METHODS, "all", "comparison")
+        assert exc.method in (*METHODS, "all")
         assert exc.stage in ("simulate", "fit", "write")
         assert not isinstance(exc.__cause__, RuntimeWarning), exc
         return False

@@ -1131,6 +1131,31 @@ class TestMemoryKernels:
         with pytest.raises(SingularMatrixError):
             memory_kernel_closed(np.array([-20.0]), np.array([1.0]), 3, 0.1)
 
+    @pytest.mark.parametrize("kind", ["real", "pair"])
+    def test_oracles_are_the_transfer_chain(self, kind):
+        # A = V diag(1 + dt lam) V^-1 has W = expm(A - I) = V diag(exp(dt lam)) V^-1
+        # and cayley_M(A) = V M(lam) V^-1, so the chain (W M(A))^k n that
+        # _mz_memory powers is V times either oracle's coefficients of V^-1 n
+        dt, steps, rng = 0.1, 50, np.random.default_rng(35)
+        for _ in range(20):
+            if kind == "real":
+                lam = rng.uniform(-2.0, 0.5, 2)
+                v = np.array([[2.0, 1.0], [1.0, 1.0]])
+            else:
+                alpha, omega = rng.uniform(-2.0, 0.5), rng.uniform(0.1, 3.0)
+                lam = np.array([alpha + 1j * omega, alpha - 1j * omega])
+                v = np.array([[1, 1], [-1j, 1j]])
+            v_inv = np.linalg.inv(v)
+            a = (v * (1 + dt * lam)) @ v_inv
+            assert np.abs(np.imag(a)).max() <= 1e-15
+            a, n = np.real(a), rng.standard_normal(2)
+            chain = _power_columns(expm(a - np.eye(2)) @ cayley_M(a), n, steps + 1)[:, 1:]
+            scale = np.abs(chain).max()
+            for oracle in (memory_kernel_closed, memory_kernel_trapezoid):
+                side = v @ oracle(lam, v_inv @ n, steps, dt).T
+                assert np.abs(side.imag).max() <= 1e-12 * scale, oracle.__name__
+                assert np.abs(chain - side.real).max() <= 1e-12 * scale, oracle.__name__
+
 
 _PAIR = SnapshotPair.from_snapshots(np.arange(6.0).reshape(2, 3), 0.1)
 
