@@ -84,11 +84,9 @@ def fit_ensemble(
     its memory vector, sigma times standard normals, from the stream (seed,
     ensemble, i), and one ``keyed_normals`` call draws them all.  The n_u
     fits run as one stacked computation over (n_u, d, d) operators and
-    (n_u, d) memory vectors; its working set is the peak of one
-    :func:`objective_value_and_gradient` call, measured in its docstring.
-    Returns the phase-normalized eigendecomposition of each fitted operator
-    as one stack, in sample order, and the (n_u, iterations + 1) loss
-    traces of the fit.
+    (n_u, d) memory vectors.  Returns the phase-normalized
+    eigendecomposition of each fitted operator as one stack, in sample
+    order, and the (n_u, iterations + 1) loss traces of the fit.
 
     The slices are independent, so a sample whose fit or ``eig`` raises a
     :class:`NumericalError` is dropped, and the survivors are fitted again.

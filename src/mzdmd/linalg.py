@@ -5,9 +5,9 @@ normalization and failure semantics the rest of the package relies on:
 phase-fixed eigenvectors, condition-checked solves, and the directional
 (Frechet) derivative of the matrix exponential.
 
-``expm`` alone names scipy, and imports ``scipy.linalg`` on its first call:
-only the memory-aware fits take a matrix exponential, so importing the
-package, plain DMD, simulation and the projection never pay for loading it.
+``scipy.linalg`` is loaded by the first :func:`expm`, or ahead of it by
+:func:`load_expm`: only the memory-aware fits take a matrix exponential, so
+importing the package, plain DMD, simulation and the projection never load it.
 """
 
 from __future__ import annotations
@@ -81,6 +81,11 @@ def eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _square(a: np.ndarray, name: str) -> None:
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"{name} requires a square matrix or a stack of them")
+
+
+def load_expm() -> None:
+    """Load ``scipy.linalg``, which :func:`expm` calls, if it is not loaded."""
+    import scipy.linalg  # noqa: F401
 
 
 def expm(a: np.ndarray) -> np.ndarray:

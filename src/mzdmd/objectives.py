@@ -1,17 +1,56 @@
-"""Fitting objectives for one-step transition operators.
+"""The three fitting objectives for one-step transition operators (plain
+DMD, the memory-aware mz-dmd and its first-order simplification, t-model),
+and the derivation they implement.  Every computation runs on a stack of
+operators (n_u, d, d), a single operator being a stack of one.
 
-Three residual objectives over snapshot pairs: the plain least-squares fit,
-the memory-aware objective whose correction columns come from the
-discretized memory-kernel recursion, and its first-order-in-time
-simplification.  Gradients are reverse mode: each memory term's forward
-pass returns its columns together with a pullback, the map from a
-cotangent of those columns to a gradient in A, so one forward pass serves
-the value, the memory matrices and the gradient.  The pullback walks the
-doubling that filled the power chains back, level by level, so it touches
-each column once, as the forward pass does.  Every computation runs on
-a stack of operators (n_u, d, d), a single operator being a stack of one, so
-an ensemble of fits is one array computation.  A central-difference
-gradient serves as an independent oracle.
+The derivation goes from the Liouville equation, through the Mori-Zwanzig
+memory kernel, to an optimization problem over the transition operator A,
+then to its first-order approximation.  Each step names the functions that
+compute it and the checks that hold it: rows of ``selfcheck.CHECKS``, or
+tests as ``file::name``.  L = V Lam V^{-1} generates the resolved dynamics,
+and n is the memory initialization.
+
+1. Kernel recursion in the eigenbasis, off the path a fit takes: ``m_k =
+   e^{dt Lam} M(Lam) m_{k-1}``, ``M(Lam) = I - dt Lam (I + dt/2 Lam)^{-1}``.
+   computed by: tests/memory_kernels.py::memory_kernel_closed
+   checked by: tests/test_acceptance.py::test_criterion_3_memory_kernel_equivalence
+2. Operator form.  ``A = V diag(1 + dt Lam) V^{-1}``, so A - I = dt L; ``W =
+   expm(A - I)`` and ``M(A) = I - 2 (A - I)(A + I)^{-1} = (3I - A)(A + I)^{-1}``.
+   computed by: cayley_M
+   checked by: cayley_form,
+       tests/test_objectives.py::TestMemoryKernels::test_oracles_are_the_transfer_chain
+3. Memory columns.  ``C_j = (A - I)^{-1} W^j (M^j - I) n = -2 (A + I)^{-1} W^j
+   sum_{k<j} M^k n``, as W, M and A commute and ``M - I = -2 (A - I)(A +
+   I)^{-1}``: C_0 = 0, and an eigenvalue 1 of A gives the column's limit.
+   computed by: mz_memory_matrix
+   checked by: mz_closed_form, tests/test_acceptance.py::test_criterion_4_telescoping_identity,
+       tests/test_objectives.py::TestMemoryMatrices::test_mz_column_at_eigenvalue_one_is_its_limit
+4. Block chain.  ``z_j = W^j sum_{k<j} M^k n`` is the last d rows of the chain
+   ``z_{j+1} = W (z_j + (W M)^j n)`` of ``[[W M, 0], [W, W]]`` from (n, 0),
+   and ``(A + I)^{-1} = (I + M) / 4``.  Powering W M keeps the digits that
+   powering W and M apart loses where their spectra pull apart.
+   computed by: _mz_memory, _power_columns
+   checked by: tests/test_objectives.py::TestStackedMzChainsMatchReference,
+       tests/test_objectives.py::TestPowerColumnsMatchReference
+5. Objectives, column j of C(A) and G(A) going with snapshot x_j: mz-dmd
+   minimizes ``||X+ - A X- + dt^2 C(A)||_F^2``, t-model ``||X+ - A X- - dt
+   G(A)||_F^2`` and plain DMD ``||X+ - A X-||_F^2``, whose minimizer is
+   :func:`dmd_fit`.  Zero memory gives the plain objective.
+   computed by: _forward
+   checked by: zero_memory, tests/test_acceptance.py::test_criterion_9_zero_memory_regression
+6. First order.  ``G_j = j dt W^j n``.  At t = j dt, ``W^j = e^{tL}``, ``M(A) ~
+   e^{-dt L}`` and ``-2 (A + I)^{-1} ~ -I``, so ``dt^2 C_j ~ -dt e^{tL}
+   int_0^t e^{-sL} ds n``, whose first-order term is ``-dt G_j = -dt e^{tL}
+   t n``; the relative gap, ``t |L n| / (2 |n|)`` to first order, halves
+   with t.  G's chain has d rows, not 2d, and takes no solve.
+   computed by: tmodel_memory_matrix
+   checked by: tmodel_first_order
+7. Gradient.  Reverse mode: a memory term's pullback runs the doubling of its
+   chain backwards, ``d(B^{-1}) = -B^{-1} dB B^{-1}`` at B = A + I takes no
+   solve, and expm's Frechet derivative ``L(A - I, .)`` has the adjoint
+   ``L(A^T - I, .)``.
+   computed by: objective_value_and_gradient, _power_pullback, linalg.expm_frechet
+   checked by: gradient_fd, stacked_gradient, expm_frechet_fd
 """
 
 from __future__ import annotations
@@ -35,8 +74,6 @@ class SnapshotPair:
 
     Column k of ``x_minus`` holds snapshot x_k and column k of ``x_plus``
     holds x_{k+1}; both are d x (m-1) for m snapshots sampled every ``dt``.
-    The memory corrections vanish at the first step, which is what ties the
-    memory column index to the snapshot index.
     """
 
     x_plus: np.ndarray
@@ -78,15 +115,9 @@ class SnapshotPair:
 
 @dataclass(frozen=True, eq=False)
 class Objective:
-    """One of the three fitting objectives; plain-dmd ignores the memory.
-
-    ``memory`` is the initialization of the memory term: one vector (d,) or
-    a stack (n_u, d) of them, one per operator of a stacked fit.
-
-    The memory-aware kinds power one chain a memory row by doubling, about
-    log2(cols) batched matmuls a pass, and keep no state between calls.
-    mz-dmd powers the block lower-triangular operator ``[[W M(A), 0], [W, W]]``.
-    """
+    """One of the three objectives of derivation step 5.  ``memory``, which
+    plain-dmd ignores, is the initialization n of the memory term: one vector
+    (d,) or a stack (n_u, d) of them, one per operator of a stacked fit."""
 
     kind: str
     snapshots: SnapshotPair
@@ -114,11 +145,9 @@ def dmd_fit(s: SnapshotPair) -> np.ndarray:
 
 
 def cayley_M(a: np.ndarray) -> np.ndarray:
-    """Transfer map ``I - 2 (A - I)(A + I)^{-1}`` of the memory recursion.
-
-    Algebraically equal to ``(3I - A)(A + I)^{-1}``; singular exactly when A
-    has eigenvalue -1.  An (n_u, d, d) stack gives the map of every slice.
-    """
+    """Transfer map M(A) (derivation step 2) of a matrix or of each slice of
+    an (n_u, d, d) stack; raises :class:`SingularMatrixError` where A + I is
+    singular or ill-conditioned."""
     a = np.asarray(a, dtype=float)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValueError("cayley_M requires a square matrix or a stack of them")
@@ -211,11 +240,11 @@ def _power_pullback(m: np.ndarray, x: np.ndarray, c: np.ndarray) -> np.ndarray:
     adds the direct adjoint ``y x[:n]^T`` of its power ``M^s`` and pushes
     ``(M^s)^T y`` back onto the cotangent of the first n columns; the
     power's adjoint then passes down the squaring that formed it, ``G_s =
-    direct + G_2s (M^s)^T + (M^s)^T G_2s``, and G_1 is the gradient.  So
-    each column is touched once, as in the forward pass.  Where a power from
-    :func:`_powers` carries row exponents, ``2^e`` scales the cotangent
-    side, ``P^T (2^e y)``, ``(G P^T) 2^e`` by column and ``P^T (2^e G)`` by
-    row, never P, so a zero of the adjoint never meets an overflowing power.
+    direct + G_2s (M^s)^T + (M^s)^T G_2s``, and G_1 is the gradient.  Where
+    a power from :func:`_powers` carries row exponents, ``2^e`` scales the
+    cotangent side, ``P^T (2^e y)``, ``(G P^T) 2^e`` by column and ``P^T
+    (2^e G)`` by row, never P, so a zero of the adjoint never meets an
+    overflowing power.
 
     It runs for every slice of the stack (..., d, d); the cotangent c
     (..., r, cols) broadcasts against it and fills the last r rows of each
@@ -241,10 +270,8 @@ def _power_pullback(m: np.ndarray, x: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 def _mz_memory(a, n, cols):
     """Columns of :func:`mz_memory_matrix` for a stack A (n_u, d, d) and
-    memory rows n (n_u, d), and their pullback, the map from a cotangent of
-    the columns to a gradient in A.  Column j is ``-2 B z_j``, with
-    ``B = (A + I)^{-1} = (I + M) / 4`` and z the last d rows of the chain of
-    ``[[W M, 0], [W, W]]`` from the row (n, 0), ``z_{j+1} = W (z_j + (W M)^j n)``."""
+    memory rows n (n_u, d), by the block chain of derivation step 4, and
+    their pullback, the map from a cotangent of the columns to a gradient in A."""
     d = a.shape[-1]
     a_shift = a - np.eye(d)
     w = linalg.expm(a_shift)
@@ -298,28 +325,16 @@ def _memory_matrix(columns, a, n, cols: int) -> np.ndarray:
 
 
 def mz_memory_matrix(a: np.ndarray, n: np.ndarray, cols: int) -> np.ndarray:
-    """Memory-correction columns of the memory-aware objective.
-
-    Column j (j >= 1) is ``(A - I)^{-1} W^j (M(A)^j - I) n`` with
-    ``W = expm(A - I)`` and ``M`` the transfer map of :func:`cayley_M`;
-    column 0 is exactly zero.  As ``M - I = -2 (A - I)(A + I)^{-1}``, the
-    columns are the telescoped sums ``-2 (A + I)^{-1} W^j sum_{k<j} M^k n``,
-    finite at an eigenvalue 1 of A, where they take their limit.  The sum is
-    powered through ``(W M)^k``: powering W and M apart loses every digit
-    where their spectra pull apart.  A stack A (n_u, d, d) gives (n_u, d, cols).
-    Columns that overflow raise :class:`DivergenceError` naming their slices.
-    """
+    """Memory columns C_0..C_{cols-1} of mz-dmd (derivation step 3), (d, cols)
+    or, for a stack A (n_u, d, d), (n_u, d, cols); columns that overflow
+    raise :class:`DivergenceError` naming their slices."""
     return _memory_matrix(lambda a, n: _mz_memory(a, n, cols)[0], a, n, cols)
 
 
 def tmodel_memory_matrix(a: np.ndarray, n: np.ndarray, dt: float, cols: int) -> np.ndarray:
-    """First-order memory columns ``g_j = j dt W^j n``; column 0 is zero.
-
-    No transfer map, so no solve, is involved, and the chain has d rows
-    where the full memory recursion's has 2d, which is what makes this
-    objective cheaper.  A stack A (n_u, d, d) gives (n_u, d, cols).
-    Columns that overflow raise :class:`DivergenceError` naming their slices.
-    """
+    """Memory columns G_0..G_{cols-1} of t-model (derivation step 6), (d, cols)
+    or, for a stack A (n_u, d, d), (n_u, d, cols); columns that overflow
+    raise :class:`DivergenceError` naming their slices."""
     if not dt > 0:
         raise ValueError("dt must be positive")
     return _memory_matrix(lambda a, n: _tmodel_memory(a, n, dt, cols)[0], a, n, cols)
@@ -367,16 +382,7 @@ def objective_value(obj: Objective, a: np.ndarray) -> float | np.ndarray:
 def objective_value_and_gradient(
     obj: Objective, a: np.ndarray
 ) -> tuple[float | np.ndarray, np.ndarray]:
-    """Objective value and its exact gradient from one forward pass.
-
-    Reverse mode: the forward pass builds the residual r; the gradient of
-    ``||r||^2`` is ``-2 r x_minus^T`` plus the memory term's pullback of the
-    cotangent 2r, formed by doubling r in place once the value is taken.
-    The pullback runs the doubling of its power chains in reverse, uses the
-    inverse rule ``d(B^{-1}) = -B^{-1} dB B^{-1}`` for the (A + I) inverse
-    of the forward pass, so it solves nothing, and takes the adjoint of the
-    Frechet derivative of ``expm(A - I)``, which is that derivative at the
-    transpose, in one :func:`linalg.expm_frechet` call.
+    """Objective value and exact gradient, reverse mode (derivation step 7).
 
     A 2-D operator gives a float and a (d, d) gradient.  A stack (n_u, d, d),
     with one memory vector per slice, is evaluated as one computation and
@@ -388,13 +394,6 @@ def objective_value_and_gradient(
     pass or its Frechet derivative alike, raises :func:`linalg.expm`'s
     :class:`NumericalError` naming its slices, and the solve against (A + I)
     is the only source of a :class:`SingularMatrixError`.
-
-    The forward chain writes each doubling level into its one array with
-    ``out=``, and the reverse pass gathers the chain's cotangent in one array
-    of the same size: (n_u, 2d, cols) floats for mz-dmd's block chain, (n_u,
-    d, cols) for t-model's.  mz-dmd peaks at about 7.3 arrays of (n_u, d,
-    cols) floats, 7.3 * n_u * d * cols * 8 bytes (5.9 MB traced at n_u = 100,
-    d = 2 and 500 columns), t-model at about 4.0 (3.2 MB).
     """
     s = obj.snapshots
     r, pullback, value = _forward(obj, a)

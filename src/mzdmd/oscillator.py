@@ -168,13 +168,8 @@ def integrate(s0: np.ndarray, cfg: SimConfig) -> Trajectory:
     position derivative is the velocity it starts from, and only the two
     accelerations are computed per stage.  The arithmetic is that of the
     right-hand side and the RK4 update evaluated on a (4,) float64 array, in
-    the same order, and squares by ``pow``.
-
-    The committed references in ``perfbench/references`` freeze this
-    arithmetic, as they freeze ``_rk4_batch``'s: the oscillator is chaotic
-    at large hidden amplitudes, and a one-ulp change to an initial y3
-    moved the worst of 1000 projection samples by 1.7e-3 and their mean by
-    1.9e-6 at t = 50.
+    the same order, and squares by ``pow``; the committed references freeze
+    it, for the reason ``_rk4_batch`` gives.
     """
     s0 = np.asarray(s0, dtype=float)
     if s0.shape != (4,):
@@ -233,8 +228,9 @@ def _rk4_batch(y0: np.ndarray, cfg: SimConfig):
     may differ from its ``integrate`` run in the last bits.
 
     The committed references in ``perfbench/references`` freeze this
-    arithmetic: a one-ulp change to an initial y3 moved the worst of 1000
-    samples by 1.7e-3 and the projection's mean by 1.9e-6 at t = 50, so a
+    arithmetic, as the oscillator is chaotic at large hidden amplitudes: a
+    one-ulp change to an initial y3 moved the worst of 1000 samples by
+    1.7e-3 and the projection's mean by 1.9e-6 at t = 50, so a
     reassociation, a fused update or another sub-step count should be
     expected to move the mean beyond their tolerance.  An overflow
     warns unless the caller holds an ``np.errstate``; a non-finite state

@@ -1,9 +1,7 @@
-"""The memory kernel in the eigenbasis of a continuous generator, two ways.
-
-Test oracles for the discretized memory-kernel recursion: its closed
-one-step form and a direct evaluation of the discretized kernel equation,
-which must agree to roundoff.  Neither is on the path a fit takes; the
-objectives compute their memory columns from the transition operator.
+"""Test oracles for step 1 of the derivation in :mod:`mzdmd.objectives`
+(``pydoc mzdmd.objectives``), the memory-kernel recursion in the
+eigenbasis: its closed one-step form and a direct evaluation of the
+discretized kernel equation, which must agree to roundoff.
 """
 
 import numpy as np

@@ -3,6 +3,7 @@ import importlib.metadata
 import json
 import os
 import platform
+import sys
 import warnings
 
 import numpy as np
@@ -492,6 +493,15 @@ class TestRunExperiment:
             assert harness.environment_stamp()["scipy"] is None
         finally:
             harness._scipy_version.cache_clear()
+
+    @pytest.mark.parametrize("method", ["mz-dmd", "t-model"])
+    def test_missing_scipy_fails_the_memory_fit(self, tmp_path, monkeypatch, method):
+        # a None entry makes every import of scipy.linalg raise ImportError
+        monkeypatch.setitem(sys.modules, "scipy.linalg", None)
+        with pytest.raises(MethodFailure) as info:
+            run_experiment(small_config(tmp_path, method=method))
+        assert (info.value.method, info.value.stage) == (method, "fit")
+        assert isinstance(info.value.__cause__, ImportError)
 
     def test_exact_recovery_on_linear_data(self, tmp_path):
         # sigma = 0 decouples the system, so the measured coordinates are

@@ -75,6 +75,25 @@ def test_projection_and_dmd_runs_do_not_load_scipy(tmp_path):
     assert (tmp_path / "dmd" / "dmd.csv").is_file()
 
 
+def test_memory_fits_are_timed_after_scipy_loads(tmp_path):
+    # the first memory-aware fit of a run must not be charged scipy's
+    # one-time load: scipy.linalg is in place when its fit is entered
+    code = (
+        "import sys\n"
+        "from mzdmd import harness\n"
+        "from mzdmd.config import build_config\n"
+        "seen, method = [], harness.METHODS['mz-dmd']\n"
+        "def fit(cfg, snapshots):\n"
+        "    seen.append('scipy.linalg' in sys.modules)\n"
+        "    return method.fit(cfg, snapshots)\n"
+        "harness.METHODS['mz-dmd'] = method._replace(fit=fit)\n"
+        "harness.run_experiment(build_config({'t_max': 6.0, 'n_points': 61, 'n_mc': 8, 'n_u': 2,\n"
+        "    'method': 'all', 'output_dir': sys.argv[1]}))\n"
+        "print(*seen)"
+    )
+    assert run_fresh(code, tmp_path).split() == ["True"]
+
+
 def test_first_expm_loads_scipy_linalg_with_the_same_bits():
     code = (
         "import sys\n"

@@ -36,6 +36,7 @@ from mzdmd import (
 from mzdmd import objectives
 from mzdmd.config import build_config
 from mzdmd.objectives import _power_columns, _power_pullback
+from mzdmd.selfcheck import mz_closed_form_deviation
 
 
 class TestSnapshotPair:
@@ -224,19 +225,9 @@ class TestMemoryMatrices:
 
     @pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8])
     def test_mz_columns_near_eigenvalue_one_match_closed_form(self, eps):
-        # phi_j(lam) = -2 e^{j (lam - 1)} sum_{k<j} mu^k / (lam + 1) with
-        # mu - 1 = 2 (1 - lam) / (1 + lam), summed by expm1 and log1p
         v = np.array([[1.0, 0.6], [0.8, 1.0]])
         lam = np.array([1.0 - eps, 0.5])
-        a = v @ np.diag(lam) @ np.linalg.inv(v)
-        n = np.ones(2)
-        j = np.arange(400)[None, :]
-        mu1 = (2.0 * (1.0 - lam) / (1.0 + lam))[:, None]
-        power_sum = np.expm1(j * np.log1p(mu1)) / mu1
-        coef = -2.0 * np.exp(j * (lam[:, None] - 1.0)) * power_sum / (lam[:, None] + 1.0)
-        closed = v @ (coef * np.linalg.solve(v, n)[:, None])
-        mtil = mz_memory_matrix(a, n, 400)
-        assert np.abs(mtil - closed).max() <= 1e-12 * np.abs(closed).max()
+        assert mz_closed_form_deviation(v, lam, np.ones(2), 400) <= 1e-12
 
 
 def _naive_objective(kind, s, mem, a):
@@ -1133,9 +1124,8 @@ class TestMemoryKernels:
 
     @pytest.mark.parametrize("kind", ["real", "pair"])
     def test_oracles_are_the_transfer_chain(self, kind):
-        # A = V diag(1 + dt lam) V^-1 has W = expm(A - I) = V diag(exp(dt lam)) V^-1
-        # and cayley_M(A) = V M(lam) V^-1, so the chain (W M(A))^k n that
-        # _mz_memory powers is V times either oracle's coefficients of V^-1 n
+        # step 2 of the derivation in mzdmd.objectives: the chain (W M(A))^k n
+        # is V times either oracle's coefficients of V^-1 n
         dt, steps, rng = 0.1, 50, np.random.default_rng(35)
         for _ in range(20):
             if kind == "real":
