@@ -4,7 +4,6 @@ and averaging, continuous-time reconstruction, and its empirical variance.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import warnings
 from dataclasses import dataclass
@@ -134,15 +133,6 @@ def fit_ensemble(
     return SpectralModel(values=np.stack(values), vectors=np.stack(vectors), dt=s.dt), traces
 
 
-@functools.cache
-def _permutation_table(d: int) -> np.ndarray:
-    """The d! permutations of range(d) as read-only (d!, d) rows, in
-    lexicographic order; built once per dimension."""
-    perms = np.array(list(itertools.permutations(range(d))), dtype=np.intp).reshape(-1, d)
-    perms.flags.writeable = False
-    return perms
-
-
 def min_cost_assignment(cost: np.ndarray) -> np.ndarray:
     """Column index assigned to each row of a square cost matrix, or of each
     matrix in a (..., d, d) stack, minimizing the total cost, by exhaustive
@@ -160,7 +150,7 @@ def min_cost_assignment(cost: np.ndarray) -> np.ndarray:
             f"exact assignment searches d! permutations; d = {d} exceeds the bound "
             f"d <= {ASSIGNMENT_MAX_DIM}"
         )
-    perms = _permutation_table(d)
+    perms = np.array(list(itertools.permutations(range(d))), dtype=np.intp).reshape(-1, d)
     totals = sum(cost[..., k, perms[:, k]] for k in range(d))
     return np.take(perms, np.argmin(totals, axis=-1), axis=0)
 

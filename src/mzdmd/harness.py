@@ -193,8 +193,10 @@ def _scipy_version() -> str | None:
 
 def environment_stamp() -> dict:
     """The software and machine of a run: Python, numpy and scipy versions,
-    the BLAS numpy was built with, the CPU count, and ``OPENBLAS_NUM_THREADS``
-    when it is set.  Taking the stamp imports no scipy."""
+    the BLAS numpy was built with, the CPU count, and each of
+    ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and ``OMP_NUM_THREADS``
+    that is set, as OpenBLAS reads all three.  Taking the stamp imports no
+    scipy."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     stamp = {
         "python": ".".join(map(str, sys.version_info[:3])),
@@ -203,8 +205,9 @@ def environment_stamp() -> dict:
         "blas": f"{blas['name']} {blas['version']}",
         "cpu_count": os.cpu_count(),
     }
-    if "OPENBLAS_NUM_THREADS" in os.environ:
-        stamp["openblas_num_threads"] = os.environ["OPENBLAS_NUM_THREADS"]
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        if name in os.environ:
+            stamp[name.lower()] = os.environ[name]
     return stamp
 
 

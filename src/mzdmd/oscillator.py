@@ -147,16 +147,6 @@ def hamiltonian(state: np.ndarray) -> np.ndarray | float:
     return 0.5 * (y[1] ** 2 + y[3] ** 2) + 0.5 * (y[0] ** 2 + y[2] ** 2 + y[0] ** 2 * y[2] ** 2)
 
 
-def _accel(p: float, q: float) -> float:
-    """Acceleration -p (1 + q^2) of an oscillator at p coupled to one at q.
-
-    ``q ** 2`` on a Python float is libm ``pow``, as numpy's float64 scalar
-    power is, so this equals bit for bit the same expression evaluated on
-    entries of a (4,) float64 state.
-    """
-    return -p * (1.0 + q ** 2)
-
-
 def integrate(s0: np.ndarray, cfg: SimConfig) -> Trajectory:
     """Integrate the oscillator from one state ``s0`` (4,) over the cfg time
     grid with classical RK4 at internal step dt/SUBSTEPS, on four Python
@@ -168,8 +158,10 @@ def integrate(s0: np.ndarray, cfg: SimConfig) -> Trajectory:
     position derivative is the velocity it starts from, and only the two
     accelerations are computed per stage.  The arithmetic is that of the
     right-hand side and the RK4 update evaluated on a (4,) float64 array, in
-    the same order, and squares by ``pow``; the committed references freeze
-    it, for the reason ``_rk4_batch`` gives.
+    the same order: ``q ** 2`` on a Python float is libm ``pow``, as numpy's
+    float64 scalar power is, so each acceleration equals bit for bit its
+    value on entries of the array.  The committed references freeze it, for
+    the reason ``_rk4_batch`` gives.
     """
     s0 = np.asarray(s0, dtype=float)
     if s0.shape != (4,):
@@ -181,13 +173,13 @@ def integrate(s0: np.ndarray, cfg: SimConfig) -> Trajectory:
     for step in range(1, cfg.n_points):
         try:
             for _ in range(SUBSTEPS):
-                f1, g1 = _accel(y1, y3), _accel(y3, y1)
+                f1, g1 = -y1 * (1.0 + y3 ** 2), -y3 * (1.0 + y1 ** 2)
                 a1, a2, a3, a4 = y1 + hh * y2, y2 + hh * f1, y3 + hh * y4, y4 + hh * g1
-                f2, g2 = _accel(a1, a3), _accel(a3, a1)
+                f2, g2 = -a1 * (1.0 + a3 ** 2), -a3 * (1.0 + a1 ** 2)
                 b1, b2, b3, b4 = y1 + hh * a2, y2 + hh * f2, y3 + hh * a4, y4 + hh * g2
-                f3, g3 = _accel(b1, b3), _accel(b3, b1)
+                f3, g3 = -b1 * (1.0 + b3 ** 2), -b3 * (1.0 + b1 ** 2)
                 c1, c2, c3, c4 = y1 + h * b2, y2 + h * f3, y3 + h * b4, y4 + h * g3
-                f4, g4 = _accel(c1, c3), _accel(c3, c1)
+                f4, g4 = -c1 * (1.0 + c3 ** 2), -c3 * (1.0 + c1 ** 2)
                 y1, y2, y3, y4 = (
                     y1 + h6 * (y2 + 2.0 * a2 + 2.0 * b2 + c2),
                     y2 + h6 * (f1 + 2.0 * f2 + 2.0 * f3 + f4),

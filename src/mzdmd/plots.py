@@ -24,10 +24,6 @@ COLORS = {
 _FALLBACK_COLORS = ("#8c564b", "#e377c2", "#17becf", "#bcbd22")
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.2f}"
-
-
 def _series_color(name: str, index: int) -> str:
     return COLORS.get(name, _FALLBACK_COLORS[index % len(_FALLBACK_COLORS)])
 
@@ -94,12 +90,12 @@ def emit_plot(times, series: dict, path, ylabel: str = "y") -> None:
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         tx = t0 + frac * (t1 - t0)
         out.append(
-            f'<text x="{_fmt(px(tx))}" y="{HEIGHT - MARGIN_B + 18}" font-size="11" '
+            f'<text x="{px(tx):.2f}" y="{HEIGHT - MARGIN_B + 18}" font-size="11" '
             f'font-family="monospace" text-anchor="middle">{tx:.3g}</text>'
         )
         vy = lo + frac * (hi - lo)
         out.append(
-            f'<text x="{MARGIN_L - 6}" y="{_fmt(py(vy) + 4)}" font-size="11" '
+            f'<text x="{MARGIN_L - 6}" y="{py(vy) + 4:.2f}" font-size="11" '
             f'font-family="monospace" text-anchor="end">{vy:.3g}</text>'
         )
     out.append(

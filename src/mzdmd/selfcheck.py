@@ -44,10 +44,10 @@ def _random_operator(rng, d):
             return a
 
 
-def _random_snapshots(rng, d=2, cols=9):
+def _random_snapshots(rng):
     return SnapshotPair(
-        x_plus=rng.standard_normal((d, cols)),
-        x_minus=rng.standard_normal((d, cols)),
+        x_plus=rng.standard_normal((2, 9)),
+        x_minus=rng.standard_normal((2, 9)),
         dt=0.1,
     )
 

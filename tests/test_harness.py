@@ -31,6 +31,8 @@ from mzdmd.harness import METHODS, MethodFailure, csv_rows, write_rows
 # smallest subnormal, a value near overflow, a repeating fraction and
 # integer values
 AWKWARD = [-0.0, 5e-324, 1e308, 1 / 3, 2.0, -7.0, 0.0, 1e16]
+# the environment variables OpenBLAS sizes its thread pool from
+THREAD_VARIABLES = ["OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"]
 
 
 def _awkward_trajectory(with_var):
@@ -105,12 +107,12 @@ def _reference_emit_plot(times, series, path, ylabel="y"):
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         tx = t0 + frac * (t1 - t0)
         out.append(
-            f'<text x="{plots._fmt(px(tx))}" y="{plots.HEIGHT - plots.MARGIN_B + 18}" font-size="11" '
+            f'<text x="{px(tx):.2f}" y="{plots.HEIGHT - plots.MARGIN_B + 18}" font-size="11" '
             f'font-family="monospace" text-anchor="middle">{tx:.3g}</text>'
         )
         vy = lo + frac * (hi - lo)
         out.append(
-            f'<text x="{plots.MARGIN_L - 6}" y="{plots._fmt(py(vy) + 4)}" font-size="11" '
+            f'<text x="{plots.MARGIN_L - 6}" y="{py(vy) + 4:.2f}" font-size="11" '
             f'font-family="monospace" text-anchor="end">{vy:.3g}</text>'
         )
     out.append(
@@ -128,11 +130,8 @@ def _reference_emit_plot(times, series, path, ylabel="y"):
             continue
         values = np.asarray(values, dtype=float).ravel()
         band = np.sqrt(np.asarray(var, dtype=float).ravel())
-        upper = [f"{plots._fmt(px(t))},{plots._fmt(py(v))}" for t, v in zip(times, values + band)]
-        lower = [
-            f"{plots._fmt(px(t))},{plots._fmt(py(v))}"
-            for t, v in zip(times[::-1], (values - band)[::-1])
-        ]
+        upper = [f"{px(t):.2f},{py(v):.2f}" for t, v in zip(times, values + band)]
+        lower = [f"{px(t):.2f},{py(v):.2f}" for t, v in zip(times[::-1], (values - band)[::-1])]
         color = plots._series_color(name, index)
         out.append(
             f'<path d="M {" L ".join(upper + lower)} Z" fill="{color}" '
@@ -141,7 +140,7 @@ def _reference_emit_plot(times, series, path, ylabel="y"):
 
     for index, (name, (values, _)) in enumerate(series.items()):
         values = np.asarray(values, dtype=float).ravel()
-        pts = " ".join(f"{plots._fmt(px(t))},{plots._fmt(py(v))}" for t, v in zip(times, values))
+        pts = " ".join(f"{px(t):.2f},{py(v):.2f}" for t, v in zip(times, values))
         color = plots._series_color(name, index)
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
@@ -466,8 +465,11 @@ class TestRunExperiment:
         assert parsed["config"]["output_dir"] == str(out)
         assert parsed["config"]["resolved_init"] == list(cfg.resolved_init)
 
-    def test_report_stamps_the_environment(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    @pytest.mark.parametrize("variable", THREAD_VARIABLES)
+    def test_report_stamps_the_environment(self, tmp_path, monkeypatch, variable):
+        for name in THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv(variable, "1")
         cfg = small_config(tmp_path, method="dmd")
         run_experiment(cfg)
         stamp = json.loads((cfg.output_dir / "report.json").read_text())["environment"]
@@ -477,11 +479,11 @@ class TestRunExperiment:
             "scipy": importlib.metadata.version("scipy"),
             "blas": stamp["blas"],
             "cpu_count": os.cpu_count(),
-            "openblas_num_threads": "1",
+            variable.lower(): "1",
         }
         assert stamp["blas"].startswith(np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"])
-        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
-        assert "openblas_num_threads" not in run_experiment(cfg).environment
+        monkeypatch.delenv(variable)
+        assert variable.lower() not in run_experiment(cfg).environment
 
     def test_stamp_without_scipy_metadata_reads_none(self, monkeypatch):
         def missing(name):
