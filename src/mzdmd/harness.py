@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import linalg
+from . import linalg, oscillator
 from .ensemble import SpectralModel, fit_ensemble, match_and_average, reconstruct, run_ensemble
 from .objectives import MZ_DMD, T_MODEL, SnapshotPair, dmd_fit
 from .oscillator import TAG_MEASUREMENT, Trajectory, integrate, monte_carlo_projection, rng_stream
@@ -193,10 +193,12 @@ def _scipy_version() -> str | None:
 
 def environment_stamp() -> dict:
     """The software and machine of a run: Python, numpy and scipy versions,
-    the BLAS numpy was built with, the CPU count, and each of
+    the BLAS numpy was built with, the CPU count, the RK4 stepper of the
+    Monte Carlo projection ("compiled", or "numpy" when the compiled kernel
+    is missing: the same bits, more slowly), and each of
     ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and ``OMP_NUM_THREADS``
     that is set, as OpenBLAS reads all three.  Taking the stamp imports no
-    scipy."""
+    scipy, and builds or loads the compiled kernel as the projection would."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     stamp = {
         "python": ".".join(map(str, sys.version_info[:3])),
@@ -204,6 +206,7 @@ def environment_stamp() -> dict:
         "scipy": _scipy_version(),
         "blas": f"{blas['name']} {blas['version']}",
         "cpu_count": os.cpu_count(),
+        "rk4": "numpy" if oscillator._rk4_kernel() is None else "compiled",
     }
     for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
         if name in os.environ:

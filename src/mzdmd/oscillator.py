@@ -8,8 +8,15 @@ initial state is modeled statistically.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+import platform
+import shutil
+import tempfile
 from dataclasses import dataclass
 from math import isfinite
+from pathlib import Path
 
 import numpy as np
 
@@ -17,6 +24,12 @@ from .errors import DivergenceError, check_finite
 
 # RK4 sub-steps per grid step of every integration
 SUBSTEPS = 10
+
+# the compiled stepper of the projection: its source, which ships with the
+# package, the flags that keep its arithmetic numpy's, and its build cache
+RK4_SOURCE = Path(__file__).with_name("rk4.c")
+RK4_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+RK4_CACHE = Path.home() / ".cache" / "mzdmd"
 
 # spawn-key tags keeping the random streams of the pipeline stages disjoint
 TAG_MEASUREMENT = 0
@@ -195,40 +208,67 @@ def integrate(s0: np.ndarray, cfg: SimConfig) -> Trajectory:
     return Trajectory(times=cfg.times(), states=np.array(rows))
 
 
-def _rk4_batch(y0: np.ndarray, cfg: SimConfig):
-    """Classical RK4 at internal step dt/SUBSTEPS on a batch of state
-    columns (4, n) in the order (y1, y2, y3, y4); yields the batch at grid
-    steps 0, ..., n_points - 1 as a (4, n) view with rows (y1, y3, y2, y4).
+@functools.cache
+def _rk4_kernel():
+    """``rk4_advance`` of ``rk4.c`` through ctypes, or None.
 
-    Every yield is the same view, updated in place: a consumer copies or
-    reduces it before the next step.  The state and stages 2, 3, 4 are the
-    (6, n) slabs of one buffer, rows (y1, y3, y2, y4, a1, a3) with a1 and a3
-    the accelerations at rows 0..3, so rows 2..5 are the derivative k and
-    no velocity is copied.  After stage 4 has read k3, one call doubles k2
-    and k3; k1 + 2 k2 + 2 k3 + k4 is summed in the rows of k2.  Views, 0-d
-    scalars and the finiteness mask are made once, and each of the 24 ufunc
-    calls per substep writes through a positional ``out``.
-
-    The arithmetic is that of the right-hand side (y2, -y1(1 + y3^2), y4,
-    -y3(1 + y1^2)) and the RK4 update evaluated on the whole (4, n) batch,
-    in the same order, but for one rewrite: an acceleration -p (1 + q^2) is
-    computed as p * (-1 - q^2), the second factor by
-    ``np.subtract(-1.0, q^2)``.  Negation is exact and rounding is
-    symmetric in sign, so the two are the same float, signed zeros
-    included.  Positions are squared by ``np.square``, as numpy's array
-    ``** 2`` does.  ``integrate`` squares by ``pow`` instead, so a column
-    may differ from its ``integrate`` run in the last bits.
-
-    The committed references in ``perfbench/references`` freeze this
-    arithmetic, as the oscillator is chaotic at large hidden amplitudes: a
-    one-ulp change to an initial y3 moved the worst of 1000 samples by
-    1.7e-3 and the projection's mean by 1.9e-6 at t = 50, so a
-    reassociation, a fused update or another sub-step count should be
-    expected to move the mean beyond their tolerance.  An overflow
-    warns unless the caller holds an ``np.errstate``; a non-finite state
-    raises :class:`DivergenceError` at its grid step.
+    The first call builds the library with ``cc`` into ``RK4_CACHE``, named
+    by a hash of the source, the flags and the machine and by a hash of the
+    library itself, through a temporary file that ``os.replace`` puts in
+    place; later calls and processes reuse it.  Only a file whose bytes
+    match its name is loaded: ``dlopen`` maps a truncated library and the
+    process faults on the missing pages, so a damaged file is built again.
+    With no ``cc``, a failed build, an unwritable cache or a library that
+    fails to load it returns None, and ``_rk4_batch`` steps in numpy to the
+    same bits.  Nothing is built or loaded at import.
     """
-    h = cfg.dt / SUBSTEPS
+    # hashlib and subprocess load only here: importing the package needs neither
+    import hashlib
+    import subprocess
+
+    def digest(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()[:16]
+
+    cc = shutil.which("cc")
+    if cc is None:
+        return None
+    try:
+        build = (RK4_SOURCE.read_bytes(), RK4_FLAGS, platform.system(), platform.machine())
+        key = digest(repr(build).encode())
+        lib = next((lib for lib in RK4_CACHE.glob(f"rk4-{key}-*.so")
+                    if lib.stem == f"rk4-{key}-{digest(lib.read_bytes())}"), None)
+        if lib is None:
+            RK4_CACHE.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(".tmp", "rk4-", RK4_CACHE)
+            os.close(fd)
+            try:
+                command = [cc, *RK4_FLAGS, "-o", tmp, str(RK4_SOURCE)]
+                subprocess.run(command, check=True, capture_output=True, timeout=120)
+                lib = RK4_CACHE / f"rk4-{key}-{digest(Path(tmp).read_bytes())}.so"
+                os.replace(tmp, lib)
+            finally:
+                Path(tmp).unlink(missing_ok=True)
+        advance = ctypes.CDLL(str(lib)).rk4_advance
+    except (OSError, subprocess.SubprocessError):
+        return None
+    double = ctypes.c_double
+    advance.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_int, double, double, double)
+    advance.restype = None
+    return advance
+
+
+def _numpy_stepper(y0: np.ndarray, h: float):
+    """The numpy stepper of ``_rk4_batch``: the (4, n) state, rows (y1, y3,
+    y2, y4), and a function advancing it by one grid step in place.
+
+    The state and stages 2, 3, 4 are the (6, n) slabs of one buffer, rows
+    (y1, y3, y2, y4, a1, a3) with a1 and a3 the accelerations at rows 0..3,
+    so rows 2..5 are the derivative k and no velocity is copied.  After
+    stage 4 has read k3, one call doubles k2 and k3; k1 + 2 k2 + 2 k3 + k4
+    is summed in the rows of k2.  Views and 0-d scalars are made once, and
+    each of the 24 ufunc calls per substep writes through a positional
+    ``out``.
+    """
     hh, h, h6, two, minus_one = (np.array(c) for c in (0.5 * h, h, h / 6.0, 2.0, -1.0))
     buf = np.empty((4, 6) + y0.shape[1:])  # the state and stages 2, 3, 4
     buf[0, :2], buf[0, 2:4] = y0[::2], y0[1::2]
@@ -237,10 +277,10 @@ def _rk4_batch(y0: np.ndarray, cfg: SimConfig):
     yp, zp, wp, up = buf[:, :2]  # their positions
     ya, za, wa, ua = buf[:, 4:]  # the accelerations at them
     k1, k2, k3, k4 = buf[:, 2:]  # their derivatives
-    k23, finite = buf[1:3, 2:], np.empty(y.shape, dtype=bool)
+    k23 = buf[1:3, 2:]
     square, subtract, multiply, add = np.square, np.subtract, np.multiply, np.add
-    yield y
-    for step in range(1, cfg.n_points):
+
+    def advance():
         for _ in range(SUBSTEPS):
             square(ys, ya)
             subtract(minus_one, ya, ya)
@@ -266,6 +306,57 @@ def _rk4_batch(y0: np.ndarray, cfg: SimConfig):
             add(k2, k4, k2)
             multiply(h6, k2, k2)
             add(y, k2, y)
+
+    return y, advance
+
+
+def _rk4_batch(y0: np.ndarray, cfg: SimConfig):
+    """Classical RK4 at internal step dt/SUBSTEPS on a batch of state
+    columns (4, n) in the order (y1, y2, y3, y4); yields the batch at grid
+    steps 0, ..., n_points - 1 as a (4, n) view with rows (y1, y3, y2, y4).
+
+    Every yield is the same view, updated in place: a consumer copies or
+    reduces it before the next step.  One call per grid step of the
+    compiled ``rk4_advance`` (``rk4.c``, from :func:`_rk4_kernel`) advances
+    it, 8 columns at a time; without that kernel, the 24 ufunc calls per
+    substep of :func:`_numpy_stepper` do, several times more slowly.
+
+    The arithmetic is that of the right-hand side (y2, -y1(1 + y3^2), y4,
+    -y3(1 + y1^2)) and the RK4 update evaluated on the whole (4, n) batch,
+    in the same order, y + h/6 (((k1 + 2 k2) + 2 k3) + k4), but for one
+    rewrite: an acceleration -p (1 + q^2) is computed as p * (-1 - q^2).
+    Negation is exact and rounding is symmetric in sign, so the two are the
+    same float, signed zeros included.  Positions are squared by a product
+    (``np.square``, as numpy's array ``** 2`` does).  ``integrate`` squares
+    by ``pow`` instead, so a column may differ from its ``integrate`` run in
+    the last bits.  Both steppers give the same bits: each operation is one
+    IEEE double rounding in C as in numpy, as long as the kernel is built
+    with ``-ffp-contract=off``, which forbids fusing a product and a sum,
+    and without ``-ffast-math``, which would reassociate and also turn on
+    flush-to-zero for subnormals.
+
+    The committed references in ``perfbench/references`` freeze this
+    arithmetic, as the oscillator is chaotic at large hidden amplitudes: a
+    one-ulp change to an initial y3 moved the worst of 1000 samples by
+    1.7e-3 and the projection's mean by 1.9e-6 at t = 50, so a
+    reassociation, a fused update or another sub-step count should be
+    expected to move the mean beyond their tolerance.  In the numpy stepper
+    an overflow warns unless the caller holds an ``np.errstate``; the
+    compiled one never warns.  A non-finite state raises
+    :class:`DivergenceError` at its grid step.
+    """
+    h = cfg.dt / SUBSTEPS
+    kernel = _rk4_kernel()
+    if kernel is None:
+        y, advance = _numpy_stepper(y0, h)
+    else:
+        y = np.empty((4,) + y0.shape[1:])  # C-contiguous rows, as the kernel reads them
+        y[:2], y[2:] = y0[::2], y0[1::2]
+        advance = functools.partial(kernel, y.ctypes.data, y[0].size, SUBSTEPS, 0.5 * h, h, h / 6.0)
+    finite = np.empty(y.shape, dtype=bool)
+    yield y
+    for step in range(1, cfg.n_points):
+        advance()
         if not np.isfinite(y, finite).all():
             raise DivergenceError(f"state became non-finite at grid step {step}", step=step)
         yield y

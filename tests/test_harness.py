@@ -3,6 +3,7 @@ import importlib.metadata
 import json
 import os
 import platform
+import shutil
 import sys
 import warnings
 
@@ -23,7 +24,7 @@ from mzdmd import (
     simulate_measurement,
     write_csv,
 )
-from mzdmd import harness, plots
+from mzdmd import harness, oscillator, plots
 from mzdmd.config import build_config
 from mzdmd.harness import METHODS, MethodFailure, csv_rows, write_rows
 
@@ -479,11 +480,18 @@ class TestRunExperiment:
             "scipy": importlib.metadata.version("scipy"),
             "blas": stamp["blas"],
             "cpu_count": os.cpu_count(),
+            "rk4": "compiled" if shutil.which("cc") else "numpy",
             variable.lower(): "1",
         }
         assert stamp["blas"].startswith(np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"])
         monkeypatch.delenv(variable)
         assert variable.lower() not in run_experiment(cfg).environment
+
+    def test_stamp_names_the_numpy_stepper_when_the_kernel_is_missing(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(oscillator, "_rk4_kernel", lambda: None)
+        cfg = small_config(tmp_path, method="dmd")
+        run_experiment(cfg)
+        assert json.loads((cfg.output_dir / "report.json").read_text())["environment"]["rk4"] == "numpy"
 
     def test_stamp_without_scipy_metadata_reads_none(self, monkeypatch):
         def missing(name):

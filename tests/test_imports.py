@@ -60,6 +60,17 @@ def test_import_and_build_config_do_not_load_scipy():
     assert run_fresh(code).strip() == "False"
 
 
+def test_import_and_build_config_do_not_build_the_stepper():
+    # the compiled RK4 stepper is built and loaded on first use, and the
+    # modules only its build needs stay unloaded until then
+    code = (
+        "import sys, mzdmd, mzdmd.cli\n"
+        "mzdmd.config.build_config({'n_u': 2})\n"
+        "print(mzdmd.oscillator._rk4_kernel.cache_info().misses, 'subprocess' in sys.modules)"
+    )
+    assert run_fresh(code).split() == ["0", "False"]
+
+
 def test_projection_and_dmd_runs_do_not_load_scipy(tmp_path):
     code = (
         "import sys\n"

@@ -1,8 +1,11 @@
+import shutil
+import subprocess
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from conftest import oscillator_rhs, reference_integrate
 
@@ -16,6 +19,27 @@ from mzdmd import (
     rng_stream,
 )
 from mzdmd import oscillator
+
+
+def _compiled_kernel():
+    """The compiled stepper, built if need be; skips when no ``cc`` is found,
+    and fails when one is but the kernel does not build or load."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler `cc` on PATH to build the compiled stepper")
+    kernel = oscillator._rk4_kernel()
+    assert kernel is not None, "`cc` is on PATH, but the compiled stepper did not build or load"
+    return kernel
+
+
+@pytest.fixture(params=["compiled", "numpy"])
+def stepper(request, monkeypatch):
+    """Runs a test once with each stepper of ``_rk4_batch``: the compiled
+    kernel, and the numpy stepper its loader falls back to."""
+    if request.param == "compiled":
+        _compiled_kernel()
+    else:
+        monkeypatch.setattr(oscillator, "_rk4_kernel", lambda: None)
+    return request.param
 
 
 def _reference(y0, cfg):
@@ -197,6 +221,7 @@ class TestIntegrateMatchesReference:
             y0 = rng.normal(0.0, 2.0, 4)
             np.testing.assert_array_equal(integrate(y0, cfg).states, _reference(y0, cfg))
 
+    @pytest.mark.usefixtures("stepper")
     def test_batch(self):
         rng = np.random.default_rng(4)
         cfg = SimConfig()
@@ -211,6 +236,7 @@ class TestIntegrateMatchesReference:
         "y0", [(1e160, 0.0, 0.0, 0.0), (50.0, 0.0, 50.0, 0.0), (1e154, 0.0, 1e154, 0.0)]
     )
     @pytest.mark.parametrize("batch", [False, True])
+    @pytest.mark.usefixtures("stepper")
     def test_divergence_step(self, y0, batch):
         # 1e160 overflows in the square (OverflowError on a Python float),
         # (50, 0, 50, 0) grows over the sub-steps until a square overflows,
@@ -224,13 +250,15 @@ class TestIntegrateMatchesReference:
         assert isinstance(want, int)
         assert _outcome(y0, cfg) == want
 
-    @settings(deadline=None)
+    # the stepper is patched once for every example
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         dt=st.floats(0.01, 0.5),
         n_points=st.integers(2, 60),
         width=st.integers(1, 9),
         seed=st.integers(0, 2**32 - 1),
     )
+    @pytest.mark.usefixtures("stepper")
     def test_property(self, dt, n_points, width, seed):
         cfg = _grid(dt, n_points)
         batch = np.random.default_rng(seed).normal(0.0, 2.0, (4, width))
@@ -239,6 +267,7 @@ class TestIntegrateMatchesReference:
         _assert_same_outcome(_outcome(single, cfg), _reference_outcome(single, cfg))
 
 
+@pytest.mark.usefixtures("stepper")
 class TestBatchEdgeCases:
     """Signed zeros, squares near overflow and divergence, against the
     reference bit for bit (signs of zeros included)."""
@@ -342,6 +371,7 @@ class TestMonteCarloProjection:
             h = hamiltonian(traj.states.T)
             assert np.abs(h - h[0]).max() <= 1e-6 * abs(h[0])
 
+    @pytest.mark.usefixtures("stepper")
     def test_streamed_moments_match_stored_reference(self):
         cfg = SimConfig(dt=0.1, t_max=10.0, n_points=101, sigma=1.0, n_mc=64, seed=9)
         mean, var = monte_carlo_projection(cfg, (1.0, 0.5))
@@ -353,6 +383,7 @@ class TestMonteCarloProjection:
     # a start whose resolved rows are -0.0
     @pytest.mark.parametrize("n_mc", [1, 2, 7, 8, 9, 127, 129, 1000])
     @pytest.mark.parametrize("x_hat", [(1.0, 0.5), (-0.0, -0.0)])
+    @pytest.mark.usefixtures("stepper")
     def test_moments_equal_numpy_mean_and_var_bitwise(self, n_mc, x_hat):
         cfg = SimConfig(dt=0.1, t_max=2.0, n_points=21, sigma=1.0, n_mc=n_mc, seed=5)
         mean, var = monte_carlo_projection(cfg, x_hat)
@@ -364,6 +395,7 @@ class TestMonteCarloProjection:
 
     @pytest.mark.parametrize("action", ["default", "error"])
     @pytest.mark.parametrize("sigma", [0.0, 1.0])
+    @pytest.mark.usefixtures("stepper")
     def test_divergence_raises(self, sigma, action):
         cfg = SimConfig(dt=1.0, t_max=10.0, n_points=11, sigma=sigma, n_mc=4, seed=2)
         with warnings.catch_warnings(record=True) as caught:
@@ -374,6 +406,7 @@ class TestMonteCarloProjection:
         assert excinfo.value.step == 1
 
     @pytest.mark.parametrize("action", ["default", "error"])
+    @pytest.mark.usefixtures("stepper")
     def test_overflowing_moments_raise(self, action):
         # every state stays finite, but sixteen velocities of 2e307 overflow
         # the sum behind the mean at step 0
@@ -386,6 +419,135 @@ class TestMonteCarloProjection:
                 monte_carlo_projection(cfg, (0.0, 2e307))
         assert caught == []
         assert excinfo.value.step == 0
+
+
+def _bit_steps(y0, cfg):
+    """Each grid step's states of ``_rk4_batch`` as uint64 bit patterns, and
+    the grid step at which they diverge, or None."""
+    steps = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for y in oscillator._rk4_batch(y0, cfg):
+                steps.append(y.view(np.uint64).copy())
+        except DivergenceError as exc:
+            return steps, exc.step
+    return steps, None
+
+
+class TestCompiledStepper:
+    @pytest.fixture
+    def kernel(self):
+        # a fixture, so a missing compiler skips before hypothesis draws
+        return _compiled_kernel()
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        n=st.sampled_from([1, 7, 8, 9, 37]),
+        dt=st.floats(1e-3, 3.1),
+        n_points=st.integers(2, 30),
+        log_amplitude=st.floats(-310.0, 160.0),
+        zeros=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # subnormal states, every entry a signed zero, and squares that overflow
+    @example(n=9, dt=0.1, n_points=5, log_amplitude=-310.0, zeros=0.0, seed=0)
+    @example(n=8, dt=3.1, n_points=5, log_amplitude=0.0, zeros=1.0, seed=1)
+    @example(n=37, dt=3.1, n_points=5, log_amplitude=160.0, zeros=0.5, seed=2)
+    @pytest.mark.usefixtures("kernel")
+    def test_steppers_agree_bitwise(self, monkeypatch, n, dt, n_points, log_amplitude, zeros, seed):
+        # each grid step's states and the divergence step, compiled against numpy
+        rng = np.random.default_rng(seed)
+        y0 = rng.standard_normal((4, n)) * 10.0**log_amplitude
+        mask = rng.random(y0.shape) < zeros
+        y0[mask] = np.copysign(0.0, rng.standard_normal(mask.sum()))
+        cfg = _grid(dt, n_points)
+        compiled = _bit_steps(y0, cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(oscillator, "_rk4_kernel", lambda: None)
+            numpy = _bit_steps(y0, cfg)
+        assert compiled[1] == numpy[1]
+        assert len(compiled[0]) == len(numpy[0])
+        for got, want in zip(*(steps for steps, _ in (compiled, numpy))):
+            np.testing.assert_array_equal(got, want)
+
+
+class TestKernelLoader:
+    """Every way the compiled stepper can be missing gives the numpy stepper,
+    silently and with the same bits; a built kernel is reused."""
+
+    CFG = SimConfig(dt=0.1, t_max=2.0, n_points=21, sigma=1.0, n_mc=9, seed=5)
+
+    @pytest.fixture
+    def loader(self, tmp_path, monkeypatch):
+        """The loader, building into ``tmp_path``, its cache cleared before
+        and after, so no other test sees what it loaded here."""
+        monkeypatch.setattr(oscillator, "RK4_CACHE", tmp_path / "cache")
+        oscillator._rk4_kernel.cache_clear()
+        yield oscillator._rk4_kernel
+        oscillator._rk4_kernel.cache_clear()
+
+    def _assert_numpy_projection(self, loader):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert loader() is None
+            mean, var = monte_carlo_projection(self.CFG, (1.0, 0.5))
+        assert caught == []
+        resolved = _reference(_projection_start(self.CFG, (1.0, 0.5)), self.CFG)[:, :2, :]
+        assert mean.states.tobytes() == resolved.mean(axis=2).tobytes()
+        assert var.states.tobytes() == resolved.var(axis=2).tobytes()
+
+    def test_no_compiler(self, loader, monkeypatch):
+        monkeypatch.setattr(shutil, "which", lambda name: None)
+        self._assert_numpy_projection(loader)
+
+    def test_failing_compiler(self, loader, monkeypatch, tmp_path):
+        failing = tmp_path / "cc"
+        failing.write_text("#!/bin/sh\nexit 1\n")
+        failing.chmod(0o755)
+        monkeypatch.setattr(shutil, "which", lambda name: str(failing))
+        self._assert_numpy_projection(loader)
+        # the failed build leaves no file behind
+        assert list(oscillator.RK4_CACHE.iterdir()) == []
+
+    def test_unwritable_cache(self, loader, monkeypatch, tmp_path):
+        # a regular file where a parent directory should be: no directory
+        # can be made there, whatever the user's permissions
+        (tmp_path / "file").write_text("")
+        monkeypatch.setattr(oscillator, "RK4_CACHE", tmp_path / "file" / "cache")
+        self._assert_numpy_projection(loader)
+
+    def test_truncated_library_is_built_again(self, loader, monkeypatch, tmp_path):
+        # dlopen maps a truncated library and faults on its missing pages; the
+        # copy is a new file, as this process has the first build mapped
+        _compiled_kernel()
+        (lib,) = oscillator.RK4_CACHE.iterdir()
+        monkeypatch.setattr(oscillator, "RK4_CACHE", tmp_path / "truncated")
+        oscillator.RK4_CACHE.mkdir()
+        (oscillator.RK4_CACHE / lib.name).write_bytes(lib.read_bytes()[:1000])
+        loader.cache_clear()
+        assert loader() is not None
+        (rebuilt,) = oscillator.RK4_CACHE.iterdir()
+        assert rebuilt.stat().st_size == lib.stat().st_size
+
+    def test_second_load_reuses_the_build(self, loader, monkeypatch):
+        _compiled_kernel()
+        built = sorted(oscillator.RK4_CACHE.iterdir())
+        assert [path.suffix for path in built] == [".so"]
+
+        def no_compiler(*args, **kwargs):
+            raise AssertionError(f"the compiler ran again: {args}")
+
+        loader.cache_clear()
+        monkeypatch.setattr(subprocess, "run", no_compiler)
+        assert loader() is not None
+        assert sorted(oscillator.RK4_CACHE.iterdir()) == built
+
+    def test_source_ships_with_the_package(self):
+        tomllib = pytest.importorskip("tomllib")
+        package = Path(oscillator.__file__).parent
+        assert oscillator.RK4_SOURCE.parent == package and oscillator.RK4_SOURCE.is_file()
+        pyproject = tomllib.loads((package.parents[1] / "pyproject.toml").read_text())
+        assert oscillator.RK4_SOURCE.name in pyproject["tool"]["setuptools"]["package-data"]["mzdmd"]
 
 
 def test_trajectory_validation():
