@@ -51,7 +51,8 @@ class RunReport:
     """What a run did.  ``projection_standard_error`` holds, per resolved
     coordinate, the largest standard error ``sqrt(var / n_mc)`` of the
     projection's mean and the time ``t`` at which it occurs; it is None, and
-    left out of the JSON, when the projection is not run."""
+    left out of the JSON, when the projection is not run.  Only then does
+    ``environment`` name the projection's RK4 stepper, as ``rk4``."""
 
     seed: int
     config: dict
@@ -193,12 +194,10 @@ def _scipy_version() -> str | None:
 
 def environment_stamp() -> dict:
     """The software and machine of a run: Python, numpy and scipy versions,
-    the BLAS numpy was built with, the CPU count, the RK4 stepper of the
-    Monte Carlo projection ("compiled", or "numpy" when the compiled kernel
-    is missing: the same bits, more slowly), and each of
+    the BLAS numpy was built with, the CPU count, and each of
     ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and ``OMP_NUM_THREADS``
     that is set, as OpenBLAS reads all three.  Taking the stamp imports no
-    scipy, and builds or loads the compiled kernel as the projection would."""
+    scipy."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     stamp = {
         "python": ".".join(map(str, sys.version_info[:3])),
@@ -206,7 +205,6 @@ def environment_stamp() -> dict:
         "scipy": _scipy_version(),
         "blas": f"{blas['name']} {blas['version']}",
         "cpu_count": os.cpu_count(),
-        "rk4": "numpy" if oscillator._rk4_kernel() is None else "compiled",
     }
     for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
         if name in os.environ:
@@ -252,6 +250,8 @@ def run_experiment(cfg) -> RunReport:
 
     if "projection" in results:
         report.projection_standard_error = _standard_error(results["projection"][1], cfg.sim.n_mc)
+        # its RK4 stepper: "numpy" where the compiled kernel is missing, the same bits more slowly
+        report.environment["rk4"] = "numpy" if oscillator._rk4_kernel() is None else "compiled"
     report.csv_files = [str(out / f"{stem}.csv") for stem in [*tables, "comparison"]]
     with stage(cfg.method, "write"):
         _write_comparison(t, tables, out / "comparison.csv")

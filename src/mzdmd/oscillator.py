@@ -8,6 +8,7 @@ initial state is modeled statistically.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import os
@@ -160,45 +161,69 @@ def hamiltonian(state: np.ndarray) -> np.ndarray | float:
     return 0.5 * (y[1] ** 2 + y[3] ** 2) + 0.5 * (y[0] ** 2 + y[2] ** 2 + y[0] ** 2 * y[2] ** 2)
 
 
-def integrate(s0: np.ndarray, cfg: SimConfig) -> Trajectory:
-    """Integrate the oscillator from one state ``s0`` (4,) over the cfg time
-    grid with classical RK4 at internal step dt/SUBSTEPS, on four Python
-    floats; the trajectory's states are (n_points, 4).
+def _rk4_substeps(p, q, v, u, h):
+    """SUBSTEPS classical RK4 steps of h from positions (p, q) = (y1, y3)
+    and velocities (v, u) = (y2, y4); returns the new (p, q, v, u).
 
     The right-hand side is (y2, -y1(1 + y3^2), y4, -y3(1 + y1^2)): each
-    position's derivative is its velocity, and each velocity's is the
-    acceleration of its oscillator coupled to the other.  So each stage's
-    position derivative is the velocity it starts from, and only the two
-    accelerations are computed per stage.  The arithmetic is that of the
-    right-hand side and the RK4 update evaluated on a (4,) float64 array, in
-    the same order: ``q ** 2`` on a Python float is libm ``pow``, as numpy's
-    float64 scalar power is, so each acceleration equals bit for bit its
-    value on entries of the array.  The committed references freeze it, for
-    the reason ``_rk4_batch`` gives.
+    position's derivative is its velocity, so only the two accelerations are
+    computed per stage, and an acceleration -p (1 + q^2) is computed as
+    p * (-1 - q^2).  Negation is exact and rounding is symmetric in sign, so
+    the two are the same float, signed zeros included.  The update sums in
+    order, y + h/6 (((k1 + 2 k2) + 2 k3) + k4), and each stage starts from
+    y + (h/2) k or y + h k: the arithmetic of the right-hand side and the
+    RK4 update evaluated on a whole state array.
+
+    Only ``+``, ``-``, ``*`` and ``** 2`` are used, so the same code steps
+    Python floats (``integrate``) and numpy rows (``_rk4_batch`` without its
+    compiled kernel).  On a float ``q ** 2`` is libm ``pow``, as numpy's
+    float64 scalar power is, and an overflowing square raises
+    OverflowError; on an array it is ``np.square``, a product, so a batch
+    column may differ from its ``integrate`` run in the last bits.
+    ``rk4.c`` transliterates this function with products and gives the bits
+    of the numpy rows, as each operation is one IEEE double rounding in C
+    as in numpy, provided it is built with ``-ffp-contract=off``, which
+    forbids fusing a product and a sum, and without ``-ffast-math``, which
+    would reassociate and also turn on flush-to-zero for subnormals.
+
+    The committed references in ``perfbench/references`` freeze this
+    arithmetic, as the oscillator is chaotic at large hidden amplitudes: a
+    one-ulp change to an initial y3 moved the worst of 1000 samples by
+    1.7e-3 and the projection's mean by 1.9e-6 at t = 50, so a
+    reassociation, a fused update or another sub-step count should be
+    expected to move the mean beyond their tolerance.
     """
+    hh, h6 = 0.5 * h, h / 6.0
+    for _ in range(SUBSTEPS):
+        p1, q1, v1, u1 = p, q, v, u
+        a1, b1 = p1 * (-1.0 - q1 ** 2), q1 * (-1.0 - p1 ** 2)
+        p2, q2, v2, u2 = p1 + hh * v1, q1 + hh * u1, v1 + hh * a1, u1 + hh * b1
+        a2, b2 = p2 * (-1.0 - q2 ** 2), q2 * (-1.0 - p2 ** 2)
+        p3, q3, v3, u3 = p1 + hh * v2, q1 + hh * u2, v1 + hh * a2, u1 + hh * b2
+        a3, b3 = p3 * (-1.0 - q3 ** 2), q3 * (-1.0 - p3 ** 2)
+        p4, q4, v4, u4 = p1 + h * v3, q1 + h * u3, v1 + h * a3, u1 + h * b3
+        a4, b4 = p4 * (-1.0 - q4 ** 2), q4 * (-1.0 - p4 ** 2)
+        p = p1 + h6 * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
+        q = q1 + h6 * (u1 + 2.0 * u2 + 2.0 * u3 + u4)
+        v = v1 + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        u = u1 + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+    return p, q, v, u
+
+
+def integrate(s0: np.ndarray, cfg: SimConfig) -> Trajectory:
+    """Integrate the oscillator from one state ``s0`` (4,) over the cfg time
+    grid with :func:`_rk4_substeps` on four Python floats; the trajectory's
+    states are (n_points, 4).  A state that overflows or becomes non-finite
+    raises :class:`DivergenceError` at its grid step."""
     s0 = np.asarray(s0, dtype=float)
     if s0.shape != (4,):
         raise ValueError("s0 must be one state (4,)")
     h = cfg.dt / SUBSTEPS
-    hh, h6 = 0.5 * h, h / 6.0
     y1, y2, y3, y4 = s0.tolist()
     rows = [(y1, y2, y3, y4)]
     for step in range(1, cfg.n_points):
         try:
-            for _ in range(SUBSTEPS):
-                f1, g1 = -y1 * (1.0 + y3 ** 2), -y3 * (1.0 + y1 ** 2)
-                a1, a2, a3, a4 = y1 + hh * y2, y2 + hh * f1, y3 + hh * y4, y4 + hh * g1
-                f2, g2 = -a1 * (1.0 + a3 ** 2), -a3 * (1.0 + a1 ** 2)
-                b1, b2, b3, b4 = y1 + hh * a2, y2 + hh * f2, y3 + hh * a4, y4 + hh * g2
-                f3, g3 = -b1 * (1.0 + b3 ** 2), -b3 * (1.0 + b1 ** 2)
-                c1, c2, c3, c4 = y1 + h * b2, y2 + h * f3, y3 + h * b4, y4 + h * g3
-                f4, g4 = -c1 * (1.0 + c3 ** 2), -c3 * (1.0 + c1 ** 2)
-                y1, y2, y3, y4 = (
-                    y1 + h6 * (y2 + 2.0 * a2 + 2.0 * b2 + c2),
-                    y2 + h6 * (f1 + 2.0 * f2 + 2.0 * f3 + f4),
-                    y3 + h6 * (y4 + 2.0 * a4 + 2.0 * b4 + c4),
-                    y4 + h6 * (g1 + 2.0 * g2 + 2.0 * g3 + g4),
-                )
+            y1, y3, y2, y4 = _rk4_substeps(y1, y3, y2, y4, h)
         except OverflowError:
             # float ** 2 raises where numpy's power returns inf
             raise DivergenceError(f"state overflowed at grid step {step}", step=step) from None
@@ -215,7 +240,9 @@ def _rk4_kernel():
     The first call builds the library with ``cc`` into ``RK4_CACHE``, named
     by a hash of the source, the flags and the machine and by a hash of the
     library itself, through a temporary file that ``os.replace`` puts in
-    place; later calls and processes reuse it.  Only a file whose bytes
+    place; later calls and processes reuse it.  A new build deletes every
+    other ``rk4-*.so`` in the cache, the builds of an older source or
+    flags, and a delete that fails is ignored.  Only a file whose bytes
     match its name is loaded: ``dlopen`` maps a truncated library and the
     process faults on the missing pages, so a damaged file is built again.
     With no ``cc``, a failed build, an unwritable cache or a library that
@@ -246,6 +273,9 @@ def _rk4_kernel():
                 subprocess.run(command, check=True, capture_output=True, timeout=120)
                 lib = RK4_CACHE / f"rk4-{key}-{digest(Path(tmp).read_bytes())}.so"
                 os.replace(tmp, lib)
+                for stale in set(RK4_CACHE.glob("rk4-*.so")) - {lib}:
+                    with contextlib.suppress(OSError):
+                        stale.unlink()
             finally:
                 Path(tmp).unlink(missing_ok=True)
         advance = ctypes.CDLL(str(lib)).rk4_advance
@@ -257,101 +287,27 @@ def _rk4_kernel():
     return advance
 
 
-def _numpy_stepper(y0: np.ndarray, h: float):
-    """The numpy stepper of ``_rk4_batch``: the (4, n) state, rows (y1, y3,
-    y2, y4), and a function advancing it by one grid step in place.
-
-    The state and stages 2, 3, 4 are the (6, n) slabs of one buffer, rows
-    (y1, y3, y2, y4, a1, a3) with a1 and a3 the accelerations at rows 0..3,
-    so rows 2..5 are the derivative k and no velocity is copied.  After
-    stage 4 has read k3, one call doubles k2 and k3; k1 + 2 k2 + 2 k3 + k4
-    is summed in the rows of k2.  Views and 0-d scalars are made once, and
-    each of the 24 ufunc calls per substep writes through a positional
-    ``out``.
-    """
-    hh, h, h6, two, minus_one = (np.array(c) for c in (0.5 * h, h, h / 6.0, 2.0, -1.0))
-    buf = np.empty((4, 6) + y0.shape[1:])  # the state and stages 2, 3, 4
-    buf[0, :2], buf[0, 2:4] = y0[::2], y0[1::2]
-    y, z, w, u = buf[:, :4]  # the state rows of each slab
-    ys, zs, ws, us = buf[:, 1::-1]  # their positions, swapped to (y3, y1)
-    yp, zp, wp, up = buf[:, :2]  # their positions
-    ya, za, wa, ua = buf[:, 4:]  # the accelerations at them
-    k1, k2, k3, k4 = buf[:, 2:]  # their derivatives
-    k23 = buf[1:3, 2:]
-    square, subtract, multiply, add = np.square, np.subtract, np.multiply, np.add
-
-    def advance():
-        for _ in range(SUBSTEPS):
-            square(ys, ya)
-            subtract(minus_one, ya, ya)
-            multiply(yp, ya, ya)
-            multiply(hh, k1, z)
-            add(y, z, z)
-            square(zs, za)
-            subtract(minus_one, za, za)
-            multiply(zp, za, za)
-            multiply(hh, k2, w)
-            add(y, w, w)
-            square(ws, wa)
-            subtract(minus_one, wa, wa)
-            multiply(wp, wa, wa)
-            multiply(h, k3, u)
-            add(y, u, u)
-            square(us, ua)
-            subtract(minus_one, ua, ua)
-            multiply(up, ua, ua)
-            multiply(two, k23, k23)
-            add(k1, k2, k2)
-            add(k2, k3, k2)
-            add(k2, k4, k2)
-            multiply(h6, k2, k2)
-            add(y, k2, y)
-
-    return y, advance
-
-
 def _rk4_batch(y0: np.ndarray, cfg: SimConfig):
-    """Classical RK4 at internal step dt/SUBSTEPS on a batch of state
-    columns (4, n) in the order (y1, y2, y3, y4); yields the batch at grid
-    steps 0, ..., n_points - 1 as a (4, n) view with rows (y1, y3, y2, y4).
+    """RK4 on a batch of state columns (4, n) in the order (y1, y2, y3,
+    y4); yields the batch at grid steps 0, ..., n_points - 1 as a (4, n)
+    view with rows (y1, y3, y2, y4).
 
     Every yield is the same view, updated in place: a consumer copies or
-    reduces it before the next step.  One call per grid step of the
-    compiled ``rk4_advance`` (``rk4.c``, from :func:`_rk4_kernel`) advances
-    it, 8 columns at a time; without that kernel, the 24 ufunc calls per
-    substep of :func:`_numpy_stepper` do, several times more slowly.
-
-    The arithmetic is that of the right-hand side (y2, -y1(1 + y3^2), y4,
-    -y3(1 + y1^2)) and the RK4 update evaluated on the whole (4, n) batch,
-    in the same order, y + h/6 (((k1 + 2 k2) + 2 k3) + k4), but for one
-    rewrite: an acceleration -p (1 + q^2) is computed as p * (-1 - q^2).
-    Negation is exact and rounding is symmetric in sign, so the two are the
-    same float, signed zeros included.  Positions are squared by a product
-    (``np.square``, as numpy's array ``** 2`` does).  ``integrate`` squares
-    by ``pow`` instead, so a column may differ from its ``integrate`` run in
-    the last bits.  Both steppers give the same bits: each operation is one
-    IEEE double rounding in C as in numpy, as long as the kernel is built
-    with ``-ffp-contract=off``, which forbids fusing a product and a sum,
-    and without ``-ffast-math``, which would reassociate and also turn on
-    flush-to-zero for subnormals.
-
-    The committed references in ``perfbench/references`` freeze this
-    arithmetic, as the oscillator is chaotic at large hidden amplitudes: a
-    one-ulp change to an initial y3 moved the worst of 1000 samples by
-    1.7e-3 and the projection's mean by 1.9e-6 at t = 50, so a
-    reassociation, a fused update or another sub-step count should be
-    expected to move the mean beyond their tolerance.  In the numpy stepper
-    an overflow warns unless the caller holds an ``np.errstate``; the
-    compiled one never warns.  A non-finite state raises
+    reduces it before the next step.  One call per grid step of the compiled
+    ``rk4_advance`` (``rk4.c``, from :func:`_rk4_kernel`) advances it;
+    without that kernel :func:`_rk4_substeps` does, on the rows, to the same
+    bits and more slowly.  There an overflow warns unless the caller holds
+    an ``np.errstate``; the kernel never warns.  A non-finite state raises
     :class:`DivergenceError` at its grid step.
     """
     h = cfg.dt / SUBSTEPS
+    y = np.empty((4,) + y0.shape[1:])  # C-contiguous rows, as the kernel reads them
+    y[:2], y[2:] = y0[::2], y0[1::2]
     kernel = _rk4_kernel()
     if kernel is None:
-        y, advance = _numpy_stepper(y0, h)
+        def advance():
+            y[0], y[1], y[2], y[3] = _rk4_substeps(*y, h)
     else:
-        y = np.empty((4,) + y0.shape[1:])  # C-contiguous rows, as the kernel reads them
-        y[:2], y[2:] = y0[::2], y0[1::2]
         advance = functools.partial(kernel, y.ctypes.data, y[0].size, SUBSTEPS, 0.5 * h, h, h / 6.0)
     finite = np.empty(y.shape, dtype=bool)
     yield y

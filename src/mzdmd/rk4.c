@@ -1,16 +1,18 @@
 /* Classical RK4 on the coupled oscillator: the compiled stepper of
-   oscillator._rk4_batch.  Built with -ffp-contract=off and without
-   -ffast-math, each column takes the numpy stepper's operations in its
-   order, so both give the same bits; see that function's docstring. */
+   oscillator._rk4_batch, a line-for-line transliteration of
+   oscillator._rk4_substeps with its names.  Built with -ffp-contract=off
+   and without -ffast-math, each column takes that function's operations in
+   its order on numpy rows, so both give the same bits; see its docstring. */
 #include <stddef.h>
 
 /* columns per block: an inner loop of fixed length the compiler vectorises */
 #define W 8
 
-/* Advance the (4, n) rows (y1, y3, y2, y4) at y, row-major, by `substeps`
-   RK4 steps of h in place; hh = h / 2 and h6 = h / 6.  A derivative is
-   (y2, y4, a1, a3), an acceleration a1 = y1 (-1 - y3^2).  A block's columns
-   past n are zeros, which stay finite and are never written back. */
+/* Advance the (4, n) rows (p, q, v, u) = (y1, y3, y2, y4) at y, row-major,
+   by `substeps` RK4 steps of h in place; hh = h / 2 and h6 = h / 6.  A
+   stage's derivative is (v, u, a, b), with accelerations a = p (-1 - q^2)
+   and b = q (-1 - p^2).  A block's columns past n are zeros, which stay
+   finite and are never written back. */
 void rk4_advance(double *y, ptrdiff_t n, int substeps, double hh, double h, double h6)
 {
     for (ptrdiff_t c = 0; c < n; c += W) {

@@ -480,7 +480,6 @@ class TestRunExperiment:
             "scipy": importlib.metadata.version("scipy"),
             "blas": stamp["blas"],
             "cpu_count": os.cpu_count(),
-            "rk4": "compiled" if shutil.which("cc") else "numpy",
             variable.lower(): "1",
         }
         assert stamp["blas"].startswith(np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"])
@@ -489,9 +488,24 @@ class TestRunExperiment:
 
     def test_stamp_names_the_numpy_stepper_when_the_kernel_is_missing(self, tmp_path, monkeypatch):
         monkeypatch.setattr(oscillator, "_rk4_kernel", lambda: None)
-        cfg = small_config(tmp_path, method="dmd")
+        cfg = small_config(tmp_path, method="projection")
         run_experiment(cfg)
         assert json.loads((cfg.output_dir / "report.json").read_text())["environment"]["rk4"] == "numpy"
+
+    def test_only_the_projection_stamps_a_stepper(self, tmp_path):
+        # a dmd run steps no batch, so it neither builds nor loads the kernel
+        cfg = small_config(tmp_path, method="dmd")
+        oscillator._rk4_kernel.cache_clear()
+        try:
+            run_experiment(cfg)
+            assert oscillator._rk4_kernel.cache_info().misses == 0
+        finally:
+            oscillator._rk4_kernel.cache_clear()
+        assert "rk4" not in json.loads((cfg.output_dir / "report.json").read_text())["environment"]
+        cfg = small_config(tmp_path, method="projection")
+        run_experiment(cfg)
+        stamp = json.loads((cfg.output_dir / "report.json").read_text())["environment"]
+        assert stamp["rk4"] == ("compiled" if shutil.which("cc") else "numpy")
 
     def test_stamp_without_scipy_metadata_reads_none(self, monkeypatch):
         def missing(name):

@@ -529,10 +529,9 @@ class TestKernelLoader:
         (rebuilt,) = oscillator.RK4_CACHE.iterdir()
         assert rebuilt.stat().st_size == lib.stat().st_size
 
-    def test_second_load_reuses_the_build(self, loader, monkeypatch):
-        _compiled_kernel()
+    @staticmethod
+    def _assert_reloads_without_compiling(loader, monkeypatch):
         built = sorted(oscillator.RK4_CACHE.iterdir())
-        assert [path.suffix for path in built] == [".so"]
 
         def no_compiler(*args, **kwargs):
             raise AssertionError(f"the compiler ran again: {args}")
@@ -541,6 +540,26 @@ class TestKernelLoader:
         monkeypatch.setattr(subprocess, "run", no_compiler)
         assert loader() is not None
         assert sorted(oscillator.RK4_CACHE.iterdir()) == built
+
+    def test_second_load_reuses_the_build(self, loader, monkeypatch):
+        _compiled_kernel()
+        assert [path.suffix for path in oscillator.RK4_CACHE.iterdir()] == [".so"]
+        self._assert_reloads_without_compiling(loader, monkeypatch)
+
+    def test_a_new_build_deletes_the_stale_ones(self, loader, monkeypatch):
+        # the build of another source or flags, as an older version leaves
+        # it, and a directory under a build's name, which cannot be unlinked
+        # and must not turn the new build into the numpy stepper
+        oscillator.RK4_CACHE.mkdir()
+        stale = oscillator.RK4_CACHE / "rk4-0123456789abcdef-fedcba9876543210.so"
+        stale.write_bytes(b"an older build")
+        undeletable = oscillator.RK4_CACHE / "rk4-00000000000000ff-00000000000000ff.so"
+        undeletable.mkdir()
+        _compiled_kernel()
+        assert not stale.exists()
+        (built,) = (path for path in oscillator.RK4_CACHE.iterdir() if path != undeletable)
+        assert built.suffix == ".so"
+        self._assert_reloads_without_compiling(loader, monkeypatch)
 
     def test_source_ships_with_the_package(self):
         tomllib = pytest.importorskip("tomllib")
