@@ -51,8 +51,8 @@ class RunReport:
     """What a run did.  ``projection_standard_error`` holds, per resolved
     coordinate, the largest standard error ``sqrt(var / n_mc)`` of the
     projection's mean and the time ``t`` at which it occurs; it is None, and
-    left out of the JSON, when the projection is not run.  Only then does
-    ``environment`` name the projection's RK4 stepper, as ``rk4``."""
+    left out of the JSON, when the projection is not run.  ``environment``
+    names the RK4 stepper of its batch, as ``rk4``, only at sigma > 0."""
 
     seed: int
     config: dict
@@ -250,8 +250,8 @@ def run_experiment(cfg) -> RunReport:
 
     if "projection" in results:
         report.projection_standard_error = _standard_error(results["projection"][1], cfg.sim.n_mc)
-        # its RK4 stepper: "numpy" where the compiled kernel is missing, the same bits more slowly
-        report.environment["rk4"] = "numpy" if oscillator._rk4_kernel() is None else "compiled"
+        if cfg.sim.sigma > 0:  # sigma 0 steps no batch; "numpy": the compiled kernel is missing
+            report.environment["rk4"] = "numpy" if oscillator._rk4_kernel() is None else "compiled"
     report.csv_files = [str(out / f"{stem}.csv") for stem in [*tables, "comparison"]]
     with stage(cfg.method, "write"):
         _write_comparison(t, tables, out / "comparison.csv")

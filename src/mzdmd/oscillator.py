@@ -161,9 +161,9 @@ def hamiltonian(state: np.ndarray) -> np.ndarray | float:
     return 0.5 * (y[1] ** 2 + y[3] ** 2) + 0.5 * (y[0] ** 2 + y[2] ** 2 + y[0] ** 2 * y[2] ** 2)
 
 
-def _rk4_substeps(p, q, v, u, h):
-    """SUBSTEPS classical RK4 steps of h from positions (p, q) = (y1, y3)
-    and velocities (v, u) = (y2, y4); returns the new (p, q, v, u).
+def _rk4_substeps(p, v, q, u, h):
+    """SUBSTEPS classical RK4 steps of h from the state (y1, y2, y3, y4) =
+    (p, v, q, u), positions p, q and velocities v, u; returns the new state.
 
     The right-hand side is (y2, -y1(1 + y3^2), y4, -y3(1 + y1^2)): each
     position's derivative is its velocity, so only the two accelerations are
@@ -195,19 +195,19 @@ def _rk4_substeps(p, q, v, u, h):
     """
     hh, h6 = 0.5 * h, h / 6.0
     for _ in range(SUBSTEPS):
-        p1, q1, v1, u1 = p, q, v, u
+        p1, v1, q1, u1 = p, v, q, u
         a1, b1 = p1 * (-1.0 - q1 ** 2), q1 * (-1.0 - p1 ** 2)
-        p2, q2, v2, u2 = p1 + hh * v1, q1 + hh * u1, v1 + hh * a1, u1 + hh * b1
+        p2, v2, q2, u2 = p1 + hh * v1, v1 + hh * a1, q1 + hh * u1, u1 + hh * b1
         a2, b2 = p2 * (-1.0 - q2 ** 2), q2 * (-1.0 - p2 ** 2)
-        p3, q3, v3, u3 = p1 + hh * v2, q1 + hh * u2, v1 + hh * a2, u1 + hh * b2
+        p3, v3, q3, u3 = p1 + hh * v2, v1 + hh * a2, q1 + hh * u2, u1 + hh * b2
         a3, b3 = p3 * (-1.0 - q3 ** 2), q3 * (-1.0 - p3 ** 2)
-        p4, q4, v4, u4 = p1 + h * v3, q1 + h * u3, v1 + h * a3, u1 + h * b3
+        p4, v4, q4, u4 = p1 + h * v3, v1 + h * a3, q1 + h * u3, u1 + h * b3
         a4, b4 = p4 * (-1.0 - q4 ** 2), q4 * (-1.0 - p4 ** 2)
         p = p1 + h6 * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
-        q = q1 + h6 * (u1 + 2.0 * u2 + 2.0 * u3 + u4)
         v = v1 + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        q = q1 + h6 * (u1 + 2.0 * u2 + 2.0 * u3 + u4)
         u = u1 + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-    return p, q, v, u
+    return p, v, q, u
 
 
 def integrate(s0: np.ndarray, cfg: SimConfig) -> Trajectory:
@@ -219,17 +219,15 @@ def integrate(s0: np.ndarray, cfg: SimConfig) -> Trajectory:
     if s0.shape != (4,):
         raise ValueError("s0 must be one state (4,)")
     h = cfg.dt / SUBSTEPS
-    y1, y2, y3, y4 = s0.tolist()
-    rows = [(y1, y2, y3, y4)]
+    rows = [s0.tolist()]
     for step in range(1, cfg.n_points):
         try:
-            y1, y3, y2, y4 = _rk4_substeps(y1, y3, y2, y4, h)
+            rows.append(_rk4_substeps(*rows[-1], h))
         except OverflowError:
             # float ** 2 raises where numpy's power returns inf
             raise DivergenceError(f"state overflowed at grid step {step}", step=step) from None
-        if not (isfinite(y1) and isfinite(y2) and isfinite(y3) and isfinite(y4)):
+        if not all(map(isfinite, rows[-1])):
             raise DivergenceError(f"state became non-finite at grid step {step}", step=step)
-        rows.append((y1, y2, y3, y4))
     return Trajectory(times=cfg.times(), states=np.array(rows))
 
 
@@ -240,11 +238,13 @@ def _rk4_kernel():
     The first call builds the library with ``cc`` into ``RK4_CACHE``, named
     by a hash of the source, the flags and the machine and by a hash of the
     library itself, through a temporary file that ``os.replace`` puts in
-    place; later calls and processes reuse it.  A new build deletes every
-    other ``rk4-*.so`` in the cache, the builds of an older source or
-    flags, and a delete that fails is ignored.  Only a file whose bytes
-    match its name is loaded: ``dlopen`` maps a truncated library and the
-    process faults on the missing pages, so a damaged file is built again.
+    place; later calls and processes reuse it.  A new build keeps the two
+    most recently modified other ``rk4-*.so`` in the cache, which other
+    versions of the package may load, and deletes the rest; a file that
+    cannot be deleted is skipped, and one that vanishes before its stat
+    skips the pruning.  Only a file whose bytes match its name is loaded:
+    ``dlopen`` maps a truncated library and the process faults on the
+    missing pages, so a damaged file is built again.
     With no ``cc``, a failed build, an unwritable cache or a library that
     fails to load it returns None, and ``_rk4_batch`` steps in numpy to the
     same bits.  Nothing is built or loaded at import.
@@ -273,26 +273,25 @@ def _rk4_kernel():
                 subprocess.run(command, check=True, capture_output=True, timeout=120)
                 lib = RK4_CACHE / f"rk4-{key}-{digest(Path(tmp).read_bytes())}.so"
                 os.replace(tmp, lib)
-                for stale in set(RK4_CACHE.glob("rk4-*.so")) - {lib}:
-                    with contextlib.suppress(OSError):
-                        stale.unlink()
+                with contextlib.suppress(OSError):  # a build that vanished before its stat
+                    for stale in sorted(set(RK4_CACHE.glob("rk4-*.so")) - {lib}, key=os.path.getmtime)[:-2]:
+                        with contextlib.suppress(OSError):
+                            stale.unlink()
             finally:
                 Path(tmp).unlink(missing_ok=True)
         advance = ctypes.CDLL(str(lib)).rk4_advance
     except (OSError, subprocess.SubprocessError):
         return None
-    double = ctypes.c_double
-    advance.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_int, double, double, double)
+    advance.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_int, ctypes.c_double)
     advance.restype = None
     return advance
 
 
 def _rk4_batch(y0: np.ndarray, cfg: SimConfig):
-    """RK4 on a batch of state columns (4, n) in the order (y1, y2, y3,
-    y4); yields the batch at grid steps 0, ..., n_points - 1 as a (4, n)
-    view with rows (y1, y3, y2, y4).
+    """RK4 on a batch of state columns (4, n); yields the batch at grid
+    steps 0, ..., n_points - 1 as a (4, n) copy, never ``y0`` itself.
 
-    Every yield is the same view, updated in place: a consumer copies or
+    Every yield is the same array, updated in place: a consumer copies or
     reduces it before the next step.  One call per grid step of the compiled
     ``rk4_advance`` (``rk4.c``, from :func:`_rk4_kernel`) advances it;
     without that kernel :func:`_rk4_substeps` does, on the rows, to the same
@@ -301,14 +300,13 @@ def _rk4_batch(y0: np.ndarray, cfg: SimConfig):
     :class:`DivergenceError` at its grid step.
     """
     h = cfg.dt / SUBSTEPS
-    y = np.empty((4,) + y0.shape[1:])  # C-contiguous rows, as the kernel reads them
-    y[:2], y[2:] = y0[::2], y0[1::2]
+    y = np.array(y0, dtype=float, order="C")  # C-contiguous rows, as the kernel reads them
     kernel = _rk4_kernel()
     if kernel is None:
         def advance():
             y[0], y[1], y[2], y[3] = _rk4_substeps(*y, h)
     else:
-        advance = functools.partial(kernel, y.ctypes.data, y[0].size, SUBSTEPS, 0.5 * h, h, h / 6.0)
+        advance = functools.partial(kernel, y.ctypes.data, y[0].size, SUBSTEPS, h)
     finite = np.empty(y.shape, dtype=bool)
     yield y
     for step in range(1, cfg.n_points):
@@ -328,10 +326,10 @@ def monte_carlo_projection(cfg: SimConfig, x_hat: tuple[float, float]) -> tuple[
     rng_stream(seed, TAG_PROJECTION, i).standard_normal(2)`` bit for bit,
     all of them in one ``keyed_normals`` call.  The batch is reduced one
     grid step at a time, so memory is O(n_mc): one sum of the resolved rows
-    (0 and 2 of the ``_rk4_batch`` view) serves both moments, each formed
-    as numpy's ``mean`` and ``var`` form it.  A state or moment that becomes
-    non-finite raises :class:`DivergenceError` with ``step`` set and no
-    numpy warning, from :func:`errors.check_finite` for a moment.
+    serves both moments, each formed as numpy's ``mean`` and ``var`` form
+    it.  A state or moment that becomes non-finite raises
+    :class:`DivergenceError` with ``step`` set and no numpy warning, from
+    :func:`errors.check_finite` for a moment.
     """
     x1, x2 = float(x_hat[0]), float(x_hat[1])
     times = cfg.times()
@@ -346,7 +344,7 @@ def monte_carlo_projection(cfg: SimConfig, x_hat: tuple[float, float]) -> tuple[
     # a diverging state or moment is reported by the checks below, not by a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         for y, m, v in zip(_rk4_batch(y0, cfg), mean, var):
-            resolved = y[::2]
+            resolved = y[:2]
             np.true_divide(np.add.reduce(resolved, 1, out=m), cfg.n_mc, out=m)
             np.square(np.subtract(resolved, m[:, None], out=dev), out=dev)
             np.true_divide(np.add.reduce(dev, 1, out=v), cfg.n_mc, out=v)

@@ -507,6 +507,25 @@ class TestRunExperiment:
         stamp = json.loads((cfg.output_dir / "report.json").read_text())["environment"]
         assert stamp["rk4"] == ("compiled" if shutil.which("cc") else "numpy")
 
+    def test_a_sigma_zero_projection_builds_nothing(self, tmp_path, monkeypatch):
+        # at sigma 0 the projection is one integrate() run and steps no
+        # batch, so it neither builds nor loads the kernel and stamps no
+        # stepper; at sigma 1 it stamps one
+        monkeypatch.setattr(oscillator, "RK4_CACHE", tmp_path / "cache")
+        oscillator._rk4_kernel.cache_clear()
+        try:
+            cfg = small_config(tmp_path / "zero", method="projection", sim={"sigma": 0.0})
+            run_experiment(cfg)
+            assert oscillator._rk4_kernel.cache_info().misses == 0
+            assert list(tmp_path.rglob("rk4-*.so")) == []
+            assert "rk4" not in json.loads((cfg.output_dir / "report.json").read_text())["environment"]
+            cfg = small_config(tmp_path / "one", method="projection", sim={"sigma": 1.0})
+            run_experiment(cfg)
+        finally:
+            oscillator._rk4_kernel.cache_clear()
+        stamp = json.loads((cfg.output_dir / "report.json").read_text())["environment"]
+        assert stamp["rk4"] == ("compiled" if shutil.which("cc") else "numpy")
+
     def test_stamp_without_scipy_metadata_reads_none(self, monkeypatch):
         def missing(name):
             raise importlib.metadata.PackageNotFoundError(name)

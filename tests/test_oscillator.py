@@ -1,3 +1,4 @@
+import os
 import shutil
 import subprocess
 import warnings
@@ -58,11 +59,10 @@ def _reference_outcome(y0, cfg):
 
 def _integrate_batch(y0, cfg):
     """The (n_points, 4, n) states of ``oscillator._rk4_batch`` on the state
-    columns ``y0`` (4, n), each yield stacked with its rows reordered from
-    (y1, y3, y2, y4) to (y1, y2, y3, y4)."""
+    columns ``y0`` (4, n)."""
     states = np.empty((cfg.n_points,) + y0.shape)
     for step, y in enumerate(oscillator._rk4_batch(y0, cfg)):
-        states[step, ::2], states[step, 1::2] = y[:2], y[2:]
+        states[step] = y
     return states
 
 
@@ -303,6 +303,23 @@ class TestBatchEdgeCases:
         want = _reference_outcome(y0, cfg)
         assert isinstance(want, int)
         assert _outcome(y0, cfg) == want
+
+    def test_never_writes_the_callers_batch(self):
+        # an F-ordered, an integer and a C-ordered float batch of the same
+        # values step to the same bits, and each is left as it was: a
+        # C-ordered float batch is the one that np.ascontiguousarray would
+        # hand back uncopied
+        cfg = _grid(0.1, 6)
+        ints = np.random.default_rng(6).integers(-3, 4, (4, 9))
+        batches = [np.asfortranarray(ints, dtype=float), ints.copy(), ints.astype(float)]
+        before = [batch.copy() for batch in batches]
+        (steps, diverged), *others = (_bit_steps(batch, cfg) for batch in batches)
+        assert diverged is None and len(steps) == cfg.n_points
+        for other in others:
+            assert other[1] is None
+            np.testing.assert_array_equal(other[0], steps)
+        for batch, was in zip(batches, before):
+            assert batch.dtype == was.dtype and np.array_equal(batch, was)
 
 
 class TestPhiloxKeys:
@@ -546,20 +563,75 @@ class TestKernelLoader:
         assert [path.suffix for path in oscillator.RK4_CACHE.iterdir()] == [".so"]
         self._assert_reloads_without_compiling(loader, monkeypatch)
 
-    def test_a_new_build_deletes_the_stale_ones(self, loader, monkeypatch):
-        # the build of another source or flags, as an older version leaves
-        # it, and a directory under a build's name, which cannot be unlinked
-        # and must not turn the new build into the numpy stepper
+    @staticmethod
+    def _plant_builds(*names):
+        """Files under build names in the cache, the first the oldest, as
+        other versions of the package leave them."""
         oscillator.RK4_CACHE.mkdir()
-        stale = oscillator.RK4_CACHE / "rk4-0123456789abcdef-fedcba9876543210.so"
-        stale.write_bytes(b"an older build")
-        undeletable = oscillator.RK4_CACHE / "rk4-00000000000000ff-00000000000000ff.so"
-        undeletable.mkdir()
-        _compiled_kernel()
-        assert not stale.exists()
-        (built,) = (path for path in oscillator.RK4_CACHE.iterdir() if path != undeletable)
+        builds = [oscillator.RK4_CACHE / f"rk4-{name}.so" for name in names]
+        for age, build in enumerate(builds, start=1):
+            build.write_bytes(b"another version's build")
+            os.utime(build, (age * 1e8, age * 1e8))
+        return builds
+
+    @staticmethod
+    def _assert_only_new_build_added(kept):
+        (built,) = set(oscillator.RK4_CACHE.iterdir()) - set(kept)
         assert built.suffix == ".so"
+
+    def test_a_new_build_keeps_the_two_newest_others(self, loader, monkeypatch):
+        oldest, *newest = self._plant_builds("1-1", "2-2", "3-3")
+        _compiled_kernel()
+        assert not oldest.exists() and all(build.exists() for build in newest)
+        self._assert_only_new_build_added(newest)
         self._assert_reloads_without_compiling(loader, monkeypatch)
+
+    def test_a_new_build_deletes_the_stale_ones(self, loader, monkeypatch):
+        # beyond the two newest other builds: a stale build, and a directory
+        # under a build's name, which cannot be unlinked and must not turn
+        # the new build into the numpy stepper
+        stale, *newest = self._plant_builds("1-1", "2-2", "3-3")
+        undeletable = oscillator.RK4_CACHE / "rk4-0-0.so"
+        undeletable.mkdir()
+        os.utime(undeletable, (0, 0))
+        _compiled_kernel()
+        assert undeletable.is_dir() and not stale.exists() and all(build.exists() for build in newest)
+        self._assert_only_new_build_added([undeletable, *newest])
+        self._assert_reloads_without_compiling(loader, monkeypatch)
+
+    def test_a_build_that_vanishes_leaves_the_new_one_loaded(self, loader, monkeypatch):
+        # another process deletes a listed build before its stat
+        self._plant_builds("1-1", "2-2", "3-3")
+        vanished, listing = oscillator.RK4_CACHE / "rk4-9-9.so", Path.glob
+
+        def glob(path, pattern):
+            return [*listing(path, pattern), *([vanished] if pattern == "rk4-*.so" else [])]
+
+        monkeypatch.setattr(Path, "glob", glob)
+        _compiled_kernel()
+        self._assert_reloads_without_compiling(loader, monkeypatch)
+
+    def test_two_versions_build_once_each(self, loader, monkeypatch, tmp_path):
+        # two sources that differ by one comment, as two versions of the
+        # package that share the cache, loaded in turn: neither deletes the
+        # other's build, so each compiles once
+        sources = [tmp_path / "a" / "rk4.c", tmp_path / "b" / "rk4.c"]
+        for source, comment in zip(sources, ["", "/* another version */\n"]):
+            source.parent.mkdir()
+            source.write_text(oscillator.RK4_SOURCE.read_text() + comment)
+        compiled, run = [], subprocess.run
+
+        def counting_run(command, **kwargs):
+            compiled.append(command[-1])
+            return run(command, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", counting_run)
+        for source in sources * 3:
+            monkeypatch.setattr(oscillator, "RK4_SOURCE", source)
+            loader.cache_clear()
+            _compiled_kernel()
+        assert compiled == [str(source) for source in sources]
+        assert len(list(oscillator.RK4_CACHE.iterdir())) == 2
 
     def test_source_ships_with_the_package(self):
         tomllib = pytest.importorskip("tomllib")
