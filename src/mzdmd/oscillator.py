@@ -182,9 +182,11 @@ def _rk4_substeps(p, v, q, u, h):
     column may differ from its ``integrate`` run in the last bits.
     ``rk4.c`` transliterates this function with products and gives the bits
     of the numpy rows, as each operation is one IEEE double rounding in C
-    as in numpy, provided it is built with ``-ffp-contract=off``, which
-    forbids fusing a product and a sum, and without ``-ffast-math``, which
-    would reassociate and also turn on flush-to-zero for subnormals.
+    as in numpy, in each of its AVX-512F, AVX2 and baseline clones, provided
+    it is built with ``-ffp-contract=off``, which forbids fusing a product
+    and a sum (AVX-512F has fused multiply-adds, and its clone would use
+    them), and without ``-ffast-math``, which would reassociate and also
+    turn on flush-to-zero for subnormals.
 
     The committed references in ``perfbench/references`` freeze this
     arithmetic, as the oscillator is chaotic at large hidden amplitudes: a
@@ -244,7 +246,12 @@ def _rk4_kernel():
     cannot be deleted is skipped, and one that vanishes before its stat
     skips the pruning.  Only a file whose bytes match its name is loaded:
     ``dlopen`` maps a truncated library and the process faults on the
-    missing pages, so a damaged file is built again.
+    missing pages, so a damaged file is built again, and a listed build that
+    another process deletes before its read is passed over.  On x86-64 GCC
+    the library carries AVX-512F, AVX2 and baseline clones of
+    ``rk4_advance`` and resolves one as it loads; the returned function's
+    ``isa`` attribute names it, from ``rk4_isa``: ``"avx512f"``, ``"avx2"``
+    or ``"default"``.
     With no ``cc``, a failed build, an unwritable cache or a library that
     fails to load it returns None, and ``_rk4_batch`` steps in numpy to the
     same bits.  Nothing is built or loaded at import.
@@ -262,8 +269,13 @@ def _rk4_kernel():
     try:
         build = (RK4_SOURCE.read_bytes(), RK4_FLAGS, platform.system(), platform.machine())
         key = digest(repr(build).encode())
-        lib = next((lib for lib in RK4_CACHE.glob(f"rk4-{key}-*.so")
-                    if lib.stem == f"rk4-{key}-{digest(lib.read_bytes())}"), None)
+
+        def intact(lib: Path) -> bool:
+            with contextlib.suppress(OSError):  # a build deleted since the glob
+                return lib.stem == f"rk4-{key}-{digest(lib.read_bytes())}"
+            return False
+
+        lib = next(filter(intact, RK4_CACHE.glob(f"rk4-{key}-*.so")), None)
         if lib is None:
             RK4_CACHE.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(".tmp", "rk4-", RK4_CACHE)
@@ -279,11 +291,15 @@ def _rk4_kernel():
                             stale.unlink()
             finally:
                 Path(tmp).unlink(missing_ok=True)
-        advance = ctypes.CDLL(str(lib)).rk4_advance
+        library = ctypes.CDLL(str(lib))
     except (OSError, subprocess.SubprocessError):
         return None
+    advance, isa = library.rk4_advance, library.rk4_isa
     advance.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_int, ctypes.c_double)
     advance.restype = None
+    isa.argtypes = ()
+    isa.restype = ctypes.c_char_p
+    advance.isa = isa().decode()
     return advance
 
 

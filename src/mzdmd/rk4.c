@@ -2,16 +2,47 @@
    oscillator._rk4_batch, a line-for-line transliteration of
    oscillator._rk4_substeps with its names.  Built with -ffp-contract=off
    and without -ffast-math, each column takes that function's operations in
-   its order on numpy rows, so both give the same bits; see its docstring. */
+   its order on numpy rows, so both give the same bits; see its docstring.
+
+   With x86-64 GCC, rk4_advance is cloned for AVX-512F, AVX2 and the
+   baseline, and the dynamic loader resolves one clone through an ifunc when
+   the library loads, so one build serves every x86-64 CPU and its cache key
+   names no CPU feature.  AVX-512F carries fused multiply-adds: only
+   -ffp-contract=off keeps that clone from fusing a product and a sum, which
+   would change the bits (the AVX2 clone has no FMA to fuse with).  Another
+   compiler or machine, or a build that defines RK4_NO_DISPATCH, gets the
+   one function its flags select. */
 #include <stddef.h>
 
-/* columns per block: an inner loop of fixed length the compiler vectorises */
-#define W 8
+/* columns per block: an inner loop of fixed length the compiler vectorises,
+   two AVX-512 vectors of each of the four rows */
+#define W 16
+
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && !defined(RK4_NO_DISPATCH)
+#define RK4_DISPATCH
+#endif
+
+/* The clone rk4_advance runs: the first of the clones' ISAs this CPU
+   supports, or "default" */
+const char *rk4_isa(void)
+{
+#ifdef RK4_DISPATCH
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f"))
+        return "avx512f";
+    if (__builtin_cpu_supports("avx2"))
+        return "avx2";
+#endif
+    return "default";
+}
 
 /* Advance the (4, n) rows (p, v, q, u) = (y1, y2, y3, y4) at y, row-major,
    by `substeps` RK4 steps of h in place.  A stage's derivative is (v, a, u,
    b), with accelerations a = p (-1 - q^2) and b = q (-1 - p^2).  A block's
    columns past n are zeros, which stay finite and are never written back. */
+#ifdef RK4_DISPATCH
+__attribute__((target_clones("avx512f", "avx2", "default")))
+#endif
 void rk4_advance(double *y, ptrdiff_t n, int substeps, double h)
 {
     double hh = 0.5 * h, h6 = h / 6.0;

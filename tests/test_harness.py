@@ -36,6 +36,22 @@ AWKWARD = [-0.0, 5e-324, 1e308, 1 / 3, 2.0, -7.0, 0.0, 1e16]
 THREAD_VARIABLES = ["OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"]
 
 
+def _stepper_stamp(cfg):
+    """The keys of a run's report.json environment that name its stepper."""
+    environment = json.loads((cfg.output_dir / "report.json").read_text())["environment"]
+    return {key: environment[key] for key in ("rk4", "rk4_isa") if key in environment}
+
+
+def _batch_stepper_stamp():
+    """The stepper stamp of a projection that steps its batch: the compiled
+    kernel and the clone it runs, or the numpy stepper without ``cc``."""
+    if shutil.which("cc") is None:
+        return {"rk4": "numpy"}
+    isa = oscillator._rk4_kernel().isa
+    assert isa in ("avx512f", "avx2", "default")
+    return {"rk4": "compiled", "rk4_isa": isa}
+
+
 def _awkward_trajectory(with_var):
     """A trajectory of the AWKWARD values, and a variance of them when
     ``with_var``."""
@@ -490,7 +506,7 @@ class TestRunExperiment:
         monkeypatch.setattr(oscillator, "_rk4_kernel", lambda: None)
         cfg = small_config(tmp_path, method="projection")
         run_experiment(cfg)
-        assert json.loads((cfg.output_dir / "report.json").read_text())["environment"]["rk4"] == "numpy"
+        assert _stepper_stamp(cfg) == {"rk4": "numpy"}
 
     def test_only_the_projection_stamps_a_stepper(self, tmp_path):
         # a dmd run steps no batch, so it neither builds nor loads the kernel
@@ -501,11 +517,10 @@ class TestRunExperiment:
             assert oscillator._rk4_kernel.cache_info().misses == 0
         finally:
             oscillator._rk4_kernel.cache_clear()
-        assert "rk4" not in json.loads((cfg.output_dir / "report.json").read_text())["environment"]
+        assert _stepper_stamp(cfg) == {}
         cfg = small_config(tmp_path, method="projection")
         run_experiment(cfg)
-        stamp = json.loads((cfg.output_dir / "report.json").read_text())["environment"]
-        assert stamp["rk4"] == ("compiled" if shutil.which("cc") else "numpy")
+        assert _stepper_stamp(cfg) == _batch_stepper_stamp()
 
     def test_a_sigma_zero_projection_builds_nothing(self, tmp_path, monkeypatch):
         # at sigma 0 the projection is one integrate() run and steps no
@@ -518,13 +533,12 @@ class TestRunExperiment:
             run_experiment(cfg)
             assert oscillator._rk4_kernel.cache_info().misses == 0
             assert list(tmp_path.rglob("rk4-*.so")) == []
-            assert "rk4" not in json.loads((cfg.output_dir / "report.json").read_text())["environment"]
+            assert _stepper_stamp(cfg) == {}
             cfg = small_config(tmp_path / "one", method="projection", sim={"sigma": 1.0})
             run_experiment(cfg)
+            assert _stepper_stamp(cfg) == _batch_stepper_stamp()
         finally:
             oscillator._rk4_kernel.cache_clear()
-        stamp = json.loads((cfg.output_dir / "report.json").read_text())["environment"]
-        assert stamp["rk4"] == ("compiled" if shutil.which("cc") else "numpy")
 
     def test_stamp_without_scipy_metadata_reads_none(self, monkeypatch):
         def missing(name):

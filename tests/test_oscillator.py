@@ -451,41 +451,89 @@ def _bit_steps(y0, cfg):
     return steps, None
 
 
-class TestCompiledStepper:
-    @pytest.fixture
-    def kernel(self):
-        # a fixture, so a missing compiler skips before hypothesis draws
-        return _compiled_kernel()
-
-    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(
-        n=st.sampled_from([1, 7, 8, 9, 37]),
+def _batch_draws(test):
+    """Draws a batch size ``n`` that brackets partial and full blocks of the
+    compiled stepper's 16 columns, a grid, and the batch's amplitude, share
+    of signed zeros and seed, with the examples below."""
+    # subnormal states, every entry a signed zero, and squares that overflow
+    test = example(n=9, dt=0.1, n_points=5, log_amplitude=-310.0, zeros=0.0, seed=0)(test)
+    test = example(n=8, dt=3.1, n_points=5, log_amplitude=0.0, zeros=1.0, seed=1)(test)
+    test = example(n=37, dt=3.1, n_points=5, log_amplitude=160.0, zeros=0.5, seed=2)(test)
+    draws = given(
+        n=st.sampled_from([1, 7, 8, 9, 15, 16, 17, 37]),
         dt=st.floats(1e-3, 3.1),
         n_points=st.integers(2, 30),
         log_amplitude=st.floats(-310.0, 160.0),
         zeros=st.floats(0.0, 1.0),
         seed=st.integers(0, 2**32 - 1),
     )
-    # subnormal states, every entry a signed zero, and squares that overflow
-    @example(n=9, dt=0.1, n_points=5, log_amplitude=-310.0, zeros=0.0, seed=0)
-    @example(n=8, dt=3.1, n_points=5, log_amplitude=0.0, zeros=1.0, seed=1)
-    @example(n=37, dt=3.1, n_points=5, log_amplitude=160.0, zeros=0.5, seed=2)
+    return settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])(draws(test))
+
+
+def _drawn_batch(n, log_amplitude, zeros, seed):
+    rng = np.random.default_rng(seed)
+    y0 = rng.standard_normal((4, n)) * 10.0**log_amplitude
+    mask = rng.random(y0.shape) < zeros
+    y0[mask] = np.copysign(0.0, rng.standard_normal(mask.sum()))
+    return y0
+
+
+def _assert_same_bit_steps(got, want):
+    assert got[1] == want[1]
+    assert len(got[0]) == len(want[0])
+    for got_step, want_step in zip(got[0], want[0]):
+        np.testing.assert_array_equal(got_step, want_step)
+
+
+# the clones of rk4_advance, in the order rk4_isa tries them
+ISAS = ("avx512f", "avx2", "default")
+
+
+class TestCompiledStepper:
+    @pytest.fixture
+    def kernel(self):
+        # a fixture, so a missing compiler skips before hypothesis draws
+        return _compiled_kernel()
+
+    @_batch_draws
     @pytest.mark.usefixtures("kernel")
     def test_steppers_agree_bitwise(self, monkeypatch, n, dt, n_points, log_amplitude, zeros, seed):
         # each grid step's states and the divergence step, compiled against numpy
-        rng = np.random.default_rng(seed)
-        y0 = rng.standard_normal((4, n)) * 10.0**log_amplitude
-        mask = rng.random(y0.shape) < zeros
-        y0[mask] = np.copysign(0.0, rng.standard_normal(mask.sum()))
-        cfg = _grid(dt, n_points)
+        y0, cfg = _drawn_batch(n, log_amplitude, zeros, seed), _grid(dt, n_points)
         compiled = _bit_steps(y0, cfg)
         with monkeypatch.context() as patch:
             patch.setattr(oscillator, "_rk4_kernel", lambda: None)
             numpy = _bit_steps(y0, cfg)
-        assert compiled[1] == numpy[1]
-        assert len(compiled[0]) == len(numpy[0])
-        for got, want in zip(*(steps for steps, _ in (compiled, numpy))):
-            np.testing.assert_array_equal(got, want)
+        _assert_same_bit_steps(compiled, numpy)
+
+    @pytest.fixture(params=ISAS[::-1])
+    def clone(self, request, monkeypatch, tmp_path):
+        """The dispatched kernel, and ``rk4.c`` built into ``tmp_path`` with
+        dispatch off for one clone's ISA: the code that clone runs, whichever
+        clone this CPU selects."""
+        dispatched, isa = _compiled_kernel(), request.param
+        if ISAS.index(isa) < ISAS.index(dispatched.isa):
+            pytest.skip(f"the dispatched kernel selected {dispatched.isa!r}: this host's CPU or compiler offers no {isa}")
+        flags = ("-DRK4_NO_DISPATCH", *(() if isa == "default" else (f"-m{isa}",)))
+        with monkeypatch.context() as patch:
+            patch.setattr(oscillator, "RK4_CACHE", tmp_path)
+            patch.setattr(oscillator, "RK4_FLAGS", (*oscillator.RK4_FLAGS, *flags))
+            oscillator._rk4_kernel.cache_clear()
+            built = oscillator._rk4_kernel()
+            oscillator._rk4_kernel.cache_clear()
+        assert built is not None and built.isa == "default"
+        return dispatched, built
+
+    @_batch_draws
+    def test_each_clone_agrees_bitwise(self, monkeypatch, clone, n, dt, n_points, log_amplitude, zeros, seed):
+        # CI and any one host run only the clone their CPU selects
+        y0, cfg = _drawn_batch(n, log_amplitude, zeros, seed), _grid(dt, n_points)
+        steps = []
+        for kernel in clone:
+            with monkeypatch.context() as patch:
+                patch.setattr(oscillator, "_rk4_kernel", lambda: kernel)
+                steps.append(_bit_steps(y0, cfg))
+        _assert_same_bit_steps(*steps)
 
 
 class TestKernelLoader:
@@ -609,6 +657,20 @@ class TestKernelLoader:
 
         monkeypatch.setattr(Path, "glob", glob)
         _compiled_kernel()
+        self._assert_reloads_without_compiling(loader, monkeypatch)
+
+    def test_a_candidate_that_vanishes_is_passed_over(self, loader, monkeypatch):
+        # another process deletes a listed build of the current key before
+        # its read: the good build is still loaded, so a run stamps "compiled"
+        _compiled_kernel()
+        (built,) = oscillator.RK4_CACHE.iterdir()
+        key = built.stem.split("-")[1]
+        vanished, listing = oscillator.RK4_CACHE / f"rk4-{key}-0000000000000000.so", Path.glob
+
+        def glob(path, pattern):
+            return [*([vanished] if pattern == f"rk4-{key}-*.so" else []), *listing(path, pattern)]
+
+        monkeypatch.setattr(Path, "glob", glob)
         self._assert_reloads_without_compiling(loader, monkeypatch)
 
     def test_two_versions_build_once_each(self, loader, monkeypatch, tmp_path):
