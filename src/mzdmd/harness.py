@@ -52,8 +52,8 @@ class RunReport:
     coordinate, the largest standard error ``sqrt(var / n_mc)`` of the
     projection's mean and the time ``t`` at which it occurs; it is None, and
     left out of the JSON, when the projection is not run.  ``environment``
-    names the RK4 stepper of its batch, as ``rk4``, only at sigma > 0, and
-    then, when that stepper is compiled, the clone it runs, as ``rk4_isa``."""
+    names, when the projection runs, what stepped it, as
+    :func:`oscillator.projection_stepper` gives it."""
 
     seed: int
     config: dict
@@ -251,11 +251,7 @@ def run_experiment(cfg) -> RunReport:
 
     if "projection" in results:
         report.projection_standard_error = _standard_error(results["projection"][1], cfg.sim.n_mc)
-        if cfg.sim.sigma > 0:  # sigma 0 steps no batch; "numpy": the compiled kernel is missing
-            kernel = oscillator._rk4_kernel()
-            report.environment["rk4"] = "numpy" if kernel is None else "compiled"
-            if kernel is not None:
-                report.environment["rk4_isa"] = kernel.isa
+        report.environment.update(oscillator.projection_stepper(cfg.sim))
     report.csv_files = [str(out / f"{stem}.csv") for stem in [*tables, "comparison"]]
     with stage(cfg.method, "write"):
         _write_comparison(t, tables, out / "comparison.csv")

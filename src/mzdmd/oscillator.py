@@ -27,10 +27,11 @@ from .errors import DivergenceError, check_finite
 SUBSTEPS = 10
 
 # the compiled stepper of the projection: its source, which ships with the
-# package, the flags that keep its arithmetic numpy's, and its build cache
+# package, the flags that keep its arithmetic numpy's, and its build cache,
+# which the loader expands, so import looks up no home directory
 RK4_SOURCE = Path(__file__).with_name("rk4.c")
 RK4_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-RK4_CACHE = Path.home() / ".cache" / "mzdmd"
+RK4_CACHE = Path("~/.cache/mzdmd")
 
 # spawn-key tags keeping the random streams of the pipeline stages disjoint
 TAG_MEASUREMENT = 0
@@ -235,26 +236,20 @@ def integrate(s0: np.ndarray, cfg: SimConfig) -> Trajectory:
 
 @functools.cache
 def _rk4_kernel():
-    """``rk4_advance`` of ``rk4.c`` through ctypes, or None.
+    """``rk4_advance`` of ``rk4.c`` through ctypes, or None; its ``isa``
+    attribute names the clone the library resolved as it loaded, from
+    ``rk4_isa``: ``"avx512f"``, ``"avx2"`` or ``"default"``.
 
-    The first call builds the library with ``cc`` into ``RK4_CACHE``, named
-    by a hash of the source, the flags and the machine and by a hash of the
-    library itself, through a temporary file that ``os.replace`` puts in
-    place; later calls and processes reuse it.  A new build keeps the two
-    most recently modified other ``rk4-*.so`` in the cache, which other
-    versions of the package may load, and deletes the rest; a file that
-    cannot be deleted is skipped, and one that vanishes before its stat
-    skips the pruning.  Only a file whose bytes match its name is loaded:
-    ``dlopen`` maps a truncated library and the process faults on the
-    missing pages, so a damaged file is built again, and a listed build that
-    another process deletes before its read is passed over.  On x86-64 GCC
-    the library carries AVX-512F, AVX2 and baseline clones of
-    ``rk4_advance`` and resolves one as it loads; the returned function's
-    ``isa`` attribute names it, from ``rk4_isa``: ``"avx512f"``, ``"avx2"``
-    or ``"default"``.
-    With no ``cc``, a failed build, an unwritable cache or a library that
-    fails to load it returns None, and ``_rk4_batch`` steps in numpy to the
-    same bits.  Nothing is built or loaded at import.
+    The first call builds the library with ``cc`` in a temporary directory
+    inside ``RK4_CACHE`` and moves it into the cache, named by a hash of the
+    source, the flags and the machine and by a hash of its own bytes: only a
+    file whose bytes match its name is loaded, as ``dlopen`` maps a
+    truncated library and the process faults on the missing pages.  A new
+    build keeps the two most recently modified other ``rk4-*.so``, which
+    other versions of the package sharing the cache may load.  With no
+    ``cc``, no home directory, a failed build, an unwritable cache or a
+    library that fails to load it returns None, and ``_rk4_batch`` steps in
+    numpy to the same bits.  Nothing is built or loaded at import.
     """
     # hashlib and subprocess load only here: importing the package needs neither
     import hashlib
@@ -267,6 +262,7 @@ def _rk4_kernel():
     if cc is None:
         return None
     try:
+        cache = RK4_CACHE.expanduser()  # RuntimeError without a home directory
         build = (RK4_SOURCE.read_bytes(), RK4_FLAGS, platform.system(), platform.machine())
         key = digest(repr(build).encode())
 
@@ -275,31 +271,27 @@ def _rk4_kernel():
                 return lib.stem == f"rk4-{key}-{digest(lib.read_bytes())}"
             return False
 
-        lib = next(filter(intact, RK4_CACHE.glob(f"rk4-{key}-*.so")), None)
+        lib = next(filter(intact, cache.glob(f"rk4-{key}-*.so")), None)
         if lib is None:
-            RK4_CACHE.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(".tmp", "rk4-", RK4_CACHE)
-            os.close(fd)
-            try:
-                command = [cc, *RK4_FLAGS, "-o", tmp, str(RK4_SOURCE)]
-                subprocess.run(command, check=True, capture_output=True, timeout=120)
-                lib = RK4_CACHE / f"rk4-{key}-{digest(Path(tmp).read_bytes())}.so"
-                os.replace(tmp, lib)
-                with contextlib.suppress(OSError):  # a build that vanished before its stat
-                    for stale in sorted(set(RK4_CACHE.glob("rk4-*.so")) - {lib}, key=os.path.getmtime)[:-2]:
-                        with contextlib.suppress(OSError):
-                            stale.unlink()
-            finally:
-                Path(tmp).unlink(missing_ok=True)
+            cache.mkdir(parents=True, exist_ok=True)
+            with tempfile.TemporaryDirectory(prefix="rk4-", dir=cache) as tmp:
+                out = Path(tmp) / "rk4.so"
+                subprocess.run([cc, *RK4_FLAGS, "-o", str(out), str(RK4_SOURCE)],
+                               check=True, capture_output=True, timeout=120)
+                lib = cache / f"rk4-{key}-{digest(out.read_bytes())}.so"
+                os.replace(out, lib)
+            with contextlib.suppress(OSError):  # a build that vanished before its stat
+                for stale in sorted(set(cache.glob("rk4-*.so")) - {lib}, key=os.path.getmtime)[:-2]:
+                    with contextlib.suppress(OSError):
+                        stale.unlink()
         library = ctypes.CDLL(str(lib))
-    except (OSError, subprocess.SubprocessError):
+    except (OSError, RuntimeError, subprocess.SubprocessError):
         return None
-    advance, isa = library.rk4_advance, library.rk4_isa
+    advance = library.rk4_advance
     advance.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_int, ctypes.c_double)
     advance.restype = None
-    isa.argtypes = ()
-    isa.restype = ctypes.c_char_p
-    advance.isa = isa().decode()
+    library.rk4_isa.restype = ctypes.c_char_p
+    advance.isa = library.rk4_isa().decode()
     return advance
 
 
@@ -330,6 +322,17 @@ def _rk4_batch(y0: np.ndarray, cfg: SimConfig):
         if not np.isfinite(y, finite).all():
             raise DivergenceError(f"state became non-finite at grid step {step}", step=step)
         yield y
+
+
+def projection_stepper(cfg: SimConfig) -> dict:
+    """What steps :func:`monte_carlo_projection`'s batch under ``cfg``, as
+    a run's report names it: nothing at sigma 0, where no batch is stepped
+    and nothing is built; else ``{"rk4": "numpy"}`` without the compiled
+    kernel, or ``{"rk4": "compiled", "rk4_isa": ...}`` with the clone it runs."""
+    if cfg.sigma == 0.0:
+        return {}
+    kernel = _rk4_kernel()
+    return {"rk4": "numpy"} if kernel is None else {"rk4": "compiled", "rk4_isa": kernel.isa}
 
 
 def monte_carlo_projection(cfg: SimConfig, x_hat: tuple[float, float]) -> tuple[Trajectory, Trajectory]:

@@ -1,5 +1,6 @@
-"""Import guards: the package never loads scipy.optimize, and loads
-scipy.linalg only on its first matrix exponential.
+"""Import guards: the package never loads scipy.optimize, loads
+scipy.linalg only on its first matrix exponential, and looks up no home
+directory.
 
 Importing scipy.optimize cost a fresh process about 0.35 s of CPU and 20 MB
 of resident memory (2-vCPU Xeon, scipy 1.17); the eigenpair matching uses an
@@ -13,6 +14,7 @@ on how many CPUs scipy's BLAS sees when it loads.
 
 import ast
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -24,15 +26,17 @@ import mzdmd
 PACKAGE_DIR = Path(mzdmd.__file__).resolve().parent
 
 
-def run_fresh(code: str, *args) -> str:
+def run_fresh(code: str, *args, cwd=PACKAGE_DIR.parent, env=None) -> str:
     """Run ``code`` in a fresh interpreter that imports mzdmd from this
-    checkout, and return what it printed."""
+    checkout, in ``cwd`` and under ``env`` (this process's environment when
+    None), and return what it printed."""
     return subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-c", code, *map(str, args)],
         capture_output=True,
         text=True,
         check=True,
-        cwd=PACKAGE_DIR.parent,
+        cwd=cwd,
+        env=env,
     ).stdout
 
 
@@ -69,6 +73,49 @@ def test_import_and_build_config_do_not_build_the_stepper():
         "print(mzdmd.oscillator._rk4_kernel.cache_info().misses, 'subprocess' in sys.modules)"
     )
     assert run_fresh(code).split() == ["0", "False"]
+
+
+# a user with no home directory: HOME unset and no passwd entry for the uid,
+# as a container run under an arbitrary uid or a systemd DynamicUser service;
+# the child imports the package and runs a sigma 1 projection in its cwd
+NO_PASSWD_ENTRY_PROJECTION = (
+    "import json, pwd\n"
+    "def no_entry(uid):\n"
+    "    raise KeyError(f'getpwuid(): uid not found: {uid}')\n"
+    "pwd.getpwuid = no_entry\n"
+    "import mzdmd, mzdmd.cli\n"
+    "from mzdmd.config import build_config\n"
+    "from mzdmd.harness import run_experiment\n"
+    "run_experiment(build_config({'t_max': 2.0, 'n_points': 21, 'n_mc': 8,\n"
+    "    'method': 'projection', 'output_dir': 'out'}))\n"
+    "print(json.load(open('out/report.json'))['environment']['rk4'])"
+)
+
+
+def _environment(**variables):
+    """This process's environment without HOME, mzdmd importable from this
+    checkout, and ``variables`` set."""
+    env = {name: value for name, value in os.environ.items() if name != "HOME"}
+    return {**env, "PYTHONPATH": str(PACKAGE_DIR.parent), **variables}
+
+
+def test_import_and_projection_need_no_home_directory(tmp_path):
+    # the kernel's cache lives under the home directory: without one the
+    # projection steps in numpy, and nothing is built under a literal "~"
+    stepper = run_fresh(NO_PASSWD_ENTRY_PROJECTION, cwd=tmp_path, env=_environment())
+    assert stepper.strip() == "numpy"
+    assert not (tmp_path / "~").exists()
+
+
+def test_a_home_directory_holds_the_kernel(tmp_path):
+    # the positive control of the test above: the same child, given a home,
+    # builds the kernel into it
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler `cc` on PATH to build the compiled stepper")
+    home = tmp_path / "home"
+    stepper = run_fresh(NO_PASSWD_ENTRY_PROJECTION, cwd=tmp_path, env=_environment(HOME=str(home)))
+    assert stepper.strip() == "compiled"
+    assert len(list((home / ".cache" / "mzdmd").glob("rk4-*.so"))) == 1
 
 
 def test_projection_and_dmd_runs_do_not_load_scipy(tmp_path):

@@ -606,6 +606,22 @@ class TestKernelLoader:
         assert loader() is not None
         assert sorted(oscillator.RK4_CACHE.iterdir()) == built
 
+    def test_a_build_that_cannot_be_moved_leaves_nothing(self, loader, monkeypatch):
+        # the compiler ran, but its output cannot be moved into the cache:
+        # the temporary directory goes, with the output in it
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler `cc` on PATH to build the compiled stepper")
+        compiled = []
+
+        def failing_replace(src, dst):
+            compiled.append(Path(src).stat().st_size > 0)
+            raise OSError("the move failed")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        self._assert_numpy_projection(loader)
+        assert compiled == [True]
+        assert list(oscillator.RK4_CACHE.iterdir()) == []
+
     def test_second_load_reuses_the_build(self, loader, monkeypatch):
         _compiled_kernel()
         assert [path.suffix for path in oscillator.RK4_CACHE.iterdir()] == [".so"]
@@ -701,6 +717,27 @@ class TestKernelLoader:
         assert oscillator.RK4_SOURCE.parent == package and oscillator.RK4_SOURCE.is_file()
         pyproject = tomllib.loads((package.parents[1] / "pyproject.toml").read_text())
         assert oscillator.RK4_SOURCE.name in pyproject["tool"]["setuptools"]["package-data"]["mzdmd"]
+
+
+class TestProjectionStepper:
+    """What a run's report names as the stepper of the projection's batch."""
+
+    def test_sigma_zero_names_none_and_loads_nothing(self):
+        # at sigma 0 the projection is one integrate() run and steps no batch
+        oscillator._rk4_kernel.cache_clear()
+        try:
+            assert oscillator.projection_stepper(SimConfig(sigma=0.0)) == {}
+            assert oscillator._rk4_kernel.cache_info().misses == 0
+        finally:
+            oscillator._rk4_kernel.cache_clear()
+
+    def test_a_missing_kernel_names_numpy(self, monkeypatch):
+        monkeypatch.setattr(oscillator, "_rk4_kernel", lambda: None)
+        assert oscillator.projection_stepper(SimConfig()) == {"rk4": "numpy"}
+
+    def test_the_compiled_kernel_names_its_clone(self):
+        kernel = _compiled_kernel()
+        assert oscillator.projection_stepper(SimConfig()) == {"rk4": "compiled", "rk4_isa": kernel.isa}
 
 
 def test_trajectory_validation():
