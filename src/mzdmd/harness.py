@@ -52,8 +52,8 @@ class RunReport:
     coordinate, the largest standard error ``sqrt(var / n_mc)`` of the
     projection's mean and the time ``t`` at which it occurs; it is None, and
     left out of the JSON, when the projection is not run.  ``environment``
-    names, when the projection runs, what stepped it, as
-    :func:`oscillator.projection_stepper` gives it."""
+    names what stepped the run's integrations, as :func:`oscillator.stepper`
+    gives it."""
 
     seed: int
     config: dict
@@ -227,6 +227,7 @@ def run_experiment(cfg) -> RunReport:
 
     with stage(cfg.method, "simulate"):
         measurement, snapshots = simulate_measurement(cfg)
+    report.environment.update(oscillator.stepper())
     times = cfg.sim.times()
     t = csv_rows([times])  # every file's t column, formatted once
     with stage(cfg.method, "write"):
@@ -251,7 +252,6 @@ def run_experiment(cfg) -> RunReport:
 
     if "projection" in results:
         report.projection_standard_error = _standard_error(results["projection"][1], cfg.sim.n_mc)
-        report.environment.update(oscillator.projection_stepper(cfg.sim))
     report.csv_files = [str(out / f"{stem}.csv") for stem in [*tables, "comparison"]]
     with stage(cfg.method, "write"):
         _write_comparison(t, tables, out / "comparison.csv")

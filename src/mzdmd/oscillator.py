@@ -18,6 +18,7 @@ import tempfile
 from dataclasses import dataclass
 from math import isfinite
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,12 +27,17 @@ from .errors import DivergenceError, check_finite
 # RK4 sub-steps per grid step of every integration
 SUBSTEPS = 10
 
-# the compiled stepper of the projection: its source, which ships with the
-# package, the flags that keep its arithmetic numpy's, and its build cache,
-# which the loader expands, so import looks up no home directory
+# the compiled grid loops of every integration: their source, which ships
+# with the package, the flags that keep their arithmetic Python's and
+# numpy's, and their build cache, which the loader expands, so import looks
+# up no home directory
 RK4_SOURCE = Path(__file__).with_name("rk4.c")
-RK4_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+RK4_FLAGS = ("-O2", "-ffp-contract=off", "-fno-builtin-pow", "-shared", "-fPIC")
 RK4_CACHE = Path("~/.cache/mzdmd")
+
+# the states one compiled call of the batch writes: 2**15 doubles, 81 grid
+# steps at n_mc 100 and 8 at n_mc 1000, and a single step from n_mc 8192 on
+_CHUNK_BYTES = 2**18
 
 # spawn-key tags keeping the random streams of the pipeline stages disjoint
 TAG_MEASUREMENT = 0
@@ -176,18 +182,21 @@ def _rk4_substeps(p, v, q, u, h):
     RK4 update evaluated on a whole state array.
 
     Only ``+``, ``-``, ``*`` and ``** 2`` are used, so the same code steps
-    Python floats (``integrate``) and numpy rows (``_rk4_batch`` without its
-    compiled kernel).  On a float ``q ** 2`` is libm ``pow``, as numpy's
-    float64 scalar power is, and an overflowing square raises
-    OverflowError; on an array it is ``np.square``, a product, so a batch
-    column may differ from its ``integrate`` run in the last bits.
-    ``rk4.c`` transliterates this function with products and gives the bits
-    of the numpy rows, as each operation is one IEEE double rounding in C
-    as in numpy, in each of its AVX-512F, AVX2 and baseline clones, provided
-    it is built with ``-ffp-contract=off``, which forbids fusing a product
-    and a sum (AVX-512F has fused multiply-adds, and its clone would use
-    them), and without ``-ffast-math``, which would reassociate and also
-    turn on flush-to-zero for subnormals.
+    Python floats (``integrate`` without its compiled kernel) and numpy rows
+    (``_rk4_batch`` without its compiled kernel).  On a float ``q ** 2`` is
+    libm ``pow``, as numpy's float64 scalar power is, and an overflowing
+    square raises OverflowError; on an array it is ``np.square``, a product,
+    so a batch column may differ from its ``integrate`` run in the last bits.
+    ``rk4.c`` transliterates this function once, as ``rk4_step``, and squares
+    as each caller's operand does: ``rk4_integrate`` with ``pow(x, 2.0)``,
+    kept a libm call by ``-fno-builtin-pow``, and ``rk4_advance`` by
+    product, which vectorises.  Each other operation is one IEEE double
+    rounding in C as in Python and numpy, in each of ``rk4_advance``'s
+    AVX-512F, AVX2 and baseline clones, provided the library is built with
+    ``-ffp-contract=off``, which forbids fusing a product and a sum
+    (AVX-512F has fused multiply-adds, and its clone would use them), and
+    without ``-ffast-math``, which would reassociate and also turn on
+    flush-to-zero for subnormals.
 
     The committed references in ``perfbench/references`` freeze this
     arithmetic, as the oscillator is chaotic at large hidden amplitudes: a
@@ -215,13 +224,27 @@ def _rk4_substeps(p, v, q, u, h):
 
 def integrate(s0: np.ndarray, cfg: SimConfig) -> Trajectory:
     """Integrate the oscillator from one state ``s0`` (4,) over the cfg time
-    grid with :func:`_rk4_substeps` on four Python floats; the trajectory's
-    states are (n_points, 4).  A state that overflows or becomes non-finite
-    raises :class:`DivergenceError` at its grid step."""
+    grid; the trajectory's states are (n_points, 4).
+
+    One call of the compiled ``rk4_integrate`` (``rk4.c``, from
+    :func:`_rk4_kernel`) steps the whole grid.  It squares with libm
+    ``pow``, as a Python float's ``** 2`` does, so it gives the bits of
+    :func:`_rk4_substeps` on four Python floats, which step the grid without
+    that kernel.  A state that becomes non-finite raises
+    :class:`DivergenceError` at its grid step; on floats a square that
+    overflows raises at the same step, as "overflowed"."""
     s0 = np.asarray(s0, dtype=float)
     if s0.shape != (4,):
         raise ValueError("s0 must be one state (4,)")
     h = cfg.dt / SUBSTEPS
+    kernel = _rk4_kernel()
+    if kernel is not None:
+        states = np.empty((cfg.n_points, 4))
+        states[0] = s0
+        step = kernel.integrate(states.ctypes.data, cfg.n_points, SUBSTEPS, h) + 1
+        if step < cfg.n_points:
+            raise DivergenceError(f"state became non-finite at grid step {step}", step=step)
+        return Trajectory(times=cfg.times(), states=states)
     rows = [s0.tolist()]
     for step in range(1, cfg.n_points):
         try:
@@ -234,11 +257,20 @@ def integrate(s0: np.ndarray, cfg: SimConfig) -> Trajectory:
     return Trajectory(times=cfg.times(), states=np.array(rows))
 
 
+class Kernel(NamedTuple):
+    """The compiled grid loops of ``rk4.c`` through ctypes: ``integrate`` is
+    ``rk4_integrate``, ``advance`` is ``rk4_advance``, and ``isa`` names the
+    clone of ``rk4_advance`` the library resolved as it loaded, from
+    ``rk4_isa``: ``"avx512f"``, ``"avx2"`` or ``"default"``."""
+
+    integrate: Callable
+    advance: Callable
+    isa: str
+
+
 @functools.cache
-def _rk4_kernel():
-    """``rk4_advance`` of ``rk4.c`` through ctypes, or None; its ``isa``
-    attribute names the clone the library resolved as it loaded, from
-    ``rk4_isa``: ``"avx512f"``, ``"avx2"`` or ``"default"``.
+def _rk4_kernel() -> Kernel | None:
+    """The :class:`Kernel` of ``rk4.c``, or None.
 
     The first call builds the library with ``cc`` in a temporary directory
     inside ``RK4_CACHE`` and moves it into the cache, named by a hash of the
@@ -248,8 +280,16 @@ def _rk4_kernel():
     build keeps the two most recently modified other ``rk4-*.so``, which
     other versions of the package sharing the cache may load.  With no
     ``cc``, no home directory, a failed build, an unwritable cache or a
-    library that fails to load it returns None, and ``_rk4_batch`` steps in
-    numpy to the same bits.  Nothing is built or loaded at import.
+    library that fails to load it returns None, and :func:`integrate` and
+    ``_rk4_batch`` step with :func:`_rk4_substeps` to the same bits.
+    Nothing is built or loaded at import.
+
+    ``RK4_FLAGS`` holds ``-fno-builtin-pow`` so that ``rk4_integrate``'s
+    ``pow(x, 2.0)`` stays a call of libm's ``pow``, the function a Python
+    float's ``** 2`` calls: GCC would otherwise make it ``x * x``, whose
+    last bit differs from glibc's ``pow`` often enough to change a quarter
+    to a half of random 2001-point trajectories.  The flag leaves every other builtin, ``memset`` and
+    ``isfinite`` among them, as it was.
     """
     # hashlib and subprocess load only here: importing the package needs neither
     import hashlib
@@ -276,7 +316,8 @@ def _rk4_kernel():
             cache.mkdir(parents=True, exist_ok=True)
             with tempfile.TemporaryDirectory(prefix="rk4-", dir=cache) as tmp:
                 out = Path(tmp) / "rk4.so"
-                subprocess.run([cc, *RK4_FLAGS, "-o", str(out), str(RK4_SOURCE)],
+                # libm, for pow, after the source that calls it
+                subprocess.run([cc, *RK4_FLAGS, "-o", str(out), str(RK4_SOURCE), "-lm"],
                                check=True, capture_output=True, timeout=120)
                 lib = cache / f"rk4-{key}-{digest(out.read_bytes())}.so"
                 os.replace(out, lib)
@@ -287,50 +328,63 @@ def _rk4_kernel():
         library = ctypes.CDLL(str(lib))
     except (OSError, RuntimeError, subprocess.SubprocessError):
         return None
-    advance = library.rk4_advance
-    advance.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_int, ctypes.c_double)
+    integrate, advance = library.rk4_integrate, library.rk4_advance
+    integrate.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_int, ctypes.c_double)
+    integrate.restype = ctypes.c_ssize_t
+    advance.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t, ctypes.c_int,
+                        ctypes.c_double, ctypes.c_void_p)
     advance.restype = None
     library.rk4_isa.restype = ctypes.c_char_p
-    advance.isa = library.rk4_isa().decode()
-    return advance
+    return Kernel(integrate, advance, library.rk4_isa().decode())
+
+
+def _chunk_steps(cfg: SimConfig, n: int) -> int:
+    """The grid steps of a chunk of n state columns: as many as fit in
+    ``_CHUNK_BYTES``, at least one and at most the grid's."""
+    return max(1, min(cfg.n_points - 1, _CHUNK_BYTES // (32 * n)))
 
 
 def _rk4_batch(y0: np.ndarray, cfg: SimConfig):
     """RK4 on a batch of state columns (4, n); yields the batch at grid
-    steps 0, ..., n_points - 1 as a (4, n) copy, never ``y0`` itself.
+    steps 0, ..., n_points - 1 in chunks (k, 4, n) of consecutive steps,
+    step 0 alone first, never ``y0`` itself.
 
-    Every yield is the same array, updated in place: a consumer copies or
-    reduces it before the next step.  One call per grid step of the compiled
-    ``rk4_advance`` (``rk4.c``, from :func:`_rk4_kernel`) advances it;
-    without that kernel :func:`_rk4_substeps` does, on the rows, to the same
-    bits and more slowly.  There an overflow warns unless the caller holds
-    an ``np.errstate``; the kernel never warns.  A non-finite state raises
-    :class:`DivergenceError` at its grid step.
+    Every chunk is a view of one buffer of :func:`_chunk_steps` grid steps,
+    and the next chunk overwrites it: a consumer copies or reduces a chunk
+    before the next.  The last chunk may be shorter.  One call of the
+    compiled ``rk4_advance`` (``rk4.c``, from :func:`_rk4_kernel`) fills a
+    chunk; without that kernel :func:`_rk4_substeps` does, one grid step at
+    a time on the rows, to the same bits and more slowly.  There an overflow
+    warns unless the caller holds an ``np.errstate``; the kernel never
+    warns.  A non-finite state raises :class:`DivergenceError` at its grid
+    step, before its chunk is yielded.
     """
     h = cfg.dt / SUBSTEPS
-    y = np.array(y0, dtype=float, order="C")  # C-contiguous rows, as the kernel reads them
+    n = np.shape(y0)[1]
+    states = np.empty((_chunk_steps(cfg, n), 4, n))
+    # a chunk starts from the last step of the chunk before
+    states[-1] = y0
+    last, out = states[-1].ctypes.data, states.ctypes.data
     kernel = _rk4_kernel()
-    if kernel is None:
-        def advance():
-            y[0], y[1], y[2], y[3] = _rk4_substeps(*y, h)
-    else:
-        advance = functools.partial(kernel, y.ctypes.data, y[0].size, SUBSTEPS, h)
-    finite = np.empty(y.shape, dtype=bool)
-    yield y
-    for step in range(1, cfg.n_points):
-        advance()
-        if not np.isfinite(y, finite).all():
+    finite = np.empty(states.shape, dtype=bool)
+    yield states[-1:]
+    for start in range(1, cfg.n_points, len(states)):
+        chunk, ok = states[:cfg.n_points - start], finite[:cfg.n_points - start]
+        if kernel is None:
+            for i, y in enumerate(chunk):
+                y[...] = _rk4_substeps(*states[i - 1], h)
+        else:
+            kernel.advance(last, n, len(chunk), SUBSTEPS, h, out)
+        if not np.isfinite(chunk, out=ok).all():
+            step = start + int(ok.all(axis=(1, 2)).argmin())
             raise DivergenceError(f"state became non-finite at grid step {step}", step=step)
-        yield y
+        yield chunk
 
 
-def projection_stepper(cfg: SimConfig) -> dict:
-    """What steps :func:`monte_carlo_projection`'s batch under ``cfg``, as
-    a run's report names it: nothing at sigma 0, where no batch is stepped
-    and nothing is built; else ``{"rk4": "numpy"}`` without the compiled
-    kernel, or ``{"rk4": "compiled", "rk4_isa": ...}`` with the clone it runs."""
-    if cfg.sigma == 0.0:
-        return {}
+def stepper() -> dict:
+    """What steps every integration of a run, as its report names it:
+    ``{"rk4": "compiled", "rk4_isa": ...}`` with the compiled kernel and the
+    clone of ``rk4_advance`` it runs, else ``{"rk4": "numpy"}``."""
     kernel = _rk4_kernel()
     return {"rk4": "numpy"} if kernel is None else {"rk4": "compiled", "rk4_isa": kernel.isa}
 
@@ -344,11 +398,13 @@ def monte_carlo_projection(cfg: SimConfig, x_hat: tuple[float, float]) -> tuple[
     resolved coordinates.  Sample i draws (y3, y4) = ``sigma *
     rng_stream(seed, TAG_PROJECTION, i).standard_normal(2)`` bit for bit,
     all of them in one ``keyed_normals`` call.  The batch is reduced one
-    grid step at a time, so memory is O(n_mc): one sum of the resolved rows
-    serves both moments, each formed as numpy's ``mean`` and ``var`` form
-    it.  A state or moment that becomes non-finite raises
-    :class:`DivergenceError` with ``step`` set and no numpy warning, from
-    :func:`errors.check_finite` for a moment.
+    chunk of grid steps at a time, so memory is O(n_mc): one sum of the
+    resolved rows serves both moments, each formed as numpy's ``mean`` and
+    ``var`` form it, over the last axis of the chunk, which sums each grid
+    step's samples as a reduction of that step alone would.  A state or
+    moment that becomes non-finite raises :class:`DivergenceError` with
+    ``step`` set and no numpy warning, from :func:`errors.check_finite` for a
+    moment.
     """
     x1, x2 = float(x_hat[0]), float(x_hat[1])
     times = cfg.times()
@@ -359,14 +415,17 @@ def monte_carlo_projection(cfg: SimConfig, x_hat: tuple[float, float]) -> tuple[
         return Trajectory(times, mean), Trajectory(times, np.zeros_like(mean))
     normals = keyed_normals(cfg.seed, TAG_PROJECTION, cfg.n_mc, 2)
     y0 = np.vstack([np.full(cfg.n_mc, x1), np.full(cfg.n_mc, x2), cfg.sigma * normals.T])
-    mean, var, dev = np.empty((cfg.n_points, 2)), np.empty((cfg.n_points, 2)), np.empty((2, cfg.n_mc))
+    mean, var = np.empty((cfg.n_points, 2)), np.empty((cfg.n_points, 2))
+    dev, step = np.empty((_chunk_steps(cfg, cfg.n_mc), 2, cfg.n_mc)), 0
     # a diverging state or moment is reported by the checks below, not by a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for y, m, v in zip(_rk4_batch(y0, cfg), mean, var):
-            resolved = y[:2]
-            np.true_divide(np.add.reduce(resolved, 1, out=m), cfg.n_mc, out=m)
-            np.square(np.subtract(resolved, m[:, None], out=dev), out=dev)
-            np.true_divide(np.add.reduce(dev, 1, out=v), cfg.n_mc, out=v)
+        for chunk in _rk4_batch(y0, cfg):
+            resolved = chunk[:, :2]
+            m, v = mean[step:step + len(chunk)], var[step:step + len(chunk)]
+            np.true_divide(np.add.reduce(resolved, 2, out=m), cfg.n_mc, out=m)
+            d = np.subtract(resolved, m[..., None], out=dev[:len(chunk)])
+            np.true_divide(np.add.reduce(np.square(d, out=d), 2, out=v), cfg.n_mc, out=v)
+            step += len(chunk)
     # finite states whose moments overflow
     check_finite(np.stack([mean, var], axis=1)[None], "moments became non-finite", steps=True)
     return Trajectory(times, mean), Trajectory(times, var)

@@ -3,8 +3,26 @@
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from mzdmd import DivergenceError, Objective, SnapshotPair
+from mzdmd import DivergenceError, Objective, SnapshotPair, oscillator
+
+
+@pytest.fixture(autouse=True, scope="session")
+def rk4_cache(tmp_path_factory):
+    """The compiled stepper's build cache of the whole session, in a
+    temporary home directory that the interpreters the tests start inherit
+    too, so a test run neither writes into nor prunes the cache under the
+    user's home.  A test that sets its own cache or home patches over this
+    one, and the loader's memo is cleared on both sides, so no kernel loaded
+    from another cache is reused."""
+    home = tmp_path_factory.mktemp("home")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("HOME", str(home))
+        patch.setattr(oscillator, "RK4_CACHE", home / ".cache" / "mzdmd")
+        oscillator._rk4_kernel.cache_clear()
+        yield oscillator.RK4_CACHE
+    oscillator._rk4_kernel.cache_clear()
 
 
 def read_csv(path):

@@ -42,14 +42,36 @@ def _stepper_stamp(cfg):
     return {key: environment[key] for key in ("rk4", "rk4_isa") if key in environment}
 
 
-def _batch_stepper_stamp():
-    """The stepper stamp of a projection that steps its batch: the compiled
-    kernel and the clone it runs, or the numpy stepper without ``cc``."""
+def _kernel_stepper_stamp():
+    """The stepper stamp of every run: the compiled kernel and the clone it
+    runs, or the numpy stepper without ``cc``."""
     if shutil.which("cc") is None:
         return {"rk4": "numpy"}
     isa = oscillator._rk4_kernel().isa
     assert isa in ("avx512f", "avx2", "default")
     return {"rk4": "compiled", "rk4_isa": isa}
+
+
+def _fresh_cache_run(cfg, cache, monkeypatch):
+    """Run ``cfg`` with the kernel's loader reset and building into
+    ``cache``; returns the run's stepper stamp, the loader's misses and the
+    builds in ``cache``.  Where ``cc`` is found, a run that stepped
+    anything with ``_rk4_substeps`` fails, so the stamp names the kernel
+    that ran."""
+    monkeypatch.setattr(oscillator, "RK4_CACHE", cache)
+    oscillator._rk4_kernel.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            if shutil.which("cc") is not None:
+                patch.setattr(oscillator, "_rk4_substeps", None)
+            run_experiment(cfg)
+        return _stepper_stamp(cfg), oscillator._rk4_kernel.cache_info().misses, sorted(cache.glob("rk4-*.so"))
+    finally:
+        oscillator._rk4_kernel.cache_clear()
+
+
+def _csv_bytes(cfg):
+    return {path.name: path.read_bytes() for path in sorted(cfg.output_dir.glob("*.csv"))}
 
 
 def _awkward_trajectory(with_var):
@@ -497,48 +519,35 @@ class TestRunExperiment:
             "blas": stamp["blas"],
             "cpu_count": os.cpu_count(),
             variable.lower(): "1",
+            **_kernel_stepper_stamp(),
         }
         assert stamp["blas"].startswith(np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"])
         monkeypatch.delenv(variable)
         assert variable.lower() not in run_experiment(cfg).environment
 
-    def test_stamp_names_the_numpy_stepper_when_the_kernel_is_missing(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("method, sigma", [("dmd", 1.0), ("projection", 0.0), ("projection", 1.0)])
+    def test_a_fresh_cache_builds_the_one_kernel_a_run_stamps(self, tmp_path, monkeypatch, method, sigma):
+        # every run integrates its measurement in the kernel, a dmd run and
+        # a sigma 0 projection (one integrate() run) as a stepped batch:
+        # each builds exactly one kernel, loads it once, and stamps the
+        # clone it ran; without cc each stamps numpy and builds nothing
+        cfg = small_config(tmp_path, method=method, sim={"sigma": sigma})
+        stamp, misses, builds = _fresh_cache_run(cfg, tmp_path / "cache", monkeypatch)
+        assert misses == 1
+        assert stamp == _kernel_stepper_stamp()
+        assert len(builds) == (0 if stamp == {"rk4": "numpy"} else 1)
+
+    @pytest.mark.parametrize("method, sigma", [("dmd", 1.0), ("projection", 0.0), ("projection", 1.0)])
+    def test_without_the_kernel_a_run_stamps_numpy_and_writes_the_same_bytes(self, tmp_path, monkeypatch,
+                                                                              method, sigma):
+        compiled = small_config(tmp_path / "compiled", method=method, sim={"sigma": sigma})
+        run_experiment(compiled)
+        assert _stepper_stamp(compiled) == _kernel_stepper_stamp()
         monkeypatch.setattr(oscillator, "_rk4_kernel", lambda: None)
-        cfg = small_config(tmp_path, method="projection")
-        run_experiment(cfg)
-        assert _stepper_stamp(cfg) == {"rk4": "numpy"}
-
-    def test_only_the_projection_stamps_a_stepper(self, tmp_path):
-        # a dmd run steps no batch, so it neither builds nor loads the kernel
-        cfg = small_config(tmp_path, method="dmd")
-        oscillator._rk4_kernel.cache_clear()
-        try:
-            run_experiment(cfg)
-            assert oscillator._rk4_kernel.cache_info().misses == 0
-        finally:
-            oscillator._rk4_kernel.cache_clear()
-        assert _stepper_stamp(cfg) == {}
-        cfg = small_config(tmp_path, method="projection")
-        run_experiment(cfg)
-        assert _stepper_stamp(cfg) == _batch_stepper_stamp()
-
-    def test_a_sigma_zero_projection_builds_nothing(self, tmp_path, monkeypatch):
-        # at sigma 0 the projection is one integrate() run and steps no
-        # batch, so it neither builds nor loads the kernel and stamps no
-        # stepper; at sigma 1 it stamps one
-        monkeypatch.setattr(oscillator, "RK4_CACHE", tmp_path / "cache")
-        oscillator._rk4_kernel.cache_clear()
-        try:
-            cfg = small_config(tmp_path / "zero", method="projection", sim={"sigma": 0.0})
-            run_experiment(cfg)
-            assert oscillator._rk4_kernel.cache_info().misses == 0
-            assert list(tmp_path.rglob("rk4-*.so")) == []
-            assert _stepper_stamp(cfg) == {}
-            cfg = small_config(tmp_path / "one", method="projection", sim={"sigma": 1.0})
-            run_experiment(cfg)
-            assert _stepper_stamp(cfg) == _batch_stepper_stamp()
-        finally:
-            oscillator._rk4_kernel.cache_clear()
+        numpy = small_config(tmp_path / "numpy", method=method, sim={"sigma": sigma})
+        run_experiment(numpy)
+        assert _stepper_stamp(numpy) == {"rk4": "numpy"}
+        assert _csv_bytes(numpy) == _csv_bytes(compiled) and len(_csv_bytes(numpy)) == 3
 
     def test_stamp_without_scipy_metadata_reads_none(self, monkeypatch):
         def missing(name):

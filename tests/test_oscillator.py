@@ -60,10 +60,7 @@ def _reference_outcome(y0, cfg):
 def _integrate_batch(y0, cfg):
     """The (n_points, 4, n) states of ``oscillator._rk4_batch`` on the state
     columns ``y0`` (4, n)."""
-    states = np.empty((cfg.n_points,) + y0.shape)
-    for step, y in enumerate(oscillator._rk4_batch(y0, cfg)):
-        states[step] = y
-    return states
+    return np.concatenate([chunk.copy() for chunk in oscillator._rk4_batch(y0, cfg)])
 
 
 def _outcome(y0, cfg):
@@ -439,13 +436,14 @@ class TestMonteCarloProjection:
 
 
 def _bit_steps(y0, cfg):
-    """Each grid step's states of ``_rk4_batch`` as uint64 bit patterns, and
-    the grid step at which they diverge, or None."""
+    """Each grid step's states of ``_rk4_batch`` as uint64 bit patterns, up
+    to the chunk in which they diverge, and the grid step at which they
+    diverge, or None."""
     steps = []
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            for y in oscillator._rk4_batch(y0, cfg):
-                steps.append(y.view(np.uint64).copy())
+            for chunk in oscillator._rk4_batch(y0, cfg):
+                steps.extend(chunk.view(np.uint64).copy())
         except DivergenceError as exc:
             return steps, exc.step
     return steps, None
@@ -453,14 +451,18 @@ def _bit_steps(y0, cfg):
 
 def _batch_draws(test):
     """Draws a batch size ``n`` that brackets partial and full blocks of the
-    compiled stepper's 16 columns, a grid, and the batch's amplitude, share
-    of signed zeros and seed, with the examples below."""
-    # subnormal states, every entry a signed zero, and squares that overflow
-    test = example(n=9, dt=0.1, n_points=5, log_amplitude=-310.0, zeros=0.0, seed=0)(test)
-    test = example(n=8, dt=3.1, n_points=5, log_amplitude=0.0, zeros=1.0, seed=1)(test)
-    test = example(n=37, dt=3.1, n_points=5, log_amplitude=160.0, zeros=0.5, seed=2)(test)
+    compiled stepper's 16 columns, the grid steps of one call, a grid, and
+    the batch's amplitude, share of signed zeros and seed, with the examples
+    below."""
+    # subnormal states, every entry a signed zero, squares that overflow, and
+    # calls of several steps, the last one shorter
+    test = example(n=9, chunk=1, dt=0.1, n_points=5, log_amplitude=-310.0, zeros=0.0, seed=0)(test)
+    test = example(n=8, chunk=3, dt=3.1, n_points=5, log_amplitude=0.0, zeros=1.0, seed=1)(test)
+    test = example(n=37, chunk=2, dt=3.1, n_points=5, log_amplitude=160.0, zeros=0.5, seed=2)(test)
+    test = example(n=17, chunk=4, dt=0.3, n_points=30, log_amplitude=0.5, zeros=0.1, seed=3)(test)
     draws = given(
         n=st.sampled_from([1, 7, 8, 9, 15, 16, 17, 37]),
+        chunk=st.integers(1, 8),
         dt=st.floats(1e-3, 3.1),
         n_points=st.integers(2, 30),
         log_amplitude=st.floats(-310.0, 160.0),
@@ -468,6 +470,11 @@ def _batch_draws(test):
         seed=st.integers(0, 2**32 - 1),
     )
     return settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])(draws(test))
+
+
+def _chunked(monkeypatch, n, chunk):
+    """Makes ``_rk4_batch`` step ``chunk`` grid steps a call on n columns."""
+    monkeypatch.setattr(oscillator, "_CHUNK_BYTES", 32 * n * chunk)
 
 
 def _drawn_batch(n, log_amplitude, zeros, seed):
@@ -497,11 +504,12 @@ class TestCompiledStepper:
 
     @_batch_draws
     @pytest.mark.usefixtures("kernel")
-    def test_steppers_agree_bitwise(self, monkeypatch, n, dt, n_points, log_amplitude, zeros, seed):
+    def test_steppers_agree_bitwise(self, monkeypatch, n, chunk, dt, n_points, log_amplitude, zeros, seed):
         # each grid step's states and the divergence step, compiled against numpy
         y0, cfg = _drawn_batch(n, log_amplitude, zeros, seed), _grid(dt, n_points)
-        compiled = _bit_steps(y0, cfg)
         with monkeypatch.context() as patch:
+            _chunked(patch, n, chunk)
+            compiled = _bit_steps(y0, cfg)
             patch.setattr(oscillator, "_rk4_kernel", lambda: None)
             numpy = _bit_steps(y0, cfg)
         _assert_same_bit_steps(compiled, numpy)
@@ -525,15 +533,147 @@ class TestCompiledStepper:
         return dispatched, built
 
     @_batch_draws
-    def test_each_clone_agrees_bitwise(self, monkeypatch, clone, n, dt, n_points, log_amplitude, zeros, seed):
-        # CI and any one host run only the clone their CPU selects
+    def test_each_clone_agrees_bitwise(self, monkeypatch, clone, n, chunk, dt, n_points, log_amplitude, zeros,
+                                       seed):
+        # CI and any one host run only the clone their CPU selects; the
+        # one-state rk4_integrate of each build, which has no clones, too
         y0, cfg = _drawn_batch(n, log_amplitude, zeros, seed), _grid(dt, n_points)
-        steps = []
+        steps, singles = [], []
         for kernel in clone:
             with monkeypatch.context() as patch:
+                _chunked(patch, n, chunk)
                 patch.setattr(oscillator, "_rk4_kernel", lambda: kernel)
                 steps.append(_bit_steps(y0, cfg))
+                singles.append(_outcome(y0[:, 0], cfg))
         _assert_same_bit_steps(*steps)
+        _assert_same_outcome(*singles)
+
+
+def _float_integrate(y0, cfg):
+    """``integrate``'s states on Python floats, or its DivergenceError."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oscillator, "_rk4_kernel", lambda: None)
+        try:
+            return integrate(y0, cfg).states
+        except DivergenceError as exc:
+            return exc
+
+
+class TestCompiledIntegrate:
+    """``rk4_integrate``, which squares with libm pow, against
+    ``_rk4_substeps`` on Python floats, whose ``** 2`` is that pow."""
+
+    @pytest.fixture(autouse=True)
+    def kernel(self):
+        return _compiled_kernel()
+
+    def test_random_starts_agree_bitwise(self):
+        # a product in place of pow changes 101 of these 200 trajectories
+        cfg = SimConfig(dt=0.1, t_max=200.0, n_points=2001, sigma=1.0, n_mc=1)
+        for y0 in np.random.default_rng(21).normal(0.0, 2.0, (200, 4)):
+            want = _float_integrate(y0, cfg)
+            assert isinstance(want, np.ndarray), f"{y0} diverged"
+            assert integrate(y0, cfg).states.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n_points", [11, 2001])
+    @pytest.mark.parametrize(
+        "y0", [(1e160, 0.0, 0.0, 0.0), (50.0, 0.0, 50.0, 0.0), (1e154, 0.0, 1e154, 0.0)]
+    )
+    def test_divergence_step(self, y0, n_points):
+        # in the first two pow overflows, which raises OverflowError on a
+        # Python float and returns inf in C, and in the last a product of
+        # finite factors overflows: each path stops at the same grid step
+        cfg = _grid(1.0, n_points)
+        want = _float_integrate(np.array(y0), cfg)
+        assert isinstance(want, DivergenceError)
+        with pytest.raises(DivergenceError, match="became non-finite") as got:
+            integrate(np.array(y0), cfg)
+        assert got.value.step == want.step
+        if want.step > 1:
+            # the grid steps before it agree bit for bit
+            before = _grid(1.0, want.step)
+            assert integrate(np.array(y0), before).states.tobytes() == _float_integrate(np.array(y0), before).tobytes()
+
+
+def _per_step_projection(cfg, x_hat):
+    """The projection's moments as the loop before chunks formed them: the
+    batch stepped by ``_rk4_substeps`` one grid step at a time, its states
+    checked and its moments reduced from that step alone.  Returns (mean,
+    var), or the grid step at which the states diverge."""
+    y, h = _projection_start(cfg, x_hat), cfg.dt / oscillator.SUBSTEPS
+    mean, var, dev = np.empty((cfg.n_points, 2)), np.empty((cfg.n_points, 2)), np.empty((2, cfg.n_mc))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step, m, v in zip(range(cfg.n_points), mean, var):
+            if step:
+                y = np.array(oscillator._rk4_substeps(*y, h))
+                if not np.isfinite(y).all():
+                    return step
+            resolved = y[:2]
+            np.true_divide(np.add.reduce(resolved, 1, out=m), cfg.n_mc, out=m)
+            np.square(np.subtract(resolved, m[:, None], out=dev), out=dev)
+            np.true_divide(np.add.reduce(dev, 1, out=v), cfg.n_mc, out=v)
+    return mean, var
+
+
+def _projection_outcome(cfg, x_hat):
+    """``monte_carlo_projection``'s (mean, var), or the grid step at which
+    its states diverge."""
+    try:
+        mean, var = monte_carlo_projection(cfg, x_hat)
+    except DivergenceError as exc:
+        assert "state" in str(exc)
+        return exc.step
+    return mean.states, var.states
+
+
+@pytest.mark.usefixtures("stepper")
+class TestChunks:
+    """The projection's chunks of grid steps against the per-step loop."""
+
+    @staticmethod
+    def _assert_same(got, want):
+        if isinstance(want, int):
+            assert got == want
+        else:
+            assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        n_mc=st.sampled_from([1, 7, 8, 9, 16, 17, 129]),
+        chunk=st.integers(1, 9),
+        n_points=st.integers(2, 60),
+        dt=st.floats(0.01, 0.5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_moments_equal_the_per_step_loop(self, monkeypatch, n_mc, chunk, n_points, dt, seed):
+        cfg = SimConfig(dt=dt, t_max=dt * (n_points - 1), n_points=n_points, sigma=1.0, n_mc=n_mc, seed=seed)
+        with monkeypatch.context() as patch:
+            _chunked(patch, n_mc, chunk)
+            got = _projection_outcome(cfg, (1.0, 0.5))
+        self._assert_same(got, _per_step_projection(cfg, (1.0, 0.5)))
+
+    # at dt 30 the hidden oscillator, linear while the resolved one rests at
+    # 0, grows about 60-fold a grid step, so the log of sigma sets the step
+    # at which its square overflows: 87, 59, 31 and 8 at these sigmas
+    @pytest.mark.parametrize("chunk, log_sigma", [(1, 100.0), (7, 100.0), (8, 50.0), (5, 140.0), (81, 0.0)])
+    def test_a_divergence_in_a_later_chunk(self, monkeypatch, chunk, log_sigma):
+        cfg = SimConfig(dt=30.0, t_max=30.0 * 99, n_points=100, sigma=10.0**log_sigma, n_mc=9, seed=3)
+        want = _per_step_projection(cfg, (0.0, 0.0))
+        assert isinstance(want, int) and want > chunk
+        with monkeypatch.context() as patch:
+            _chunked(patch, cfg.n_mc, chunk)
+            assert _projection_outcome(cfg, (0.0, 0.0)) == want
+
+    def test_long_fit_chunks(self):
+        # n_mc 100 takes 81 grid steps a call, and 2000 steps are 24 calls
+        # of 81 and one of 56
+        cfg = SimConfig(dt=0.1, t_max=200.0, n_points=2001, sigma=1.0, n_mc=100, seed=4)
+        assert oscillator._CHUNK_BYTES // (32 * cfg.n_mc) == 81
+        self._assert_same(_projection_outcome(cfg, (1.0, 0.0)), _per_step_projection(cfg, (1.0, 0.0)))
+        diverging = SimConfig(dt=30.0, t_max=30.0 * 99, n_points=100, sigma=1.0, n_mc=100, seed=3)
+        want = _per_step_projection(diverging, (0.0, 0.0))
+        assert isinstance(want, int) and want > 81
+        assert _projection_outcome(diverging, (0.0, 0.0)) == want
 
 
 class TestKernelLoader:
@@ -700,7 +840,7 @@ class TestKernelLoader:
         compiled, run = [], subprocess.run
 
         def counting_run(command, **kwargs):
-            compiled.append(command[-1])
+            compiled.append(next(arg for arg in command if arg.endswith("rk4.c")))
             return run(command, **kwargs)
 
         monkeypatch.setattr(subprocess, "run", counting_run)
@@ -719,25 +859,36 @@ class TestKernelLoader:
         assert oscillator.RK4_SOURCE.name in pyproject["tool"]["setuptools"]["package-data"]["mzdmd"]
 
 
-class TestProjectionStepper:
-    """What a run's report names as the stepper of the projection's batch."""
+class TestStepper:
+    """What a run's report names as the stepper of its integrations."""
 
-    def test_sigma_zero_names_none_and_loads_nothing(self):
-        # at sigma 0 the projection is one integrate() run and steps no batch
+    def test_a_sigma_zero_projection_builds_the_kernel_it_names(self, tmp_path, monkeypatch):
+        # at sigma 0 the projection is one integrate() run, which steps in
+        # the kernel: under a fresh cache it builds exactly one, loads it
+        # once, and the stamp names that build's clone
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler `cc` on PATH to build the compiled stepper")
+        monkeypatch.setattr(oscillator, "RK4_CACHE", tmp_path / "cache")
         oscillator._rk4_kernel.cache_clear()
         try:
-            assert oscillator.projection_stepper(SimConfig(sigma=0.0)) == {}
-            assert oscillator._rk4_kernel.cache_info().misses == 0
+            with monkeypatch.context() as patch:
+                patch.setattr(oscillator, "_rk4_substeps", None)  # nothing steps on floats
+                monte_carlo_projection(_grid(0.1, 21), (1.0, 0.0))
+                kernel = _compiled_kernel()
+            assert oscillator._rk4_kernel.cache_info().misses == 1
+            assert len(list(oscillator.RK4_CACHE.glob("rk4-*.so"))) == 1
+            assert kernel.isa in ISAS
+            assert oscillator.stepper() == {"rk4": "compiled", "rk4_isa": kernel.isa}
         finally:
             oscillator._rk4_kernel.cache_clear()
 
     def test_a_missing_kernel_names_numpy(self, monkeypatch):
         monkeypatch.setattr(oscillator, "_rk4_kernel", lambda: None)
-        assert oscillator.projection_stepper(SimConfig()) == {"rk4": "numpy"}
+        assert oscillator.stepper() == {"rk4": "numpy"}
 
     def test_the_compiled_kernel_names_its_clone(self):
         kernel = _compiled_kernel()
-        assert oscillator.projection_stepper(SimConfig()) == {"rk4": "compiled", "rk4_isa": kernel.isa}
+        assert oscillator.stepper() == {"rk4": "compiled", "rk4_isa": kernel.isa}
 
 
 def test_trajectory_validation():
