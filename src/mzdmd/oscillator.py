@@ -231,8 +231,9 @@ def integrate(s0: np.ndarray, cfg: SimConfig) -> Trajectory:
     ``pow``, as a Python float's ``** 2`` does, so it gives the bits of
     :func:`_rk4_substeps` on four Python floats, which step the grid without
     that kernel.  A state that becomes non-finite raises
-    :class:`DivergenceError` at its grid step; on floats a square that
-    overflows raises at the same step, as "overflowed"."""
+    :class:`DivergenceError` at its grid step, with the same message on
+    either path: on floats a square that overflows, where C's ``pow``
+    returns inf, counts as non-finite at that step."""
     s0 = np.asarray(s0, dtype=float)
     if s0.shape != (4,):
         raise ValueError("s0 must be one state (4,)")
@@ -249,10 +250,10 @@ def integrate(s0: np.ndarray, cfg: SimConfig) -> Trajectory:
     for step in range(1, cfg.n_points):
         try:
             rows.append(_rk4_substeps(*rows[-1], h))
-        except OverflowError:
-            # float ** 2 raises where numpy's power returns inf
-            raise DivergenceError(f"state overflowed at grid step {step}", step=step) from None
-        if not all(map(isfinite, rows[-1])):
+            finite = all(map(isfinite, rows[-1]))
+        except OverflowError:  # float ** 2 raises where pow returns inf
+            finite = False
+        if not finite:
             raise DivergenceError(f"state became non-finite at grid step {step}", step=step)
     return Trajectory(times=cfg.times(), states=np.array(rows))
 

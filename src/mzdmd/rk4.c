@@ -14,6 +14,11 @@
    rows `** 2` is np.square, a product, so rk4_advance squares by product,
    which also vectorises.
 
+   rk4_advance steps its batch a block of W columns at a time, every loop
+   over a full block of the fixed length W, its copies in and out included,
+   so the compiler vectorises each.  Only the ragged last block, when W does
+   not divide the batch, copies fewer columns, and zero-fills the others.
+
    With x86-64 GCC, rk4_advance is cloned for AVX-512F, AVX2 and the
    baseline, and the dynamic loader resolves one clone through an ifunc when
    the library loads, so one build serves every x86-64 CPU and its cache key
@@ -101,8 +106,10 @@ ptrdiff_t rk4_integrate(double *y, ptrdiff_t n_points, int substeps, double h)
    steps of `substeps` RK4 steps of h, writing grid step k's rows to
    out + 4 n k, a (steps, 4, n) row-major array.  y may be out's last
    (4, n), as a block of columns is read before any of it is written.  A
-   block's columns past n are zeros, which stay finite and are never
-   written. */
+   full block of W columns is copied in and out by loops of the fixed
+   length W.  Only the ragged last block, of m < W columns, copies m of
+   them and zero-fills the rest: a zero state stays zero, so its padding
+   stays finite and never subnormal, and is never written out. */
 #ifdef RK4_DISPATCH
 __attribute__((target_clones("avx512f", "avx2", "default")))
 #endif
@@ -110,10 +117,15 @@ void rk4_advance(const double *y, ptrdiff_t n, ptrdiff_t steps, int substeps, do
 {
     for (ptrdiff_t c = 0; c < n; c += W) {
         ptrdiff_t m = n - c < W ? n - c : W;
-        double s[4][W] = {{0.0}};
-        for (int r = 0; r < 4; r++)
-            for (ptrdiff_t j = 0; j < m; j++)
-                s[r][j] = y[r * n + c + j];
+        double s[4][W];
+        if (m == W)
+            for (int r = 0; r < 4; r++)
+                for (int j = 0; j < W; j++)
+                    s[r][j] = y[r * n + c + j];
+        else
+            for (int r = 0; r < 4; r++)
+                for (int j = 0; j < W; j++)
+                    s[r][j] = j < m ? y[r * n + c + j] : 0.0;
         for (ptrdiff_t k = 0; k < steps; k++) {
             for (int i = 0; i < substeps; i++)
                 for (int j = 0; j < W; j++) {
@@ -121,9 +133,14 @@ void rk4_advance(const double *y, ptrdiff_t n, ptrdiff_t steps, int substeps, do
                     s[0][j] = t.p, s[1][j] = t.v, s[2][j] = t.q, s[3][j] = t.u;
                 }
             double *rows = out + 4 * n * k;
-            for (int r = 0; r < 4; r++)
-                for (ptrdiff_t j = 0; j < m; j++)
-                    rows[r * n + c + j] = s[r][j];
+            if (m == W)
+                for (int r = 0; r < 4; r++)
+                    for (int j = 0; j < W; j++)
+                        rows[r * n + c + j] = s[r][j];
+            else
+                for (int r = 0; r < 4; r++)
+                    for (ptrdiff_t j = 0; j < m; j++)
+                        rows[r * n + c + j] = s[r][j];
         }
     }
 }

@@ -461,7 +461,7 @@ def _batch_draws(test):
     test = example(n=37, chunk=2, dt=3.1, n_points=5, log_amplitude=160.0, zeros=0.5, seed=2)(test)
     test = example(n=17, chunk=4, dt=0.3, n_points=30, log_amplitude=0.5, zeros=0.1, seed=3)(test)
     draws = given(
-        n=st.sampled_from([1, 7, 8, 9, 15, 16, 17, 37]),
+        n=st.sampled_from([1, 7, 8, 9, 15, 16, 17, 32, 33, 37]),
         chunk=st.integers(1, 8),
         dt=st.floats(1e-3, 3.1),
         n_points=st.integers(2, 30),
@@ -502,6 +502,21 @@ class TestCompiledStepper:
         # a fixture, so a missing compiler skips before hypothesis draws
         return _compiled_kernel()
 
+    @pytest.mark.parametrize("n", [5, 16, 17, 32, 33, 37])
+    def test_advance_writes_only_its_columns(self, kernel, n):
+        # the output ends where a guard of one block's 16 doubles begins, so
+        # a block stored past column n fails here, where past the end of a
+        # buffer it could corrupt the heap and abort the run
+        steps, h, guard = 3, 0.01, 16
+        y = np.random.default_rng(n).standard_normal((4, n))
+        out = np.full(steps * 4 * n + guard, -1.0)
+        kernel.advance(y.ctypes.data, n, steps, oscillator.SUBSTEPS, h, out.ctypes.data)
+        want = [y]
+        for _ in range(steps):
+            want.append(np.array(oscillator._rk4_substeps(*want[-1], h)))
+        assert out[:-guard].tobytes() == np.array(want[1:]).tobytes()
+        assert (out[-guard:] == -1.0).all()
+
     @_batch_draws
     @pytest.mark.usefixtures("kernel")
     def test_steppers_agree_bitwise(self, monkeypatch, n, chunk, dt, n_points, log_amplitude, zeros, seed):
@@ -513,6 +528,32 @@ class TestCompiledStepper:
             patch.setattr(oscillator, "_rk4_kernel", lambda: None)
             numpy = _bit_steps(y0, cfg)
         _assert_same_bit_steps(compiled, numpy)
+
+    # n 37 is two full blocks of 16 columns and a ragged one of 5; column 3
+    # lies in the first and column 36 in the ragged one
+    @pytest.mark.parametrize("column", [3, 36])
+    @pytest.mark.usefixtures("kernel")
+    def test_one_diverging_column_in_a_later_chunk(self, monkeypatch, column):
+        # at dt 30 the states grow about 60-fold a grid step: a hidden
+        # position of 1e136 overflows its square at step 10, in the middle of
+        # the third call of 4 steps, while the other columns, near 1e-100,
+        # stay finite over the grid
+        y0 = np.random.default_rng(column).standard_normal((4, 37)) * 1e-100
+        y0[:, column] = (0.0, 0.0, 1e136, 0.0)
+        runs = []
+        for cfg in (_grid(30.0, 17), _grid(30.0, 10)):
+            with monkeypatch.context() as patch:
+                _chunked(patch, 37, 4)
+                assert _bit_steps(np.delete(y0, column, axis=1), cfg)[1] is None
+                compiled = _bit_steps(y0, cfg)
+                patch.setattr(oscillator, "_rk4_kernel", lambda: None)
+                runs.append((compiled, _bit_steps(y0, cfg)))
+        (diverged, numpy), (before, numpy_before) = runs
+        assert numpy[1] == 10
+        _assert_same_bit_steps(diverged, numpy)
+        # and the grid steps before it, 9 in the diverging call among them
+        assert numpy_before[1] is None and len(numpy_before[0]) == 10
+        _assert_same_bit_steps(before, numpy_before)
 
     @pytest.fixture(params=ISAS[::-1])
     def clone(self, request, monkeypatch, tmp_path):
@@ -582,13 +623,14 @@ class TestCompiledIntegrate:
     def test_divergence_step(self, y0, n_points):
         # in the first two pow overflows, which raises OverflowError on a
         # Python float and returns inf in C, and in the last a product of
-        # finite factors overflows: each path stops at the same grid step
+        # finite factors overflows: each path stops at the same grid step,
+        # with the same message
         cfg = _grid(1.0, n_points)
         want = _float_integrate(np.array(y0), cfg)
         assert isinstance(want, DivergenceError)
         with pytest.raises(DivergenceError, match="became non-finite") as got:
             integrate(np.array(y0), cfg)
-        assert got.value.step == want.step
+        assert (str(got.value), got.value.step) == (str(want), want.step)
         if want.step > 1:
             # the grid steps before it agree bit for bit
             before = _grid(1.0, want.step)
