@@ -34,6 +34,8 @@ SUBSTEPS = 10
 RK4_SOURCE = Path(__file__).with_name("rk4.c")
 RK4_FLAGS = ("-O2", "-ffp-contract=off", "-fno-builtin-pow", "-shared", "-fPIC")
 RK4_CACHE = Path("~/.cache/mzdmd")
+# numpy's random library, whose ziggurat the build links for keyed_normals
+NPYRANDOM = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
 
 # the states one compiled call of the batch writes: 2**15 doubles, 81 grid
 # steps at n_mc 100 and 8 at n_mc 1000, and a single step from n_mc 8192 on
@@ -58,7 +60,9 @@ def rng_stream(seed: int, *key: int) -> np.random.Generator:
 
 def _philox_keys(seed: int, tag: int, n: int) -> np.ndarray:
     """(n, 2) uint64 Philox keys of the streams ``rng_stream(seed, tag, i)``
-    for i < n <= 2**32, in one pass over a uint32 array.
+    for i < n, in one pass over a uint32 array.  Raises ValueError, before
+    anything is allocated, unless 0 <= n <= 2**32: past that the uint32
+    index would wrap, and row 2**32 + i would repeat stream i.
 
     This is ``SeedSequence(seed, spawn_key=(tag, i)).generate_state(2,
     uint64)`` with every stream in a column.  Only the last entropy word, i,
@@ -71,7 +75,9 @@ def _philox_keys(seed: int, tag: int, n: int) -> np.ndarray:
     little-endian into the two key words.  numpy's uint32 arrays wrap as
     the C code does.
     """
-    seed, tag = int(seed), int(tag)
+    seed, tag, n = int(seed), int(tag), int(n)
+    if not 0 <= n <= 2**32:
+        raise ValueError(f"n must be between 0 and 2**32 streams, not {n}")
     pool = np.random.SeedSequence(seed, spawn_key=(tag,)).pool * np.uint32(0xCA01F9DD)
     words = max(-(-seed.bit_length() // 32), 4) + max(-(-tag.bit_length() // 32), 1)
     mult, out_mult = 0x43B0D7E5 * pow(0x931E8875, 4 * words, 2**32) & 0xFFFFFFFF, 0x8B51F9DD
@@ -94,17 +100,26 @@ def _philox_keys(seed: int, tag: int, n: int) -> np.ndarray:
 
 def keyed_normals(seed: int, tag: int, n: int, size: int) -> np.ndarray:
     """(n, size) standard normals whose row i is ``rng_stream(seed, tag,
-    i).standard_normal(size)`` bit for bit, for n <= 2**32.
+    i).standard_normal(size)`` bit for bit, for 0 <= n <= 2**32.
 
-    The keys of all n streams come from one ``_philox_keys`` pass, and one
-    reused generator draws each row after its state is set to that key, a
-    zero counter and an empty buffer, which is the state ``rng_stream``
-    starts from.
+    The keys of all n streams come from one ``_philox_keys`` pass.  Each
+    row is drawn from the state ``rng_stream`` starts from: that key, a
+    zero counter and an empty buffer.  One call of the compiled
+    ``philox_normals`` (``rk4.c``, from :func:`_rk4_kernel`) fills every
+    row: its Philox4x64-10 steps as ``numpy.random.Philox`` does, and the
+    normals come from numpy's own ziggurat, ``random_standard_normal_fill``
+    from the ``libnpyrandom.a`` numpy ships, so the bits are numpy's.
+    Without that function one reused generator draws each row after its
+    state is set, to the same bits and more slowly.
     """
+    keys, out = _philox_keys(seed, tag, n), np.empty((n, size))
+    kernel = _rk4_kernel()
+    if kernel is not None and kernel.normals is not None:
+        kernel.normals(keys.ctypes.data, *out.shape, out.ctypes.data)
+        return out
     rng = rng_stream(seed, tag, 0)
     start = rng.bit_generator.state
-    out = np.empty((n, size))
-    for key, row in zip(_philox_keys(seed, tag, n), out):
+    for key, row in zip(keys, out):
         start["state"]["key"] = key
         rng.bit_generator.state = start
         rng.standard_normal(out=row)
@@ -262,11 +277,13 @@ class Kernel(NamedTuple):
     """The compiled grid loops of ``rk4.c`` through ctypes: ``integrate`` is
     ``rk4_integrate``, ``advance`` is ``rk4_advance``, and ``isa`` names the
     clone of ``rk4_advance`` the library resolved as it loaded, from
-    ``rk4_isa``: ``"avx512f"``, ``"avx2"`` or ``"default"``."""
+    ``rk4_isa``: ``"avx512f"``, ``"avx2"`` or ``"default"``.  ``normals``
+    is ``philox_normals``, or None in a build without numpy's archive."""
 
     integrate: Callable
     advance: Callable
     isa: str
+    normals: Callable | None
 
 
 @functools.cache
@@ -275,15 +292,16 @@ def _rk4_kernel() -> Kernel | None:
 
     The first call builds the library with ``cc`` in a temporary directory
     inside ``RK4_CACHE`` and moves it into the cache, named by a hash of the
-    source, the flags and the machine and by a hash of its own bytes: only a
-    file whose bytes match its name is loaded, as ``dlopen`` maps a
-    truncated library and the process faults on the missing pages.  A new
-    build keeps the two most recently modified other ``rk4-*.so``, which
-    other versions of the package sharing the cache may load.  With no
-    ``cc``, no home directory, a failed build, an unwritable cache or a
-    library that fails to load it returns None, and :func:`integrate` and
-    ``_rk4_batch`` step with :func:`_rk4_substeps` to the same bits.
-    Nothing is built or loaded at import.
+    source, the flags, the machine and numpy's archive and by a hash of its
+    own bytes: only a file whose bytes match its name is loaded, as
+    ``dlopen`` maps a truncated library and the process faults on the
+    missing pages.  A new build keeps the two most recently modified other
+    ``rk4-*.so``, which other versions of the package sharing the cache may
+    load.  With no ``cc``, no home directory, a failed build, an unwritable
+    cache or a library that fails to load it returns None, and
+    :func:`integrate` and ``_rk4_batch`` step with :func:`_rk4_substeps`
+    and :func:`keyed_normals` draws in numpy, to the same bits.  Nothing is
+    built, loaded or hashed at import.
 
     ``RK4_FLAGS`` holds ``-fno-builtin-pow`` so that ``rk4_integrate``'s
     ``pow(x, 2.0)`` stays a call of libm's ``pow``, the function a Python
@@ -291,6 +309,15 @@ def _rk4_kernel() -> Kernel | None:
     last bit differs from glibc's ``pow`` often enough to change a quarter
     to a half of random 2001-point trajectories.  The flag leaves every other builtin, ``memset`` and
     ``isfinite`` among them, as it was.
+
+    Where numpy ships ``NPYRANDOM``, its ``libnpyrandom.a``, and the
+    ``numpy/random/bitgen.h`` header under ``numpy.get_include()``, the
+    build defines ``RK4_NORMALS`` and links that archive, so
+    ``philox_normals`` runs the ziggurat ``Generator.standard_normal`` runs
+    and :func:`keyed_normals` gets numpy's bits from one call.  On Linux
+    ``-Wl,--exclude-libs,ALL`` keeps the library from exporting the
+    archive's symbols.  Elsewhere the build leaves that function out, and
+    :func:`keyed_normals` draws in numpy.
     """
     # hashlib and subprocess load only here: importing the package needs neither
     import hashlib
@@ -302,9 +329,12 @@ def _rk4_kernel() -> Kernel | None:
     cc = shutil.which("cc")
     if cc is None:
         return None
+    include = Path(np.get_include())
+    linked = NPYRANDOM.is_file() and (include / "numpy" / "random" / "bitgen.h").is_file()
     try:
         cache = RK4_CACHE.expanduser()  # RuntimeError without a home directory
-        build = (RK4_SOURCE.read_bytes(), RK4_FLAGS, platform.system(), platform.machine())
+        build = (RK4_SOURCE.read_bytes(), RK4_FLAGS, platform.system(), platform.machine(),
+                 digest(NPYRANDOM.read_bytes()) if linked else None)
         key = digest(repr(build).encode())
 
         def intact(lib: Path) -> bool:
@@ -317,8 +347,11 @@ def _rk4_kernel() -> Kernel | None:
             cache.mkdir(parents=True, exist_ok=True)
             with tempfile.TemporaryDirectory(prefix="rk4-", dir=cache) as tmp:
                 out = Path(tmp) / "rk4.so"
-                # libm, for pow, after the source that calls it
-                subprocess.run([cc, *RK4_FLAGS, "-o", str(out), str(RK4_SOURCE), "-lm"],
+                numpy_random = ("-DRK4_NORMALS", "-I", str(include), str(NPYRANDOM)) if linked else ()
+                hidden = ("-Wl,--exclude-libs,ALL",) if linked and platform.system() == "Linux" else ()
+                # numpy's archive after the source that calls it, and libm,
+                # for pow, log1p and exp, after both
+                subprocess.run([cc, *RK4_FLAGS, "-o", str(out), str(RK4_SOURCE), *numpy_random, *hidden, "-lm"],
                                check=True, capture_output=True, timeout=120)
                 lib = cache / f"rk4-{key}-{digest(out.read_bytes())}.so"
                 os.replace(out, lib)
@@ -336,7 +369,11 @@ def _rk4_kernel() -> Kernel | None:
                         ctypes.c_double, ctypes.c_void_p)
     advance.restype = None
     library.rk4_isa.restype = ctypes.c_char_p
-    return Kernel(integrate, advance, library.rk4_isa().decode())
+    normals = getattr(library, "philox_normals", None)
+    if normals is not None:
+        normals.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t, ctypes.c_void_p)
+        normals.restype = None
+    return Kernel(integrate, advance, library.rk4_isa().decode(), normals)
 
 
 def _chunk_steps(cfg: SimConfig, n: int) -> int:
@@ -383,11 +420,15 @@ def _rk4_batch(y0: np.ndarray, cfg: SimConfig):
 
 
 def stepper() -> dict:
-    """What steps every integration of a run, as its report names it:
-    ``{"rk4": "compiled", "rk4_isa": ...}`` with the compiled kernel and the
-    clone of ``rk4_advance`` it runs, else ``{"rk4": "numpy"}``."""
+    """What steps every integration of a run and draws its keyed normals,
+    as its report names it: ``{"rk4": "compiled", "rk4_isa": ...}`` with
+    the compiled kernel and the clone of ``rk4_advance`` it runs, else
+    ``{"rk4": "numpy"}``, and ``"normals"``, ``"compiled"`` where
+    :func:`keyed_normals` fills in ``philox_normals``, else ``"numpy"``."""
     kernel = _rk4_kernel()
-    return {"rk4": "numpy"} if kernel is None else {"rk4": "compiled", "rk4_isa": kernel.isa}
+    if kernel is None:
+        return {"rk4": "numpy", "normals": "numpy"}
+    return {"rk4": "compiled", "rk4_isa": kernel.isa, "normals": "numpy" if kernel.normals is None else "compiled"}
 
 
 def monte_carlo_projection(cfg: SimConfig, x_hat: tuple[float, float]) -> tuple[Trajectory, Trajectory]:

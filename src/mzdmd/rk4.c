@@ -27,7 +27,20 @@
    would change the bits (the AVX2 clone has no FMA to fuse with).  Another
    compiler or machine, or a build that defines RK4_NO_DISPATCH, gets the
    one function its flags select.  rk4_integrate spends its time in pow and
-   needs no clones. */
+   needs no clones.
+
+   philox_normals draws the Monte Carlo normals of
+   oscillator.keyed_normals, many keyed random streams in one call.  A
+   Philox4x64-10 generator (Salmon et al., "Parallel random numbers: as easy
+   as 1, 2, 3", SC'11) steps as numpy.random.Philox does, behind numpy's
+   public bitgen_t, and each row's normals come from
+   random_standard_normal_fill, the ziggurat Generator.standard_normal runs,
+   from the libnpyrandom.a that numpy ships and the build links.  So the
+   bits are numpy's own, not a transliteration of them.  The build defines
+   RK4_NORMALS, with numpy's include directory on the path, only where
+   numpy ships that archive and numpy/random/bitgen.h.  Without it, or
+   without the 128-bit integer the Philox rounds multiply in, the library
+   has no philox_normals and keyed_normals draws row by row in numpy. */
 #include <math.h>
 #include <stddef.h>
 
@@ -144,3 +157,88 @@ void rk4_advance(const double *y, ptrdiff_t n, ptrdiff_t steps, int substeps, do
         }
     }
 }
+
+#if defined(RK4_NORMALS) && defined(__SIZEOF_INT128__)
+#include <stdint.h>
+#include "numpy/random/bitgen.h"
+
+/* numpy's ziggurat, in libnpyrandom.a; declared here, as its header
+   numpy/random/distributions.h includes Python.h.  npy_intp is ptrdiff_t. */
+void random_standard_normal_fill(bitgen_t *bitgen_state, ptrdiff_t cnt, double *out);
+
+/* numpy's philox_state: a counter, a key and a buffer of the last block's
+   four words, of which buffer_pos have been read */
+typedef struct {
+    uint64_t ctr[4], key[2], buffer[4];
+    int buffer_pos, has_uint32;
+    uint32_t uinteger;
+} philox;
+
+/* one round of Philox4x64 on the block x under key k */
+static inline void philox_round(uint64_t x[4], const uint64_t k[2])
+{
+    unsigned __int128 p0 = (unsigned __int128)0xD2E7470EE14C6C93u * x[0];
+    unsigned __int128 p1 = (unsigned __int128)0xCA5A826395121157u * x[2];
+    x[0] = (uint64_t)(p1 >> 64) ^ x[1] ^ k[0];
+    x[1] = (uint64_t)p1;
+    x[2] = (uint64_t)(p0 >> 64) ^ x[3] ^ k[1];
+    x[3] = (uint64_t)p0;
+}
+
+/* The next word: the buffer's, or the first of a new block, for which the
+   counter is bumped (with carry) and encrypted in 10 rounds, the key
+   bumped by the Weyl constants between rounds */
+static uint64_t philox_next64(void *st)
+{
+    philox *s = st;
+    if (s->buffer_pos < 4)
+        return s->buffer[s->buffer_pos++];
+    for (int i = 0; i < 4 && ++s->ctr[i] == 0; i++)
+        ;
+    uint64_t x[4] = {s->ctr[0], s->ctr[1], s->ctr[2], s->ctr[3]}, k[2] = {s->key[0], s->key[1]};
+    philox_round(x, k);
+    for (int r = 1; r < 10; r++) {
+        k[0] += 0x9E3779B97F4A7C15u, k[1] += 0xBB67AE8584CAA73Bu;
+        philox_round(x, k);
+    }
+    for (int i = 0; i < 4; i++)
+        s->buffer[i] = x[i];
+    s->buffer_pos = 1;
+    return s->buffer[0];
+}
+
+/* a word's low half, then its high half, as numpy's Philox gives them;
+   the double ziggurat draws none, but a bitgen_t carries every source */
+static uint32_t philox_next32(void *st)
+{
+    philox *s = st;
+    if (s->has_uint32) {
+        s->has_uint32 = 0;
+        return s->uinteger;
+    }
+    uint64_t next = philox_next64(s);
+    s->has_uint32 = 1;
+    s->uinteger = (uint32_t)(next >> 32);
+    return (uint32_t)next;
+}
+
+static double philox_next_double(void *st)
+{
+    return (double)(philox_next64(st) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* Fill the (n, size) row-major array out with standard normals, row i
+   from the stream of the Philox key keys[2 i], keys[2 i + 1]: the state is
+   reset to that key, a zero counter and an empty buffer, the state a
+   seeded numpy.random.Philox starts from, and numpy's ziggurat fills the
+   row, so row i is Generator(Philox(key=...)).standard_normal(size). */
+void philox_normals(const uint64_t *keys, ptrdiff_t n, ptrdiff_t size, double *out)
+{
+    philox s;
+    bitgen_t bitgen = {&s, philox_next64, philox_next32, philox_next_double, philox_next64};
+    for (ptrdiff_t i = 0; i < n; i++) {
+        s = (philox){.key = {keys[2 * i], keys[2 * i + 1]}, .buffer_pos = 4};
+        random_standard_normal_fill(&bitgen, size, out + i * size);
+    }
+}
+#endif

@@ -25,6 +25,13 @@ def rk4_cache(tmp_path_factory):
     oscillator._rk4_kernel.cache_clear()
 
 
+def numpy_ships_ziggurat():
+    """Whether numpy ships the archive and header the compiled keyed normals
+    link, so a build with ``cc`` fills them in ``philox_normals``."""
+    header = Path(np.get_include()) / "numpy" / "random" / "bitgen.h"
+    return oscillator.NPYRANDOM.is_file() and header.is_file()
+
+
 def read_csv(path):
     """Read back a CSV written by ``harness.write_csv``; returns (header, data)."""
     text = Path(path).read_text().strip().splitlines()

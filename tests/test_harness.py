@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import oscillator_rhs, read_csv, reference_integrate
+from conftest import numpy_ships_ziggurat, oscillator_rhs, read_csv, reference_integrate
 
 from mzdmd import (
     SnapshotPair,
@@ -37,19 +37,21 @@ THREAD_VARIABLES = ["OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS
 
 
 def _stepper_stamp(cfg):
-    """The keys of a run's report.json environment that name its stepper."""
+    """The keys of a run's report.json environment that name its stepper
+    and what drew its keyed normals."""
     environment = json.loads((cfg.output_dir / "report.json").read_text())["environment"]
-    return {key: environment[key] for key in ("rk4", "rk4_isa") if key in environment}
+    return {key: environment[key] for key in ("rk4", "rk4_isa", "normals") if key in environment}
 
 
 def _kernel_stepper_stamp():
-    """The stepper stamp of every run: the compiled kernel and the clone it
-    runs, or the numpy stepper without ``cc``."""
+    """The stepper stamp of every run: the compiled kernel, the clone it
+    runs and its normals where numpy ships the ziggurat they link, or the
+    numpy stepper and normals without ``cc``."""
     if shutil.which("cc") is None:
-        return {"rk4": "numpy"}
+        return {"rk4": "numpy", "normals": "numpy"}
     isa = oscillator._rk4_kernel().isa
     assert isa in ("avx512f", "avx2", "default")
-    return {"rk4": "compiled", "rk4_isa": isa}
+    return {"rk4": "compiled", "rk4_isa": isa, "normals": "compiled" if numpy_ships_ziggurat() else "numpy"}
 
 
 def _fresh_cache_run(cfg, cache, monkeypatch):
@@ -535,7 +537,7 @@ class TestRunExperiment:
         stamp, misses, builds = _fresh_cache_run(cfg, tmp_path / "cache", monkeypatch)
         assert misses == 1
         assert stamp == _kernel_stepper_stamp()
-        assert len(builds) == (0 if stamp == {"rk4": "numpy"} else 1)
+        assert len(builds) == (0 if stamp["rk4"] == "numpy" else 1)
 
     @pytest.mark.parametrize("method, sigma", [("dmd", 1.0), ("projection", 0.0), ("projection", 1.0)])
     def test_without_the_kernel_a_run_stamps_numpy_and_writes_the_same_bytes(self, tmp_path, monkeypatch,
@@ -546,7 +548,7 @@ class TestRunExperiment:
         monkeypatch.setattr(oscillator, "_rk4_kernel", lambda: None)
         numpy = small_config(tmp_path / "numpy", method=method, sim={"sigma": sigma})
         run_experiment(numpy)
-        assert _stepper_stamp(numpy) == {"rk4": "numpy"}
+        assert _stepper_stamp(numpy) == {"rk4": "numpy", "normals": "numpy"}
         assert _csv_bytes(numpy) == _csv_bytes(compiled) and len(_csv_bytes(numpy)) == 3
 
     def test_stamp_without_scipy_metadata_reads_none(self, monkeypatch):

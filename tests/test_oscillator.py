@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from conftest import oscillator_rhs, reference_integrate
+from conftest import numpy_ships_ziggurat, oscillator_rhs, reference_integrate
 
 from mzdmd import (
     DivergenceError,
@@ -32,10 +32,34 @@ def _compiled_kernel():
     return kernel
 
 
+def _compiled_normals():
+    """The compiled kernel, whose ``philox_normals`` fills ``keyed_normals``;
+    skips where no ``cc`` is found or numpy ships no ``libnpyrandom.a`` and
+    ``bitgen.h``, and fails where all are but the build has no fill."""
+    kernel = _compiled_kernel()
+    if not numpy_ships_ziggurat():
+        pytest.skip("numpy ships no libnpyrandom.a and bitgen.h for the compiled normals to link")
+    assert kernel.normals is not None, "numpy ships its ziggurat, but the build did not link it"
+    return kernel
+
+
+def _normals_stamp():
+    """What draws the keyed normals where ``cc`` builds the kernel."""
+    return "compiled" if numpy_ships_ziggurat() else "numpy"
+
+
+def _ar_member(name, data):
+    """One member of a Unix ``ar`` archive: its 60-byte header, then the
+    data padded to an even length."""
+    data += b"\n" * (len(data) % 2)
+    return f"{name + '/':<16}{0:<12}{0:<6}{0:<6}{0o644:<8o}{len(data):<10}`\n".encode() + data
+
+
 @pytest.fixture(params=["compiled", "numpy"])
 def stepper(request, monkeypatch):
-    """Runs a test once with each stepper of ``_rk4_batch``: the compiled
-    kernel, and the numpy stepper its loader falls back to."""
+    """Runs a test once with each stepper of ``_rk4_batch`` and
+    ``keyed_normals``: the compiled kernel, and the numpy code its loader
+    falls back to."""
     if request.param == "compiled":
         _compiled_kernel()
     else:
@@ -338,10 +362,52 @@ class TestPhiloxKeys:
     @pytest.mark.parametrize("n", [1, 2, 300])
     @pytest.mark.parametrize("tag", [1, 2])
     @pytest.mark.parametrize("seed", [7, 2**40 + 5])
+    @pytest.mark.usefixtures("stepper")
     def test_keyed_normals_equal_rng_stream(self, seed, tag, n, size):
         got = oscillator.keyed_normals(seed, tag, n, size)
         want = np.array([rng_stream(seed, tag, i).standard_normal(size) for i in range(n)])
         assert got.shape == (n, size) and got.tobytes() == want.tobytes()
+
+    @pytest.fixture
+    def normals(self):
+        # a fixture, so a missing compiler skips before hypothesis draws
+        return _compiled_normals()
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**200), tag=st.integers(0, 2**70), n=st.integers(0, 40),
+           size=st.integers(0, 300))
+    @example(seed=2**64, tag=1, n=0, size=2)
+    @example(seed=2**64 - 1, tag=2, n=3, size=0)
+    @example(seed=2**70, tag=1, n=17, size=1)
+    @pytest.mark.usefixtures("normals")
+    def test_compiled_normals_equal_rng_stream(self, seed, tag, n, size):
+        got = oscillator.keyed_normals(seed, tag, n, size)
+        want = np.array([rng_stream(seed, tag, i).standard_normal(size) for i in range(n)]).reshape(n, size)
+        assert got.shape == (n, size) and got.tobytes() == want.tobytes()
+
+    @pytest.mark.usefixtures("normals")
+    def test_compiled_normals_reach_the_ziggurat_tail(self):
+        # 2**20 normals: about 1 in 140 leaves the ziggurat's rectangles for
+        # a wedge's rejection test, and about 1 in 3900 lies past its tail's
+        # start r, where a second loop of uniforms draws it
+        got = oscillator.keyed_normals(2**64 + 1, 1, 2, 2**19 + 3)
+        want = np.array([rng_stream(2**64 + 1, 1, i).standard_normal(2**19 + 3) for i in range(2)])
+        assert got.tobytes() == want.tobytes()
+        assert np.abs(got).max() > 3.6541528853610088
+
+    @pytest.mark.parametrize("n", [2**32 + 1, 2**64, -1])
+    def test_more_streams_than_indices_raise_before_allocating(self, monkeypatch, n):
+        # past 2**32 the uint32 index wraps, and row 2**32 + i would repeat
+        # stream i; the check comes before any array of n rows is made
+        def allocating(*args, **kwargs):
+            raise AssertionError("an array was made before n was checked")
+
+        for name in ("arange", "empty", "zeros"):
+            monkeypatch.setattr(np, name, allocating)
+        with pytest.raises(ValueError, match=r"2\*\*32"):
+            oscillator._philox_keys(7, 1, n)
+        with pytest.raises(ValueError, match=r"2\*\*32"):
+            oscillator.keyed_normals(7, 1, n, 2)
 
     @pytest.mark.parametrize("sigma", [1.0, 0.3])
     def test_projection_draws_equal_rng_stream(self, sigma, monkeypatch):
@@ -893,6 +959,54 @@ class TestKernelLoader:
         assert compiled == [str(source) for source in sources]
         assert len(list(oscillator.RK4_CACHE.iterdir())) == 2
 
+    def test_without_numpys_archive_the_normals_are_drawn_in_numpy(self, loader, monkeypatch, tmp_path):
+        # numpy ships no libnpyrandom.a: the kernel still builds, without
+        # philox_normals, and keyed_normals draws row by row from one
+        # generator, to the bytes of the linked fill
+        key = (2**64 + 5, 1, 300, 3)
+        linked = oscillator.keyed_normals(*key)
+        monkeypatch.setattr(oscillator, "NPYRANDOM", tmp_path / "missing" / "libnpyrandom.a")
+        loader.cache_clear()
+        kernel = _compiled_kernel()
+        assert kernel.normals is None
+        assert oscillator.stepper() == {"rk4": "compiled", "rk4_isa": kernel.isa, "normals": "numpy"}
+        streams, real = [], oscillator.rng_stream
+
+        def counting(*args):
+            streams.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(oscillator, "rng_stream", counting)
+        drawn = oscillator.keyed_normals(*key)
+        assert streams == [key[:2] + (0,)]
+        want = np.array([real(*key[:2], i).standard_normal(key[3]) for i in range(key[2])])
+        assert drawn.tobytes() == want.tobytes() == linked.tobytes()
+
+    def test_two_archives_build_once_each(self, loader, monkeypatch, tmp_path):
+        # numpy's archive, and a copy with one member more, as two numpy
+        # releases sharing the cache, loaded in turn: the archive's digest
+        # keys the build, so each compiles once and links its own archive
+        if not numpy_ships_ziggurat():
+            pytest.skip("numpy ships no libnpyrandom.a and bitgen.h for the compiled normals to link")
+        archives = [tmp_path / "a" / "libnpyrandom.a", tmp_path / "b" / "libnpyrandom.a"]
+        shipped = oscillator.NPYRANDOM.read_bytes()
+        for archive, extra in zip(archives, [b"", _ar_member("note.txt", b"another numpy release")]):
+            archive.parent.mkdir()
+            archive.write_bytes(shipped + extra)
+        linked, run = [], subprocess.run
+
+        def counting_run(command, **kwargs):
+            linked.append(next(arg for arg in command if arg.endswith(".a")))
+            return run(command, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", counting_run)
+        for archive in archives * 3:
+            monkeypatch.setattr(oscillator, "NPYRANDOM", archive)
+            loader.cache_clear()
+            assert _compiled_kernel().normals is not None
+        assert linked == [str(archive) for archive in archives]
+        assert len(list(oscillator.RK4_CACHE.iterdir())) == 2
+
     def test_source_ships_with_the_package(self):
         tomllib = pytest.importorskip("tomllib")
         package = Path(oscillator.__file__).parent
@@ -902,7 +1016,8 @@ class TestKernelLoader:
 
 
 class TestStepper:
-    """What a run's report names as the stepper of its integrations."""
+    """What a run's report names as the stepper of its integrations and the
+    drawer of its keyed normals."""
 
     def test_a_sigma_zero_projection_builds_the_kernel_it_names(self, tmp_path, monkeypatch):
         # at sigma 0 the projection is one integrate() run, which steps in
@@ -920,17 +1035,17 @@ class TestStepper:
             assert oscillator._rk4_kernel.cache_info().misses == 1
             assert len(list(oscillator.RK4_CACHE.glob("rk4-*.so"))) == 1
             assert kernel.isa in ISAS
-            assert oscillator.stepper() == {"rk4": "compiled", "rk4_isa": kernel.isa}
+            assert oscillator.stepper() == {"rk4": "compiled", "rk4_isa": kernel.isa, "normals": _normals_stamp()}
         finally:
             oscillator._rk4_kernel.cache_clear()
 
     def test_a_missing_kernel_names_numpy(self, monkeypatch):
         monkeypatch.setattr(oscillator, "_rk4_kernel", lambda: None)
-        assert oscillator.stepper() == {"rk4": "numpy"}
+        assert oscillator.stepper() == {"rk4": "numpy", "normals": "numpy"}
 
     def test_the_compiled_kernel_names_its_clone(self):
         kernel = _compiled_kernel()
-        assert oscillator.stepper() == {"rk4": "compiled", "rk4_isa": kernel.isa}
+        assert oscillator.stepper() == {"rk4": "compiled", "rk4_isa": kernel.isa, "normals": _normals_stamp()}
 
 
 def test_trajectory_validation():
