@@ -215,25 +215,27 @@ def _powers(m: np.ndarray, cols: int):
         p, e = np.ldexp(r, -peak[..., None]), e + top + peak
 
 
-def _power_columns(m: np.ndarray, v: np.ndarray, cols: int) -> np.ndarray:
+def _power_columns(m: np.ndarray, v: np.ndarray, cols: int) -> tuple[np.ndarray, list]:
     """The chains ``x_j = M^j v`` for j = 0..cols-1 over a stack: M is
     (..., d, d), the rows v (..., d) broadcast against it, and the columns
     come back as (..., d, cols).  Doubling fills them: with columns 0..s-1
     in place, one product by ``M^s`` from :func:`_powers` writes columns
     s..2s-1, its rows scaled by ``2^e`` where the power carries exponents,
-    so there are about log2(cols) levels."""
+    so there are about log2(cols) levels.  Returns the columns and the
+    levels' ``(s, P, e)``, which :func:`_power_pullback` walks back."""
     x = np.empty(m.shape[:-1] + (cols,))
     x[..., 0] = v
-    for s, p, e in _powers(m, cols):
+    levels = list(_powers(m, cols))
+    for s, p, e in levels:
         level = x[..., s:2 * s]
         np.matmul(p, x[..., :level.shape[-1]], out=level)
         if e is not None:
             np.ldexp(level, e[..., None], out=level)
-    return x
+    return x, levels
 
 
-def _power_pullback(m: np.ndarray, x: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Gradient in M of ``<c, x>`` for the chains ``x = _power_columns(M, v, cols)``.
+def _power_pullback(x: np.ndarray, levels: list, c: np.ndarray) -> np.ndarray:
+    """Gradient in M of ``<c, x>`` for ``x, levels = _power_columns(M, v, cols)``.
 
     Reverse mode through the doubling.  Walking its levels from the last,
     level s takes the cotangent ``y = x_bar[s:s+n]`` of the columns it wrote,
@@ -251,11 +253,10 @@ def _power_pullback(m: np.ndarray, x: np.ndarray, c: np.ndarray) -> np.ndarray:
     chain, the others starting at zero.  A slice whose chains are all zero
     has an exactly zero gradient, even where its cotangent overflows.
     """
-    cols, rows = c.shape[-1], c.shape[-2]
-    x_bar = np.zeros(m.shape[:-1] + (cols,))
-    x_bar[..., -rows:, :] = c
-    g = np.zeros(m.shape)
-    for s, p, e in reversed(list(_powers(m, cols))):
+    x_bar = np.zeros(x.shape)
+    x_bar[..., -c.shape[-2]:, :] = c
+    g = np.zeros(x.shape[:-1] + (x.shape[-2],))
+    for s, p, e in reversed(levels):
         y = x_bar[..., s:2 * s]
         n, pt = y.shape[-1], p.mT
         if e is None:
@@ -280,11 +281,11 @@ def _mz_memory(a, n, cols):
     k = np.zeros(a.shape[:-2] + (2 * d, 2 * d))
     k[..., :d, :d] = w @ m_map
     k[..., d:, :d] = k[..., d:, d:] = w
-    uz = _power_columns(k, np.concatenate([n, np.zeros_like(n)], axis=-1), cols)
+    uz, levels = _power_columns(k, np.concatenate([n, np.zeros_like(n)], axis=-1), cols)
     z = uz[..., d:, :]
 
     def pullback(c):
-        g = _power_pullback(k, uz, (-2.0 * b.mT) @ c)
+        g = _power_pullback(uz, levels, (-2.0 * b.mT) @ c)
         g_uu = g[..., :d, :d]
         g_w = g_uu @ m_map.mT + g[..., d:, :d] + g[..., d:, d:]
         # B = (A + I)^{-1} gives the columns and M = 4 B - I: dB = -B dA B
@@ -299,11 +300,11 @@ def _tmodel_memory(a, n, dt, cols):
     which weights its cotangent in place."""
     a_shift = a - np.eye(a.shape[-1])
     w = linalg.expm(a_shift)
-    x = _power_columns(w, n, cols)
+    x, levels = _power_columns(w, n, cols)
     weights = dt * np.arange(cols)
 
     def pullback(c):
-        g_w = _power_pullback(w, x, np.multiply(c, weights, out=c))
+        g_w = _power_pullback(x, levels, np.multiply(c, weights, out=c))
         return linalg.expm_frechet(a_shift.mT, g_w)
 
     return x * weights, pullback

@@ -29,8 +29,8 @@ SUBSTEPS = 10
 
 # the compiled grid loops of every integration: their source, which ships
 # with the package, the flags that keep their arithmetic Python's and
-# numpy's, and their build cache, which the loader expands, so import looks
-# up no home directory
+# numpy's (rk4.c, "Exactness", "Squaring"), and their build cache, which the
+# loader expands, so import looks up no home directory
 RK4_SOURCE = Path(__file__).with_name("rk4.c")
 RK4_FLAGS = ("-O2", "-ffp-contract=off", "-fno-builtin-pow", "-shared", "-fPIC")
 RK4_CACHE = Path("~/.cache/mzdmd")
@@ -105,12 +105,9 @@ def keyed_normals(seed: int, tag: int, n: int, size: int) -> np.ndarray:
     The keys of all n streams come from one ``_philox_keys`` pass.  Each
     row is drawn from the state ``rng_stream`` starts from: that key, a
     zero counter and an empty buffer.  One call of the compiled
-    ``philox_normals`` (``rk4.c``, from :func:`_rk4_kernel`) fills every
-    row: its Philox4x64-10 steps as ``numpy.random.Philox`` does, and the
-    normals come from numpy's own ziggurat, ``random_standard_normal_fill``
-    from the ``libnpyrandom.a`` numpy ships, so the bits are numpy's.
-    Without that function one reused generator draws each row after its
-    state is set, to the same bits and more slowly.
+    ``philox_normals`` fills every row (rk4.c, "Normals"); without it one
+    reused generator draws each row after its state is set, to the same
+    bits and more slowly.
     """
     keys, out = _philox_keys(seed, tag, n), np.empty((n, size))
     kernel = _rk4_kernel()
@@ -198,27 +195,9 @@ def _rk4_substeps(p, v, q, u, h):
 
     Only ``+``, ``-``, ``*`` and ``** 2`` are used, so the same code steps
     Python floats (``integrate`` without its compiled kernel) and numpy rows
-    (``_rk4_batch`` without its compiled kernel).  On a float ``q ** 2`` is
-    libm ``pow``, as numpy's float64 scalar power is, and an overflowing
-    square raises OverflowError; on an array it is ``np.square``, a product,
-    so a batch column may differ from its ``integrate`` run in the last bits.
-    ``rk4.c`` transliterates this function once, as ``rk4_step``, and squares
-    as each caller's operand does: ``rk4_integrate`` with ``pow(x, 2.0)``,
-    kept a libm call by ``-fno-builtin-pow``, and ``rk4_advance`` by
-    product, which vectorises.  Each other operation is one IEEE double
-    rounding in C as in Python and numpy, in each of ``rk4_advance``'s
-    AVX-512F, AVX2 and baseline clones, provided the library is built with
-    ``-ffp-contract=off``, which forbids fusing a product and a sum
-    (AVX-512F has fused multiply-adds, and its clone would use them), and
-    without ``-ffast-math``, which would reassociate and also turn on
-    flush-to-zero for subnormals.
-
-    The committed references in ``perfbench/references`` freeze this
-    arithmetic, as the oscillator is chaotic at large hidden amplitudes: a
-    one-ulp change to an initial y3 moved the worst of 1000 samples by
-    1.7e-3 and the projection's mean by 1.9e-6 at t = 50, so a
-    reassociation, a fused update or another sub-step count should be
-    expected to move the mean beyond their tolerance.
+    (``_rk4_batch`` without it).  ``rk4.c`` transliterates it as
+    ``rk4_step`` to the same bits (rk4.c, "Exactness", "Squaring"), and no
+    bit of it may change (rk4.c, "Freeze").
     """
     hh, h6 = 0.5 * h, h / 6.0
     for _ in range(SUBSTEPS):
@@ -241,14 +220,11 @@ def integrate(s0: np.ndarray, cfg: SimConfig) -> Trajectory:
     """Integrate the oscillator from one state ``s0`` (4,) over the cfg time
     grid; the trajectory's states are (n_points, 4).
 
-    One call of the compiled ``rk4_integrate`` (``rk4.c``, from
-    :func:`_rk4_kernel`) steps the whole grid.  It squares with libm
-    ``pow``, as a Python float's ``** 2`` does, so it gives the bits of
-    :func:`_rk4_substeps` on four Python floats, which step the grid without
-    that kernel.  A state that becomes non-finite raises
-    :class:`DivergenceError` at its grid step, with the same message on
-    either path: on floats a square that overflows, where C's ``pow``
-    returns inf, counts as non-finite at that step."""
+    One call of the compiled ``rk4_integrate`` steps the whole grid, and
+    :func:`_rk4_substeps` on four Python floats steps it without that
+    kernel, to the same bits (rk4.c, "Squaring").  A state that becomes
+    non-finite raises :class:`DivergenceError` at its grid step, with the
+    same message on either path."""
     s0 = np.asarray(s0, dtype=float)
     if s0.shape != (4,):
         raise ValueError("s0 must be one state (4,)")
@@ -275,10 +251,10 @@ def integrate(s0: np.ndarray, cfg: SimConfig) -> Trajectory:
 
 class Kernel(NamedTuple):
     """The compiled grid loops of ``rk4.c`` through ctypes: ``integrate`` is
-    ``rk4_integrate``, ``advance`` is ``rk4_advance``, and ``isa`` names the
-    clone of ``rk4_advance`` the library resolved as it loaded, from
-    ``rk4_isa``: ``"avx512f"``, ``"avx2"`` or ``"default"``.  ``normals``
-    is ``philox_normals``, or None in a build without numpy's archive."""
+    ``rk4_integrate``, ``advance`` is ``rk4_advance``, and ``isa`` is
+    ``rk4_isa``'s name for the clone of ``rk4_advance`` the library resolved
+    (rk4.c, "Clones").  ``normals`` is ``philox_normals``, or None in a
+    build without numpy's archive (rk4.c, "Normals")."""
 
     integrate: Callable
     advance: Callable
@@ -303,21 +279,11 @@ def _rk4_kernel() -> Kernel | None:
     and :func:`keyed_normals` draws in numpy, to the same bits.  Nothing is
     built, loaded or hashed at import.
 
-    ``RK4_FLAGS`` holds ``-fno-builtin-pow`` so that ``rk4_integrate``'s
-    ``pow(x, 2.0)`` stays a call of libm's ``pow``, the function a Python
-    float's ``** 2`` calls: GCC would otherwise make it ``x * x``, whose
-    last bit differs from glibc's ``pow`` often enough to change a quarter
-    to a half of random 2001-point trajectories.  The flag leaves every other builtin, ``memset`` and
-    ``isfinite`` among them, as it was.
-
     Where numpy ships ``NPYRANDOM``, its ``libnpyrandom.a``, and the
     ``numpy/random/bitgen.h`` header under ``numpy.get_include()``, the
-    build defines ``RK4_NORMALS`` and links that archive, so
-    ``philox_normals`` runs the ziggurat ``Generator.standard_normal`` runs
-    and :func:`keyed_normals` gets numpy's bits from one call.  On Linux
-    ``-Wl,--exclude-libs,ALL`` keeps the library from exporting the
-    archive's symbols.  Elsewhere the build leaves that function out, and
-    :func:`keyed_normals` draws in numpy.
+    build defines ``RK4_NORMALS`` and links that archive (rk4.c,
+    "Normals"); on Linux ``-Wl,--exclude-libs,ALL`` keeps the library from
+    exporting the archive's symbols.
     """
     # hashlib and subprocess load only here: importing the package needs neither
     import hashlib
@@ -390,9 +356,9 @@ def _rk4_batch(y0: np.ndarray, cfg: SimConfig):
     Every chunk is a view of one buffer of :func:`_chunk_steps` grid steps,
     and the next chunk overwrites it: a consumer copies or reduces a chunk
     before the next.  The last chunk may be shorter.  One call of the
-    compiled ``rk4_advance`` (``rk4.c``, from :func:`_rk4_kernel`) fills a
-    chunk; without that kernel :func:`_rk4_substeps` does, one grid step at
-    a time on the rows, to the same bits and more slowly.  There an overflow
+    compiled ``rk4_advance`` fills a chunk; without that kernel
+    :func:`_rk4_substeps` does, one grid step at a time on the rows, to the
+    same bits (rk4.c, "Exactness") and more slowly.  There an overflow
     warns unless the caller holds an ``np.errstate``; the kernel never
     warns.  A non-finite state raises :class:`DivergenceError` at its grid
     step, before its chunk is yielded.

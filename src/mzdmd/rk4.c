@@ -1,46 +1,58 @@
-/* Classical RK4 on the coupled oscillator: the compiled grid loops of
+/* Classical RK4 on the coupled oscillator, in the compiled grid loops of
    oscillator.integrate (rk4_integrate, one state) and oscillator._rk4_batch
-   (rk4_advance, a batch of state columns).  Both take their sub-steps from
-   one body, rk4_step, a line-for-line transliteration of
-   oscillator._rk4_substeps with its names.  Built with -ffp-contract=off and
-   without -ffast-math, each operation is one IEEE double rounding in its
-   order, so both give that function's bits; see its docstring.
+   (rk4_advance, a batch of state columns), and the Monte Carlo normals of
+   oscillator.keyed_normals (philox_normals).  Why each gives the bits of
+   the Python code it stands in for is argued once, in the labelled
+   paragraphs below, to which the Python code points by label.
 
-   The two differ only in how they square, as _rk4_substeps does on its two
-   kinds of operand.  On a Python float `** 2` is libm pow, so rk4_integrate
-   squares with pow(x, 2.0); -fno-builtin-pow keeps GCC from turning that
-   call into x * x, whose last bit differs from glibc's pow often enough to
-   change a quarter to a half of random 2001-point trajectories.  On numpy
-   rows `** 2` is np.square, a product, so rk4_advance squares by product,
-   which also vectorises.
+   Exactness.  rk4_step transliterates oscillator._rk4_substeps line for
+   line, with its names and its order of operations, and both loops take
+   their sub-steps from it.  Each +, - and * is one IEEE double rounding in
+   C as in Python and numpy, provided the library is built with
+   -ffp-contract=off, which forbids fusing a product and a sum into one
+   rounding, and without -ffast-math, which would reassociate and also turn
+   on flush-to-zero for subnormals (oscillator.RK4_FLAGS).  So each loop
+   gives the bits that function gives on its caller's operands, signed
+   zeros and subnormals included.
 
-   rk4_advance steps its batch a block of W columns at a time, every loop
-   over a full block of the fixed length W, its copies in and out included,
-   so the compiler vectorises each.  Only the ragged last block, when W does
-   not divide the batch, copies fewer columns, and zero-fills the others.
+   Squaring.  `** 2` alone depends on the caller's operand.  On a Python
+   float it is libm pow (an overflowing square raises OverflowError where
+   pow returns inf, and integrate counts both as non-finite), so
+   rk4_integrate squares with pow(x, 2.0), and -fno-builtin-pow keeps GCC
+   from turning that call into x * x, whose last bit differs from glibc's
+   pow often enough to change a quarter to a half of random 2001-point
+   trajectories.  The flag leaves every other builtin, memset and isfinite
+   among them, as it was.  On numpy rows `** 2` is np.square, a product, so
+   rk4_advance squares by product, which also vectorises; a batch column
+   may differ from its integrate run in the last bits.
 
-   With x86-64 GCC, rk4_advance is cloned for AVX-512F, AVX2 and the
-   baseline, and the dynamic loader resolves one clone through an ifunc when
-   the library loads, so one build serves every x86-64 CPU and its cache key
-   names no CPU feature.  AVX-512F carries fused multiply-adds: only
-   -ffp-contract=off keeps that clone from fusing a product and a sum, which
-   would change the bits (the AVX2 clone has no FMA to fuse with).  Another
-   compiler or machine, or a build that defines RK4_NO_DISPATCH, gets the
-   one function its flags select.  rk4_integrate spends its time in pow and
-   needs no clones.
+   Clones.  With x86-64 GCC, rk4_advance is cloned for AVX-512F, AVX2 and
+   the baseline, and the dynamic loader resolves one clone through an ifunc
+   when the library loads, so one build serves every x86-64 CPU and its
+   cache key names no CPU feature.  AVX-512F carries fused multiply-adds,
+   so its clone is the one whose bits a fused product and sum would change
+   (the AVX2 clone has no FMA to fuse with).  Another compiler or machine,
+   or a build that defines RK4_NO_DISPATCH, gets the one function its flags
+   select.  rk4_integrate spends its time in pow and needs no clones.
 
-   philox_normals draws the Monte Carlo normals of
-   oscillator.keyed_normals, many keyed random streams in one call.  A
+   Normals.  philox_normals draws many keyed random streams in one call.  A
    Philox4x64-10 generator (Salmon et al., "Parallel random numbers: as easy
    as 1, 2, 3", SC'11) steps as numpy.random.Philox does, behind numpy's
    public bitgen_t, and each row's normals come from
    random_standard_normal_fill, the ziggurat Generator.standard_normal runs,
    from the libnpyrandom.a that numpy ships and the build links.  So the
    bits are numpy's own, not a transliteration of them.  The build defines
-   RK4_NORMALS, with numpy's include directory on the path, only where
-   numpy ships that archive and numpy/random/bitgen.h.  Without it, or
-   without the 128-bit integer the Philox rounds multiply in, the library
-   has no philox_normals and keyed_normals draws row by row in numpy. */
+   RK4_NORMALS, with numpy's include directory on the path, only where numpy
+   ships that archive and numpy/random/bitgen.h.  Without it, or without the
+   128-bit integer the Philox rounds multiply in, the library has no
+   philox_normals, and keyed_normals draws row by row in numpy.
+
+   Freeze.  The committed references in perfbench/references freeze this
+   arithmetic, as the oscillator is chaotic at large hidden amplitudes: a
+   one-ulp change to an initial y3 moved the worst of 1000 samples by 1.7e-3
+   and the projection's mean by 1.9e-6 at t = 50.  So a reassociation, a
+   fused update or another sub-step count should be expected to move the
+   mean beyond their tolerance. */
 #include <math.h>
 #include <stddef.h>
 
@@ -120,9 +132,10 @@ ptrdiff_t rk4_integrate(double *y, ptrdiff_t n_points, int substeps, double h)
    out + 4 n k, a (steps, 4, n) row-major array.  y may be out's last
    (4, n), as a block of columns is read before any of it is written.  A
    full block of W columns is copied in and out by loops of the fixed
-   length W.  Only the ragged last block, of m < W columns, copies m of
-   them and zero-fills the rest: a zero state stays zero, so its padding
-   stays finite and never subnormal, and is never written out. */
+   length W, so the compiler vectorises every loop.  Only the ragged last
+   block, of m < W columns, copies m of them and zero-fills the rest: a
+   zero state stays zero, so its padding stays finite and never subnormal,
+   and is never written out. */
 #ifdef RK4_DISPATCH
 __attribute__((target_clones("avx512f", "avx2", "default")))
 #endif

@@ -1,6 +1,7 @@
 """The documents name what exists and run as written: every function and
-check that the derivation in ``mzdmd.objectives`` names is present, and
-the README's Python blocks run."""
+check that the derivation in ``mzdmd.objectives`` names is present, every
+paragraph of ``rk4.c``'s header that the code points to is there, and the
+README's Python blocks run."""
 
 import ast
 import re
@@ -12,6 +13,7 @@ from mzdmd import objectives
 from mzdmd.selfcheck import CHECKS
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "mzdmd"
 
 
 def derivation_rows(doc):
@@ -74,6 +76,32 @@ def test_a_renamed_check_or_function_does_not_resolve():
     assert not resolves_check("tests/test_objectives.py::_naive_objective")
     assert not resolves_function("linalg.no_such_function")
     assert not resolves_function("tests/memory_kernels.py::no_such_oracle")
+
+
+def rk4_labels(source):
+    """The labels of the paragraphs of ``rk4.c``'s header comment, in order:
+    the word that opens a paragraph, followed by a full stop."""
+    return re.findall(r"\n\n   (\w+)\.  ", source[:source.index("*/")])
+
+
+def rk4_pointers(text):
+    """The labels that a text points to as ``rk4.c, "Label"``, a pointer
+    naming one label or more, wrapped over lines of a docstring or comment."""
+    groups = re.findall(r'rk4\.c((?:,[\s#]+"\w+")+)', text)
+    return [label for group in groups for label in re.findall(r'"(\w+)"', group)]
+
+
+def test_rk4_pointers_name_the_paragraphs_of_its_header():
+    labels = rk4_labels((PACKAGE / "rk4.c").read_text())
+    assert labels == ["Exactness", "Squaring", "Clones", "Normals", "Freeze"]
+    texts = [path.read_text() for path in [*PACKAGE.glob("*.py"), ROOT / "README.md"]]
+    assert {label for text in texts for label in rk4_pointers(text)} == set(labels)
+
+
+def test_a_renamed_paragraph_does_not_resolve():
+    source = (PACKAGE / "rk4.c").read_text().replace("   Squaring.  ", "   Squares.  ")
+    assert "Squaring" not in rk4_labels(source)
+    assert rk4_pointers('(rk4.c, "Exactness",\n    # "Squaring"), rk4.c Squaring') == ["Exactness", "Squaring"]
 
 
 def test_readme_python_blocks_run():

@@ -422,16 +422,18 @@ class TestStackedChains:
         c = rng.standard_normal((n_u, d, cols))
         n[0, 0] = c[0, 0, -1] = -0.0
         kw = np.stack([k, w])
-        yx = _power_columns(kw, n, cols)
+        yx, levels = _power_columns(kw, n, cols)
         assert yx.shape == (2, n_u, d, cols)
-        g = _power_pullback(kw, yx, c)
+        g = _power_pullback(yx, levels, c)
         assert g.shape == (2, n_u, d, d)
         for i, m in enumerate((k, w)):
-            assert yx[i].tobytes() == _power_columns(m, n, cols).tobytes()
-            assert g[i].tobytes() == _power_pullback(m, yx[i], c).tobytes()
+            x, levels = _power_columns(m, n, cols)
+            assert yx[i].tobytes() == x.tobytes()
+            assert g[i].tobytes() == _power_pullback(x, levels, c).tobytes()
             for u in range(n_u):
-                assert yx[i, u].tobytes() == _power_columns(m[u], n[u], cols).tobytes()
-                assert g[i, u].tobytes() == _power_pullback(m[u], yx[i, u], c[u]).tobytes()
+                x, levels = _power_columns(m[u], n[u], cols)
+                assert yx[i, u].tobytes() == x.tobytes()
+                assert g[i, u].tobytes() == _power_pullback(x, levels, c[u]).tobytes()
 
     @pytest.mark.parametrize("cols", [1, 2, 7])
     def test_rows_and_cotangent_broadcast_over_the_stack(self, cols):
@@ -439,15 +441,15 @@ class TestStackedChains:
         kw = np.stack([[random_operator(rng, 2) for _ in range(3)] for _ in range(2)])
         n = rng.standard_normal((3, 2))
         c = rng.standard_normal((3, 2, cols))
-        yx = _power_columns(kw, n, cols)
-        assert np.array_equal(yx, _power_columns(kw, np.stack([n, n]), cols))
-        assert np.array_equal(_power_pullback(kw, yx, c), _power_pullback(kw, yx, np.stack([c, c])))
+        yx, levels = _power_columns(kw, n, cols)
+        assert np.array_equal(yx, _power_columns(kw, np.stack([n, n]), cols)[0])
+        assert np.array_equal(_power_pullback(yx, levels, c), _power_pullback(yx, levels, np.stack([c, c])))
 
     def test_columns_are_matrix_powers(self):
         rng = np.random.default_rng(20)
         kw = np.stack([[random_operator(rng, 3) for _ in range(2)] for _ in range(2)])
         n = rng.standard_normal((2, 3))
-        yx = _power_columns(kw, n, 6)
+        yx, _ = _power_columns(kw, n, 6)
         for i, u in np.ndindex(2, 2):
             for j in range(6):
                 np.testing.assert_allclose(yx[i, u, :, j], np.linalg.matrix_power(kw[i, u], j) @ n[u], rtol=1e-13)
@@ -459,10 +461,10 @@ class TestStackedChains:
         # inf * 0 = NaN
         m = np.stack([12.95 * np.array([[0.0, -1.0], [1.0, 0.0]]), 0.5 * np.eye(2)])
         v = np.array([[0.0, 0.0], [1.0, -2.0]])
-        x = _power_columns(m, v, 400)
+        x, levels = _power_columns(m, v, 400)
         c = np.ones((2, 2, 400))
         with np.errstate(over="ignore", invalid="ignore"):
-            g = _power_pullback(m, x, c)
+            g = _power_pullback(x, levels, c)
         assert not x[0].any()
         assert g[0].tobytes() == np.zeros((2, 2)).tobytes()
         assert g[1].tobytes() == _reference_power_pullback(m[1], x[1], c[1]).tobytes()
@@ -470,8 +472,8 @@ class TestStackedChains:
     def test_single_column_has_no_gradient(self):
         rng = np.random.default_rng(21)
         kw = np.stack([[random_operator(rng, 2)], [random_operator(rng, 2)]])
-        yx = _power_columns(kw, rng.standard_normal((1, 2)), 1)
-        g = _power_pullback(kw, yx, rng.standard_normal((1, 2, 1)))
+        yx, levels = _power_columns(kw, rng.standard_normal((1, 2)), 1)
+        g = _power_pullback(yx, levels, rng.standard_normal((1, 2, 1)))
         assert np.array_equal(g, np.zeros((2, 1, 2, 2)))
 
 
@@ -538,7 +540,7 @@ class TestPowerColumnsMatchReference:
         m = _contracting_stack(rng, lead + (d, d))
         v = rng.standard_normal((n_u, d))
         v[0, 0] = -0.0
-        got, want = _power_columns(m, v, cols), _reference_power_columns(m, v, cols)
+        got, want = _power_columns(m, v, cols)[0], _reference_power_columns(m, v, cols)
         assert got.shape == want.shape == lead + (d, cols)
         assert got.flags.c_contiguous
         _assert_within_rounding(got, want, 4e-15, axis=(-2, -1))
@@ -556,12 +558,12 @@ class TestPowerPullbackMatchesReference:
         rng = np.random.default_rng([d, n_u, cols])
         lead = (n_u,) if layout == "plain" else (2, n_u)
         m = _contracting_stack(rng, lead + (d, d))
-        x = _power_columns(m, rng.standard_normal((n_u, d)), cols)
+        x, levels = _power_columns(m, rng.standard_normal((n_u, d)), cols)
         c = rng.standard_normal((lead if layout == "stacked, full cotangent" else (n_u,)) + (d, cols))
         c[..., -1] = -0.0
         c[..., cols // 2] = -0.0
         c_before = c.copy()
-        got, want = _power_pullback(m, x, c), _reference_power_pullback(m, x, c)
+        got, want = _power_pullback(x, levels, c), _reference_power_pullback(m, x, c)
         assert got.shape == want.shape == lead + (d, d)
         _assert_within_rounding(got, want, 4e-15, axis=None)
         assert c.tobytes() == c_before.tobytes()
@@ -570,9 +572,9 @@ class TestPowerPullbackMatchesReference:
     def test_zero_cotangent(self, cols):
         rng = np.random.default_rng(50 + cols)
         m = _contracting_stack(rng, (2, 3, 2, 2))
-        x = _power_columns(m, rng.standard_normal((3, 2)), cols)
+        x, levels = _power_columns(m, rng.standard_normal((3, 2)), cols)
         c = np.full((3, 2, cols), -0.0)
-        assert _power_pullback(m, x, c).tobytes() == _reference_power_pullback(m, x, c).tobytes()
+        assert _power_pullback(x, levels, c).tobytes() == _reference_power_pullback(m, x, c).tobytes()
 
 
 # at A = diag(-0.5, 0.3) mz-dmd's W M has eigenvalues 1.56 and 1.03, so
@@ -619,7 +621,10 @@ class TestDoublingRisks:
         n = np.array([0.0, 1.0])
         snaps = random_snapshots(np.random.default_rng(91), cols=cols)
         got = _memory_columns(kind, _GROWING, n, cols), objective_value(Objective(kind, snaps, n), _GROWING)
-        with mock.patch.object(objectives, "_power_columns", _reference_power_columns):
+        def sequential(m, v, cols):  # objective values take no levels
+            return _reference_power_columns(m, v, cols), None
+
+        with mock.patch.object(objectives, "_power_columns", sequential):
             want = _memory_columns(kind, _GROWING, n, cols), objective_value(Objective(kind, snaps, n), _GROWING)
         assert np.all(np.isfinite(want[0]))
         _assert_within_rounding(got[0], want[0], 1e-12, axis=-2)
@@ -632,9 +637,9 @@ class TestDoublingRisks:
         rng = np.random.default_rng(92)
         m = np.array([[0.9, 50.0], [0.0, 0.9]])
         v, c = rng.standard_normal(2), rng.standard_normal((2, 2000))
-        x = _power_columns(m, v, 2000)
+        x, levels = _power_columns(m, v, 2000)
         _assert_within_rounding(x, _reference_power_columns(m, v, 2000), 2e-13, axis=-2)
-        _assert_within_rounding(_power_pullback(m, x, c), _reference_power_pullback(m, x, c), 1e-15, axis=None)
+        _assert_within_rounding(_power_pullback(x, levels, c), _reference_power_pullback(m, x, c), 1e-15, axis=None)
 
     def test_ill_conditioned_complex_pairs_match_the_sequential_chain(self):
         # pairs 0.999 e^{+-0.05 i} and 0.99 e^{+-0.3 i} with nearly parallel
@@ -653,9 +658,9 @@ class TestDoublingRisks:
             blocks[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [[c, -s], [s, c]]
         m = v @ blocks @ np.linalg.inv(v)
         start, c = rng.standard_normal(4), rng.standard_normal((4, 2000))
-        x = _power_columns(m, start, 2000)
+        x, levels = _power_columns(m, start, 2000)
         _assert_within_rounding(x, _reference_power_columns(m, start, 2000), 2e-9, axis=None)
-        _assert_within_rounding(_power_pullback(m, x, c), _reference_power_pullback(m, x, c), 4e-9, axis=None)
+        _assert_within_rounding(_power_pullback(x, levels, c), _reference_power_pullback(m, x, c), 4e-9, axis=None)
 
     def test_row_exponents_reach_the_adjoint(self):
         # the chain stays on the second axis and decays 0.9-fold a step,
@@ -669,8 +674,8 @@ class TestDoublingRisks:
         c = np.zeros((2, 3000))
         c[1] = np.random.default_rng(0).standard_normal(3000)
         with np.errstate(over="ignore"):
-            x = _power_columns(m, v, 3000)
-            got = _power_pullback(m, x, c)
+            x, levels = _power_columns(m, v, 3000)
+            got = _power_pullback(x, levels, c)
         want = _reference_power_pullback(m, x, c)
         assert want[1, 1] == pytest.approx(-11.19102797)
         _assert_within_rounding(got, want, 4e-15, axis=None)
@@ -910,14 +915,14 @@ def _reference_mz_memory(a, n, cols):
     w = expm(a_shift)
     m_map = cayley_M(a)
     k = w @ m_map
-    y = _power_columns(k, n, cols)
-    x = _power_columns(w, n, cols)
+    y, y_levels = _power_columns(k, n, cols)
+    x, x_levels = _power_columns(w, n, cols)
     f = solve(a_shift, y - x)
 
     def pullback(c):
         c_hat = solve(a_shift.mT, c)
-        g_k = _power_pullback(k, y, c_hat)
-        g_w = g_k @ m_map.mT - _power_pullback(w, x, c_hat)
+        g_k = _power_pullback(y, y_levels, c_hat)
+        g_w = g_k @ m_map.mT - _power_pullback(x, x_levels, c_hat)
         b = solve(a + eye, np.broadcast_to(eye, a.shape))
         grad = -(c_hat @ f.mT) - 4.0 * (b.mT @ (w.mT @ g_k) @ b.mT)
         return grad + expm_frechet(a_shift.mT, g_w)
@@ -1139,7 +1144,7 @@ class TestMemoryKernels:
             a = (v * (1 + dt * lam)) @ v_inv
             assert np.abs(np.imag(a)).max() <= 1e-15
             a, n = np.real(a), rng.standard_normal(2)
-            chain = _power_columns(expm(a - np.eye(2)) @ cayley_M(a), n, steps + 1)[:, 1:]
+            chain = _power_columns(expm(a - np.eye(2)) @ cayley_M(a), n, steps + 1)[0][:, 1:]
             scale = np.abs(chain).max()
             for oracle in (memory_kernel_closed, memory_kernel_trapezoid):
                 side = v @ oracle(lam, v_inv @ n, steps, dt).T

@@ -1,4 +1,5 @@
 import os
+import re
 import shutil
 import subprocess
 import warnings
@@ -87,25 +88,6 @@ def _integrate_batch(y0, cfg):
     return np.concatenate([chunk.copy() for chunk in oscillator._rk4_batch(y0, cfg)])
 
 
-def _outcome(y0, cfg):
-    """The states of ``integrate`` on one state (4,) or of the batch kernel
-    on state columns (4, n), or the grid step at which they diverge."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            if y0.ndim == 1:
-                return integrate(y0, cfg).states
-            return _integrate_batch(y0, cfg)
-        except DivergenceError as exc:
-            return exc.step
-
-
-def _assert_same_outcome(got, want):
-    if isinstance(want, int):
-        assert got == want
-    else:
-        np.testing.assert_array_equal(got, want)
-
-
 def _projection_start(cfg, x_hat):
     """The (4, n_mc) initial states ``monte_carlo_projection`` integrates."""
     draws = [cfg.sigma * rng_stream(cfg.seed, 1, i).standard_normal(2) for i in range(cfg.n_mc)]
@@ -114,6 +96,133 @@ def _projection_start(cfg, x_hat):
 
 def _grid(dt, n_points):
     return SimConfig(dt=dt, t_max=dt * (n_points - 1), n_points=n_points, sigma=1.0, n_mc=1)
+
+
+def _chunked(monkeypatch, n, chunk):
+    """Makes ``_rk4_batch`` step ``chunk`` grid steps a call on n columns."""
+    monkeypatch.setattr(oscillator, "_CHUNK_BYTES", 32 * n * chunk)
+
+
+def _bit_steps(y0, cfg):
+    """The grid steps' states of ``integrate`` on one state (4,) or of
+    ``_rk4_batch`` on state columns (4, n), as uint64 bit patterns, and the
+    grid step at which they diverge, or None.  On divergence ``integrate``
+    gives no state and ``_rk4_batch`` those of the chunks before."""
+    steps = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            if y0.ndim == 1:
+                steps = integrate(y0, cfg).states
+            else:
+                for chunk in oscillator._rk4_batch(y0, cfg):
+                    steps.extend(chunk.copy())
+        except DivergenceError as exc:
+            return np.array(steps).reshape((-1, *y0.shape)).view(np.uint64), exc.step
+    return np.array(steps).reshape((-1, *y0.shape)).view(np.uint64), None
+
+
+def _reference_bits(y0, cfg):
+    """The reference's states as uint64 bit patterns, and the grid step at
+    which they diverge, or None; on divergence, every grid step's before."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return _reference(y0, cfg).view(np.uint64), None
+        except DivergenceError as exc:
+            before = _reference(y0, _grid(cfg.dt, exc.step)) if exc.step > 1 else y0[None]
+            return before.view(np.uint64), exc.step
+
+
+def _drawn_batch(n, log_amplitude, zeros, seed):
+    rng = np.random.default_rng(seed)
+    y0 = rng.standard_normal((4, n)) * 10.0**log_amplitude
+    mask = rng.random(y0.shape) < zeros
+    y0[mask] = np.copysign(0.0, rng.standard_normal(mask.sum()))
+    return y0
+
+
+def _columns(*states):
+    return np.array(states).T
+
+
+def _one_diverging_column(column):
+    """37 columns near 1e-100, which stay finite over a grid of dt 30, but
+    for one whose hidden position of 1e136 grows about 60-fold a grid step
+    and overflows its square at step 10."""
+    y0 = np.random.default_rng(column).standard_normal((4, 37)) * 1e-100
+    y0[:, column] = (0.0, 0.0, 1e136, 0.0)
+    return y0
+
+
+# zero positions of either sign beside squares of 1e308, a -0 position
+# under a nonzero coupling, a -0 hidden position under a moving first one,
+# and an all-zero state whose -0 velocity stays -0
+_SIGNED_ZEROS = [
+    (0.0, 0.0, 1e154, 0.0),
+    (-0.0, 0.0, -1e154, 0.0),
+    (-0.0, -0.0, 0.5, -0.0),
+    (1.0, 0.0, -0.0, 0.0),
+    (0.0, -0.0, 0.0, -0.0),
+]
+_RNG = np.random.default_rng(4)
+# (y0, dt, n_points, chunk) cases that random draws would rarely reach
+_EDGE_CASES = [
+    # 50 columns over the default grid, and a projection-sized batch of odd
+    # width, so every SIMD loop has a tail
+    (_RNG.normal(0.0, 1.0, (4, 50)), 0.1, 501, None),
+    (_RNG.normal(0.0, 1.0, (4, 1003)), 0.1, 21, None),
+    # beside a column that stays finite: 1e160 overflows in the square
+    # (OverflowError on a Python float), (50, 0, 50, 0) grows over the
+    # sub-steps until a square overflows, and 1e154 * (1 + 1e308) overflows
+    # in a product of finite factors, which a Python float turns into inf
+    # without an OverflowError
+    *((_columns(state, (1.0, 0.0, 0.5, 0.0)), 1.0, 11, None)
+      for state in [(1e160, 0.0, 0.0, 0.0), (50.0, 0.0, 50.0, 0.0), (1e154, 0.0, 1e154, 0.0)]),
+    # signed zeros and squares near overflow, alone and beside a column
+    # whose acceleration is 1e148, or whose square overflows, so 0 * -inf is NaN
+    (_columns(*_SIGNED_ZEROS), 0.1, 31, None),
+    (_columns(*_SIGNED_ZEROS, (1e-160, 0.0, 1e154, 0.0)), 0.1, 31, None),
+    (_columns(*_SIGNED_ZEROS, (0.0, 0.0, 2e154, 0.0)), 0.1, 31, None),
+    # subnormal states, every entry a signed zero, squares that overflow,
+    # and calls of several steps, the last one shorter
+    (_drawn_batch(9, -310.0, 0.0, 0), 0.1, 5, 1),
+    (_drawn_batch(8, 0.0, 1.0, 1), 3.1, 5, 3),
+    (_drawn_batch(37, 160.0, 0.5, 2), 3.1, 5, 2),
+    (_drawn_batch(17, 0.5, 0.1, 3), 0.3, 30, 4),
+    # n 37 is two full blocks of 16 columns and a ragged one of 5, column 3
+    # lies in the first and column 36 in the ragged one: a divergence in
+    # the third call of 4 steps, and the 9 grid steps before it
+    *((_one_diverging_column(column), 30.0, n_points, 4) for column in (3, 36) for n_points in (17, 10)),
+]
+
+
+def _stepper_cases(test):
+    """Draws ``case``, (y0, dt, n_points, chunk): state columns y0 (4, n), a
+    grid, and the grid steps of one ``_rk4_batch`` call, None for its own.
+    Either a few moderate columns over a fine grid, or a batch whose width
+    brackets partial and full blocks of the compiled stepper's 16 columns,
+    of any amplitude from subnormal to overflowing and any share of signed
+    zeros, over a coarse grid in short calls; and the edge cases above."""
+    seeds = st.integers(0, 2**32 - 1)
+    moderate = st.tuples(
+        st.builds(lambda width, seed: np.random.default_rng(seed).normal(0.0, 2.0, (4, width)),
+                  st.integers(1, 9), seeds),
+        st.floats(0.01, 0.5), st.integers(2, 60), st.none())
+    blocks = st.tuples(
+        st.builds(_drawn_batch, st.sampled_from([1, 7, 8, 9, 15, 16, 17, 32, 33, 37]), st.floats(-310.0, 160.0),
+                  st.floats(0.0, 1.0), seeds),
+        st.floats(1e-3, 3.1), st.integers(2, 30), st.integers(1, 8))
+    for case in reversed(_EDGE_CASES):
+        test = example(case=case)(test)
+    # the stepper and the clone are patched once for every example
+    test = given(case=st.one_of(moderate, blocks))(test)
+    return settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])(test)
+
+
+def _case_grid(monkeypatch, y0, dt, n_points, chunk):
+    """The grid of a drawn case, with its chunk patched in."""
+    if chunk is not None:
+        _chunked(monkeypatch, y0.shape[1], chunk)
+    return _grid(dt, n_points)
 
 
 class TestRhs:
@@ -242,89 +351,22 @@ class TestIntegrateMatchesReference:
             y0 = rng.normal(0.0, 2.0, 4)
             np.testing.assert_array_equal(integrate(y0, cfg).states, _reference(y0, cfg))
 
+    @_stepper_cases
     @pytest.mark.usefixtures("stepper")
-    def test_batch(self):
-        rng = np.random.default_rng(4)
-        cfg = SimConfig()
-        y0 = rng.normal(0.0, 1.0, (4, 50))
-        np.testing.assert_array_equal(_integrate_batch(y0, cfg), _reference(y0, cfg))
-        # a projection-sized batch of odd width, so every SIMD loop has a tail
-        cfg = _grid(0.1, 21)
-        y0 = rng.normal(0.0, 1.0, (4, 1003))
-        np.testing.assert_array_equal(_integrate_batch(y0, cfg), _reference(y0, cfg))
-
-    @pytest.mark.parametrize(
-        "y0", [(1e160, 0.0, 0.0, 0.0), (50.0, 0.0, 50.0, 0.0), (1e154, 0.0, 1e154, 0.0)]
-    )
-    @pytest.mark.parametrize("batch", [False, True])
-    @pytest.mark.usefixtures("stepper")
-    def test_divergence_step(self, y0, batch):
-        # 1e160 overflows in the square (OverflowError on a Python float),
-        # (50, 0, 50, 0) grows over the sub-steps until a square overflows,
-        # and 1e154 * (1 + 1e308) overflows in a product of finite factors,
-        # which a Python float turns into inf without an OverflowError
-        cfg = _grid(1.0, 11)
-        y0 = np.array(y0)
-        if batch:
-            y0 = np.column_stack([y0, [1.0, 0.0, 0.5, 0.0]])
-        want = _reference_outcome(y0, cfg)
-        assert isinstance(want, int)
-        assert _outcome(y0, cfg) == want
-
-    # the stepper is patched once for every example
-    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(
-        dt=st.floats(0.01, 0.5),
-        n_points=st.integers(2, 60),
-        width=st.integers(1, 9),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    @pytest.mark.usefixtures("stepper")
-    def test_property(self, dt, n_points, width, seed):
-        cfg = _grid(dt, n_points)
-        batch = np.random.default_rng(seed).normal(0.0, 2.0, (4, width))
-        _assert_same_outcome(_outcome(batch, cfg), _reference_outcome(batch, cfg))
-        single = batch[:, 0]
-        _assert_same_outcome(_outcome(single, cfg), _reference_outcome(single, cfg))
+    def test_steppers_equal_the_reference_bitwise(self, monkeypatch, case):
+        # the first column through integrate and the batch through
+        # _rk4_batch: each grid step's bits, and the step at which they diverge
+        y0 = case[0]
+        with monkeypatch.context() as patch:
+            cfg = _case_grid(patch, *case)
+            for start in (y0[:, 0], y0):
+                (got, step), (want, want_step) = _bit_steps(start, cfg), _reference_bits(start, cfg)
+                assert step == want_step
+                np.testing.assert_array_equal(got, want if step is None else want[:len(got)])
 
 
 @pytest.mark.usefixtures("stepper")
 class TestBatchEdgeCases:
-    """Signed zeros, squares near overflow and divergence, against the
-    reference bit for bit (signs of zeros included)."""
-
-    # zero positions of either sign beside squares of 1e308, a -0 position
-    # under a nonzero coupling, a -0 hidden position under a moving first
-    # one, and an all-zero state whose -0 velocity stays -0
-    COLUMNS = [
-        (0.0, 0.0, 1e154, 0.0),
-        (-0.0, 0.0, -1e154, 0.0),
-        (-0.0, -0.0, 0.5, -0.0),
-        (1.0, 0.0, -0.0, 0.0),
-        (0.0, -0.0, 0.0, -0.0),
-    ]
-
-    def test_signed_zeros_and_large_squares_bitwise(self):
-        cfg = _grid(0.1, 31)
-        y0 = np.array(self.COLUMNS).T
-        got = _integrate_batch(y0, cfg)
-        want = _reference(y0, cfg)
-        np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
-        # the inputs do reach negative zeros and squares near overflow
-        assert np.signbit(got[got == 0.0]).any()
-        assert np.abs(got[:, 2, :2]).max() ** 2 > 1e307
-
-    @pytest.mark.parametrize("diverging", [(1e-160, 0.0, 1e154, 0.0), (0.0, 0.0, 2e154, 0.0)])
-    def test_one_diverging_column_sets_the_step(self, diverging):
-        # the first column's acceleration is 1e148 and the second's square
-        # overflows, so 0 * -inf is NaN
-        cfg = _grid(0.1, 31)
-        y0 = np.array(self.COLUMNS + [diverging]).T
-        want = _reference_outcome(y0, cfg)
-        assert isinstance(want, int)
-        assert _outcome(y0, cfg) == want
-
     def test_never_writes_the_callers_batch(self):
         # an F-ordered, an integer and a C-ordered float batch of the same
         # values step to the same bits, and each is left as it was: a
@@ -501,63 +543,6 @@ class TestMonteCarloProjection:
         assert excinfo.value.step == 0
 
 
-def _bit_steps(y0, cfg):
-    """Each grid step's states of ``_rk4_batch`` as uint64 bit patterns, up
-    to the chunk in which they diverge, and the grid step at which they
-    diverge, or None."""
-    steps = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            for chunk in oscillator._rk4_batch(y0, cfg):
-                steps.extend(chunk.view(np.uint64).copy())
-        except DivergenceError as exc:
-            return steps, exc.step
-    return steps, None
-
-
-def _batch_draws(test):
-    """Draws a batch size ``n`` that brackets partial and full blocks of the
-    compiled stepper's 16 columns, the grid steps of one call, a grid, and
-    the batch's amplitude, share of signed zeros and seed, with the examples
-    below."""
-    # subnormal states, every entry a signed zero, squares that overflow, and
-    # calls of several steps, the last one shorter
-    test = example(n=9, chunk=1, dt=0.1, n_points=5, log_amplitude=-310.0, zeros=0.0, seed=0)(test)
-    test = example(n=8, chunk=3, dt=3.1, n_points=5, log_amplitude=0.0, zeros=1.0, seed=1)(test)
-    test = example(n=37, chunk=2, dt=3.1, n_points=5, log_amplitude=160.0, zeros=0.5, seed=2)(test)
-    test = example(n=17, chunk=4, dt=0.3, n_points=30, log_amplitude=0.5, zeros=0.1, seed=3)(test)
-    draws = given(
-        n=st.sampled_from([1, 7, 8, 9, 15, 16, 17, 32, 33, 37]),
-        chunk=st.integers(1, 8),
-        dt=st.floats(1e-3, 3.1),
-        n_points=st.integers(2, 30),
-        log_amplitude=st.floats(-310.0, 160.0),
-        zeros=st.floats(0.0, 1.0),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    return settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])(draws(test))
-
-
-def _chunked(monkeypatch, n, chunk):
-    """Makes ``_rk4_batch`` step ``chunk`` grid steps a call on n columns."""
-    monkeypatch.setattr(oscillator, "_CHUNK_BYTES", 32 * n * chunk)
-
-
-def _drawn_batch(n, log_amplitude, zeros, seed):
-    rng = np.random.default_rng(seed)
-    y0 = rng.standard_normal((4, n)) * 10.0**log_amplitude
-    mask = rng.random(y0.shape) < zeros
-    y0[mask] = np.copysign(0.0, rng.standard_normal(mask.sum()))
-    return y0
-
-
-def _assert_same_bit_steps(got, want):
-    assert got[1] == want[1]
-    assert len(got[0]) == len(want[0])
-    for got_step, want_step in zip(got[0], want[0]):
-        np.testing.assert_array_equal(got_step, want_step)
-
-
 # the clones of rk4_advance, in the order rk4_isa tries them
 ISAS = ("avx512f", "avx2", "default")
 
@@ -583,43 +568,14 @@ class TestCompiledStepper:
         assert out[:-guard].tobytes() == np.array(want[1:]).tobytes()
         assert (out[-guard:] == -1.0).all()
 
-    @_batch_draws
-    @pytest.mark.usefixtures("kernel")
-    def test_steppers_agree_bitwise(self, monkeypatch, n, chunk, dt, n_points, log_amplitude, zeros, seed):
-        # each grid step's states and the divergence step, compiled against numpy
-        y0, cfg = _drawn_batch(n, log_amplitude, zeros, seed), _grid(dt, n_points)
-        with monkeypatch.context() as patch:
-            _chunked(patch, n, chunk)
-            compiled = _bit_steps(y0, cfg)
-            patch.setattr(oscillator, "_rk4_kernel", lambda: None)
-            numpy = _bit_steps(y0, cfg)
-        _assert_same_bit_steps(compiled, numpy)
-
-    # n 37 is two full blocks of 16 columns and a ragged one of 5; column 3
-    # lies in the first and column 36 in the ragged one
-    @pytest.mark.parametrize("column", [3, 36])
-    @pytest.mark.usefixtures("kernel")
-    def test_one_diverging_column_in_a_later_chunk(self, monkeypatch, column):
-        # at dt 30 the states grow about 60-fold a grid step: a hidden
-        # position of 1e136 overflows its square at step 10, in the middle of
-        # the third call of 4 steps, while the other columns, near 1e-100,
-        # stay finite over the grid
-        y0 = np.random.default_rng(column).standard_normal((4, 37)) * 1e-100
-        y0[:, column] = (0.0, 0.0, 1e136, 0.0)
-        runs = []
-        for cfg in (_grid(30.0, 17), _grid(30.0, 10)):
-            with monkeypatch.context() as patch:
-                _chunked(patch, 37, 4)
-                assert _bit_steps(np.delete(y0, column, axis=1), cfg)[1] is None
-                compiled = _bit_steps(y0, cfg)
-                patch.setattr(oscillator, "_rk4_kernel", lambda: None)
-                runs.append((compiled, _bit_steps(y0, cfg)))
-        (diverged, numpy), (before, numpy_before) = runs
-        assert numpy[1] == 10
-        _assert_same_bit_steps(diverged, numpy)
-        # and the grid steps before it, 9 in the diverging call among them
-        assert numpy_before[1] is None and len(numpy_before[0]) == 10
-        _assert_same_bit_steps(before, numpy_before)
+    def test_clones_are_the_isas_compared(self):
+        # a clone added in C without its bitwise comparison fails here
+        source = oscillator.RK4_SOURCE.read_text()
+        clones = re.search(r"target_clones\(([^)]*)\)", source).group(1)
+        isa = re.search(r"rk4_isa\(void\)\n\{(.*?)\n\}", source, re.S).group(1)
+        assert re.findall(r'"(\w+)"', clones) == list(ISAS)
+        assert re.findall(r'return "(\w+)"', isa) == list(ISAS)
+        assert re.findall(r'__builtin_cpu_supports\("(\w+)"\)', isa) == list(ISAS[:-1])
 
     @pytest.fixture(params=ISAS[::-1])
     def clone(self, request, monkeypatch, tmp_path):
@@ -639,21 +595,19 @@ class TestCompiledStepper:
         assert built is not None and built.isa == "default"
         return dispatched, built
 
-    @_batch_draws
-    def test_each_clone_agrees_bitwise(self, monkeypatch, clone, n, chunk, dt, n_points, log_amplitude, zeros,
-                                       seed):
+    @_stepper_cases
+    def test_each_clone_agrees_bitwise(self, monkeypatch, clone, case):
         # CI and any one host run only the clone their CPU selects; the
         # one-state rk4_integrate of each build, which has no clones, too
-        y0, cfg = _drawn_batch(n, log_amplitude, zeros, seed), _grid(dt, n_points)
-        steps, singles = [], []
+        y0, runs = case[0], []
         for kernel in clone:
             with monkeypatch.context() as patch:
-                _chunked(patch, n, chunk)
+                cfg = _case_grid(patch, *case)
                 patch.setattr(oscillator, "_rk4_kernel", lambda: kernel)
-                steps.append(_bit_steps(y0, cfg))
-                singles.append(_outcome(y0[:, 0], cfg))
-        _assert_same_bit_steps(*steps)
-        _assert_same_outcome(*singles)
+                runs.append([_bit_steps(start, cfg) for start in (y0[:, 0], y0)])
+        for (got, step), (want, want_step) in zip(*runs):
+            assert step == want_step
+            np.testing.assert_array_equal(got, want)
 
 
 def _float_integrate(y0, cfg):
