@@ -164,44 +164,46 @@ _SIGNED_ZEROS = [
     (0.0, -0.0, 0.0, -0.0),
 ]
 _RNG = np.random.default_rng(4)
-# (y0, dt, n_points, chunk) cases that random draws would rarely reach
-_EDGE_CASES = [
+# (y0, dt, n_points, chunk) cases that random draws would rarely reach, by name
+_EDGE_CASES = {
     # 50 columns over the default grid, and a projection-sized batch of odd
     # width, so every SIMD loop has a tail
-    (_RNG.normal(0.0, 1.0, (4, 50)), 0.1, 501, None),
-    (_RNG.normal(0.0, 1.0, (4, 1003)), 0.1, 21, None),
+    "50-columns": (_RNG.normal(0.0, 1.0, (4, 50)), 0.1, 501, None),
+    "1003-columns": (_RNG.normal(0.0, 1.0, (4, 1003)), 0.1, 21, None),
     # beside a column that stays finite: 1e160 overflows in the square
     # (OverflowError on a Python float), (50, 0, 50, 0) grows over the
     # sub-steps until a square overflows, and 1e154 * (1 + 1e308) overflows
     # in a product of finite factors, which a Python float turns into inf
     # without an OverflowError
-    *((_columns(state, (1.0, 0.0, 0.5, 0.0)), 1.0, 11, None)
-      for state in [(1e160, 0.0, 0.0, 0.0), (50.0, 0.0, 50.0, 0.0), (1e154, 0.0, 1e154, 0.0)]),
+    "square-overflows": (_columns((1e160, 0.0, 0.0, 0.0), (1.0, 0.0, 0.5, 0.0)), 1.0, 11, None),
+    "substeps-overflow": (_columns((50.0, 0.0, 50.0, 0.0), (1.0, 0.0, 0.5, 0.0)), 1.0, 11, None),
+    "product-overflows": (_columns((1e154, 0.0, 1e154, 0.0), (1.0, 0.0, 0.5, 0.0)), 1.0, 11, None),
     # signed zeros and squares near overflow, alone and beside a column
     # whose acceleration is 1e148, or whose square overflows, so 0 * -inf is NaN
-    (_columns(*_SIGNED_ZEROS), 0.1, 31, None),
-    (_columns(*_SIGNED_ZEROS, (1e-160, 0.0, 1e154, 0.0)), 0.1, 31, None),
-    (_columns(*_SIGNED_ZEROS, (0.0, 0.0, 2e154, 0.0)), 0.1, 31, None),
+    "signed-zeros": (_columns(*_SIGNED_ZEROS), 0.1, 31, None),
+    "signed-zeros-large-acceleration": (_columns(*_SIGNED_ZEROS, (1e-160, 0.0, 1e154, 0.0)), 0.1, 31, None),
+    "signed-zeros-nan": (_columns(*_SIGNED_ZEROS, (0.0, 0.0, 2e154, 0.0)), 0.1, 31, None),
     # subnormal states, every entry a signed zero, squares that overflow,
     # and calls of several steps, the last one shorter
-    (_drawn_batch(9, -310.0, 0.0, 0), 0.1, 5, 1),
-    (_drawn_batch(8, 0.0, 1.0, 1), 3.1, 5, 3),
-    (_drawn_batch(37, 160.0, 0.5, 2), 3.1, 5, 2),
-    (_drawn_batch(17, 0.5, 0.1, 3), 0.3, 30, 4),
+    "subnormal": (_drawn_batch(9, -310.0, 0.0, 0), 0.1, 5, 1),
+    "all-signed-zeros": (_drawn_batch(8, 0.0, 1.0, 1), 3.1, 5, 3),
+    "overflowing-squares": (_drawn_batch(37, 160.0, 0.5, 2), 3.1, 5, 2),
+    "short-last-call": (_drawn_batch(17, 0.5, 0.1, 3), 0.3, 30, 4),
     # n 37 is two full blocks of 16 columns and a ragged one of 5, column 3
     # lies in the first and column 36 in the ragged one: a divergence in
     # the third call of 4 steps, and the 9 grid steps before it
-    *((_one_diverging_column(column), 30.0, n_points, 4) for column in (3, 36) for n_points in (17, 10)),
-]
+    **{f"diverging-column-{column}-{n_points}-points": (_one_diverging_column(column), 30.0, n_points, 4)
+       for column in (3, 36) for n_points in (17, 10)},
+}
 
 
-def _stepper_cases(test):
+def _stepper_cases(*edge_cases):
     """Draws ``case``, (y0, dt, n_points, chunk): state columns y0 (4, n), a
     grid, and the grid steps of one ``_rk4_batch`` call, None for its own.
     Either a few moderate columns over a fine grid, or a batch whose width
     brackets partial and full blocks of the compiled stepper's 16 columns,
     of any amplitude from subnormal to overflowing and any share of signed
-    zeros, over a coarse grid in short calls; and the edge cases above."""
+    zeros, over a coarse grid in short calls; and ``edge_cases`` as examples."""
     seeds = st.integers(0, 2**32 - 1)
     moderate = st.tuples(
         st.builds(lambda width, seed: np.random.default_rng(seed).normal(0.0, 2.0, (4, width)),
@@ -211,11 +213,14 @@ def _stepper_cases(test):
         st.builds(_drawn_batch, st.sampled_from([1, 7, 8, 9, 15, 16, 17, 32, 33, 37]), st.floats(-310.0, 160.0),
                   st.floats(0.0, 1.0), seeds),
         st.floats(1e-3, 3.1), st.integers(2, 30), st.integers(1, 8))
-    for case in reversed(_EDGE_CASES):
-        test = example(case=case)(test)
-    # the stepper and the clone are patched once for every example
-    test = given(case=st.one_of(moderate, blocks))(test)
-    return settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])(test)
+
+    def drawn(test):
+        # the stepper and the clone are patched once for every example
+        for case in reversed(edge_cases):
+            test = example(case=case)(test)
+        test = given(case=st.one_of(moderate, blocks))(test)
+        return settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])(test)
+    return drawn
 
 
 def _case_grid(monkeypatch, y0, dt, n_points, chunk):
@@ -343,6 +348,16 @@ class TestIntegrate:
             assert np.abs(stacked[:, :, i] - single).max() <= 1e-15
 
 
+def _assert_equals_reference(monkeypatch, case):
+    """Column 0 through ``integrate``, the batch through ``_rk4_batch``: bits and divergence step."""
+    with monkeypatch.context() as patch:
+        cfg = _case_grid(patch, *case)
+        for start in (case[0][:, 0], case[0]):
+            (got, step), (want, want_step) = _bit_steps(start, cfg), _reference_bits(start, cfg)
+            assert step == want_step
+            np.testing.assert_array_equal(got, want if step is None else want[:len(got)])
+
+
 class TestIntegrateMatchesReference:
     def test_single_states(self):
         rng = np.random.default_rng(3)
@@ -351,18 +366,15 @@ class TestIntegrateMatchesReference:
             y0 = rng.normal(0.0, 2.0, 4)
             np.testing.assert_array_equal(integrate(y0, cfg).states, _reference(y0, cfg))
 
-    @_stepper_cases
+    @_stepper_cases()
     @pytest.mark.usefixtures("stepper")
     def test_steppers_equal_the_reference_bitwise(self, monkeypatch, case):
-        # the first column through integrate and the batch through
-        # _rk4_batch: each grid step's bits, and the step at which they diverge
-        y0 = case[0]
-        with monkeypatch.context() as patch:
-            cfg = _case_grid(patch, *case)
-            for start in (y0[:, 0], y0):
-                (got, step), (want, want_step) = _bit_steps(start, cfg), _reference_bits(start, cfg)
-                assert step == want_step
-                np.testing.assert_array_equal(got, want if step is None else want[:len(got)])
+        _assert_equals_reference(monkeypatch, case)
+
+    @pytest.mark.parametrize("case", _EDGE_CASES.values(), ids=_EDGE_CASES.keys())
+    @pytest.mark.usefixtures("stepper")
+    def test_edge_cases_equal_the_reference_bitwise(self, monkeypatch, case):
+        _assert_equals_reference(monkeypatch, case)
 
 
 @pytest.mark.usefixtures("stepper")
@@ -595,7 +607,7 @@ class TestCompiledStepper:
         assert built is not None and built.isa == "default"
         return dispatched, built
 
-    @_stepper_cases
+    @_stepper_cases(*_EDGE_CASES.values())
     def test_each_clone_agrees_bitwise(self, monkeypatch, clone, case):
         # CI and any one host run only the clone their CPU selects; the
         # one-state rk4_integrate of each build, which has no clones, too
