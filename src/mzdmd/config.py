@@ -112,9 +112,10 @@ def read_config(path) -> dict:
     """The keys of a key-value config file, each cast to its type; a
     :class:`ConfigError` names the line of a malformed line, an unknown or
     duplicate key, or a value its type refuses, or says why the file is
-    unreadable."""
+    unreadable.  The file is read as UTF-8, after a byte-order mark if it
+    has one, whatever the locale."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeError) as exc:
         raise ConfigError(str(exc)) from exc
     raw: dict = {}

@@ -9,6 +9,7 @@ deterministic.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import dataclasses
 import functools
 import json
@@ -193,18 +194,41 @@ def _scipy_version() -> str | None:
         return None
 
 
+# where numpy's wheels bundle their OpenBLAS: numpy.libs beside the
+# package on Linux and Windows, numpy/.dylibs on macOS
+NUMPY_LIBS = (Path(np.__file__).parents[1] / "numpy.libs", Path(np.__file__).parent / ".dylibs")
+
+
+@functools.cache
+def _openblas() -> dict:
+    """The kernel ("core") that the OpenBLAS bundled with numpy selected for
+    this CPU, and that library's build configuration, through ctypes on the
+    library numpy has already loaded; None each where no such library or
+    symbol is found.  The core decides the last bits of the fits' BLAS
+    calls, and is fixed once the library loads."""
+    for lib in sorted(lib for libs in NUMPY_LIBS for lib in libs.glob("libscipy_openblas*")):
+        with contextlib.suppress(OSError, AttributeError):
+            openblas = ctypes.CDLL(str(lib))
+            core, config = openblas.scipy_openblas_get_corename64_, openblas.scipy_openblas_get_config64_
+            for call in (core, config):
+                call.argtypes, call.restype = [], ctypes.c_char_p
+            return {"openblas_core": core().decode(), "openblas_config": config().decode().strip()}
+    return {"openblas_core": None, "openblas_config": None}
+
+
 def environment_stamp() -> dict:
     """The software and machine of a run: Python, numpy and scipy versions,
-    the BLAS numpy was built with, the CPU count, and each of
-    ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and ``OMP_NUM_THREADS``
-    that is set, as OpenBLAS reads all three.  Taking the stamp imports no
-    scipy."""
+    the BLAS numpy was built with, the core and build of the OpenBLAS it
+    bundles, the CPU count, and each of ``OPENBLAS_NUM_THREADS``,
+    ``GOTO_NUM_THREADS`` and ``OMP_NUM_THREADS`` that is set, as OpenBLAS
+    reads all three.  Taking the stamp imports no scipy."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     stamp = {
         "python": ".".join(map(str, sys.version_info[:3])),
         "numpy": np.__version__,
         "scipy": _scipy_version(),
         "blas": f"{blas['name']} {blas['version']}",
+        **_openblas(),
         "cpu_count": os.cpu_count(),
     }
     for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):

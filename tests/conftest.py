@@ -1,5 +1,6 @@
 """Shared helpers for the test suite."""
 
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -15,14 +16,48 @@ def rk4_cache(tmp_path_factory):
     too, so a test run neither writes into nor prunes the cache under the
     user's home.  A test that sets its own cache or home patches over this
     one, and the loader's memo is cleared on both sides, so no kernel loaded
-    from another cache is reused."""
+    from another cache is reused.
+
+    Where ``cc`` is found, the session's kernel is built here and
+    ``rk4_advance`` run at every width of ``ADVANCE_WIDTHS`` before any test,
+    so a store past a batch's columns stops the run by name instead of
+    corrupting the heap of whichever test steps a ragged batch first."""
     home = tmp_path_factory.mktemp("home")
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("HOME", str(home))
         patch.setattr(oscillator, "RK4_CACHE", home / ".cache" / "mzdmd")
         oscillator._rk4_kernel.cache_clear()
+        kernel = oscillator._rk4_kernel() if shutil.which("cc") else None
+        if kernel is not None:
+            for n in ADVANCE_WIDTHS:
+                advance_with_guard(kernel, n)
         yield oscillator.RK4_CACHE
     oscillator._rk4_kernel.cache_clear()
+
+
+# batch widths of rk4_advance: one ragged block, one full block, full blocks
+# followed by a ragged one of one column or of five
+ADVANCE_WIDTHS = (5, 16, 17, 32, 33, 37)
+
+
+def advance_with_guard(kernel, n):
+    """``kernel.advance`` over 3 grid steps of n random columns, as bytes,
+    and the bytes of ``oscillator._rk4_substeps`` over the same steps,
+    which it should equal.  The output is followed by a guard of one
+    block's 16 doubles; a store into it calls ``pytest.exit`` naming
+    ``rk4_advance`` and n, as past the end of a buffer such a store can
+    corrupt the heap and abort the process."""
+    steps, h, guard = 3, 0.01, 16
+    y = np.random.default_rng(n).standard_normal((4, n))
+    out = np.full(steps * 4 * n + guard, -1.0)
+    kernel.advance(y.ctypes.data, n, steps, oscillator.SUBSTEPS, h, out.ctypes.data)
+    if not (out[-guard:] == -1.0).all():
+        pytest.exit(f"rk4_advance stored past the end of a batch of {n} columns",
+                    returncode=pytest.ExitCode.TESTS_FAILED)
+    want = [y]
+    for _ in range(steps):
+        want.append(np.array(oscillator._rk4_substeps(*want[-1], h)))
+    return out[:-guard].tobytes(), np.array(want[1:]).tobytes()
 
 
 def numpy_ships_ziggurat():

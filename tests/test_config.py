@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import mzdmd
 from mzdmd import ConfigError, default_config
 from mzdmd.config import build_config, read_config
 
@@ -73,6 +79,23 @@ class TestParsing:
     def test_resolved_init_space_separated(self, tmp_path):
         cfg = build_config(read_config(write_cfg(tmp_path, "resolved_init = 2 3\n")))
         assert cfg.resolved_init == (2.0, 3.0)
+
+    @pytest.mark.parametrize("head", [b"", b"\xef\xbb\xbf"], ids=["utf-8", "utf-8 with a byte-order mark"])
+    def test_utf8_file(self, tmp_path, head):
+        path = tmp_path / "experiment.cfg"
+        path.write_bytes(head + "dt = 0.1  # Schrittweite, größer wird's ungenau\nseed = 3\n".encode())
+        assert read_config(path) == {"dt": 0.1, "seed": 3}
+
+    def test_utf8_file_in_an_ascii_locale(self, tmp_path):
+        # the C locale without UTF-8 mode decodes text files as ASCII unless
+        # the reader names its encoding
+        path = tmp_path / "experiment.cfg"
+        path.write_bytes(b"\xef\xbb\xbfseed = 3  # gr\xc3\xb6\xc3\x9fer\n")
+        src = str(Path(mzdmd.__file__).parents[1])
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "PYTHONPATH": src}
+        code = "import sys; from mzdmd.config import read_config; print(read_config(sys.argv[1]))"
+        run = subprocess.run([sys.executable, "-c", code, str(path)], env=env, capture_output=True, text=True)
+        assert (run.returncode, run.stdout) == (0, "{'seed': 3}\n"), run.stderr
 
 
 class TestErrors:

@@ -4,8 +4,10 @@ import json
 import os
 import platform
 import shutil
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +36,10 @@ from mzdmd.harness import METHODS, MethodFailure, csv_rows, write_rows
 AWKWARD = [-0.0, 5e-324, 1e308, 1 / 3, 2.0, -7.0, 0.0, 1e16]
 # the environment variables OpenBLAS sizes its thread pool from
 THREAD_VARIABLES = ["OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"]
+NUMPY_BUNDLES_OPENBLAS = pytest.mark.skipif(
+    not any(lib for libs in harness.NUMPY_LIBS for lib in libs.glob("libscipy_openblas*")),
+    reason="numpy bundles no scipy-openblas library",
+)
 
 
 def _stepper_stamp(cfg):
@@ -519,6 +525,8 @@ class TestRunExperiment:
             "numpy": np.__version__,
             "scipy": importlib.metadata.version("scipy"),
             "blas": stamp["blas"],
+            "openblas_core": stamp["openblas_core"],
+            "openblas_config": stamp["openblas_config"],
             "cpu_count": os.cpu_count(),
             variable.lower(): "1",
             **_kernel_stepper_stamp(),
@@ -561,6 +569,34 @@ class TestRunExperiment:
             assert harness.environment_stamp()["scipy"] is None
         finally:
             harness._scipy_version.cache_clear()
+
+    @NUMPY_BUNDLES_OPENBLAS
+    def test_stamp_names_the_core_numpys_openblas_selected(self):
+        stamp = harness.environment_stamp()
+        assert stamp["openblas_config"].startswith("OpenBLAS ")
+        assert stamp["openblas_core"] in stamp["openblas_config"].split()
+
+    @NUMPY_BUNDLES_OPENBLAS
+    @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="Nehalem is an x86-64 OpenBLAS core")
+    def test_stamp_follows_the_core_a_process_forces(self):
+        # the build configuration names the target numpy was built for; the
+        # stamp reads the core this process selected, here the one forced
+        code = "from mzdmd import harness; print(harness.environment_stamp()['openblas_core'])"
+        env = {**os.environ, "OPENBLAS_CORETYPE": "Nehalem", "PYTHONPATH": str(Path(harness.__file__).parents[1])}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert (run.returncode, run.stdout) == (0, "Nehalem\n"), run.stderr
+
+    @pytest.mark.parametrize("files", [(), ("libscipy_openblas64_-0.so",)], ids=["no library", "not a library"])
+    def test_stamp_without_numpys_openblas_reads_none(self, tmp_path, monkeypatch, files):
+        for name in files:
+            (tmp_path / name).write_text("not a shared library")
+        monkeypatch.setattr(harness, "NUMPY_LIBS", (tmp_path,))
+        harness._openblas.cache_clear()
+        try:
+            stamp = harness.environment_stamp()
+        finally:
+            harness._openblas.cache_clear()
+        assert (stamp["openblas_core"], stamp["openblas_config"]) == (None, None)
 
     @pytest.mark.parametrize("method", ["mz-dmd", "t-model"])
     def test_missing_scipy_fails_the_memory_fit(self, tmp_path, monkeypatch, method):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from conftest import numpy_ships_ziggurat, oscillator_rhs, reference_integrate
+from conftest import ADVANCE_WIDTHS, advance_with_guard, numpy_ships_ziggurat, oscillator_rhs, reference_integrate
 
 from mzdmd import (
     DivergenceError,
@@ -565,20 +565,10 @@ class TestCompiledStepper:
         # a fixture, so a missing compiler skips before hypothesis draws
         return _compiled_kernel()
 
-    @pytest.mark.parametrize("n", [5, 16, 17, 32, 33, 37])
+    @pytest.mark.parametrize("n", ADVANCE_WIDTHS)
     def test_advance_writes_only_its_columns(self, kernel, n):
-        # the output ends where a guard of one block's 16 doubles begins, so
-        # a block stored past column n fails here, where past the end of a
-        # buffer it could corrupt the heap and abort the run
-        steps, h, guard = 3, 0.01, 16
-        y = np.random.default_rng(n).standard_normal((4, n))
-        out = np.full(steps * 4 * n + guard, -1.0)
-        kernel.advance(y.ctypes.data, n, steps, oscillator.SUBSTEPS, h, out.ctypes.data)
-        want = [y]
-        for _ in range(steps):
-            want.append(np.array(oscillator._rk4_substeps(*want[-1], h)))
-        assert out[:-guard].tobytes() == np.array(want[1:]).tobytes()
-        assert (out[-guard:] == -1.0).all()
+        got, want = advance_with_guard(kernel, n)
+        assert got == want
 
     def test_clones_are_the_isas_compared(self):
         # a clone added in C without its bitwise comparison fails here
@@ -641,12 +631,16 @@ class TestCompiledIntegrate:
         return _compiled_kernel()
 
     def test_random_starts_agree_bitwise(self):
-        # a product in place of pow changes 101 of these 200 trajectories
+        # a product in place of pow, which is what GCC makes of pow(x, 2.0)
+        # without -fno-builtin-pow, changes 8 of these 20 trajectories
         cfg = SimConfig(dt=0.1, t_max=200.0, n_points=2001, sigma=1.0, n_mc=1)
-        for y0 in np.random.default_rng(21).normal(0.0, 2.0, (200, 4)):
+        differ = []
+        for i, y0 in enumerate(np.random.default_rng(21).normal(0.0, 2.0, (20, 4))):
             want = _float_integrate(y0, cfg)
             assert isinstance(want, np.ndarray), f"{y0} diverged"
-            assert integrate(y0, cfg).states.tobytes() == want.tobytes()
+            if integrate(y0, cfg).states.tobytes() != want.tobytes():
+                differ.append(i)
+        assert differ == [], f"{len(differ)} of 20 starts differ"
 
     @pytest.mark.parametrize("n_points", [11, 2001])
     @pytest.mark.parametrize(
