@@ -54,7 +54,7 @@ class RunReport:
     projection's mean and the time ``t`` at which it occurs; it is None, and
     left out of the JSON, when the projection is not run.  ``environment``
     names what stepped the run's integrations, as :func:`oscillator.stepper`
-    gives it."""
+    gives it, and the core of scipy's OpenBLAS once a memory-aware fit loads it."""
 
     seed: int
     config: dict
@@ -194,26 +194,33 @@ def _scipy_version() -> str | None:
         return None
 
 
-# where numpy's wheels bundle their OpenBLAS: numpy.libs beside the
-# package on Linux and Windows, numpy/.dylibs on macOS
-NUMPY_LIBS = (Path(np.__file__).parents[1] / "numpy.libs", Path(np.__file__).parent / ".dylibs")
+def _libs(package) -> tuple[Path, Path]:
+    """Where the imported ``package``'s wheel bundles its libraries: ``<name>.libs``
+    beside the package on Linux and Windows, ``<name>/.dylibs`` on macOS."""
+    root = Path(package.__file__).parent
+    return root.parent / f"{package.__name__}.libs", root / ".dylibs"
+
+
+NUMPY_LIBS = _libs(np)
 
 
 @functools.cache
-def _openblas() -> dict:
-    """The kernel ("core") that the OpenBLAS bundled with numpy selected for
-    this CPU, and that library's build configuration, through ctypes on the
-    library numpy has already loaded; None each where no such library or
-    symbol is found.  The core decides the last bits of the fits' BLAS
-    calls, and is fixed once the library loads."""
-    for lib in sorted(lib for libs in NUMPY_LIBS for lib in libs.glob("libscipy_openblas*")):
+def _openblas(libs: tuple[Path, ...], suffix: str, prefix: str = "") -> dict:
+    """The kernel ("core") that an OpenBLAS bundled in ``libs`` selected for
+    this CPU, and that library's build configuration, as ``<prefix>openblas_core``
+    and ``<prefix>openblas_config``, through ctypes on the library its package
+    has already loaded, whose symbols end in ``suffix`` (``64_`` in numpy's
+    64-bit-integer build, none in scipy's); None each where no such library or
+    symbol is found.  The core decides the last bits of the library's calls,
+    and is fixed once it loads."""
+    for lib in sorted(lib for path in libs for lib in path.glob("libscipy_openblas*")):
         with contextlib.suppress(OSError, AttributeError):
             openblas = ctypes.CDLL(str(lib))
-            core, config = openblas.scipy_openblas_get_corename64_, openblas.scipy_openblas_get_config64_
+            core, config = (getattr(openblas, f"scipy_openblas_get_{name}{suffix}") for name in ("corename", "config"))
             for call in (core, config):
                 call.argtypes, call.restype = [], ctypes.c_char_p
-            return {"openblas_core": core().decode(), "openblas_config": config().decode().strip()}
-    return {"openblas_core": None, "openblas_config": None}
+            return {f"{prefix}openblas_core": core().decode(), f"{prefix}openblas_config": config().decode().strip()}
+    return {f"{prefix}openblas_core": None, f"{prefix}openblas_config": None}
 
 
 def environment_stamp() -> dict:
@@ -228,7 +235,7 @@ def environment_stamp() -> dict:
         "numpy": np.__version__,
         "scipy": _scipy_version(),
         "blas": f"{blas['name']} {blas['version']}",
-        **_openblas(),
+        **_openblas(NUMPY_LIBS, "64_"),
         "cpu_count": os.cpu_count(),
     }
     for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
@@ -262,6 +269,7 @@ def run_experiment(cfg) -> RunReport:
         with stage(name, "fit"):
             if name in (MZ_DMD, T_MODEL):
                 linalg.load_expm()  # a one-time load, not a cost of this fit
+                report.environment.update(_openblas(_libs(sys.modules["scipy"]), "", "scipy_"))
             start = time.perf_counter()
             traj, var, loss_trace = METHODS[name].fit(cfg, snapshots)
         report.wall_times[name] = time.perf_counter() - start

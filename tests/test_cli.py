@@ -117,30 +117,39 @@ class TestExitCodes:
 
 
 
-# an overflowing state, an overflowing Adam step, a zero operator, and a
-# file where the output directory should go
+# an overflowing state, an overflowing matrix exponential, an overflowing
+# Adam step, a zero operator, diverging hidden states, and a file where the
+# output directory should go
 OVERFLOW = "resolved_init = 1e200 0\nmethod = dmd\n"
 HUGE_STEP = "lr = 1e200\nmethod = t-model\n"
+HUGER_STEP = "lr = 1e307\nmethod = t-model\n"
 ZERO = "sigma = 0\nresolved_init = 0 0\nmethod = dmd\n"
+DIVERGING = "sigma = 200\nseed = 1\nmethod = projection\n"
+NON_FINITE = "state became non-finite at grid step "
 
 
-@pytest.mark.parametrize("command, text, stage", [
-    pytest.param("simulate", OVERFLOW, "simulate", id="simulate-simulate"),
-    pytest.param("run", OVERFLOW, "simulate", id="run-simulate"),
-    pytest.param("fit", HUGE_STEP, "fit", id="fit-fit"),
-    pytest.param("reconstruct", HUGE_STEP, "fit", id="reconstruct-fit-ensemble"),
-    pytest.param("reconstruct", ZERO, "fit", id="reconstruct-fit-dmd"),
-    *(pytest.param(command, "method = dmd\n", "write", id=f"{command}-write")
+@pytest.mark.parametrize("command, text, stage, cause", [
+    pytest.param("simulate", OVERFLOW, "simulate", NON_FINITE, id="simulate-simulate"),
+    pytest.param("run", OVERFLOW, "simulate", NON_FINITE, id="run-simulate"),
+    pytest.param("fit", HUGE_STEP, "fit", "matrix exponential overflowed", id="fit-fit"),
+    pytest.param("reconstruct", HUGE_STEP, "fit", "matrix exponential overflowed", id="reconstruct-fit-ensemble"),
+    pytest.param("reconstruct", ZERO, "fit", "zero eigenvalue has no logarithm", id="reconstruct-fit-dmd"),
+    pytest.param("run", HUGER_STEP, "fit", "Adam's step overflowed the parameters", id="run-fit-adam"),
+    pytest.param("run", DIVERGING, "fit", NON_FINITE, id="run-fit-projection"),
+    *(pytest.param(command, "method = dmd\n", "write", "File exists", id=f"{command}-write")
       for command in ("simulate", "fit", "reconstruct", "run")),
 ])
-def test_method_failure_names_its_stage(tmp_path, capsys, command, text, stage):
+def test_method_failure_names_its_stage(tmp_path, capsys, command, text, stage, cause):
+    # a failure is typed: a numpy warning is an error here, and would name
+    # itself as the cause instead
     cfg = write_cfg(tmp_path, SMALL + text)
     out = tmp_path / "out"
     if stage == "write":
         out.write_text("")  # a file where the output directory should go
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
     method = config.read_config(cfg)["method"]
-    assert f"method '{method}' failed during {stage}: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"method '{method}' failed during {stage}: " in err and cause in err, err
 
 class TestSubcommands:
     def test_simulate_writes_measurement(self, tmp_path, capsys):

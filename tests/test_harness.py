@@ -507,7 +507,8 @@ class TestRunExperiment:
         # projection has none
         assert list(report.imag_residues) == ["dmd", "mz-dmd", "t-model"]
         assert all(0.0 <= r < 1e-10 for r in report.imag_residues.values())
-        parsed = json.loads((out / "report.json").read_text())
+        # strict JSON: json.dumps writes a non-finite float as NaN or Infinity
+        parsed = json.loads((out / "report.json").read_text(), parse_constant=pytest.fail)
         assert parsed["seed"] == cfg.sim.seed
         assert parsed["config"]["output_dir"] == str(out)
         assert parsed["config"]["resolved_init"] == list(cfg.resolved_init)
@@ -599,6 +600,25 @@ class TestRunExperiment:
         assert (stamp["openblas_core"], stamp["openblas_config"]) == (None, None)
 
     @pytest.mark.parametrize("method", ["mz-dmd", "t-model"])
+    def test_memory_fit_stamps_the_core_scipys_openblas_selected(self, tmp_path, method):
+        # linalg.expm runs on the OpenBLAS scipy bundles, apart from numpy's
+        import scipy
+
+        if not any(lib for libs in harness._libs(scipy) for lib in libs.glob("libscipy_openblas*")):
+            pytest.skip("scipy bundles no scipy-openblas library")
+        stamp = run_experiment(small_config(tmp_path, method=method)).environment
+        assert stamp["scipy_openblas_config"].startswith("OpenBLAS ")
+        assert stamp["scipy_openblas_core"] in stamp["scipy_openblas_config"].split()
+
+    @pytest.mark.parametrize("files", [(), ("libscipy_openblas-0.so",)], ids=["no library", "not a library"])
+    def test_memory_fit_without_scipys_openblas_stamps_none(self, tmp_path, monkeypatch, files):
+        for name in files:
+            (tmp_path / name).write_text("not a shared library")
+        monkeypatch.setattr(harness, "_libs", lambda package: (tmp_path,))
+        stamp = run_experiment(small_config(tmp_path / "run", method="t-model")).environment
+        assert (stamp["scipy_openblas_core"], stamp["scipy_openblas_config"]) == (None, None)
+
+    @pytest.mark.parametrize("method", ["mz-dmd", "t-model"])
     def test_missing_scipy_fails_the_memory_fit(self, tmp_path, monkeypatch, method):
         # a None entry makes every import of scipy.linalg raise ImportError
         monkeypatch.setitem(sys.modules, "scipy.linalg", None)
@@ -653,8 +673,9 @@ class TestRunExperiment:
             assert report.loss_traces[kind] == np.mean(list(traces), axis=0).tolist()
 
     def test_report_states_the_projection_standard_error(self, tmp_path):
-        # CI's smoke config: per coordinate, the largest sqrt(var / n_mc) of
-        # the projection's mean and its time, as read back from projection.csv
+        # the config of CI's runner-environment step: per coordinate, the
+        # largest sqrt(var / n_mc) of the projection's mean and its time, as
+        # read back from projection.csv
         cfg = build_config({"t_max": 6.0, "n_points": 61, "n_mc": 8, "n_u": 2, "output_dir": tmp_path})
         run_experiment(cfg)
         parsed = json.loads((tmp_path / "report.json").read_text())["projection_standard_error"]

@@ -13,6 +13,7 @@ on how many CPUs scipy's BLAS sees when it loads.
 """
 
 import ast
+import importlib
 import os
 import shutil
 import subprocess
@@ -120,17 +121,35 @@ def test_a_home_directory_holds_the_kernel(tmp_path):
 
 def test_projection_and_dmd_runs_do_not_load_scipy(tmp_path):
     code = (
-        "import sys\n"
+        "import contextlib, sys\n"
+        "from mzdmd.cli import main\n"
         "from mzdmd.config import build_config\n"
         "from mzdmd.harness import run_experiment\n"
+        "with contextlib.redirect_stdout(sys.stderr):\n"
+        "    assert main(['simulate', '--out', sys.argv[1] + '/simulate']) == 0\n"
+        "print('simulate', 'scipy' in sys.modules)\n"
         "for method in ('projection', 'dmd'):\n"
         "    run_experiment(build_config({'t_max': 6.0, 'n_points': 61, 'n_mc': 8,\n"
         "        'method': method, 'output_dir': sys.argv[1] + '/' + method}))\n"
         "    print(method, 'scipy' in sys.modules)"
     )
-    assert run_fresh(code, tmp_path).split() == ["projection", "False", "dmd", "False"]
+    assert run_fresh(code, tmp_path).split() == ["simulate", "False", "projection", "False", "dmd", "False"]
+    assert (tmp_path / "simulate" / "measurement.csv").is_file()
     assert (tmp_path / "projection" / "projection.csv").is_file()
     assert (tmp_path / "dmd" / "dmd.csv").is_file()
+
+
+def test_every_name_the_traced_benchmark_wraps_resolves():
+    # perfbench/spans.py's TARGETS names the (module, attribute) pairs whose
+    # calls a traced benchmark run times; one renamed or inlined away here
+    # would fail only the benchmark
+    tree = ast.parse((PACKAGE_DIR.parents[1] / "perfbench" / "spans.py").read_text())
+    targets = next(node.value for node in tree.body
+                   if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"])
+    names = [(row.elts[0].value, row.elts[1].value) for row in targets.elts]
+    missing = [f"mzdmd.{module}.{attr}" for module, attr in names
+               if not hasattr(importlib.import_module(f"mzdmd.{module}"), attr)]
+    assert len(names) > 1 and missing == []
 
 
 def test_memory_fits_are_timed_after_scipy_loads(tmp_path):
